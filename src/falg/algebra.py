@@ -24,7 +24,7 @@ from fractions import Fraction
 from typing import Callable, Optional
 
 from .ring import Backend, BackendMismatchError, NormValue, Scalar
-from .hamel import ColumnFiniteMap, HamelVector, zero_vector
+from .hamel import ColumnFiniteMap, HamelVector, _accumulate, _check_index, _vector, zero_vector
 
 
 class CertificateError(ValueError):
@@ -50,7 +50,8 @@ class StructureTable:
         for (i, j), entry in self.entries.items():
             cleaned[(i, j)] = self._coerce(entry)
         self.entries = cleaned
-        self._checked: set[tuple[int, int]] = set()
+        # entries that passed the pair-bound check (every entry when no bound)
+        self._checked: dict[tuple[int, int], HamelVector] = {}
 
     def _coerce(self, entry) -> HamelVector:
         if not isinstance(entry, HamelVector):
@@ -62,6 +63,9 @@ class StructureTable:
     def lookup(self, i: int, j: int) -> HamelVector:
         """Expansion of e_i * e_j; zero for absent pairs of an extensional table."""
         key = (i, j)
+        entry = self._checked.get(key)
+        if entry is not None:
+            return entry
         entry = self.entries.get(key)
         if entry is None:
             if self.rule is None:
@@ -69,7 +73,7 @@ class StructureTable:
             else:
                 entry = self._coerce(self.rule(i, j))
             self.entries[key] = entry
-        if self.pair_bound is not None and key not in self._checked:
+        if self.pair_bound is not None:
             # accumulate without upward rounding: reject only provable violations
             mass = self.backend.norm_zero
             for c in entry.coords.values():
@@ -79,23 +83,29 @@ class StructureTable:
                     f"pair bound violated at ({i}, {j}): "
                     f"sum of |C| is {mass}, declared bound {self.pair_bound}"
                 )
-            self._checked.add(key)
+        self._checked[key] = entry
         return entry
 
     def mul(self, a: HamelVector, b: HamelVector) -> HamelVector:
-        """(ab)^k = sum_ij a^i b^j C^k_ij over the two finite supports."""
+        """(ab)^k = sum_ij a^i b^j C^k_ij over the two finite supports.
+
+        Each term is (a^i * b^j) * C^k_ij, summed in i, j, k order; float
+        results depend on both the association and the order.
+        """
         for v in (a, b):
             if not isinstance(v, HamelVector):
                 raise TypeError(f"expected HamelVector, got {type(v).__name__}")
             if v.backend is not self.backend:
                 raise BackendMismatchError("operand backend does not match table backend")
-        out = zero_vector(self.backend)
+        lookup = self.lookup
+        acc: dict = {}
         for i, ai in a.coords.items():
+            x = ai.value
             for j, bj in b.coords.items():
-                entry = self.lookup(i, j)
-                if not entry.is_zero():
-                    out = out + entry.scale(ai * bj)
-        return out
+                coords = lookup(i, j).coords
+                if coords:
+                    _accumulate(acc, coords, x * bj.value)
+        return _vector(self.backend, acc)
 
     def commutator(self, a: HamelVector, b: HamelVector) -> HamelVector:
         """[a, b] = ab - ba; zero iff the pair commutes."""
@@ -333,7 +343,7 @@ def table_from_data(backend: Backend, data) -> StructureTable:
         raise ValueError("algebra data needs a 'structure' list (or use a builtin name)")
     grouped: dict[tuple[int, int], dict[int, Scalar]] = {}
     for row in data["structure"]:
-        i, j, k = int(row["i"]), int(row["j"]), int(row["k"])
+        i, j, k = (_check_index(int(row[name])) for name in "ijk")
         c = Scalar(backend, backend.parse(row["c"]))
         cell = grouped.setdefault((i, j), {})
         cell[k] = cell[k] + c if k in cell else c

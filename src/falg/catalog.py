@@ -160,11 +160,17 @@ def _free_words(backend: Backend, k: int) -> AlgebraFixture:
             value = value * k + alphabet.index(ch)
         return _word_offset(k, len(word)) + value
 
-    def index_to_word(index: int) -> str:
+    def split(index: int) -> tuple[int, int]:
+        """(length, value) with index = offset(length) + value, 0 <= value < k**length."""
+        if k == 1:
+            return index, 0
         length = 0
         while _word_offset(k, length + 1) <= index:
             length += 1
-        rem = index - _word_offset(k, length)
+        return length, index - _word_offset(k, length)
+
+    def index_to_word(index: int) -> str:
+        length, rem = split(index)
         out = []
         for _ in range(length):
             rem, d = divmod(rem, k)
@@ -172,7 +178,10 @@ def _free_words(backend: Backend, k: int) -> AlgebraFixture:
         return "".join(reversed(out))
 
     def rule(i, j):
-        return basis_vector(backend, word_to_index(index_to_word(i) + index_to_word(j)))
+        # concatenation in index arithmetic: the digits of j follow those of i
+        len_i, val_i = split(i)
+        len_j, val_j = split(j)
+        return basis_vector(backend, _word_offset(k, len_i + len_j) + val_i * k**len_j + val_j)
 
     table = StructureTable(
         backend,

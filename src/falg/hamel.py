@@ -8,6 +8,25 @@ empty columns -- so structural equality coincides with mathematical equality
 and the finiteness invariants can be checked by inspection.
 
 Operations never mutate their inputs; treat all values as immutable.
+
+Internal sums go through one accumulate-once kernel: ``_accumulate`` adds
+raw backend values ``s * c.value`` into a plain dict, and ``_canonical``
+wraps the surviving sums in Scalar once at the end, so no intermediate
+result is copied or re-validated.  Raw values of every backend are Python
+numbers (int, Fraction, float) whose ``+`` and ``*`` are the backend's ring
+operations, so this computes exactly what a chain of Scalar additions
+would; each term joins its coordinate as ``acc + term`` in the order the
+operands list it, so float sums round as sequential Scalar additions do.
+
+Trusted-builder invariant: ``_trusted`` sets a frozen dataclass's fields
+without running ``__post_init__``, so it skips ``_check_index`` and the
+backend re-check.  Only an operation on already-constructed values may use
+it -- one that has joined its operands (type and backend checks) and builds
+its result only from their keys, raw values and sums or products of them.
+Those keys passed ``_check_index`` and those values passed their backend's
+``check`` when the operands were built, and ring operations keep values in
+their backend.  Anything arriving from a caller as raw data (public
+constructors, ``from_data``) keeps the full validation.
 """
 
 from __future__ import annotations
@@ -42,6 +61,62 @@ def _clean_coords(backend: Backend, coords) -> dict[int, Scalar]:
     return out
 
 
+def _accumulate(acc: dict, coords: Mapping, s=None) -> dict:
+    """Add s * c.value into acc[k] for every k, c of coords (s=None adds c.value).
+
+    A zero term is skipped and a sum that cancels leaves acc, so keys and
+    values evolve exactly as a chain of canonical vector additions would.
+    """
+    for k, c in coords.items():
+        x = c.value if s is None else s * c.value
+        if not x:
+            continue
+        if k in acc:
+            x = acc[k] + x
+            if not x:
+                del acc[k]
+                continue
+        acc[k] = x
+    return acc
+
+
+def _canonical(backend: Backend, acc: dict) -> dict:
+    """Wrap the nonzero raw values of acc in Scalar, once."""
+    return {k: Scalar(backend, x) for k, x in acc.items() if x}
+
+
+def _trusted(cls, **fields):
+    """An instance of frozen dataclass cls with fields set as given, unchecked."""
+    obj = object.__new__(cls)
+    for name, value in fields.items():
+        object.__setattr__(obj, name, value)
+    return obj
+
+
+def _vector(backend: Backend, acc: dict) -> "HamelVector":
+    return _trusted(HamelVector, backend=backend, coords=_canonical(backend, acc))
+
+
+def _map(backend: Backend, cols: dict) -> "ColumnFiniteMap":
+    return _trusted(
+        ColumnFiniteMap, backend=backend, cols={j: col for j, col in cols.items() if col.coords}
+    )
+
+
+def _check_scalar(d, backend: Backend, what: str) -> None:
+    if not isinstance(d, Scalar):
+        raise TypeError(f"scale takes a Scalar, got {type(d).__name__}")
+    if d.backend is not backend:
+        raise BackendMismatchError(f"scalar backend does not match {what} backend")
+
+
+def _wire_object(value, what: str) -> Mapping:
+    """Reject non-object JSON where the wire format needs an object."""
+    if not isinstance(value, Mapping):
+        raise ValueError(f"{what} must be a JSON object, got {type(value).__name__}")
+    return value
+
+
 @dataclass(frozen=True)
 class HamelVector:
     """Finite-support vector: a zero-free table of basis coefficients."""
@@ -72,23 +147,17 @@ class HamelVector:
 
     def __add__(self, other):
         self._join(other)
-        coords = dict(self.coords)
-        for i, c in other.coords.items():
-            coords[i] = coords[i] + c if i in coords else c
-        return HamelVector(self.backend, coords)
+        return _vector(self.backend, _accumulate(_accumulate({}, self.coords), other.coords))
 
     def __neg__(self):
-        return HamelVector(self.backend, {i: -c for i, c in self.coords.items()})
+        return _vector(self.backend, {i: -c.value for i, c in self.coords.items()})
 
     def __sub__(self, other):
         return self + (-other)
 
     def scale(self, d: Scalar) -> "HamelVector":
-        if not isinstance(d, Scalar):
-            raise TypeError(f"scale takes a Scalar, got {type(d).__name__}")
-        if d.backend is not self.backend:
-            raise BackendMismatchError("scalar backend does not match vector backend")
-        return HamelVector(self.backend, {i: d * c for i, c in self.coords.items()})
+        _check_scalar(d, self.backend, "vector")
+        return _vector(self.backend, _accumulate({}, self.coords, d.value))
 
     def __rmul__(self, d):
         if isinstance(d, Scalar):
@@ -110,7 +179,7 @@ class HamelVector:
         if not isinstance(data, Mapping) or "coords" not in data:
             raise ValueError("vector data must be an object with a 'coords' field")
         coords = {}
-        for key, text in data["coords"].items():
+        for key, text in _wire_object(data["coords"], "'coords'").items():
             coords[int(key)] = Scalar(backend, backend.parse(text))
         return cls(backend, coords)
 
@@ -153,13 +222,13 @@ class DualFunctional:
     def __add__(self, other):
         if not isinstance(other, DualFunctional) or other.backend is not self.backend:
             raise BackendMismatchError("cannot mix functionals from different backends")
-        coords = dict(self.coords)
-        for i, c in other.coords.items():
-            coords[i] = coords[i] + c if i in coords else c
-        return DualFunctional(self.backend, coords)
+        acc = _accumulate(_accumulate({}, self.coords), other.coords)
+        return _trusted(DualFunctional, backend=self.backend, coords=_canonical(self.backend, acc))
 
     def scale(self, d: Scalar) -> "DualFunctional":
-        return DualFunctional(self.backend, {i: d * c for i, c in self.coords.items()})
+        _check_scalar(d, self.backend, "functional")
+        acc = _accumulate({}, self.coords, d.value)
+        return _trusted(DualFunctional, backend=self.backend, coords=_canonical(self.backend, acc))
 
     def to_data(self) -> dict:
         return {"coords": {str(i): self.coords[i].render() for i in sorted(self.coords)}}
@@ -225,12 +294,12 @@ class ColumnFiniteMap:
             raise TypeError(f"expected HamelVector, got {type(v).__name__}")
         if v.backend is not self.backend:
             raise BackendMismatchError("map and vector backends differ")
-        out = zero_vector(self.backend)
+        acc: dict = {}
         for j, c in v.coords.items():
             col = self.cols.get(j)
             if col is not None:
-                out = out + col.scale(c)
-        return out
+                _accumulate(acc, col.coords, c.value)
+        return _vector(self.backend, acc)
 
     def __call__(self, v: HamelVector) -> HamelVector:
         return self.apply(v)
@@ -246,16 +315,16 @@ class ColumnFiniteMap:
         cols = dict(self.cols)
         for j, col in other.cols.items():
             cols[j] = cols[j] + col if j in cols else col
-        return ColumnFiniteMap(self.backend, cols)
+        return _map(self.backend, cols)
 
     def __neg__(self):
-        return ColumnFiniteMap(self.backend, {j: -c for j, c in self.cols.items()})
+        return _map(self.backend, {j: -c for j, c in self.cols.items()})
 
     def __sub__(self, other):
         return self + (-other)
 
     def scale(self, d: Scalar) -> "ColumnFiniteMap":
-        return ColumnFiniteMap(self.backend, {j: col.scale(d) for j, col in self.cols.items()})
+        return _map(self.backend, {j: col.scale(d) for j, col in self.cols.items()})
 
     def __rmul__(self, d):
         if isinstance(d, Scalar):
@@ -265,7 +334,7 @@ class ColumnFiniteMap:
     def compose(self, g: "ColumnFiniteMap") -> "ColumnFiniteMap":
         """self after g: column j of the result is self(g(e_j))."""
         self._join(g)
-        return ColumnFiniteMap(self.backend, {j: self.apply(col) for j, col in g.cols.items()})
+        return _map(self.backend, {j: self.apply(col) for j, col in g.cols.items()})
 
     def l1_total(self) -> NormValue:
         """Sum of |entry| over the whole table; finite by construction."""
@@ -287,7 +356,8 @@ class ColumnFiniteMap:
         if not isinstance(data, Mapping) or "cols" not in data:
             raise ValueError("map data must be an object with a 'cols' field")
         cols = {}
-        for j, column in data["cols"].items():
+        for j, column in _wire_object(data["cols"], "'cols'").items():
+            _wire_object(column, f"column {j!r}")
             cols[int(j)] = HamelVector.from_data(backend, {"coords": column})
         return cls(backend, cols)
 
@@ -365,9 +435,9 @@ def poly_apply(nest: MapNode, xs: Sequence[HamelVector]) -> HamelVector:
     head, rest = xs[0], xs[1:]
     if head.backend is not nest.backend:
         raise BackendMismatchError("argument backend does not match nest backend")
-    out = zero_vector(nest.backend)
+    acc: dict = {}
     for j, c in head.coords.items():
         sub = nest.slots.get(j)
         if sub is not None:
-            out = out + poly_apply(sub, rest).scale(c)
-    return out
+            _accumulate(acc, poly_apply(sub, rest).coords, c.value)
+    return _vector(nest.backend, acc)

@@ -349,7 +349,8 @@ class Scalar:
         return Scalar(self.backend, self.backend.mul(self.value, other.value))
 
     def is_zero(self) -> bool:
-        return self.value == self.backend.from_int(0)
+        # raw values are int, Fraction or float, each falsy exactly when zero (-0.0 too)
+        return not self.value
 
     def norm(self) -> NormValue:
         return self.backend.norm(self.value)

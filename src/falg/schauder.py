@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 from typing import Sequence, Union
 
 from .ring import FLOAT64, RATIONAL, Backend, BackendMismatchError, NormValue
-from .hamel import ColumnFiniteMap, HamelVector, zero_map
+from .hamel import ColumnFiniteMap, HamelVector, _accumulate, _map, _vector
 from .algebra import StructureTable
 
 
@@ -330,33 +330,38 @@ def _nest_tail_mass(nest: TailNode) -> NormValue:
     return total
 
 
-def _nest_scale_finite(nest: TailNode, d) -> TailNode:
-    """Scale the stored structure only; tails are dropped, not scaled."""
+def _nest_accumulate(acc: list, nest: TailNode, s) -> None:
+    """Add s times the stored structure of nest, tails dropped, into acc.
+
+    acc is [terms, table]: terms counts the structures summed into this node,
+    and table maps each slot to its own accumulator, or at depth 1 each
+    column to its raw coordinate sums.
+    """
+    acc[0] += 1
+    table = acc[1]
     if isinstance(nest, TailMap):
-        return TailMap(nest.finite.scale(d), nest.backend.norm_zero)
-    b = nest.backend
-    return TailPolyMap(
-        b,
-        nest.arity,
-        {j: _nest_scale_finite(sub, d) for j, sub in nest.slots.items()},
-        b.norm_zero,
-    )
+        for j, col in nest.finite.cols.items():
+            _accumulate(table.setdefault(j, {}), col.coords, s)
+    else:
+        for j, sub in nest.slots.items():
+            _nest_accumulate(table.setdefault(j, [0, {}]), sub, s)
 
 
-def _nest_add(x: TailNode, y: TailNode) -> TailNode:
-    if isinstance(x, TailMap):
-        return x + y
-    b = x.backend
-    slots = dict(x.slots)
-    for j, sub in y.slots.items():
-        slots[j] = _nest_add(slots[j], sub) if j in slots else sub
-    return TailPolyMap(b, x.arity, slots, b.norm_add(x.tail, y.tail))
+def _nest_build(b: Backend, arity: int, acc: list) -> TailNode:
+    """The nest held by an accumulator.
 
-
-def _zero_nest(backend: Backend, arity: int) -> TailNode:
+    Each node's tail is the norm_add of the zero tails of the structures
+    summed into it, which on the float backend rounds up by one ulp per sum.
+    """
+    terms, table = acc
+    tail = b.norm_zero
+    for _ in range(terms - 1):
+        tail = b.norm_add(tail, b.norm_zero)
     if arity == 1:
-        return TailMap.lift(zero_map(backend))
-    return TailPolyMap(backend, arity, {}, backend.norm_zero)
+        return TailMap(_map(b, {j: _vector(b, col) for j, col in table.items()}), tail)
+    return TailPolyMap(
+        b, arity, {j: _nest_build(b, arity - 1, sub) for j, sub in table.items()}, tail
+    )
 
 
 def _peel(nest: TailPolyMap, x: TailVector) -> TailNode:
@@ -372,11 +377,12 @@ def _peel(nest: TailPolyMap, x: TailVector) -> TailNode:
     b = nest.backend
     stored = _nest_stored_mass(nest)
     tails = _nest_tail_mass(nest)
-    combined = _zero_nest(b, nest.arity - 1)
+    acc: list = [1, {}]  # the sum starts from the zero nest
     for j, c in x.prefix.coords.items():
         sub = nest.slots.get(j)
         if sub is not None:
-            combined = _nest_add(combined, _nest_scale_finite(sub, c))
+            _nest_accumulate(acc, sub, c.value)
+    combined = _nest_build(b, nest.arity - 1, acc)
     extra = b.norm_add(
         b.norm_mul(stored, x.tail),
         b.norm_mul(tails, b.norm_add(x.prefix.l1(), x.tail)),

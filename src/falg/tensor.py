@@ -21,7 +21,18 @@ from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
 from .ring import Backend, BackendMismatchError, Scalar
-from .hamel import ColumnFiniteMap, HamelVector, _check_index, basis_vector
+from .hamel import (
+    ColumnFiniteMap,
+    HamelVector,
+    _accumulate,
+    _canonical,
+    _check_index,
+    _check_scalar,
+    _trusted,
+    _vector,
+    _wire_object,
+    basis_vector,
+)
 from .algebra import StructureTable
 
 
@@ -43,6 +54,11 @@ def _clean_tensor_coords(backend: Backend, arity: int, coords) -> dict[tuple[int
         if not c.is_zero():
             out[key] = c
     return out
+
+
+def _tensor(backend: Backend, arity: int, acc: dict) -> "TensorElement":
+    """Trusted TensorElement over raw sums (see the hamel module docstring)."""
+    return _trusted(TensorElement, backend=backend, arity=arity, coords=_canonical(backend, acc))
 
 
 @dataclass(frozen=True)
@@ -76,23 +92,18 @@ class TensorElement:
 
     def __add__(self, other):
         self._join(other)
-        coords = dict(self.coords)
-        for key, c in other.coords.items():
-            coords[key] = coords[key] + c if key in coords else c
-        return TensorElement(self.backend, self.arity, coords)
+        acc = _accumulate(_accumulate({}, self.coords), other.coords)
+        return _tensor(self.backend, self.arity, acc)
 
     def __neg__(self):
-        return TensorElement(self.backend, self.arity, {k: -c for k, c in self.coords.items()})
+        return _tensor(self.backend, self.arity, {k: -c.value for k, c in self.coords.items()})
 
     def __sub__(self, other):
         return self + (-other)
 
     def scale(self, d: Scalar) -> "TensorElement":
-        if not isinstance(d, Scalar):
-            raise TypeError(f"scale takes a Scalar, got {type(d).__name__}")
-        if d.backend is not self.backend:
-            raise BackendMismatchError("scalar backend does not match tensor backend")
-        return TensorElement(self.backend, self.arity, {k: d * c for k, c in self.coords.items()})
+        _check_scalar(d, self.backend, "tensor")
+        return _tensor(self.backend, self.arity, _accumulate({}, self.coords, d.value))
 
     def __rmul__(self, d):
         if isinstance(d, Scalar):
@@ -118,7 +129,7 @@ class TensorElement:
             raise ValueError("tensor data must be an object with 'arity' and 'coords'")
         arity = int(data["arity"])
         coords = {}
-        for key, text in data["coords"].items():
+        for key, text in _wire_object(data["coords"], "'coords'").items():
             idx = tuple(int(part) for part in str(key).split(","))
             coords[idx] = Scalar(backend, backend.parse(text))
         return cls(backend, arity, coords)
@@ -134,14 +145,10 @@ def tensor_pure(factors: Sequence[HamelVector]) -> TensorElement:
             raise TypeError(f"expected HamelVector, got {type(v).__name__}")
         if v.backend is not backend:
             raise BackendMismatchError("tensor factors must share one backend")
-    coords: dict[tuple[int, ...], Scalar] = {(): backend.one}  # type: ignore[dict-item]
+    acc: dict[tuple[int, ...], object] = {(): backend.from_int(1)}
     for v in factors:
-        if v.is_zero():
-            return TensorElement(backend, len(factors), {})
-        coords = {
-            key + (i,): c * ci for key, c in coords.items() for i, ci in v.coords.items()
-        }
-    return TensorElement(backend, len(factors), coords)
+        acc = {key + (i,): x * c.value for key, x in acc.items() for i, c in v.coords.items()}
+    return _tensor(backend, len(factors), acc)
 
 
 def zero_tensor(backend: Backend, arity: int) -> TensorElement:
@@ -186,8 +193,8 @@ def map_via_tensor(
                 f"table {table.name!r} fails associativity at basis triple ({i}, {j}, {k})"
             )
     fx = f.apply(x)
-    out = HamelVector(backend, {})
+    acc: dict = {}
     for (i, j), c in t.coords.items():
         left = table.mul(basis_vector(backend, i), fx)
-        out = out + table.mul(left, basis_vector(backend, j)).scale(c)
-    return out
+        _accumulate(acc, table.mul(left, basis_vector(backend, j)).coords, c.value)
+    return _vector(backend, acc)

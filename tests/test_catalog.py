@@ -75,6 +75,35 @@ def test_free_concatenation_product():
             assert product == basis_vector(RATIONAL, fix.encode(word(i) + word(j)))
 
 
+def _string_rule(k: int, i: int, j: int) -> int:
+    """The free:k product by spelling both words out, concatenating, re-indexing."""
+    def offset(length):
+        return length if k == 1 else (k**length - 1) // (k - 1)
+
+    def word(index):
+        length = 0
+        while offset(length + 1) <= index:
+            length += 1
+        rem, digits = index - offset(length), []
+        for _ in range(length):
+            rem, d = divmod(rem, k)
+            digits.append(d)
+        return digits[::-1]
+
+    digits = word(i) + word(j)
+    value = 0
+    for d in digits:
+        value = value * k + d
+    return offset(len(digits)) + value
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+@given(i=st.integers(min_value=0, max_value=3000), j=st.integers(min_value=0, max_value=3000))
+def test_free_index_rule_matches_string_rule(k, i, j):
+    table = load_builtin(f"free:{k}").table
+    assert table.lookup(i, j) == basis_vector(RATIONAL, _string_rule(k, i, j))
+
+
 def test_free_two_product_example():
     fix = load_builtin("free:2")
     ea, eb = basis_vector(RATIONAL, fix.encode("a")), basis_vector(RATIONAL, fix.encode("b"))

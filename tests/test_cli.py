@@ -527,3 +527,50 @@ def test_cli_subprocess_determinism(tmp_path):
     assert first.returncode == second.returncode == 0
     assert first.stdout == second.stdout
     assert first.stdout.endswith(b"\n")
+
+
+def _falg(*argv, timeout=30):
+    env = dict(os.environ, PYTHONPATH=SRC_DIR)
+    argv = [sys.executable, "-m", "falg", *argv]
+    return subprocess.run(argv, capture_output=True, text=True, env=env, timeout=timeout)
+
+
+@pytest.mark.parametrize(
+    "command, files",
+    [
+        ("apply", {"map": {"cols": {"0": {"0": "1"}}}, "vector": {"coords": ["1", "2"]}}),
+        ("apply", {"map": {"cols": [{"0": "1"}]}, "vector": {"coords": {"0": "1"}}}),
+        ("apply", {"map": {"cols": {"0": ["1"]}}, "vector": {"coords": {"0": "1"}}}),
+        (
+            "tensor",
+            {
+                "algebra": {"builtin": "polynomial"},
+                "tensor": {"arity": 2, "coords": [["0,0", "1"]]},
+                "map": {"cols": {}},
+                "vector": {"coords": {}},
+            },
+        ),
+    ],
+)
+def test_cli_non_object_wire_fields_exit_2(tmp_path, command, files):
+    argv = [command]
+    for flag, data in files.items():
+        argv += [f"--{flag}", write(tmp_path, f"{flag}.json", data)]
+    proc = _falg(*argv)
+    assert proc.returncode == 2, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert "must be a JSON object" in proc.stderr
+
+
+def test_cli_check_rejects_negative_table_index(tmp_path, capsys):
+    for row in ({"i": -1, "j": 0, "k": 0, "c": "1"}, {"i": 0, "j": 0, "k": -2, "c": "1"}):
+        table = write(tmp_path, "neg.json", {"name": "neg", "structure": [row]})
+        code, out, err = run(capsys, ["check", "--algebra", table])
+        assert code == 2 and out == ""
+        assert "basis index must be >= 0" in err
+
+
+def test_cli_free1_long_word_product_is_fast():
+    proc = _falg("eval", "--algebra", "builtin:free:1", "--expr", "e100000000 * e1", timeout=10)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "{100000001: 1}\n"
