@@ -10,6 +10,17 @@ A table may declare a pair bound K with sum_k |C^k_ij| <= K for every pair.
 The bound is a certificate the truncation layer relies on; lookups verify it
 lazily and raise :class:`CertificateError` on the first violating pair.
 
+Checked-entry invariant: ``StructureTable._checked`` holds exactly the pairs
+whose entry has passed the pair-bound check (every looked-up pair when no
+bound is declared).  On the exact backends it maps each to the integer form
+``(d, {k: n})`` of that entry (see the hamel module docstring), which is
+what ``mul`` reads; on float64 it maps them to None and ``mul`` reads
+``lookup(i, j)``.  ``entries`` stays the one store of the entries
+themselves, so ``lookup`` returns ``entries[(i, j)]`` for a checked pair and
+``len(table.entries)`` is the memo size as before.  The exact ``mul`` calls
+``lookup`` only for pairs not yet in ``_checked``; an entry that violates the
+bound never enters it, so every product that reaches it raises again.
+
 Claimed laws (associativity, commutativity) are never assumed silently:
 :meth:`StructureTable.check_laws` probes them, and anything that needs a law
 (endomorphism products do not, tensor sandwich maps do) re-checks by
@@ -24,7 +35,17 @@ from fractions import Fraction
 from typing import Callable, Optional
 
 from .ring import Backend, BackendMismatchError, NormValue, Scalar
-from .hamel import ColumnFiniteMap, HamelVector, _accumulate, _check_index, _vector, zero_vector
+from .hamel import (
+    ColumnFiniteMap,
+    HamelVector,
+    _accumulate,
+    _check_index,
+    _exact_vector,
+    _reduce,
+    _split,
+    _vector,
+    zero_vector,
+)
 
 
 class CertificateError(ValueError):
@@ -50,8 +71,9 @@ class StructureTable:
         for (i, j), entry in self.entries.items():
             cleaned[(i, j)] = self._coerce(entry)
         self.entries = cleaned
-        # entries that passed the pair-bound check (every entry when no bound)
-        self._checked: dict[tuple[int, int], HamelVector] = {}
+        # pairs whose entry passed the pair-bound check -> its integer form
+        # (d, {k: n}) on exact backends, None on float64
+        self._checked: dict[tuple[int, int], Optional[tuple[int, dict]]] = {}
 
     def _coerce(self, entry) -> HamelVector:
         if not isinstance(entry, HamelVector):
@@ -63,9 +85,8 @@ class StructureTable:
     def lookup(self, i: int, j: int) -> HamelVector:
         """Expansion of e_i * e_j; zero for absent pairs of an extensional table."""
         key = (i, j)
-        entry = self._checked.get(key)
-        if entry is not None:
-            return entry
+        if key in self._checked:
+            return self.entries[key]
         entry = self.entries.get(key)
         if entry is None:
             if self.rule is None:
@@ -83,7 +104,7 @@ class StructureTable:
                     f"pair bound violated at ({i}, {j}): "
                     f"sum of |C| is {mass}, declared bound {self.pair_bound}"
                 )
-        self._checked[key] = entry
+        self._checked[key] = _split(entry.coords) if self.backend.exact else None
         return entry
 
     def mul(self, a: HamelVector, b: HamelVector) -> HamelVector:
@@ -97,6 +118,8 @@ class StructureTable:
                 raise TypeError(f"expected HamelVector, got {type(v).__name__}")
             if v.backend is not self.backend:
                 raise BackendMismatchError("operand backend does not match table backend")
+        if self.backend.exact:
+            return _exact_vector(self.backend, self._mul_split(a, b))
         lookup = self.lookup
         acc: dict = {}
         for i, ai in a.coords.items():
@@ -106,6 +129,23 @@ class StructureTable:
                 if coords:
                     _accumulate(acc, coords, x * bj.value)
         return _vector(self.backend, acc)
+
+    def _mul_split(self, a: HamelVector, b: HamelVector) -> tuple[int, dict]:
+        """Exact mul over integer numerators, reading entries' forms from _checked."""
+        da, xa = _split(a.coords)
+        db, xb = _split(b.coords)
+        checked = self._checked
+        acc: dict = {}
+        den = 1
+        for i, x in xa.items():
+            for j, y in xb.items():
+                form = checked.get((i, j))
+                if form is None:
+                    self.lookup(i, j)
+                    form = checked[(i, j)]
+                if form[1]:
+                    den = _reduce(acc, den, form, x * y)
+        return da * db * den, acc
 
     def commutator(self, a: HamelVector, b: HamelVector) -> HamelVector:
         """[a, b] = ab - ba; zero iff the pair commutes."""

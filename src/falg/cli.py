@@ -22,7 +22,7 @@ import sys
 from dataclasses import dataclass
 from typing import Optional, Union
 
-from .ring import BACKENDS, INTEGER, Backend, BackendMismatchError, Scalar
+from .ring import BACKENDS, INTEGER, Backend, BackendMismatchError, Scalar, _literal
 from .hamel import ColumnFiniteMap, DualFunctional, HamelVector, basis_vector
 from .algebra import CertificateError
 from .tensor import NonAssociativeError, TensorElement, map_via_tensor, tensor_pure
@@ -169,12 +169,27 @@ class Assoc:
     c: object
 
 
+MAX_NESTING = 100  # open (, [, < and unary minus around any point of an expression
+
+
 class _Parser:
-    """Precedence: unary minus > * > binary +/-; * groups left, parens override."""
+    """Precedence: unary minus > * > binary +/-; * groups left, parens override.
+
+    Each nesting level costs a few Python frames, so nesting deeper than
+    MAX_NESTING is a syntax error rather than a RecursionError.
+    """
 
     def __init__(self, tokens: list[_Token]):
         self.tokens = tokens
         self.pos = 0
+        self.depth = 0
+
+    def enter(self) -> None:
+        """Take an opening token (bracket or unary minus), one level deeper."""
+        tok = self.take()
+        self.depth += 1
+        if self.depth > MAX_NESTING:
+            raise ExprSyntaxError(f"expression nested deeper than {MAX_NESTING} levels", tok.line, tok.col)
 
     def peek(self) -> _Token:
         return self.tokens[self.pos]
@@ -216,8 +231,10 @@ class _Parser:
 
     def factor(self):
         if self.peek().kind == "-":
-            self.take()
-            return Neg(self.factor())
+            self.enter()
+            node = Neg(self.factor())
+            self.depth -= 1
+            return node
         return self.atom()
 
     def atom(self):
@@ -230,28 +247,28 @@ class _Parser:
             return Basis(int(self.take().text))
         if tok.kind == "ident":
             return Name(self.take().text)
-        if tok.kind == "(":
-            self.take()
+        if tok.kind in ("(", "[", "<"):
+            self.enter()
+            node = self.bracketed(tok.kind)
+            self.depth -= 1
+            return node
+        raise ExprSyntaxError(f"unexpected {tok.text or 'end of input'!r}", tok.line, tok.col)
+
+    def bracketed(self, kind: str):
+        if kind == "(":
             node = self.expr()
             self.expect(")")
             return node
-        if tok.kind == "[":
-            self.take()
-            a = self.expr()
-            self.expect(",")
-            b = self.expr()
+        a = self.expr()
+        self.expect(",")
+        b = self.expr()
+        if kind == "[":
             self.expect("]")
             return Comm(a, b)
-        if tok.kind == "<":
-            self.take()
-            a = self.expr()
-            self.expect(",")
-            b = self.expr()
-            self.expect(",")
-            c = self.expr()
-            self.expect(">")
-            return Assoc(a, b, c)
-        raise ExprSyntaxError(f"unexpected {tok.text or 'end of input'!r}", tok.line, tok.col)
+        self.expect(",")
+        c = self.expr()
+        self.expect(">")
+        return Assoc(a, b, c)
 
 
 def parse_expr(text: str):
@@ -307,7 +324,7 @@ def _eval(node, fixture: AlgebraFixture, bindings: dict[str, HamelVector]) -> Va
     backend = fixture.backend
     if isinstance(node, Lit):
         try:
-            if "/" in node.text:
+            if "/" in _literal(node.text):
                 p, q = node.text.split("/")
                 return Scalar(backend, backend.from_rational(int(p), int(q)))
             return Scalar(backend, backend.parse(node.text))
@@ -323,23 +340,16 @@ def _eval(node, fixture: AlgebraFixture, bindings: dict[str, HamelVector]) -> Va
         return bindings[node.ident]
     if isinstance(node, Neg):
         return -_eval(node.a, fixture, bindings)
-    if isinstance(node, (Add, Sub)):
-        a = _eval(node.a, fixture, bindings)
-        b = _eval(node.b, fixture, bindings)
-        if isinstance(a, Scalar) and isinstance(b, Scalar):
-            return a + b if isinstance(node, Add) else a - b
-        a, b = _promote(a, backend), _promote(b, backend)
-        return a + b if isinstance(node, Add) else a - b
-    if isinstance(node, Mul):
-        a = _eval(node.a, fixture, bindings)
-        b = _eval(node.b, fixture, bindings)
-        if isinstance(a, Scalar) and isinstance(b, Scalar):
-            return a * b
-        if isinstance(a, Scalar):
-            return b.scale(a)
-        if isinstance(b, Scalar):
-            return a.scale(b)
-        return fixture.table.mul(a, b)
+    if isinstance(node, (Add, Sub, Mul)):
+        # a flat chain like e1 + e1 + ... parses left-deep: walk its spine in a loop
+        spine = []
+        while isinstance(node, (Add, Sub, Mul)):
+            spine.append(node)
+            node = node.a
+        value = _eval(node, fixture, bindings)
+        for op in reversed(spine):
+            value = _binary(op, value, _eval(op.b, fixture, bindings), fixture)
+        return value
     if isinstance(node, Comm):
         a = _promote(_eval(node.a, fixture, bindings), backend)
         b = _promote(_eval(node.b, fixture, bindings), backend)
@@ -350,6 +360,20 @@ def _eval(node, fixture: AlgebraFixture, bindings: dict[str, HamelVector]) -> Va
         c = _promote(_eval(node.c, fixture, bindings), backend)
         return fixture.table.associator(a, b, c)
     raise TypeError(f"not an expression node: {type(node).__name__}")
+
+
+def _binary(node, a: Value, b: Value, fixture: AlgebraFixture) -> Value:
+    if isinstance(node, Mul):
+        if isinstance(a, Scalar) and isinstance(b, Scalar):
+            return a * b
+        if isinstance(a, Scalar):
+            return b.scale(a)
+        if isinstance(b, Scalar):
+            return a.scale(b)
+        return fixture.table.mul(a, b)
+    if not (isinstance(a, Scalar) and isinstance(b, Scalar)):
+        a, b = _promote(a, fixture.backend), _promote(b, fixture.backend)
+    return a + b if isinstance(node, Add) else a - b
 
 
 # IO helpers ---------------------------------------------------------------

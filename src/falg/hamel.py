@@ -9,14 +9,32 @@ and the finiteness invariants can be checked by inspection.
 
 Operations never mutate their inputs; treat all values as immutable.
 
-Internal sums go through one accumulate-once kernel: ``_accumulate`` adds
-raw backend values ``s * c.value`` into a plain dict, and ``_canonical``
-wraps the surviving sums in Scalar once at the end, so no intermediate
-result is copied or re-validated.  Raw values of every backend are Python
-numbers (int, Fraction, float) whose ``+`` and ``*`` are the backend's ring
-operations, so this computes exactly what a chain of Scalar additions
-would; each term joins its coordinate as ``acc + term`` in the order the
-operands list it, so float sums round as sequential Scalar additions do.
+Internal sums add raw values into one plain dict and wrap the surviving
+sums in Scalar once at the end, so no intermediate result is copied or
+re-validated.  There are two such paths, chosen by ``backend.exact``:
+
+- Exact backends (int, rat): ``_split`` writes an operand's coefficients as
+  integer numerators over one common denominator d, the lcm of their
+  denominators (1 for Python ints, which carry ``.numerator`` and
+  ``.denominator`` too).  ``_reduce`` adds integer terms ``s * n`` into a
+  dict of numerators over a running denominator, multiplying the dict
+  through when a term's denominator does not divide it; ``_combine`` takes
+  the lcm of all parts' denominators first, so its sums never rescale, and
+  only ``StructureTable.mul``, which meets table entries one pair at a
+  time, rescales.  ``_exact_coords`` turns each surviving numerator n over
+  the final denominator D into ``Fraction(n, D)`` once -- or
+  ``backend.from_int(n)`` when D is 1.  Map application and composition,
+  ``StructureTable.mul``, ``poly_apply``, ``tensor_pure`` and the
+  ``map_via_tensor`` sum take this path.  All denominators are positive, so a partial sum is zero exactly
+  when the rational sum it stands for is: key order and results equal those
+  of a chain of Fraction additions.
+- float64 (and every other sum): ``_accumulate`` adds ``s * c.value`` into
+  the dict and ``_canonical`` wraps the result.  Each term joins its
+  coordinate as ``acc + term`` in the order the operands list it, so float
+  sums round as sequential Scalar additions do.
+
+Both skip a zero term and delete a coordinate whose sum cancels, exactly as
+chained canonical vector additions would.
 
 Trusted-builder invariant: ``_trusted`` sets a frozen dataclass's fields
 without running ``__post_init__``, so it skips ``_check_index`` and the
@@ -32,6 +50,8 @@ constructors, ``from_data``) keeps the full validation.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from fractions import Fraction
+from math import gcd, lcm
 from typing import Iterator, Mapping, Sequence, Union
 
 from .ring import Backend, BackendMismatchError, NormValue, Scalar
@@ -85,6 +105,66 @@ def _canonical(backend: Backend, acc: dict) -> dict:
     return {k: Scalar(backend, x) for k, x in acc.items() if x}
 
 
+def _split(coords: Mapping) -> tuple[int, dict]:
+    """(d, {k: n}) with every c.value == n / d, d the lcm of the denominators."""
+    d = lcm(*(c.value.denominator for c in coords.values()))
+    if d == 1:
+        return 1, {k: c.value.numerator for k, c in coords.items()}
+    return d, {k: c.value.numerator * (d // c.value.denominator) for k, c in coords.items()}
+
+
+def _reduce(acc: dict, den: int, form: tuple[int, dict], s: int) -> int:
+    """Add s * n / d for every k, n of form = (d, nums) into acc, numerators over den.
+
+    Returns the new running denominator: when d does not divide den, every
+    numerator in acc is multiplied through to lcm(den, d) first.  Zero terms
+    and cancelling sums behave as in ``_accumulate``.
+    """
+    d, nums = form
+    if den % d:
+        m = d // gcd(den, d)
+        for k in acc:
+            acc[k] *= m
+        den *= m
+    if d != den:
+        s *= den // d
+    for k, n in nums.items():
+        x = s * n
+        if not x:
+            continue
+        if k in acc:
+            x = acc[k] + x
+            if not x:
+                del acc[k]
+                continue
+        acc[k] = x
+    return den
+
+
+def _combine(parts: list) -> tuple[int, dict]:
+    """The form of sum s * form over parts [(s, form), ...], left to right.
+
+    The denominator is the lcm of the parts' denominators, taken before any
+    term is added, so no partial sum is rescaled: with many unrelated
+    denominators, rescaling the sum at each new one would cost
+    len(parts) * len(sum) big-integer products.
+    """
+    den = lcm(*(d for _, (d, _) in parts))
+    acc: dict = {}
+    for s, form in parts:
+        _reduce(acc, den, form, s)
+    return den, acc
+
+
+def _exact_coords(backend: Backend, form: tuple[int, dict]) -> dict:
+    """Scalars n / den for the nonzero numerators n of form = (den, nums), one Fraction each."""
+    den, nums = form
+    if den == 1:
+        wrap = backend.from_int
+        return {k: Scalar(backend, wrap(n)) for k, n in nums.items()}
+    return {k: Scalar(backend, Fraction(n, den)) for k, n in nums.items()}
+
+
 def _trusted(cls, **fields):
     """An instance of frozen dataclass cls with fields set as given, unchecked."""
     obj = object.__new__(cls)
@@ -95,6 +175,10 @@ def _trusted(cls, **fields):
 
 def _vector(backend: Backend, acc: dict) -> "HamelVector":
     return _trusted(HamelVector, backend=backend, coords=_canonical(backend, acc))
+
+
+def _exact_vector(backend: Backend, form: tuple[int, dict]) -> "HamelVector":
+    return _trusted(HamelVector, backend=backend, coords=_exact_coords(backend, form))
 
 
 def _map(backend: Backend, cols: dict) -> "ColumnFiniteMap":
@@ -210,14 +294,14 @@ class DualFunctional:
             raise TypeError(f"expected HamelVector, got {type(v).__name__}")
         if v.backend is not self.backend:
             raise BackendMismatchError("functional and vector backends differ")
-        total = self.backend.zero
+        total = self.backend.from_int(0)
         small, large = self.coords, v.coords
         if len(large) < len(small):
             small, large = large, small
         for i in small:
             if i in large:
-                total = total + self.coords[i] * v.coords[i]
-        return total
+                total = total + self.coords[i].value * v.coords[i].value
+        return Scalar(self.backend, total)
 
     def __add__(self, other):
         if not isinstance(other, DualFunctional) or other.backend is not self.backend:
@@ -289,17 +373,36 @@ class ColumnFiniteMap:
     def is_zero(self) -> bool:
         return not self.cols
 
-    def apply(self, v: HamelVector) -> HamelVector:
+    def _check_arg(self, v) -> None:
         if not isinstance(v, HamelVector):
             raise TypeError(f"expected HamelVector, got {type(v).__name__}")
         if v.backend is not self.backend:
             raise BackendMismatchError("map and vector backends differ")
+
+    def apply(self, v: HamelVector) -> HamelVector:
+        self._check_arg(v)
+        if self.backend.exact:
+            return _exact_vector(self.backend, self._apply_split(_split(v.coords), {}))
         acc: dict = {}
         for j, c in v.coords.items():
             col = self.cols.get(j)
             if col is not None:
                 _accumulate(acc, col.coords, c.value)
         return _vector(self.backend, acc)
+
+    def _apply_split(self, v: tuple[int, dict], splits: dict) -> tuple[int, dict]:
+        """Exact apply on a split vector; splits caches the split columns of self."""
+        dv, xs = v
+        parts = []
+        for j, x in xs.items():
+            col = splits.get(j)
+            if col is None:
+                if j not in self.cols:
+                    continue
+                col = splits[j] = _split(self.cols[j].coords)
+            parts.append((x, col))
+        den, acc = _combine(parts)
+        return dv * den, acc
 
     def __call__(self, v: HamelVector) -> HamelVector:
         return self.apply(v)
@@ -334,7 +437,14 @@ class ColumnFiniteMap:
     def compose(self, g: "ColumnFiniteMap") -> "ColumnFiniteMap":
         """self after g: column j of the result is self(g(e_j))."""
         self._join(g)
-        return _map(self.backend, {j: self.apply(col) for j, col in g.cols.items()})
+        b = self.backend
+        if b.exact:
+            splits: dict = {}
+            return _map(b, {
+                j: _exact_vector(b, self._apply_split(_split(col.coords), splits))
+                for j, col in g.cols.items()
+            })
+        return _map(b, {j: self.apply(col) for j, col in g.cols.items()})
 
     def l1_total(self) -> NormValue:
         """Sum of |entry| over the whole table; finite by construction."""
@@ -424,20 +534,44 @@ def poly_apply(nest: MapNode, xs: Sequence[HamelVector]) -> HamelVector:
     Linear in every slot: peels the first argument against the stored
     slots, then recurses.  A depth-1 nest is ordinary map application.
     """
+    if isinstance(nest, (ColumnFiniteMap, PolyMap)) and nest.backend.exact:
+        return _exact_vector(nest.backend, _poly_split(nest, xs, {}))
+    _check_level(nest, xs)
+    if isinstance(nest, ColumnFiniteMap):
+        return nest.apply(xs[0])
+    acc: dict = {}
+    for j, c in xs[0].coords.items():
+        sub = nest.slots.get(j)
+        if sub is not None:
+            _accumulate(acc, poly_apply(sub, xs[1:]).coords, c.value)
+    return _vector(nest.backend, acc)
+
+
+def _check_level(nest: MapNode, xs: Sequence[HamelVector]) -> None:
+    """The checks poly_apply makes before reading one level of the nest."""
     if isinstance(nest, ColumnFiniteMap):
         if len(xs) != 1:
             raise ValueError(f"arity mismatch: map of arity 1 applied to {len(xs)} arguments")
-        return nest.apply(xs[0])
+        nest._check_arg(xs[0])
+        return
     if not isinstance(nest, PolyMap):
         raise TypeError(f"expected PolyMap or ColumnFiniteMap, got {type(nest).__name__}")
     if len(xs) != nest.arity:
         raise ValueError(f"arity mismatch: nest of arity {nest.arity} applied to {len(xs)} arguments")
-    head, rest = xs[0], xs[1:]
-    if head.backend is not nest.backend:
+    if xs[0].backend is not nest.backend:
         raise BackendMismatchError("argument backend does not match nest backend")
-    acc: dict = {}
-    for j, c in head.coords.items():
-        sub = nest.slots.get(j)
-        if sub is not None:
-            _accumulate(acc, poly_apply(sub, rest).coords, c.value)
-    return _vector(nest.backend, acc)
+
+
+def _poly_split(nest: MapNode, xs: Sequence[HamelVector], splits: dict) -> tuple[int, dict]:
+    """Exact poly_apply over integer numerators; splits caches each argument's split."""
+    _check_level(nest, xs)
+    head = splits.get(len(xs))
+    if head is None:
+        head = splits[len(xs)] = _split(xs[0].coords)
+    if isinstance(nest, ColumnFiniteMap):
+        return nest._apply_split(head, {})
+    dh, nums = head
+    den, acc = _combine([
+        (x, _poly_split(nest.slots[j], xs[1:], splits)) for j, x in nums.items() if j in nest.slots
+    ])
+    return dh * den, acc

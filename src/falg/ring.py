@@ -11,16 +11,47 @@ rather than Scalars: ``int``/``Fraction`` on the exact backends, ``float``
 on the float backend.  Derived bound arithmetic goes through
 :meth:`Backend.norm_add` / :meth:`Backend.norm_mul`, which the float backend
 rounds toward +inf, so a chain of bound computations can only overestimate.
+
+Decimal text handed to the exact backends (``parse``, ``norm_parse``,
+``norm_check`` and ``check`` on a string) may hold at most
+``MAX_LITERAL_DIGITS`` digits and an exponent of magnitude at most
+``MAX_LITERAL_EXPONENT``; longer text raises ``ValueError`` before int or
+Fraction read it.  Fraction expands ``1e100000000`` into a
+hundred-million-digit integer, so without the caps one short string could
+stall a caller.
 """
 
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
 
 NormValue = Union[int, Fraction, float]
+
+
+MAX_LITERAL_DIGITS = 4300  # CPython's default int-from-string limit
+MAX_LITERAL_EXPONENT = 4300
+
+_EXPONENT = re.compile(r"[eE]([-+]?[0-9][0-9_]*)")
+
+
+def _literal(text: str) -> str:
+    """text, if its digit count and exponent are within the literal caps."""
+    if len(text) > MAX_LITERAL_DIGITS:
+        digits = sum(map(str.isdigit, text))
+        if digits > MAX_LITERAL_DIGITS:
+            raise ValueError(f"literal has {digits} digits, more than {MAX_LITERAL_DIGITS}")
+    m = _EXPONENT.search(text)
+    if m and abs(int(m.group(1))) > MAX_LITERAL_EXPONENT:
+        raise ValueError(f"literal exponent {m.group(1)} exceeds {MAX_LITERAL_EXPONENT} in magnitude")
+    return text
+
+
+def _fraction(text: str) -> Fraction:
+    return Fraction(_literal(text))
 
 
 class BackendMismatchError(TypeError):
@@ -144,7 +175,7 @@ class IntegerBackend(Backend):
         raise ValueError("integer backend has no general quotients; use the rational backend")
 
     def parse(self, text):
-        return int(text)
+        return int(_literal(text))
 
     def render(self, a):
         return str(a)
@@ -163,7 +194,7 @@ class IntegerBackend(Backend):
         return str(x)
 
     def norm_parse(self, text):
-        return _exact_norm_check(Fraction(text))
+        return _exact_norm_check(_fraction(text))
 
 
 class RationalBackend(Backend):
@@ -176,7 +207,7 @@ class RationalBackend(Backend):
         if isinstance(value, (int, Fraction)):
             return Fraction(value)
         if isinstance(value, str):
-            return Fraction(value)
+            return _fraction(value)
         raise TypeError(f"rational backend takes int/Fraction/str, got {type(value).__name__}")
 
     def add(self, a, b):
@@ -200,14 +231,14 @@ class RationalBackend(Backend):
         return Fraction(p, q)
 
     def parse(self, text):
-        return Fraction(text)
+        return _fraction(text)
 
     def render(self, a):
         return str(a)  # Fraction prints reduced "p/q", integers bare
 
     def norm_check(self, x):
         if isinstance(x, str):
-            x = Fraction(x)
+            x = _fraction(x)
         return _exact_norm_check(x)
 
     def norm_add(self, x, y):
@@ -220,7 +251,7 @@ class RationalBackend(Backend):
         return str(x)
 
     def norm_parse(self, text):
-        return _exact_norm_check(Fraction(text))
+        return _exact_norm_check(_fraction(text))
 
 
 def _up(x: float) -> float:

@@ -20,6 +20,7 @@ from falg.cli import (
     Mul,
     Name,
     Neg,
+    MAX_NESTING,
     Sub,
     eval_expr,
     main,
@@ -574,3 +575,64 @@ def test_cli_free1_long_word_product_is_fast():
     proc = _falg("eval", "--algebra", "builtin:free:1", "--expr", "e100000000 * e1", timeout=10)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "{100000001: 1}\n"
+
+
+def test_parse_nesting_cap():
+    for opening, closing in (("(", ")"), ("-(", ")"), ("[", ", e1]")):
+        assert parse_expr(opening * (MAX_NESTING // 2) + "e0" + closing * (MAX_NESTING // 2))
+    assert parse_expr("-" * MAX_NESTING + "e0") is not None
+    for text in ("(" * (MAX_NESTING + 1) + "e0" + ")" * (MAX_NESTING + 1),
+                 "-" * (MAX_NESTING + 1) + "e0",
+                 "<" * (MAX_NESTING + 1) + "e0" + ", e1, e2>" * (MAX_NESTING + 1)):
+        with pytest.raises(ExprSyntaxError, match="nested deeper"):
+            parse_expr(text)
+
+
+@pytest.mark.parametrize(
+    "expr",
+    ["(" * 3000 + "e1" + ")" * 3000, "-" * 3000 + "e1", "[" * 3000 + "e1" + ", e2]" * 3000],
+    ids=["parens", "minus", "commutators"],
+)
+def test_cli_deep_nesting_exits_2(expr):
+    proc = _falg("eval", "--algebra", "builtin:polynomial", f"--expr={expr}", timeout=10)
+    assert proc.returncode == 2, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert "nested deeper" in proc.stderr
+
+
+@pytest.mark.parametrize("op, expected", [("+", "{1: 3000}"), ("-", "{1: -2998}"), ("*", "{3000: 1}")])
+def test_cli_long_flat_chain_evaluates(op, expected):
+    # a flat chain nests nothing but parses left-deep, 3000 nodes down
+    proc = _falg("eval", "--algebra", "builtin:polynomial", "--expr", op.join(["e1"] * 3000), timeout=10)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == expected + "\n"
+
+
+@pytest.mark.parametrize(
+    "command, files",
+    [
+        ("norm", {"vector": {"coords": {"0": "1e100000000"}}}),
+        ("norm", {"vector": {"coords": {"0": "1"}, "tail": "1e-100000000"}}),
+        ("apply", {"map": {"cols": {"0": {"0": "-3E+999999999"}}}, "vector": {"coords": {"0": "1"}}}),
+        ("apply", {"map": {"cols": {"0": {"0": "1"}}}, "vector": {"coords": {"0": "7" * 100000}}}),
+    ],
+    ids=["norm-exponent", "norm-tail-exponent", "apply-exponent", "apply-digits"],
+)
+def test_cli_huge_literals_exit_2(tmp_path, command, files):
+    argv = [command]
+    for flag, data in files.items():
+        argv += [f"--{flag}", write(tmp_path, f"{flag}.json", data)]
+    proc = _falg(*argv, timeout=10)
+    assert proc.returncode == 2, proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("literal", ["7" * 100000, "1/" + "3" * 100000])
+def test_cli_huge_eval_literal_exits_2(literal):
+    # PYTHONINTMAXSTRDIGITS=0 lifts CPython's own int-from-string limit
+    env = dict(os.environ, PYTHONPATH=SRC_DIR, PYTHONINTMAXSTRDIGITS="0")
+    argv = [sys.executable, "-m", "falg", "eval", "--algebra", "builtin:polynomial", "--expr", literal]
+    proc = subprocess.run(argv, capture_output=True, text=True, env=env, timeout=10)
+    assert proc.returncode == 2, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert "digits" in proc.stderr

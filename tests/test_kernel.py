@@ -1,10 +1,13 @@
-"""The accumulate-once kernel against naive Fraction oracles.
+"""The accumulate-once kernels against naive Fraction oracles.
 
 Every internal sum (products, map application and composition, polylinear
 and tensor evaluation) goes through one raw-value accumulator; these
 properties pin its results to sums written out directly from the
 definitions, on inputs whose partial sums cancel to zero and reappear, and
-check that no zero is ever stored.  The float tests pin the rounding: each
+check that no zero is ever stored.  On the exact backends the sums run over
+integer numerators with one common denominator; those tests use large
+coprime denominators and also pin the key order to that of a left-to-right
+chain of canonical additions.  The float tests pin the rounding: each
 result must equal a left-to-right sequential sum of the same terms, bit for
 bit.
 """
@@ -12,12 +15,15 @@ bit.
 import itertools
 from fractions import Fraction
 
+import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from falg import (
     FLOAT64,
+    INTEGER,
     RATIONAL,
+    CertificateError,
     ColumnFiniteMap,
     HamelVector,
     PolyMap,
@@ -254,3 +260,207 @@ def test_float_apply_is_sequential_sum(f, x):
         for i, c in fm.cols[j].coords.items()
     ]
     assert _raw(fm.apply(xv)) == _sequential(terms)
+
+
+# exact backends: integer numerators over one denominator --------------------
+
+# few numerators over large coprime denominators: partial sums still cancel,
+# and a shared denominator is a product of big primes
+BIG_DENOMINATORS = (1, 3, 7, 65537, 2**31 - 1, 10**9 + 7, 2**61 - 1)
+exact_backends = st.sampled_from([INTEGER, RATIONAL])
+pairs = st.tuples(st.sampled_from((-2, -1, 1, 2)), st.sampled_from(BIG_DENOMINATORS))
+pair_vectors = st.dictionaries(st.integers(0, 6), pairs, max_size=5)
+pair_maps = st.dictionaries(st.integers(0, 6), pair_vectors.filter(bool), max_size=4)
+
+
+def _exact(backend, pair):
+    """n/d on the rational backend; n*d, a large integer, on the integer one."""
+    n, d = pair
+    return Fraction(n, d) if backend is RATIONAL else n * d
+
+
+def _exact_vec(backend, raw: dict) -> HamelVector:
+    return HamelVector(backend, {k: _exact(backend, p) for k, p in raw.items()})
+
+
+def _exact_map(backend, raw: dict) -> ColumnFiniteMap:
+    return ColumnFiniteMap(backend, {j: _exact_vec(backend, col) for j, col in raw.items()})
+
+
+def _chain(terms) -> dict:
+    """Fraction sum of (k, x) terms, left to right, as canonical additions go:
+    a zero term is skipped and a coordinate whose sum cancels is removed."""
+    out: dict = {}
+    for k, x in terms:
+        if x == 0:
+            continue
+        if k in out:
+            x = out[k] + x
+            if x == 0:
+                del out[k]
+                continue
+        out[k] = Fraction(x)
+    return out
+
+
+def _pairs(obj) -> list:
+    """(key, Fraction value) in stored order."""
+    return [(k, Fraction(c.value)) for k, c in obj.coords.items()]
+
+
+def _assert_exact(result, expected: dict) -> None:
+    """Same values in the same key order, stored as the backend's own type."""
+    assert_canonical(result)
+    assert _pairs(result) == list(expected.items())
+    kind = type(result.backend.from_int(0))
+    assert all(type(c.value) is kind for c in result.coords.values())
+
+
+def _ref_apply(f: ColumnFiniteMap, x) -> dict:
+    return _chain(
+        (i, xj * c.value)
+        for j, xj in x
+        if j in f.cols
+        for i, c in f.cols[j].coords.items()
+    )
+
+
+def _ref_mul(table: StructureTable, a, b) -> dict:
+    return _chain(
+        (k, xi * yj * c.value)
+        for i, xi in a
+        for j, yj in b
+        for k, c in table.lookup(i, j).coords.items()
+    )
+
+
+@given(backend=exact_backends, f=pair_maps, x=pair_vectors)
+def test_exact_apply_is_chained_sum(backend, f, x):
+    fm, xv = _exact_map(backend, f), _exact_vec(backend, x)
+    _assert_exact(fm.apply(xv), _ref_apply(fm, _pairs(xv)))
+
+
+@given(backend=exact_backends, f=pair_maps, g=pair_maps, v=pair_vectors.filter(bool))
+def test_exact_compose_is_chained_sum(backend, f, g, v):
+    f = {**f, 5: v, 6: {k: (-n, d) for k, (n, d) in v.items()}}
+    g = {**g, 7: {5: (1, 1), 6: (1, 1)}}  # composes to v + (-v): an empty column
+    fm, gm = _exact_map(backend, f), _exact_map(backend, g)
+    result = fm.compose(gm)
+    assert_canonical(result)
+    expected = {j: _ref_apply(fm, _pairs(col)) for j, col in gm.cols.items()}
+    expected = {j: col for j, col in expected.items() if col}
+    assert list(result.cols) == list(expected)
+    for j, col in result.cols.items():
+        _assert_exact(col, expected[j])
+
+
+# structure constants over 2, 3 and 7: the running denominator of a product
+# grows as pairs with new denominators arrive, and the sum is rescaled
+MIXED = StructureTable(
+    RATIONAL,
+    "mixed",
+    entries={
+        (i, j): {(i + j) % 5: Fraction(1 + i, (2, 3, 7)[(i + 2 * j) % 3]),
+                 (i * j) % 5: Fraction(-1 - j, (2, 3, 7)[(i + j) % 3])}
+        for i in range(5)
+        for j in range(5)
+        if (i, j) != (4, 4)
+    },
+)
+
+
+def _mixed_rule(i, j):
+    entry = MIXED.entries.get((i, j))
+    return {} if entry is None else _raw(entry)
+
+
+@given(backend=exact_backends, name=st.sampled_from(["polynomial", "free:2", "mixed"]),
+       a=pair_vectors, b=pair_vectors)
+def test_exact_mul_is_chained_sum(backend, name, a, b):
+    if name == "mixed":
+        backend, a, b = RATIONAL, {k % 5: p for k, p in a.items()}, {k % 5: p for k, p in b.items()}
+    table = MIXED if name == "mixed" else load_builtin(name, backend).table
+    av, bv = _exact_vec(backend, a), _exact_vec(backend, b)
+    result = table.mul(av, bv)
+    _assert_exact(result, _ref_mul(table, _pairs(av), _pairs(bv)))
+    rule = _mixed_rule if name == "mixed" else RULES[name]
+    assert _raw(result) == oracle_mul(rule, _raw(av), _raw(bv))
+
+
+def test_mul_rescales_across_new_denominators():
+    # (0,0) sums over 6; (0,1) brings 7, so the sum is rescaled to 42 just as
+    # coordinate 0 cancels; (0,2) then brings 0 back, now last in key order
+    table = StructureTable(RATIONAL, entries={
+        (0, 0): {0: Fraction(1, 2), 1: Fraction(1, 3)},
+        (0, 1): {0: Fraction(-1, 2), 2: Fraction(1, 7)},
+        (0, 2): {0: Fraction(1, 2)},
+    })
+    result = table.mul(HamelVector(RATIONAL, {0: 1}), HamelVector(RATIONAL, {0: 1, 1: 1, 2: 1}))
+    _assert_exact(result, {1: Fraction(1, 3), 2: Fraction(1, 7), 0: Fraction(1, 2)})
+
+
+def _ref_poly(nest, xs) -> dict:
+    if isinstance(nest, ColumnFiniteMap):
+        return _ref_apply(nest, xs[0])
+    terms = []
+    for j, c in xs[0]:
+        if j in nest.slots:
+            terms += [(k, c * x) for k, x in _ref_poly(nest.slots[j], xs[1:]).items()]
+    return _chain(terms)
+
+
+@given(backend=exact_backends, data=st.data(), arity=st.integers(2, 3))
+def test_exact_poly_apply_is_chained_sum(backend, data, arity):
+    def nest(depth):
+        if depth == 1:
+            return _exact_map(backend, data.draw(pair_maps))
+        slots = data.draw(st.lists(st.integers(0, 6), max_size=3, unique=True))
+        return PolyMap(backend, depth, {j: nest(depth - 1) for j in slots})
+
+    top = nest(arity)
+    xs = [_exact_vec(backend, data.draw(pair_vectors)) for _ in range(arity)]
+    _assert_exact(poly_apply(top, xs), _ref_poly(top, [_pairs(x) for x in xs]))
+
+
+@given(backend=exact_backends, factors=st.lists(pair_vectors, min_size=1, max_size=3))
+def test_exact_tensor_pure_matches_products(backend, factors):
+    vs = [_exact_vec(backend, f) for f in factors]
+    t = tensor_pure(vs)
+    expected = {}
+    for combo in itertools.product(*(_pairs(v) for v in vs)):
+        value = Fraction(1)
+        for _, c in combo:
+            value *= c
+        expected[tuple(i for i, _ in combo)] = value
+    _assert_exact(t, expected)
+
+
+@given(backend=exact_backends,
+       t=st.dictionaries(st.tuples(st.integers(0, 3), st.integers(0, 3)), pairs, max_size=4),
+       f=st.dictionaries(st.integers(0, 3), pair_vectors, max_size=3),
+       x=st.dictionaries(st.integers(0, 3), pairs, max_size=3))
+def test_exact_map_via_tensor_is_chained_sum(backend, t, f, x):
+    table = load_builtin("free:2", backend).table
+    tt = TensorElement(backend, 2, {k: _exact(backend, p) for k, p in t.items()})
+    fm, xv = _exact_map(backend, f), _exact_vec(backend, x)
+    result = map_via_tensor(table, tt, fm, xv, samples=4)
+    fx = list(_ref_apply(fm, _pairs(xv)).items())
+    terms = []
+    for (i, j), c in tt.coords.items():
+        left = list(_ref_mul(table, [(i, Fraction(1))], fx).items())
+        terms += [(k, c.value * v) for k, v in _ref_mul(table, left, [(j, Fraction(1))]).items()]
+    _assert_exact(result, _chain(terms))
+
+
+@pytest.mark.parametrize("backend", [INTEGER, RATIONAL, FLOAT64])
+def test_pair_bound_violation_raises_on_every_mul(backend):
+    table = StructureTable(backend, entries={(0, 0): {0: 1}, (0, 1): {0: 3}}, pair_bound=2)
+    a = HamelVector(backend, {0: 1})
+    b = HamelVector(backend, {0: 1, 1: 1})
+    for _ in range(2):
+        with pytest.raises(CertificateError):
+            table.mul(a, b)
+    assert table.mul(a, a) == HamelVector(backend, {0: 1})
+    with pytest.raises(CertificateError):
+        table.mul(a, b)
+    assert len(table.entries) == 2

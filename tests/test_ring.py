@@ -18,6 +18,7 @@ from falg import (
     parse_scalar,
 )
 
+from falg.ring import MAX_LITERAL_DIGITS, MAX_LITERAL_EXPONENT
 from support import rand_scalar
 
 
@@ -167,3 +168,22 @@ def test_float_rejects_non_finite():
         FLOAT64.scalar(math.inf)
     with pytest.raises(ValueError):
         parse_scalar(FLOAT64, "nan")
+
+
+@pytest.mark.parametrize(
+    "text", ["1e100000000", "1E-100000000", "2.5e+4301", "1/" + "3" * 5000, "0." + "1" * 5000]
+)
+def test_exact_literal_caps(text):
+    for parse in (RATIONAL.parse, RATIONAL.norm_parse, RATIONAL.norm_check, RATIONAL.check,
+                  INTEGER.norm_parse):
+        with pytest.raises(ValueError):
+            parse(text)
+
+
+def test_exact_literals_at_the_caps_parse():
+    assert RATIONAL.parse(f"1e{MAX_LITERAL_EXPONENT}") == 10**MAX_LITERAL_EXPONENT
+    assert RATIONAL.norm_parse(f"1e-{MAX_LITERAL_EXPONENT}") == Fraction(1, 10**MAX_LITERAL_EXPONENT)
+    assert RATIONAL.parse("9" * MAX_LITERAL_DIGITS) == 10**MAX_LITERAL_DIGITS - 1
+    assert INTEGER.parse("-" + "9" * MAX_LITERAL_DIGITS) == 1 - 10**MAX_LITERAL_DIGITS
+    with pytest.raises(ValueError):
+        INTEGER.parse("9" * (MAX_LITERAL_DIGITS + 1))
