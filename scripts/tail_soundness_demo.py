@@ -1,132 +1,39 @@
 """How much certified tail bounds overshoot the true error.
 
-Builds random pipelines of truncation-layer operations over the polynomial
-algebra, evaluates each once exactly (long prefixes, tails 0) and once with
-truncated inputs, and reports the gap between the true l1 error and the
+Draws random expression trees from the tail-soundness harness in
+tests/support.py, the generator acceptance criterion 8 runs: each tree is
+evaluated once exactly (long prefixes, tails 0) and once with truncated
+inputs, and the report shows the gap between the true l1 error and the
 certified bound.  Everything is exact rational arithmetic, so the reported
 slack is the propagation formulas' own conservatism, not rounding.
 
-Usage: python scripts/tail_soundness_demo.py --trials 200 --depth 4 --seed 0
+Usage: PYTHONPATH=src python scripts/tail_soundness_demo.py --trials 200 --depth 4 --seed 0
 """
 
 import argparse
 import random
 import sys
-from dataclasses import dataclass
-from fractions import Fraction
+from pathlib import Path
 
-from falg import (
-    RATIONAL,
-    ColumnFiniteMap,
-    HamelVector,
-    TailMap,
-    TailVector,
-    load_builtin,
-    tail_mul,
-)
-
-
-@dataclass
-class Config:
-    trials: int = 200
-    depth: int = 4
-    seed: int = 0
-    buckets: int = 10
-
-
-POLY = load_builtin("polynomial").table
-
-
-def long_vector(rng: random.Random) -> HamelVector:
-    coords = {}
-    for _ in range(rng.randint(6, 12)):
-        coords[rng.randint(0, 24)] = Fraction(rng.randint(-9, 9), rng.randint(1, 5))
-    return HamelVector(RATIONAL, coords)
-
-
-def truncate(rng: random.Random, v: HamelVector) -> TailVector:
-    kept, dropped = {}, Fraction(0)
-    for i, c in v.coords.items():
-        if rng.random() < 0.6:
-            kept[i] = c
-        else:
-            dropped += c.norm()
-    return TailVector(HamelVector(RATIONAL, kept), dropped)
-
-
-def long_map(rng: random.Random) -> ColumnFiniteMap:
-    cols = {}
-    for _ in range(rng.randint(3, 6)):
-        col = {
-            rng.randint(0, 20): Fraction(rng.randint(-6, 6), rng.randint(1, 4))
-            for _ in range(rng.randint(1, 4))
-        }
-        cols[rng.randint(0, 20)] = {i: c for i, c in col.items() if c}
-    return ColumnFiniteMap(RATIONAL, cols)
-
-
-def truncate_map(rng: random.Random, f: ColumnFiniteMap) -> TailMap:
-    cols, dropped = {}, Fraction(0)
-    for j, col in f.cols.items():
-        kept = {}
-        for i, c in col.coords.items():
-            if rng.random() < 0.7:
-                kept[i] = c
-            else:
-                dropped += c.norm()
-        if kept:
-            cols[j] = kept
-    return TailMap(ColumnFiniteMap(RATIONAL, cols), dropped)
-
-
-def grow(rng: random.Random, depth: int):
-    """Return (exact HamelVector, certified TailVector) for one random tree."""
-    if depth == 0 or rng.random() < 0.25:
-        v = long_vector(rng)
-        return v, truncate(rng, v)
-    op = rng.choice(["add", "scale", "mul", "apply", "truncate"])
-    exact, cert = grow(rng, depth - 1)
-    if op == "add":
-        e2, c2 = grow(rng, depth - 1)
-        return exact + e2, cert + c2
-    if op == "scale":
-        d = RATIONAL.scalar(Fraction(rng.randint(-4, 4), rng.randint(1, 3)))
-        return exact.scale(d), cert.scale(d)
-    if op == "mul":
-        e2, c2 = grow(rng, depth - 1)
-        return POLY.mul(exact, e2), tail_mul(POLY, cert, c2)
-    if op == "apply":
-        f = long_map(rng)
-        return f.apply(exact), truncate_map(rng, f).apply(cert)
-    keep = {i for i in cert.prefix.support() if rng.random() < 0.7}
-    return exact, cert.truncate(keep)
-
-
-def true_error(exact: HamelVector, cert: TailVector) -> Fraction:
-    total = Fraction(0)
-    for i in set(exact.coords) | set(cert.prefix.coords):
-        a = exact.coefficient(i).value
-        b = cert.prefix.coefficient(i).value
-        total += abs(a - b)
-    return total
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
+from support import soundness_trial  # noqa: E402
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--trials", type=int, default=200)
-    parser.add_argument("--depth", type=int, default=4)
+    parser.add_argument("--depth", type=int, default=4, help="trees are 1 to DEPTH levels deep")
     parser.add_argument("--seed", type=int, default=0)
     args = parser.parse_args(argv)
-    cfg = Config(trials=args.trials, depth=args.depth, seed=args.seed)
+    if args.depth < 1:
+        parser.error("--depth must be >= 1")
 
-    rng = random.Random(cfg.seed)
+    rng = random.Random(args.seed)
     ratios = []
     violations = 0
     exact_hits = 0
-    for _ in range(cfg.trials):
-        exact, cert = grow(rng, cfg.depth)
-        err = true_error(exact, cert)
-        bound = cert.tail
+    for _ in range(args.trials):
+        err, bound = soundness_trial(rng, max_depth=args.depth)
         if err > bound:
             violations += 1
         if bound == 0:
@@ -134,7 +41,7 @@ def main(argv=None) -> int:
         else:
             ratios.append(err / bound)
 
-    print(f"trials          {cfg.trials} (depth <= {cfg.depth}, seed {cfg.seed})")
+    print(f"trials          {args.trials} (depth <= {args.depth}, seed {args.seed})")
     print(f"violations      {violations}")
     print(f"exact results   {exact_hits} (bound 0, error 0)")
     if ratios:

@@ -12,14 +12,13 @@ lazily and raise :class:`CertificateError` on the first violating pair.
 
 Checked-entry invariant: ``StructureTable._checked`` holds exactly the pairs
 whose entry has passed the pair-bound check (every looked-up pair when no
-bound is declared).  On the exact backends it maps each to the integer form
-``(d, {k: n})`` of that entry (see the hamel module docstring), which is
-what ``mul`` reads; on float64 it maps them to None and ``mul`` reads
-``lookup(i, j)``.  ``entries`` stays the one store of the entries
-themselves, so ``lookup`` returns ``entries[(i, j)]`` for a checked pair and
-``len(table.entries)`` is the memo size as before.  The exact ``mul`` calls
-``lookup`` only for pairs not yet in ``_checked``; an entry that violates the
-bound never enters it, so every product that reaches it raises again.
+bound is declared), each mapped to the numerator form ``(d, {k: n})`` of
+its entry (see the hamel module docstring), which is what ``mul`` reads.
+``entries`` stays the one store of the entries themselves, so ``lookup``
+returns ``entries[(i, j)]`` for a checked pair and ``len(table.entries)`` is
+the memo size.  ``mul`` calls ``lookup`` only for pairs not yet in
+``_checked``; an entry that violates the bound never enters it, so every
+product that reaches it raises again.
 
 Claimed laws (associativity, commutativity) are never assumed silently:
 :meth:`StructureTable.check_laws` probes them, and anything that needs a law
@@ -35,17 +34,7 @@ from fractions import Fraction
 from typing import Callable, Optional
 
 from .ring import Backend, BackendMismatchError, NormValue, Scalar
-from .hamel import (
-    ColumnFiniteMap,
-    HamelVector,
-    _accumulate,
-    _check_index,
-    _exact_vector,
-    _reduce,
-    _split,
-    _vector,
-    zero_vector,
-)
+from .hamel import HamelVector, _check_index, _form_vector, _reduce, _split, zero_vector
 
 
 class CertificateError(ValueError):
@@ -71,9 +60,8 @@ class StructureTable:
         for (i, j), entry in self.entries.items():
             cleaned[(i, j)] = self._coerce(entry)
         self.entries = cleaned
-        # pairs whose entry passed the pair-bound check -> its integer form
-        # (d, {k: n}) on exact backends, None on float64
-        self._checked: dict[tuple[int, int], Optional[tuple[int, dict]]] = {}
+        # pairs whose entry passed the pair-bound check -> its numerator form
+        self._checked: dict[tuple[int, int], tuple[int, dict]] = {}
 
     def _coerce(self, entry) -> HamelVector:
         if not isinstance(entry, HamelVector):
@@ -104,7 +92,7 @@ class StructureTable:
                     f"pair bound violated at ({i}, {j}): "
                     f"sum of |C| is {mass}, declared bound {self.pair_bound}"
                 )
-        self._checked[key] = _split(entry.coords) if self.backend.exact else None
+        self._checked[key] = _split(self.backend, entry.coords)
         return entry
 
     def mul(self, a: HamelVector, b: HamelVector) -> HamelVector:
@@ -118,22 +106,8 @@ class StructureTable:
                 raise TypeError(f"expected HamelVector, got {type(v).__name__}")
             if v.backend is not self.backend:
                 raise BackendMismatchError("operand backend does not match table backend")
-        if self.backend.exact:
-            return _exact_vector(self.backend, self._mul_split(a, b))
-        lookup = self.lookup
-        acc: dict = {}
-        for i, ai in a.coords.items():
-            x = ai.value
-            for j, bj in b.coords.items():
-                coords = lookup(i, j).coords
-                if coords:
-                    _accumulate(acc, coords, x * bj.value)
-        return _vector(self.backend, acc)
-
-    def _mul_split(self, a: HamelVector, b: HamelVector) -> tuple[int, dict]:
-        """Exact mul over integer numerators, reading entries' forms from _checked."""
-        da, xa = _split(a.coords)
-        db, xb = _split(b.coords)
+        da, xa = _split(self.backend, a.coords)
+        db, xb = _split(self.backend, b.coords)
         checked = self._checked
         acc: dict = {}
         den = 1
@@ -145,7 +119,7 @@ class StructureTable:
                     form = checked[(i, j)]
                 if form[1]:
                     den = _reduce(acc, den, form, x * y)
-        return da * db * den, acc
+        return _form_vector(self.backend, (da * db * den, acc))
 
     def commutator(self, a: HamelVector, b: HamelVector) -> HamelVector:
         """[a, b] = ab - ba; zero iff the pair commutes."""
@@ -349,11 +323,6 @@ class LawReport:
                 for r in self.results
             ],
         }
-
-
-def endo_mul(f: ColumnFiniteMap, g: ColumnFiniteMap) -> ColumnFiniteMap:
-    """Product in the endomorphism algebra: composition f after g."""
-    return f.compose(g)
 
 
 def table_to_data(table: StructureTable) -> dict:

@@ -22,11 +22,11 @@ import sys
 from dataclasses import dataclass
 from typing import Optional, Union
 
-from .ring import BACKENDS, INTEGER, Backend, BackendMismatchError, Scalar, _literal
+from .ring import BACKENDS, Backend, BackendMismatchError, Scalar, _literal
 from .hamel import ColumnFiniteMap, DualFunctional, HamelVector, basis_vector
 from .algebra import CertificateError
 from .tensor import NonAssociativeError, TensorElement, map_via_tensor, tensor_pure
-from .schauder import NormInterval, TailMap, TailVector
+from .schauder import TailMap, TailVector
 from .catalog import AlgebraFixture, LabelError, fixture_from_data, load_builtin
 
 
@@ -538,28 +538,12 @@ def _cmd_norm(args) -> int:
         raise CliError("norm takes exactly one of --vector or --map")
     if args.vector:
         data = _load_json(args.vector)
-        if backend is INTEGER:
-            if _has_tail(data):
-                raise CliError("tail bounds need the rat or f64 backend")
-            v = _parse_data("vector", args.vector, lambda: HamelVector.from_data(backend, data))
-            mass = v.l1()
-            interval = NormInterval(backend, mass, mass)
-        else:
-            tv = _parse_data("vector", args.vector, lambda: TailVector.from_data(backend, data))
-            interval = tv.norm_interval()
+        tv = _parse_data("vector", args.vector, lambda: TailVector.from_data(backend, data))
+        interval = tv.norm_interval()
     else:
         data = _load_json(args.map)
-        if backend is INTEGER:
-            if _has_tail(data):
-                raise CliError("tail bounds need the rat or f64 backend")
-            f = _parse_data("map", args.map, lambda: ColumnFiniteMap.from_data(backend, data))
-            lo = backend.norm_zero
-            for col in f.cols.values():
-                lo = max(lo, col.l1())
-            interval = NormInterval(backend, lo, f.l1_total())
-        else:
-            tm = _parse_data("map", args.map, lambda: TailMap.from_data(backend, data))
-            interval = tm.bound()
+        tm = _parse_data("map", args.map, lambda: TailMap.from_data(backend, data))
+        interval = tm.bound()
     if args.json:
         _emit_json(interval.to_data())
     else:
@@ -685,7 +669,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     except (LabelError, BackendMismatchError) as e:
         print(str(e), file=sys.stderr)
         return 2
-    except (ValueError, TypeError, ZeroDivisionError) as e:
+    except (ValueError, TypeError, ArithmeticError) as e:
         print(str(e), file=sys.stderr)
         return 2
 

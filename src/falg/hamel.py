@@ -11,30 +11,34 @@ Operations never mutate their inputs; treat all values as immutable.
 
 Internal sums add raw values into one plain dict and wrap the surviving
 sums in Scalar once at the end, so no intermediate result is copied or
-re-validated.  There are two such paths, chosen by ``backend.exact``:
+re-validated.
 
-- Exact backends (int, rat): ``_split`` writes an operand's coefficients as
-  integer numerators over one common denominator d, the lcm of their
-  denominators (1 for Python ints, which carry ``.numerator`` and
-  ``.denominator`` too).  ``_reduce`` adds integer terms ``s * n`` into a
-  dict of numerators over a running denominator, multiplying the dict
-  through when a term's denominator does not divide it; ``_combine`` takes
-  the lcm of all parts' denominators first, so its sums never rescale, and
-  only ``StructureTable.mul``, which meets table entries one pair at a
-  time, rescales.  ``_exact_coords`` turns each surviving numerator n over
-  the final denominator D into ``Fraction(n, D)`` once -- or
-  ``backend.from_int(n)`` when D is 1.  Map application and composition,
-  ``StructureTable.mul``, ``poly_apply``, ``tensor_pure`` and the
-  ``map_via_tensor`` sum take this path.  All denominators are positive, so a partial sum is zero exactly
-  when the rational sum it stands for is: key order and results equal those
-  of a chain of Fraction additions.
-- float64 (and every other sum): ``_accumulate`` adds ``s * c.value`` into
-  the dict and ``_canonical`` wraps the result.  Each term joins its
-  coordinate as ``acc + term`` in the order the operands list it, so float
-  sums round as sequential Scalar additions do.
+The bilinear kernels -- map application and composition,
+``StructureTable.mul``, ``poly_apply``, ``tensor_pure`` and the
+``map_via_tensor`` sum -- work on every backend over numerator forms
+``(d, {k: n})``, each value being n / d.  ``_split`` writes an operand in
+this form: on the exact backends (int, rat) n is an integer and d the lcm
+of the denominators (1 for Python ints, which carry ``.numerator`` and
+``.denominator`` too); on float64 d is 1 and n is the value itself.
+``_reduce`` adds terms ``s * n`` into a dict of numerators over a running
+denominator, multiplying the dict through when a term's denominator does
+not divide it; ``_combine`` takes the lcm of all parts' denominators first,
+so its sums never rescale, and only ``StructureTable.mul``, which meets
+table entries one pair at a time, rescales.  ``_form_coords`` turns each
+surviving numerator n over the final denominator D into ``Fraction(n, D)``
+once, or ``backend.check(n)`` when D is 1.  All denominators are positive,
+so a partial sum is zero exactly when the rational sum it stands for is:
+key order and results equal those of a chain of Fraction additions.  On
+float64 the reduction computes ``s * n`` and adds it to its coordinate in
+the order the operands list their terms, so float sums round as sequential
+Scalar additions do.
 
-Both skip a zero term and delete a coordinate whose sum cancels, exactly as
-chained canonical vector additions would.
+Element-wise sums (``+``, ``scale``, functionals, tensor sums and the
+truncation layer's nests) add ``s * c.value`` with ``_accumulate``, and
+``_canonical`` wraps the result.
+
+Both paths skip a zero term and delete a coordinate whose sum cancels,
+exactly as chained canonical vector additions would.
 
 Trusted-builder invariant: ``_trusted`` sets a frozen dataclass's fields
 without running ``__post_init__``, so it skips ``_check_index`` and the
@@ -42,8 +46,10 @@ backend re-check.  Only an operation on already-constructed values may use
 it -- one that has joined its operands (type and backend checks) and builds
 its result only from their keys, raw values and sums or products of them.
 Those keys passed ``_check_index`` and those values passed their backend's
-``check`` when the operands were built, and ring operations keep values in
-their backend.  Anything arriving from a caller as raw data (public
+``check`` when the operands were built.  Exact arithmetic keeps values in
+their backend; float arithmetic can overflow, so both wrappers reject a
+non-finite float64 result (``backend.check`` and ``backend._check_sums``
+raise ``ValueError``).  Anything arriving from a caller as raw data (public
 constructors, ``from_data``) keeps the full validation.
 """
 
@@ -102,18 +108,25 @@ def _accumulate(acc: dict, coords: Mapping, s=None) -> dict:
 
 def _canonical(backend: Backend, acc: dict) -> dict:
     """Wrap the nonzero raw values of acc in Scalar, once."""
+    backend._check_sums(acc.values())
     return {k: Scalar(backend, x) for k, x in acc.items() if x}
 
 
-def _split(coords: Mapping) -> tuple[int, dict]:
-    """(d, {k: n}) with every c.value == n / d, d the lcm of the denominators."""
+def _split(backend: Backend, coords: Mapping) -> tuple[int, dict]:
+    """The numerator form (d, {k: n}) of coords, with every c.value == n / d.
+
+    d is the lcm of the denominators on the exact backends, and 1 on float64,
+    where n is the value itself.
+    """
+    if not backend.exact:
+        return 1, {k: c.value for k, c in coords.items()}
     d = lcm(*(c.value.denominator for c in coords.values()))
     if d == 1:
         return 1, {k: c.value.numerator for k, c in coords.items()}
     return d, {k: c.value.numerator * (d // c.value.denominator) for k, c in coords.items()}
 
 
-def _reduce(acc: dict, den: int, form: tuple[int, dict], s: int) -> int:
+def _reduce(acc: dict, den: int, form: tuple[int, dict], s) -> int:
     """Add s * n / d for every k, n of form = (d, nums) into acc, numerators over den.
 
     Returns the new running denominator: when d does not divide den, every
@@ -156,12 +169,12 @@ def _combine(parts: list) -> tuple[int, dict]:
     return den, acc
 
 
-def _exact_coords(backend: Backend, form: tuple[int, dict]) -> dict:
-    """Scalars n / den for the nonzero numerators n of form = (den, nums), one Fraction each."""
+def _form_coords(backend: Backend, form: tuple[int, dict]) -> dict:
+    """Scalars n / den for the nonzero numerators n of form = (den, nums), one each."""
     den, nums = form
     if den == 1:
-        wrap = backend.from_int
-        return {k: Scalar(backend, wrap(n)) for k, n in nums.items()}
+        check = backend.check
+        return {k: Scalar(backend, check(n)) for k, n in nums.items() if n}
     return {k: Scalar(backend, Fraction(n, den)) for k, n in nums.items()}
 
 
@@ -177,8 +190,8 @@ def _vector(backend: Backend, acc: dict) -> "HamelVector":
     return _trusted(HamelVector, backend=backend, coords=_canonical(backend, acc))
 
 
-def _exact_vector(backend: Backend, form: tuple[int, dict]) -> "HamelVector":
-    return _trusted(HamelVector, backend=backend, coords=_exact_coords(backend, form))
+def _form_vector(backend: Backend, form: tuple[int, dict]) -> "HamelVector":
+    return _trusted(HamelVector, backend=backend, coords=_form_coords(backend, form))
 
 
 def _map(backend: Backend, cols: dict) -> "ColumnFiniteMap":
@@ -301,7 +314,7 @@ class DualFunctional:
         for i in small:
             if i in large:
                 total = total + self.coords[i].value * v.coords[i].value
-        return Scalar(self.backend, total)
+        return self.backend.scalar(total)
 
     def __add__(self, other):
         if not isinstance(other, DualFunctional) or other.backend is not self.backend:
@@ -381,17 +394,10 @@ class ColumnFiniteMap:
 
     def apply(self, v: HamelVector) -> HamelVector:
         self._check_arg(v)
-        if self.backend.exact:
-            return _exact_vector(self.backend, self._apply_split(_split(v.coords), {}))
-        acc: dict = {}
-        for j, c in v.coords.items():
-            col = self.cols.get(j)
-            if col is not None:
-                _accumulate(acc, col.coords, c.value)
-        return _vector(self.backend, acc)
+        return _form_vector(self.backend, self._apply_split(_split(self.backend, v.coords), {}))
 
     def _apply_split(self, v: tuple[int, dict], splits: dict) -> tuple[int, dict]:
-        """Exact apply on a split vector; splits caches the split columns of self."""
+        """apply on a numerator form; splits caches the split columns of self."""
         dv, xs = v
         parts = []
         for j, x in xs.items():
@@ -399,7 +405,7 @@ class ColumnFiniteMap:
             if col is None:
                 if j not in self.cols:
                     continue
-                col = splits[j] = _split(self.cols[j].coords)
+                col = splits[j] = _split(self.backend, self.cols[j].coords)
             parts.append((x, col))
         den, acc = _combine(parts)
         return dv * den, acc
@@ -438,13 +444,11 @@ class ColumnFiniteMap:
         """self after g: column j of the result is self(g(e_j))."""
         self._join(g)
         b = self.backend
-        if b.exact:
-            splits: dict = {}
-            return _map(b, {
-                j: _exact_vector(b, self._apply_split(_split(col.coords), splits))
-                for j, col in g.cols.items()
-            })
-        return _map(b, {j: self.apply(col) for j, col in g.cols.items()})
+        splits: dict = {}
+        return _map(b, {
+            j: _form_vector(b, self._apply_split(_split(b, col.coords), splits))
+            for j, col in g.cols.items()
+        })
 
     def l1_total(self) -> NormValue:
         """Sum of |entry| over the whole table; finite by construction."""
@@ -534,17 +538,8 @@ def poly_apply(nest: MapNode, xs: Sequence[HamelVector]) -> HamelVector:
     Linear in every slot: peels the first argument against the stored
     slots, then recurses.  A depth-1 nest is ordinary map application.
     """
-    if isinstance(nest, (ColumnFiniteMap, PolyMap)) and nest.backend.exact:
-        return _exact_vector(nest.backend, _poly_split(nest, xs, {}))
-    _check_level(nest, xs)
-    if isinstance(nest, ColumnFiniteMap):
-        return nest.apply(xs[0])
-    acc: dict = {}
-    for j, c in xs[0].coords.items():
-        sub = nest.slots.get(j)
-        if sub is not None:
-            _accumulate(acc, poly_apply(sub, xs[1:]).coords, c.value)
-    return _vector(nest.backend, acc)
+    form = _poly_split(nest, xs, {})  # checks nest and xs before nest.backend is read
+    return _form_vector(nest.backend, form)
 
 
 def _check_level(nest: MapNode, xs: Sequence[HamelVector]) -> None:
@@ -563,11 +558,11 @@ def _check_level(nest: MapNode, xs: Sequence[HamelVector]) -> None:
 
 
 def _poly_split(nest: MapNode, xs: Sequence[HamelVector], splits: dict) -> tuple[int, dict]:
-    """Exact poly_apply over integer numerators; splits caches each argument's split."""
+    """poly_apply over numerator forms; splits caches each argument's split."""
     _check_level(nest, xs)
     head = splits.get(len(xs))
     if head is None:
-        head = splits[len(xs)] = _split(xs[0].coords)
+        head = splits[len(xs)] = _split(nest.backend, xs[0].coords)
     if isinstance(nest, ColumnFiniteMap):
         return nest._apply_split(head, {})
     dh, nums = head

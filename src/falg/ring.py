@@ -73,6 +73,10 @@ class Backend:
         """Validate and canonicalize a raw coefficient value."""
         raise NotImplementedError
 
+    def _check_sums(self, values) -> None:
+        """Reject raw values summed or multiplied from checked ones that left
+        the backend; exact arithmetic never does."""
+
     def add(self, a, b):
         raise NotImplementedError
 
@@ -254,6 +258,12 @@ class RationalBackend(Backend):
         return _exact_norm_check(_fraction(text))
 
 
+def _finite(x: float) -> float:
+    if not math.isfinite(x):
+        raise ValueError("float coefficients must be finite")
+    return x
+
+
 def _up(x: float) -> float:
     """Round a float result toward +inf by one ulp; keeps bounds sound."""
     if math.isinf(x) or math.isnan(x):
@@ -269,17 +279,18 @@ class Float64Backend(Backend):
         if isinstance(value, bool):
             raise TypeError("float backend takes int/float, got bool")
         if isinstance(value, (int, float)):
-            v = float(value)
-            if math.isnan(v) or math.isinf(v):
-                raise ValueError("float coefficients must be finite")
-            return v
+            return _finite(float(value))
         raise TypeError(f"float backend takes int/float, got {type(value).__name__}")
 
+    def _check_sums(self, values):
+        for x in values:
+            _finite(x)
+
     def add(self, a, b):
-        return a + b
+        return _finite(a + b)
 
     def mul(self, a, b):
-        return a * b
+        return _finite(a * b)
 
     def neg(self, a):
         return -a
@@ -296,10 +307,7 @@ class Float64Backend(Backend):
         return float(Fraction(p, q))  # correctly rounded to nearest
 
     def parse(self, text):
-        v = float(text)
-        if math.isnan(v) or math.isinf(v):
-            raise ValueError("float coefficients must be finite")
-        return v
+        return _finite(float(text))
 
     def render(self, a):
         return repr(a)  # shortest round-trip decimal

@@ -15,9 +15,6 @@ estimates; the propagation formulas are deliberately conservative, and on
 the float backend every bound step rounds upward, so certified claims
 survive rounding.
 
-Only the rational and float backends participate here; integer-backend
-values must be lifted to rationals first.
-
 Norm reporting is honest about what finite data can know: `norm_interval`
 returns [prefix mass, prefix mass + tail], and `bound` on a map returns
 [best stored column sum, total stored mass + tail].  True norms of exactly
@@ -29,18 +26,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Sequence, Union
 
-from .ring import FLOAT64, RATIONAL, Backend, BackendMismatchError, NormValue
+from .ring import Backend, BackendMismatchError, NormValue
 from .hamel import ColumnFiniteMap, HamelVector, _accumulate, _map, _vector
 from .algebra import StructureTable
-
-
-def _check_tail_backend(backend: Backend) -> Backend:
-    if backend is not RATIONAL and backend is not FLOAT64:
-        raise ValueError(
-            f"backend {backend.name!r} is not supported in the truncation layer; "
-            "use the rational or float backend"
-        )
-    return backend
 
 
 @dataclass(frozen=True)
@@ -80,7 +68,6 @@ class TailVector:
     def __post_init__(self):
         if not isinstance(self.prefix, HamelVector):
             raise TypeError(f"prefix must be HamelVector, got {type(self.prefix).__name__}")
-        _check_tail_backend(self.prefix.backend)
         object.__setattr__(self, "tail", self.prefix.backend.norm_check(self.tail))
 
     @property
@@ -159,7 +146,6 @@ class TailMap:
     def __post_init__(self):
         if not isinstance(self.finite, ColumnFiniteMap):
             raise TypeError(f"finite part must be ColumnFiniteMap, got {type(self.finite).__name__}")
-        _check_tail_backend(self.finite.backend)
         object.__setattr__(self, "tail", self.finite.backend.norm_check(self.tail))
 
     @property
@@ -290,7 +276,6 @@ class TailPolyMap:
     tail: NormValue = 0
 
     def __post_init__(self):
-        _check_tail_backend(self.backend)
         if not isinstance(self.arity, int) or self.arity < 2:
             raise ValueError(f"TailPolyMap arity must be >= 2, got {self.arity}")
         cleaned: dict[int, TailNode] = {}

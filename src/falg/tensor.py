@@ -29,11 +29,10 @@ from .hamel import (
     _check_index,
     _check_scalar,
     _combine,
-    _exact_coords,
-    _exact_vector,
+    _form_coords,
+    _form_vector,
     _split,
     _trusted,
-    _vector,
     _wire_object,
     basis_vector,
 )
@@ -149,18 +148,13 @@ def tensor_pure(factors: Sequence[HamelVector]) -> TensorElement:
             raise TypeError(f"expected HamelVector, got {type(v).__name__}")
         if v.backend is not backend:
             raise BackendMismatchError("tensor factors must share one backend")
-    if backend.exact:
-        den, nums = 1, {(): 1}
-        for v in factors:
-            d, xs = _split(v.coords)
-            den *= d
-            nums = {key + (i,): x * n for key, x in nums.items() for i, n in xs.items()}
-        coords = _exact_coords(backend, (den, nums))
-        return _trusted(TensorElement, backend=backend, arity=len(factors), coords=coords)
-    acc: dict[tuple[int, ...], object] = {(): backend.from_int(1)}
+    den, nums = 1, {(): 1}
     for v in factors:
-        acc = {key + (i,): x * c.value for key, x in acc.items() for i, c in v.coords.items()}
-    return _tensor(backend, len(factors), acc)
+        d, xs = _split(backend, v.coords)
+        den *= d
+        nums = {key + (i,): x * n for key, x in nums.items() for i, n in xs.items()}
+    coords = _form_coords(backend, (den, nums))  # drops float products that underflow to 0
+    return _trusted(TensorElement, backend=backend, arity=len(factors), coords=coords)
 
 
 def zero_tensor(backend: Backend, arity: int) -> TensorElement:
@@ -205,16 +199,10 @@ def map_via_tensor(
                 f"table {table.name!r} fails associativity at basis triple ({i}, {j}, {k})"
             )
     fx = f.apply(x)
-    if backend.exact:
-        dt, ts = _split(t.coords)
-        parts = []
-        for (i, j), s in ts.items():
-            left = table.mul(basis_vector(backend, i), fx)
-            parts.append((s, _split(table.mul(left, basis_vector(backend, j)).coords)))
-        den, nums = _combine(parts)
-        return _exact_vector(backend, (dt * den, nums))
-    acc: dict = {}
-    for (i, j), c in t.coords.items():
+    dt, ts = _split(backend, t.coords)
+    parts = []
+    for (i, j), s in ts.items():
         left = table.mul(basis_vector(backend, i), fx)
-        _accumulate(acc, table.mul(left, basis_vector(backend, j)).coords, c.value)
-    return _vector(backend, acc)
+        parts.append((s, _split(backend, table.mul(left, basis_vector(backend, j)).coords)))
+    den, nums = _combine(parts)
+    return _form_vector(backend, (dt * den, nums))

@@ -395,8 +395,8 @@ def test_cli_norm_int_backend(tmp_path, capsys):
     code, out, _ = run(capsys, ["norm", "--backend", "int", "--map", f])
     assert code == 0 and out == "[3, 5]\n"
     vt = write(tmp_path, "vt.json", {"coords": {"0": "1"}, "tail": "1"})
-    code, _, err = run(capsys, ["norm", "--backend", "int", "--vector", vt])
-    assert code == 2 and "backend" in err
+    code, out, _ = run(capsys, ["norm", "--backend", "int", "--vector", vt])
+    assert code == 0 and out == "[1, 2]\n"
 
 
 def test_cli_norm_flag_validation(tmp_path, capsys):
@@ -636,3 +636,33 @@ def test_cli_huge_eval_literal_exits_2(literal):
     assert proc.returncode == 2, proc.stderr
     assert "Traceback" not in proc.stderr
     assert "digits" in proc.stderr
+
+
+@pytest.mark.parametrize(
+    "command, files",
+    [
+        ("apply", {"map": {"cols": {"0": {"0": "1e300"}}, "tail": "1e300"},
+                   "vector": {"coords": {"0": "1e300"}, "tail": "1e10"}}),
+        ("apply", {"map": {"cols": {"0": {"0": "1"}}, "tail": "1e300"},
+                   "vector": {"coords": {"0": "1"}, "tail": "1e300"}}),
+        ("norm", {"vector": {"coords": {"0": "1e308", "1": "1e308"}}}),
+    ],
+    ids=["apply-prefix", "apply-bound", "norm"],
+)
+def test_cli_f64_overflow_exits_2(tmp_path, command, files):
+    argv = [command, "--backend", "f64"]
+    for flag, data in files.items():
+        argv += [f"--{flag}", write(tmp_path, f"{flag}.json", data)]
+    proc = _falg(*argv)
+    assert proc.returncode == 2, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert "finite" in proc.stderr
+
+
+@pytest.mark.parametrize("expr, flags", [("v+v", []), ("(v+v)-(v+v)", []), ("v*v", ["--json"])])
+def test_cli_f64_eval_overflow_exits_2(tmp_path, capsys, expr, flags):
+    big = write(tmp_path, "big.json", {"coords": {"0": "1e308"}})
+    argv = ["eval", "--backend", "f64", "--algebra", "builtin:polynomial", "--let", f"v={big}", "--expr", expr]
+    code, out, err = run(capsys, argv + flags)
+    assert code == 2 and out == ""
+    assert "float coefficients must be finite" in err

@@ -9,7 +9,7 @@ integer numerators with one common denominator; those tests use large
 coprime denominators and also pin the key order to that of a left-to-right
 chain of canonical additions.  The float tests pin the rounding: each
 result must equal a left-to-right sequential sum of the same terms, bit for
-bit.
+bit, and a result that overflows must raise.
 """
 
 import itertools
@@ -25,6 +25,7 @@ from falg import (
     RATIONAL,
     CertificateError,
     ColumnFiniteMap,
+    DualFunctional,
     HamelVector,
     PolyMap,
     StructureTable,
@@ -249,17 +250,125 @@ def test_float_mul_is_sequential_sum(cells, a, b):
     assert _raw(table.mul(av, bv)) == _sequential(terms)
 
 
-@given(f=st.dictionaries(st.integers(0, 5), float_columns, max_size=6), x=float_vectors)
-def test_float_apply_is_sequential_sum(f, x):
-    fm = ColumnFiniteMap(FLOAT64, {j: HamelVector(FLOAT64, col) for j, col in f.items()})
-    xv = HamelVector(FLOAT64, x)
-    terms = [
+def _float_map(raw: dict) -> ColumnFiniteMap:
+    return ColumnFiniteMap(FLOAT64, {j: HamelVector(FLOAT64, col) for j, col in raw.items()})
+
+
+def _seq_apply(fm: ColumnFiniteMap, xv: HamelVector) -> dict:
+    return _sequential(
         (i, xj.value * c.value)
         for j, xj in xv.coords.items()
         if j in fm.cols
         for i, c in fm.cols[j].coords.items()
-    ]
-    assert _raw(fm.apply(xv)) == _sequential(terms)
+    )
+
+
+float_maps = st.dictionaries(st.integers(0, 5), float_columns, max_size=6)
+
+
+@given(f=float_maps, x=float_vectors)
+def test_float_apply_is_sequential_sum(f, x):
+    fm, xv = _float_map(f), HamelVector(FLOAT64, x)
+    assert _raw(fm.apply(xv)) == _seq_apply(fm, xv)
+
+
+@given(f=float_maps, g=float_maps)
+def test_float_compose_is_sequential_sum(f, g):
+    fm, gm = _float_map(f), _float_map(g)
+    result = fm.compose(gm)
+    assert_canonical(result)
+    expected = {j: _seq_apply(fm, col) for j, col in gm.cols.items()}
+    assert _raw(result) == {j: col for j, col in expected.items() if col}
+
+
+def _seq_poly(nest, xs) -> dict:
+    if isinstance(nest, ColumnFiniteMap):
+        return _seq_apply(nest, xs[0])
+    return _sequential(
+        (k, c.value * y)
+        for j, c in xs[0].coords.items()
+        if j in nest.slots
+        for k, y in _seq_poly(nest.slots[j], xs[1:]).items()
+    )
+
+
+@given(data=st.data(), arity=st.integers(2, 3))
+def test_float_poly_apply_is_sequential_sum(data, arity):
+    def nest(depth):
+        if depth == 1:
+            return _float_map(data.draw(float_maps))
+        slots = data.draw(st.lists(st.integers(0, 5), max_size=3, unique=True))
+        return PolyMap(FLOAT64, depth, {j: nest(depth - 1) for j in slots})
+
+    top = nest(arity)
+    xs = [HamelVector(FLOAT64, data.draw(float_vectors)) for _ in range(arity)]
+    assert _raw(poly_apply(top, xs)) == _seq_poly(top, xs)
+
+
+# coordinates near 2**-400: a product of two or three of them can underflow to 0
+tiny_floats = floats | st.builds(lambda m, e: m * 2.0 ** e, floats.filter(bool), st.integers(-600, -300))
+
+
+@given(factors=st.lists(st.dictionaries(st.integers(0, 5), tiny_floats, max_size=4), min_size=1, max_size=3))
+def test_float_tensor_pure_is_sequential_product(factors):
+    vs = [HamelVector(FLOAT64, f) for f in factors]
+    t = tensor_pure(vs)
+    assert_canonical(t)
+    expected = {}
+    for combo in itertools.product(*(v.coords.items() for v in vs)):
+        value = 1.0
+        for _, c in combo:
+            value *= c.value
+        expected[tuple(i for i, _ in combo)] = value
+    assert _raw(t) == {k: x for k, x in expected.items() if x}
+
+
+def test_float_tensor_pure_drops_underflow():
+    tiny = HamelVector(FLOAT64, {0: 2.0 ** -600, 1: 3.0})
+    assert _raw(tensor_pure([tiny, tiny])) == {(0, 1): 3 * 2.0 ** -600, (1, 0): 3 * 2.0 ** -600, (1, 1): 9.0}
+
+
+@given(t=st.dictionaries(st.tuples(st.integers(0, 3), st.integers(0, 3)), floats, max_size=4),
+       f=st.dictionaries(st.integers(0, 3), float_columns, max_size=3), x=float_vectors)
+def test_float_map_via_tensor_is_sequential_sum(t, f, x):
+    table = load_builtin("polynomial", FLOAT64).table
+    tt = TensorElement(FLOAT64, 2, t)
+    fm, xv = _float_map(f), HamelVector(FLOAT64, x)
+    fx = fm.apply(xv)
+    terms = []
+    for (i, j), c in tt.coords.items():
+        e_i, e_j = HamelVector(FLOAT64, {i: 1.0}), HamelVector(FLOAT64, {j: 1.0})
+        terms += [(k, c.value * y.value) for k, y in table.mul(table.mul(e_i, fx), e_j).coords.items()]
+    assert _raw(map_via_tensor(table, tt, fm, xv, samples=4)) == _sequential(terms)
+
+
+def _f64(coords) -> HamelVector:
+    return HamelVector(FLOAT64, coords)
+
+
+_BIG = _f64({0: 1e308})
+_POLY64 = load_builtin("polynomial", FLOAT64).table
+
+
+@pytest.mark.parametrize("op", [
+    lambda: _BIG + _BIG,
+    lambda: _BIG.scale(FLOAT64.scalar(10)),
+    lambda: FLOAT64.scalar(1e308) + FLOAT64.scalar(1e308),
+    lambda: FLOAT64.scalar(1e308) * FLOAT64.scalar(10),
+    lambda: DualFunctional(FLOAT64, {0: 1e308}).evaluate(_f64({0: 10})),
+    lambda: DualFunctional(FLOAT64, {0: 1e308}).scale(FLOAT64.scalar(10)),
+    lambda: TensorElement(FLOAT64, 1, {(0,): 1e308}).scale(FLOAT64.scalar(10)),
+    lambda: _float_map({0: {0: 1e308}}).apply(_f64({0: 10})),
+    lambda: _float_map({0: {0: 1e308}}).compose(_float_map({0: {0: 10}})),
+    lambda: _POLY64.mul(_BIG, _BIG),
+    lambda: poly_apply(PolyMap(FLOAT64, 2, {0: _float_map({0: {0: 1e308}})}), [_f64({0: 10})] * 2),
+    lambda: tensor_pure([_BIG, _BIG]),
+    lambda: map_via_tensor(_POLY64, TensorElement(FLOAT64, 2, {(0, 0): 10}), _float_map({0: {0: 1e308}}), _f64({0: 1})),
+], ids=["add", "scale", "scalar-add", "scalar-mul", "evaluate", "dual-scale", "tensor-scale",
+        "apply", "compose", "mul", "poly_apply", "tensor_pure", "map_via_tensor"])
+def test_float_overflow_raises(op):
+    with pytest.raises(ValueError, match="float coefficients must be finite"):
+        op()
 
 
 # exact backends: integer numerators over one denominator --------------------

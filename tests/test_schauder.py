@@ -56,11 +56,21 @@ def test_negative_tail_rejected():
         tv({0: 1}, -1)
 
 
-def test_integer_backend_rejected_in_tail_layer():
-    with pytest.raises(ValueError):
-        TailVector.lift(HamelVector(INTEGER, {0: 1}))
-    with pytest.raises(ValueError):
-        TailMap.lift(ColumnFiniteMap(INTEGER, {0: {0: 1}}))
+def test_integer_backend_in_tail_layer():
+    v = TailVector.make(INTEGER, {0: 3, 1: -4}, 1)
+    assert v + v == TailVector.make(INTEGER, {0: 6, 1: -8}, 2)
+    assert v.truncate({0}).tail == 5
+    assert v.norm_interval().render() == "[7, 8]"
+    f = TailMap(ColumnFiniteMap(INTEGER, {0: {0: 2}, 1: {1: 3}}), Fraction(1, 2))
+    assert f.bound().render() == "[3, 11/2]"
+    # 5 * 1 + 1/2 * (7 + 1)
+    assert f.apply(v) == TailVector.make(INTEGER, {0: 6, 1: -12}, 9)
+    # 5 * 1/2 + 1/2 * (5 + 1/2)
+    assert f.compose(f) == TailMap(ColumnFiniteMap(INTEGER, {0: {0: 4}, 1: {1: 9}}), Fraction(21, 4))
+    # (3 - 4x)^2, tail K * (7 * 1 + 1 * 7 + 1 * 1)
+    p = tail_mul(load_builtin("polynomial", INTEGER).table, v, v)
+    assert p == TailVector.make(INTEGER, {0: 9, 1: -24, 2: 16}, 15)
+    assert all(type(c.value) is int for c in p.prefix.coords.values())
 
 
 def test_add_sums_tails():
