@@ -29,11 +29,10 @@ sampling.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Optional
+from typing import Callable, Mapping, Optional
 
-from .ring import Backend, BackendMismatchError, NormValue, Scalar
+from .ring import Backend, BackendMismatchError, NormValue, Scalar, _Frozen
 from .hamel import HamelVector, _check_index, _form_vector, _reduce, _split, zero_vector
 
 
@@ -41,25 +40,37 @@ class CertificateError(ValueError):
     """A declared certificate (pair bound, tail bound) failed verification."""
 
 
-@dataclass
-class StructureTable:
-    """Structure constants C^k_ij with optional pair bound and law claims."""
+class StructureTable(_Frozen):
+    """Structure constants C^k_ij with optional pair bound and law claims.
 
-    backend: Backend
-    name: str = "anonymous"
-    entries: dict[tuple[int, int], HamelVector] = field(default_factory=dict)
-    rule: Optional[Callable[[int, int], object]] = None
-    pair_bound: Optional[NormValue] = None
-    claims_associative: bool = False
-    claims_commutative: bool = False
+    The one mutable record: the memo grows in place and callers may rebind
+    fields, so it compares by its fields but is not hashable.
+    """
 
-    def __post_init__(self):
-        if self.pair_bound is not None:
-            self.pair_bound = self.backend.norm_check(self.pair_bound)
-        cleaned = {}
-        for (i, j), entry in self.entries.items():
-            cleaned[(i, j)] = self._coerce(entry)
-        self.entries = cleaned
+    _fields = (
+        "backend", "name", "entries", "rule", "pair_bound", "claims_associative", "claims_commutative"
+    )
+    __setattr__ = object.__setattr__
+    __delattr__ = object.__delattr__
+    __hash__ = None
+
+    def __init__(
+        self,
+        backend: Backend,
+        name: str = "anonymous",
+        entries: Mapping[tuple[int, int], HamelVector] = {},
+        rule: Optional[Callable[[int, int], object]] = None,
+        pair_bound: Optional[NormValue] = None,
+        claims_associative: bool = False,
+        claims_commutative: bool = False,
+    ):
+        self.backend = backend
+        self.name = name
+        self.pair_bound = None if pair_bound is None else backend.norm_check(pair_bound)
+        self.entries = {(i, j): self._coerce(entry) for (i, j), entry in entries.items()}
+        self.rule = rule
+        self.claims_associative = claims_associative
+        self.claims_commutative = claims_commutative
         # pairs whose entry passed the pair-bound check -> its numerator form
         self._checked: dict[tuple[int, int], tuple[int, dict]] = {}
 
@@ -264,44 +275,28 @@ def _render_value(v) -> str:
     return str(v)
 
 
-@dataclass(frozen=True)
-class AssociatorDefect:
-    slot: str  # which argument holds the probed element: left/middle/right
-    x: HamelVector
-    y: HamelVector
-    value: HamelVector
+class AssociatorDefect(_Frozen):
+    _fields = ("slot", "x", "y", "value")  # slot: which argument holds the probed element, left/middle/right
 
 
-@dataclass(frozen=True)
-class CommutatorDefect:
-    x: HamelVector
-    value: HamelVector
+class CommutatorDefect(_Frozen):
+    _fields = ("x", "value")
 
 
-@dataclass(frozen=True)
-class CenterReport:
-    commutator_defects: tuple[CommutatorDefect, ...]
-    associator_defects: tuple[AssociatorDefect, ...]
+class CenterReport(_Frozen):
+    _fields = ("commutator_defects", "associator_defects")
 
     @property
     def ok(self) -> bool:
         return not self.commutator_defects and not self.associator_defects
 
 
-@dataclass(frozen=True)
-class LawResult:
-    law: str
-    ok: bool
-    trials: int
-    counterexample: Optional[str]
+class LawResult(_Frozen):
+    _fields = ("law", "ok", "trials", "counterexample")
 
 
-@dataclass(frozen=True)
-class LawReport:
-    table: str
-    seed: int
-    trials: int
-    results: tuple[LawResult, ...]
+class LawReport(_Frozen):
+    _fields = ("table", "seed", "trials", "results")
 
     @property
     def ok(self) -> bool:

@@ -21,10 +21,7 @@ vector with coefficient +-1.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable
-
-from .ring import RATIONAL, Backend
+from .ring import RATIONAL, Backend, _Frozen
 from .hamel import basis_vector
 from .algebra import StructureTable, table_from_data
 
@@ -33,13 +30,10 @@ class LabelError(ValueError):
     """A basis label does not belong to the fixture's codec."""
 
 
-@dataclass(frozen=True)
-class AlgebraFixture:
+class AlgebraFixture(_Frozen):
     """A structure table plus the label codec naming its basis."""
 
-    table: StructureTable
-    encoder: Callable[[str], int]
-    decoder: Callable[[int], str]
+    _fields = ("table", "encoder", "decoder")  # encoder: label -> index; decoder: index -> label
 
     @property
     def name(self) -> str:

@@ -19,10 +19,9 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass
 from typing import Optional, Union
 
-from .ring import BACKENDS, Backend, BackendMismatchError, Scalar, _literal
+from .ring import BACKENDS, Backend, BackendMismatchError, Scalar, _Frozen, _literal
 from .hamel import ColumnFiniteMap, DualFunctional, HamelVector, basis_vector
 from .algebra import CertificateError
 from .tensor import NonAssociativeError, TensorElement, map_via_tensor, tensor_pure
@@ -43,15 +42,19 @@ class ExprSyntaxError(Exception):
 
 # expression syntax --------------------------------------------------------
 
+
+def _excerpt(text: str) -> str:
+    """repr of text for an error message, cut to 40 characters and the length when longer."""
+    if len(text) <= 40:
+        return repr(text)
+    return f"{text[:40]!r}... ({len(text)} characters)"
+
+
 _OPS = set("+-*()[]<>,")
 
 
-@dataclass(frozen=True)
-class _Token:
-    kind: str  # "num", "label", "basis", "ident", or the operator char
-    text: str
-    line: int
-    col: int
+class _Token(_Frozen):
+    _fields = ("kind", "text", "line", "col")  # kind: "num", "label", "basis", "ident", or the operator char
 
 
 def _lex(text: str) -> list[_Token]:
@@ -113,60 +116,66 @@ def _lex(text: str) -> list[_Token]:
     return tokens
 
 
-@dataclass(frozen=True)
-class Lit:
-    text: str  # integer or p/q; backend parses at eval time
+class _Node(_Frozen):
+    """Expression tree node.
+
+    A flat chain such as e1 + e1 + ... parses left-deep, so == walks the
+    left spines of +, - and * chains in a loop and recurses only into
+    right operands and bracketed or negated subtrees, whose depth the
+    parser caps at MAX_NESTING.
+    """
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        x, y = self, other
+        while isinstance(x, (Add, Sub, Mul)):
+            if y.__class__ is not x.__class__ or x.b != y.b:
+                return False
+            x, y = x.a, y.a
+        return y.__class__ is x.__class__ and x._key(x) == y._key(y)
+
+    __hash__ = _Frozen.__hash__  # a class that defines __eq__ loses the inherited hash
 
 
-@dataclass(frozen=True)
-class Label:
-    text: str
+class Lit(_Node):
+    _fields = ("text",)  # integer or p/q; backend parses at eval time
 
 
-@dataclass(frozen=True)
-class Basis:
-    index: int
+class Label(_Node):
+    _fields = ("text",)
 
 
-@dataclass(frozen=True)
-class Name:
-    ident: str
+class Basis(_Node):
+    _fields = ("index",)
 
 
-@dataclass(frozen=True)
-class Neg:
-    a: object
+class Name(_Node):
+    _fields = ("ident",)
 
 
-@dataclass(frozen=True)
-class Add:
-    a: object
-    b: object
+class Neg(_Node):
+    _fields = ("a",)
 
 
-@dataclass(frozen=True)
-class Sub:
-    a: object
-    b: object
+class Add(_Node):
+    _fields = ("a", "b")
 
 
-@dataclass(frozen=True)
-class Mul:
-    a: object
-    b: object
+class Sub(_Node):
+    _fields = ("a", "b")
 
 
-@dataclass(frozen=True)
-class Comm:
-    a: object
-    b: object
+class Mul(_Node):
+    _fields = ("a", "b")
 
 
-@dataclass(frozen=True)
-class Assoc:
-    a: object
-    b: object
-    c: object
+class Comm(_Node):
+    _fields = ("a", "b")
+
+
+class Assoc(_Node):
+    _fields = ("a", "b", "c")
 
 
 MAX_NESTING = 100  # open (, [, < and unary minus around any point of an expression
@@ -203,7 +212,7 @@ class _Parser:
         tok = self.peek()
         if tok.kind != kind:
             raise ExprSyntaxError(
-                f"expected {kind!r}, found {tok.text or 'end of input'!r}", tok.line, tok.col
+                f"expected {kind!r}, found {_excerpt(tok.text or 'end of input')}", tok.line, tok.col
             )
         return self.take()
 
@@ -211,7 +220,7 @@ class _Parser:
         node = self.expr()
         tok = self.peek()
         if tok.kind != "end":
-            raise ExprSyntaxError(f"unexpected {tok.text!r}", tok.line, tok.col)
+            raise ExprSyntaxError(f"unexpected {_excerpt(tok.text)}", tok.line, tok.col)
         return node
 
     def expr(self):
@@ -252,7 +261,7 @@ class _Parser:
             node = self.bracketed(tok.kind)
             self.depth -= 1
             return node
-        raise ExprSyntaxError(f"unexpected {tok.text or 'end of input'!r}", tok.line, tok.col)
+        raise ExprSyntaxError(f"unexpected {_excerpt(tok.text or 'end of input')}", tok.line, tok.col)
 
     def bracketed(self, kind: str):
         if kind == "(":
@@ -281,6 +290,25 @@ def print_expr(node) -> str:
 
 
 def _print(node, level: int) -> str:
+    if isinstance(node, (Add, Sub, Mul)):
+        # walk the left spine of a chain in a loop, as _eval does
+        spine = []
+        while isinstance(node, (Add, Sub, Mul)):
+            spine.append((node, level))
+            level = 2 if isinstance(node, Mul) else 1
+            node = node.a
+        text = _print(node, level)
+        for node, level in reversed(spine):
+            if isinstance(node, Mul):
+                text = f"{text} * {_print(node.b, 3)}"
+                if level > 2:
+                    text = f"({text})"
+            else:
+                op = "+" if isinstance(node, Add) else "-"
+                text = f"{text} {op} {_print(node.b, 2)}"
+                if level > 1:
+                    text = f"({text})"
+        return text
     if isinstance(node, Lit):
         return node.text
     if isinstance(node, Label):
@@ -293,13 +321,6 @@ def _print(node, level: int) -> str:
         return f"[{_print(node.a, 1)}, {_print(node.b, 1)}]"
     if isinstance(node, Assoc):
         return f"<{_print(node.a, 1)}, {_print(node.b, 1)}, {_print(node.c, 1)}>"
-    if isinstance(node, (Add, Sub)):
-        op = "+" if isinstance(node, Add) else "-"
-        text = f"{_print(node.a, 1)} {op} {_print(node.b, 2)}"
-        return f"({text})" if level > 1 else text
-    if isinstance(node, Mul):
-        text = f"{_print(node.a, 2)} * {_print(node.b, 3)}"
-        return f"({text})" if level > 2 else text
     if isinstance(node, Neg):
         return f"-{_print(node.a, 3)}"
     raise TypeError(f"not an expression node: {type(node).__name__}")
@@ -329,14 +350,14 @@ def _eval(node, fixture: AlgebraFixture, bindings: dict[str, HamelVector]) -> Va
                 return Scalar(backend, backend.from_rational(int(p), int(q)))
             return Scalar(backend, backend.parse(node.text))
         except (ValueError, ZeroDivisionError) as e:
-            raise CliError(f"literal {node.text!r} is not a {backend.name} scalar: {e}") from None
+            raise CliError(f"literal {_excerpt(node.text)} is not a {backend.name} scalar: {e}") from None
     if isinstance(node, Label):
         return basis_vector(backend, fixture.encode(node.text))
     if isinstance(node, Basis):
         return basis_vector(backend, node.index)
     if isinstance(node, Name):
         if node.ident not in bindings:
-            raise CliError(f"unbound identifier {node.ident!r}")
+            raise CliError(f"unbound identifier {_excerpt(node.ident)}")
         return bindings[node.ident]
     if isinstance(node, Neg):
         return -_eval(node.a, fixture, bindings)

@@ -40,8 +40,8 @@ truncation layer's nests) add ``s * c.value`` with ``_accumulate``, and
 Both paths skip a zero term and delete a coordinate whose sum cancels,
 exactly as chained canonical vector additions would.
 
-Trusted-builder invariant: ``_trusted`` sets a frozen dataclass's fields
-without running ``__post_init__``, so it skips ``_check_index`` and the
+Trusted-builder invariant: ``_trusted`` sets a frozen value class's fields
+without running its ``__init__``, so it skips ``_check_index`` and the
 backend re-check.  Only an operation on already-constructed values may use
 it -- one that has joined its operands (type and backend checks) and builds
 its result only from their keys, raw values and sums or products of them.
@@ -55,12 +55,11 @@ constructors, ``from_data``) keeps the full validation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterator, Mapping, Sequence, Union
 
-from .ring import Backend, BackendMismatchError, NormValue, Scalar
+from .ring import Backend, BackendMismatchError, NormValue, Scalar, _Frozen
 
 
 def _check_index(i) -> int:
@@ -179,7 +178,7 @@ def _form_coords(backend: Backend, form: tuple[int, dict]) -> dict:
 
 
 def _trusted(cls, **fields):
-    """An instance of frozen dataclass cls with fields set as given, unchecked."""
+    """An instance of frozen value class cls with fields set as given, unchecked."""
     obj = object.__new__(cls)
     for name, value in fields.items():
         object.__setattr__(obj, name, value)
@@ -214,12 +213,15 @@ def _wire_object(value, what: str) -> Mapping:
     return value
 
 
-@dataclass(frozen=True)
-class HamelVector:
+class HamelVector(_Frozen):
     """Finite-support vector: a zero-free table of basis coefficients."""
 
-    backend: Backend
-    coords: dict[int, Scalar] = field(default_factory=dict)
+    _fields = ("backend", "coords")
+
+    def __init__(self, backend: Backend, coords: Mapping[int, Scalar] = {}):
+        object.__setattr__(self, "backend", backend)
+        object.__setattr__(self, "coords", coords)
+        self.__post_init__()
 
     def __post_init__(self):
         object.__setattr__(self, "coords", _clean_coords(self.backend, self.coords))
@@ -289,12 +291,15 @@ def basis_vector(backend: Backend, i: int) -> HamelVector:
     return HamelVector(backend, {_check_index(i): backend.one})
 
 
-@dataclass(frozen=True)
-class DualFunctional:
+class DualFunctional(_Frozen):
     """Finite combination of coordinate functionals; evaluates by pairing."""
 
-    backend: Backend
-    coords: dict[int, Scalar] = field(default_factory=dict)
+    _fields = ("backend", "coords")
+
+    def __init__(self, backend: Backend, coords: Mapping[int, Scalar] = {}):
+        object.__setattr__(self, "backend", backend)
+        object.__setattr__(self, "coords", coords)
+        self.__post_init__()
 
     def __post_init__(self):
         object.__setattr__(self, "coords", _clean_coords(self.backend, self.coords))
@@ -355,8 +360,7 @@ def _clean_cols(backend: Backend, cols) -> dict[int, HamelVector]:
     return out
 
 
-@dataclass(frozen=True)
-class ColumnFiniteMap:
+class ColumnFiniteMap(_Frozen):
     """Linear map stored by columns: column j is the image of e_j.
 
     Only finitely many columns are stored and each is finite, so the image
@@ -364,11 +368,11 @@ class ColumnFiniteMap:
     are zero.
     """
 
-    backend: Backend
-    cols: dict[int, HamelVector] = field(default_factory=dict)
+    _fields = ("backend", "cols")
 
-    def __post_init__(self):
-        object.__setattr__(self, "cols", _clean_cols(self.backend, self.cols))
+    def __init__(self, backend: Backend, cols: Mapping[int, HamelVector] = {}):
+        object.__setattr__(self, "backend", backend)
+        object.__setattr__(self, "cols", _clean_cols(backend, cols))
 
     def column(self, j: int) -> HamelVector:
         _check_index(j)
@@ -497,8 +501,7 @@ def identity_on(backend: Backend, indices) -> ColumnFiniteMap:
 MapNode = Union["PolyMap", ColumnFiniteMap]
 
 
-@dataclass(frozen=True)
-class PolyMap:
+class PolyMap(_Frozen):
     """Polylinear map of arity >= 2, curried on its first argument.
 
     ``slots[j]`` is the arity-(n-1) map obtained by feeding e_j into the
@@ -506,26 +509,26 @@ class PolyMap:
     many first-argument slots are stored, each nonempty.
     """
 
-    backend: Backend
-    arity: int
-    slots: dict[int, MapNode] = field(default_factory=dict)
+    _fields = ("backend", "arity", "slots")
 
-    def __post_init__(self):
-        if not isinstance(self.arity, int) or self.arity < 2:
-            raise ValueError(f"PolyMap arity must be >= 2, got {self.arity}")
+    def __init__(self, backend: Backend, arity: int, slots: Mapping[int, MapNode] = {}):
+        if not isinstance(arity, int) or arity < 2:
+            raise ValueError(f"PolyMap arity must be >= 2, got {arity}")
         cleaned: dict[int, MapNode] = {}
-        for j, sub in self.slots.items():
+        for j, sub in slots.items():
             j = _check_index(j)
-            if self.arity == 2:
+            if arity == 2:
                 if not isinstance(sub, ColumnFiniteMap):
                     raise TypeError("arity-2 slots must be ColumnFiniteMap")
             else:
-                if not isinstance(sub, PolyMap) or sub.arity != self.arity - 1:
-                    raise TypeError(f"arity-{self.arity} slots must be PolyMap of arity {self.arity - 1}")
-            if sub.backend is not self.backend:
+                if not isinstance(sub, PolyMap) or sub.arity != arity - 1:
+                    raise TypeError(f"arity-{arity} slots must be PolyMap of arity {arity - 1}")
+            if sub.backend is not backend:
                 raise BackendMismatchError("slot backend does not match nest backend")
             if not sub.is_zero():
                 cleaned[j] = sub
+        object.__setattr__(self, "backend", backend)
+        object.__setattr__(self, "arity", arity)
         object.__setattr__(self, "slots", cleaned)
 
     def is_zero(self) -> bool:

@@ -25,8 +25,8 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
 from fractions import Fraction
+from operator import attrgetter
 from typing import Union
 
 NormValue = Union[int, Fraction, float]
@@ -52,6 +52,51 @@ def _literal(text: str) -> str:
 
 def _fraction(text: str) -> Fraction:
     return Fraction(_literal(text))
+
+
+class _Frozen:
+    """Immutable record whose fields are named once, in the class's ``_fields``.
+
+    Equality holds between instances of the same class with equal fields
+    (``NotImplemented`` across classes); the repr is ``Cls(field=value,
+    ...)``; the hash is over the fields, so a record holding a dict is
+    unhashable; assignment and deletion raise ``AttributeError``.  The
+    default ``__init__`` takes the fields positionally.  A class that
+    validates its fields defines its own and sets them with
+    ``object.__setattr__``.
+    """
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        if "_fields" in cls.__dict__:
+            cls._key = attrgetter(*cls._fields)
+
+    def __init__(self, *values):
+        if len(values) != len(self._fields):
+            raise TypeError(f"{type(self).__name__} takes {len(self._fields)} fields, got {len(values)}")
+        for name, value in zip(self._fields, values):
+            object.__setattr__(self, name, value)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key(self) == other._key(other)
+
+    def __hash__(self):
+        return hash(self._key(self))
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
 
 
 class BackendMismatchError(TypeError):
@@ -320,8 +365,8 @@ class Float64Backend(Backend):
         if not isinstance(x, (int, float)):
             raise TypeError(f"float bound must be numeric, got {type(x).__name__}")
         x = float(x)
-        if math.isnan(x) or x < 0:
-            raise ValueError(f"bound must be non-negative, got {x}")
+        if not math.isfinite(x) or x < 0:
+            raise ValueError(f"bound must be finite and non-negative, got {x}")
         return x
 
     def norm_add(self, x, y):
@@ -353,12 +398,14 @@ FLOAT64 = Float64Backend()
 BACKENDS = {b.name: b for b in (INTEGER, RATIONAL, FLOAT64)}
 
 
-@dataclass(frozen=True, slots=True)
-class Scalar:
+class Scalar(_Frozen):
     """One coefficient, tagged with its backend.  Mixing backends raises."""
 
-    backend: Backend
-    value: object
+    _fields = __slots__ = ("backend", "value")
+
+    def __init__(self, backend: Backend, value: object):
+        object.__setattr__(self, "backend", backend)
+        object.__setattr__(self, "value", value)
 
     def _join(self, other: "Scalar") -> None:
         if other.backend is not self.backend:

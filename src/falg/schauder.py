@@ -23,27 +23,25 @@ represented values land inside; a point interval means the value is exact.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Sequence, Union
+from typing import Mapping, Sequence, Union
 
-from .ring import Backend, BackendMismatchError, NormValue
+from .ring import Backend, BackendMismatchError, NormValue, _Frozen
 from .hamel import ColumnFiniteMap, HamelVector, _accumulate, _map, _vector
 from .algebra import StructureTable
 
 
-@dataclass(frozen=True)
-class NormInterval:
+class NormInterval(_Frozen):
     """Two-sided enclosure of an l1 norm."""
 
-    backend: Backend
-    lo: NormValue
-    hi: NormValue
+    _fields = ("backend", "lo", "hi")
 
-    def __post_init__(self):
-        object.__setattr__(self, "lo", self.backend.norm_check(self.lo))
-        object.__setattr__(self, "hi", self.backend.norm_check(self.hi))
-        if self.lo > self.hi:
-            raise ValueError(f"interval out of order: lo {self.lo} > hi {self.hi}")
+    def __init__(self, backend: Backend, lo: NormValue, hi: NormValue):
+        lo, hi = backend.norm_check(lo), backend.norm_check(hi)
+        if lo > hi:
+            raise ValueError(f"interval out of order: lo {lo} > hi {hi}")
+        object.__setattr__(self, "backend", backend)
+        object.__setattr__(self, "lo", lo)
+        object.__setattr__(self, "hi", hi)
 
     def is_point(self) -> bool:
         return self.lo == self.hi
@@ -58,17 +56,16 @@ class NormInterval:
         return self.render()
 
 
-@dataclass(frozen=True)
-class TailVector:
+class TailVector(_Frozen):
     """Finite prefix plus a certified bound on the mass it leaves out."""
 
-    prefix: HamelVector
-    tail: NormValue
+    _fields = ("prefix", "tail")
 
-    def __post_init__(self):
-        if not isinstance(self.prefix, HamelVector):
-            raise TypeError(f"prefix must be HamelVector, got {type(self.prefix).__name__}")
-        object.__setattr__(self, "tail", self.prefix.backend.norm_check(self.tail))
+    def __init__(self, prefix: HamelVector, tail: NormValue):
+        if not isinstance(prefix, HamelVector):
+            raise TypeError(f"prefix must be HamelVector, got {type(prefix).__name__}")
+        object.__setattr__(self, "prefix", prefix)
+        object.__setattr__(self, "tail", prefix.backend.norm_check(tail))
 
     @property
     def backend(self) -> Backend:
@@ -136,17 +133,16 @@ class TailVector:
         return cls(prefix, tail)
 
 
-@dataclass(frozen=True)
-class TailMap:
+class TailMap(_Frozen):
     """Finite entry table plus a certified bound on the entry mass left out."""
 
-    finite: ColumnFiniteMap
-    tail: NormValue
+    _fields = ("finite", "tail")
 
-    def __post_init__(self):
-        if not isinstance(self.finite, ColumnFiniteMap):
-            raise TypeError(f"finite part must be ColumnFiniteMap, got {type(self.finite).__name__}")
-        object.__setattr__(self, "tail", self.finite.backend.norm_check(self.tail))
+    def __init__(self, finite: ColumnFiniteMap, tail: NormValue):
+        if not isinstance(finite, ColumnFiniteMap):
+            raise TypeError(f"finite part must be ColumnFiniteMap, got {type(finite).__name__}")
+        object.__setattr__(self, "finite", finite)
+        object.__setattr__(self, "tail", finite.backend.norm_check(tail))
 
     @property
     def backend(self) -> Backend:
@@ -259,8 +255,7 @@ def tail_mul(table: StructureTable, a: TailVector, b: TailVector) -> TailVector:
 TailNode = Union["TailPolyMap", TailMap]
 
 
-@dataclass(frozen=True)
-class TailPolyMap:
+class TailPolyMap(_Frozen):
     """Curried polylinear nest with certified tails at every node.
 
     ``slots[j]`` is the nest obtained by feeding e_j into the first
@@ -270,29 +265,26 @@ class TailPolyMap:
     all node tails.
     """
 
-    backend: Backend
-    arity: int
-    slots: dict[int, TailNode] = field(default_factory=dict)
-    tail: NormValue = 0
+    _fields = ("backend", "arity", "slots", "tail")
 
-    def __post_init__(self):
-        if not isinstance(self.arity, int) or self.arity < 2:
-            raise ValueError(f"TailPolyMap arity must be >= 2, got {self.arity}")
+    def __init__(self, backend: Backend, arity: int, slots: Mapping[int, TailNode] = {}, tail: NormValue = 0):
+        if not isinstance(arity, int) or arity < 2:
+            raise ValueError(f"TailPolyMap arity must be >= 2, got {arity}")
         cleaned: dict[int, TailNode] = {}
-        for j, sub in self.slots.items():
-            if self.arity == 2:
+        for j, sub in slots.items():
+            if arity == 2:
                 if not isinstance(sub, TailMap):
                     raise TypeError("arity-2 slots must be TailMap")
             else:
-                if not isinstance(sub, TailPolyMap) or sub.arity != self.arity - 1:
-                    raise TypeError(
-                        f"arity-{self.arity} slots must be TailPolyMap of arity {self.arity - 1}"
-                    )
-            if sub.backend is not self.backend:
+                if not isinstance(sub, TailPolyMap) or sub.arity != arity - 1:
+                    raise TypeError(f"arity-{arity} slots must be TailPolyMap of arity {arity - 1}")
+            if sub.backend is not backend:
                 raise BackendMismatchError("slot backend does not match nest backend")
             cleaned[int(j)] = sub
+        object.__setattr__(self, "backend", backend)
+        object.__setattr__(self, "arity", arity)
         object.__setattr__(self, "slots", cleaned)
-        object.__setattr__(self, "tail", self.backend.norm_check(self.tail))
+        object.__setattr__(self, "tail", backend.norm_check(tail))
 
 
 def _nest_stored_mass(nest: TailNode) -> NormValue:

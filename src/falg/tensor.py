@@ -17,10 +17,9 @@ spot-checks the claim on seeded random basis triples before evaluating.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
-from .ring import Backend, BackendMismatchError, Scalar
+from .ring import Backend, BackendMismatchError, Scalar, _Frozen
 from .hamel import (
     ColumnFiniteMap,
     HamelVector,
@@ -64,20 +63,17 @@ def _tensor(backend: Backend, arity: int, acc: dict) -> "TensorElement":
     return _trusted(TensorElement, backend=backend, arity=arity, coords=_canonical(backend, acc))
 
 
-@dataclass(frozen=True)
-class TensorElement:
+class TensorElement(_Frozen):
     """Element of an n-fold tensor product in basis-tensor coordinates."""
 
-    backend: Backend
-    arity: int
-    coords: dict[tuple[int, ...], Scalar] = field(default_factory=dict)
+    _fields = ("backend", "arity", "coords")
 
-    def __post_init__(self):
-        if not isinstance(self.arity, int) or self.arity < 1:
-            raise ValueError(f"tensor arity must be >= 1, got {self.arity}")
-        object.__setattr__(
-            self, "coords", _clean_tensor_coords(self.backend, self.arity, self.coords)
-        )
+    def __init__(self, backend: Backend, arity: int, coords: Mapping[tuple[int, ...], Scalar] = {}):
+        if not isinstance(arity, int) or arity < 1:
+            raise ValueError(f"tensor arity must be >= 1, got {arity}")
+        object.__setattr__(self, "backend", backend)
+        object.__setattr__(self, "arity", arity)
+        object.__setattr__(self, "coords", _clean_tensor_coords(backend, arity, coords))
 
     def coefficient(self, key: Sequence[int]) -> Scalar:
         return self.coords.get(tuple(key), self.backend.zero)

@@ -666,3 +666,34 @@ def test_cli_f64_eval_overflow_exits_2(tmp_path, capsys, expr, flags):
     code, out, err = run(capsys, argv + flags)
     assert code == 2 and out == ""
     assert "float coefficients must be finite" in err
+
+
+@pytest.mark.parametrize("op", ["+", "-", "*"])
+def test_long_flat_chain_compares_and_prints(op):
+    # == and print_expr walk the left spine in a loop, as evaluation does
+    tree = parse_expr(op.join(["e1"] * 3000))
+    text = print_expr(tree)
+    assert text == f" {op} ".join(["e1"] * 3000)
+    assert tree == parse_expr(text)
+    assert tree != parse_expr(op.join(["e1"] * 2999 + ["e2"]))
+    assert tree != parse_expr(op.join(["e1"] * 2999))
+    assert Add(Basis(1), Basis(2)) != Sub(Basis(1), Basis(2))
+
+
+@pytest.mark.parametrize(
+    "expr", ["7" * 100000, "e1 " + "7" * 100000, "v" * 100000], ids=["literal", "unexpected", "identifier"]
+)
+def test_cli_long_token_echo_is_short(expr):
+    proc = _falg("eval", "--algebra", "builtin:polynomial", "--expr", expr, timeout=10)
+    assert proc.returncode == 2, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert "100000 characters" in proc.stderr
+    assert len(proc.stderr) < 1024
+
+
+def test_cli_f64_infinite_tail_rejected_at_parse(tmp_path):
+    vector = write(tmp_path, "v.json", {"coords": {"0": "1"}, "tail": "inf"})
+    proc = _falg("norm", "--backend", "f64", "--vector", vector)
+    assert proc.returncode == 2, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert "is not a valid vector: bound must be finite" in proc.stderr

@@ -163,6 +163,14 @@ def test_exact_bound_checks():
         FLOAT64.norm_check(-0.5)
 
 
+@pytest.mark.parametrize("bound", [math.inf, -math.inf, math.nan], ids=["inf", "-inf", "nan"])
+def test_float_bound_must_be_finite(bound):
+    with pytest.raises(ValueError, match="finite"):
+        FLOAT64.norm_check(bound)
+    with pytest.raises(ValueError, match="finite"):
+        FLOAT64.norm_parse(str(bound))
+
+
 def test_float_rejects_non_finite():
     with pytest.raises(ValueError):
         FLOAT64.scalar(math.inf)

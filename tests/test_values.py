@@ -1,0 +1,148 @@
+"""The behaviour every falg value class keeps: equality, immutability, hash, repr.
+
+Each case builds one instance from fixed arguments; the expected repr is the
+exact text printed for it, so a change of field names, field order or
+rendering shows here.  The import guard checks that loading the CLI pulls in
+no code generator.
+"""
+
+import os
+import subprocess
+import sys
+from fractions import Fraction
+
+import pytest
+
+import falg
+from falg import (
+    RATIONAL,
+    AlgebraFixture,
+    ColumnFiniteMap,
+    DualFunctional,
+    HamelVector,
+    NormInterval,
+    PolyMap,
+    Scalar,
+    StructureTable,
+    TailMap,
+    TailPolyMap,
+    TailVector,
+    TensorElement,
+)
+from falg.algebra import AssociatorDefect, CenterReport, CommutatorDefect, LawReport, LawResult
+from falg.cli import Add, Assoc, Basis, Comm, Label, Lit, Mul, Name, Neg, Sub, _Token
+
+SRC_DIR = os.path.dirname(os.path.dirname(os.path.abspath(falg.__file__)))
+
+R = RATIONAL
+V = HamelVector(R, {1: 2})
+W = HamelVector(R, {0: 1})
+F = ColumnFiniteMap(R, {0: {1: 1}})
+G = ColumnFiniteMap(R, {0: {0: 3}})
+TABLE = StructureTable(R, "t", {(0, 0): {0: 1}}, pair_bound=1, claims_associative=True)
+OTHER_TABLE = StructureTable(R, "u", {(0, 0): {0: 1}}, pair_bound=1, claims_associative=True)
+RESULT = LawResult("associative", True, 3, None)
+
+V_REPR = "HamelVector(backend=rat, coords={1: Scalar(backend=rat, value=Fraction(2, 1))})"
+W_REPR = "HamelVector(backend=rat, coords={0: Scalar(backend=rat, value=Fraction(1, 1))})"
+F_REPR = (
+    "ColumnFiniteMap(backend=rat, cols={0: "
+    "HamelVector(backend=rat, coords={1: Scalar(backend=rat, value=Fraction(1, 1))})})"
+)
+TABLE_REPR = (
+    "StructureTable(backend=rat, name='t', entries={(0, 0): " + W_REPR + "}, rule=None, "
+    "pair_bound=1, claims_associative=True, claims_commutative=False)"
+)
+RESULT_REPR = "LawResult(law='associative', ok=True, trials=3, counterexample=None)"
+
+# class, arguments, the same arguments with one field changed, a field name,
+# whether instances hash, and the repr of cls(*args)
+CASES = [
+    (Scalar, (R, Fraction(1, 2)), (R, Fraction(1, 3)), "value", True,
+     "Scalar(backend=rat, value=Fraction(1, 2))"),
+    (HamelVector, (R, {1: 2}), (R, {1: 3}), "coords", False, V_REPR),
+    (DualFunctional, (R, {1: 2}), (R, {2: 2}), "coords", False,
+     "DualFunctional(backend=rat, coords={1: Scalar(backend=rat, value=Fraction(2, 1))})"),
+    (ColumnFiniteMap, (R, {0: {1: 1}}), (R, {1: {1: 1}}), "cols", False, F_REPR),
+    (PolyMap, (R, 2, {0: F}), (R, 2, {1: F}), "slots", False,
+     f"PolyMap(backend=rat, arity=2, slots={{0: {F_REPR}}})"),
+    (AssociatorDefect, ("left", V, W, V), ("right", V, W, V), "slot", False,
+     f"AssociatorDefect(slot='left', x={V_REPR}, y={W_REPR}, value={V_REPR})"),
+    (CommutatorDefect, (V, W), (W, W), "x", False, f"CommutatorDefect(x={V_REPR}, value={W_REPR})"),
+    (CenterReport, ((), ()), ((CommutatorDefect(V, W),), ()), "commutator_defects", True,
+     "CenterReport(commutator_defects=(), associator_defects=())"),
+    (LawResult, ("associative", True, 3, None), ("associative", False, 3, "u=1"), "ok", True, RESULT_REPR),
+    (LawReport, ("t", 0, 3, (RESULT,)), ("t", 1, 3, (RESULT,)), "seed", True,
+     f"LawReport(table='t', seed=0, trials=3, results=({RESULT_REPR},))"),
+    (TensorElement, (R, 2, {(0, 1): 1}), (R, 2, {(1, 0): 1}), "coords", False,
+     "TensorElement(backend=rat, arity=2, coords={(0, 1): Scalar(backend=rat, value=Fraction(1, 1))})"),
+    (NormInterval, (R, Fraction(1, 2), 2), (R, 0, 2), "lo", True,
+     "NormInterval(backend=rat, lo=Fraction(1, 2), hi=2)"),
+    (TailVector, (V, Fraction(1, 4)), (V, 0), "tail", False,
+     f"TailVector(prefix={V_REPR}, tail=Fraction(1, 4))"),
+    (TailMap, (F, 1), (G, 1), "finite", False, f"TailMap(finite={F_REPR}, tail=1)"),
+    (TailPolyMap, (R, 2, {0: TailMap(F, 1)}, Fraction(1, 8)), (R, 2, {0: TailMap(F, 1)}, 0), "tail", False,
+     f"TailPolyMap(backend=rat, arity=2, slots={{0: TailMap(finite={F_REPR}, tail=1)}}, tail=Fraction(1, 8))"),
+    (AlgebraFixture, (TABLE, int, str), (OTHER_TABLE, int, str), "table", False,
+     f"AlgebraFixture(table={TABLE_REPR}, encoder=<class 'int'>, decoder=<class 'str'>)"),
+    (_Token, ("num", "12", 1, 3), ("num", "12", 1, 4), "col", True,
+     "_Token(kind='num', text='12', line=1, col=3)"),
+    (Lit, ("1/2",), ("1/3",), "text", True, "Lit(text='1/2')"),
+    (Label, ("x",), ("y",), "text", True, "Label(text='x')"),
+    (Basis, (3,), (4,), "index", True, "Basis(index=3)"),
+    (Name, ("v",), ("w",), "ident", True, "Name(ident='v')"),
+    (Neg, (Basis(1),), (Basis(2),), "a", True, "Neg(a=Basis(index=1))"),
+    (Add, (Basis(1), Name("v")), (Basis(1), Name("w")), "b", True, "Add(a=Basis(index=1), b=Name(ident='v'))"),
+    (Sub, (Basis(1), Name("v")), (Basis(2), Name("v")), "a", True, "Sub(a=Basis(index=1), b=Name(ident='v'))"),
+    (Mul, (Basis(1), Name("v")), (Name("v"), Basis(1)), "a", True, "Mul(a=Basis(index=1), b=Name(ident='v'))"),
+    (Comm, (Basis(1), Name("v")), (Basis(1), Basis(1)), "b", True,
+     "Comm(a=Basis(index=1), b=Name(ident='v'))"),
+    (Assoc, (Basis(1), Basis(2), Basis(3)), (Basis(1), Basis(2), Basis(4)), "c", True,
+     "Assoc(a=Basis(index=1), b=Basis(index=2), c=Basis(index=3))"),
+]
+
+
+@pytest.mark.parametrize("cls, args, changed, field, hashable, text", CASES, ids=[c[0].__name__ for c in CASES])
+def test_value_class_behaviour(cls, args, changed, field, hashable, text):
+    x = cls(*args)
+    y = cls(*args)
+    assert x == y and not (x != y)
+    assert x != cls(*changed)
+    twin = type(f"Other{cls.__name__}", (cls,), {})(*args)  # equal fields, another class
+    assert x != twin and twin != x and not (x == twin)
+    with pytest.raises(AttributeError):
+        setattr(x, field, getattr(y, field))
+    with pytest.raises(AttributeError):
+        delattr(x, field)
+    assert x == y
+    if hashable:
+        assert hash(x) == hash(y)
+    else:
+        with pytest.raises(TypeError):
+            hash(x)
+    assert repr(x) == text
+
+
+def test_vector_and_functional_with_equal_fields_differ():
+    assert HamelVector(R, {1: 2}) != DualFunctional(R, {1: 2})
+
+
+def test_structure_table_is_a_mutable_record():
+    table = StructureTable(R, "t", {(0, 0): {0: 1}}, pair_bound=1, claims_associative=True)
+    assert table == TABLE and repr(table) == TABLE_REPR
+    assert table != OTHER_TABLE
+    with pytest.raises(TypeError):
+        hash(table)
+    table.name = "u"
+    assert table == OTHER_TABLE
+    table.rule = abs
+    assert table != OTHER_TABLE
+    assert StructureTable(backend=R) == StructureTable(R, "anonymous", {}, None, None, False, False)
+
+
+def test_cli_import_loads_no_code_generator():
+    code = "import sys, falg.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    env = dict(os.environ, PYTHONPATH=SRC_DIR)
+    proc = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True, env=env, timeout=30)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
