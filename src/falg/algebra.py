@@ -32,8 +32,8 @@ import random
 from fractions import Fraction
 from typing import Callable, Mapping, Optional
 
-from .ring import Backend, BackendMismatchError, NormValue, Scalar, _Frozen
-from .hamel import HamelVector, _check_index, _form_vector, _reduce, _split, zero_vector
+from .ring import Backend, NormValue, Scalar, _Frozen
+from .hamel import HamelVector, _check_index, _form_vector, _operand, _reduce, _split, zero_vector
 
 
 class CertificateError(ValueError):
@@ -75,11 +75,9 @@ class StructureTable(_Frozen):
         self._checked: dict[tuple[int, int], tuple[int, dict]] = {}
 
     def _coerce(self, entry) -> HamelVector:
-        if not isinstance(entry, HamelVector):
-            entry = HamelVector(self.backend, entry)
-        elif entry.backend is not self.backend:
-            raise BackendMismatchError("table entry backend does not match table backend")
-        return entry
+        if isinstance(entry, HamelVector):
+            return _operand(entry, HamelVector, self.backend, "table entry")
+        return HamelVector(self.backend, entry)
 
     def lookup(self, i: int, j: int) -> HamelVector:
         """Expansion of e_i * e_j; zero for absent pairs of an extensional table."""
@@ -112,11 +110,8 @@ class StructureTable(_Frozen):
         Each term is (a^i * b^j) * C^k_ij, summed in i, j, k order; float
         results depend on both the association and the order.
         """
-        for v in (a, b):
-            if not isinstance(v, HamelVector):
-                raise TypeError(f"expected HamelVector, got {type(v).__name__}")
-            if v.backend is not self.backend:
-                raise BackendMismatchError("operand backend does not match table backend")
+        _operand(a, HamelVector, self.backend, "operand")
+        _operand(b, HamelVector, self.backend, "operand")
         da, xa = _split(self.backend, a.coords)
         db, xb = _split(self.backend, b.coords)
         checked = self._checked

@@ -119,11 +119,19 @@ def _lex(text: str) -> list[_Token]:
 class _Node(_Frozen):
     """Expression tree node.
 
-    A flat chain such as e1 + e1 + ... parses left-deep, so == walks the
-    left spines of +, - and * chains in a loop and recurses only into
-    right operands and bracketed or negated subtrees, whose depth the
-    parser caps at MAX_NESTING.
+    A flat chain such as e1 + e1 + ... parses left-deep, so ==, hash and
+    repr walk the left spines of +, - and * chains in a loop and recurse
+    only into right operands and bracketed or negated subtrees, whose depth
+    the parser caps at MAX_NESTING.
     """
+
+    def _spine(self) -> tuple[list, "_Node"]:
+        """The +, - and * nodes down the left spine, outermost first, and the node below."""
+        spine, node = [], self
+        while isinstance(node, (Add, Sub, Mul)):
+            spine.append(node)
+            node = node.a
+        return spine, node
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
@@ -135,7 +143,15 @@ class _Node(_Frozen):
             x, y = x.a, y.a
         return y.__class__ is x.__class__ and x._key(x) == y._key(y)
 
-    __hash__ = _Frozen.__hash__  # a class that defines __eq__ loses the inherited hash
+    def __hash__(self):
+        spine, node = self._spine()
+        return hash((tuple((op.__class__.__name__, op.b) for op in spine), node._key(node)))
+
+    def __repr__(self):
+        spine, node = self._spine()
+        heads = "".join(f"{op.__class__.__qualname__}(a=" for op in spine)
+        tails = "".join(f", b={op.b!r})" for op in reversed(spine))
+        return heads + _Frozen.__repr__(node) + tails
 
 
 class Lit(_Node):
@@ -363,10 +379,7 @@ def _eval(node, fixture: AlgebraFixture, bindings: dict[str, HamelVector]) -> Va
         return -_eval(node.a, fixture, bindings)
     if isinstance(node, (Add, Sub, Mul)):
         # a flat chain like e1 + e1 + ... parses left-deep: walk its spine in a loop
-        spine = []
-        while isinstance(node, (Add, Sub, Mul)):
-            spine.append(node)
-            node = node.a
+        spine, node = node._spine()
         value = _eval(node, fixture, bindings)
         for op in reversed(spine):
             value = _binary(op, value, _eval(op.b, fixture, bindings), fixture)

@@ -33,9 +33,22 @@ float64 the reduction computes ``s * n`` and adds it to its coordinate in
 the order the operands list their terms, so float sums round as sequential
 Scalar additions do.
 
-Element-wise sums (``+``, ``scale``, functionals, tensor sums and the
-truncation layer's nests) add ``s * c.value`` with ``_accumulate``, and
-``_canonical`` wraps the result.
+Vectors, dual functionals and tensors (``tensor.TensorElement``) are one
+kind of value, a zero-free coordinate table over one backend, and share one
+implementation, ``_CoordTable``: cleaning, ``coefficient``, ``is_zero``,
+``+``, ``-``, ``scale`` and the wire format.  Each subclass only names its
+key check (``_index``: a basis index, or an index tuple of a tensor's
+arity) and the fields that fix its shape (``_shape``: a tensor's arity),
+which results copy and operands must agree on.  One wire-key codec serves
+them all: a key is written ``"i"`` or ``"i,j,..."`` and read back only in
+canonical decimal form (``_wire_index``), so no two keys of one object name
+the same index.  Every operation that takes a falg value checks it with
+``_operand``: ``TypeError`` for another class, ``BackendMismatchError``
+for another backend.
+
+Element-wise sums (``+``, ``scale`` of coordinate tables and the truncation
+layer's nests) add ``s * c.value`` with ``_accumulate``, and ``_canonical``
+wraps the result.
 
 Both paths skip a zero term and delete a coordinate whose sum cancels,
 exactly as chained canonical vector additions would.
@@ -68,22 +81,6 @@ def _check_index(i) -> int:
     if i < 0:
         raise ValueError(f"basis index must be >= 0, got {i}")
     return i
-
-
-def _clean_coords(backend: Backend, coords) -> dict[int, Scalar]:
-    out: dict[int, Scalar] = {}
-    items = coords.items() if isinstance(coords, Mapping) else coords
-    for i, c in items:
-        i = _check_index(i)
-        if not isinstance(c, Scalar):
-            c = backend.scalar(c)
-        elif c.backend is not backend:
-            raise BackendMismatchError(
-                f"coefficient backend {c.backend.name} does not match {backend.name}"
-            )
-        if not c.is_zero():
-            out[i] = c
-    return out
 
 
 def _accumulate(acc: dict, coords: Mapping, s=None) -> dict:
@@ -199,11 +196,16 @@ def _map(backend: Backend, cols: dict) -> "ColumnFiniteMap":
     )
 
 
-def _check_scalar(d, backend: Backend, what: str) -> None:
-    if not isinstance(d, Scalar):
-        raise TypeError(f"scale takes a Scalar, got {type(d).__name__}")
-    if d.backend is not backend:
-        raise BackendMismatchError(f"scalar backend does not match {what} backend")
+def _operand(value, cls, backend: Backend, what: str):
+    """value, checked to be a cls over backend.
+
+    Another class raises TypeError, another backend BackendMismatchError.
+    """
+    if not isinstance(value, cls):
+        raise TypeError(f"{what} must be {cls.__name__}, got {type(value).__name__}")
+    if value.backend is not backend:
+        raise BackendMismatchError(f"{what} backend {value.backend.name} does not match {backend.name}")
+    return value
 
 
 def _wire_object(value, what: str) -> Mapping:
@@ -213,55 +215,117 @@ def _wire_object(value, what: str) -> Mapping:
     return value
 
 
-class HamelVector(_Frozen):
-    """Finite-support vector: a zero-free table of basis coefficients."""
+def _wire_index(text) -> int:
+    """The index a wire key, or one comma-separated part of it, names.
+
+    Only the canonical decimal str(i) is read: "01", "1_0", "+1", "-0" or
+    " 1" would name an index another key may name too, so they raise
+    ValueError.
+    """
+    text = str(text)
+    i = int(text)
+    if str(i) != text:
+        raise ValueError(f"wire key {text[:40]!r} is not a canonical decimal index")
+    return i
+
+
+class _CoordTable(_Frozen):
+    """Zero-free finite table key -> Scalar over one backend.
+
+    Fields are backend, the names in ``_shape`` and coords, in that order.
+    ``_index`` checks one key and ``_from_wire`` reads one wire key.
+    """
 
     _fields = ("backend", "coords")
+    _shape: tuple[str, ...] = ()
+    _index = staticmethod(_check_index)
+    _from_wire = staticmethod(_wire_index)
 
-    def __init__(self, backend: Backend, coords: Mapping[int, Scalar] = {}):
+    def __init__(self, backend: Backend, coords: Mapping = {}):
         object.__setattr__(self, "backend", backend)
         object.__setattr__(self, "coords", coords)
         self.__post_init__()
 
     def __post_init__(self):
-        object.__setattr__(self, "coords", _clean_coords(self.backend, self.coords))
+        backend, index = self.backend, self._index
+        out = {}
+        coords = self.coords
+        for key, c in coords.items() if isinstance(coords, Mapping) else coords:
+            key = index(key)
+            c = _operand(c, Scalar, backend, "coefficient") if isinstance(c, Scalar) else backend.scalar(c)
+            if not c.is_zero():
+                out[key] = c
+        object.__setattr__(self, "coords", out)
 
-    def support(self) -> tuple[int, ...]:
-        return tuple(sorted(self.coords))
-
-    def coefficient(self, i: int) -> Scalar:
-        _check_index(i)
-        return self.coords.get(i, self.backend.zero)
+    def coefficient(self, key) -> Scalar:
+        return self.coords.get(self._index(key), self.backend.zero)
 
     def is_zero(self) -> bool:
         return not self.coords
 
-    def _join(self, other: "HamelVector") -> None:
-        if not isinstance(other, HamelVector):
-            raise TypeError(f"expected HamelVector, got {type(other).__name__}")
-        if other.backend is not self.backend:
-            raise BackendMismatchError(
-                f"cannot mix {self.backend.name} and {other.backend.name} vectors"
-            )
+    def _join(self, other) -> None:
+        _operand(other, type(self), self.backend, "operand")
+        for name in self._shape:
+            if getattr(other, name) != getattr(self, name):
+                raise ValueError(
+                    f"cannot combine {name} {getattr(self, name)} and {getattr(other, name)}"
+                )
+
+    def _build(self, acc: dict):
+        """A table of self's class and shape holding the raw sums acc (trusted)."""
+        out = _trusted(type(self), backend=self.backend, coords=_canonical(self.backend, acc))
+        for name in self._shape:
+            object.__setattr__(out, name, getattr(self, name))
+        return out
 
     def __add__(self, other):
         self._join(other)
-        return _vector(self.backend, _accumulate(_accumulate({}, self.coords), other.coords))
+        return self._build(_accumulate(_accumulate({}, self.coords), other.coords))
 
     def __neg__(self):
-        return _vector(self.backend, {i: -c.value for i, c in self.coords.items()})
+        return self._build({k: -c.value for k, c in self.coords.items()})
 
     def __sub__(self, other):
         return self + (-other)
 
-    def scale(self, d: Scalar) -> "HamelVector":
-        _check_scalar(d, self.backend, "vector")
-        return _vector(self.backend, _accumulate({}, self.coords, d.value))
+    def scale(self, d: Scalar):
+        _operand(d, Scalar, self.backend, "scalar")
+        return self._build(_accumulate({}, self.coords, d.value))
 
     def __rmul__(self, d):
         if isinstance(d, Scalar):
             return self.scale(d)
         return NotImplemented
+
+    def to_data(self) -> dict:
+        data = {name: getattr(self, name) for name in self._shape}
+        data["coords"] = {
+            ",".join(map(str, k)) if isinstance(k, tuple) else str(k): self.coords[k].render()
+            for k in sorted(self.coords)
+        }
+        return data
+
+    @classmethod
+    def from_data(cls, backend: Backend, data):
+        fields = (*cls._shape, "coords")
+        if not isinstance(data, Mapping) or any(name not in data for name in fields):
+            names = " and ".join(map(repr, fields))
+            raise ValueError(f"{cls.__name__} data must be a JSON object with {names}")
+        shape = [int(data[name]) for name in cls._shape]
+        coords = {}
+        for key, text in _wire_object(data["coords"], "'coords'").items():
+            coords[cls._from_wire(key)] = Scalar(backend, backend.parse(text))
+        return cls(backend, *shape, coords)
+
+
+class HamelVector(_CoordTable):
+    """Finite-support vector: a zero-free table of basis coefficients."""
+
+    # bound in each class body: bench/spans.py counts vector and functional builds apart
+    __post_init__ = _CoordTable.__post_init__
+
+    def support(self) -> tuple[int, ...]:
+        return tuple(sorted(self.coords))
 
     def l1(self) -> NormValue:
         """Sum of coefficient norms; an upper bound for any unit-basis norm."""
@@ -269,18 +333,6 @@ class HamelVector(_Frozen):
         for c in self.coords.values():
             total = self.backend.norm_add(total, c.norm())
         return total
-
-    def to_data(self) -> dict:
-        return {"coords": {str(i): self.coords[i].render() for i in sorted(self.coords)}}
-
-    @classmethod
-    def from_data(cls, backend: Backend, data) -> "HamelVector":
-        if not isinstance(data, Mapping) or "coords" not in data:
-            raise ValueError("vector data must be an object with a 'coords' field")
-        coords = {}
-        for key, text in _wire_object(data["coords"], "'coords'").items():
-            coords[int(key)] = Scalar(backend, backend.parse(text))
-        return cls(backend, coords)
 
 
 def zero_vector(backend: Backend) -> HamelVector:
@@ -291,27 +343,16 @@ def basis_vector(backend: Backend, i: int) -> HamelVector:
     return HamelVector(backend, {_check_index(i): backend.one})
 
 
-class DualFunctional(_Frozen):
+class DualFunctional(_CoordTable):
     """Finite combination of coordinate functionals; evaluates by pairing."""
 
-    _fields = ("backend", "coords")
-
-    def __init__(self, backend: Backend, coords: Mapping[int, Scalar] = {}):
-        object.__setattr__(self, "backend", backend)
-        object.__setattr__(self, "coords", coords)
-        self.__post_init__()
-
-    def __post_init__(self):
-        object.__setattr__(self, "coords", _clean_coords(self.backend, self.coords))
+    __post_init__ = _CoordTable.__post_init__
 
     def __call__(self, v: HamelVector) -> Scalar:
         return self.evaluate(v)
 
     def evaluate(self, v: HamelVector) -> Scalar:
-        if not isinstance(v, HamelVector):
-            raise TypeError(f"expected HamelVector, got {type(v).__name__}")
-        if v.backend is not self.backend:
-            raise BackendMismatchError("functional and vector backends differ")
+        _operand(v, HamelVector, self.backend, "argument")
         total = self.backend.from_int(0)
         small, large = self.coords, v.coords
         if len(large) < len(small):
@@ -320,25 +361,6 @@ class DualFunctional(_Frozen):
             if i in large:
                 total = total + self.coords[i].value * v.coords[i].value
         return self.backend.scalar(total)
-
-    def __add__(self, other):
-        if not isinstance(other, DualFunctional) or other.backend is not self.backend:
-            raise BackendMismatchError("cannot mix functionals from different backends")
-        acc = _accumulate(_accumulate({}, self.coords), other.coords)
-        return _trusted(DualFunctional, backend=self.backend, coords=_canonical(self.backend, acc))
-
-    def scale(self, d: Scalar) -> "DualFunctional":
-        _check_scalar(d, self.backend, "functional")
-        acc = _accumulate({}, self.coords, d.value)
-        return _trusted(DualFunctional, backend=self.backend, coords=_canonical(self.backend, acc))
-
-    def to_data(self) -> dict:
-        return {"coords": {str(i): self.coords[i].render() for i in sorted(self.coords)}}
-
-    @classmethod
-    def from_data(cls, backend: Backend, data) -> "DualFunctional":
-        v = HamelVector.from_data(backend, data)
-        return cls(backend, v.coords)
 
 
 def dual_basis(backend: Backend, i: int) -> DualFunctional:
@@ -351,10 +373,10 @@ def _clean_cols(backend: Backend, cols) -> dict[int, HamelVector]:
     items = cols.items() if isinstance(cols, Mapping) else cols
     for j, col in items:
         j = _check_index(j)
-        if not isinstance(col, HamelVector):
+        if isinstance(col, HamelVector):
+            _operand(col, HamelVector, backend, "column")
+        else:
             col = HamelVector(backend, col)
-        elif col.backend is not backend:
-            raise BackendMismatchError("column backend does not match map backend")
         if not col.is_zero():
             out[j] = col
     return out
@@ -390,14 +412,8 @@ class ColumnFiniteMap(_Frozen):
     def is_zero(self) -> bool:
         return not self.cols
 
-    def _check_arg(self, v) -> None:
-        if not isinstance(v, HamelVector):
-            raise TypeError(f"expected HamelVector, got {type(v).__name__}")
-        if v.backend is not self.backend:
-            raise BackendMismatchError("map and vector backends differ")
-
     def apply(self, v: HamelVector) -> HamelVector:
-        self._check_arg(v)
+        _operand(v, HamelVector, self.backend, "argument")
         return _form_vector(self.backend, self._apply_split(_split(self.backend, v.coords), {}))
 
     def _apply_split(self, v: tuple[int, dict], splits: dict) -> tuple[int, dict]:
@@ -417,14 +433,8 @@ class ColumnFiniteMap(_Frozen):
     def __call__(self, v: HamelVector) -> HamelVector:
         return self.apply(v)
 
-    def _join(self, other: "ColumnFiniteMap") -> None:
-        if not isinstance(other, ColumnFiniteMap):
-            raise TypeError(f"expected ColumnFiniteMap, got {type(other).__name__}")
-        if other.backend is not self.backend:
-            raise BackendMismatchError("cannot mix maps from different backends")
-
     def __add__(self, other):
-        self._join(other)
+        _operand(other, ColumnFiniteMap, self.backend, "operand")
         cols = dict(self.cols)
         for j, col in other.cols.items():
             cols[j] = cols[j] + col if j in cols else col
@@ -437,6 +447,7 @@ class ColumnFiniteMap(_Frozen):
         return self + (-other)
 
     def scale(self, d: Scalar) -> "ColumnFiniteMap":
+        _operand(d, Scalar, self.backend, "scalar")
         return _map(self.backend, {j: col.scale(d) for j, col in self.cols.items()})
 
     def __rmul__(self, d):
@@ -446,7 +457,7 @@ class ColumnFiniteMap(_Frozen):
 
     def compose(self, g: "ColumnFiniteMap") -> "ColumnFiniteMap":
         """self after g: column j of the result is self(g(e_j))."""
-        self._join(g)
+        _operand(g, ColumnFiniteMap, self.backend, "operand")
         b = self.backend
         splits: dict = {}
         return _map(b, {
@@ -462,12 +473,7 @@ class ColumnFiniteMap(_Frozen):
         return total
 
     def to_data(self) -> dict:
-        return {
-            "cols": {
-                str(j): {str(i): col.coords[i].render() for i in sorted(col.coords)}
-                for j, col in ((j, self.cols[j]) for j in sorted(self.cols))
-            }
-        }
+        return {"cols": {str(j): self.cols[j].to_data()["coords"] for j in sorted(self.cols)}}
 
     @classmethod
     def from_data(cls, backend: Backend, data) -> "ColumnFiniteMap":
@@ -476,7 +482,7 @@ class ColumnFiniteMap(_Frozen):
         cols = {}
         for j, column in _wire_object(data["cols"], "'cols'").items():
             _wire_object(column, f"column {j!r}")
-            cols[int(j)] = HamelVector.from_data(backend, {"coords": column})
+            cols[_wire_index(j)] = HamelVector.from_data(backend, {"coords": column})
         return cls(backend, cols)
 
 
@@ -501,6 +507,25 @@ def identity_on(backend: Backend, indices) -> ColumnFiniteMap:
 MapNode = Union["PolyMap", ColumnFiniteMap]
 
 
+def _check_slots(nest_cls, leaf_cls, backend: Backend, arity: int, slots: Mapping) -> dict:
+    """The slots of a nest_cls of the given arity, validated.
+
+    Keys are basis indices; each slot lives over backend and is a leaf_cls
+    at arity 2, a nest_cls of arity - 1 above.  Shared by PolyMap and the
+    truncation layer's TailPolyMap.
+    """
+    if not isinstance(arity, int) or arity < 2:
+        raise ValueError(f"{nest_cls.__name__} arity must be >= 2, got {arity}")
+    out = {}
+    for j, sub in slots.items():
+        j = _check_index(j)
+        _operand(sub, leaf_cls if arity == 2 else nest_cls, backend, f"arity-{arity} slot")
+        if arity > 2 and sub.arity != arity - 1:
+            raise TypeError(f"arity-{arity} slots must have arity {arity - 1}, got {sub.arity}")
+        out[j] = sub
+    return out
+
+
 class PolyMap(_Frozen):
     """Polylinear map of arity >= 2, curried on its first argument.
 
@@ -512,24 +537,10 @@ class PolyMap(_Frozen):
     _fields = ("backend", "arity", "slots")
 
     def __init__(self, backend: Backend, arity: int, slots: Mapping[int, MapNode] = {}):
-        if not isinstance(arity, int) or arity < 2:
-            raise ValueError(f"PolyMap arity must be >= 2, got {arity}")
-        cleaned: dict[int, MapNode] = {}
-        for j, sub in slots.items():
-            j = _check_index(j)
-            if arity == 2:
-                if not isinstance(sub, ColumnFiniteMap):
-                    raise TypeError("arity-2 slots must be ColumnFiniteMap")
-            else:
-                if not isinstance(sub, PolyMap) or sub.arity != arity - 1:
-                    raise TypeError(f"arity-{arity} slots must be PolyMap of arity {arity - 1}")
-            if sub.backend is not backend:
-                raise BackendMismatchError("slot backend does not match nest backend")
-            if not sub.is_zero():
-                cleaned[j] = sub
+        slots = _check_slots(PolyMap, ColumnFiniteMap, backend, arity, slots)
         object.__setattr__(self, "backend", backend)
         object.__setattr__(self, "arity", arity)
-        object.__setattr__(self, "slots", cleaned)
+        object.__setattr__(self, "slots", {j: sub for j, sub in slots.items() if not sub.is_zero()})
 
     def is_zero(self) -> bool:
         return not self.slots
@@ -547,17 +558,12 @@ def poly_apply(nest: MapNode, xs: Sequence[HamelVector]) -> HamelVector:
 
 def _check_level(nest: MapNode, xs: Sequence[HamelVector]) -> None:
     """The checks poly_apply makes before reading one level of the nest."""
-    if isinstance(nest, ColumnFiniteMap):
-        if len(xs) != 1:
-            raise ValueError(f"arity mismatch: map of arity 1 applied to {len(xs)} arguments")
-        nest._check_arg(xs[0])
-        return
-    if not isinstance(nest, PolyMap):
+    if not isinstance(nest, (PolyMap, ColumnFiniteMap)):
         raise TypeError(f"expected PolyMap or ColumnFiniteMap, got {type(nest).__name__}")
-    if len(xs) != nest.arity:
-        raise ValueError(f"arity mismatch: nest of arity {nest.arity} applied to {len(xs)} arguments")
-    if xs[0].backend is not nest.backend:
-        raise BackendMismatchError("argument backend does not match nest backend")
+    arity = nest.arity if isinstance(nest, PolyMap) else 1
+    if len(xs) != arity:
+        raise ValueError(f"arity mismatch: nest of arity {arity} applied to {len(xs)} arguments")
+    _operand(xs[0], HamelVector, nest.backend, "argument")
 
 
 def _poly_split(nest: MapNode, xs: Sequence[HamelVector], splits: dict) -> tuple[int, dict]:

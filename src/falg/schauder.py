@@ -7,6 +7,11 @@ the stored prefix -- is at most that number.  :class:`TailMap` does the same
 for the entry table of an l1-bounded map, and :class:`TailPolyMap` for a
 curried polylinear nest.
 
+TailVector and TailMap are one shape, an exact finite part plus a tail, and
+share one implementation, ``_Certified``: ``lift``, ``is_exact``, ``+``,
+``scale`` and the wire format (the finite part's, plus a ``"tail"`` field).
+TailPolyMap validates its slots with the same helper as hamel's PolyMap.
+
 The contract every operation preserves: if the input certificates hold for
 the (unknown) represented values, the output certificate holds for the
 represented result.  Inputs built from exact data carry tail 0 and the
@@ -25,8 +30,8 @@ from __future__ import annotations
 
 from typing import Mapping, Sequence, Union
 
-from .ring import Backend, BackendMismatchError, NormValue, _Frozen
-from .hamel import ColumnFiniteMap, HamelVector, _accumulate, _map, _vector
+from .ring import Backend, NormValue, _Frozen
+from .hamel import ColumnFiniteMap, HamelVector, _accumulate, _check_slots, _map, _operand, _vector
 from .algebra import StructureTable
 
 
@@ -56,53 +61,77 @@ class NormInterval(_Frozen):
         return self.render()
 
 
-class TailVector(_Frozen):
-    """Finite prefix plus a certified bound on the mass it leaves out."""
+class _Certified(_Frozen):
+    """An exact finite part plus a certified bound on the l1 mass it leaves out.
 
-    _fields = ("prefix", "tail")
+    The shared core of TailVector and TailMap: the first field holds the
+    finite part, an instance of ``_part_cls``, and ``tail`` the bound.
+    """
 
-    def __init__(self, prefix: HamelVector, tail: NormValue):
-        if not isinstance(prefix, HamelVector):
-            raise TypeError(f"prefix must be HamelVector, got {type(prefix).__name__}")
-        object.__setattr__(self, "prefix", prefix)
-        object.__setattr__(self, "tail", prefix.backend.norm_check(tail))
+    _part_cls: type
+
+    def __init__(self, part, tail: NormValue):
+        if not isinstance(part, self._part_cls):
+            raise TypeError(f"{self._fields[0]} must be {self._part_cls.__name__}, got {type(part).__name__}")
+        object.__setattr__(self, self._fields[0], part)
+        object.__setattr__(self, "tail", part.backend.norm_check(tail))
+
+    def _part(self):
+        return getattr(self, self._fields[0])
 
     @property
     def backend(self) -> Backend:
-        return self.prefix.backend
+        return self._part().backend
+
+    @classmethod
+    def lift(cls, part):
+        """An exact value is its own finite part with nothing left out."""
+        return cls(part, part.backend.norm_zero)
+
+    def is_exact(self) -> bool:
+        return self.tail == self.backend.norm_zero
+
+    def _join(self, other) -> None:
+        _operand(other, type(self), self.backend, "operand")
+
+    def __add__(self, other):
+        self._join(other)
+        return type(self)(self._part() + other._part(), self.backend.norm_add(self.tail, other.tail))
+
+    def scale(self, d):
+        return type(self)(self._part().scale(d), self.backend.norm_mul(d.norm(), self.tail))
+
+    def to_data(self) -> dict:
+        data = self._part().to_data()
+        data["tail"] = self.backend.norm_render(self.tail)
+        return data
+
+    @classmethod
+    def from_data(cls, backend: Backend, data):
+        part = cls._part_cls.from_data(backend, data)
+        tail = backend.norm_parse(data["tail"]) if "tail" in data else backend.norm_zero
+        return cls(part, tail)
+
+
+class TailVector(_Certified):
+    """Finite prefix plus a certified bound on the mass it leaves out."""
+
+    _fields = ("prefix", "tail")
+    _part_cls = HamelVector
+
+    def __init__(self, prefix: HamelVector, tail: NormValue):
+        super().__init__(prefix, tail)
 
     @classmethod
     def make(cls, backend: Backend, coords, tail=0) -> "TailVector":
         """Build from raw coordinates and a caller-certified tail bound."""
         return cls(HamelVector(backend, coords), tail)
 
-    @classmethod
-    def lift(cls, v: HamelVector) -> "TailVector":
-        """An exact vector is its own prefix with nothing left out."""
-        return cls(v, v.backend.norm_zero)
-
-    def is_exact(self) -> bool:
-        return self.tail == self.backend.norm_zero
-
-    def _join(self, other: "TailVector") -> None:
-        if not isinstance(other, TailVector):
-            raise TypeError(f"expected TailVector, got {type(other).__name__}")
-        if other.backend is not self.backend:
-            raise BackendMismatchError("cannot mix tail vectors from different backends")
-
-    def __add__(self, other):
-        self._join(other)
-        b = self.backend
-        return TailVector(self.prefix + other.prefix, b.norm_add(self.tail, other.tail))
-
     def __neg__(self):
         return TailVector(-self.prefix, self.tail)
 
     def __sub__(self, other):
         return self + (-other)
-
-    def scale(self, d) -> "TailVector":
-        return TailVector(self.prefix.scale(d), self.backend.norm_mul(d.norm(), self.tail))
 
     def truncate(self, keep) -> "TailVector":
         """Drop prefix coordinates outside `keep`, moving their mass into the tail."""
@@ -121,53 +150,15 @@ class TailVector(_Frozen):
         lo = self.prefix.l1()
         return NormInterval(self.backend, lo, self.backend.norm_add(lo, self.tail))
 
-    def to_data(self) -> dict:
-        data = self.prefix.to_data()
-        data["tail"] = self.backend.norm_render(self.tail)
-        return data
 
-    @classmethod
-    def from_data(cls, backend: Backend, data) -> "TailVector":
-        prefix = HamelVector.from_data(backend, data)
-        tail = backend.norm_parse(data["tail"]) if "tail" in data else backend.norm_zero
-        return cls(prefix, tail)
-
-
-class TailMap(_Frozen):
+class TailMap(_Certified):
     """Finite entry table plus a certified bound on the entry mass left out."""
 
     _fields = ("finite", "tail")
+    _part_cls = ColumnFiniteMap
 
     def __init__(self, finite: ColumnFiniteMap, tail: NormValue):
-        if not isinstance(finite, ColumnFiniteMap):
-            raise TypeError(f"finite part must be ColumnFiniteMap, got {type(finite).__name__}")
-        object.__setattr__(self, "finite", finite)
-        object.__setattr__(self, "tail", finite.backend.norm_check(tail))
-
-    @property
-    def backend(self) -> Backend:
-        return self.finite.backend
-
-    @classmethod
-    def lift(cls, f: ColumnFiniteMap) -> "TailMap":
-        return cls(f, f.backend.norm_zero)
-
-    def is_exact(self) -> bool:
-        return self.tail == self.backend.norm_zero
-
-    def _join(self, other: "TailMap") -> None:
-        if not isinstance(other, TailMap):
-            raise TypeError(f"expected TailMap, got {type(other).__name__}")
-        if other.backend is not self.backend:
-            raise BackendMismatchError("cannot mix tail maps from different backends")
-
-    def __add__(self, other):
-        self._join(other)
-        b = self.backend
-        return TailMap(self.finite + other.finite, b.norm_add(self.tail, other.tail))
-
-    def scale(self, d) -> "TailMap":
-        return TailMap(self.finite.scale(d), self.backend.norm_mul(d.norm(), self.tail))
+        super().__init__(finite, tail)
 
     def bound(self) -> NormInterval:
         """Operator-norm enclosure: [best stored column sum, total mass + tail]."""
@@ -186,10 +177,7 @@ class TailMap(_Frozen):
         tail(result) = Ff*tail(v) + Ft*(prefix mass of v + tail(v)) where Ff
         is the stored entry mass and Ft this map's tail.
         """
-        if not isinstance(v, TailVector):
-            raise TypeError(f"expected TailVector, got {type(v).__name__}")
-        if v.backend is not self.backend:
-            raise BackendMismatchError("map and vector backends differ")
+        _operand(v, TailVector, self.backend, "argument")
         b = self.backend
         prefix = self.finite.apply(v.prefix)
         ff = self.finite.l1_total()
@@ -215,17 +203,6 @@ class TailMap(_Frozen):
         )
         return TailMap(self.finite.compose(g.finite), tail)
 
-    def to_data(self) -> dict:
-        data = self.finite.to_data()
-        data["tail"] = self.backend.norm_render(self.tail)
-        return data
-
-    @classmethod
-    def from_data(cls, backend: Backend, data) -> "TailMap":
-        finite = ColumnFiniteMap.from_data(backend, data)
-        tail = backend.norm_parse(data["tail"]) if "tail" in data else backend.norm_zero
-        return cls(finite, tail)
-
 
 def tail_mul(table: StructureTable, a: TailVector, b: TailVector) -> TailVector:
     """Product of tail vectors in an algebra with a declared pair bound K.
@@ -239,9 +216,8 @@ def tail_mul(table: StructureTable, a: TailVector, b: TailVector) -> TailVector:
         raise TypeError(f"expected StructureTable, got {type(table).__name__}")
     if table.pair_bound is None:
         raise ValueError(f"table {table.name!r} declares no pair bound; tail product undefined")
-    a._join(b)
-    if a.backend is not table.backend:
-        raise BackendMismatchError("operand backend does not match table backend")
+    _operand(a, TailVector, table.backend, "operand")
+    _operand(b, TailVector, table.backend, "operand")
     be = a.backend
     k = table.pair_bound
     sa, sb = a.prefix.l1(), b.prefix.l1()
@@ -268,22 +244,10 @@ class TailPolyMap(_Frozen):
     _fields = ("backend", "arity", "slots", "tail")
 
     def __init__(self, backend: Backend, arity: int, slots: Mapping[int, TailNode] = {}, tail: NormValue = 0):
-        if not isinstance(arity, int) or arity < 2:
-            raise ValueError(f"TailPolyMap arity must be >= 2, got {arity}")
-        cleaned: dict[int, TailNode] = {}
-        for j, sub in slots.items():
-            if arity == 2:
-                if not isinstance(sub, TailMap):
-                    raise TypeError("arity-2 slots must be TailMap")
-            else:
-                if not isinstance(sub, TailPolyMap) or sub.arity != arity - 1:
-                    raise TypeError(f"arity-{arity} slots must be TailPolyMap of arity {arity - 1}")
-            if sub.backend is not backend:
-                raise BackendMismatchError("slot backend does not match nest backend")
-            cleaned[int(j)] = sub
+        slots = _check_slots(TailPolyMap, TailMap, backend, arity, slots)
         object.__setattr__(self, "backend", backend)
         object.__setattr__(self, "arity", arity)
-        object.__setattr__(self, "slots", cleaned)
+        object.__setattr__(self, "slots", slots)
         object.__setattr__(self, "tail", backend.norm_check(tail))
 
 
@@ -384,11 +348,8 @@ def tpoly_apply(nest: TailNode, xs: Sequence[TailVector]) -> TailVector:
             f"arity mismatch: nest of arity {_nest_arity(nest)} applied to {len(xs)} arguments"
         )
     for x in xs:
-        if not isinstance(x, TailVector):
-            raise TypeError(f"expected TailVector, got {type(x).__name__}")
+        _operand(x, TailVector, nest.backend, "argument")
     while isinstance(nest, TailPolyMap):
-        if xs[0].backend is not nest.backend:
-            raise BackendMismatchError("argument backend does not match nest backend")
         nest = _peel(nest, xs[0])
         xs = xs[1:]
     return nest.apply(xs[0])

@@ -627,7 +627,7 @@ def test_cli_huge_literals_exit_2(tmp_path, command, files):
     assert "Traceback" not in proc.stderr
 
 
-@pytest.mark.parametrize("literal", ["7" * 100000, "1/" + "3" * 100000])
+@pytest.mark.parametrize("literal", ["7" * 100000, "1/" + "3" * 100000], ids=["integer", "fraction"])
 def test_cli_huge_eval_literal_exits_2(literal):
     # PYTHONINTMAXSTRDIGITS=0 lifts CPython's own int-from-string limit
     env = dict(os.environ, PYTHONPATH=SRC_DIR, PYTHONINTMAXSTRDIGITS="0")
@@ -670,7 +670,7 @@ def test_cli_f64_eval_overflow_exits_2(tmp_path, capsys, expr, flags):
 
 @pytest.mark.parametrize("op", ["+", "-", "*"])
 def test_long_flat_chain_compares_and_prints(op):
-    # == and print_expr walk the left spine in a loop, as evaluation does
+    # ==, hash, repr and print_expr walk the left spine in a loop, as evaluation does
     tree = parse_expr(op.join(["e1"] * 3000))
     text = print_expr(tree)
     assert text == f" {op} ".join(["e1"] * 3000)
@@ -678,6 +678,14 @@ def test_long_flat_chain_compares_and_prints(op):
     assert tree != parse_expr(op.join(["e1"] * 2999 + ["e2"]))
     assert tree != parse_expr(op.join(["e1"] * 2999))
     assert Add(Basis(1), Basis(2)) != Sub(Basis(1), Basis(2))
+    try:
+        hashed, shown = hash(tree), repr(tree)
+    except RecursionError:  # failed outside: pytest would compare the locals of 1000 frames
+        hashed = shown = None
+    assert shown is not None, "hash or repr recursed once per chain node"
+    assert hashed == hash(parse_expr(text))
+    name = {"+": "Add", "-": "Sub", "*": "Mul"}[op]
+    assert shown == f"{name}(a=" * 2999 + "Basis(index=1)" + ", b=Basis(index=1))" * 2999
 
 
 @pytest.mark.parametrize(
@@ -697,3 +705,26 @@ def test_cli_f64_infinite_tail_rejected_at_parse(tmp_path):
     assert proc.returncode == 2, proc.stderr
     assert "Traceback" not in proc.stderr
     assert "is not a valid vector: bound must be finite" in proc.stderr
+
+
+@pytest.mark.parametrize(
+    "argv, files",
+    [
+        (["norm", "--vector", "v"], {"v": {"coords": {"1": "2", "01": "3", "1_0": "5"}}}),
+        (["norm", "--map", "f"], {"f": {"cols": {"0": {"1": "1"}, "00": {"1": "1"}}}}),
+        (["dual", "--functional", "phi", "--vector", "v"],
+         {"phi": {"coords": {"1": "2", "+1": "3"}}, "v": {"coords": {"1": "1"}}}),
+        (["tensor", "--pure", "v", "w"], {"v": {"coords": {"0": "1", "-0": "2"}}, "w": {"coords": {"1": "1"}}}),
+        (["tensor", "--algebra", "builtin:polynomial", "--tensor", "t", "--map", "f", "--vector", "v"],
+         {"t": {"arity": 2, "coords": {"0,0": "1", "0,00": "1"}}, "f": {"cols": {"0": {"0": "1"}}},
+          "v": {"coords": {"0": "1"}}}),
+    ],
+    ids=["norm-vector", "norm-map", "dual", "tensor-pure", "tensor-via"],
+)
+def test_cli_noncanonical_wire_keys_exit_2(tmp_path, argv, files):
+    # "01", "1_0", "+1", "-0" would each name an index another key names too
+    paths = {name: write(tmp_path, f"{name}.json", data) for name, data in files.items()}
+    proc = _falg(*(paths.get(arg, arg) for arg in argv))
+    assert proc.returncode == 2, proc.stdout
+    assert "Traceback" not in proc.stderr
+    assert "canonical decimal" in proc.stderr

@@ -12,6 +12,7 @@ from falg import (
     ColumnFiniteMap,
     HamelVector,
     PolyMap,
+    TensorElement,
     basis_map,
     basis_vector,
     dual_basis,
@@ -274,3 +275,28 @@ def test_l1_mass():
     v = HamelVector(RATIONAL, {0: 3, 1: -4})
     assert v.l1() == 7
     assert zero_vector(RATIONAL).l1() == 0
+
+
+def test_functional_negation_difference_and_scalar_product():
+    phi = DualFunctional(RATIONAL, {0: 1, 2: Fraction(1, 2)})
+    psi = DualFunctional(RATIONAL, {2: 3, 5: -1})
+    d = RATIONAL.scalar(Fraction(-2, 3))
+    for v in (HamelVector(RATIONAL, {0: 1, 2: 4, 5: 7}), HamelVector(RATIONAL, {5: 1})):
+        assert (-phi).evaluate(v) == -phi.evaluate(v)
+        assert (phi - psi).evaluate(v) == phi.evaluate(v) - psi.evaluate(v)
+        assert (d * phi).evaluate(v) == d * phi.evaluate(v) == phi.scale(d).evaluate(v)
+    assert phi - phi == DualFunctional(RATIONAL)
+
+
+@pytest.mark.parametrize("key", ["01", "1_0", "+1", " 1", "1 ", "-0", "١", "1.0", "0,1"])
+def test_wire_keys_must_be_canonical_decimals(key):
+    with pytest.raises(ValueError):
+        HamelVector.from_data(RATIONAL, {"coords": {key: "1"}})
+    with pytest.raises(ValueError):
+        DualFunctional.from_data(RATIONAL, {"coords": {key: "1"}})
+    with pytest.raises(ValueError):
+        ColumnFiniteMap.from_data(RATIONAL, {"cols": {key: {"0": "1"}}})
+    with pytest.raises(ValueError):
+        ColumnFiniteMap.from_data(RATIONAL, {"cols": {"0": {key: "1"}}})
+    with pytest.raises(ValueError):
+        TensorElement.from_data(RATIONAL, {"arity": 2, "coords": {f"0,{key}": "1"}})

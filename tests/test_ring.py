@@ -179,7 +179,9 @@ def test_float_rejects_non_finite():
 
 
 @pytest.mark.parametrize(
-    "text", ["1e100000000", "1E-100000000", "2.5e+4301", "1/" + "3" * 5000, "0." + "1" * 5000]
+    "text",
+    ["1e100000000", "1E-100000000", "2.5e+4301", "1/" + "3" * 5000, "0." + "1" * 5000],
+    ids=["1e100000000", "1E-100000000", "2.5e+4301", "fraction-5000-digits", "decimal-5000-digits"],
 )
 def test_exact_literal_caps(text):
     for parse in (RATIONAL.parse, RATIONAL.norm_parse, RATIONAL.norm_check, RATIONAL.check,

@@ -408,3 +408,12 @@ def test_tail_vector_json_round_trip():
     assert TailVector.from_data(RATIONAL, v.to_data()) == v
     f = TailMap(ColumnFiniteMap(RATIONAL, {0: {1: Fraction(5, 2)}}), Fraction(1, 3))
     assert TailMap.from_data(RATIONAL, f.to_data()) == f
+
+
+@pytest.mark.parametrize("key", [-1, True, 1.9, "3"], ids=["negative", "bool", "float", "str"])
+@pytest.mark.parametrize("cls", [PolyMap, TailPolyMap], ids=["exact", "tail"])
+def test_nest_slot_keys_are_basis_indices(cls, key):
+    leaf = ColumnFiniteMap(RATIONAL, {0: {0: 1}})
+    slot = leaf if cls is PolyMap else TailMap(leaf, 0)
+    with pytest.raises((ValueError, TypeError)):
+        cls(RATIONAL, 2, {key: slot})

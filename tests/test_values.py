@@ -2,7 +2,9 @@
 
 Each case builds one instance from fixed arguments; the expected repr is the
 exact text printed for it, so a change of field names, field order or
-rendering shows here.  The import guard checks that loading the CLI pulls in
+rendering shows here.  Every operation that takes falg values rejects one of
+another class with TypeError and one over another backend with
+BackendMismatchError.  The import guard checks that loading the CLI pulls in
 no code generator.
 """
 
@@ -15,8 +17,10 @@ import pytest
 
 import falg
 from falg import (
+    INTEGER,
     RATIONAL,
     AlgebraFixture,
+    BackendMismatchError,
     ColumnFiniteMap,
     DualFunctional,
     HamelVector,
@@ -28,6 +32,11 @@ from falg import (
     TailPolyMap,
     TailVector,
     TensorElement,
+    map_via_tensor,
+    poly_apply,
+    tail_mul,
+    tensor_pure,
+    tpoly_apply,
 )
 from falg.algebra import AssociatorDefect, CenterReport, CommutatorDefect, LawReport, LawResult
 from falg.cli import Add, Assoc, Basis, Comm, Label, Lit, Mul, Name, Neg, Sub, _Token
@@ -146,3 +155,56 @@ def test_cli_import_loads_no_code_generator():
     proc = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True, env=env, timeout=30)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "[]\n"
+
+
+def _values(b):
+    """One value of each kind over backend b, and the table the products use."""
+    v = HamelVector(b, {0: 1, 1: 2})
+    f = ColumnFiniteMap(b, {0: {1: 1}, 1: {0: 3}})
+    table = StructureTable(b, "t", {(0, 0): {0: 1}}, pair_bound=1, claims_associative=True)
+    return {
+        "v": v, "phi": DualFunctional(b, {1: 2}), "f": f, "t": TensorElement(b, 2, {(0, 1): 1}),
+        "d": b.scalar(3), "tv": TailVector(v, 0), "tm": TailMap(f, 0), "table": table,
+        "nest": PolyMap(b, 2, {0: f, 1: f}), "tnest": TailPolyMap(b, 2, {0: TailMap(f, 0)}, 0),
+    }
+
+
+VALUES, INT_VALUES = _values(R), _values(INTEGER)
+
+# operation on one operand x, the key of x's kind, and a value of another class
+OPERAND_CASES = {
+    "vector+": (lambda x: VALUES["v"] + x, "v", VALUES["phi"]),
+    "functional+": (lambda x: VALUES["phi"] + x, "phi", VALUES["v"]),
+    "map+": (lambda x: VALUES["f"] + x, "f", VALUES["v"]),
+    "tensor+": (lambda x: VALUES["t"] + x, "t", VALUES["v"]),
+    "tail-vector+": (lambda x: VALUES["tv"] + x, "tv", VALUES["v"]),
+    "tail-map+": (lambda x: VALUES["tm"] + x, "tm", VALUES["f"]),
+    "vector-scale": (lambda x: VALUES["v"].scale(x), "d", 3),
+    "functional-scale": (lambda x: VALUES["phi"].scale(x), "d", 3),
+    "map-scale": (lambda x: VALUES["f"].scale(x), "d", 3),
+    "tensor-scale": (lambda x: VALUES["t"].scale(x), "d", 3),
+    "tail-vector-scale": (lambda x: VALUES["tv"].scale(x), "d", 3),
+    "tail-map-scale": (lambda x: VALUES["tm"].scale(x), "d", 3),
+    "evaluate": (lambda x: VALUES["phi"].evaluate(x), "v", VALUES["phi"]),
+    "apply": (lambda x: VALUES["f"].apply(x), "v", VALUES["phi"]),
+    "compose": (lambda x: VALUES["f"].compose(x), "f", VALUES["v"]),
+    "tail-apply": (lambda x: VALUES["tm"].apply(x), "tv", VALUES["v"]),
+    "tail-compose": (lambda x: VALUES["tm"].compose(x), "tm", VALUES["f"]),
+    "mul": (lambda x: VALUES["table"].mul(VALUES["v"], x), "v", VALUES["phi"]),
+    "tail_mul": (lambda x: tail_mul(VALUES["table"], VALUES["tv"], x), "tv", VALUES["v"]),
+    "poly_apply": (lambda x: poly_apply(VALUES["nest"], [VALUES["v"], x]), "v", VALUES["phi"]),
+    "tpoly_apply": (lambda x: tpoly_apply(VALUES["tnest"], [VALUES["tv"], x]), "tv", VALUES["v"]),
+    "tensor_pure": (lambda x: tensor_pure([VALUES["v"], x]), "v", VALUES["phi"]),
+    "map_via_tensor": (
+        lambda x: map_via_tensor(VALUES["table"], VALUES["t"], VALUES["f"], x, samples=1), "v", VALUES["phi"]
+    ),
+}
+
+
+@pytest.mark.parametrize("op, kind, other_class", OPERAND_CASES.values(), ids=OPERAND_CASES)
+def test_operations_check_their_operands(op, kind, other_class):
+    op(VALUES[kind])
+    with pytest.raises(BackendMismatchError):
+        op(INT_VALUES[kind])
+    with pytest.raises(TypeError):
+        op(other_class)
