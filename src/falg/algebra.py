@@ -13,27 +13,48 @@ lazily and raise :class:`CertificateError` on the first violating pair.
 Checked-entry invariant: ``StructureTable._checked`` holds exactly the pairs
 whose entry has passed the pair-bound check (every looked-up pair when no
 bound is declared), each mapped to the numerator form ``(d, {k: n})`` of
-its entry (see the hamel module docstring), which is what ``mul`` reads.
-``entries`` stays the one store of the entries themselves, so ``lookup``
-returns ``entries[(i, j)]`` for a checked pair and ``len(table.entries)`` is
-the memo size.  ``mul`` calls ``lookup`` only for pairs not yet in
-``_checked``; an entry that violates the bound never enters it, so every
-product that reaches it raises again.
+its entry (see the hamel module docstring), which is what ``_mul_form``
+reads.  ``entries`` stays the one store of the entries themselves, so
+``lookup`` returns ``entries[(i, j)]`` for a checked pair and
+``len(table.entries)`` is the memo size.  ``_mul_form`` calls ``lookup`` only
+for pairs not yet in ``_checked``; an entry that violates the bound never
+enters it, so every product that reaches it raises again.
+
+``_mul_form`` is the one product loop: it multiplies two numerator forms.
+``mul`` checks its operands, splits them into forms and wraps the product
+form into a vector.
 
 Claimed laws (associativity, commutativity) are never assumed silently:
 :meth:`StructureTable.check_laws` probes them, and anything that needs a law
 (endomorphism products do not, tensor sandwich maps do) re-checks by
-sampling.
+sampling.  The law probes run on numerator forms.  They draw each random
+vector straight into a form, take products with ``_mul_form`` and sums and
+scalings with ``_combine``, and compare the two sides of a law by
+cross-multiplication.  Vectors are built only to render a counterexample.
+The probes make the checks the public operations would make, in the same
+order: lookups raise the same ``CertificateError`` and float64 rejects a
+non-finite product, sum or scaling with the same ``ValueError``.
 """
 
 from __future__ import annotations
 
 import random
 from fractions import Fraction
+from math import lcm
 from typing import Callable, Mapping, Optional
 
 from .ring import Backend, NormValue, Scalar, _Frozen
-from .hamel import HamelVector, _check_index, _form_vector, _operand, _reduce, _split, zero_vector
+from .hamel import (
+    HamelVector,
+    _check_index,
+    _combine,
+    _form_vector,
+    _operand,
+    _reduce,
+    _split,
+    _wire_index,
+    zero_vector,
+)
 
 
 class CertificateError(ValueError):
@@ -110,10 +131,15 @@ class StructureTable(_Frozen):
         Each term is (a^i * b^j) * C^k_ij, summed in i, j, k order; float
         results depend on both the association and the order.
         """
-        _operand(a, HamelVector, self.backend, "operand")
-        _operand(b, HamelVector, self.backend, "operand")
-        da, xa = _split(self.backend, a.coords)
-        db, xb = _split(self.backend, b.coords)
+        backend = self.backend
+        _operand(a, HamelVector, backend, "operand")
+        _operand(b, HamelVector, backend, "operand")
+        return _form_vector(backend, self._mul_form(_split(backend, a.coords), _split(backend, b.coords)))
+
+    def _mul_form(self, fa: tuple[int, dict], fb: tuple[int, dict]) -> tuple[int, dict]:
+        """The numerator form of the product of two numerator forms, unchecked."""
+        da, xa = fa
+        db, xb = fb
         checked = self._checked
         acc: dict = {}
         den = 1
@@ -125,7 +151,19 @@ class StructureTable(_Frozen):
                     form = checked[(i, j)]
                 if form[1]:
                     den = _reduce(acc, den, form, x * y)
-        return _form_vector(self.backend, (da * db * den, acc))
+        return da * db * den, acc
+
+    def _product(self, fa: tuple[int, dict], fb: tuple[int, dict]) -> tuple[int, dict]:
+        """_mul_form, with the float64 finiteness check mul makes on its result."""
+        form = self._mul_form(fa, fb)
+        self.backend._check_sums(form[1].values())
+        return form
+
+    def _sum(self, *parts) -> tuple[int, dict]:
+        """_combine of (s, form) parts, with the float64 finiteness check + and scale make."""
+        form = _combine(parts)
+        self.backend._check_sums(form[1].values())
+        return form
 
     def commutator(self, a: HamelVector, b: HamelVector) -> HamelVector:
         """[a, b] = ab - ba; zero iff the pair commutes."""
@@ -178,8 +216,7 @@ class StructureTable(_Frozen):
         """
         if not isinstance(trials, int) or trials <= 0:
             raise ValueError(f"trials must be a positive integer, got {trials}")
-        if max_index < 0:
-            raise ValueError("max_index must be >= 0")
+        _check_max_index(max_index)
         rng = random.Random(seed)
         laws: list[tuple[str, Callable[..., Optional[str]]]] = [
             ("left_distributive", self._law_left_distributive),
@@ -203,63 +240,109 @@ class StructureTable(_Frozen):
             results.append(LawResult(law_name, counterexample is None, done, counterexample))
         return LawReport(self.name, seed, trials, tuple(results))
 
-    # law probes: return None on success, a rendered counterexample on failure
+    # law probes: return None on success, a rendered counterexample on failure.
+    # They draw numerator forms, evaluate both sides with _product and _sum,
+    # and build vectors only to render a counterexample.
 
-    def _rand_scalar(self, rng) -> Scalar:
+    def _rand_scalar(self, rng) -> tuple[int, object]:
+        """A random scalar p / q as the pair (q, p); q is drawn on rat only."""
         n = rng.randint(-5, 5)
         if self.backend.name == "rat":
-            return self.backend.scalar(Fraction(n, rng.randint(1, 4)))
-        return self.backend.scalar(n)
+            return rng.randint(1, 4), n
+        return 1, self.backend.check(n)
 
-    def _rand_vector(self, rng, max_index: int) -> HamelVector:
+    def _rand_form(self, rng, max_index: int) -> tuple[int, dict]:
+        """The numerator form of a random vector of at most three terms.
+
+        Python evaluates the value before the index, so each term draws its
+        scalar first; a repeated index keeps its first position and its last
+        value, and zero draws are dropped, as the vector constructor would.
+        """
         size = rng.randint(0, 3)
-        coords = {}
+        drawn = {}
         for _ in range(size):
-            coords[rng.randint(0, max_index)] = self._rand_scalar(rng)
-        return HamelVector(self.backend, coords)
+            drawn[rng.randint(0, max_index)] = self._rand_scalar(rng)
+        drawn = {k: d for k, d in drawn.items() if d[1]}
+        den = lcm(*(q for q, _ in drawn.values()))
+        return den, {k: p * (den // q) for k, (q, p) in drawn.items()}
+
+    def _scaled(self, form: tuple[int, dict], d: tuple[int, object]) -> tuple[int, dict]:
+        q, p = d
+        den, nums = self._sum((p, form))
+        return den * q, nums
+
+    def _vector(self, form: tuple[int, dict]) -> HamelVector:
+        return _form_vector(self.backend, form)
+
+    def _scalar(self, d: tuple[int, object]) -> Scalar:
+        q, p = d
+        return self.backend.scalar(Fraction(p, q) if q != 1 else p)
 
     @staticmethod
     def _describe(**parts) -> str:
         return "; ".join(f"{k}={_render_value(v)}" for k, v in parts.items())
 
     def _law_left_distributive(self, rng, max_index):
-        u, v, w = (self._rand_vector(rng, max_index) for _ in range(3))
-        if self.mul(u + v, w) != self.mul(u, w) + self.mul(v, w):
-            return self._describe(u=u, v=v, w=w)
-        return None
+        u, v, w = (self._rand_form(rng, max_index) for _ in range(3))
+        left = self._product(self._sum((1, u), (1, v)), w)
+        if _same(left, self._sum((1, self._product(u, w)), (1, self._product(v, w)))):
+            return None
+        return self._describe(u=self._vector(u), v=self._vector(v), w=self._vector(w))
 
     def _law_right_distributive(self, rng, max_index):
-        u, v, w = (self._rand_vector(rng, max_index) for _ in range(3))
-        if self.mul(u, v + w) != self.mul(u, v) + self.mul(u, w):
-            return self._describe(u=u, v=v, w=w)
-        return None
+        u, v, w = (self._rand_form(rng, max_index) for _ in range(3))
+        left = self._product(u, self._sum((1, v), (1, w)))
+        if _same(left, self._sum((1, self._product(u, v)), (1, self._product(u, w)))):
+            return None
+        return self._describe(u=self._vector(u), v=self._vector(v), w=self._vector(w))
 
     def _law_scalar_left(self, rng, max_index):
         d = self._rand_scalar(rng)
-        u, v = (self._rand_vector(rng, max_index) for _ in range(2))
-        if self.mul(u.scale(d), v) != self.mul(u, v).scale(d):
-            return self._describe(d=d, u=u, v=v)
-        return None
+        u, v = (self._rand_form(rng, max_index) for _ in range(2))
+        if _same(self._product(self._scaled(u, d), v), self._scaled(self._product(u, v), d)):
+            return None
+        return self._describe(d=self._scalar(d), u=self._vector(u), v=self._vector(v))
 
     def _law_scalar_right(self, rng, max_index):
         d = self._rand_scalar(rng)
-        u, v = (self._rand_vector(rng, max_index) for _ in range(2))
-        if self.mul(u, v.scale(d)) != self.mul(u, v).scale(d):
-            return self._describe(d=d, u=u, v=v)
-        return None
+        u, v = (self._rand_form(rng, max_index) for _ in range(2))
+        if _same(self._product(u, self._scaled(v, d)), self._scaled(self._product(u, v), d)):
+            return None
+        return self._describe(d=self._scalar(d), u=self._vector(u), v=self._vector(v))
 
     def _law_commutative(self, rng, max_index):
-        u, v = (self._rand_vector(rng, max_index) for _ in range(2))
-        if self.mul(u, v) != self.mul(v, u):
-            return self._describe(u=u, v=v, commutator=self.commutator(u, v))
-        return None
+        u, v = (self._rand_form(rng, max_index) for _ in range(2))
+        if _same(self._product(u, v), self._product(v, u)):
+            return None
+        u, v = self._vector(u), self._vector(v)
+        return self._describe(u=u, v=v, commutator=self.commutator(u, v))
 
     def _law_associative(self, rng, max_index):
-        u, v, w = (self._rand_vector(rng, max_index) for _ in range(3))
-        value = self.associator(u, v, w)
-        if not value.is_zero():
-            return self._describe(u=u, v=v, w=w, associator=value)
-        return None
+        u, v, w = (self._rand_form(rng, max_index) for _ in range(3))
+        if _same(self._product(self._product(u, v), w), self._product(u, self._product(v, w))):
+            return None
+        # on float64 the associator's difference may overflow and raise, as it always did
+        u, v, w = self._vector(u), self._vector(v), self._vector(w)
+        return self._describe(u=u, v=v, w=w, associator=self.associator(u, v, w))
+
+
+def _same(f: tuple[int, dict], g: tuple[int, dict]) -> bool:
+    """Whether two numerator forms hold the same values.
+
+    Forms are not reduced, so equal values may sit over different
+    denominators: compare n / d with n' / d' as n * d' == n' * d.
+    """
+    d, a = f
+    e, b = g
+    return a.keys() == b.keys() and all(n * e == b[k] * d for k, n in a.items())
+
+
+def _check_max_index(max_index) -> None:
+    """Reject a max_index (the largest basis index a probe draws) that is not an int >= 0."""
+    if isinstance(max_index, bool) or not isinstance(max_index, int):
+        raise TypeError(f"max_index must be int, got {type(max_index).__name__}")
+    if max_index < 0:
+        raise ValueError("max_index must be >= 0")
 
 
 def _render_value(v) -> str:
@@ -334,6 +417,15 @@ def table_to_data(table: StructureTable) -> dict:
     return data
 
 
+def _row_index(value) -> int:
+    """A structure row's i, j or k: a JSON integer, or a string in canonical decimal form."""
+    if isinstance(value, str):
+        value = _wire_index(value)
+    elif isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"structure index must be an integer, got {type(value).__name__}")
+    return _check_index(value)
+
+
 def table_from_data(backend: Backend, data) -> StructureTable:
     """Parse an extensional table: {"name", "structure", "pairBound"?, "claims"?}."""
     if not isinstance(data, dict):
@@ -342,7 +434,7 @@ def table_from_data(backend: Backend, data) -> StructureTable:
         raise ValueError("algebra data needs a 'structure' list (or use a builtin name)")
     grouped: dict[tuple[int, int], dict[int, Scalar]] = {}
     for row in data["structure"]:
-        i, j, k = (_check_index(int(row[name])) for name in "ijk")
+        i, j, k = (_row_index(row[name]) for name in "ijk")
         c = Scalar(backend, backend.parse(row["c"]))
         cell = grouped.setdefault((i, j), {})
         cell[k] = cell[k] + c if k in cell else c

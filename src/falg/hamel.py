@@ -23,8 +23,9 @@ of the denominators (1 for Python ints, which carry ``.numerator`` and
 ``_reduce`` adds terms ``s * n`` into a dict of numerators over a running
 denominator, multiplying the dict through when a term's denominator does
 not divide it; ``_combine`` takes the lcm of all parts' denominators first,
-so its sums never rescale, and only ``StructureTable.mul``, which meets
-table entries one pair at a time, rescales.  ``_form_coords`` turns each
+so its sums never rescale, and only the table product
+(``StructureTable._mul_form``), which meets table entries one pair at a
+time, rescales.  ``_form_coords`` turns each
 surviving numerator n over the final denominator D into ``Fraction(n, D)``
 once, or ``backend.check(n)`` when D is 1.  All denominators are positive,
 so a partial sum is zero exactly when the rational sum it stands for is:

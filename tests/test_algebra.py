@@ -4,10 +4,13 @@ from fractions import Fraction
 import pytest
 
 from falg import (
+    FLOAT64,
+    INTEGER,
     RATIONAL,
     CertificateError,
     ColumnFiniteMap,
     HamelVector,
+    LawReport,
     StructureTable,
     basis_vector,
     load_builtin,
@@ -177,6 +180,153 @@ def test_check_laws_rejects_zero_trials():
         poly().check_laws(trials=0)
 
 
+@pytest.mark.parametrize("max_index, error", [(True, TypeError), (2.5, TypeError), ("3", TypeError), (-1, ValueError)])
+def test_check_laws_validates_max_index(max_index, error):
+    with pytest.raises(error, match="max_index"):
+        poly().check_laws(trials=1, max_index=max_index)
+
+
+# reference law checker: the probes written from public operations only --------
+
+
+def _ref_scalar(table, rng):
+    n = rng.randint(-5, 5)
+    if table.backend.name == "rat":
+        return table.backend.scalar(Fraction(n, rng.randint(1, 4)))
+    return table.backend.scalar(n)
+
+
+def _ref_vector(table, rng, max_index):
+    size = rng.randint(0, 3)
+    coords = {}
+    for _ in range(size):
+        coords[rng.randint(0, max_index)] = _ref_scalar(table, rng)
+    return HamelVector(table.backend, coords)
+
+
+def _ref_render(value):
+    if isinstance(value, HamelVector):
+        return "{" + ", ".join(f"{i}: {value.coords[i].render()}" for i in sorted(value.coords)) + "}"
+    return value.render()
+
+
+def reference_check_laws(table, trials, max_index, seed):
+    """check_laws(...).to_data(), from vector +, scale, mul, commutator and associator."""
+    rng = random.Random(seed)
+    mul = table.mul
+
+    def vectors(n):
+        return [_ref_vector(table, rng, max_index) for _ in range(n)]
+
+    def left_distributive():
+        u, v, w = vectors(3)
+        if mul(u + v, w) != mul(u, w) + mul(v, w):
+            return {"u": u, "v": v, "w": w}
+
+    def right_distributive():
+        u, v, w = vectors(3)
+        if mul(u, v + w) != mul(u, v) + mul(u, w):
+            return {"u": u, "v": v, "w": w}
+
+    def scalar_left():
+        d = _ref_scalar(table, rng)
+        u, v = vectors(2)
+        if mul(u.scale(d), v) != mul(u, v).scale(d):
+            return {"d": d, "u": u, "v": v}
+
+    def scalar_right():
+        d = _ref_scalar(table, rng)
+        u, v = vectors(2)
+        if mul(u, v.scale(d)) != mul(u, v).scale(d):
+            return {"d": d, "u": u, "v": v}
+
+    def commutative():
+        u, v = vectors(2)
+        if mul(u, v) != mul(v, u):
+            return {"u": u, "v": v, "commutator": table.commutator(u, v)}
+
+    def associative():
+        u, v, w = vectors(3)
+        value = table.associator(u, v, w)
+        if not value.is_zero():
+            return {"u": u, "v": v, "w": w, "associator": value}
+
+    probes = [left_distributive, right_distributive, scalar_left, scalar_right]
+    if table.claims_commutative:
+        probes.append(commutative)
+    if table.claims_associative:
+        probes.append(associative)
+    laws = []
+    for probe in probes:
+        failure, done = None, 0
+        for _ in range(trials):
+            failure = probe()
+            done += 1
+            if failure is not None:
+                break
+        law = {"law": probe.__name__, "ok": failure is None, "trials": done}
+        if failure is not None:
+            law["counterexample"] = "; ".join(f"{k}={_ref_render(v)}" for k, v in failure.items())
+        laws.append(law)
+    ok = all(law["ok"] for law in laws)
+    return {"table": table.name, "seed": seed, "trials": trials, "ok": ok, "laws": laws}
+
+
+def _rand_table(rng, backend):
+    """A small extensional table with random claims and, sometimes, a pair bound.
+
+    Float64 entries mix small values with constants near 1e300 and 1e308, so
+    some products, sums and differences overflow.
+    """
+    def coeff():
+        if backend is RATIONAL:
+            return Fraction(rng.randint(-5, 5), rng.randint(1, 6))
+        if backend is INTEGER:
+            return rng.randint(-4, 4)
+        return rng.choice([0.0, 1.0, -2.0, 0.5, 0.1, 1e300, -1e300, 8e307, -1e308])
+
+    n = rng.randint(1, 3)
+    entries = {}
+    for i in range(n + 1):
+        for j in range(n + 1):
+            if rng.random() < 0.7:
+                entries[(i, j)] = {rng.randint(0, n): coeff() for _ in range(rng.randint(0, 3))}
+    bound = rng.choice([None, None, 1, 3, 10])
+    return StructureTable(
+        backend,
+        name="random",
+        entries=entries,
+        pair_bound=None if bound is None else backend.norm_check(bound),
+        claims_associative=rng.random() < 0.6,
+        claims_commutative=rng.random() < 0.6,
+    )
+
+
+def _outcome(call):
+    try:
+        result = call()
+    except (ValueError, ArithmeticError) as e:
+        return type(e), str(e)
+    return result.to_data() if isinstance(result, LawReport) else result
+
+
+@pytest.mark.parametrize("backend", [RATIONAL, INTEGER, FLOAT64], ids=lambda b: b.name)
+def test_check_laws_matches_reference(backend):
+    rng = random.Random(808)
+    seen = set()
+    for n in range(60):
+        table_seed = rng.randrange(10**6)
+        for trials, max_index, seed in [(1, 0, n), (8, 2, n + 1), (25, 4, n + 2)]:
+            real = _outcome(lambda: _rand_table(random.Random(table_seed), backend).check_laws(trials, max_index, seed))
+            ref = _outcome(lambda: reference_check_laws(_rand_table(random.Random(table_seed), backend), trials, max_index, seed))
+            assert real == ref, (table_seed, trials, max_index, seed)
+            seen.add(real[0] if isinstance(real, tuple) else real["ok"])
+    # the run covers passing reports, failing reports and raised certificate errors
+    assert {True, False, CertificateError} <= seen
+    if backend is FLOAT64:
+        assert ValueError in seen
+
+
 def test_check_laws_deterministic():
     a = quat().check_laws(trials=40, max_index=5, seed=9).to_data()
     b = quat().check_laws(trials=40, max_index=5, seed=9).to_data()
@@ -235,6 +385,19 @@ def test_table_from_data_accumulates_duplicate_rows():
     }
     t = table_from_data(RATIONAL, data)
     assert t.lookup(0, 0) == HamelVector(RATIONAL, {1: 1})
+
+
+@pytest.mark.parametrize("index", [1.9, 1.0, True, "01", "1_0", -1], ids=repr)
+def test_table_from_data_rejects_non_canonical_indices(index):
+    for name in "ijk":
+        row = {"i": 0, "j": 0, "k": 0, "c": "1", name: index}
+        with pytest.raises(ValueError):
+            table_from_data(RATIONAL, {"structure": [row]})
+
+
+def test_table_from_data_reads_integer_and_decimal_indices():
+    rows = [{"i": 1, "j": "0", "k": "12", "c": "1"}]
+    assert table_from_data(RATIONAL, {"structure": rows}).lookup(1, 0) == basis_vector(RATIONAL, 12)
 
 
 def test_rule_backed_table_refuses_serialization():

@@ -571,6 +571,27 @@ def test_cli_check_rejects_negative_table_index(tmp_path, capsys):
         assert "basis index must be >= 0" in err
 
 
+def test_cli_eval_rejects_non_canonical_table_index(tmp_path):
+    rows = [{"i": 1.9, "j": 0, "k": 0, "c": "1"}, {"i": "01", "j": 0, "k": True, "c": "2"}]
+    table = write(tmp_path, "t.json", {"structure": rows})
+    proc = _falg("eval", "--algebra", table, "--expr", "e1 * e0")
+    assert proc.returncode == 2, proc.stdout
+    assert proc.stdout == ""
+    assert "Traceback" not in proc.stderr
+
+
+def test_law_sweep_script_smoke():
+    script = os.path.join(os.path.dirname(SRC_DIR), "scripts", "law_sweep.py")
+    env = dict(os.environ, PYTHONPATH=SRC_DIR)
+    proc = subprocess.run(
+        [sys.executable, script, "--trials", "5"], capture_output=True, text=True, env=env, timeout=60
+    )
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    rows = proc.stdout.splitlines()[2:]  # after the header and its rule
+    assert len(rows) == 21  # 7 fixtures x 3 backends
+    assert all(row.endswith(" ok") for row in rows)
+
+
 def test_cli_free1_long_word_product_is_fast():
     proc = _falg("eval", "--algebra", "builtin:free:1", "--expr", "e100000000 * e1", timeout=10)
     assert proc.returncode == 0, proc.stderr

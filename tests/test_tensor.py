@@ -4,7 +4,9 @@ from fractions import Fraction
 import pytest
 
 from falg import (
+    FLOAT64,
     RATIONAL,
+    ColumnFiniteMap,
     HamelVector,
     NonAssociativeError,
     StructureTable,
@@ -15,6 +17,7 @@ from falg import (
     map_via_tensor,
     tensor_pure,
     zero_tensor,
+    zero_vector,
 )
 
 from support import assert_canonical, rand_map, rand_scalar, rand_vector
@@ -143,16 +146,86 @@ def test_map_via_tensor_needs_claimed_associativity():
         map_via_tensor(t, pure, f, basis_vector(RATIONAL, 0))
 
 
-def test_map_via_tensor_spot_check_catches_false_claim():
+def liar():
+    """A table that claims associativity but has (e1 e1) e1 = e1 != 0 = e1 (e1 e1)."""
     entries = {(0, n): {n: 1} for n in range(3)}
     entries.update({(n, 0): {n: 1} for n in range(3)})
     entries[(1, 1)] = {2: 1}
     entries[(2, 1)] = {1: 1}
-    t = StructureTable(RATIONAL, name="liar", entries=entries, claims_associative=True)
+    return StructureTable(RATIONAL, name="liar", entries=entries, claims_associative=True)
+
+
+def test_map_via_tensor_spot_check_catches_false_claim():
+    t = liar()
     pure = tensor_pure([basis_vector(RATIONAL, 0), basis_vector(RATIONAL, 0)])
     f = identity_on(RATIONAL, [0])
     with pytest.raises(NonAssociativeError):
         map_via_tensor(t, pure, f, basis_vector(RATIONAL, 0), samples=64, seed=0, max_index=2)
+
+
+def reference_map_via_tensor(table, t, f, x, samples, seed, max_index):
+    """map_via_tensor from the public associator, mul, apply, scale and +."""
+    b = table.backend
+    rng = random.Random(seed)
+    for _ in range(samples):
+        i, j, k = (rng.randint(0, max_index) for _ in range(3))
+        if not table.associator(*(basis_vector(b, n) for n in (i, j, k))).is_zero():
+            raise NonAssociativeError(
+                f"table {table.name!r} fails associativity at basis triple ({i}, {j}, {k})"
+            )
+    fx = f.apply(x)
+    total = zero_vector(b)
+    for (i, j), s in t.coords.items():
+        total = total + table.mul(table.mul(basis_vector(b, i), fx), basis_vector(b, j)).scale(s)
+    return total
+
+
+def _outcome(call):
+    try:
+        return call()
+    except ValueError as e:  # NonAssociativeError, and float64 overflow
+        return type(e), str(e)
+
+
+def _wide():
+    """Float64: (e1 e1) e1 = 1e308 e0 and e1 (e1 e1) = -1e308 e0, so the associator overflows."""
+    entries = {(0, 0): {0: 1.0}, (1, 1): {2: 1.0}, (2, 1): {0: 1e308}, (1, 2): {0: -1e308}}
+    return StructureTable(FLOAT64, name="wide", entries=entries, claims_associative=True)
+
+
+def _poly64():
+    return load_builtin("polynomial", FLOAT64).table
+
+
+def test_map_via_tensor_matches_reference():
+    rng = random.Random(35)
+    cases = []
+    for seed in range(40):
+        t = TensorElement(RATIONAL, 2, {(rng.randint(0, 2), rng.randint(0, 2)): rand_scalar(rng, RATIONAL)})
+        f, x = rand_map(rng, RATIONAL, max_index=2), rand_vector(rng, RATIONAL, max_index=2)
+        for samples, max_index in [(1, 2), (4, 2), (64, 2), (64, 0)]:
+            cases.append((liar, t, f, x, samples, seed, max_index))
+    one = basis_vector(FLOAT64, 0)
+    unit = TensorElement(FLOAT64, 2, {(0, 0): 1.0})
+    for seed in range(10):
+        cases.append((_wide, unit, identity_on(FLOAT64, [0]), one, 64, seed, 2))
+    big = ColumnFiniteMap(FLOAT64, {0: {0: 1e308}})  # the sandwich sum overflows
+    cases.append((_poly64, TensorElement(FLOAT64, 2, {(0, 0): 10.0}), big, one, 4, 0, 3))
+    seen = set()
+    for make, t, f, x, samples, seed, max_index in cases:
+        real = _outcome(lambda: map_via_tensor(make(), t, f, x, samples=samples, seed=seed, max_index=max_index))
+        ref = _outcome(lambda: reference_map_via_tensor(make(), t, f, x, samples, seed, max_index))
+        assert real == ref, (make.__name__, seed, samples, max_index)
+        seen.add(real[0] if isinstance(real, tuple) else type(real))
+    assert seen == {HamelVector, NonAssociativeError, ValueError}
+
+
+@pytest.mark.parametrize("max_index, error", [(True, TypeError), (2.5, TypeError), (-1, ValueError)])
+def test_map_via_tensor_validates_max_index(max_index, error):
+    q = load_builtin("quaternion").table
+    pure = tensor_pure([basis_vector(RATIONAL, 0), basis_vector(RATIONAL, 0)])
+    with pytest.raises(error, match="max_index"):
+        map_via_tensor(q, pure, identity_on(RATIONAL, [0]), basis_vector(RATIONAL, 0), max_index=max_index)
 
 
 def test_map_via_tensor_rejects_wrong_arity():
