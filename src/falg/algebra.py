@@ -15,10 +15,13 @@ whose entry has passed the pair-bound check (every looked-up pair when no
 bound is declared), each mapped to the numerator form ``(d, {k: n})`` of
 its entry (see the hamel module docstring), which is what ``_mul_form``
 reads.  ``entries`` stays the one store of the entries themselves, so
-``lookup`` returns ``entries[(i, j)]`` for a checked pair and
-``len(table.entries)`` is the memo size.  ``_mul_form`` calls ``lookup`` only
-for pairs not yet in ``_checked``; an entry that violates the bound never
-enters it, so every product that reaches it raises again.
+``lookup`` returns ``entries[(i, j)]`` for a checked pair.  Only rule
+results are added to ``entries``, so ``len(table.entries)`` is the memo size
+of a rule table; the absent pairs of an extensional table are zero and are
+memoized in ``_checked`` alone, so using a table never changes its ``==``.
+``_mul_form`` calls ``lookup`` only for pairs not yet in ``_checked``; an
+entry that violates the bound never enters it, so every product that
+reaches it raises again.
 
 ``_mul_form`` is the one product loop: it multiplies two numerator forms.
 ``mul`` checks its operands, splits them into forms and wraps the product
@@ -103,15 +106,15 @@ class StructureTable(_Frozen):
     def lookup(self, i: int, j: int) -> HamelVector:
         """Expansion of e_i * e_j; zero for absent pairs of an extensional table."""
         key = (i, j)
-        if key in self._checked:
-            return self.entries[key]
         entry = self.entries.get(key)
+        if entry is None and self.rule is None:
+            # absent pair of an extensional table: memoized in _checked only
+            self._checked[key] = (1, {})
+            return zero_vector(self.backend)
+        if key in self._checked:
+            return entry
         if entry is None:
-            if self.rule is None:
-                entry = zero_vector(self.backend)
-            else:
-                entry = self._coerce(self.rule(i, j))
-            self.entries[key] = entry
+            entry = self.entries[key] = self._coerce(self.rule(i, j))
         if self.pair_bound is not None:
             # accumulate without upward rounding: reject only provable violations
             mass = self.backend.norm_zero
@@ -214,7 +217,7 @@ class StructureTable(_Frozen):
         integers so IEEE arithmetic stays exact too.  Returns a report, one
         entry per law, with a rendered counterexample on failure.
         """
-        if not isinstance(trials, int) or trials <= 0:
+        if isinstance(trials, bool) or not isinstance(trials, int) or trials <= 0:
             raise ValueError(f"trials must be a positive integer, got {trials}")
         _check_max_index(max_index)
         rng = random.Random(seed)

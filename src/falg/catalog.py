@@ -79,13 +79,16 @@ def _parse_power(symbol: str, label: str, allow_negative: bool) -> int:
     raise LabelError(f"malformed label {label!r}")
 
 
-def _polynomial(backend: Backend) -> AlgebraFixture:
+def _power_basis(backend, name, symbol, to_index, to_exponent, allow_negative) -> AlgebraFixture:
+    """The algebra spanned by the powers of `symbol`, symbol^m * symbol^n = symbol^(m+n),
+    with symbol^n at basis index to_index(n) and to_exponent the inverse map."""
+
     def rule(i, j):
-        return basis_vector(backend, i + j)
+        return basis_vector(backend, to_index(to_exponent(i) + to_exponent(j)))
 
     table = StructureTable(
         backend,
-        name="polynomial",
+        name=name,
         rule=rule,
         pair_bound=1,
         claims_associative=True,
@@ -93,14 +96,18 @@ def _polynomial(backend: Backend) -> AlgebraFixture:
     )
 
     def encode(label: str) -> int:
-        return _parse_power("x", label, allow_negative=False)
+        return to_index(_parse_power(symbol, label, allow_negative))
 
     def decode(index: int) -> str:
         if index < 0:
             raise LabelError(f"invalid basis index {index}")
-        return _power_label("x", index)
+        return _power_label(symbol, to_exponent(index))
 
     return AlgebraFixture(table, encode, decode)
+
+
+def _identity(n: int) -> int:
+    return n
 
 
 def _zigzag(n: int) -> int:
@@ -109,30 +116,6 @@ def _zigzag(n: int) -> int:
 
 def _unzigzag(index: int) -> int:
     return (index + 1) // 2 if index % 2 else -(index // 2)
-
-
-def _group_z(backend: Backend) -> AlgebraFixture:
-    def rule(i, j):
-        return basis_vector(backend, _zigzag(_unzigzag(i) + _unzigzag(j)))
-
-    table = StructureTable(
-        backend,
-        name="group_z",
-        rule=rule,
-        pair_bound=1,
-        claims_associative=True,
-        claims_commutative=True,
-    )
-
-    def encode(label: str) -> int:
-        return _zigzag(_parse_power("g", label, allow_negative=True))
-
-    def decode(index: int) -> str:
-        if index < 0:
-            raise LabelError(f"invalid basis index {index}")
-        return _power_label("g", _unzigzag(index))
-
-    return AlgebraFixture(table, encode, decode)
 
 
 def _word_offset(k: int, length: int) -> int:
@@ -252,13 +235,13 @@ def _complex(backend: Backend) -> AlgebraFixture:
 def load_builtin(name: str, backend: Backend = RATIONAL) -> AlgebraFixture:
     """Look up a builtin fixture by name ("polynomial", "free:2", ...)."""
     if name == "polynomial":
-        return _polynomial(backend)
+        return _power_basis(backend, "polynomial", "x", _identity, _identity, allow_negative=False)
     if name == "quaternion":
         return _quaternion(backend)
     if name == "complex":
         return _complex(backend)
     if name == "group_z":
-        return _group_z(backend)
+        return _power_basis(backend, "group_z", "g", _zigzag, _unzigzag, allow_negative=True)
     if name.startswith("free:"):
         body = name[len("free:"):]
         try:

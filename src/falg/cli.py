@@ -21,12 +21,12 @@ import os
 import sys
 from typing import Optional, Union
 
-from .ring import BACKENDS, Backend, BackendMismatchError, Scalar, _Frozen, _literal
+from .ring import BACKENDS, Backend, Scalar, _Frozen, _literal
 from .hamel import ColumnFiniteMap, DualFunctional, HamelVector, basis_vector
 from .algebra import CertificateError
 from .tensor import NonAssociativeError, TensorElement, map_via_tensor, tensor_pure
 from .schauder import TailMap, TailVector
-from .catalog import AlgebraFixture, LabelError, fixture_from_data, load_builtin
+from .catalog import AlgebraFixture, fixture_from_data, load_builtin
 
 
 class CliError(Exception):
@@ -447,12 +447,18 @@ def _resolve_algebra(spec: str, backend: Backend) -> AlgebraFixture:
         raise CliError(f"cannot load algebra {spec!r}: {e}") from None
 
 
-def _parse_data(kind: str, path: str, build):
-    """Run a zero-argument parse thunk, turning data errors into usage errors."""
+_UNREAD = object()
+
+
+def _read(kind: str, cls, backend: Backend, path: str, data=_UNREAD):
+    """cls.from_data on the JSON in path, or on data already loaded from it.
+
+    A data error becomes the usage error "<path> is not a valid <kind>: ...".
+    """
+    if data is _UNREAD:
+        data = _load_json(path)
     try:
-        return build()
-    except CliError:
-        raise
+        return cls.from_data(backend, data)
     except (ValueError, KeyError, TypeError) as e:
         raise CliError(f"{path} is not a valid {kind}: {e}") from None
 
@@ -461,17 +467,30 @@ def _has_tail(data) -> bool:
     return isinstance(data, dict) and "tail" in data
 
 
+def _regime(*data) -> tuple[type, type]:
+    """The (map, vector) classes: the tail ones if any file carries a tail, else the exact ones."""
+    if any(map(_has_tail, data)):
+        return TailMap, TailVector
+    return ColumnFiniteMap, HamelVector
+
+
 def _emit_json(data) -> None:
     print(json.dumps(data, separators=(", ", ": ")))
 
 
-def _fmt_vector(v: HamelVector) -> str:
+def _emit(args, data, text: str) -> None:
+    """Print the wire data as JSON with --json, else the human-readable text."""
+    if args.json:
+        _emit_json(data)
+    else:
+        print(text)
+
+
+def _fmt_vector(v: Union[HamelVector, TailVector]) -> str:
+    if isinstance(v, TailVector):
+        return f"{_fmt_vector(v.prefix)} tail {v.backend.norm_render(v.tail)}"
     inner = ", ".join(f"{i}: {v.coords[i].render()}" for i in sorted(v.coords))
     return "{" + inner + "}"
-
-
-def _fmt_tail_vector(v: TailVector) -> str:
-    return f"{_fmt_vector(v.prefix)} tail {v.backend.norm_render(v.tail)}"
 
 
 # subcommands --------------------------------------------------------------
@@ -488,15 +507,9 @@ def _cmd_eval(args) -> int:
         data = _load_json(path)
         if _has_tail(data):
             raise CliError(f"{path} carries a tail bound; eval works in the exact regime")
-        bindings[name] = _parse_data(
-            "vector", path, lambda d=data: HamelVector.from_data(backend, d)
-        )
-    node = parse_expr(args.expr)
-    result = eval_expr(node, fixture, bindings)
-    if args.json:
-        _emit_json(result.to_data())
-    else:
-        print(_fmt_vector(result))
+        bindings[name] = _read("vector", HamelVector, backend, path, data)
+    result = eval_expr(parse_expr(args.expr), fixture, bindings)
+    _emit(args, result.to_data(), _fmt_vector(result))
     return 0
 
 
@@ -504,22 +517,11 @@ def _cmd_apply(args) -> int:
     backend = _backend(args)
     map_data = _load_json(args.map)
     vec_data = _load_json(args.vector)
-    if _has_tail(map_data) or _has_tail(vec_data):
-        f = _parse_data("map", args.map, lambda: TailMap.from_data(backend, map_data))
-        v = _parse_data("vector", args.vector, lambda: TailVector.from_data(backend, vec_data))
-        result = f.apply(v)
-        if args.json:
-            _emit_json(result.to_data())
-        else:
-            print(_fmt_tail_vector(result))
-    else:
-        f = _parse_data("map", args.map, lambda: ColumnFiniteMap.from_data(backend, map_data))
-        v = _parse_data("vector", args.vector, lambda: HamelVector.from_data(backend, vec_data))
-        result = f.apply(v)
-        if args.json:
-            _emit_json(result.to_data())
-        else:
-            print(_fmt_vector(result))
+    map_cls, vec_cls = _regime(map_data, vec_data)
+    f = _read("map", map_cls, backend, args.map, map_data)
+    v = _read("vector", vec_cls, backend, args.vector, vec_data)
+    result = f.apply(v)
+    _emit(args, result.to_data(), _fmt_vector(result))
     return 0
 
 
@@ -527,15 +529,10 @@ def _cmd_compose(args) -> int:
     backend = _backend(args)
     f_data = _load_json(args.f)
     g_data = _load_json(args.g)
-    if _has_tail(f_data) or _has_tail(g_data):
-        f = _parse_data("map", args.f, lambda: TailMap.from_data(backend, f_data))
-        g = _parse_data("map", args.g, lambda: TailMap.from_data(backend, g_data))
-        result = f.compose(g)
-    else:
-        f = _parse_data("map", args.f, lambda: ColumnFiniteMap.from_data(backend, f_data))
-        g = _parse_data("map", args.g, lambda: ColumnFiniteMap.from_data(backend, g_data))
-        result = f.compose(g)
-    _emit_json(result.to_data())
+    map_cls, _ = _regime(f_data, g_data)
+    f = _read("map", map_cls, backend, args.f, f_data)
+    g = _read("map", map_cls, backend, args.g, g_data)
+    _emit_json(f.compose(g).to_data())
     return 0
 
 
@@ -544,25 +541,19 @@ def _cmd_tensor(args) -> int:
     if args.pure and args.tensor:
         raise CliError("choose one mode: --pure factors, or --tensor with --map/--vector")
     if args.pure:
-        factors = [
-            _parse_data("vector", path, lambda p=path: HamelVector.from_data(backend, _load_json(p)))
-            for path in args.pure
-        ]
+        factors = [_read("vector", HamelVector, backend, path) for path in args.pure]
         _emit_json(tensor_pure(factors).to_data())
         return 0
     if not (args.tensor and args.map and args.vector and args.algebra):
         raise CliError("via-tensor mode needs --algebra, --tensor, --map and --vector")
     fixture = _resolve_algebra(args.algebra, backend)
-    t = _parse_data("tensor", args.tensor, lambda: TensorElement.from_data(backend, _load_json(args.tensor)))
-    f = _parse_data("map", args.map, lambda: ColumnFiniteMap.from_data(backend, _load_json(args.map)))
-    x = _parse_data("vector", args.vector, lambda: HamelVector.from_data(backend, _load_json(args.vector)))
+    t = _read("tensor", TensorElement, backend, args.tensor)
+    f = _read("map", ColumnFiniteMap, backend, args.map)
+    x = _read("vector", HamelVector, backend, args.vector)
     result = map_via_tensor(
         fixture.table, t, f, x, samples=args.samples, seed=args.seed, max_index=_max_index()
     )
-    if args.json:
-        _emit_json(result.to_data())
-    else:
-        print(_fmt_vector(result))
+    _emit(args, result.to_data(), _fmt_vector(result))
     return 0
 
 
@@ -571,17 +562,10 @@ def _cmd_norm(args) -> int:
     if bool(args.vector) == bool(args.map):
         raise CliError("norm takes exactly one of --vector or --map")
     if args.vector:
-        data = _load_json(args.vector)
-        tv = _parse_data("vector", args.vector, lambda: TailVector.from_data(backend, data))
-        interval = tv.norm_interval()
+        interval = _read("vector", TailVector, backend, args.vector).norm_interval()
     else:
-        data = _load_json(args.map)
-        tm = _parse_data("map", args.map, lambda: TailMap.from_data(backend, data))
-        interval = tm.bound()
-    if args.json:
-        _emit_json(interval.to_data())
-    else:
-        print(interval.render())
+        interval = _read("map", TailMap, backend, args.map).bound()
+    _emit(args, interval.to_data(), interval.render())
     return 0
 
 
@@ -593,30 +577,21 @@ def _cmd_check(args) -> int:
         report = fixture.table.check_laws(trials=args.trials, max_index=max_index, seed=args.seed)
     except ValueError as e:
         raise CliError(str(e)) from None
-    if args.json:
-        _emit_json(report.to_data())
-    else:
-        for r in report.results:
-            if r.ok:
-                print(f"{r.law}: ok ({r.trials} trials)")
-            else:
-                print(f"{r.law}: FAIL at trial {r.trials} ({r.counterexample})")
-        verdict = "ok" if report.ok else "FAIL"
-        print(f"{verdict}: {report.table} (seed {report.seed})")
+    lines = [
+        f"{r.law}: ok ({r.trials} trials)" if r.ok else f"{r.law}: FAIL at trial {r.trials} ({r.counterexample})"
+        for r in report.results
+    ]
+    lines.append(f"{'ok' if report.ok else 'FAIL'}: {report.table} (seed {report.seed})")
+    _emit(args, report.to_data(), "\n".join(lines))
     return 0 if report.ok else 1
 
 
 def _cmd_dual(args) -> int:
     backend = _backend(args)
-    phi = _parse_data(
-        "functional", args.functional, lambda: DualFunctional.from_data(backend, _load_json(args.functional))
-    )
-    v = _parse_data("vector", args.vector, lambda: HamelVector.from_data(backend, _load_json(args.vector)))
-    value = phi.evaluate(v)
-    if args.json:
-        _emit_json({"value": value.render()})
-    else:
-        print(value.render())
+    phi = _read("functional", DualFunctional, backend, args.functional)
+    v = _read("vector", HamelVector, backend, args.vector)
+    value = phi.evaluate(v).render()
+    _emit(args, {"value": value}, value)
     return 0
 
 
@@ -691,22 +666,13 @@ def main(argv: Optional[list[str]] = None) -> int:
         return int(e.code or 0)
     try:
         return args.func(args)
-    except ExprSyntaxError as e:
-        print(str(e), file=sys.stderr)
-        return 2
     except (CertificateError, NonAssociativeError) as e:
         print(f"check failed: {e}", file=sys.stderr)
         return 1
-    except CliError as e:
+    except (ExprSyntaxError, CliError, ValueError, TypeError, ArithmeticError) as e:
+        # LabelError is a ValueError and BackendMismatchError a TypeError
         print(str(e), file=sys.stderr)
         return 2
-    except (LabelError, BackendMismatchError) as e:
-        print(str(e), file=sys.stderr)
-        return 2
-    except (ValueError, TypeError, ArithmeticError) as e:
-        print(str(e), file=sys.stderr)
-        return 2
-
 
 if __name__ == "__main__":
     sys.exit(main())

@@ -12,6 +12,12 @@ on the float backend.  Derived bound arithmetic goes through
 :meth:`Backend.norm_add` / :meth:`Backend.norm_mul`, which the float backend
 rounds toward +inf, so a chain of bound computations can only overestimate.
 
+:class:`Backend` implements the exact arithmetic once, for raw values and
+norm values alike.  The integer and rational backends supply only
+``check``, ``from_int``, ``from_rational`` and ``parse`` (the rational one
+also a ``norm_check`` that reads strings); the float backend overrides what
+finiteness and directed rounding change.
+
 Decimal text handed to the exact backends (``parse``, ``norm_parse``,
 ``norm_check`` and ``check`` on a string) may hold at most
 ``MAX_LITERAL_DIGITS`` digits and an exponent of magnitude at most
@@ -104,73 +110,71 @@ class BackendMismatchError(TypeError):
 
 
 class Backend:
-    """A coefficient domain: representation, ring ops, norm, serialization."""
+    """A coefficient domain: representation, ring ops, norm, serialization.
+
+    The base class is the exact arithmetic the integer and rational backends
+    share: ``add``, ``mul``, ``neg``, ``norm`` and ``render`` on raw values,
+    and bound arithmetic on int/Fraction norm values (``norm_check``,
+    ``norm_add``, ``norm_mul``, ``norm_add_low``, ``norm_render``,
+    ``norm_parse``, ``norm_zero``).  Each backend supplies ``check``,
+    ``from_int``, ``from_rational`` and ``parse``; the float backend also
+    overrides whatever finiteness checks and upward rounding change.
+    """
 
     name: str
-    exact: bool
+    exact = True
+    norm_zero: NormValue = 0
 
     def __repr__(self):
         return self.name
 
     # raw-value operations; Scalar wraps these
 
-    def check(self, value):
-        """Validate and canonicalize a raw coefficient value."""
-        raise NotImplementedError
-
     def _check_sums(self, values) -> None:
         """Reject raw values summed or multiplied from checked ones that left
         the backend; exact arithmetic never does."""
 
     def add(self, a, b):
-        raise NotImplementedError
+        return a + b
 
     def mul(self, a, b):
-        raise NotImplementedError
+        return a * b
 
     def neg(self, a):
-        raise NotImplementedError
+        return -a
 
     def norm(self, a) -> NormValue:
-        raise NotImplementedError
-
-    def from_int(self, n: int):
-        raise NotImplementedError
-
-    def from_rational(self, p: int, q: int):
-        raise NotImplementedError
-
-    def parse(self, text: str):
-        raise NotImplementedError
+        return abs(a)
 
     def render(self, a) -> str:
-        raise NotImplementedError
+        return str(a)  # Fraction prints reduced "p/q", integers bare
 
-    # bound arithmetic on plain norm values
+    # bound arithmetic on plain norm values; integer coefficients still
+    # produce rational bounds (column sums etc.)
 
     def norm_check(self, x) -> NormValue:
-        raise NotImplementedError
+        if isinstance(x, bool) or not isinstance(x, (int, Fraction)):
+            raise TypeError(f"exact bound must be int or Fraction, got {type(x).__name__}")
+        if x < 0:
+            raise ValueError(f"bound must be non-negative, got {x}")
+        return x
 
     def norm_add(self, x: NormValue, y: NormValue) -> NormValue:
-        raise NotImplementedError
+        return x + y
 
     def norm_mul(self, x: NormValue, y: NormValue) -> NormValue:
-        raise NotImplementedError
+        return x * y
 
     def norm_add_low(self, x: NormValue, y: NormValue) -> NormValue:
         """Addition that never overshoots the exact sum; used by certificate
         validation, which may only reject on provable violations."""
         return x + y
 
-    @property
-    def norm_zero(self) -> NormValue:
-        return self.norm_check(0)
-
     def norm_render(self, x: NormValue) -> str:
-        raise NotImplementedError
+        return str(x)
 
     def norm_parse(self, text: str) -> NormValue:
-        raise NotImplementedError
+        return self.norm_check(_fraction(text))
 
     # conveniences
 
@@ -186,34 +190,13 @@ class Backend:
         return Scalar(self, self.from_int(1))
 
 
-def _exact_norm_check(x) -> Union[int, Fraction]:
-    if isinstance(x, bool) or not isinstance(x, (int, Fraction)):
-        raise TypeError(f"exact bound must be int or Fraction, got {type(x).__name__}")
-    if x < 0:
-        raise ValueError(f"bound must be non-negative, got {x}")
-    return x
-
-
 class IntegerBackend(Backend):
     name = "int"
-    exact = True
 
     def check(self, value):
         if isinstance(value, bool) or not isinstance(value, int):
             raise TypeError(f"integer backend takes int, got {type(value).__name__}")
         return value
-
-    def add(self, a, b):
-        return a + b
-
-    def mul(self, a, b):
-        return a * b
-
-    def neg(self, a):
-        return -a
-
-    def norm(self, a):
-        return abs(a)
 
     def from_int(self, n):
         return int(n)
@@ -226,29 +209,9 @@ class IntegerBackend(Backend):
     def parse(self, text):
         return int(_literal(text))
 
-    def render(self, a):
-        return str(a)
-
-    # integer coefficients still produce rational bounds (column sums etc.)
-    def norm_check(self, x):
-        return _exact_norm_check(x)
-
-    def norm_add(self, x, y):
-        return x + y
-
-    def norm_mul(self, x, y):
-        return x * y
-
-    def norm_render(self, x):
-        return str(x)
-
-    def norm_parse(self, text):
-        return _exact_norm_check(_fraction(text))
-
 
 class RationalBackend(Backend):
     name = "rat"
-    exact = True
 
     def check(self, value):
         if isinstance(value, bool):
@@ -258,18 +221,6 @@ class RationalBackend(Backend):
         if isinstance(value, str):
             return _fraction(value)
         raise TypeError(f"rational backend takes int/Fraction/str, got {type(value).__name__}")
-
-    def add(self, a, b):
-        return a + b
-
-    def mul(self, a, b):
-        return a * b
-
-    def neg(self, a):
-        return -a
-
-    def norm(self, a):
-        return abs(a)
 
     def from_int(self, n):
         return Fraction(n)
@@ -282,25 +233,10 @@ class RationalBackend(Backend):
     def parse(self, text):
         return _fraction(text)
 
-    def render(self, a):
-        return str(a)  # Fraction prints reduced "p/q", integers bare
-
     def norm_check(self, x):
         if isinstance(x, str):
             x = _fraction(x)
-        return _exact_norm_check(x)
-
-    def norm_add(self, x, y):
-        return x + y
-
-    def norm_mul(self, x, y):
-        return x * y
-
-    def norm_render(self, x):
-        return str(x)
-
-    def norm_parse(self, text):
-        return _exact_norm_check(_fraction(text))
+        return super().norm_check(x)
 
 
 def _finite(x: float) -> float:
@@ -317,8 +253,12 @@ def _up(x: float) -> float:
 
 
 class Float64Backend(Backend):
+    """Binary64 coefficients: results must stay finite, and bound arithmetic
+    rounds toward +inf (``norm_add_low`` toward -inf)."""
+
     name = "f64"
     exact = False
+    norm_zero = 0.0
 
     def check(self, value):
         if isinstance(value, bool):
@@ -336,12 +276,6 @@ class Float64Backend(Backend):
 
     def mul(self, a, b):
         return _finite(a * b)
-
-    def neg(self, a):
-        return -a
-
-    def norm(self, a):
-        return abs(a)
 
     def from_int(self, n):
         return float(n)

@@ -106,7 +106,7 @@ def map_via_tensor(
 
     Returns sum over (i, j) in t of t^{ij} * ((e_i * f(x)) * e_j), taking
     products in `table`.  Requires the table to claim associativity and
-    verifies the claim on `samples` seeded random basis triples drawn from
+    verifies the claim on `samples` (an int >= 0) seeded random basis triples drawn from
     indices up to `max_index`; a failing triple raises NonAssociativeError
     rather than returning a bracketing-dependent value.
     """
@@ -120,9 +120,11 @@ def map_via_tensor(
         raise NonAssociativeError(
             f"table {table.name!r} does not claim associativity; sandwich map undefined"
         )
+    if isinstance(samples, bool) or not isinstance(samples, int) or samples < 0:
+        raise ValueError(f"samples must be a non-negative integer, got {samples!r}")
     _check_max_index(max_index)
     rng = random.Random(seed)
-    for _ in range(max(0, samples)):
+    for _ in range(samples):
         i, j, k = (rng.randint(0, max_index) for _ in range(3))
         ei, ej, ek = ((1, {n: 1}) for n in (i, j, k))
         # the associator (e_i e_j) e_k - e_i (e_j e_k) on numerator forms, formed as

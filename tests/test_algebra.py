@@ -180,6 +180,13 @@ def test_check_laws_rejects_zero_trials():
         poly().check_laws(trials=0)
 
 
+@pytest.mark.parametrize("trials", [True, False])
+def test_check_laws_rejects_bool_trials(trials):
+    # True is an int equal to 1, but a report of "trials": true is not a count
+    with pytest.raises(ValueError, match="positive integer"):
+        poly().check_laws(trials=trials)
+
+
 @pytest.mark.parametrize("max_index, error", [(True, TypeError), (2.5, TypeError), ("3", TypeError), (-1, ValueError)])
 def test_check_laws_validates_max_index(max_index, error):
     with pytest.raises(error, match="max_index"):
@@ -409,3 +416,14 @@ def test_absent_pair_is_zero():
     t = StructureTable(RATIONAL, entries={(0, 0): {0: 1}})
     assert t.lookup(5, 7).is_zero()
     assert t.mul(basis_vector(RATIONAL, 5), basis_vector(RATIONAL, 7)).is_zero()
+
+
+def test_using_an_extensional_table_leaves_its_entries():
+    data = {"name": "one", "structure": [{"i": 0, "j": 0, "k": 0, "c": "1"}], "pairBound": "1"}
+    t1, t2 = table_from_data(RATIONAL, data), table_from_data(RATIONAL, data)
+    assert t1.mul(basis_vector(RATIONAL, 5), basis_vector(RATIONAL, 7)).is_zero()
+    assert t1.lookup(5, 7).is_zero() and t1.lookup(5, 7).backend is RATIONAL
+    assert t1.lookup(0, 0) == basis_vector(RATIONAL, 0)
+    assert len(t1.entries) == 1
+    assert t1 == t2
+    assert table_to_data(t1) == table_to_data(t2)

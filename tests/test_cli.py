@@ -749,3 +749,67 @@ def test_cli_noncanonical_wire_keys_exit_2(tmp_path, argv, files):
     assert proc.returncode == 2, proc.stdout
     assert "Traceback" not in proc.stderr
     assert "canonical decimal" in proc.stderr
+
+
+def test_cli_tensor_negative_samples_exit_2(tmp_path, capsys):
+    t = write(tmp_path, "t.json", {"arity": 2, "coords": {"0,0": "1"}})
+    f = write(tmp_path, "f.json", {"cols": {"0": {"0": "1"}}})
+    v = write(tmp_path, "v.json", {"coords": {"0": "1"}})
+    argv = ["tensor", "--algebra", "builtin:polynomial", "--tensor", t, "--map", f, "--vector", v]
+    code, out, err = run(capsys, argv + ["--samples", "-1"])
+    assert code == 2 and out == ""
+    assert err == "samples must be a non-negative integer, got -1\n"
+    code, out, _ = run(capsys, argv + ["--samples", "0"])
+    assert code == 0 and out == "{0: 1}\n"
+
+
+_GOOD_FILES = {
+    "v": {"coords": {"0": "1"}},
+    "f": {"cols": {"0": {"0": "1"}}},
+    "t": {"arity": 2, "coords": {"0,0": "1"}},
+}
+_VIA = ["tensor", "--algebra", "builtin:polynomial"]
+
+
+@pytest.mark.parametrize(
+    "argv, bad, message",
+    [
+        (["eval", "--algebra", "builtin:polynomial", "--let", "x=BAD", "--expr", "x"], {"coords": {"x": "1"}},
+         "vector: invalid literal for int() with base 10: 'x'"),
+        (["apply", "--map", "BAD", "--vector", "v"], {"cols": {"0": ["1"]}},
+         "map: column '0' must be a JSON object, got list"),
+        (["apply", "--map", "f", "--vector", "BAD"], {"coords": {"a": "1"}},
+         "vector: invalid literal for int() with base 10: 'a'"),
+        (["apply", "--map", "f", "--vector", "BAD"], {"coords": {"0": "1"}, "tail": "-1"},
+         "vector: bound must be non-negative, got -1"),
+        (["compose", "--f", "BAD", "--g", "f"], {"cols": {"-1": {"0": "1"}}},
+         "map: basis index must be >= 0, got -1"),
+        (["compose", "--f", "f", "--g", "BAD"], [1], "map: map data must be an object with a 'cols' field"),
+        (["tensor", "--pure", "v", "BAD"], {"coords": {"0": "1e99999"}},
+         "vector: literal exponent 99999 exceeds 4300 in magnitude"),
+        (_VIA + ["--tensor", "BAD", "--map", "f", "--vector", "v"], {"arity": 2, "coords": {"0": "1"}},
+         "tensor: coordinate key (0,) does not match arity 2"),
+        (_VIA + ["--tensor", "t", "--map", "BAD", "--vector", "v"], {"cols": "x"},
+         "map: 'cols' must be a JSON object, got str"),
+        (_VIA + ["--tensor", "t", "--map", "f", "--vector", "BAD"], {},
+         "vector: HamelVector data must be a JSON object with 'coords'"),
+        (["norm", "--vector", "BAD"], {"coords": {"0": "abc"}}, "vector: Invalid literal for Fraction: 'abc'"),
+        (["norm", "--map", "BAD"], {"cols": {"0": {"0": "1"}}, "tail": "x"},
+         "map: Invalid literal for Fraction: 'x'"),
+        (["dual", "--functional", "BAD", "--vector", "v"], {"coords": {"1_0": "1"}},
+         "functional: wire key '1_0' is not a canonical decimal index"),
+        (["dual", "--functional", "v", "--vector", "BAD"], 7,
+         "vector: HamelVector data must be a JSON object with 'coords'"),
+    ],
+    ids=[
+        "eval-let", "apply-map", "apply-vector", "apply-tail-vector", "compose-f", "compose-g", "tensor-pure",
+        "tensor-tensor", "tensor-map", "tensor-vector", "norm-vector", "norm-map", "dual-functional",
+        "dual-vector",
+    ],
+)
+def test_cli_malformed_file_stderr(tmp_path, capsys, argv, bad, message):
+    paths = {name: write(tmp_path, f"{name}.json", data) for name, data in {**_GOOD_FILES, "BAD": bad}.items()}
+    argv = [paths.get(arg, arg.replace("BAD", paths["BAD"])) for arg in argv]
+    code, out, err = run(capsys, argv)
+    assert code == 2 and out == ""
+    assert err == f"{paths['BAD']} is not a valid {message}\n"

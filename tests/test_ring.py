@@ -197,3 +197,158 @@ def test_exact_literals_at_the_caps_parse():
     assert INTEGER.parse("-" + "9" * MAX_LITERAL_DIGITS) == 1 - 10**MAX_LITERAL_DIGITS
     with pytest.raises(ValueError):
         INTEGER.parse("9" * (MAX_LITERAL_DIGITS + 1))
+
+
+# Every backend method on fixed inputs: the type and repr of each result, or
+# the type and message of the exception, for int, rat and f64 in that order.
+# The inputs are shared by the three backends, so a method one backend
+# inherits and another overrides shows up as a difference in its row.
+_BACKEND_OUTCOMES = [
+    ("check", (5,), "int 5", "Fraction Fraction(5, 1)", "float 5.0"),
+    ("check", (True,),
+     "TypeError: integer backend takes int, got bool",
+     "TypeError: rational backend takes int/Fraction/str, got bool",
+     "TypeError: float backend takes int/float, got bool"),
+    ("check", (2.5,),
+     "TypeError: integer backend takes int, got float",
+     "TypeError: rational backend takes int/Fraction/str, got float",
+     "float 2.5"),
+    ("check", ("7/3",),
+     "TypeError: integer backend takes int, got str",
+     "Fraction Fraction(7, 3)",
+     "TypeError: float backend takes int/float, got str"),
+    ("check", (None,),
+     "TypeError: integer backend takes int, got NoneType",
+     "TypeError: rational backend takes int/Fraction/str, got NoneType",
+     "TypeError: float backend takes int/float, got NoneType"),
+    ("check", (math.inf,),
+     "TypeError: integer backend takes int, got float",
+     "TypeError: rational backend takes int/Fraction/str, got float",
+     "ValueError: float coefficients must be finite"),
+    ("from_int", (-4,), "int -4", "Fraction Fraction(-4, 1)", "float -4.0"),
+    ("from_rational", (3, 6),
+     "ValueError: integer backend has no general quotients; use the rational backend",
+     "Fraction Fraction(1, 2)",
+     "float 0.5"),
+    ("from_rational", (1, 0),
+     "ZeroDivisionError: denominator is zero",
+     "ZeroDivisionError: denominator is zero",
+     "ZeroDivisionError: denominator is zero"),
+    ("parse", ("-3/4",),
+     "ValueError: invalid literal for int() with base 10: '-3/4'",
+     "Fraction Fraction(-3, 4)",
+     "ValueError: could not convert string to float: '-3/4'"),
+    ("parse", ("1.5",),
+     "ValueError: invalid literal for int() with base 10: '1.5'", "Fraction Fraction(3, 2)", "float 1.5"),
+    ("parse", ("inf",),
+     "ValueError: invalid literal for int() with base 10: 'inf'",
+     "ValueError: Invalid literal for Fraction: 'inf'",
+     "ValueError: float coefficients must be finite"),
+    ("parse", ("1e5000",),
+     "ValueError: literal exponent 5000 exceeds 4300 in magnitude",
+     "ValueError: literal exponent 5000 exceeds 4300 in magnitude",
+     "ValueError: float coefficients must be finite"),
+    ("render", (-3,), "str '-3'", "str '-3'", "str '-3'"),
+    ("render", (Fraction(3, 2),), "str '3/2'", "str '3/2'", "str 'Fraction(3, 2)'"),
+    ("render", (0.1,), "str '0.1'", "str '0.1'", "str '0.1'"),
+    ("add", (2, 3), "int 5", "int 5", "int 5"),
+    ("add", (1e308, 1e308), "float inf", "float inf", "ValueError: float coefficients must be finite"),
+    ("mul", (Fraction(1, 2), 4),
+     "Fraction Fraction(2, 1)", "Fraction Fraction(2, 1)", "Fraction Fraction(2, 1)"),
+    ("mul", (1e308, 10.0), "float inf", "float inf", "ValueError: float coefficients must be finite"),
+    ("neg", (Fraction(-1, 2),),
+     "Fraction Fraction(1, 2)", "Fraction Fraction(1, 2)", "Fraction Fraction(1, 2)"),
+    ("neg", (0.0,), "float -0.0", "float -0.0", "float -0.0"),
+    ("norm", (-3,), "int 3", "int 3", "int 3"),
+    ("norm", (Fraction(-3, 2),),
+     "Fraction Fraction(3, 2)", "Fraction Fraction(3, 2)", "Fraction Fraction(3, 2)"),
+    ("norm", (-0.5,), "float 0.5", "float 0.5", "float 0.5"),
+    ("norm_check", (0,), "int 0", "int 0", "float 0.0"),
+    ("norm_check", (Fraction(1, 2),), "Fraction Fraction(1, 2)", "Fraction Fraction(1, 2)", "float 0.5"),
+    ("norm_check", (-1,),
+     "ValueError: bound must be non-negative, got -1",
+     "ValueError: bound must be non-negative, got -1",
+     "ValueError: bound must be finite and non-negative, got -1.0"),
+    ("norm_check", (True,),
+     "TypeError: exact bound must be int or Fraction, got bool",
+     "TypeError: exact bound must be int or Fraction, got bool",
+     "float 1.0"),
+    ("norm_check", (0.5,),
+     "TypeError: exact bound must be int or Fraction, got float",
+     "TypeError: exact bound must be int or Fraction, got float",
+     "float 0.5"),
+    ("norm_check", ("3/4",),
+     "TypeError: exact bound must be int or Fraction, got str",
+     "Fraction Fraction(3, 4)",
+     "ValueError: could not convert string to float: '3/4'"),
+    ("norm_check", (None,),
+     "TypeError: exact bound must be int or Fraction, got NoneType",
+     "TypeError: exact bound must be int or Fraction, got NoneType",
+     "TypeError: float bound must be numeric, got NoneType"),
+    ("norm_check", (math.inf,),
+     "TypeError: exact bound must be int or Fraction, got float",
+     "TypeError: exact bound must be int or Fraction, got float",
+     "ValueError: bound must be finite and non-negative, got inf"),
+    ("norm_add", (1, Fraction(1, 2)),
+     "Fraction Fraction(3, 2)", "Fraction Fraction(3, 2)", "float 1.5000000000000002"),
+    ("norm_add", (0.1, 0.2),
+     "float 0.30000000000000004", "float 0.30000000000000004", "float 0.3000000000000001"),
+    ("norm_add", (1e308, 1e308),
+     "float inf", "float inf", "OverflowError: bound arithmetic left the finite range"),
+    ("norm_mul", (Fraction(1, 2), 3),
+     "Fraction Fraction(3, 2)", "Fraction Fraction(3, 2)", "float 1.5000000000000002"),
+    ("norm_mul", (0.0, 5.0), "float 0.0", "float 0.0", "float 0.0"),
+    ("norm_mul", (1e308, 1e308),
+     "float inf", "float inf", "OverflowError: bound arithmetic left the finite range"),
+    ("norm_add_low", (Fraction(1, 3), 2),
+     "Fraction Fraction(7, 3)", "Fraction Fraction(7, 3)", "float 2.333333333333333"),
+    ("norm_add_low", (0.1, 0.2), "float 0.30000000000000004", "float 0.30000000000000004", "float 0.3"),
+    ("norm_add_low", (1e308, 1e308),
+     "float inf", "float inf", "OverflowError: bound arithmetic left the finite range"),
+    ("norm_render", (0,), "str '0'", "str '0'", "str '0.0'"),
+    ("norm_render", (Fraction(5, 2),), "str '5/2'", "str '5/2'", "str '2.5'"),
+    ("norm_render", (0.1,), "str '0.1'", "str '0.1'", "str '0.1'"),
+    ("norm_parse", ("3/4",),
+     "Fraction Fraction(3, 4)",
+     "Fraction Fraction(3, 4)",
+     "ValueError: could not convert string to float: '3/4'"),
+    ("norm_parse", ("-1",),
+     "ValueError: bound must be non-negative, got -1",
+     "ValueError: bound must be non-negative, got -1",
+     "ValueError: bound must be finite and non-negative, got -1.0"),
+    ("norm_parse", ("abc",),
+     "ValueError: Invalid literal for Fraction: 'abc'",
+     "ValueError: Invalid literal for Fraction: 'abc'",
+     "ValueError: could not convert string to float: 'abc'"),
+    ("norm_parse", ("inf",),
+     "ValueError: Invalid literal for Fraction: 'inf'",
+     "ValueError: Invalid literal for Fraction: 'inf'",
+     "ValueError: bound must be finite and non-negative, got inf"),
+    ("norm_parse", (5,),
+     "TypeError: object of type 'int' has no len()",
+     "TypeError: object of type 'int' has no len()",
+     "float 5.0"),
+    ("norm_zero", None, "int 0", "int 0", "float 0.0"),
+]
+
+
+def _outcome(backend, method, args) -> str:
+    if args is None:  # an attribute, not a method
+        value = getattr(backend, method)
+        return f"{type(value).__name__} {value!r}"
+    try:
+        value = getattr(backend, method)(*args)
+    except Exception as e:
+        return f"{type(e).__name__}: {e}"
+    return f"{type(value).__name__} {value!r}"
+
+
+@pytest.mark.parametrize(
+    "method, args, expected_int, expected_rat, expected_f64",
+    _BACKEND_OUTCOMES,
+    ids=[f"{row[0]}{row[1]!r}" for row in _BACKEND_OUTCOMES],
+)
+def test_backend_method_outcomes_are_pinned(method, args, expected_int, expected_rat, expected_f64):
+    assert _outcome(INTEGER, method, args) == expected_int
+    assert _outcome(RATIONAL, method, args) == expected_rat
+    assert _outcome(FLOAT64, method, args) == expected_f64

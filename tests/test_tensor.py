@@ -155,6 +155,15 @@ def liar():
     return StructureTable(RATIONAL, name="liar", entries=entries, claims_associative=True)
 
 
+@pytest.mark.parametrize("samples", [-1, -64, True, False])
+def test_map_via_tensor_rejects_negative_or_bool_samples(samples):
+    # a negative count used to run no spot check at all
+    table = load_builtin("polynomial").table
+    pure = tensor_pure([basis_vector(RATIONAL, 0), basis_vector(RATIONAL, 0)])
+    with pytest.raises(ValueError, match="samples must be a non-negative integer"):
+        map_via_tensor(table, pure, identity_on(RATIONAL, [0]), basis_vector(RATIONAL, 0), samples=samples)
+
+
 def test_map_via_tensor_spot_check_catches_false_claim():
     t = liar()
     pure = tensor_pure([basis_vector(RATIONAL, 0), basis_vector(RATIONAL, 0)])
