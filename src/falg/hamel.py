@@ -25,9 +25,10 @@ denominator, multiplying the dict through when a term's denominator does
 not divide it; ``_combine`` takes the lcm of all parts' denominators first,
 so its sums never rescale, and only the table product
 (``StructureTable._mul_form``), which meets table entries one pair at a
-time, rescales.  ``_form_coords`` turns each
-surviving numerator n over the final denominator D into ``Fraction(n, D)``
-once, or ``backend.check(n)`` when D is 1.  All denominators are positive,
+time, rescales.  ``_split`` reads each value once, with
+``as_integer_ratio``.  ``_form_coords`` turns each surviving numerator n
+over the final denominator D into one reduced Fraction, ``_ratio(n, D)``,
+or into ``backend.check(n)`` when D is 1.  All denominators are positive,
 so a partial sum is zero exactly when the rational sum it stands for is:
 key order and results equal those of a chain of Fraction additions.  On
 float64 the reduction computes ``s * n`` and adds it to its coordinate in
@@ -54,14 +55,21 @@ wraps the result.
 Both paths skip a zero term and delete a coordinate whose sum cancels,
 exactly as chained canonical vector additions would.
 
-Trusted-builder invariant: ``_trusted`` sets a frozen value class's fields
-without running its ``__init__``, so it skips ``_check_index`` and the
-backend re-check.  Only an operation on already-constructed values may use
-it -- one that has joined its operands (type and backend checks) and builds
-its result only from their keys, raw values and sums or products of them.
-Those keys passed ``_check_index`` and those values passed their backend's
-``check`` when the operands were built.  Exact arithmetic keeps values in
-their backend; float arithmetic can overflow, so both wrappers reject a
+Trusted-builder invariant: kernel results are built without running
+constructors.  ``_trusted`` sets a frozen value class's fields without its
+``__init__``, so it skips ``_check_index`` and the backend re-check;
+``ring._scalar`` wraps each coefficient without the ``Scalar`` type call;
+``_ratio`` sets a Fraction's two slots from a numerator and denominator it
+has divided by their gcd, without ``Fraction.__new__``'s argument dispatch,
+zero test and sign fix.  Only an operation on already-constructed values
+may use them -- one that has joined its operands (type and backend checks)
+and builds its result only from their keys, raw values and sums or
+products of them.  Those keys passed ``_check_index`` and those values
+passed their backend's ``check`` when the operands were built.  ``_ratio``
+is sound only because every form denominator is a product and lcm of such
+values' denominators, hence positive, so ``n // g`` over ``d // g`` is
+already the canonical Fraction.  Exact arithmetic keeps values in their
+backend; float arithmetic can overflow, so both wrappers reject a
 non-finite float64 result (``backend.check`` and ``backend._check_sums``
 raise ``ValueError``).  Anything arriving from a caller as raw data (public
 constructors, ``from_data``) keeps the full validation.
@@ -73,7 +81,7 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterator, Mapping, Sequence, Union
 
-from .ring import Backend, BackendMismatchError, NormValue, Scalar, _Frozen
+from .ring import Backend, BackendMismatchError, NormValue, Scalar, _Frozen, _new, _scalar
 
 
 def _check_index(i) -> int:
@@ -106,7 +114,7 @@ def _accumulate(acc: dict, coords: Mapping, s=None) -> dict:
 def _canonical(backend: Backend, acc: dict) -> dict:
     """Wrap the nonzero raw values of acc in Scalar, once."""
     backend._check_sums(acc.values())
-    return {k: Scalar(backend, x) for k, x in acc.items() if x}
+    return {k: _scalar(backend, x) for k, x in acc.items() if x}
 
 
 def _split(backend: Backend, coords: Mapping) -> tuple[int, dict]:
@@ -117,10 +125,11 @@ def _split(backend: Backend, coords: Mapping) -> tuple[int, dict]:
     """
     if not backend.exact:
         return 1, {k: c.value for k, c in coords.items()}
-    d = lcm(*(c.value.denominator for c in coords.values()))
+    ratios = [c.value.as_integer_ratio() for c in coords.values()]
+    d = lcm(*[q for _, q in ratios])
     if d == 1:
-        return 1, {k: c.value.numerator for k, c in coords.items()}
-    return d, {k: c.value.numerator * (d // c.value.denominator) for k, c in coords.items()}
+        return 1, dict(zip(coords, [p for p, _ in ratios]))
+    return d, {k: p * (d // q) for k, (p, q) in zip(coords, ratios)}
 
 
 def _reduce(acc: dict, den: int, form: tuple[int, dict], s) -> int:
@@ -166,18 +175,27 @@ def _combine(parts: list) -> tuple[int, dict]:
     return den, acc
 
 
+def _ratio(n: int, d: int) -> Fraction:
+    """Fraction(n, d) for d > 0, reduced here and built without Fraction's constructor."""
+    g = gcd(n, d)
+    q = _new(Fraction)
+    q._numerator = n // g
+    q._denominator = d // g
+    return q
+
+
 def _form_coords(backend: Backend, form: tuple[int, dict]) -> dict:
     """Scalars n / den for the nonzero numerators n of form = (den, nums), one each."""
     den, nums = form
     if den == 1:
         check = backend.check
-        return {k: Scalar(backend, check(n)) for k, n in nums.items() if n}
-    return {k: Scalar(backend, Fraction(n, den)) for k, n in nums.items()}
+        return {k: _scalar(backend, check(n)) for k, n in nums.items() if n}
+    return {k: _scalar(backend, _ratio(n, den)) for k, n in nums.items()}
 
 
 def _trusted(cls, **fields):
     """An instance of frozen value class cls with fields set as given, unchecked."""
-    obj = object.__new__(cls)
+    obj = _new(cls)
     for name, value in fields.items():
         object.__setattr__(obj, name, value)
     return obj

@@ -16,7 +16,14 @@ rounds toward +inf, so a chain of bound computations can only overestimate.
 norm values alike.  The integer and rational backends supply only
 ``check``, ``from_int``, ``from_rational`` and ``parse`` (the rational one
 also a ``norm_check`` that reads strings); the float backend overrides what
-finiteness and directed rounding change.
+finiteness and directed rounding change.  ``RationalBackend.check`` returns
+a plain ``Fraction`` as it is, since it is immutable; a subclass or an int
+is converted.
+
+``_scalar(backend, value)`` builds a :class:`Scalar` without the type call,
+setting its two slots through descriptors taken once at import.  It is for
+values the backend has already checked or computed from checked values:
+the Scalar operators and the vector and map kernels use it.
 
 Decimal text handed to the exact backends (``parse``, ``norm_parse``,
 ``norm_check`` and ``check`` on a string) may hold at most
@@ -24,7 +31,9 @@ Decimal text handed to the exact backends (``parse``, ``norm_parse``,
 ``MAX_LITERAL_EXPONENT``; longer text raises ``ValueError`` before int or
 Fraction read it.  Fraction expands ``1e100000000`` into a
 hundred-million-digit integer, so without the caps one short string could
-stall a caller.
+stall a caller.  Text with a zero denominator (``"1/0"``) raises
+``ValueError`` too, and a value that is not a string (a JSON number)
+``TypeError``: exact coefficients and bounds travel as decimal strings.
 """
 
 from __future__ import annotations
@@ -34,6 +43,8 @@ import re
 from fractions import Fraction
 from operator import attrgetter
 from typing import Union
+
+_new = object.__new__
 
 NormValue = Union[int, Fraction, float]
 
@@ -45,7 +56,9 @@ _EXPONENT = re.compile(r"[eE]([-+]?[0-9][0-9_]*)")
 
 
 def _literal(text: str) -> str:
-    """text, if its digit count and exponent are within the literal caps."""
+    """text, if it is a string whose digit count and exponent are within the literal caps."""
+    if not isinstance(text, str):
+        raise TypeError(f"exact coefficients and bounds are decimal strings, got {type(text).__name__}")
     if len(text) > MAX_LITERAL_DIGITS:
         digits = sum(map(str.isdigit, text))
         if digits > MAX_LITERAL_DIGITS:
@@ -57,7 +70,10 @@ def _literal(text: str) -> str:
 
 
 def _fraction(text: str) -> Fraction:
-    return Fraction(_literal(text))
+    try:
+        return Fraction(_literal(text))
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {text[:40]!r}") from None
 
 
 class _Frozen:
@@ -179,15 +195,15 @@ class Backend:
     # conveniences
 
     def scalar(self, value) -> "Scalar":
-        return Scalar(self, self.check(value))
+        return _scalar(self, self.check(value))
 
     @property
     def zero(self) -> "Scalar":
-        return Scalar(self, self.from_int(0))
+        return _scalar(self, self.from_int(0))
 
     @property
     def one(self) -> "Scalar":
-        return Scalar(self, self.from_int(1))
+        return _scalar(self, self.from_int(1))
 
 
 class IntegerBackend(Backend):
@@ -214,6 +230,8 @@ class RationalBackend(Backend):
     name = "rat"
 
     def check(self, value):
+        if type(value) is Fraction:
+            return value  # immutable, so it is shared rather than copied
         if isinstance(value, bool):
             raise TypeError("rational backend takes int/Fraction/str, got bool")
         if isinstance(value, (int, Fraction)):
@@ -338,8 +356,8 @@ class Scalar(_Frozen):
     _fields = __slots__ = ("backend", "value")
 
     def __init__(self, backend: Backend, value: object):
-        object.__setattr__(self, "backend", backend)
-        object.__setattr__(self, "value", value)
+        _set_backend(self, backend)
+        _set_value(self, value)
 
     def _join(self, other: "Scalar") -> None:
         if other.backend is not self.backend:
@@ -351,22 +369,22 @@ class Scalar(_Frozen):
         if not isinstance(other, Scalar):
             return NotImplemented
         self._join(other)
-        return Scalar(self.backend, self.backend.add(self.value, other.value))
+        return _scalar(self.backend, self.backend.add(self.value, other.value))
 
     def __sub__(self, other):
         if not isinstance(other, Scalar):
             return NotImplemented
         self._join(other)
-        return Scalar(self.backend, self.backend.add(self.value, self.backend.neg(other.value)))
+        return _scalar(self.backend, self.backend.add(self.value, self.backend.neg(other.value)))
 
     def __neg__(self):
-        return Scalar(self.backend, self.backend.neg(self.value))
+        return _scalar(self.backend, self.backend.neg(self.value))
 
     def __mul__(self, other):
         if not isinstance(other, Scalar):
             return NotImplemented
         self._join(other)
-        return Scalar(self.backend, self.backend.mul(self.value, other.value))
+        return _scalar(self.backend, self.backend.mul(self.value, other.value))
 
     def is_zero(self) -> bool:
         # raw values are int, Fraction or float, each falsy exactly when zero (-0.0 too)
@@ -380,6 +398,19 @@ class Scalar(_Frozen):
 
     def __str__(self):
         return self.render()
+
+
+# the slot descriptors, which bypass _Frozen.__setattr__
+_set_backend = Scalar.backend.__set__
+_set_value = Scalar.value.__set__
+
+
+def _scalar(backend: Backend, value: object) -> Scalar:
+    """Scalar(backend, value) without the type call, for a value backend already checked."""
+    s = _new(Scalar)
+    _set_backend(s, backend)
+    _set_value(s, value)
+    return s
 
 
 def embed_int(backend: Backend, n: int) -> Scalar:

@@ -800,11 +800,20 @@ _VIA = ["tensor", "--algebra", "builtin:polynomial"]
          "functional: wire key '1_0' is not a canonical decimal index"),
         (["dual", "--functional", "v", "--vector", "BAD"], 7,
          "vector: HamelVector data must be a JSON object with 'coords'"),
+        (["apply", "--map", "f", "--vector", "BAD"], {"coords": {"0": "1/0"}},
+         "vector: zero denominator in '1/0'"),
+        (["apply", "--map", "f", "--vector", "BAD"], {"coords": {"0": "1"}, "tail": "1/0"},
+         "vector: zero denominator in '1/0'"),
+        (["norm", "--vector", "BAD"], {"coords": {"0": 1}},
+         "vector: exact coefficients and bounds are decimal strings, got int"),
+        (["norm", "--backend", "int", "--vector", "BAD"], {"coords": {"0": 1}},
+         "vector: exact coefficients and bounds are decimal strings, got int"),
     ],
     ids=[
         "eval-let", "apply-map", "apply-vector", "apply-tail-vector", "compose-f", "compose-g", "tensor-pure",
         "tensor-tensor", "tensor-map", "tensor-vector", "norm-vector", "norm-map", "dual-functional",
-        "dual-vector",
+        "dual-vector", "apply-zero-denominator", "apply-tail-zero-denominator", "norm-number-rat",
+        "norm-number-int",
     ],
 )
 def test_cli_malformed_file_stderr(tmp_path, capsys, argv, bad, message):
@@ -813,3 +822,11 @@ def test_cli_malformed_file_stderr(tmp_path, capsys, argv, bad, message):
     code, out, err = run(capsys, argv)
     assert code == 2 and out == ""
     assert err == f"{paths['BAD']} is not a valid {message}\n"
+
+
+@pytest.mark.parametrize("c, extra", [("1/0", {}), ("1", {"pairBound": "1/0"})], ids=["c", "pair-bound"])
+def test_cli_algebra_zero_denominator_names_the_file(tmp_path, capsys, c, extra):
+    algebra = write(tmp_path, "a.json", {"structure": [{"i": 0, "j": 0, "k": 0, "c": c}], **extra})
+    code, out, err = run(capsys, ["check", "--algebra", algebra])
+    assert code == 2 and out == ""
+    assert err == f"cannot load algebra {algebra!r}: zero denominator in '1/0'\n"

@@ -14,9 +14,10 @@ bit, and a result that overflows must raise.
 
 import itertools
 from fractions import Fraction
+from math import gcd
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from falg import (
@@ -36,6 +37,7 @@ from falg import (
     tensor_pure,
 )
 
+from falg.hamel import _ratio
 from support import assert_canonical
 
 # few distinct values, so partial sums cancel often
@@ -418,11 +420,17 @@ def _pairs(obj) -> list:
 
 
 def _assert_exact(result, expected: dict) -> None:
-    """Same values in the same key order, stored as the backend's own type."""
+    """Same values in the same key order, each stored as its backend's own type:
+    an int, or a Fraction (not a subclass) in lowest terms over a positive denominator."""
     assert_canonical(result)
     assert _pairs(result) == list(expected.items())
-    kind = type(result.backend.from_int(0))
-    assert all(type(c.value) is kind for c in result.coords.values())
+    for c in result.coords.values():
+        x = c.value
+        if result.backend is INTEGER:
+            assert type(x) is int
+        else:
+            assert type(x) is Fraction
+            assert x.denominator > 0 and gcd(x.numerator, x.denominator) == 1
 
 
 def _ref_apply(f: ColumnFiniteMap, x) -> dict:
@@ -573,3 +581,25 @@ def test_pair_bound_violation_raises_on_every_mul(backend):
     with pytest.raises(CertificateError):
         table.mul(a, b)
     assert len(table.entries) == 2
+
+
+# kernel Fractions are built without Fraction's constructor ------------------
+
+
+def test_fraction_slots_are_as_assumed():
+    # _ratio writes these two slots; a stdlib that renames them must fail here
+    assert Fraction.__slots__ == ("_numerator", "_denominator")
+
+
+multi_limb = st.integers(-(2**200), 2**200)
+
+
+@given(n=st.one_of(st.integers(-12, 12), multi_limb), d=st.one_of(st.integers(1, 12), st.integers(1, 2**200)))
+@example(n=0, d=6)
+@example(n=-12, d=4)
+@example(n=2**130 * 3, d=2**130)
+def test_ratio_is_fraction(n, d):
+    r, f = _ratio(n, d), Fraction(n, d)
+    assert type(r) is Fraction
+    assert (r.numerator, r.denominator) == (f.numerator, f.denominator)
+    assert r == f and hash(r) == hash(f)

@@ -12,6 +12,7 @@ from falg import (
     INTEGER,
     RATIONAL,
     BackendMismatchError,
+    HamelVector,
     Scalar,
     embed_int,
     embed_rational,
@@ -217,6 +218,10 @@ _BACKEND_OUTCOMES = [
      "TypeError: integer backend takes int, got str",
      "Fraction Fraction(7, 3)",
      "TypeError: float backend takes int/float, got str"),
+    ("check", ("1/0",),
+     "TypeError: integer backend takes int, got str",
+     "ValueError: zero denominator in '1/0'",
+     "TypeError: float backend takes int/float, got str"),
     ("check", (None,),
      "TypeError: integer backend takes int, got NoneType",
      "TypeError: rational backend takes int/Fraction/str, got NoneType",
@@ -248,6 +253,14 @@ _BACKEND_OUTCOMES = [
      "ValueError: literal exponent 5000 exceeds 4300 in magnitude",
      "ValueError: literal exponent 5000 exceeds 4300 in magnitude",
      "ValueError: float coefficients must be finite"),
+    ("parse", ("1/0",),
+     "ValueError: invalid literal for int() with base 10: '1/0'",
+     "ValueError: zero denominator in '1/0'",
+     "ValueError: could not convert string to float: '1/0'"),
+    ("parse", (1,),
+     "TypeError: exact coefficients and bounds are decimal strings, got int",
+     "TypeError: exact coefficients and bounds are decimal strings, got int",
+     "float 1.0"),
     ("render", (-3,), "str '-3'", "str '-3'", "str '-3'"),
     ("render", (Fraction(3, 2),), "str '3/2'", "str '3/2'", "str 'Fraction(3, 2)'"),
     ("render", (0.1,), "str '0.1'", "str '0.1'", "str '0.1'"),
@@ -325,9 +338,13 @@ _BACKEND_OUTCOMES = [
      "ValueError: Invalid literal for Fraction: 'inf'",
      "ValueError: bound must be finite and non-negative, got inf"),
     ("norm_parse", (5,),
-     "TypeError: object of type 'int' has no len()",
-     "TypeError: object of type 'int' has no len()",
+     "TypeError: exact coefficients and bounds are decimal strings, got int",
+     "TypeError: exact coefficients and bounds are decimal strings, got int",
      "float 5.0"),
+    ("norm_parse", ("1/0",),
+     "ValueError: zero denominator in '1/0'",
+     "ValueError: zero denominator in '1/0'",
+     "ValueError: could not convert string to float: '1/0'"),
     ("norm_zero", None, "int 0", "int 0", "float 0.0"),
 ]
 
@@ -352,3 +369,19 @@ def test_backend_method_outcomes_are_pinned(method, args, expected_int, expected
     assert _outcome(INTEGER, method, args) == expected_int
     assert _outcome(RATIONAL, method, args) == expected_rat
     assert _outcome(FLOAT64, method, args) == expected_f64
+
+
+def test_rational_check_shares_plain_fractions():
+    x = Fraction(3, 7)
+    assert RATIONAL.check(x) is x
+
+    class Ratio(Fraction):
+        pass
+
+    y = RATIONAL.check(Ratio(3, 7))
+    assert type(y) is Fraction and y == x
+    assert type(RATIONAL.check(3)) is Fraction
+    with pytest.raises(TypeError, match="got bool"):
+        RATIONAL.check(True)
+    v = HamelVector(RATIONAL, {0: x, 2: Fraction(-1, 2)})
+    assert v.coords[0].value is x
