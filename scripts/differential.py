@@ -1,0 +1,313 @@
+"""Seeded differential corpus over falg's kernels and tail operations.
+
+    python3 scripts/differential.py                 # check block 0 of every family
+    python3 scripts/differential.py --full          # check every block
+    python3 scripts/differential.py --dump f64/tpoly_apply_tail [--block N]
+    python3 scripts/differential.py --write         # record this tree's digests
+
+A family is one operation on one backend, named ``backend/operation``.
+Block b of a family draws its cases from ``random.Random(f"{family}:{b}")``
+alone, so any block can be recomputed by itself.  Each case records the
+``repr`` of its result (key order and float bits included), or the type and
+message of the exception it raised.  The digest of a block is the sha256 of
+its records, one per line, and ``tests/differential.json`` holds one digest
+per family and block.  Two trees agree on a family exactly when its digests
+match; ``--dump`` prints the records, so two trees' outputs can be diffed.
+
+The inputs favour cancellation: few distinct indices, few distinct
+magnitudes, and on rat denominators from 1 up to large primes.  The float64
+values include quotients that round, and rare huge and tiny values whose
+sums and products overflow or underflow.  falg is imported from ``src/``
+next to this script unless another copy is already on ``sys.path``.
+
+Exit 0 when every checked digest matches, 1 otherwise (naming the
+mismatched family and block).
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import json
+import random
+import sys
+from fractions import Fraction
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+try:
+    import falg  # noqa: F401
+except ImportError:
+    sys.path.insert(0, str(ROOT / "src"))
+
+from falg import (  # noqa: E402
+    BACKENDS,
+    ColumnFiniteMap,
+    DualFunctional,
+    HamelVector,
+    PolyMap,
+    StructureTable,
+    TailMap,
+    TailPolyMap,
+    TailVector,
+    TensorElement,
+    load_builtin,
+    map_via_tensor,
+    poly_apply,
+    tail_mul,
+    tensor_pure,
+    tpoly_apply,
+    tpoly_bound,
+)
+
+DIGESTS = ROOT / "tests" / "differential.json"
+BLOCKS = 8
+CASES = 12  # per block
+
+RAT_DENOMINATORS = (1, 1, 2, 3, 7, 65537, 10**9 + 7)
+
+
+def _value(rng: random.Random, backend):
+    n = rng.choice((-3, -2, -1, 1, 2, 3))
+    if backend.name == "int":
+        return n * rng.choice((1, 1, 1, 10**12 + 39))
+    if backend.name == "rat":
+        return Fraction(n, rng.choice(RAT_DENOMINATORS))
+    roll = rng.random()
+    if roll < 0.03:
+        return n * 1e300
+    if roll < 0.06:
+        return n * 2.0 ** -600
+    return n / rng.choice((1, 3, 7, 10))
+
+
+def _coords(rng, backend, size: int, max_index: int = 5) -> dict:
+    return {rng.randint(0, max_index): _value(rng, backend) for _ in range(rng.randint(size // 2, size))}
+
+
+def _vector(rng, backend, size: int = 5) -> HamelVector:
+    return HamelVector(backend, _coords(rng, backend, size))
+
+
+def _functional(rng, backend) -> DualFunctional:
+    return DualFunctional(backend, _coords(rng, backend, 5))
+
+
+def _tensor(rng, backend, arity: int = 2) -> TensorElement:
+    coords = {
+        tuple(rng.randint(0, 3) for _ in range(arity)): _value(rng, backend)
+        for _ in range(rng.randint(0, 6))
+    }
+    return TensorElement(backend, arity, coords)
+
+
+def _map(rng, backend, cols: int = 4) -> ColumnFiniteMap:
+    return ColumnFiniteMap(backend, {
+        rng.randint(0, 5): _coords(rng, backend, 4) for _ in range(rng.randint(cols // 2, cols))
+    })
+
+
+def _scalar(rng, backend):
+    return backend.scalar(0 if rng.random() < 0.1 else _value(rng, backend))
+
+
+def _tail(rng, backend):
+    return backend.norm_check(Fraction(rng.randint(0, 4), rng.choice((1, 3, 8))))
+
+
+def _tail_vector(rng, backend) -> TailVector:
+    return TailVector(_vector(rng, backend), _tail(rng, backend))
+
+
+def _tail_map(rng, backend) -> TailMap:
+    return TailMap(_map(rng, backend), _tail(rng, backend))
+
+
+def _nest(rng, backend, arity: int, tails: bool):
+    if arity == 1:
+        return _tail_map(rng, backend) if tails else _map(rng, backend, cols=3)
+    slots = {rng.randint(0, 5): _nest(rng, backend, arity - 1, tails) for _ in range(rng.randint(1, 4))}
+    if tails:
+        return TailPolyMap(backend, arity, slots, _tail(rng, backend))
+    return PolyMap(backend, arity, slots)
+
+
+def _table(rng, backend, name: str) -> StructureTable:
+    if name == "mixed":  # entries over 2, 3 and 7: running denominators rescale
+        entries = {
+            (i, j): {(i + j) % 4: _value(rng, backend), (i * j) % 4: _value(rng, backend)}
+            for i in range(6) for j in range(6) if rng.random() < 0.8
+        }
+        return StructureTable(backend, "mixed", entries=entries, pair_bound=rng.choice((None, 1, 10**13)))
+    return load_builtin(name, backend).table
+
+
+_LIAR = {(i, j): {(i + j + (i == 1 and j == 1)) % 4: 1} for i in range(4) for j in range(4)}
+
+
+def _assoc_table(rng, backend) -> StructureTable:
+    name = rng.choice(("polynomial", "free:2", "quaternion", "liar"))
+    if name == "liar":  # claims associativity, fails at (1, 1, k)
+        return StructureTable(backend, "liar", entries=_LIAR, claims_associative=True)
+    return load_builtin(name, backend).table
+
+
+def _operands(rng, backend, kind: str):
+    make = {"vector": _vector, "functional": _functional, "tensor": _tensor, "map": _map,
+            "tail_vector": _tail_vector, "tail_map": _tail_map}[kind]
+    return make(rng, backend), make(rng, backend)
+
+
+def _binary(kind: str, op):
+    def case(rng, backend):
+        a, b = _operands(rng, backend, kind)
+        if rng.random() < 0.2:
+            b = -a if op == "add" else a  # cancels to zero
+        return a + b if op == "add" else a - b
+    return case
+
+
+def _scale(kind: str):
+    def case(rng, backend):
+        a, _ = _operands(rng, backend, kind)
+        return a.scale(_scalar(rng, backend))
+    return case
+
+
+def _apply(rng, backend):
+    return _map(rng, backend).apply(_vector(rng, backend))
+
+
+def _compose(rng, backend):
+    return _map(rng, backend).compose(_map(rng, backend))
+
+
+def _mul(rng, backend):
+    table = _table(rng, backend, rng.choice(("polynomial", "quaternion", "free:2", "mixed")))
+    return table.mul(_vector(rng, backend), _vector(rng, backend))
+
+
+def _poly_apply(rng, backend):
+    arity = rng.randint(2, 3)
+    return poly_apply(_nest(rng, backend, arity, tails=False), [_vector(rng, backend) for _ in range(arity)])
+
+
+def _tensor_pure(rng, backend):
+    return tensor_pure([_vector(rng, backend, size=4) for _ in range(rng.randint(1, 3))])
+
+
+def _map_via_tensor(rng, backend):
+    table = _assoc_table(rng, backend)
+    return map_via_tensor(table, _tensor(rng, backend), _map(rng, backend), _vector(rng, backend),
+                          samples=8, seed=rng.randint(0, 9), max_index=3)
+
+
+def _evaluate(rng, backend):
+    return _functional(rng, backend).evaluate(_vector(rng, backend))
+
+
+def _tail_apply(rng, backend):
+    return _tail_map(rng, backend).apply(_tail_vector(rng, backend))
+
+
+def _tail_compose(rng, backend):
+    return _tail_map(rng, backend).compose(_tail_map(rng, backend))
+
+
+def _tail_mul(rng, backend):
+    table = _table(rng, backend, rng.choice(("polynomial", "free:2", "mixed")))
+    return tail_mul(table, _tail_vector(rng, backend), _tail_vector(rng, backend))
+
+
+def _tpoly_apply(rng, backend):
+    arity = rng.randint(1, 3)
+    return tpoly_apply(_nest(rng, backend, arity, tails=True), [_tail_vector(rng, backend) for _ in range(arity)])
+
+
+def _tpoly_bound(rng, backend):
+    return tpoly_bound(_nest(rng, backend, rng.randint(1, 3), tails=True))
+
+
+OPERATIONS = {
+    **{f"{kind}_{op}": _binary(kind, op)
+       for kind in ("vector", "functional", "tensor", "map") for op in ("add", "sub")},
+    **{f"{kind}_scale": _scale(kind) for kind in ("vector", "functional", "tensor", "map")},
+    "apply": _apply,
+    "compose": _compose,
+    "mul": _mul,
+    "poly_apply": _poly_apply,
+    "tensor_pure": _tensor_pure,
+    "map_via_tensor": _map_via_tensor,
+    "evaluate": _evaluate,
+    "tail_vector_add": _binary("tail_vector", "add"),
+    "tail_map_add": _binary("tail_map", "add"),
+    "tail_vector_scale": _scale("tail_vector"),
+    "tail_map_scale": _scale("tail_map"),
+    "tail_apply": _tail_apply,
+    "tail_compose": _tail_compose,
+    "tail_mul": _tail_mul,
+    # one computation, recorded as two families: its prefix and its tail bound
+    "tpoly_apply": lambda rng, backend: _tpoly_apply(rng, backend).prefix,
+    "tpoly_apply_tail": lambda rng, backend: _tpoly_apply(rng, backend).tail,
+    "tpoly_bound": _tpoly_bound,
+}
+
+FAMILIES = [f"{b}/{op}" for b in BACKENDS for op in OPERATIONS]
+
+
+def records(family: str, block: int) -> list[str]:
+    """The records of one block: repr of each result, or 'Type: message'."""
+    backend_name, op = family.split("/", 1)
+    backend, case = BACKENDS[backend_name], OPERATIONS[op]
+    rng = random.Random(f"{family}:{block}")
+    out = []
+    for _ in range(CASES):
+        try:
+            out.append(repr(case(rng, backend)))
+        except (ArithmeticError, TypeError, ValueError) as e:
+            out.append(f"{type(e).__name__}: {e}")
+    return out
+
+
+def digest(family: str, block: int) -> str:
+    return hashlib.sha256("\n".join(records(family, block)).encode()).hexdigest()
+
+
+def mismatches(expected: dict, blocks) -> list[str]:
+    """'family block' for every family and block whose digest differs from expected."""
+    return [
+        f"{family} {b}"
+        for family in FAMILIES
+        for b in blocks
+        if expected.get(family, [None] * BLOCKS)[b] != digest(family, b)
+    ]
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--full", action="store_true", help="check every block, not only block 0")
+    parser.add_argument("--dump", metavar="FAMILY", help="print the records of one family")
+    parser.add_argument("--block", type=int, help="with --dump: only this block")
+    parser.add_argument("--write", action="store_true", help=f"write this tree's digests to {DIGESTS.name}")
+    args = parser.parse_args(argv)
+    if args.dump:
+        if args.dump not in FAMILIES:
+            parser.error(f"unknown family {args.dump!r}; one of {', '.join(FAMILIES)}")
+        for b in range(BLOCKS) if args.block is None else [args.block]:
+            for i, line in enumerate(records(args.dump, b)):
+                print(f"{b}.{i}\t{line}")
+        return 0
+    if args.write:
+        table = {family: [digest(family, b) for b in range(BLOCKS)] for family in FAMILIES}
+        DIGESTS.write_text(json.dumps(table, indent=1) + "\n")
+        print(f"wrote {len(table)} families x {BLOCKS} blocks to {DIGESTS}")
+        return 0
+    bad = mismatches(json.loads(DIGESTS.read_text()), range(BLOCKS) if args.full else [0])
+    for line in bad:
+        print(f"mismatch: {line}")
+    print(f"{len(bad)} mismatched of {len(FAMILIES) * (BLOCKS if args.full else 1)} blocks")
+    return 1 if bad else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -54,7 +54,6 @@ from .hamel import (
     _form_vector,
     _operand,
     _reduce,
-    _split,
     _wire_index,
     zero_vector,
 )
@@ -125,7 +124,7 @@ class StructureTable(_Frozen):
                     f"pair bound violated at ({i}, {j}): "
                     f"sum of |C| is {mass}, declared bound {self.pair_bound}"
                 )
-        self._checked[key] = _split(self.backend, entry.coords)
+        self._checked[key] = self.backend._split(entry.coords)
         return entry
 
     def mul(self, a: HamelVector, b: HamelVector) -> HamelVector:
@@ -137,7 +136,7 @@ class StructureTable(_Frozen):
         backend = self.backend
         _operand(a, HamelVector, backend, "operand")
         _operand(b, HamelVector, backend, "operand")
-        return _form_vector(backend, self._mul_form(_split(backend, a.coords), _split(backend, b.coords)))
+        return _form_vector(backend, self._mul_form(backend._split(a.coords), backend._split(b.coords)))
 
     def _mul_form(self, fa: tuple[int, dict], fb: tuple[int, dict]) -> tuple[int, dict]:
         """The numerator form of the product of two numerator forms, unchecked."""

@@ -9,31 +9,39 @@ and the finiteness invariants can be checked by inspection.
 
 Operations never mutate their inputs; treat all values as immutable.
 
-Internal sums add raw values into one plain dict and wrap the surviving
-sums in Scalar once at the end, so no intermediate result is copied or
-re-validated.
+Two primitives add values up, and each wraps the surviving sums in Scalar
+once at the end, so no intermediate result is copied or re-validated.
 
-The bilinear kernels -- map application and composition,
-``StructureTable.mul``, ``poly_apply``, ``tensor_pure`` and the
-``map_via_tensor`` sum -- work on every backend over numerator forms
-``(d, {k: n})``, each value being n / d.  ``_split`` writes an operand in
-this form: on the exact backends (int, rat) n is an integer and d the lcm
-of the denominators (1 for Python ints, which carry ``.numerator`` and
-``.denominator`` too); on float64 d is 1 and n is the value itself.
-``_reduce`` adds terms ``s * n`` into a dict of numerators over a running
-denominator, multiplying the dict through when a term's denominator does
-not divide it; ``_combine`` takes the lcm of all parts' denominators first,
-so its sums never rescale, and only the table product
-(``StructureTable._mul_form``), which meets table entries one pair at a
-time, rescales.  ``_split`` reads each value once, with
-``as_integer_ratio``.  ``_form_coords`` turns each surviving numerator n
-over the final denominator D into one reduced Fraction, ``_ratio(n, D)``,
-or into ``backend.check(n)`` when D is 1.  All denominators are positive,
-so a partial sum is zero exactly when the rational sum it stands for is:
-key order and results equal those of a chain of Fraction additions.  On
-float64 the reduction computes ``s * n`` and adds it to its coordinate in
-the order the operands list their terms, so float sums round as sequential
-Scalar additions do.
+Every sum of products works on numerator forms ``(d, {k: n})``, each value
+being n / d: map application and composition, ``StructureTable.mul``,
+``poly_apply``, ``tensor_pure``, the ``map_via_tensor`` sum, ``scale`` of
+every coordinate table (so of maps and tail values too) and the truncation
+layer's nest sums.  The backend owns its form (``ring.Backend``):
+``backend._split(coords)`` writes an operand as a form, and
+``backend._whole(n)`` reads a numerator over 1 back as a raw value.  int
+and float64 values are their own numerators over 1; on rat, n is an
+integer and d the lcm of the denominators.  ``_reduce`` adds terms
+``s * n`` into a dict of numerators over a running denominator,
+multiplying the dict through when a term's denominator does not divide it;
+``_combine`` takes the lcm of all parts' denominators first, so its sums
+never rescale, and only the table product (``StructureTable._mul_form``),
+which meets table entries one pair at a time, rescales.  ``_form_coords``
+turns each surviving numerator n over the final denominator D into one
+reduced Fraction, ``ring._ratio(n, D)``, or into ``backend._whole(n)`` when
+D is 1.  All denominators are positive, so a partial sum is zero exactly
+when the rational sum it stands for is: key order and results equal those
+of a chain of Fraction additions.  On float64 the reduction computes
+``s * n`` and adds it to its coordinate in the order the operands list
+their terms, so float sums round as sequential Scalar additions do.
+
+``+`` and ``-`` of two coordinate tables are a merge, not a sum of
+products: ``_accumulate`` adds the raw values of both operands into one
+dict and ``_canonical`` wraps the result.  A merge reads each value once,
+where forms would split both operands first, which costs more than it
+saves on two operands (measured under ROADMAP item 6).
+
+Both primitives skip a zero term and delete a coordinate whose sum
+cancels, exactly as chained canonical vector additions would.
 
 Vectors, dual functionals and tensors (``tensor.TensorElement``) are one
 kind of value, a zero-free coordinate table over one backend, and share one
@@ -48,20 +56,13 @@ the same index.  Every operation that takes a falg value checks it with
 ``_operand``: ``TypeError`` for another class, ``BackendMismatchError``
 for another backend.
 
-Element-wise sums (``+``, ``scale`` of coordinate tables and the truncation
-layer's nests) add ``s * c.value`` with ``_accumulate``, and ``_canonical``
-wraps the result.
-
-Both paths skip a zero term and delete a coordinate whose sum cancels,
-exactly as chained canonical vector additions would.
-
 Trusted-builder invariant: kernel results are built without running
 constructors.  ``_trusted`` sets a frozen value class's fields without its
 ``__init__``, so it skips ``_check_index`` and the backend re-check;
 ``ring._scalar`` wraps each coefficient without the ``Scalar`` type call;
-``_ratio`` sets a Fraction's two slots from a numerator and denominator it
-has divided by their gcd, without ``Fraction.__new__``'s argument dispatch,
-zero test and sign fix.  Only an operation on already-constructed values
+``ring._ratio`` sets a Fraction's two slots from a numerator and
+denominator it has divided by their gcd, without ``Fraction.__new__``'s
+argument dispatch, zero test and sign fix.  Only an operation on already-constructed values
 may use them -- one that has joined its operands (type and backend checks)
 and builds its result only from their keys, raw values and sums or
 products of them.  Those keys passed ``_check_index`` and those values
@@ -69,19 +70,18 @@ passed their backend's ``check`` when the operands were built.  ``_ratio``
 is sound only because every form denominator is a product and lcm of such
 values' denominators, hence positive, so ``n // g`` over ``d // g`` is
 already the canonical Fraction.  Exact arithmetic keeps values in their
-backend; float arithmetic can overflow, so both wrappers reject a
-non-finite float64 result (``backend.check`` and ``backend._check_sums``
+backend; float arithmetic can overflow, so both primitives reject a
+non-finite float64 result (``backend._whole`` and ``backend._check_sums``
 raise ``ValueError``).  Anything arriving from a caller as raw data (public
 constructors, ``from_data``) keeps the full validation.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterator, Mapping, Sequence, Union
 
-from .ring import Backend, BackendMismatchError, NormValue, Scalar, _Frozen, _new, _scalar
+from .ring import Backend, BackendMismatchError, NormValue, Scalar, _Frozen, _new, _ratio, _scalar
 
 
 def _check_index(i) -> int:
@@ -92,14 +92,14 @@ def _check_index(i) -> int:
     return i
 
 
-def _accumulate(acc: dict, coords: Mapping, s=None) -> dict:
-    """Add s * c.value into acc[k] for every k, c of coords (s=None adds c.value).
+def _accumulate(acc: dict, coords: Mapping) -> dict:
+    """Add c.value into acc[k] for every k, c of coords: the merge behind + and -.
 
     A zero term is skipped and a sum that cancels leaves acc, so keys and
     values evolve exactly as a chain of canonical vector additions would.
     """
     for k, c in coords.items():
-        x = c.value if s is None else s * c.value
+        x = c.value
         if not x:
             continue
         if k in acc:
@@ -115,21 +115,6 @@ def _canonical(backend: Backend, acc: dict) -> dict:
     """Wrap the nonzero raw values of acc in Scalar, once."""
     backend._check_sums(acc.values())
     return {k: _scalar(backend, x) for k, x in acc.items() if x}
-
-
-def _split(backend: Backend, coords: Mapping) -> tuple[int, dict]:
-    """The numerator form (d, {k: n}) of coords, with every c.value == n / d.
-
-    d is the lcm of the denominators on the exact backends, and 1 on float64,
-    where n is the value itself.
-    """
-    if not backend.exact:
-        return 1, {k: c.value for k, c in coords.items()}
-    ratios = [c.value.as_integer_ratio() for c in coords.values()]
-    d = lcm(*[q for _, q in ratios])
-    if d == 1:
-        return 1, dict(zip(coords, [p for p, _ in ratios]))
-    return d, {k: p * (d // q) for k, (p, q) in zip(coords, ratios)}
 
 
 def _reduce(acc: dict, den: int, form: tuple[int, dict], s) -> int:
@@ -175,21 +160,12 @@ def _combine(parts: list) -> tuple[int, dict]:
     return den, acc
 
 
-def _ratio(n: int, d: int) -> Fraction:
-    """Fraction(n, d) for d > 0, reduced here and built without Fraction's constructor."""
-    g = gcd(n, d)
-    q = _new(Fraction)
-    q._numerator = n // g
-    q._denominator = d // g
-    return q
-
-
 def _form_coords(backend: Backend, form: tuple[int, dict]) -> dict:
     """Scalars n / den for the nonzero numerators n of form = (den, nums), one each."""
     den, nums = form
     if den == 1:
-        check = backend.check
-        return {k: _scalar(backend, check(n)) for k, n in nums.items() if n}
+        whole = backend._whole
+        return {k: _scalar(backend, whole(n)) for k, n in nums.items() if n}
     return {k: _scalar(backend, _ratio(n, den)) for k, n in nums.items()}
 
 
@@ -199,10 +175,6 @@ def _trusted(cls, **fields):
     for name, value in fields.items():
         object.__setattr__(obj, name, value)
     return obj
-
-
-def _vector(backend: Backend, acc: dict) -> "HamelVector":
-    return _trusted(HamelVector, backend=backend, coords=_canonical(backend, acc))
 
 
 def _form_vector(backend: Backend, form: tuple[int, dict]) -> "HamelVector":
@@ -290,26 +262,33 @@ class _CoordTable(_Frozen):
                     f"cannot combine {name} {getattr(self, name)} and {getattr(other, name)}"
                 )
 
-    def _build(self, acc: dict):
-        """A table of self's class and shape holding the raw sums acc (trusted)."""
-        out = _trusted(type(self), backend=self.backend, coords=_canonical(self.backend, acc))
+    def _build(self, coords: dict):
+        """A table of self's class and shape holding coords (trusted)."""
+        out = _trusted(type(self), backend=self.backend, coords=coords)
         for name in self._shape:
             object.__setattr__(out, name, getattr(self, name))
         return out
 
     def __add__(self, other):
         self._join(other)
-        return self._build(_accumulate(_accumulate({}, self.coords), other.coords))
+        return self._build(_canonical(self.backend, _accumulate(_accumulate({}, self.coords), other.coords)))
 
     def __neg__(self):
-        return self._build({k: -c.value for k, c in self.coords.items()})
+        return self._build(_canonical(self.backend, {k: -c.value for k, c in self.coords.items()}))
 
     def __sub__(self, other):
         return self + (-other)
 
     def scale(self, d: Scalar):
-        _operand(d, Scalar, self.backend, "scalar")
-        return self._build(_accumulate({}, self.coords, d.value))
+        """d times self: self's numerators times d's, over both denominators."""
+        b = self.backend
+        _operand(d, Scalar, b, "scalar")
+        q, s = b._split({0: d})
+        p = s[0]
+        if not p:
+            return self._build({})
+        den, nums = b._split(self.coords)
+        return self._build(_form_coords(b, (den * q, {k: p * n for k, n in nums.items()})))
 
     def __rmul__(self, d):
         if isinstance(d, Scalar):
@@ -433,7 +412,7 @@ class ColumnFiniteMap(_Frozen):
 
     def apply(self, v: HamelVector) -> HamelVector:
         _operand(v, HamelVector, self.backend, "argument")
-        return _form_vector(self.backend, self._apply_split(_split(self.backend, v.coords), {}))
+        return _form_vector(self.backend, self._apply_split(self.backend._split(v.coords), {}))
 
     def _apply_split(self, v: tuple[int, dict], splits: dict) -> tuple[int, dict]:
         """apply on a numerator form; splits caches the split columns of self."""
@@ -444,7 +423,7 @@ class ColumnFiniteMap(_Frozen):
             if col is None:
                 if j not in self.cols:
                     continue
-                col = splits[j] = _split(self.backend, self.cols[j].coords)
+                col = splits[j] = self.backend._split(self.cols[j].coords)
             parts.append((x, col))
         den, acc = _combine(parts)
         return dv * den, acc
@@ -480,7 +459,7 @@ class ColumnFiniteMap(_Frozen):
         b = self.backend
         splits: dict = {}
         return _map(b, {
-            j: _form_vector(b, self._apply_split(_split(b, col.coords), splits))
+            j: _form_vector(b, self._apply_split(b._split(col.coords), splits))
             for j, col in g.cols.items()
         })
 
@@ -590,7 +569,7 @@ def _poly_split(nest: MapNode, xs: Sequence[HamelVector], splits: dict) -> tuple
     _check_level(nest, xs)
     head = splits.get(len(xs))
     if head is None:
-        head = splits[len(xs)] = _split(nest.backend, xs[0].coords)
+        head = splits[len(xs)] = nest.backend._split(xs[0].coords)
     if isinstance(nest, ColumnFiniteMap):
         return nest._apply_split(head, {})
     dh, nums = head

@@ -20,6 +20,15 @@ finiteness and directed rounding change.  ``RationalBackend.check`` returns
 a plain ``Fraction`` as it is, since it is immutable; a subclass or an int
 is converted.
 
+Each backend owns its numerator form, in which the hamel kernels sum
+products: ``_split(coords)`` writes a table of Scalars as ``(d, {k: n})``
+with every value n / d, and ``_whole(n)`` reads a numerator over 1 back as
+a raw value.  Integer and float values are their own numerators over 1
+(``_whole`` checks a float sum for finiteness); the rational backend puts
+integer numerators over the lcm of the denominators, and its ``_whole``
+and the kernels build Fractions with ``_ratio(n, d)``, which reduces by the
+gcd and skips Fraction's constructor.
+
 ``_scalar(backend, value)`` builds a :class:`Scalar` without the type call,
 setting its two slots through descriptors taken once at import.  It is for
 values the backend has already checked or computed from checked values:
@@ -41,6 +50,7 @@ from __future__ import annotations
 import math
 import re
 from fractions import Fraction
+from math import gcd, lcm
 from operator import attrgetter
 from typing import Union
 
@@ -165,6 +175,16 @@ class Backend:
     def render(self, a) -> str:
         return str(a)  # Fraction prints reduced "p/q", integers bare
 
+    # numerator forms (d, {k: n}), each value n / d, for the sums of products
+
+    def _split(self, coords) -> tuple[int, dict]:
+        """The numerator form of coords (key -> Scalar): values are their own numerators over 1."""
+        return 1, {k: c.value for k, c in coords.items()}
+
+    def _whole(self, n):
+        """The raw value n / 1 of a form's numerator n."""
+        return n
+
     # bound arithmetic on plain norm values; integer coefficients still
     # produce rational bounds (column sums etc.)
 
@@ -251,10 +271,30 @@ class RationalBackend(Backend):
     def parse(self, text):
         return _fraction(text)
 
+    def _split(self, coords):
+        """Integer numerators over d, the lcm of the denominators; each value is read once."""
+        ratios = [c.value.as_integer_ratio() for c in coords.values()]
+        d = lcm(*[q for _, q in ratios])
+        if d == 1:
+            return 1, dict(zip(coords, [p for p, _ in ratios]))
+        return d, {k: p * (d // q) for k, (p, q) in zip(coords, ratios)}
+
+    def _whole(self, n):
+        return _ratio(n, 1)
+
     def norm_check(self, x):
         if isinstance(x, str):
             x = _fraction(x)
         return super().norm_check(x)
+
+
+def _ratio(n: int, d: int) -> Fraction:
+    """Fraction(n, d) for d > 0, reduced here and built without Fraction's constructor."""
+    g = gcd(n, d)
+    q = _new(Fraction)
+    q._numerator = n // g
+    q._denominator = d // g
+    return q
 
 
 def _finite(x: float) -> float:
@@ -288,6 +328,8 @@ class Float64Backend(Backend):
     def _check_sums(self, values):
         for x in values:
             _finite(x)
+
+    _whole = staticmethod(_finite)  # a sum of products may overflow
 
     def add(self, a, b):
         return _finite(a + b)

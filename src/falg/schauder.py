@@ -16,9 +16,11 @@ The contract every operation preserves: if the input certificates hold for
 the (unknown) represented values, the output certificate holds for the
 represented result.  Inputs built from exact data carry tail 0 and the
 contract degenerates to exact arithmetic.  Bounds are certificates, not
-estimates; the propagation formulas are deliberately conservative, and on
-the float backend every bound step rounds upward, so certified claims
-survive rounding.
+estimates, and the propagation formulas are deliberately conservative.  On
+the exact backends the contract holds.  On the float backend every bound
+step rounds upward, but the rounding of the prefix arithmetic itself is
+not yet charged to the tail, so a float64 certificate can fail: the
+prefix of ``{0: 1.0} + {0: 1e-17}`` drops 1e-17 and its tail is 5e-324.
 
 Norm reporting is honest about what finite data can know: `norm_interval`
 returns [prefix mass, prefix mass + tail], and `bound` on a map returns
@@ -31,7 +33,7 @@ from __future__ import annotations
 from typing import Mapping, Sequence, Union
 
 from .ring import Backend, NormValue, _Frozen
-from .hamel import ColumnFiniteMap, HamelVector, _accumulate, _check_slots, _map, _operand, _vector
+from .hamel import ColumnFiniteMap, HamelVector, _check_slots, _combine, _form_vector, _map, _operand
 from .algebra import StructureTable
 
 
@@ -251,86 +253,71 @@ class TailPolyMap(_Frozen):
         object.__setattr__(self, "tail", backend.norm_check(tail))
 
 
-def _nest_stored_mass(nest: TailNode) -> NormValue:
-    """Total stored entry mass, flattened across all levels."""
-    if isinstance(nest, TailMap):
-        return nest.finite.l1_total()
-    total = nest.backend.norm_zero
-    for sub in nest.slots.values():
-        total = nest.backend.norm_add(total, _nest_stored_mass(sub))
-    return total
+def _nest_masses(nest: TailNode) -> tuple[NormValue, NormValue, NormValue]:
+    """(stored entry mass, sum of every node's tail, largest stored entry) of nest.
 
-
-def _nest_tail_mass(nest: TailNode) -> NormValue:
-    """Sum of the tails of every node in the nest."""
-    if isinstance(nest, TailMap):
-        return nest.tail
-    total = nest.tail
-    for sub in nest.slots.values():
-        total = nest.backend.norm_add(total, _nest_tail_mass(sub))
-    return total
-
-
-def _nest_accumulate(acc: list, nest: TailNode, s) -> None:
-    """Add s times the stored structure of nest, tails dropped, into acc.
-
-    acc is [terms, table]: terms counts the structures summed into this node,
-    and table maps each slot to its own accumulator, or at depth 1 each
-    column to its raw coordinate sums.
+    The masses are flattened across all levels, each summed slot by slot in
+    stored order with norm_add.
     """
-    acc[0] += 1
-    table = acc[1]
     if isinstance(nest, TailMap):
-        for j, col in nest.finite.cols.items():
-            _accumulate(table.setdefault(j, {}), col.coords, s)
-    else:
-        for j, sub in nest.slots.items():
-            _nest_accumulate(table.setdefault(j, [0, {}]), sub, s)
+        norms = (c.norm() for col in nest.finite.cols.values() for c in col.coords.values())
+        return nest.finite.l1_total(), nest.tail, max(norms, default=nest.backend.norm_zero)
+    b = nest.backend
+    stored, tails, best = b.norm_zero, nest.tail, b.norm_zero
+    for sub in nest.slots.values():
+        s, t, e = _nest_masses(sub)
+        stored, tails = b.norm_add(stored, s), b.norm_add(tails, t)
+        if e > best:
+            best = e
+    return stored, tails, best
 
 
-def _nest_build(b: Backend, arity: int, acc: list) -> TailNode:
-    """The nest held by an accumulator.
+def _nest_sum(b: Backend, arity: int, parts: list, d: int, tail: NormValue) -> TailNode:
+    """The sum of x * sub / d over parts [(x, sub), ...] as a nest of the given arity.
 
-    Each node's tail is the norm_add of the zero tails of the structures
-    summed into it, which on the float backend rounds up by one ulp per sum.
+    The parts' tails are dropped: the top node carries tail, inner nodes
+    zero.  Each leaf column is one numerator form, summed with _combine in
+    the order the parts list their columns, and d, the denominator of every
+    x, goes on that form.  A slot reached by any part stays, even if it
+    sums to zero.
     """
-    terms, table = acc
-    tail = b.norm_zero
-    for _ in range(terms - 1):
-        tail = b.norm_add(tail, b.norm_zero)
+    table: dict = {}
+    for x, sub in parts:
+        if arity == 1:
+            for j, col in sub.finite.cols.items():
+                table.setdefault(j, []).append((x, b._split(col.coords)))
+        else:
+            for j, inner in sub.slots.items():
+                table.setdefault(j, []).append((x, inner))
     if arity == 1:
-        return TailMap(_map(b, {j: _vector(b, col) for j, col in table.items()}), tail)
-    return TailPolyMap(
-        b, arity, {j: _nest_build(b, arity - 1, sub) for j, sub in table.items()}, tail
-    )
+        cols = {}
+        for j, forms in table.items():
+            den, nums = _combine(forms)
+            cols[j] = _form_vector(b, (d * den, nums))
+        return TailMap(_map(b, cols), tail)
+    slots = {j: _nest_sum(b, arity - 1, ps, d, b.norm_zero) for j, ps in table.items()}
+    return TailPolyMap(b, arity, slots, tail)
 
 
 def _peel(nest: TailPolyMap, x: TailVector) -> TailNode:
     """Feed one tail vector into the first slot; same bound shape as apply.
 
     The stored structures combine exactly over the prefix with their tails
-    dropped; one extra top tail S*tail(x) + T*(prefix mass + tail(x)), with
-    S the nest's stored mass and T its total tail mass, jointly covers the
+    dropped; one top tail S*tail(x) + T*(prefix mass + tail(x)), with S the
+    nest's stored mass and T its total tail mass, jointly covers the
     certificate slack and the prefix error -- the map-application formula
     one level up.  Keeping the scaled sub-tails as well would double-count
     and break the bound-product inequality.
     """
     b = nest.backend
-    stored = _nest_stored_mass(nest)
-    tails = _nest_tail_mass(nest)
-    acc: list = [1, {}]  # the sum starts from the zero nest
-    for j, c in x.prefix.coords.items():
-        sub = nest.slots.get(j)
-        if sub is not None:
-            _nest_accumulate(acc, sub, c.value)
-    combined = _nest_build(b, nest.arity - 1, acc)
-    extra = b.norm_add(
+    stored, tails, _ = _nest_masses(nest)
+    tail = b.norm_add(
         b.norm_mul(stored, x.tail),
         b.norm_mul(tails, b.norm_add(x.prefix.l1(), x.tail)),
     )
-    if isinstance(combined, TailMap):
-        return TailMap(combined.finite, b.norm_add(combined.tail, extra))
-    return TailPolyMap(b, combined.arity, combined.slots, b.norm_add(combined.tail, extra))
+    d, xs = b._split(x.prefix.coords)
+    parts = [(c, nest.slots[j]) for j, c in xs.items() if j in nest.slots]
+    return _nest_sum(b, nest.arity - 1, parts, d, tail)
 
 
 def _nest_arity(nest: TailNode) -> int:
@@ -365,22 +352,5 @@ def tpoly_bound(nest: TailNode) -> NormInterval:
     """
     if isinstance(nest, TailMap):
         return nest.bound()
-    b = nest.backend
-    hi = b.norm_add(_nest_stored_mass(nest), _nest_tail_mass(nest))
-    lo = _nest_best_entry(nest)
-    return NormInterval(b, lo, hi)
-
-
-def _nest_best_entry(nest: TailNode) -> NormValue:
-    if isinstance(nest, TailMap):
-        best = nest.backend.norm_zero
-        for _, _, c in nest.finite.entries():
-            if c.norm() > best:
-                best = c.norm()
-        return best
-    best = nest.backend.norm_zero
-    for sub in nest.slots.values():
-        sb = _nest_best_entry(sub)
-        if sb > best:
-            best = sb
-    return best
+    stored, tails, best = _nest_masses(nest)
+    return NormInterval(nest.backend, best, nest.backend.norm_add(stored, tails))

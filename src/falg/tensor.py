@@ -31,7 +31,6 @@ from .hamel import (
     _form_coords,
     _form_vector,
     _operand,
-    _split,
     _trusted,
     _wire_index,
 )
@@ -82,7 +81,7 @@ def tensor_pure(factors: Sequence[HamelVector]) -> TensorElement:
         _operand(v, HamelVector, backend, "tensor factor")
     den, nums = 1, {(): 1}
     for v in factors:
-        d, xs = _split(backend, v.coords)
+        d, xs = backend._split(v.coords)
         den *= d
         nums = {key + (i,): x * n for key, x in nums.items() for i, n in xs.items()}
     coords = _form_coords(backend, (den, nums))  # drops float products that underflow to 0
@@ -137,9 +136,9 @@ def map_via_tensor(
             raise NonAssociativeError(
                 f"table {table.name!r} fails associativity at basis triple ({i}, {j}, {k})"
             )
-    fx = f._apply_split(_split(backend, x.coords), {})
+    fx = f._apply_split(backend._split(x.coords), {})
     backend._check_sums(fx[1].values())  # as f.apply checks its result
-    dt, ts = _split(backend, t.coords)
+    dt, ts = backend._split(t.coords)
     parts = [
         (s, table._product(table._product((1, {i: 1}), fx), (1, {j: 1})))
         for (i, j), s in ts.items()

@@ -1,15 +1,15 @@
 """The accumulate-once kernels against naive Fraction oracles.
 
-Every internal sum (products, map application and composition, polylinear
-and tensor evaluation) goes through one raw-value accumulator; these
-properties pin its results to sums written out directly from the
+Every sum of products (products, map application and composition, polylinear
+and tensor evaluation, scaling) goes through one numerator-form reduction;
+these properties pin its results to sums written out directly from the
 definitions, on inputs whose partial sums cancel to zero and reappear, and
 check that no zero is ever stored.  On the exact backends the sums run over
 integer numerators with one common denominator; those tests use large
 coprime denominators and also pin the key order to that of a left-to-right
-chain of canonical additions.  The float tests pin the rounding: each
-result must equal a left-to-right sequential sum of the same terms, bit for
-bit, and a result that overflows must raise.
+chain of canonical additions.  The float tests pin the rounding: each result
+must equal a left-to-right sequential sum of the same terms, bit for bit,
+and a result that overflows must raise.
 """
 
 import itertools
@@ -30,6 +30,8 @@ from falg import (
     HamelVector,
     PolyMap,
     StructureTable,
+    TailMap,
+    TailVector,
     TensorElement,
     load_builtin,
     map_via_tensor,
@@ -428,6 +430,8 @@ def _assert_exact(result, expected: dict) -> None:
         x = c.value
         if result.backend is INTEGER:
             assert type(x) is int
+        elif result.backend is FLOAT64:
+            assert type(x) is float
         else:
             assert type(x) is Fraction
             assert x.denominator > 0 and gcd(x.numerator, x.denominator) == 1
@@ -567,6 +571,59 @@ def test_exact_map_via_tensor_is_chained_sum(backend, t, f, x):
         left = list(_ref_mul(table, [(i, Fraction(1))], fx).items())
         terms += [(k, c.value * v) for k, v in _ref_mul(table, left, [(j, Fraction(1))]).items()]
     _assert_exact(result, _chain(terms))
+
+
+# scale: one split, times the scalar's numerator, over the scalar's denominator
+
+SCALE_VALUES = {
+    INTEGER: st.integers(-(10**20), 10**20),
+    RATIONAL: st.builds(Fraction, st.integers(-50, 50), st.sampled_from(BIG_DENOMINATORS)),
+    FLOAT64: tiny_floats,  # products of two of these can underflow to 0
+}
+
+
+def _scaled(table, s) -> dict:
+    """The nonzero s * value of every coordinate, in stored order: Fraction
+    products on the exact backends, the float product itself on float64."""
+    out = {}
+    for k, c in table.coords.items():
+        x = s.value * c.value if table.backend is FLOAT64 else Fraction(s.value) * Fraction(c.value)
+        if x:
+            out[k] = Fraction(x)
+    return out
+
+
+@given(data=st.data(), backend=st.sampled_from([INTEGER, RATIONAL, FLOAT64]),
+       kind=st.sampled_from(["vector", "functional", "tensor", "map", "tail_vector", "tail_map"]))
+def test_scale_is_per_coordinate_product(data, backend, kind):
+    values = SCALE_VALUES[backend]
+    raw = st.dictionaries(st.integers(0, 6), values, max_size=6)
+    s = backend.scalar(data.draw(st.just(0) | values))
+    tail = backend.norm_check(Fraction(data.draw(st.integers(0, 9)), 4))
+    if kind in ("map", "tail_map"):
+        part = ColumnFiniteMap(backend, data.draw(st.dictionaries(st.integers(0, 4), raw, max_size=4)))
+    elif kind == "tensor":
+        keys = st.tuples(st.integers(0, 3), st.integers(0, 3))
+        part = TensorElement(backend, 2, data.draw(st.dictionaries(keys, values, max_size=6)))
+    else:
+        part = (DualFunctional if kind == "functional" else HamelVector)(backend, data.draw(raw))
+    value = {"tail_vector": TailVector, "tail_map": TailMap}.get(kind, lambda p, t: p)(part, tail)
+    result = value.scale(s)
+    if kind.startswith("tail_"):
+        assert result.tail == backend.norm_mul(s.norm(), tail)
+        result = result.prefix if kind == "tail_vector" else result.finite
+    assert type(result) is type(part)
+    if isinstance(part, ColumnFiniteMap):
+        expected = {j: _scaled(col, s) for j, col in part.cols.items()}
+        expected = {j: col for j, col in expected.items() if col}
+        assert list(result.cols) == list(expected)
+        for j, col in result.cols.items():
+            _assert_exact(col, expected[j])
+    else:
+        _assert_exact(result, _scaled(part, s))
+        assert getattr(result, "arity", None) == getattr(part, "arity", None)
+    if s.is_zero():
+        assert result.is_zero()
 
 
 @pytest.mark.parametrize("backend", [INTEGER, RATIONAL, FLOAT64])

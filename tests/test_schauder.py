@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from falg import (
     FLOAT64,
@@ -376,6 +378,98 @@ def test_tpoly_trilinear_sound_against_exact():
         result = tpoly_apply(tail_nest, truncated)
         truth = poly_apply(exact_nest, xs)
         assert l1_distance(truth, result.prefix) <= result.tail
+
+
+def _stripped(nest):
+    """The exact PolyMap of a tail nest's stored structure."""
+    if isinstance(nest, TailMap):
+        return nest.finite
+    return PolyMap(nest.backend, nest.arity, {j: _stripped(sub) for j, sub in nest.slots.items()})
+
+
+def _entries(nest) -> dict:
+    """Stored structure as nested dicts of Fractions, tails dropped."""
+    if isinstance(nest, TailMap):
+        return {j: {i: Fraction(c.value) for i, c in col.coords.items()} for j, col in nest.finite.cols.items()}
+    return {j: _entries(sub) for j, sub in nest.slots.items()}
+
+
+def _mass(entries) -> Fraction:
+    return sum((_mass(x) if isinstance(x, dict) else abs(x) for x in entries.values()), Fraction(0))
+
+
+def _tail_mass(nest) -> Fraction:
+    if isinstance(nest, TailMap):
+        return Fraction(nest.tail)
+    return Fraction(nest.tail) + sum((_tail_mass(sub) for sub in nest.slots.values()), Fraction(0))
+
+
+def _weighted_sum(parts: list) -> dict:
+    """sum of x * entries over parts [(x, entries), ...], nested like the entries."""
+    out: dict = {}
+    for x, entries in parts:
+        for j, e in entries.items():
+            if isinstance(e, dict):
+                out.setdefault(j, []).append((x, e))
+            else:
+                out[j] = out.get(j, 0) + x * e
+    return {j: _weighted_sum(p) if isinstance(p, list) else p for j, p in out.items()}
+
+
+def _tpoly_tail(nest, xs) -> Fraction:
+    """tpoly_apply's documented tail, in Fractions: each peel's top tail is
+    S*tail(x) + T*(l1(prefix x) + tail(x)), with S the stored mass and T the
+    total tail mass of the nest it peels (after a peel: that top tail alone),
+    and the last level is TailMap.apply's Ff*tail(v) + Ft*(l1(prefix v) + tail(v))."""
+    entries, tails = _entries(nest), _tail_mass(nest)
+    for x in xs:
+        px = {i: Fraction(c.value) for i, c in x.prefix.coords.items()}
+        tx = Fraction(x.tail)
+        tails = _mass(entries) * tx + tails * (_mass(px) + tx)
+        entries = _weighted_sum([(px[j], e) for j, e in entries.items() if j in px])
+    return tails
+
+
+@given(data=st.data(), backend=st.sampled_from([INTEGER, RATIONAL]), arity=st.integers(2, 3))
+def test_tpoly_apply_is_stripped_poly_apply_plus_formula_tail(data, backend, arity):
+    values = st.sampled_from([Fraction(n, d) for n in (-3, -1, 1, 2) for d in (1, 2, 7)])
+    if backend is INTEGER:
+        values = st.sampled_from([-3, -1, 1, 2])
+    coords = st.dictionaries(st.integers(0, 4), values, max_size=4)
+    tails = st.builds(Fraction, st.integers(0, 4), st.sampled_from([1, 3]))
+
+    def nest(depth):
+        if depth == 1:
+            return TailMap(ColumnFiniteMap(backend, data.draw(st.dictionaries(st.integers(0, 4), coords, max_size=3))),
+                           data.draw(tails))
+        slots = data.draw(st.lists(st.integers(0, 4), max_size=3, unique=True))
+        return TailPolyMap(backend, depth, {j: nest(depth - 1) for j in slots}, data.draw(tails))
+
+    top = nest(arity)
+    xs = [TailVector(HamelVector(backend, data.draw(coords)), data.draw(tails)) for _ in range(arity)]
+    result = tpoly_apply(top, xs)
+    # equal values; the key order differs, since poly_apply contracts the last argument first
+    assert result.prefix == poly_apply(_stripped(top), [x.prefix for x in xs])
+    assert_canonical(result)
+    assert result.tail == _tpoly_tail(top, xs)
+
+
+@pytest.mark.parametrize("arity", [2, 3])
+def test_float_nest_tail_ignores_how_many_slots_the_prefix_meets(arity):
+    # zero tails and exact arguments of one mass: summing the slots the first
+    # argument meets is exact, so it may not be charged per slot
+    def nest(depth, width):
+        if depth == 1:
+            return TailMap.lift(ColumnFiniteMap(FLOAT64, {0: {0: 1.0}}))
+        return TailPolyMap(FLOAT64, depth, {j: nest(depth - 1, 1) for j in range(width)}, 0.0)
+
+    top = nest(arity, 32)
+    rest = [TailVector.lift(HamelVector(FLOAT64, {0: 1.0}))] * (arity - 1)
+    tails = {
+        tpoly_apply(top, [TailVector.lift(HamelVector(FLOAT64, {j: 1 / met for j in range(met)}))] + rest).tail
+        for met in (1, 2, 8, 32)
+    }
+    assert len(tails) == 1
 
 
 def test_tpoly_arity_mismatch():
