@@ -327,10 +327,7 @@ class HamelVector(_CoordTable):
 
     def l1(self) -> NormValue:
         """Sum of coefficient norms; an upper bound for any unit-basis norm."""
-        total = self.backend.norm_zero
-        for c in self.coords.values():
-            total = self.backend.norm_add(total, c.norm())
-        return total
+        return self.backend._mass([c.value for c in self.coords.values()])
 
 
 def zero_vector(backend: Backend) -> HamelVector:
@@ -465,10 +462,7 @@ class ColumnFiniteMap(_Frozen):
 
     def l1_total(self) -> NormValue:
         """Sum of |entry| over the whole table; finite by construction."""
-        total = self.backend.norm_zero
-        for _, _, c in self.entries():
-            total = self.backend.norm_add(total, c.norm())
-        return total
+        return self.backend._mass([c.value for col in self.cols.values() for c in col.coords.values()])
 
     def to_data(self) -> dict:
         return {"cols": {str(j): self.cols[j].to_data()["coords"] for j in sorted(self.cols)}}

@@ -29,6 +29,12 @@ integer numerators over the lcm of the denominators, and its ``_whole``
 and the kernels build Fractions with ``_ratio(n, d)``, which reduces by the
 gcd and skips Fraction's constructor.
 
+Each backend also owns the l1 mass behind every certified bound:
+``_mass(values)``, the sum of |x| over a list of raw or norm values.  int
+and rat sum exactly, so a mass is a Fraction exactly when one went in.
+float64 rounds the exact ``math.fsum`` once, one ulp up unless it is exact
+(fewer than two terms).  So no mass depends on the order of its values.
+
 ``_scalar(backend, value)`` builds a :class:`Scalar` without the type call,
 setting its two slots through descriptors taken once at import.  It is for
 values the backend has already checked or computed from checked values:
@@ -148,7 +154,6 @@ class Backend:
     """
 
     name: str
-    exact = True
     norm_zero: NormValue = 0
 
     def __repr__(self):
@@ -184,6 +189,10 @@ class Backend:
     def _whole(self, n):
         """The raw value n / 1 of a form's numerator n."""
         return n
+
+    def _mass(self, values: list) -> NormValue:
+        """Sum of |x| over raw or norm values; norm_zero when there are none."""
+        return sum(map(abs, values))
 
     # bound arithmetic on plain norm values; integer coefficients still
     # produce rational bounds (column sums etc.)
@@ -305,9 +314,10 @@ def _finite(x: float) -> float:
 
 def _up(x: float) -> float:
     """Round a float result toward +inf by one ulp; keeps bounds sound."""
-    if math.isinf(x) or math.isnan(x):
+    x = math.nextafter(x, math.inf)
+    if not math.isfinite(x):
         raise OverflowError("bound arithmetic left the finite range")
-    return math.nextafter(x, math.inf)
+    return x
 
 
 class Float64Backend(Backend):
@@ -315,7 +325,6 @@ class Float64Backend(Backend):
     rounds toward +inf (``norm_add_low`` toward -inf)."""
 
     name = "f64"
-    exact = False
     norm_zero = 0.0
 
     def check(self, value):
@@ -330,6 +339,14 @@ class Float64Backend(Backend):
             _finite(x)
 
     _whole = staticmethod(_finite)  # a sum of products may overflow
+
+    def _mass(self, values):
+        """The exact sum of |x| rounded once, then one ulp up unless it is a single term."""
+        try:
+            total = math.fsum(map(abs, values))
+        except OverflowError:
+            raise OverflowError("bound arithmetic left the finite range") from None
+        return _up(total) if total and len(values) > 1 else total
 
     def add(self, a, b):
         return _finite(a + b)
@@ -364,7 +381,7 @@ class Float64Backend(Backend):
         return x
 
     def norm_add(self, x, y):
-        return _up(x + y)
+        return x + y if x == 0.0 or y == 0.0 else _up(x + y)  # adding zero is exact
 
     def norm_mul(self, x, y):
         if x == 0.0 or y == 0.0:

@@ -16,11 +16,13 @@ The contract every operation preserves: if the input certificates hold for
 the (unknown) represented values, the output certificate holds for the
 represented result.  Inputs built from exact data carry tail 0 and the
 contract degenerates to exact arithmetic.  Bounds are certificates, not
-estimates, and the propagation formulas are deliberately conservative.  On
-the exact backends the contract holds.  On the float backend every bound
+estimates, and the propagation formulas are deliberately conservative.
+Every mass is one ``backend._mass``, and apply, compose and the nest peel
+share one formula, ``_propagated``.  On the exact backends the contract
+holds.  On the float backend each mass rounds up once and every other bound
 step rounds upward, but the rounding of the prefix arithmetic itself is
 not yet charged to the tail, so a float64 certificate can fail: the
-prefix of ``{0: 1.0} + {0: 1e-17}`` drops 1e-17 and its tail is 5e-324.
+prefix of ``{0: 1.0} + {0: 1e-17}`` drops 1e-17 and its tail is 0.0.
 
 Norm reporting is honest about what finite data can know: `norm_interval`
 returns [prefix mass, prefix mass + tail], and `bound` on a map returns
@@ -137,16 +139,10 @@ class TailVector(_Certified):
 
     def truncate(self, keep) -> "TailVector":
         """Drop prefix coordinates outside `keep`, moving their mass into the tail."""
-        keep = set(keep)
-        b = self.backend
-        kept = {}
-        tail = self.tail
-        for i, c in self.prefix.coords.items():
-            if i in keep:
-                kept[i] = c
-            else:
-                tail = b.norm_add(tail, c.norm())
-        return TailVector(HamelVector(b, kept), tail)
+        keep, coords = set(keep), self.prefix.coords
+        kept = {i: c for i, c in coords.items() if i in keep}
+        moved = [c.value for i, c in coords.items() if i not in keep]
+        return TailVector(self.prefix._build(kept), self.backend._mass([self.tail, *moved]))
 
     def norm_interval(self) -> NormInterval:
         lo = self.prefix.l1()
@@ -180,14 +176,8 @@ class TailMap(_Certified):
         is the stored entry mass and Ft this map's tail.
         """
         _operand(v, TailVector, self.backend, "argument")
-        b = self.backend
         prefix = self.finite.apply(v.prefix)
-        ff = self.finite.l1_total()
-        sv = v.prefix.l1()
-        tail = b.norm_add(
-            b.norm_mul(ff, v.tail),
-            b.norm_mul(self.tail, b.norm_add(sv, v.tail)),
-        )
+        tail = _propagated(self.backend, self.finite.l1_total(), self.tail, v.prefix.l1(), v.tail)
         return TailVector(prefix, tail)
 
     def __call__(self, v: TailVector) -> TailVector:
@@ -196,14 +186,14 @@ class TailMap(_Certified):
     def compose(self, g: "TailMap") -> "TailMap":
         """self after g; tail = Ff*Gt + Ft*(Gf + Gt), total-mass submultiplicative."""
         self._join(g)
-        b = self.backend
-        ff = self.finite.l1_total()
-        gf = g.finite.l1_total()
-        tail = b.norm_add(
-            b.norm_mul(ff, g.tail),
-            b.norm_mul(self.tail, b.norm_add(gf, g.tail)),
-        )
+        tail = _propagated(self.backend, self.finite.l1_total(), self.tail, g.finite.l1_total(), g.tail)
         return TailMap(self.finite.compose(g.finite), tail)
+
+
+def _propagated(b: Backend, stored: NormValue, tails: NormValue, mass: NormValue, tail: NormValue) -> NormValue:
+    """stored*tail + tails*(mass + tail): the tail a node with stored mass stored and
+    tail mass tails leaves when fed an operand with prefix mass mass and tail tail."""
+    return b.norm_add(b.norm_mul(stored, tail), b.norm_mul(tails, b.norm_add(mass, tail)))
 
 
 def tail_mul(table: StructureTable, a: TailVector, b: TailVector) -> TailVector:
@@ -253,23 +243,17 @@ class TailPolyMap(_Frozen):
         object.__setattr__(self, "tail", backend.norm_check(tail))
 
 
-def _nest_masses(nest: TailNode) -> tuple[NormValue, NormValue, NormValue]:
-    """(stored entry mass, sum of every node's tail, largest stored entry) of nest.
-
-    The masses are flattened across all levels, each summed slot by slot in
-    stored order with norm_add.
-    """
-    if isinstance(nest, TailMap):
-        norms = (c.norm() for col in nest.finite.cols.values() for c in col.coords.values())
-        return nest.finite.l1_total(), nest.tail, max(norms, default=nest.backend.norm_zero)
-    b = nest.backend
-    stored, tails, best = b.norm_zero, nest.tail, b.norm_zero
-    for sub in nest.slots.values():
-        s, t, e = _nest_masses(sub)
-        stored, tails = b.norm_add(stored, s), b.norm_add(tails, t)
-        if e > best:
-            best = e
-    return stored, tails, best
+def _nest_flat(nest: TailNode) -> tuple[list, list]:
+    """(raw value of every stored entry, every node's tail) of nest, all levels flattened."""
+    values, tails, todo = [], [], [nest]
+    while todo:
+        node = todo.pop()
+        tails.append(node.tail)
+        if isinstance(node, TailMap):
+            values += [c.value for col in node.finite.cols.values() for c in col.coords.values()]
+        else:
+            todo += node.slots.values()
+    return values, tails
 
 
 def _nest_sum(b: Backend, arity: int, parts: list, d: int, tail: NormValue) -> TailNode:
@@ -310,11 +294,8 @@ def _peel(nest: TailPolyMap, x: TailVector) -> TailNode:
     and break the bound-product inequality.
     """
     b = nest.backend
-    stored, tails, _ = _nest_masses(nest)
-    tail = b.norm_add(
-        b.norm_mul(stored, x.tail),
-        b.norm_mul(tails, b.norm_add(x.prefix.l1(), x.tail)),
-    )
+    values, tails = _nest_flat(nest)
+    tail = _propagated(b, b._mass(values), b._mass(tails), x.prefix.l1(), x.tail)
     d, xs = b._split(x.prefix.coords)
     parts = [(c, nest.slots[j]) for j, c in xs.items() if j in nest.slots]
     return _nest_sum(b, nest.arity - 1, parts, d, tail)
@@ -352,5 +333,6 @@ def tpoly_bound(nest: TailNode) -> NormInterval:
     """
     if isinstance(nest, TailMap):
         return nest.bound()
-    stored, tails, best = _nest_masses(nest)
-    return NormInterval(nest.backend, best, nest.backend.norm_add(stored, tails))
+    b = nest.backend
+    values, tails = _nest_flat(nest)
+    return NormInterval(b, max(map(b.norm, values), default=b.norm_zero), b._mass(values + tails))

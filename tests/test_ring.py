@@ -1,5 +1,6 @@
 import math
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -26,7 +27,6 @@ from support import rand_scalar
 def test_backend_registry():
     assert set(BACKENDS) == {"int", "rat", "f64"}
     assert BACKENDS["rat"] is RATIONAL
-    assert INTEGER.exact and RATIONAL.exact and not FLOAT64.exact
 
 
 def test_exact_rational_arithmetic():
@@ -146,6 +146,60 @@ def test_float_bound_arithmetic_rounds_up():
         assert FLOAT64.norm_mul(x, y) >= Fraction(x) * Fraction(y)
     # exact zero short-circuits, no spurious inflation
     assert FLOAT64.norm_mul(0.0, 0.3) == 0.0
+
+
+def _chain(backend, values):
+    """The sum of |x| as a norm_zero-started chain of exact additions."""
+    total = backend.norm_zero
+    for x in values:
+        total = total + abs(x)
+    return total
+
+
+_INT_NORMS = st.one_of(st.integers(-10**30, 10**30), st.fractions(min_value=0, max_denominator=10**9))
+_RAT_NORMS = st.one_of(st.fractions(max_denominator=10**9), st.integers(0, 10**30))
+
+
+@given(backend=st.sampled_from([INTEGER, RATIONAL]), data=st.data())
+def test_exact_mass_is_the_chained_sum_with_its_type(backend, data):
+    # raw values and int or Fraction norm values mixed: a Fraction comes
+    # back exactly when one went in, and 0 (not Fraction(0)) for none
+    values = data.draw(st.lists(_INT_NORMS if backend is INTEGER else _RAT_NORMS, max_size=8))
+    mass, expected = backend._mass(values), _chain(backend, values)
+    assert type(mass) is type(expected) and mass == expected
+
+
+def test_rational_mass_is_a_reduced_fraction():
+    values = [Fraction(1, 6), Fraction(-1, 6), Fraction(1, 3), Fraction(2, 3), 1]
+    mass = RATIONAL._mass(values)
+    assert type(mass) is Fraction and (mass.numerator, mass.denominator) == (7, 3)
+
+
+_FLOAT_MAX_BELOW = Fraction(math.nextafter(sys.float_info.max, 0.0))
+
+
+@given(st.lists(st.floats(allow_nan=False, allow_infinity=False), max_size=8))
+def test_float_mass_rounds_the_exact_sum_once_upward(values):
+    exact = sum(Fraction(abs(x)) for x in values)
+    try:
+        mass = FLOAT64._mass(values)
+    except OverflowError as e:
+        assert str(e) == "bound arithmetic left the finite range"
+        assert exact > _FLOAT_MAX_BELOW
+        return
+    chain = 0.0  # one upward ulp per term
+    for x in values:
+        chain = math.nextafter(chain + abs(x), math.inf)
+    assert type(mass) is float
+    assert exact <= Fraction(mass) and mass <= chain
+    assert (mass == 0.0) == (not any(values))
+    assert math.copysign(1.0, mass) == 1.0
+
+
+@pytest.mark.parametrize("values", [[1e308, 1e308], [sys.float_info.max, 1.0]], ids=["sum", "last-ulp"])
+def test_float_mass_overflow_raises(values):
+    with pytest.raises(OverflowError, match="finite range"):
+        FLOAT64._mass(values)
 
 
 def test_float_bound_overflow_detected():
@@ -308,6 +362,10 @@ _BACKEND_OUTCOMES = [
      "float 0.30000000000000004", "float 0.30000000000000004", "float 0.3000000000000001"),
     ("norm_add", (1e308, 1e308),
      "float inf", "float inf", "OverflowError: bound arithmetic left the finite range"),
+    ("norm_add", (0.0, 0.1), "float 0.1", "float 0.1", "float 0.1"),
+    ("norm_add", (sys.float_info.max, 1.0),
+     "float 1.7976931348623157e+308", "float 1.7976931348623157e+308",
+     "OverflowError: bound arithmetic left the finite range"),
     ("norm_mul", (Fraction(1, 2), 3),
      "Fraction Fraction(3, 2)", "Fraction Fraction(3, 2)", "float 1.5000000000000002"),
     ("norm_mul", (0.0, 5.0), "float 0.0", "float 0.0", "float 0.0"),
@@ -346,6 +404,11 @@ _BACKEND_OUTCOMES = [
      "ValueError: zero denominator in '1/0'",
      "ValueError: could not convert string to float: '1/0'"),
     ("norm_zero", None, "int 0", "int 0", "float 0.0"),
+    ("_mass", ([],), "int 0", "int 0", "float 0.0"),
+    ("_mass", ([2, -3],), "int 5", "int 5", "float 5.000000000000001"),
+    ("_mass", ([Fraction(-1, 2), 3],),
+     "Fraction Fraction(7, 2)", "Fraction Fraction(7, 2)", "float 3.5000000000000004"),
+    ("_mass", ([Fraction(-5, 2)],), "Fraction Fraction(5, 2)", "Fraction Fraction(5, 2)", "float 2.5"),
 ]
 
 

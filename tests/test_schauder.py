@@ -141,6 +141,8 @@ def test_truncate_moves_mass():
 def test_truncate_keep_everything_is_identity():
     v = tv({0: 1, 5: -3}, Fraction(1, 4))
     assert v.truncate({0, 5}) == v
+    w = TailVector.make(FLOAT64, {0: 0.1, 5: -3.0}, 0.3)
+    assert w.truncate({0, 5}) == w
 
 
 def test_truncate_monotonicity():
@@ -470,6 +472,34 @@ def test_float_nest_tail_ignores_how_many_slots_the_prefix_meets(arity):
         for met in (1, 2, 8, 32)
     }
     assert len(tails) == 1
+
+
+def test_float_zero_tails_stay_exactly_zero():
+    # adding exact zeros needs no rounding, at any node of a nest
+    leaf = TailMap.lift(ColumnFiniteMap(FLOAT64, {0: {0: 1.0}, 1: {0: 0.5, 2: 0.1}}))
+    top = TailPolyMap(FLOAT64, 2, {0: leaf, 3: leaf, 5: leaf}, 0.0)
+    v = TailVector.lift(HamelVector(FLOAT64, {0: 1.0, 3: 0.25}))
+    w = TailVector.lift(HamelVector(FLOAT64, {0: 0.1, 1: 3.0}))
+    assert tpoly_apply(top, [v, w]).tail == 0.0
+    assert (v + w).tail == 0.0
+
+
+_ORDER_VALUES = [1.0, 2.0**-60, 3 * 2.0**-60, 0.1, 1 / 3, -1e-17, 7.0, -2.0**-53]
+_ORDER_TAILS = [0.1, 2.0**-60, 1 / 3, 0.0]
+
+
+def test_float_masses_do_not_depend_on_insertion_order():
+    rng = random.Random(12)
+    seen = set()
+    for _ in range(12):
+        values = rng.sample(_ORDER_VALUES, len(_ORDER_VALUES))
+        keys = rng.sample(range(len(values)), len(values))
+        v = HamelVector(FLOAT64, dict(zip(keys, values)))
+        cols = {j: dict(zip(keys, values[j:] + values[:j])) for j in rng.sample(range(4), 4)}
+        f = TailMap(ColumnFiniteMap(FLOAT64, cols), 0.125)
+        top = TailPolyMap(FLOAT64, 2, {j: TailMap(f.finite, _ORDER_TAILS[j]) for j in rng.sample(range(4), 4)}, 0.5)
+        seen.add((v.l1(), f.finite.l1_total(), f.bound(), tpoly_bound(top)))
+    assert len(seen) == 1
 
 
 def test_tpoly_arity_mismatch():
