@@ -187,6 +187,27 @@ def _mul(rng, backend):
     return table.mul(_vector(rng, backend), _vector(rng, backend))
 
 
+def _mul_group_z(rng, backend):
+    return load_builtin("group_z", backend).table.mul(_vector(rng, backend), _vector(rng, backend))
+
+
+# far-apart exponents whose sums still meet: 0 + 1007 = 7 + 1000, and so on
+_SPARSE_EXPONENTS = (0, 7, 1000, 1007, 10**6, 10**6 + 7, 10**12)
+
+
+def _mul_sparse_powers(rng, backend):
+    name, symbol, signs = rng.choice((("polynomial", "x", (1,)), ("group_z", "g", (1, -1))))
+    fixture = load_builtin(name, backend)
+
+    def vector():
+        return HamelVector(backend, {
+            fixture.encode(f"{symbol}^{rng.choice(signs) * rng.choice(_SPARSE_EXPONENTS)}"): _value(rng, backend)
+            for _ in range(rng.randint(1, 5))
+        })
+
+    return fixture.table.mul(vector(), vector())
+
+
 def _poly_apply(rng, backend):
     arity = rng.randint(2, 3)
     return poly_apply(_nest(rng, backend, arity, tails=False), [_vector(rng, backend) for _ in range(arity)])
@@ -219,6 +240,10 @@ def _tail_mul(rng, backend):
     return tail_mul(table, _tail_vector(rng, backend), _tail_vector(rng, backend))
 
 
+def _tail_mul_group_z(rng, backend):
+    return tail_mul(load_builtin("group_z", backend).table, _tail_vector(rng, backend), _tail_vector(rng, backend))
+
+
 def _tpoly_apply(rng, backend):
     arity = rng.randint(1, 3)
     return tpoly_apply(_nest(rng, backend, arity, tails=True), [_tail_vector(rng, backend) for _ in range(arity)])
@@ -235,6 +260,8 @@ OPERATIONS = {
     "apply": _apply,
     "compose": _compose,
     "mul": _mul,
+    "mul_group_z": _mul_group_z,
+    "mul_sparse_powers": _mul_sparse_powers,
     "poly_apply": _poly_apply,
     "tensor_pure": _tensor_pure,
     "map_via_tensor": _map_via_tensor,
@@ -246,6 +273,7 @@ OPERATIONS = {
     "tail_apply": _tail_apply,
     "tail_compose": _tail_compose,
     "tail_mul": _tail_mul,
+    "tail_mul_group_z": _tail_mul_group_z,
     # one computation, recorded as two families: its prefix and its tail bound
     "tpoly_apply": lambda rng, backend: _tpoly_apply(rng, backend).prefix,
     "tpoly_apply_tail": lambda rng, backend: _tpoly_apply(rng, backend).tail,

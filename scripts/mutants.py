@@ -1,0 +1,144 @@
+"""Committed mutants: each breaks one guarded detail, and named tests must catch it.
+
+    python3 scripts/mutants.py                      # run every mutant
+    python3 scripts/mutants.py convolve-sorted-keys # run the named mutants only
+
+A mutant replaces one snippet, which must occur exactly once, in one file of
+``src/falg``.  Each runs in its own temporary copy of ``src/``, ``tests/``,
+``scripts/`` and ``pyproject.toml``, so this tree is never edited.  First the
+unmutated copy must pass every named test; then, for each mutant, pytest runs
+its named tests on the mutated copy, and every one of them must fail.  A
+mutant whose snippet is missing is an error too: the code it guards moved,
+so the mutant must move with it.  The named tests are tier-1 tests; this
+script is not, since it runs pytest once per mutant.
+
+Exit 0 when every mutant is caught by all its named tests, 1 otherwise.
+"""
+
+from __future__ import annotations
+
+import argparse
+import os
+import re
+import shutil
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+KERNEL = "tests/test_kernel.py::"
+
+
+class Mutant:
+    def __init__(self, name: str, file: str, old: str, new: str, tests: list[str]):
+        self.name, self.file, self.old, self.new, self.tests = name, file, old, new, tests
+
+
+MUTANTS = [
+    Mutant(
+        "convolve-keeps-zero-terms", "algebra.py",
+        "                t = x * y\n                if not t:\n                    continue\n",
+        "                t = x * y\n",
+        [KERNEL + "test_power_basis_mul_examples[underflow]"],
+    ),
+    Mutant(
+        "convolve-keeps-cancelled-keys", "algebra.py",
+        "                    t = acc[k] + t\n                    if not t:\n                        del acc[k]\n"
+        "                        continue\n",
+        "                    t = acc[k] + t\n",
+        [KERNEL + "test_power_basis_mul_examples[cancel-and-return]",
+         KERNEL + "test_power_basis_mul_examples[negative-exponents]"],
+    ),
+    Mutant(
+        "convolve-sorted-keys", "algebra.py",
+        "return {to_index(k): t for k, t in acc.items()}",
+        "return {to_index(k): acc[k] for k in sorted(acc)}",
+        [KERNEL + "test_power_basis_mul_examples[cancel-and-return]",
+         KERNEL + "test_power_basis_mul_examples[negative-exponents]"],
+    ),
+    Mutant(
+        "split-unscaled-numerators", "ring.py",
+        "x._numerator * (d // x._denominator)",
+        "x._numerator",
+        [KERNEL + "test_exact_apply_is_chained_sum",
+         KERNEL + "test_exact_mul_is_chained_sum",
+         "tests/test_differential.py::test_differential_first_block_matches"],
+    ),
+    Mutant(
+        "norm-add-low-rounds-zero", "ring.py",
+        "return s if x == 0.0 or y == 0.0 else max(0.0, math.nextafter(s, -math.inf))",
+        "return max(0.0, math.nextafter(s, -math.inf))",
+        [KERNEL + "test_float_pair_bound_check_reads_one_entry_exactly",
+         "tests/test_ring.py::test_backend_method_outcomes_are_pinned[norm_add_low(0.0, 1.5)]"],
+    ),
+]
+
+
+def _copy_tree(dest: Path) -> None:
+    ignore = shutil.ignore_patterns("__pycache__", ".hypothesis", ".pytest_cache")
+    for name in ("src", "tests", "scripts"):
+        shutil.copytree(ROOT / name, dest / name, ignore=ignore)
+    shutil.copy2(ROOT / "pyproject.toml", dest / "pyproject.toml")
+
+
+def _failed(tree: Path, tests: list[str]) -> set[str]:
+    """The named tests that do not pass in tree: failed, errored or not run."""
+    env = dict(os.environ, PYTHONPATH=str(tree / "src"), PYTHONDONTWRITEBYTECODE="1")
+    proc = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-rA", "-p", "no:cacheprovider", *tests],
+        cwd=tree, env=env, capture_output=True, text=True,
+    )
+    passed = set(re.findall(r"^PASSED (.+?)\s*$", proc.stdout, re.M))
+    return {t for t in tests if t not in passed}
+
+
+def _mutate(tree: Path, mutant: Mutant) -> None:
+    path = tree / "src" / "falg" / mutant.file
+    text = path.read_text()
+    if text.count(mutant.old) != 1:
+        raise LookupError(f"{mutant.name}: snippet occurs {text.count(mutant.old)} times in {mutant.file}")
+    path.write_text(text.replace(mutant.old, mutant.new))
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("names", nargs="*", help="mutants to run (default: all)")
+    args = parser.parse_args(argv)
+    known = {m.name: m for m in MUTANTS}
+    unknown = [n for n in args.names if n not in known]
+    if unknown:
+        parser.error(f"unknown mutant {unknown[0]!r}; one of {', '.join(known)}")
+    chosen = [known[n] for n in args.names] or MUTANTS
+    with tempfile.TemporaryDirectory() as tmp:
+        base = Path(tmp) / "base"
+        _copy_tree(base)
+        named = sorted({t for m in chosen for t in m.tests})
+        broken = _failed(base, named)
+        if broken:
+            print(f"unmutated tree fails {len(broken)} named tests: {', '.join(sorted(broken))}")
+            return 1
+        survivors = 0
+        for m in chosen:
+            tree = Path(tmp) / m.name
+            _copy_tree(tree)
+            try:
+                _mutate(tree, m)
+            except LookupError as e:
+                print(f"error: {e}")
+                survivors += 1
+                continue
+            failed = _failed(tree, m.tests)
+            missed = [t for t in m.tests if t not in failed]
+            if missed:
+                survivors += 1
+                print(f"survived: {m.name} passes {', '.join(missed)}")
+            else:
+                print(f"caught: {m.name} ({len(m.tests)} tests fail)")
+            shutil.rmtree(tree)
+    print(f"{len(chosen) - survivors} of {len(chosen)} mutants caught")
+    return 1 if survivors else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -19,13 +19,27 @@ reads.  ``entries`` stays the one store of the entries themselves, so
 results are added to ``entries``, so ``len(table.entries)`` is the memo size
 of a rule table; the absent pairs of an extensional table are zero and are
 memoized in ``_checked`` alone, so using a table never changes its ``==``.
-``_mul_form`` calls ``lookup`` only for pairs not yet in ``_checked``; an
-entry that violates the bound never enters it, so every product that
-reaches it raises again.
+``_mul_form``'s lookup loop calls ``lookup`` only for pairs not yet in
+``_checked``; an entry that violates the bound never enters it, so every
+product that reaches it raises again.
 
-``_mul_form`` is the one product loop: it multiplies two numerator forms.
-``mul`` checks its operands, splits them into forms and wraps the product
-form into a vector.
+``_mul_form`` multiplies two numerator forms; ``mul`` checks its operands,
+splits them into forms and wraps the product form into a vector.  It takes
+one of two paths.  The lookup loop visits every pair (i, j) of the two
+supports and adds the entry's form with ``_reduce``.  A power basis
+(``polynomial`` and ``group_z`` in ``catalog``) also carries a private
+codec, ``_codec = (to_exponent, to_index)``, with e_i * e_j =
+e_to_index(to_exponent(i) + to_exponent(j)); its ``rule`` is built from the
+same codec and is kept for ``lookup``.  When the codec is set and the pair
+bound is absent or at least 1, ``_convolve`` sums the products by exponent
+instead: every entry is one basis vector with coefficient 1, so the check
+cannot fail, and it adds x * y at exponent e + f in the loop's i-then-j
+order with the loop's rules (a zero term is skipped, a cancelled sum
+deleted).  Keys, their order and every float bit equal the loop's, but
+nothing is looked up, so the memo and ``_checked`` do not grow.  With a
+bound below 1 the loop runs and its check raises ``CertificateError``.
+``_codec`` is not a field, so it changes neither ``==`` nor ``repr``; a
+table built by hand has none.
 
 Claimed laws (associativity, commutativity) are never assumed silently:
 :meth:`StructureTable.check_laws` probes them, and anything that needs a law
@@ -96,6 +110,8 @@ class StructureTable(_Frozen):
         self.claims_commutative = claims_commutative
         # pairs whose entry passed the pair-bound check -> its numerator form
         self._checked: dict[tuple[int, int], tuple[int, dict]] = {}
+        # a power basis sets (to_exponent, to_index) here; see _mul_form
+        self._codec = None
 
     def _coerce(self, entry) -> HamelVector:
         if isinstance(entry, HamelVector):
@@ -142,6 +158,8 @@ class StructureTable(_Frozen):
         """The numerator form of the product of two numerator forms, unchecked."""
         da, xa = fa
         db, xb = fb
+        if self._codec is not None and (self.pair_bound is None or self.pair_bound >= 1):
+            return da * db, self._convolve(xa, xb)
         checked = self._checked
         acc: dict = {}
         den = 1
@@ -154,6 +172,31 @@ class StructureTable(_Frozen):
                 if form[1]:
                     den = _reduce(acc, den, form, x * y)
         return da * db * den, acc
+
+    def _convolve(self, xa: dict, xb: dict) -> dict:
+        """The product numerators of a power basis, summed by exponent.
+
+        Every entry is one basis vector with coefficient 1, so each pair adds
+        x * y at exponent e + f, in the loop's i-then-j order, with its rules:
+        a zero term is skipped and a sum that cancels is deleted.
+        """
+        to_exponent, to_index = self._codec
+        fb = [(to_exponent(j), y) for j, y in xb.items()]
+        acc: dict = {}
+        for i, x in xa.items():
+            e = to_exponent(i)
+            for f, y in fb:
+                t = x * y
+                if not t:
+                    continue
+                k = e + f
+                if k in acc:
+                    t = acc[k] + t
+                    if not t:
+                        del acc[k]
+                        continue
+                acc[k] = t
+        return {to_index(k): t for k, t in acc.items()}
 
     def _product(self, fa: tuple[int, dict], fb: tuple[int, dict]) -> tuple[int, dict]:
         """_mul_form, with the float64 finiteness check mul makes on its result."""

@@ -17,6 +17,11 @@ Builtins:
 
 All of these have pair bound 1: every basis product is a single basis
 vector with coefficient +-1.
+
+``polynomial`` and ``group_z`` are power bases, symbol^m * symbol^n =
+symbol^(m+n).  Besides its rule, such a table carries the codec
+``(to_exponent, to_index)`` the rule is built from, so
+``StructureTable.mul`` adds exponents instead of looking up every pair.
 """
 
 from __future__ import annotations
@@ -94,6 +99,7 @@ def _power_basis(backend, name, symbol, to_index, to_exponent, allow_negative) -
         claims_associative=True,
         claims_commutative=True,
     )
+    table._codec = (to_exponent, to_index)
 
     def encode(label: str) -> int:
         return to_index(_parse_power(symbol, label, allow_negative))

@@ -27,7 +27,10 @@ a raw value.  Integer and float values are their own numerators over 1
 (``_whole`` checks a float sum for finiteness); the rational backend puts
 integer numerators over the lcm of the denominators, and its ``_whole``
 and the kernels build Fractions with ``_ratio(n, d)``, which reduces by the
-gcd and skips Fraction's constructor.
+gcd and skips Fraction's constructor.  Its ``_split`` reads the two slots
+``_ratio`` writes, ``_numerator`` and ``_denominator``, straight from each
+value: every rat value is a Fraction, since ``check`` converts what it
+accepts and the ``Scalar`` constructor runs ``check``.
 
 Each backend also owns the l1 mass behind every certified bound:
 ``_mass(values)``, the sum of |x| over a list of raw or norm values.  int
@@ -281,12 +284,12 @@ class RationalBackend(Backend):
         return _fraction(text)
 
     def _split(self, coords):
-        """Integer numerators over d, the lcm of the denominators; each value is read once."""
-        ratios = [c.value.as_integer_ratio() for c in coords.values()]
-        d = lcm(*[q for _, q in ratios])
+        """Integer numerators over d, the lcm of the denominators, read from each Fraction's slots."""
+        values = [c.value for c in coords.values()]
+        d = lcm(*[x._denominator for x in values])
         if d == 1:
-            return 1, dict(zip(coords, [p for p, _ in ratios]))
-        return d, {k: p * (d // q) for k, (p, q) in zip(coords, ratios)}
+            return 1, {k: x._numerator for k, x in zip(coords, values)}
+        return d, {k: x._numerator * (d // x._denominator) for k, x in zip(coords, values)}
 
     def _whole(self, n):
         return _ratio(n, 1)
@@ -322,7 +325,7 @@ def _up(x: float) -> float:
 
 class Float64Backend(Backend):
     """Binary64 coefficients: results must stay finite, and bound arithmetic
-    rounds toward +inf (``norm_add_low`` toward -inf)."""
+    rounds toward +inf (``norm_add_low`` toward -inf); adding zero is exact."""
 
     name = "f64"
     norm_zero = 0.0
@@ -389,11 +392,11 @@ class Float64Backend(Backend):
         return _up(x * y)
 
     def norm_add_low(self, x, y):
-        # one ulp down dominates the half-ulp round-to-nearest error
+        # one ulp down dominates the half-ulp round-to-nearest error; adding zero is exact
         s = x + y
         if math.isinf(s) or math.isnan(s):
             raise OverflowError("bound arithmetic left the finite range")
-        return max(0.0, math.nextafter(s, -math.inf))
+        return s if x == 0.0 or y == 0.0 else max(0.0, math.nextafter(s, -math.inf))
 
     def norm_render(self, x):
         return repr(float(x))
@@ -410,13 +413,17 @@ BACKENDS = {b.name: b for b in (INTEGER, RATIONAL, FLOAT64)}
 
 
 class Scalar(_Frozen):
-    """One coefficient, tagged with its backend.  Mixing backends raises."""
+    """One coefficient, tagged with its backend.  Mixing backends raises.
+
+    The constructor checks the value with ``backend.check``, so a rat value
+    is always a Fraction, whose slots ``RationalBackend._split`` reads.
+    """
 
     _fields = __slots__ = ("backend", "value")
 
     def __init__(self, backend: Backend, value: object):
         _set_backend(self, backend)
-        _set_value(self, value)
+        _set_value(self, backend.check(value))
 
     def _join(self, other: "Scalar") -> None:
         if other.backend is not self.backend:

@@ -9,10 +9,15 @@ integer numerators with one common denominator; those tests use large
 coprime denominators and also pin the key order to that of a left-to-right
 chain of canonical additions.  The float tests pin the rounding: each result
 must equal a left-to-right sequential sum of the same terms, bit for bit,
-and a result that overflows must raise.
+and a result that overflows must raise.  Products in the power bases add
+exponents instead of looking up table entries; those properties pin them to
+the lookup loop's results, repr for repr.
 """
 
 import itertools
+import math
+import re
+import time
 from fractions import Fraction
 from math import gcd
 
@@ -638,6 +643,92 @@ def test_pair_bound_violation_raises_on_every_mul(backend):
     with pytest.raises(CertificateError):
         table.mul(a, b)
     assert len(table.entries) == 2
+
+
+def test_float_pair_bound_check_reads_one_entry_exactly():
+    # the check's sum starts at 0.0, so its first term must enter unrounded
+    table = StructureTable(FLOAT64, entries={(0, 0): {0: 1.5}}, pair_bound=math.nextafter(1.5, 0))
+    with pytest.raises(CertificateError, match="sum of [|]C[|] is 1.5,"):
+        table.mul(_f64({0: 1}), _f64({0: 1}))
+
+
+# power bases multiply by exponent arithmetic --------------------------------
+
+# on f64: quotients that round, and values whose products underflow to 0.0 or overflow
+POWER_VALUES = {
+    INTEGER: st.sampled_from([-2, -1, 1, 2, 10**12 + 39]),
+    RATIONAL: st.sampled_from([Fraction(n, d) for n in (-2, -1, 1, 2) for d in (1, 3, 65537)]),
+    FLOAT64: st.sampled_from([-2.0, -1.0, 1.0, 2.0, 1 / 3, -1 / 3, 0.1, 2.0**-600, -(2.0**-600), 1e300, -1e300]),
+}
+
+
+def _generic_twin(table: StructureTable) -> StructureTable:
+    """The same rule without the exponent codec, so products take the lookup loop."""
+    return StructureTable(table.backend, table.name, rule=table.rule, pair_bound=1)
+
+
+def _power_mul(backend, name, a: dict, b: dict):
+    """table.mul(a, b) on the builtin, after checking it against the lookup loop, repr for repr."""
+    table = load_builtin(name, backend).table
+    av, bv = HamelVector(backend, a), HamelVector(backend, b)
+    try:
+        result = table.mul(av, bv)
+    except ValueError as e:
+        with pytest.raises(type(e), match=f"^{re.escape(str(e))}$"):
+            _generic_twin(table).mul(av, bv)
+        raise
+    assert repr(result) == repr(_generic_twin(table).mul(av, bv))
+    return result
+
+
+@given(data=st.data(), backend=st.sampled_from([INTEGER, RATIONAL, FLOAT64]),
+       name=st.sampled_from(["polynomial", "group_z"]))
+def test_power_basis_mul_matches_the_lookup_loop(data, backend, name):
+    # dict draws list their keys unsorted; on group_z, even indices >= 2 are negative exponents
+    vectors = st.dictionaries(st.integers(0, 8), POWER_VALUES[backend], max_size=6)
+    try:
+        _power_mul(backend, name, data.draw(vectors), data.draw(vectors))
+    except ValueError:
+        assert backend is FLOAT64  # an overflow, raised alike by both
+
+
+@pytest.mark.parametrize("backend, name, a, b, expected", [
+    # (1 + x + x^2)(x^2 - x + 1): x^2 cancels twice and comes back last
+    (RATIONAL, "polynomial", {0: 1, 1: 1, 2: 1}, {2: 1, 1: -1, 0: 1}, [(0, 1), (4, 1), (2, 1)]),
+    # (g^-2 + g^2 + 1 + g^-1)(2g^-1 - 2g + g^2), zig-zag indexed: g^-1 cancels,
+    # and g cancels and comes back last
+    (INTEGER, "group_z", {4: 1, 3: 1, 0: 1, 2: 1}, {2: 2, 1: -2, 3: 1},
+     [(6, 2), (0, -1), (5, -2), (7, 1), (3, 1), (4, 2), (1, 1)]),
+    # 2^-600 * 2^-600 underflows to 0.0 and is skipped, so x comes last
+    (FLOAT64, "polynomial", {1: 2.0**-600, 0: 1.0}, {0: 2.0**-600, 1: 1.0},
+     [(2, 2.0**-600), (0, 2.0**-600), (1, 1.0)]),
+    (FLOAT64, "group_z", {2: 1e300}, {2: 1e300, 0: 1.0}, "float coefficients must be finite"),
+], ids=["cancel-and-return", "negative-exponents", "underflow", "overflow"])
+def test_power_basis_mul_examples(backend, name, a, b, expected):
+    if isinstance(expected, str):
+        with pytest.raises(ValueError, match=expected):
+            _power_mul(backend, name, a, b)
+    else:
+        assert list(_raw(_power_mul(backend, name, a, b)).items()) == expected
+
+
+def test_power_basis_far_apart_exponents_are_cheap():
+    poly = load_builtin("polynomial", RATIONAL).table
+    start = time.process_time()
+    result = poly.mul(_vec({100000: 1}), _vec({1: 1}))
+    group = load_builtin("group_z", RATIONAL).table
+    inverse = group.mul(_vec({2 * 10**9: 3}), _vec({2 * 10**9 - 1: Fraction(1, 3)}))  # g^-10^9 * g^10^9
+    assert time.process_time() - start < 0.5
+    assert _raw(result) == {100001: 1} and _raw(inverse) == {0: 1}
+
+
+@pytest.mark.parametrize("backend", [INTEGER, RATIONAL, FLOAT64])
+@pytest.mark.parametrize("name", ["polynomial", "group_z"])
+def test_power_basis_rebound_pair_bound_raises(backend, name):
+    table = load_builtin(name, backend).table
+    table.pair_bound = backend.norm_check(Fraction(1, 2))
+    with pytest.raises(CertificateError, match="pair bound violated at [(]0, 0[)]"):
+        table.mul(HamelVector(backend, {0: 1}), HamelVector(backend, {0: 1}))
 
 
 # kernel Fractions are built without Fraction's constructor ------------------

@@ -374,6 +374,8 @@ _BACKEND_OUTCOMES = [
     ("norm_add_low", (Fraction(1, 3), 2),
      "Fraction Fraction(7, 3)", "Fraction Fraction(7, 3)", "float 2.333333333333333"),
     ("norm_add_low", (0.1, 0.2), "float 0.30000000000000004", "float 0.30000000000000004", "float 0.3"),
+    ("norm_add_low", (0.0, 1.5), "float 1.5", "float 1.5", "float 1.5"),
+    ("norm_add_low", (1.5, 0.0), "float 1.5", "float 1.5", "float 1.5"),
     ("norm_add_low", (1e308, 1e308),
      "float inf", "float inf", "OverflowError: bound arithmetic left the finite range"),
     ("norm_render", (0,), "str '0'", "str '0'", "str '0.0'"),
@@ -432,6 +434,18 @@ def test_backend_method_outcomes_are_pinned(method, args, expected_int, expected
     assert _outcome(INTEGER, method, args) == expected_int
     assert _outcome(RATIONAL, method, args) == expected_rat
     assert _outcome(FLOAT64, method, args) == expected_f64
+
+
+def test_scalar_constructor_checks_its_value():
+    assert type(Scalar(RATIONAL, 3).value) is Fraction
+    assert type(Scalar(FLOAT64, 2).value) is float
+    with pytest.raises(TypeError):
+        Scalar(INTEGER, Fraction(1, 2))
+    with pytest.raises(ValueError):
+        Scalar(FLOAT64, math.inf)
+    # the kernels read a rat value's Fraction slots
+    v = HamelVector(RATIONAL, {0: Scalar(RATIONAL, 3)})
+    assert v.scale(RATIONAL.scalar(Fraction(1, 2))) == HamelVector(RATIONAL, {0: Fraction(3, 2)})
 
 
 def test_rational_check_shares_plain_fractions():
