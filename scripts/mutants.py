@@ -28,6 +28,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 KERNEL = "tests/test_kernel.py::"
+COLUMNS = KERNEL + "test_column_sum_examples["
 
 
 class Mutant:
@@ -59,11 +60,97 @@ MUTANTS = [
     ),
     Mutant(
         "split-unscaled-numerators", "ring.py",
-        "x._numerator * (d // x._denominator)",
-        "x._numerator",
+        "{k: x._numerator * (d // x._denominator) for k",
+        "{k: x._numerator for k",
         [KERNEL + "test_exact_apply_is_chained_sum",
          KERNEL + "test_exact_mul_is_chained_sum",
          "tests/test_differential.py::test_differential_first_block_matches"],
+    ),
+    Mutant(
+        "column-sum-keeps-zero-terms", "ring.py",
+        "                t = s * c.value\n                if not t:\n                    continue\n",
+        "                t = s * c.value\n",
+        [COLUMNS + "f64-underflow-apply]", COLUMNS + "f64-underflow-tpoly_apply]"],
+    ),
+    Mutant(
+        "column-sum-keeps-cancelled-keys", "ring.py",
+        "                    continue\n                if k in acc:\n                    t = acc[k] + t\n"
+        "                    if not t:\n                        del acc[k]\n                        continue\n",
+        "                    continue\n                if k in acc:\n                    t = acc[k] + t\n",
+        [COLUMNS + f"{b}-cancel-and-return-{op}]" for b in ("int", "f64") for op in ("apply", "tpoly_apply")],
+    ),
+    Mutant(
+        "rat-column-sum-keeps-cancelled-keys", "ring.py",
+        "                t = s * (x._numerator * (d // x._denominator))\n                if k in acc:\n"
+        "                    t = acc[k] + t\n                    if not t:\n                        del acc[k]\n"
+        "                        continue\n",
+        "                t = s * (x._numerator * (d // x._denominator))\n                if k in acc:\n"
+        "                    t = acc[k] + t\n",
+        [COLUMNS + "rat-cancel-and-return-apply]", COLUMNS + "rat-cancel-and-return-tpoly_apply]"],
+    ),
+    Mutant(
+        "rat-column-sum-unscaled-entries", "ring.py",
+        "t = s * (x._numerator * (d // x._denominator))",
+        "t = s * x._numerator",
+        [COLUMNS + f"rat-{case}-{op}]" for case in ("denominators", "cancel-and-return")
+         for op in ("apply", "tpoly_apply")],
+    ),
+    Mutant(
+        "rat-column-sum-unscaled-columns", "ring.py",
+        "            if d != den:\n                s *= den // d\n",
+        "",
+        [COLUMNS + "rat-denominators-apply]", COLUMNS + "rat-denominators-tpoly_apply]"],
+    ),
+    Mutant(
+        "reduce-keeps-zero-terms", "hamel.py",
+        "        x = s * n\n        if not x:\n            continue\n",
+        "        x = s * n\n",
+        [COLUMNS + "f64-underflow-compose]"],
+    ),
+    Mutant(
+        "reduce-keeps-cancelled-keys", "hamel.py",
+        "        if not x:\n            continue\n        if k in acc:\n            x = acc[k] + x\n"
+        "            if not x:\n                del acc[k]\n                continue\n        acc[k] = x\n    return den\n",
+        "        if not x:\n            continue\n        if k in acc:\n            x = acc[k] + x\n"
+        "        acc[k] = x\n    return den\n",
+        [COLUMNS + f"{b}-cancel-and-return-compose]" for b in ("int", "rat", "f64")],
+    ),
+    Mutant(
+        "reduce-unscaled-parts", "hamel.py",
+        "    if d != den:\n        s *= den // d\n",
+        "",
+        [COLUMNS + "rat-denominators-compose]", COLUMNS + "rat-cancel-and-return-compose]"],
+    ),
+    Mutant(
+        "compose-drops-entry-denominators", "hamel.py",
+        "parts.append((p, (q * form[0], form[1])))",
+        "parts.append((p, form))",
+        [COLUMNS + "rat-denominators-compose]", COLUMNS + "rat-cancel-and-return-compose]"],
+    ),
+    # three checks made by hand in earlier changes: an unreduced quotient (g = 1
+    # in the Fraction builder), a running sum not rescaled at a new denominator,
+    # and an entry that violates the pair bound kept as checked
+    Mutant(
+        "form-coords-unreduced", "hamel.py",
+        "        g = gcd(n, den)\n",
+        "        g = 1\n",
+        [KERNEL + "test_form_coords_builds_reduced_fractions",
+         KERNEL + "test_exact_apply_is_chained_sum",
+         COLUMNS + "rat-denominators-apply]"],
+    ),
+    Mutant(
+        "reduce-drops-rescale", "hamel.py",
+        "        for k in acc:\n            acc[k] *= m\n",
+        "",
+        [KERNEL + "test_mul_rescales_across_new_denominators",
+         KERNEL + "test_exact_mul_is_chained_sum"],
+    ),
+    Mutant(
+        "checked-stores-violating-entry", "algebra.py",
+        "        if self.pair_bound is not None:\n            # accumulate without upward rounding",
+        "        self._checked[key] = self.backend._split(entry.coords)\n"
+        "        if self.pair_bound is not None:\n            # accumulate without upward rounding",
+        [KERNEL + f"test_pair_bound_violation_raises_on_every_mul[backend{i}]" for i in range(3)],
     ),
     Mutant(
         "norm-add-low-rounds-zero", "ring.py",

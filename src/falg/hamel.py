@@ -25,14 +25,34 @@ integer and d the lcm of the denominators.  ``_reduce`` adds terms
 multiplying the dict through when a term's denominator does not divide it;
 ``_combine`` takes the lcm of all parts' denominators first, so its sums
 never rescale, and only the table product (``StructureTable._mul_form``),
-which meets table entries one pair at a time, rescales.  ``_form_coords``
-turns each surviving numerator n over the final denominator D into one
-reduced Fraction, ``ring._ratio(n, D)``, or into ``backend._whole(n)`` when
-D is 1.  All denominators are positive, so a partial sum is zero exactly
-when the rational sum it stands for is: key order and results equal those
-of a chain of Fraction additions.  On float64 the reduction computes
-``s * n`` and adds it to its coordinate in the order the operands list
-their terms, so float sums round as sequential Scalar additions do.
+which meets table entries one pair at a time, rescales.
+
+Map application reads the stored columns in place, with no form per
+column: ``ColumnFiniteMap.apply`` and everything that reaches
+``_apply_split`` (``TailMap.apply``, the leaf level of ``poly_apply``,
+``map_via_tensor``'s f(x)) and the leaf columns of the truncation layer's
+nest sums call ``backend._column_sum``, which sums a list of (numerator,
+column) parts straight from the columns' Scalars.  On rat it takes each
+column's lcm d first, then D, the lcm of those, and scales each part once
+by D // d, not each entry by a map-wide factor: with many unrelated
+denominators, D // q per entry is a big integer for every entry.
+``compose`` does the converse.  A column of self feeds every column of g
+that reaches it (about 8 in a banded map), so it is split into a form
+once per call and reused, which is cheaper than reading it in place again
+for each of them; each entry of g's columns is read in place as
+``backend._num_den(value)``, a numerator p over q, and the form (d, nums)
+it meets enters ``_combine`` as p over q * d.
+
+``_form_coords`` turns each surviving numerator n over the final
+denominator D into one Scalar, built inline: over D > 1 (only rat forms
+have one) its value is the reduced Fraction (n // g) / (D // g) with
+g = gcd(n, D), over 1 it is ``backend._whole(n)``.  All denominators are
+positive, so a partial sum is zero exactly when the rational sum it stands
+for is: key order and results equal those of a chain of Fraction
+additions.  On float64 every kernel computes ``s * n`` (``s * c.value``
+when reading in place) and adds it to its coordinate in the order the
+operands list their terms, so float sums round as sequential Scalar
+additions do.
 
 ``+`` and ``-`` of two coordinate tables are a merge, not a sum of
 products: ``_accumulate`` adds the raw values of both operands into one
@@ -40,8 +60,9 @@ dict and ``_canonical`` wraps the result.  A merge reads each value once,
 where forms would split both operands first, which costs more than it
 saves on two operands (measured under ROADMAP item 6).
 
-Both primitives skip a zero term and delete a coordinate whose sum
-cancels, exactly as chained canonical vector additions would.
+Every sum, in place or on forms, skips a zero term and deletes a
+coordinate whose sum cancels, exactly as chained canonical vector additions
+would.
 
 Vectors, dual functionals and tensors (``tensor.TensorElement``) are one
 kind of value, a zero-free coordinate table over one backend, and share one
@@ -59,17 +80,18 @@ for another backend.
 Trusted-builder invariant: kernel results are built without running
 constructors.  ``_trusted`` sets a frozen value class's fields without its
 ``__init__``, so it skips ``_check_index`` and the backend re-check;
-``ring._scalar`` wraps each coefficient without the ``Scalar`` type call;
-``ring._ratio`` sets a Fraction's two slots from a numerator and
-denominator it has divided by their gcd, without ``Fraction.__new__``'s
-argument dispatch, zero test and sign fix.  Only an operation on already-constructed values
-may use them -- one that has joined its operands (type and backend checks)
-and builds its result only from their keys, raw values and sums or
-products of them.  Those keys passed ``_check_index`` and those values
-passed their backend's ``check`` when the operands were built.  ``_ratio``
-is sound only because every form denominator is a product and lcm of such
-values' denominators, hence positive, so ``n // g`` over ``d // g`` is
-already the canonical Fraction.  Exact arithmetic keeps values in their
+``ring._scalar`` and ``_form_coords`` set a Scalar's two slots without
+the ``Scalar`` type call; ``_form_coords`` sets a Fraction's two slots from
+a numerator and denominator it has divided by their gcd, without
+``Fraction.__new__``'s argument dispatch, zero test and sign fix.  Only an
+operation on already-constructed values may use them -- one that has
+joined its operands (type and backend checks) and builds its result only
+from their keys, raw values and sums or products of them.  Those keys
+passed ``_check_index`` and those values passed their backend's ``check``
+when the operands were built.  The Fraction build is sound only because
+every form denominator is a product and lcm of such values' denominators,
+hence positive, so ``n // g`` over ``d // g`` is already the canonical
+Fraction.  Exact arithmetic keeps values in their
 backend; float arithmetic can overflow, so both primitives reject a
 non-finite float64 result (``backend._whole`` and ``backend._check_sums``
 raise ``ValueError``).  Anything arriving from a caller as raw data (public
@@ -78,10 +100,13 @@ constructors, ``from_data``) keeps the full validation.
 
 from __future__ import annotations
 
+from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterator, Mapping, Sequence, Union
 
-from .ring import Backend, BackendMismatchError, NormValue, Scalar, _Frozen, _new, _ratio, _scalar
+from .ring import (
+    Backend, BackendMismatchError, NormValue, Scalar, _Frozen, _new, _scalar, _set_backend, _set_value
+)
 
 
 def _check_index(i) -> int:
@@ -161,12 +186,33 @@ def _combine(parts: list) -> tuple[int, dict]:
 
 
 def _form_coords(backend: Backend, form: tuple[int, dict]) -> dict:
-    """Scalars n / den for the nonzero numerators n of form = (den, nums), one each."""
+    """Scalars n / den for the nonzero numerators n of form = (den, nums), one each.
+
+    Each Scalar is built inline.  Over 1 its value is ``backend._whole(n)``;
+    over den > 1, which only rat forms have, it is the Fraction
+    (n // g) / (den // g) with g = gcd(n, den), its two slots set here.
+    """
     den, nums = form
+    out = {}
     if den == 1:
         whole = backend._whole
-        return {k: _scalar(backend, whole(n)) for k, n in nums.items() if n}
-    return {k: _scalar(backend, _ratio(n, den)) for k, n in nums.items()}
+        for k, n in nums.items():
+            if n:
+                c = _new(Scalar)
+                _set_backend(c, backend)
+                _set_value(c, whole(n))
+                out[k] = c
+        return out
+    for k, n in nums.items():
+        g = gcd(n, den)
+        q = _new(Fraction)
+        q._numerator = n // g
+        q._denominator = den // g
+        c = _new(Scalar)
+        _set_backend(c, backend)
+        _set_value(c, q)
+        out[k] = c
+    return out
 
 
 def _trusted(cls, **fields):
@@ -409,20 +455,13 @@ class ColumnFiniteMap(_Frozen):
 
     def apply(self, v: HamelVector) -> HamelVector:
         _operand(v, HamelVector, self.backend, "argument")
-        return _form_vector(self.backend, self._apply_split(self.backend._split(v.coords), {}))
+        return _form_vector(self.backend, self._apply_split(self.backend._split(v.coords)))
 
-    def _apply_split(self, v: tuple[int, dict], splits: dict) -> tuple[int, dict]:
-        """apply on a numerator form; splits caches the split columns of self."""
+    def _apply_split(self, v: tuple[int, dict]) -> tuple[int, dict]:
+        """apply on a numerator form, reading the columns of self in place."""
         dv, xs = v
-        parts = []
-        for j, x in xs.items():
-            col = splits.get(j)
-            if col is None:
-                if j not in self.cols:
-                    continue
-                col = splits[j] = self.backend._split(self.cols[j].coords)
-            parts.append((x, col))
-        den, acc = _combine(parts)
+        cols = self.cols
+        den, acc = self.backend._column_sum([(x, cols[j].coords) for j, x in xs.items() if j in cols])
         return dv * den, acc
 
     def __call__(self, v: HamelVector) -> HamelVector:
@@ -451,14 +490,29 @@ class ColumnFiniteMap(_Frozen):
         return NotImplemented
 
     def compose(self, g: "ColumnFiniteMap") -> "ColumnFiniteMap":
-        """self after g: column j of the result is self(g(e_j))."""
+        """self after g: column j of the result is self(g(e_j)).
+
+        Each column of self that g reaches is split into a form once per
+        call, since it feeds every column of g that reaches it; each entry
+        p/q of g's columns is read in place and scales the form (d, nums)
+        it meets as p over q * d.
+        """
         _operand(g, ColumnFiniteMap, self.backend, "operand")
         b = self.backend
-        splits: dict = {}
-        return _map(b, {
-            j: _form_vector(b, self._apply_split(b._split(col.coords), splits))
-            for j, col in g.cols.items()
-        })
+        cols, num_den, forms = self.cols, b._num_den, {}
+        out = {}
+        for j, col in g.cols.items():
+            parts = []
+            for k, c in col.coords.items():
+                form = forms.get(k)
+                if form is None:
+                    if k not in cols:
+                        continue
+                    form = forms[k] = b._split(cols[k].coords)
+                p, q = num_den(c.value)
+                parts.append((p, (q * form[0], form[1])))
+            out[j] = _form_vector(b, _combine(parts))
+        return _map(b, out)
 
     def l1_total(self) -> NormValue:
         """Sum of |entry| over the whole table; finite by construction."""
@@ -565,7 +619,7 @@ def _poly_split(nest: MapNode, xs: Sequence[HamelVector], splits: dict) -> tuple
     if head is None:
         head = splits[len(xs)] = nest.backend._split(xs[0].coords)
     if isinstance(nest, ColumnFiniteMap):
-        return nest._apply_split(head, {})
+        return nest._apply_split(head)
     dh, nums = head
     den, acc = _combine([
         (x, _poly_split(nest.slots[j], xs[1:], splits)) for j, x in nums.items() if j in nest.slots

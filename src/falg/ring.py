@@ -25,12 +25,25 @@ products: ``_split(coords)`` writes a table of Scalars as ``(d, {k: n})``
 with every value n / d, and ``_whole(n)`` reads a numerator over 1 back as
 a raw value.  Integer and float values are their own numerators over 1
 (``_whole`` checks a float sum for finiteness); the rational backend puts
-integer numerators over the lcm of the denominators, and its ``_whole``
-and the kernels build Fractions with ``_ratio(n, d)``, which reduces by the
-gcd and skips Fraction's constructor.  Its ``_split`` reads the two slots
-``_ratio`` writes, ``_numerator`` and ``_denominator``, straight from each
-value: every rat value is a Fraction, since ``check`` converts what it
-accepts and the ``Scalar`` constructor runs ``check``.
+integer numerators over the lcm of the denominators.  Its ``_whole`` sets
+a Fraction's two slots, ``_numerator`` and ``_denominator``, without
+Fraction's constructor, as the hamel kernels do for every reduced result,
+and its ``_split`` reads those two slots straight from each value: every
+rat value is a Fraction, since ``check`` converts what it accepts and the
+``Scalar`` constructor runs ``check``.
+
+Each backend also owns how a sum of columns reads its entries in place,
+with no form per column: ``_column_sum(parts)`` is the form of the sum of
+s * col over parts ``[(s, coords), ...]``, and ``_num_den(x)`` reads one
+raw value as (numerator, denominator).  Integer and float values are read
+as they are: each term is ``s * c.value``, added in column order, so
+float64 rounds as a sequential sum.  The rational backend reads the two
+slots, in two passes: each column's lcm d, then D, the lcm of those, and
+then each entry n/q as s * (D // d) times n * (d // q).  The scale
+D // d is applied to s once per column, so each entry meets only its own
+column's small factor d // q; scaling every entry by one map-wide
+D // q instead makes every term a big integer when the columns'
+denominators are unrelated.
 
 Each backend also owns the l1 mass behind every certified bound:
 ``_mass(values)``, the sum of |x| over a list of raw or norm values.  int
@@ -59,7 +72,7 @@ from __future__ import annotations
 import math
 import re
 from fractions import Fraction
-from math import gcd, lcm
+from math import lcm
 from operator import attrgetter
 from typing import Union
 
@@ -193,6 +206,33 @@ class Backend:
         """The raw value n / 1 of a form's numerator n."""
         return n
 
+    def _column_sum(self, parts: list) -> tuple[int, dict]:
+        """The form of the sum of s * col over parts [(s, coords), ...], each column read in place.
+
+        Each s is a form numerator and each col a table of Scalars, read
+        where it is stored.  Here values are their own numerators over 1, so
+        each term is s * c.value, added in column order.  A zero term (a
+        float64 product that underflows) is skipped and a sum that cancels
+        is deleted.
+        """
+        acc: dict = {}
+        for s, coords in parts:
+            for k, c in coords.items():
+                t = s * c.value
+                if not t:
+                    continue
+                if k in acc:
+                    t = acc[k] + t
+                    if not t:
+                        del acc[k]
+                        continue
+                acc[k] = t
+        return 1, acc
+
+    def _num_den(self, x) -> tuple:
+        """The raw value x as (numerator, denominator): here x over 1."""
+        return x, 1
+
     def _mass(self, values: list) -> NormValue:
         """Sum of |x| over raw or norm values; norm_zero when there are none."""
         return sum(map(abs, values))
@@ -292,21 +332,50 @@ class RationalBackend(Backend):
         return d, {k: x._numerator * (d // x._denominator) for k, x in zip(coords, values)}
 
     def _whole(self, n):
-        return _ratio(n, 1)
+        q = _new(Fraction)
+        q._numerator = n
+        q._denominator = 1
+        return q
+
+    def _column_sum(self, parts):
+        """Integer numerators over D, read from each Fraction's slots in two passes.
+
+        The first pass takes each column's lcm d of its denominators, and D,
+        the lcm of those, before any term is added, so no sum is rescaled.
+        The second adds s * (D // d) times n * (d // q) for each entry n/q
+        of each column, scaling once per column.  Numerators are nonzero, so
+        no term is zero; a sum that cancels is deleted.
+        """
+        ds = []
+        for _, coords in parts:
+            d = 1
+            for c in coords.values():
+                q = c.value._denominator
+                if d % q:
+                    d = lcm(d, q)
+            ds.append(d)
+        den = lcm(*ds)
+        acc: dict = {}
+        for (s, coords), d in zip(parts, ds):
+            if d != den:
+                s *= den // d
+            for k, c in coords.items():
+                x = c.value
+                t = s * (x._numerator * (d // x._denominator))
+                if k in acc:
+                    t = acc[k] + t
+                    if not t:
+                        del acc[k]
+                        continue
+                acc[k] = t
+        return den, acc
+
+    _num_den = staticmethod(attrgetter("_numerator", "_denominator"))
 
     def norm_check(self, x):
         if isinstance(x, str):
             x = _fraction(x)
         return super().norm_check(x)
-
-
-def _ratio(n: int, d: int) -> Fraction:
-    """Fraction(n, d) for d > 0, reduced here and built without Fraction's constructor."""
-    g = gcd(n, d)
-    q = _new(Fraction)
-    q._numerator = n // g
-    q._denominator = d // g
-    return q
 
 
 def _finite(x: float) -> float:

@@ -35,7 +35,7 @@ from __future__ import annotations
 from typing import Mapping, Sequence, Union
 
 from .ring import Backend, NormValue, _Frozen
-from .hamel import ColumnFiniteMap, HamelVector, _check_slots, _combine, _form_vector, _map, _operand
+from .hamel import ColumnFiniteMap, HamelVector, _check_slots, _form_vector, _map, _operand
 from .algebra import StructureTable
 
 
@@ -260,23 +260,23 @@ def _nest_sum(b: Backend, arity: int, parts: list, d: int, tail: NormValue) -> T
     """The sum of x * sub / d over parts [(x, sub), ...] as a nest of the given arity.
 
     The parts' tails are dropped: the top node carries tail, inner nodes
-    zero.  Each leaf column is one numerator form, summed with _combine in
-    the order the parts list their columns, and d, the denominator of every
-    x, goes on that form.  A slot reached by any part stays, even if it
-    sums to zero.
+    zero.  Each leaf column is summed by ``backend._column_sum``, reading
+    the parts' columns in place in the order the parts list them, and d,
+    the denominator of every x, goes on its form.  A slot reached by any
+    part stays, even if it sums to zero.
     """
     table: dict = {}
     for x, sub in parts:
         if arity == 1:
             for j, col in sub.finite.cols.items():
-                table.setdefault(j, []).append((x, b._split(col.coords)))
+                table.setdefault(j, []).append((x, col.coords))
         else:
             for j, inner in sub.slots.items():
                 table.setdefault(j, []).append((x, inner))
     if arity == 1:
         cols = {}
-        for j, forms in table.items():
-            den, nums = _combine(forms)
+        for j, cs in table.items():
+            den, nums = b._column_sum(cs)
             cols[j] = _form_vector(b, (d * den, nums))
         return TailMap(_map(b, cols), tail)
     slots = {j: _nest_sum(b, arity - 1, ps, d, b.norm_zero) for j, ps in table.items()}

@@ -136,7 +136,7 @@ def map_via_tensor(
             raise NonAssociativeError(
                 f"table {table.name!r} fails associativity at basis triple ({i}, {j}, {k})"
             )
-    fx = f._apply_split(backend._split(x.coords), {})
+    fx = f._apply_split(backend._split(x.coords))
     backend._check_sums(fx[1].values())  # as f.apply checks its result
     dt, ts = backend._split(t.coords)
     parts = [

@@ -1,8 +1,9 @@
 """The accumulate-once kernels against naive Fraction oracles.
 
 Every sum of products (products, map application and composition, polylinear
-and tensor evaluation, scaling) goes through one numerator-form reduction;
-these properties pin its results to sums written out directly from the
+and tensor evaluation, scaling) follows one reduction rule, on numerator
+forms or, in map application, reading the stored columns in place; these
+properties pin its results to sums written out directly from the
 definitions, on inputs whose partial sums cancel to zero and reappear, and
 check that no zero is ever stored.  On the exact backends the sums run over
 integer numerators with one common denominator; those tests use large
@@ -34,17 +35,20 @@ from falg import (
     DualFunctional,
     HamelVector,
     PolyMap,
+    Scalar,
     StructureTable,
     TailMap,
+    TailPolyMap,
     TailVector,
     TensorElement,
     load_builtin,
     map_via_tensor,
     poly_apply,
     tensor_pure,
+    tpoly_apply,
 )
 
-from falg.hamel import _ratio
+from falg.hamel import _form_coords
 from support import assert_canonical
 
 # few distinct values, so partial sums cancel often
@@ -652,6 +656,67 @@ def test_float_pair_bound_check_reads_one_entry_exactly():
         table.mul(_f64({0: 1}), _f64({0: 1}))
 
 
+# column sums read the stored columns in place -------------------------------
+
+# Each case is a map f, a weight vector x and the expected result of
+# sum_j x[j] * f[j] in stored key order (or the ValueError it raises).  The
+# same sum is taken three ways: f.apply(x); column 5 of f.compose(g) with
+# g's column 5 equal to x; and tpoly_apply of the arity-2 nest whose slot j
+# holds f[j] as column 0, fed x and then e_0, whose leaf column is that sum.
+COLUMN_CASES = {
+    # column lcms 6, 1 and 20 under D = 60; column 1 is integral
+    "rat-denominators": (RATIONAL,
+        {0: {0: Fraction(1, 2), 1: Fraction(1, 3)}, 1: {1: 2, 2: -5}, 2: {0: Fraction(1, 4), 2: Fraction(3, 10)}},
+        {0: 1, 1: Fraction(1, 7), 2: Fraction(2, 3)},
+        [(0, Fraction(2, 3)), (1, Fraction(13, 21)), (2, Fraction(-18, 35))]),
+    # coordinate 1 cancels after column 1, then column 2 brings it back, last but one
+    "rat-cancel-and-return": (RATIONAL,
+        {0: {0: Fraction(1, 2), 1: Fraction(1, 3)}, 1: {1: Fraction(-1, 3), 2: Fraction(1, 5)},
+         2: {1: Fraction(2, 7), 3: 1}},
+        {0: Fraction(3, 4), 1: Fraction(3, 4), 2: Fraction(2, 5)},
+        [(0, Fraction(3, 8)), (2, Fraction(3, 20)), (1, Fraction(4, 35)), (3, Fraction(2, 5))]),
+    "int-cancel-and-return": (INTEGER,
+        {0: {0: 2, 1: 3}, 1: {1: -3, 2: 5}, 2: {1: 7, 3: 1}}, {0: 1, 1: 1, 2: 2},
+        [(0, 2), (2, 5), (1, 14), (3, 2)]),
+    "f64-cancel-and-return": (FLOAT64,
+        {0: {0: 0.5, 1: 0.25}, 1: {1: -0.25, 2: 1.5}, 2: {1: 3.0, 3: 1.0}}, {0: 1.0, 1: 1.0, 2: 0.5},
+        [(0, 0.5), (2, 1.5), (1, 1.5), (3, 0.5)]),
+    # 2^-600 * 2^-600 underflows to 0.0 and is skipped, so coordinate 0 comes last
+    "f64-underflow": (FLOAT64,
+        {0: {0: 2.0**-600, 1: 1.0}, 1: {0: 1.0}}, {0: 2.0**-600, 1: 1.0},
+        [(1, 2.0**-600), (0, 1.0)]),
+    # each term is finite; their sum is not
+    "f64-overflow": (FLOAT64,
+        {0: {0: 1e307}, 1: {0: 1e307}}, {0: 10.0, 1: 10.0},
+        "float coefficients must be finite"),
+}
+
+
+def _column_sum_by(op: str, backend, f: dict, x: dict) -> HamelVector:
+    if op == "apply":
+        return ColumnFiniteMap(backend, f).apply(HamelVector(backend, x))
+    if op == "compose":
+        result = ColumnFiniteMap(backend, f).compose(ColumnFiniteMap(backend, {5: x}))
+        assert list(result.cols) == [5]
+        return result.cols[5]
+    slots = {j: TailMap.lift(ColumnFiniteMap(backend, {0: col})) for j, col in f.items()}
+    nest = TailPolyMap(backend, 2, slots)
+    return tpoly_apply(nest, [TailVector.make(backend, x), TailVector.make(backend, {0: 1})]).prefix
+
+
+@pytest.mark.parametrize("op", ["apply", "compose", "tpoly_apply"])
+@pytest.mark.parametrize("case", list(COLUMN_CASES))
+def test_column_sum_examples(case, op):
+    backend, f, x, expected = COLUMN_CASES[case]
+    if isinstance(expected, str):
+        with pytest.raises(ValueError, match=expected):
+            _column_sum_by(op, backend, f, x)
+        return
+    result = _column_sum_by(op, backend, f, x)
+    _assert_exact(result, dict(expected))
+    assert [(k, c.value) for k, c in result.coords.items()] == expected
+
+
 # power bases multiply by exponent arithmetic --------------------------------
 
 # on f64: quotients that round, and values whose products underflow to 0.0 or overflow
@@ -735,7 +800,8 @@ def test_power_basis_rebound_pair_bound_raises(backend, name):
 
 
 def test_fraction_slots_are_as_assumed():
-    # _ratio writes these two slots; a stdlib that renames them must fail here
+    # _form_coords and RationalBackend._whole write these two slots, and
+    # RationalBackend reads them; a stdlib that renames them must fail here
     assert Fraction.__slots__ == ("_numerator", "_denominator")
 
 
@@ -746,8 +812,15 @@ multi_limb = st.integers(-(2**200), 2**200)
 @example(n=0, d=6)
 @example(n=-12, d=4)
 @example(n=2**130 * 3, d=2**130)
-def test_ratio_is_fraction(n, d):
-    r, f = _ratio(n, d), Fraction(n, d)
+def test_form_coords_builds_reduced_fractions(n, d):
+    # over d > 1 the Fraction is reduced inline; over 1 it is RationalBackend._whole(n)
+    coords = _form_coords(RATIONAL, (d, {0: n}))
+    if d == 1 and n == 0:
+        assert coords == {}  # a zero numerator over 1 is dropped
+        return
+    c = coords[0]
+    r, f = c.value, Fraction(n, d)
+    assert type(c) is Scalar and c.backend is RATIONAL
     assert type(r) is Fraction
     assert (r.numerator, r.denominator) == (f.numerator, f.denominator)
     assert r == f and hash(r) == hash(f)
