@@ -17,7 +17,12 @@ match; ``--dump`` prints the records, so two trees' outputs can be diffed.
 The inputs favour cancellation: few distinct indices, few distinct
 magnitudes, and on rat denominators from 1 up to large primes.  The float64
 values include quotients that round, and rare huge and tiny values whose
-sums and products overflow or underflow.  falg is imported from ``src/``
+sums and products overflow or underflow.  ``check_laws`` records whole
+reports of small extensional tables with random, often false, claims and
+pair bounds, at widths ``max_index + 1`` that include powers of two;
+``norm_bounds`` records ``l1``, ``l1_total``, both norm intervals and a
+truncated tail over int and Fraction values with many distinct
+denominators.  falg is imported from ``src/``
 next to this script unless another copy is already on ``sys.path``.
 
 Exit 0 when every checked digest matches, 1 otherwise (naming the
@@ -253,6 +258,65 @@ def _tpoly_bound(rng, backend):
     return tpoly_bound(_nest(rng, backend, rng.randint(1, 3), tails=True))
 
 
+# widths max_index + 1 of 1, 2, 4, 8, 16, 32 and 64, and widths in between
+_LAW_MAX_INDICES = (0, 1, 2, 3, 4, 6, 7, 8, 15, 16, 31, 63, 64)
+
+
+def _law_table(rng, backend) -> StructureTable:
+    """A small extensional table with random claims, often false, and sometimes a pair bound."""
+    n = rng.randint(1, 3)
+    entries = {
+        (i, j): {rng.randint(0, n): _value(rng, backend) for _ in range(rng.randint(0, 3))}
+        for i in range(n + 1) for j in range(n + 1) if rng.random() < 0.7
+    }
+    return StructureTable(
+        backend, "random", entries=entries, pair_bound=rng.choice((None, None, 1, 3, 10**13)),
+        claims_associative=rng.random() < 0.6, claims_commutative=rng.random() < 0.6,
+    )
+
+
+def _check_laws(rng, backend):
+    table = _law_table(rng, backend)
+    trials, max_index = rng.choice((1, 5, 20)), rng.choice(_LAW_MAX_INDICES)
+    return table.check_laws(trials, max_index, seed=rng.randint(0, 999)).to_data()
+
+
+# repeated small denominators, and many distinct large ones, primes among them
+_WIDE_PRIMES = (65537, 999983, 1000003, 9999991, 10**9 + 7)
+
+
+def _wide_denominator(rng) -> int:
+    roll = rng.random()
+    if roll < 0.4:
+        return rng.choice((1, 2, 3, 4, 6, 12))
+    if roll < 0.6:
+        return rng.choice(_WIDE_PRIMES)
+    return rng.randint(1, 10**7)
+
+
+def _wide_value(rng, backend):
+    if backend.name == "rat":
+        return Fraction(rng.choice((-1, 1)) * rng.randint(1, 10**6), _wide_denominator(rng))
+    return _value(rng, backend)
+
+
+def _wide_tail(rng, backend):
+    if rng.random() < 0.3:
+        return backend.norm_check(rng.randint(0, 5))
+    return backend.norm_check(Fraction(rng.randint(0, 9), _wide_denominator(rng)))
+
+
+def _norm_bounds(rng, backend):
+    v = HamelVector(backend, {rng.randint(0, 40): _wide_value(rng, backend) for _ in range(rng.randint(0, 24))})
+    m = ColumnFiniteMap(backend, {
+        rng.randint(0, 20): {rng.randint(0, 20): _wide_value(rng, backend) for _ in range(rng.randint(1, 8))}
+        for _ in range(rng.randint(0, 8))
+    })
+    tv, tm = TailVector(v, _wide_tail(rng, backend)), TailMap(m, _wide_tail(rng, backend))
+    keep = [i for i in v.coords if rng.random() < 0.5]
+    return v.l1(), m.l1_total(), tv.norm_interval(), tm.bound(), tv.truncate(keep).tail
+
+
 OPERATIONS = {
     **{f"{kind}_{op}": _binary(kind, op)
        for kind in ("vector", "functional", "tensor", "map") for op in ("add", "sub")},
@@ -278,6 +342,8 @@ OPERATIONS = {
     "tpoly_apply": lambda rng, backend: _tpoly_apply(rng, backend).prefix,
     "tpoly_apply_tail": lambda rng, backend: _tpoly_apply(rng, backend).tail,
     "tpoly_bound": _tpoly_bound,
+    "check_laws": _check_laws,
+    "norm_bounds": _norm_bounds,
 }
 
 FAMILIES = [f"{b}/{op}" for b in BACKENDS for op in OPERATIONS]

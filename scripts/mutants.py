@@ -29,6 +29,10 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 KERNEL = "tests/test_kernel.py::"
 COLUMNS = KERNEL + "test_column_sum_examples["
+DRAWS = [f"tests/test_algebra.py::test_below_draws_the_randint_stream[{seed}]" for seed in (0, 1, 808, 2**40 + 7)]
+LAWS = [f"tests/test_algebra.py::test_check_laws_matches_reference[{b}]" for b in ("rat", "int", "f64")]
+RING = "tests/test_ring.py::"
+GROUPS = RING + "test_mass_over_several_denominator_groups_is_the_chained_sum["
 
 
 class Mutant:
@@ -151,6 +155,53 @@ MUTANTS = [
         "        self._checked[key] = self.backend._split(entry.coords)\n"
         "        if self.pair_bound is not None:\n            # accumulate without upward rounding",
         [KERNEL + f"test_pair_bound_violation_raises_on_every_mul[backend{i}]" for i in range(3)],
+    ),
+    Mutant(
+        "below-accepts-n", "algebra.py",
+        "    while r >= n:\n",
+        "    while r > n:\n",
+        DRAWS + ["tests/test_differential.py::test_differential_first_block_matches"],
+    ),
+    Mutant(
+        "below-bits-of-n-minus-1", "algebra.py",
+        "    k = n.bit_length()\n",
+        "    k = (n - 1).bit_length()\n",
+        DRAWS + LAWS + ["tests/test_differential.py::test_differential_first_block_matches"],
+    ),
+    Mutant(
+        "rand-form-index-before-scalar", "algebra.py",
+        "            drawn[_below(rng, width)] = self._rand_scalar(rng)\n",
+        "            i = _below(rng, width)\n            drawn[i] = self._rand_scalar(rng)\n",
+        LAWS + ["tests/test_differential.py::test_differential_first_block_matches"],
+    ),
+    Mutant(
+        "mass-unreduced", "ring.py",
+        "        g = gcd(n, d)\n",
+        "        g = 1\n",
+        [RING + "test_rational_mass_is_a_reduced_fraction", GROUPS + "1]",
+         RING + "test_truncate_sums_a_fraction_subclass_tail[rat]"],
+    ),
+    Mutant(
+        "mass-signed-numerators", "ring.py",
+        "n = abs(x._numerator)",
+        "n = x._numerator",
+        [RING + "test_mass_over_64_distinct_prime_denominators_is_the_chained_sum",
+         RING + "test_rational_mass_is_a_reduced_fraction",
+         RING + "test_truncate_sums_a_fraction_subclass_tail[rat]"],
+    ),
+    Mutant(
+        "mass-drops-ints", "ring.py",
+        "        d, n = 1, whole\n",
+        "        d, n = 1, 0\n",
+        [GROUPS + f"{g}]" for g in (1, 2, 9)]
+        + [RING + "test_mass_over_64_distinct_prime_denominators_is_the_chained_sum",
+           RING + "test_rational_mass_is_a_reduced_fraction"],
+    ),
+    Mutant(
+        "mass-join-over-product", "ring.py",
+        "                e //= g\n",
+        "",
+        [GROUPS + f"{g}]" for g in (2, 5, 9)] + [RING + "test_rational_mass_is_a_reduced_fraction"],
     ),
     Mutant(
         "norm-add-low-rounds-zero", "ring.py",

@@ -48,6 +48,12 @@ sampling.  The law probes run on numerator forms.  They draw each random
 vector straight into a form, take products with ``_mul_form`` and sums and
 scalings with ``_combine``, and compare the two sides of a law by
 cross-multiplication.  Vectors are built only to render a counterexample.
+Every random int of a probe (and of ``map_via_tensor``'s spot check) comes
+from ``_below(rng, n)``, which reads ``rng.getrandbits`` as CPython's
+``Random.randint`` does underneath: ``a + _below(rng, b - a + 1)`` is the
+value ``rng.randint(a, b)`` would return, and leaves the same state.  So a
+seed still names the same report, counterexample included, while a draw
+costs one Python call instead of randint's three.
 The probes make the checks the public operations would make, in the same
 order: lookups raise the same ``CertificateError`` and float64 rejects a
 non-finite product, sum or scaling with the same ``ValueError``.
@@ -290,10 +296,10 @@ class StructureTable(_Frozen):
     # and build vectors only to render a counterexample.
 
     def _rand_scalar(self, rng) -> tuple[int, object]:
-        """A random scalar p / q as the pair (q, p); q is drawn on rat only."""
-        n = rng.randint(-5, 5)
+        """A random scalar p / q as the pair (q, p), p in [-5, 5]; q in [1, 4] is drawn on rat only."""
+        n = _below(rng, 11) - 5
         if self.backend.name == "rat":
-            return rng.randint(1, 4), n
+            return _below(rng, 4) + 1, n
         return 1, self.backend.check(n)
 
     def _rand_form(self, rng, max_index: int) -> tuple[int, dict]:
@@ -303,10 +309,11 @@ class StructureTable(_Frozen):
         scalar first; a repeated index keeps its first position and its last
         value, and zero draws are dropped, as the vector constructor would.
         """
-        size = rng.randint(0, 3)
+        size = _below(rng, 4)
+        width = max_index + 1
         drawn = {}
         for _ in range(size):
-            drawn[rng.randint(0, max_index)] = self._rand_scalar(rng)
+            drawn[_below(rng, width)] = self._rand_scalar(rng)
         drawn = {k: d for k, d in drawn.items() if d[1]}
         den = lcm(*(q for q, _ in drawn.values()))
         return den, {k: p * (den // q) for k, (q, p) in drawn.items()}
@@ -369,6 +376,24 @@ class StructureTable(_Frozen):
         # on float64 the associator's difference may overflow and raise, as it always did
         u, v, w = self._vector(u), self._vector(v), self._vector(w)
         return self._describe(u=u, v=v, w=w, associator=self.associator(u, v, w))
+
+
+def _below(rng, n: int) -> int:
+    """A random int in [0, n), n >= 1, drawn from rng.getrandbits as Random.randint draws it.
+
+    k = n.bit_length() bits at a time, drawn again until the result is below
+    n, as CPython's ``Random._randbelow_with_getrandbits`` does; so
+    ``a + _below(rng, b - a + 1)`` is ``rng.randint(a, b)`` from the same state.
+    It is written out rather than called as the private ``rng._randbelow``,
+    whose algorithm CPython may change: ``getrandbits`` is public and its
+    stream is fixed by the generator, so a seed keeps naming the same report
+    whatever a later ``randint`` does (the tests pin it to today's).
+    """
+    k = n.bit_length()
+    r = rng.getrandbits(k)
+    while r >= n:
+        r = rng.getrandbits(k)
+    return r
 
 
 def _same(f: tuple[int, dict], g: tuple[int, dict]) -> bool:

@@ -12,8 +12,10 @@ the test suite rather than assumed.
 The bracketing of that sandwich only collapses when the algebra associates,
 so the operation refuses tables that do not claim associativity and
 spot-checks the claim on seeded random basis triples before evaluating.
-The spot check and the sandwich sum work on numerator forms with
-``StructureTable._mul_form``, so no vector is built for a basis triple.
+The triples are drawn with ``algebra._below``, the stream
+``random.Random(seed).randint(0, max_index)`` gives, so a seed names the
+same triples.  The spot check and the sandwich sum work on numerator forms
+with ``StructureTable._mul_form``, so no vector is built for a basis triple.
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ from .hamel import (
     _trusted,
     _wire_index,
 )
-from .algebra import StructureTable, _check_max_index
+from .algebra import StructureTable, _below, _check_max_index
 
 
 class NonAssociativeError(ValueError):
@@ -123,8 +125,9 @@ def map_via_tensor(
         raise ValueError(f"samples must be a non-negative integer, got {samples!r}")
     _check_max_index(max_index)
     rng = random.Random(seed)
+    width = max_index + 1
     for _ in range(samples):
-        i, j, k = (rng.randint(0, max_index) for _ in range(3))
+        i, j, k = _below(rng, width), _below(rng, width), _below(rng, width)
         ei, ej, ek = ((1, {n: 1}) for n in (i, j, k))
         # the associator (e_i e_j) e_k - e_i (e_j e_k) on numerator forms, formed as
         # table.associator forms it, so a float64 difference that overflows raises

@@ -18,6 +18,7 @@ from falg import (
     table_to_data,
     zero_vector,
 )
+from falg.algebra import _below
 
 from support import assert_canonical, rand_map, rand_scalar, rand_vector
 
@@ -323,7 +324,9 @@ def test_check_laws_matches_reference(backend):
     seen = set()
     for n in range(60):
         table_seed = rng.randrange(10**6)
-        for trials, max_index, seed in [(1, 0, n), (8, 2, n + 1), (25, 4, n + 2)]:
+        for trials, max_index, seed in [
+            (1, 0, n), (8, 2, n + 1), (25, 4, n + 2), (8, 3, n + 3), (8, 7, n + 4), (8, 15, n + 5),
+        ]:
             real = _outcome(lambda: _rand_table(random.Random(table_seed), backend).check_laws(trials, max_index, seed))
             ref = _outcome(lambda: reference_check_laws(_rand_table(random.Random(table_seed), backend), trials, max_index, seed))
             assert real == ref, (table_seed, trials, max_index, seed)
@@ -332,6 +335,23 @@ def test_check_laws_matches_reference(backend):
     assert {True, False, CertificateError} <= seen
     if backend is FLOAT64:
         assert ValueError in seen
+
+
+# every width 1-70, the powers of two and their neighbours up to 2^64, and a 100-bit width
+_DRAW_WIDTHS = sorted(
+    set(range(1, 71)) | {2**k + d for k in range(1, 65) for d in (-1, 0, 1)} | {2**100 - 3}
+)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 808, 2**40 + 7])
+def test_below_draws_the_randint_stream(seed):
+    # a + _below(rng, b - a + 1) is rng.randint(a, b), draw for draw, from one state
+    ours, theirs = random.Random(seed), random.Random(seed)
+    for width in _DRAW_WIDTHS:
+        for a in (0, -5):
+            for _ in range(3):
+                assert a + _below(ours, width) == theirs.randint(a, a + width - 1), (seed, width)
+    assert ours.getstate() == theirs.getstate()
 
 
 def test_check_laws_deterministic():

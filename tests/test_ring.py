@@ -15,6 +15,7 @@ from falg import (
     BackendMismatchError,
     HamelVector,
     Scalar,
+    TailVector,
     embed_int,
     embed_rational,
     parse_scalar,
@@ -173,6 +174,78 @@ def test_rational_mass_is_a_reduced_fraction():
     values = [Fraction(1, 6), Fraction(-1, 6), Fraction(1, 3), Fraction(2, 3), 1]
     mass = RATIONAL._mass(values)
     assert type(mass) is Fraction and (mass.numerator, mass.denominator) == (7, 3)
+
+
+def _assert_chained_mass(mass, expected):
+    """mass equals the chained sum expected, with its type, and a Fraction is reduced."""
+    assert type(mass) is type(expected) and mass == expected
+    if type(mass) is Fraction:
+        assert (mass.numerator, mass.denominator) == (expected.numerator, expected.denominator)
+        assert math.gcd(mass.numerator, mass.denominator) == 1
+
+
+def _primes_from(start: int, count: int) -> list[int]:
+    out, p = [], start
+    while len(out) < count:
+        if all(p % q for q in range(2, math.isqrt(p) + 1)):
+            out.append(p)
+        p += 1
+    return out
+
+
+def _grouped_values(groups: int) -> list:
+    """Signed Fractions over `groups` distinct denominators 2p, each met twice.
+
+    Each group's two numerators are odd, so the sum of their absolute values
+    over 2p is not reduced.
+    """
+    rng = random.Random(groups)
+    values = []
+    for p in _primes_from(1000, groups):
+        for _ in range(2):
+            values.append(Fraction(rng.choice((-1, 1)) * (2 * rng.randint(0, 9) + 1), 2 * p))
+    rng.shuffle(values)
+    return values
+
+
+@pytest.mark.parametrize("groups", range(1, 10))
+def test_mass_over_several_denominator_groups_is_the_chained_sum(groups):
+    # the ints join the group of denominator 1, one group more
+    for values in (_grouped_values(groups), [3, *_grouped_values(groups), -2]):
+        _assert_chained_mass(RATIONAL._mass(values), _chain(RATIONAL, values))
+
+
+def test_mass_over_64_distinct_prime_denominators_is_the_chained_sum():
+    rng = random.Random(64)
+    values = [Fraction(rng.choice((-1, 1)) * rng.randint(1, 10**6), p) for p in _primes_from(10**6, 64)]
+    _assert_chained_mass(RATIONAL._mass(values), _chain(RATIONAL, values))
+    _assert_chained_mass(RATIONAL._mass([0, *values, 7]), _chain(RATIONAL, [0, *values, 7]))
+
+
+@pytest.mark.parametrize("values", [
+    [3, -4, Fraction(1, 2), Fraction(5, 6)],
+    [Fraction(1, 3), -7, Fraction(2, 3)],
+    [Fraction(7, 1), 5],
+    [0, Fraction(0)],
+], ids=["over-6", "whole-sum", "over-1", "zero"])
+def test_fraction_norm_values_on_the_integer_backend(values):
+    _assert_chained_mass(INTEGER._mass(values), _chain(INTEGER, values))
+
+
+class _TailFraction(Fraction):
+    """A Fraction subclass, which norm_check keeps as it is."""
+
+
+@pytest.mark.parametrize("backend", [INTEGER, RATIONAL], ids=lambda b: b.name)
+def test_truncate_sums_a_fraction_subclass_tail(backend):
+    tail = _TailFraction(5, 6)
+    coords = {0: 3, 1: -2, 2: 7, 3: -1} if backend is INTEGER else {
+        0: Fraction(1, 6), 1: Fraction(-1, 3), 2: Fraction(7, 10), 3: Fraction(-1, 2)}
+    v = TailVector(HamelVector(backend, coords), tail)
+    assert v.tail is tail
+    out = v.truncate([0, 2])
+    moved = [v.prefix.coords[i].value for i in (1, 3)]
+    _assert_chained_mass(out.tail, _chain(backend, [tail, *moved]))
 
 
 _FLOAT_MAX_BELOW = Fraction(math.nextafter(sys.float_info.max, 0.0))
