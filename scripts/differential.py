@@ -34,8 +34,10 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import random
 import sys
+import types
 from fractions import Fraction
 from pathlib import Path
 
@@ -50,15 +52,26 @@ from falg import (  # noqa: E402
     ColumnFiniteMap,
     DualFunctional,
     HamelVector,
+    NormInterval,
     PolyMap,
+    Scalar,
     StructureTable,
     TailMap,
     TailPolyMap,
     TailVector,
     TensorElement,
+    basis_map,
+    basis_vector,
+    dual_basis,
+    embed_int,
+    embed_rational,
+    identity_on,
     load_builtin,
     map_via_tensor,
+    parse_scalar,
     poly_apply,
+    table_from_data,
+    table_to_data,
     tail_mul,
     tensor_pure,
     tpoly_apply,
@@ -317,6 +330,230 @@ def _norm_bounds(rng, backend):
     return v.l1(), m.l1_total(), tv.norm_interval(), tm.bound(), tv.truncate(keep).tail
 
 
+# junk raw data for the public constructors and the wire format
+
+class _IntKey(int):
+    """An int subclass: constructors keep such a key as it is."""
+
+    def __repr__(self):
+        return f"_IntKey({int(self)})"
+
+
+class _SubScalar(Scalar):
+    """A Scalar subclass: constructors keep it as it is."""
+
+    __slots__ = ()
+
+
+class _NeverZero(Scalar):
+    """A Scalar subclass whose is_zero says no, so constructors keep even its zero."""
+
+    __slots__ = ()
+
+    def is_zero(self):
+        return False
+
+
+class _FractionSub(Fraction):
+    """A Fraction subclass: the rational backend converts it."""
+
+
+_JUNK_KEYS = (True, False, -1, -7, "1", "x", 1.0, None, (1,), _IntKey(2), _IntKey(0), _IntKey(-1), 2**70)
+_JUNK_VALUES = (True, False, "1/2", "3", "x", "1/0", 1.5, 2.0, -0.0, 0.0, 0, Fraction(0), Fraction(4, 2),
+                _FractionSub(1, 3), _IntKey(3), None, [1], 10**400, math.inf)
+_JUNK_BOUNDS = (0, 2, -1, Fraction(1, 3), Fraction(-1, 2), _FractionSub(1, 2), True, None, "1/2", "x", "-1",
+                0.5, -0.0, math.inf, math.nan, 10**400, _IntKey(1))
+
+
+def _junk_key(rng):
+    return rng.randint(0, 5) if rng.random() < 0.75 else rng.choice(_JUNK_KEYS)
+
+
+def _junk_value(rng, backend):
+    roll = rng.random()
+    if roll < 0.5:
+        return _value(rng, backend)
+    if roll < 0.6:
+        return backend.scalar(_value(rng, backend))
+    if roll < 0.65:
+        return backend.zero
+    if roll < 0.7:
+        return rng.choice([b for b in BACKENDS.values() if b is not backend]).one
+    if roll < 0.75:
+        return rng.choice((_SubScalar, _NeverZero))(backend, rng.choice((0, 1, -2)))
+    return rng.choice(_JUNK_VALUES)
+
+
+def _junk_bound(rng):
+    return rng.randint(0, 3) if rng.random() < 0.5 else rng.choice(_JUNK_BOUNDS)
+
+
+def _junk_container(rng, pairs: list):
+    """pairs as a dict, another Mapping, a list, tuple or iterator of pairs, or junk."""
+    roll = rng.random()
+    if roll < 0.45:
+        return dict(pairs)
+    if roll < 0.55:
+        return types.MappingProxyType(dict(pairs))
+    if roll < 0.7:
+        return pairs
+    if roll < 0.8:
+        return tuple(pairs)
+    if roll < 0.9:
+        return iter(pairs)
+    return rng.choice((5, "ab", [1, 2], None, [(1, 2, 3)], {1, 2}))
+
+
+def _junk_coords(rng, backend, key=_junk_key):
+    return _junk_container(rng, [(key(rng), _junk_value(rng, backend)) for _ in range(rng.randint(0, 5))])
+
+
+def _junk_tensor_key(rng):
+    roll = rng.random()
+    if roll < 0.7:
+        return (rng.randint(0, 3), rng.randint(0, 3))
+    return rng.choice(((1,), (1, 2, 3), 1, (True, 0), (-1, 0), (_IntKey(1), 2), ("1", 0), ()))
+
+
+def _junk_column(rng, backend):
+    roll = rng.random()
+    if roll < 0.5:
+        return _junk_coords(rng, backend)
+    if roll < 0.7:
+        return _vector(rng, backend)
+    if roll < 0.8:
+        return _vector(rng, rng.choice(list(BACKENDS.values())))
+    return rng.choice((_functional(rng, backend), None, 3, HamelVector(backend, {}), {}))
+
+
+def _junk_map(rng, backend):
+    if rng.random() < 0.8:
+        return _map(rng, backend)
+    return rng.choice((_vector(rng, backend), _map(rng, rng.choice(list(BACKENDS.values()))), {}, None))
+
+
+def _junk_arity(rng):
+    return rng.choice((2, 2, 2, 3, 1, 0, True, 2.0, "2", None))
+
+
+def _junk_slots(rng, backend, arity, leaf):
+    def slot():
+        roll = rng.random()
+        if roll < 0.6 and arity == 2:
+            return leaf(rng, backend)
+        if roll < 0.6:
+            return _nest(rng, backend, 2, tails=leaf is _tail_map)
+        return rng.choice((_map(rng, backend), _tail_map(rng, backend), _vector(rng, backend), None,
+                           _nest(rng, backend, 2, tails=False), _nest(rng, backend, 2, tails=True),
+                           leaf(rng, rng.choice(list(BACKENDS.values())))))
+    return _junk_container(rng, [(_junk_key(rng), slot()) for _ in range(rng.randint(0, 3))])
+
+
+def _construct(rng, backend):
+    kind = rng.randrange(20)
+    if kind < 4:
+        return HamelVector(backend, _junk_coords(rng, backend))
+    if kind == 4:
+        return DualFunctional(backend, _junk_coords(rng, backend))
+    if kind == 5:
+        arity = rng.choice((2, 2, 2, 1, 0, True, "2"))
+        return TensorElement(backend, arity, _junk_coords(rng, backend, _junk_tensor_key))
+    if kind < 9:
+        pairs = [(_junk_key(rng), _junk_column(rng, backend)) for _ in range(rng.randint(0, 4))]
+        return ColumnFiniteMap(backend, _junk_container(rng, pairs))
+    if kind == 9:
+        arity = _junk_arity(rng)
+        return PolyMap(backend, arity, _junk_slots(rng, backend, arity, lambda r, b: _map(r, b, cols=3)))
+    if kind == 10:
+        prefix = _vector(rng, backend) if rng.random() < 0.8 else rng.choice((_functional(rng, backend), {0: 1}))
+        return TailVector(prefix, _junk_bound(rng))
+    if kind < 13:
+        return TailVector.make(backend, _junk_coords(rng, backend), _junk_bound(rng))
+    if kind == 13:
+        return TailMap(_junk_map(rng, backend), _junk_bound(rng))
+    if kind == 14:
+        arity = _junk_arity(rng)
+        return TailPolyMap(backend, arity, _junk_slots(rng, backend, arity, _tail_map), _junk_bound(rng))
+    if kind == 15:
+        return NormInterval(backend, _junk_bound(rng), _junk_bound(rng))
+    if kind == 16:
+        return Scalar(backend, _junk_value(rng, backend))
+    if kind == 17:
+        entries = {(rng.randint(0, 2), rng.randint(0, 2)): _junk_column(rng, backend)
+                   for _ in range(rng.randint(0, 4))}
+        return StructureTable(backend, "junk", entries=entries, pair_bound=rng.choice((None, _junk_bound(rng))))
+    if kind == 18:
+        i, j = _junk_key(rng), _junk_key(rng)
+        return (basis_vector(backend, i), dual_basis(backend, j), basis_map(backend, i, j),
+                identity_on(backend, [_junk_key(rng) for _ in range(rng.randint(0, 3))]))
+    p, q = rng.choice((1, -2, True, 1.5, "3", _IntKey(2))), rng.choice((1, 3, 0, True, _IntKey(4)))
+    certified = rng.choice((TailVector, TailMap))
+    part = rng.choice((_vector(rng, backend), _map(rng, backend), None))
+    return (certified.lift(part), embed_int(backend, p), embed_rational(backend, p, q),
+            parse_scalar(backend, rng.choice(("1/2", "x", "7"))))
+
+
+# malformed wire keys and values, read by from_data and table_from_data
+_BAD_WIRE_KEYS = ("01", "-0", " 1", "1_0", "+1", "a", "", "1,2", "-1", "1.0", "0,0,0")
+_BAD_WIRE_VALUES = (1, 1.5, None, [], "1/0", "1e99999", "x", "nan", "inf", "-inf", "1" * 4301, True, "0x10")
+
+
+def _wire_value(rng, backend):
+    kind = rng.randrange(7)
+    if kind == 0:
+        return _vector(rng, backend)
+    if kind == 1:
+        return _functional(rng, backend)
+    if kind == 2:
+        return _tensor(rng, backend, rng.randint(1, 3))
+    if kind == 3:
+        return _map(rng, backend)
+    if kind == 4:
+        return _tail_vector(rng, backend)
+    if kind == 5:
+        return _tail_map(rng, backend)
+    return _law_table(rng, backend)
+
+
+def _corrupt(rng, data):
+    """data with one field, key or value replaced by junk; nested objects are copied."""
+    data = json.loads(json.dumps(data))
+    roll = rng.random()
+    if roll < 0.1:
+        return rng.choice(([], "x", 3, None))
+    holders = [data] + [v for v in data.values() if isinstance(v, dict)]
+    holders += [c for h in list(holders) for c in h.values() if isinstance(c, dict)]
+    holders += [row for row in data.get("structure", [])]
+    holder = rng.choice(holders)
+    if not holder or roll < 0.25:
+        holder[rng.choice(("coords", "cols", "tail", "arity", "structure", "pairBound", "i", "c"))] = (
+            rng.choice(_BAD_WIRE_VALUES + ([], {}, [[1]])))
+        return data
+    key = rng.choice(list(holder))
+    if roll < 0.55:
+        holder[rng.choice(_BAD_WIRE_KEYS)] = holder.pop(key)
+    elif roll < 0.85:
+        holder[key] = rng.choice(_BAD_WIRE_VALUES)
+    else:
+        del holder[key]
+    return data
+
+
+def _wire(rng, backend):
+    value = _wire_value(rng, backend)
+    if isinstance(value, StructureTable):
+        write, read = table_to_data, lambda b, data: table_from_data(b, data)
+    else:
+        write, read = type(value).to_data, type(value).from_data
+    data = write(value)
+    if rng.random() < 0.4:
+        back = read(backend, json.loads(json.dumps(data)))
+        assert write(back) == data, (data, back)
+        return data, back
+    data = _corrupt(rng, data)
+    return data, read(backend, data)
+
+
 OPERATIONS = {
     **{f"{kind}_{op}": _binary(kind, op)
        for kind in ("vector", "functional", "tensor", "map") for op in ("add", "sub")},
@@ -344,6 +581,8 @@ OPERATIONS = {
     "tpoly_bound": _tpoly_bound,
     "check_laws": _check_laws,
     "norm_bounds": _norm_bounds,
+    "construct": _construct,
+    "wire": _wire,
 }
 
 FAMILIES = [f"{b}/{op}" for b in BACKENDS for op in OPERATIONS]
@@ -358,7 +597,7 @@ def records(family: str, block: int) -> list[str]:
     for _ in range(CASES):
         try:
             out.append(repr(case(rng, backend)))
-        except (ArithmeticError, TypeError, ValueError) as e:
+        except (ArithmeticError, AttributeError, LookupError, TypeError, ValueError) as e:
             out.append(f"{type(e).__name__}: {e}")
     return out
 

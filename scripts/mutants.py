@@ -33,6 +33,9 @@ DRAWS = [f"tests/test_algebra.py::test_below_draws_the_randint_stream[{seed}]" f
 LAWS = [f"tests/test_algebra.py::test_check_laws_matches_reference[{b}]" for b in ("rat", "int", "f64")]
 RING = "tests/test_ring.py::"
 GROUPS = RING + "test_mass_over_several_denominator_groups_is_the_chained_sum["
+VALUES = "tests/test_values.py::"
+EDGES = VALUES + "test_constructors_reject_edge_inputs_with_their_messages["
+RAW_CONSTRUCTORS = ("vector", "functional", "map-column", "tail-vector")
 
 
 class Mutant:
@@ -106,22 +109,21 @@ MUTANTS = [
         [COLUMNS + "rat-denominators-apply]", COLUMNS + "rat-denominators-tpoly_apply]"],
     ),
     Mutant(
-        "reduce-keeps-zero-terms", "hamel.py",
-        "        x = s * n\n        if not x:\n            continue\n",
-        "        x = s * n\n",
+        "combine-keeps-zero-terms", "hamel.py",
+        "            x = s * n\n            if not x:\n                continue\n",
+        "            x = s * n\n",
         [COLUMNS + "f64-underflow-compose]"],
     ),
     Mutant(
-        "reduce-keeps-cancelled-keys", "hamel.py",
-        "        if not x:\n            continue\n        if k in acc:\n            x = acc[k] + x\n"
-        "            if not x:\n                del acc[k]\n                continue\n        acc[k] = x\n    return den\n",
-        "        if not x:\n            continue\n        if k in acc:\n            x = acc[k] + x\n"
-        "        acc[k] = x\n    return den\n",
+        "combine-keeps-cancelled-keys", "hamel.py",
+        "            if k in acc:\n                x = acc[k] + x\n                if not x:\n"
+        "                    del acc[k]\n                    continue\n            acc[k] = x\n    return den, acc\n",
+        "            if k in acc:\n                x = acc[k] + x\n            acc[k] = x\n    return den, acc\n",
         [COLUMNS + f"{b}-cancel-and-return-compose]" for b in ("int", "rat", "f64")],
     ),
     Mutant(
-        "reduce-unscaled-parts", "hamel.py",
-        "    if d != den:\n        s *= den // d\n",
+        "combine-unscaled-parts", "hamel.py",
+        "        if d != den:\n            s *= den // d\n",
         "",
         [COLUMNS + "rat-denominators-compose]", COLUMNS + "rat-cancel-and-return-compose]"],
     ),
@@ -143,16 +145,16 @@ MUTANTS = [
          COLUMNS + "rat-denominators-apply]"],
     ),
     Mutant(
-        "reduce-drops-rescale", "hamel.py",
-        "        for k in acc:\n            acc[k] *= m\n",
+        "mul-form-drops-rescale", "algebra.py",
+        "                    acc = {k: n * m for k, n in acc.items()}\n",
         "",
         [KERNEL + "test_mul_rescales_across_new_denominators",
          KERNEL + "test_exact_mul_is_chained_sum"],
     ),
     Mutant(
-        "checked-stores-violating-entry", "algebra.py",
+        "rows-store-violating-entry", "algebra.py",
         "        if self.pair_bound is not None:\n            # accumulate without upward rounding",
-        "        self._checked[key] = self.backend._split(entry.coords)\n"
+        "        row[j] = self.backend._split(entry.coords)\n"
         "        if self.pair_bound is not None:\n            # accumulate without upward rounding",
         [KERNEL + f"test_pair_bound_violation_raises_on_every_mul[backend{i}]" for i in range(3)],
     ),
@@ -202,6 +204,31 @@ MUTANTS = [
         "                e //= g\n",
         "",
         [GROUPS + f"{g}]" for g in (2, 5, 9)] + [RING + "test_rational_mass_is_a_reduced_fraction"],
+    ),
+    # the constructors' fast paths: each must still reject or drop what the slow path does
+    Mutant(
+        "clean-key-without-sign-check", "hamel.py",
+        "type(key) is int and key >= 0",
+        "type(key) is int",
+        [EDGES + f"{c}-negative-key]" for c in RAW_CONSTRUCTORS],
+    ),
+    Mutant(
+        "clean-scalar-without-backend-test", "hamel.py",
+        "type(c) is Scalar and c.backend is backend",
+        "type(c) is Scalar",
+        [EDGES + f"{c}-other-backend-{k}]" for c in RAW_CONSTRUCTORS for k in ("scalar", "zero")],
+    ),
+    Mutant(
+        "clean-keeps-zero", "hamel.py",
+        "            x = backend.check(c)\n            if x:\n                out[key] = _scalar(backend, x)\n",
+        "            out[key] = _scalar(backend, backend.check(c))\n",
+        [VALUES + f"test_constructors_drop_every_zero[{c}]" for c in RAW_CONSTRUCTORS],
+    ),
+    Mutant(
+        "norm-check-accepts-negative-fraction", "ring.py",
+        "if type(x) is Fraction and x._numerator >= 0 or",
+        "if type(x) is Fraction or",
+        [RING + "test_exact_bound_checks"],
     ),
     Mutant(
         "norm-add-low-rounds-zero", "ring.py",

@@ -10,23 +10,24 @@ A table may declare a pair bound K with sum_k |C^k_ij| <= K for every pair.
 The bound is a certificate the truncation layer relies on; lookups verify it
 lazily and raise :class:`CertificateError` on the first violating pair.
 
-Checked-entry invariant: ``StructureTable._checked`` holds exactly the pairs
-whose entry has passed the pair-bound check (every looked-up pair when no
-bound is declared), each mapped to the numerator form ``(d, {k: n})`` of
-its entry (see the hamel module docstring), which is what ``_mul_form``
-reads.  ``entries`` stays the one store of the entries themselves, so
-``lookup`` returns ``entries[(i, j)]`` for a checked pair.  Only rule
-results are added to ``entries``, so ``len(table.entries)`` is the memo size
-of a rule table; the absent pairs of an extensional table are zero and are
-memoized in ``_checked`` alone, so using a table never changes its ``==``.
-``_mul_form``'s lookup loop calls ``lookup`` only for pairs not yet in
-``_checked``; an entry that violates the bound never enters it, so every
-product that reaches it raises again.
+Checked-entry invariant: ``StructureTable._rows``, the one memo, holds
+``_rows[i][j]`` exactly for the pairs whose entry has passed the pair-bound
+check (every looked-up pair when no bound is declared): the numerator form
+``(d, {k: n})`` of its entry (see the hamel module docstring), which is
+what ``_mul_form`` reads.  ``entries`` stays the one store of the entries
+themselves, so ``lookup`` returns ``entries[(i, j)]`` for a checked pair.
+Only rule results are added to ``entries``, so ``len(table.entries)`` is
+the memo size of a rule table; the absent pairs of an extensional table
+are zero and are memoized in ``_rows`` alone, so using a table never
+changes its ``==``.  ``_mul_form``'s lookup loop reads row i once per i
+and calls ``lookup`` only for pairs not yet in it; an entry that violates
+the bound never enters it, so every product that reaches it raises again.
 
 ``_mul_form`` multiplies two numerator forms; ``mul`` checks its operands,
 splits them into forms and wraps the product form into a vector.  It takes
 one of two paths.  The lookup loop visits every pair (i, j) of the two
-supports and adds the entry's form with ``_reduce``.  A power basis
+supports and adds the entry's numerators inline, the only sum of forms
+that rescales its running denominator.  A power basis
 (``polynomial`` and ``group_z`` in ``catalog``) also carries a private
 codec, ``_codec = (to_exponent, to_index)``, with e_i * e_j =
 e_to_index(to_exponent(i) + to_exponent(j)); its ``rule`` is built from the
@@ -36,7 +37,7 @@ instead: every entry is one basis vector with coefficient 1, so the check
 cannot fail, and it adds x * y at exponent e + f in the loop's i-then-j
 order with the loop's rules (a zero term is skipped, a cancelled sum
 deleted).  Keys, their order and every float bit equal the loop's, but
-nothing is looked up, so the memo and ``_checked`` do not grow.  With a
+nothing is looked up, so neither ``entries`` nor ``_rows`` grows.  With a
 bound below 1 the loop runs and its check raises ``CertificateError``.
 ``_codec`` is not a field, so it changes neither ``==`` nor ``repr``; a
 table built by hand has none.
@@ -63,7 +64,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from typing import Callable, Mapping, Optional
 
 from .ring import Backend, NormValue, Scalar, _Frozen
@@ -73,7 +74,6 @@ from .hamel import (
     _combine,
     _form_vector,
     _operand,
-    _reduce,
     _wire_index,
     zero_vector,
 )
@@ -114,8 +114,8 @@ class StructureTable(_Frozen):
         self.rule = rule
         self.claims_associative = claims_associative
         self.claims_commutative = claims_commutative
-        # pairs whose entry passed the pair-bound check -> its numerator form
-        self._checked: dict[tuple[int, int], tuple[int, dict]] = {}
+        # _rows[i][j]: the numerator form of each entry that passed the pair-bound check
+        self._rows: dict[int, dict[int, tuple[int, dict]]] = {}
         # a power basis sets (to_exponent, to_index) here; see _mul_form
         self._codec = None
 
@@ -128,11 +128,12 @@ class StructureTable(_Frozen):
         """Expansion of e_i * e_j; zero for absent pairs of an extensional table."""
         key = (i, j)
         entry = self.entries.get(key)
+        row = self._rows.setdefault(i, {})
         if entry is None and self.rule is None:
-            # absent pair of an extensional table: memoized in _checked only
-            self._checked[key] = (1, {})
+            # absent pair of an extensional table: memoized in _rows only
+            row[j] = (1, {})
             return zero_vector(self.backend)
-        if key in self._checked:
+        if j in row:
             return entry
         if entry is None:
             entry = self.entries[key] = self._coerce(self.rule(i, j))
@@ -146,7 +147,7 @@ class StructureTable(_Frozen):
                     f"pair bound violated at ({i}, {j}): "
                     f"sum of |C| is {mass}, declared bound {self.pair_bound}"
                 )
-        self._checked[key] = self.backend._split(entry.coords)
+        row[j] = self.backend._split(entry.coords)
         return entry
 
     def mul(self, a: HamelVector, b: HamelVector) -> HamelVector:
@@ -166,17 +167,31 @@ class StructureTable(_Frozen):
         db, xb = fb
         if self._codec is not None and (self.pair_bound is None or self.pair_bound >= 1):
             return da * db, self._convolve(xa, xb)
-        checked = self._checked
+        rows = self._rows
         acc: dict = {}
         den = 1
         for i, x in xa.items():
+            row = rows.get(i, {})
             for j, y in xb.items():
-                form = checked.get((i, j))
-                if form is None:
+                if j not in row:
                     self.lookup(i, j)
-                    form = checked[(i, j)]
-                if form[1]:
-                    den = _reduce(acc, den, form, x * y)
+                    row = rows[i]
+                d, nums = row[j]
+                if den % d:  # a new denominator: multiply the running sum through to lcm(den, d)
+                    m = d // gcd(den, d)
+                    acc = {k: n * m for k, n in acc.items()}
+                    den *= m
+                s = x * y if d == den else x * y * (den // d)
+                for k, n in nums.items():
+                    t = s * n
+                    if not t:
+                        continue
+                    if k in acc:
+                        t = acc[k] + t
+                        if not t:
+                            del acc[k]
+                            continue
+                    acc[k] = t
         return da * db * den, acc
 
     def _convolve(self, xa: dict, xb: dict) -> dict:

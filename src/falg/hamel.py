@@ -20,12 +20,12 @@ layer's nest sums.  The backend owns its form (``ring.Backend``):
 ``backend._split(coords)`` writes an operand as a form, and
 ``backend._whole(n)`` reads a numerator over 1 back as a raw value.  int
 and float64 values are their own numerators over 1; on rat, n is an
-integer and d the lcm of the denominators.  ``_reduce`` adds terms
-``s * n`` into a dict of numerators over a running denominator,
-multiplying the dict through when a term's denominator does not divide it;
-``_combine`` takes the lcm of all parts' denominators first, so its sums
-never rescale, and only the table product (``StructureTable._mul_form``),
-which meets table entries one pair at a time, rescales.
+integer and d the lcm of the denominators.  ``_combine`` adds terms
+``s * n`` into a dict of numerators over the lcm of all parts'
+denominators, taken first, so its sums never rescale; only the table
+product (``StructureTable._mul_form``), which meets table entries one pair
+at a time, keeps a running denominator and multiplies its sum through when
+an entry's denominator does not divide it.
 
 Map application reads the stored columns in place, with no form per
 column: ``ColumnFiniteMap.apply`` and everything that reaches
@@ -77,8 +77,17 @@ the same index.  Every operation that takes a falg value checks it with
 ``_operand``: ``TypeError`` for another class, ``BackendMismatchError``
 for another backend.
 
+Raw data from a caller (public constructors, ``from_data``) is checked
+once, by one loop, ``_clean``: a table constructor runs it, and a map runs
+it on each raw column and wraps the result with ``_trusted``.  Exact types
+take a fast path (an int key >= 0, a Scalar of the table's own backend, a
+nonzero value ``backend.check`` returns); any other key or Scalar goes
+through ``_index`` or ``_operand``, so what is accepted and every message
+stay theirs.
+
 Trusted-builder invariant: kernel results are built without running
-constructors.  ``_trusted`` sets a frozen value class's fields without its
+constructors, and so are the truncation layer's computed results (see
+``schauder``).  ``_trusted`` sets a frozen value class's fields without its
 ``__init__``, so it skips ``_check_index`` and the backend re-check;
 ``ring._scalar`` and ``_form_coords`` set a Scalar's two slots without
 the ``Scalar`` type call; ``_form_coords`` sets a Fraction's two slots from
@@ -91,18 +100,17 @@ passed ``_check_index`` and those values passed their backend's ``check``
 when the operands were built.  The Fraction build is sound only because
 every form denominator is a product and lcm of such values' denominators,
 hence positive, so ``n // g`` over ``d // g`` is already the canonical
-Fraction.  Exact arithmetic keeps values in their
-backend; float arithmetic can overflow, so both primitives reject a
-non-finite float64 result (``backend._whole`` and ``backend._check_sums``
-raise ``ValueError``).  Anything arriving from a caller as raw data (public
-constructors, ``from_data``) keeps the full validation.
+Fraction.  Exact arithmetic keeps values in their backend; float
+arithmetic can overflow, so both primitives reject a non-finite float64
+result (``backend._whole`` and ``backend._check_sums`` raise ``ValueError``).
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterator, Mapping, Sequence
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Iterator, Mapping, Sequence, Union
+from typing import Union
 
 from .ring import (
     Backend, BackendMismatchError, NormValue, Scalar, _Frozen, _new, _scalar, _set_backend, _set_value
@@ -115,6 +123,25 @@ def _check_index(i) -> int:
     if i < 0:
         raise ValueError(f"basis index must be >= 0, got {i}")
     return i
+
+
+def _clean(backend: Backend, coords, index=_check_index) -> dict:
+    """The zero-free table key -> Scalar of raw coords, a Mapping or (key, value) pairs, each checked once."""
+    out = {}
+    for key, c in coords.items() if isinstance(coords, Mapping) else coords:
+        if not (type(key) is int and key >= 0 and index is _check_index):
+            key = index(key)
+        if type(c) is Scalar and c.backend is backend:
+            if c.value:
+                out[key] = c
+        elif isinstance(c, Scalar):
+            if not _operand(c, Scalar, backend, "coefficient").is_zero():
+                out[key] = c
+        else:
+            x = backend.check(c)
+            if x:
+                out[key] = _scalar(backend, x)
+    return out
 
 
 def _accumulate(acc: dict, coords: Mapping) -> dict:
@@ -142,46 +169,30 @@ def _canonical(backend: Backend, acc: dict) -> dict:
     return {k: _scalar(backend, x) for k, x in acc.items() if x}
 
 
-def _reduce(acc: dict, den: int, form: tuple[int, dict], s) -> int:
-    """Add s * n / d for every k, n of form = (d, nums) into acc, numerators over den.
-
-    Returns the new running denominator: when d does not divide den, every
-    numerator in acc is multiplied through to lcm(den, d) first.  Zero terms
-    and cancelling sums behave as in ``_accumulate``.
-    """
-    d, nums = form
-    if den % d:
-        m = d // gcd(den, d)
-        for k in acc:
-            acc[k] *= m
-        den *= m
-    if d != den:
-        s *= den // d
-    for k, n in nums.items():
-        x = s * n
-        if not x:
-            continue
-        if k in acc:
-            x = acc[k] + x
-            if not x:
-                del acc[k]
-                continue
-        acc[k] = x
-    return den
-
-
 def _combine(parts: list) -> tuple[int, dict]:
     """The form of sum s * form over parts [(s, form), ...], left to right.
 
     The denominator is the lcm of the parts' denominators, taken before any
     term is added, so no partial sum is rescaled: with many unrelated
     denominators, rescaling the sum at each new one would cost
-    len(parts) * len(sum) big-integer products.
+    len(parts) * len(sum) big-integer products.  Zero terms and cancelling
+    sums behave as in ``_accumulate``.
     """
     den = lcm(*(d for _, (d, _) in parts))
     acc: dict = {}
-    for s, form in parts:
-        _reduce(acc, den, form, s)
+    for s, (d, nums) in parts:
+        if d != den:
+            s *= den // d
+        for k, n in nums.items():
+            x = s * n
+            if not x:
+                continue
+            if k in acc:
+                x = acc[k] + x
+                if not x:
+                    del acc[k]
+                    continue
+            acc[k] = x
     return den, acc
 
 
@@ -284,15 +295,7 @@ class _CoordTable(_Frozen):
         self.__post_init__()
 
     def __post_init__(self):
-        backend, index = self.backend, self._index
-        out = {}
-        coords = self.coords
-        for key, c in coords.items() if isinstance(coords, Mapping) else coords:
-            key = index(key)
-            c = _operand(c, Scalar, backend, "coefficient") if isinstance(c, Scalar) else backend.scalar(c)
-            if not c.is_zero():
-                out[key] = c
-        object.__setattr__(self, "coords", out)
+        object.__setattr__(self, "coords", _clean(self.backend, self.coords, self._index))
 
     def coefficient(self, key) -> Scalar:
         return self.coords.get(self._index(key), self.backend.zero)
@@ -329,8 +332,7 @@ class _CoordTable(_Frozen):
         """d times self: self's numerators times d's, over both denominators."""
         b = self.backend
         _operand(d, Scalar, b, "scalar")
-        q, s = b._split({0: d})
-        p = s[0]
+        p, q = b._num_den(d.value)
         if not p:
             return self._build({})
         den, nums = b._split(self.coords)
@@ -411,13 +413,12 @@ def dual_basis(backend: Backend, i: int) -> DualFunctional:
 
 def _clean_cols(backend: Backend, cols) -> dict[int, HamelVector]:
     out: dict[int, HamelVector] = {}
-    items = cols.items() if isinstance(cols, Mapping) else cols
-    for j, col in items:
+    for j, col in cols.items() if isinstance(cols, Mapping) else cols:
         j = _check_index(j)
         if isinstance(col, HamelVector):
             _operand(col, HamelVector, backend, "column")
         else:
-            col = HamelVector(backend, col)
+            col = _trusted(HamelVector, backend=backend, coords=_clean(backend, col))
         if not col.is_zero():
             out[j] = col
     return out

@@ -36,27 +36,16 @@ Each backend also owns how a sum of columns reads its entries in place,
 with no form per column: ``_column_sum(parts)`` is the form of the sum of
 s * col over parts ``[(s, coords), ...]``, and ``_num_den(x)`` reads one
 raw value as (numerator, denominator).  Integer and float values are read
-as they are: each term is ``s * c.value``, added in column order, so
-float64 rounds as a sequential sum.  The rational backend reads the two
-slots, in two passes: each column's lcm d, then D, the lcm of those, and
-then each entry n/q as s * (D // d) times n * (d // q).  The scale
-D // d is applied to s once per column, so each entry meets only its own
-column's small factor d // q; scaling every entry by one map-wide
-D // q instead makes every term a big integer when the columns'
-denominators are unrelated.
+as they are, added in column order, so float64 rounds as a sequential
+sum; the rational backend scales each column once (see its method).
 
 Each backend also owns the l1 mass behind every certified bound:
-``_mass(values)``, the sum of |x| over a list of raw or norm values.  int
-and rat sum exactly, so a mass is a Fraction exactly when one went in.
-int keeps ``sum(map(abs, values))``, a C-level loop over its ints.  rat
-reads each Fraction's |numerator| from its slots, as ``_split`` reads it,
-and adds it to the sum of its denominator's group (the int norm values join
-the group of 1); the group sums are joined left to right over their lcms,
-and the total is reduced by one gcd.  Adding Fractions one by one instead
-builds a Fraction and pays a gcd per value, while the masses of the
-acceptance traffic have at most 16 distinct denominators.  float64 rounds
-the exact ``math.fsum`` once, one ulp up unless it is exact (fewer than two
-terms).  So no mass depends on the order of its values.
+``_mass(values)``, the sum of |x| over raw or norm values.  int and rat
+sum exactly (a Fraction exactly when one went in; rat adds |numerator| per
+denominator and reduces once, not a gcd per value).  float64 rounds the
+exact ``math.fsum`` once, one ulp up unless it is exact (fewer than two
+terms); ``_mass_bounds`` also rounds it one ulp down, for the lo ends of
+norm intervals.  So no mass depends on the order of its values.
 
 ``_scalar(backend, value)`` builds a :class:`Scalar` without the type call,
 setting its two slots through descriptors taken once at import.  It is for
@@ -244,6 +233,10 @@ class Backend:
         """Sum of |x| over raw or norm values; norm_zero when there are none."""
         return sum(map(abs, values))
 
+    def _mass_bounds(self, values: list) -> tuple:
+        """(lo, hi) around the exact sum of |x|: here the exact mass twice."""
+        return (self._mass(values),) * 2
+
     # bound arithmetic on plain norm values; integer coefficients still
     # produce rational bounds (column sums etc.)
 
@@ -414,6 +407,8 @@ class RationalBackend(Backend):
         return q
 
     def norm_check(self, x):
+        if type(x) is Fraction and x._numerator >= 0 or type(x) is int and x >= 0:
+            return x  # a plain non-negative bound, after one type test
         if isinstance(x, str):
             x = _fraction(x)
         return super().norm_check(x)
@@ -454,12 +449,17 @@ class Float64Backend(Backend):
     _whole = staticmethod(_finite)  # a sum of products may overflow
 
     def _mass(self, values):
-        """The exact sum of |x| rounded once, then one ulp up unless it is a single term."""
+        return self._mass_bounds(values)[1]
+
+    def _mass_bounds(self, values):
+        """The exact sum of |x| rounded once, then one ulp down and one up unless it is a single term."""
         try:
             total = math.fsum(map(abs, values))
         except OverflowError:
             raise OverflowError("bound arithmetic left the finite range") from None
-        return _up(total) if total and len(values) > 1 else total
+        if total and len(values) > 1:
+            return math.nextafter(total, -math.inf), _up(total)
+        return total, total
 
     def add(self, a, b):
         return _finite(a + b)

@@ -28,6 +28,13 @@ Norm reporting is honest about what finite data can know: `norm_interval`
 returns [prefix mass, prefix mass + tail], and `bound` on a map returns
 [best stored column sum, total stored mass + tail].  True norms of exactly
 represented values land inside; a point interval means the value is exact.
+On float64 each lo end is a mass rounded down (``_mass_bounds``).
+
+Computed results are built trusted (``hamel._trusted``, ``_Certified._make``):
+those of ``+``, ``scale``, ``-x``, ``truncate``, ``apply``, ``compose``,
+``tail_mul``, ``norm_interval``, ``bound`` and ``tpoly_bound``, and the
+nests ``_nest_sum`` builds; their bounds come from norm arithmetic on
+checked norms.  Public constructors, ``make``, ``lift`` and ``from_data`` check.
 """
 
 from __future__ import annotations
@@ -35,7 +42,7 @@ from __future__ import annotations
 from typing import Mapping, Sequence, Union
 
 from .ring import Backend, NormValue, _Frozen
-from .hamel import ColumnFiniteMap, HamelVector, _check_slots, _form_vector, _map, _operand
+from .hamel import ColumnFiniteMap, HamelVector, _check_slots, _form_vector, _map, _operand, _trusted
 from .algebra import StructureTable
 
 
@@ -80,6 +87,11 @@ class _Certified(_Frozen):
         object.__setattr__(self, self._fields[0], part)
         object.__setattr__(self, "tail", part.backend.norm_check(tail))
 
+    @classmethod
+    def _make(cls, part, tail: NormValue):
+        """A cls of part and tail computed from checked values (trusted)."""
+        return _trusted(cls, **{cls._fields[0]: part, "tail": tail})
+
     def _part(self):
         return getattr(self, self._fields[0])
 
@@ -100,10 +112,10 @@ class _Certified(_Frozen):
 
     def __add__(self, other):
         self._join(other)
-        return type(self)(self._part() + other._part(), self.backend.norm_add(self.tail, other.tail))
+        return self._make(self._part() + other._part(), self.backend.norm_add(self.tail, other.tail))
 
     def scale(self, d):
-        return type(self)(self._part().scale(d), self.backend.norm_mul(d.norm(), self.tail))
+        return self._make(self._part().scale(d), self.backend.norm_mul(d.norm(), self.tail))
 
     def to_data(self) -> dict:
         data = self._part().to_data()
@@ -132,7 +144,7 @@ class TailVector(_Certified):
         return cls(HamelVector(backend, coords), tail)
 
     def __neg__(self):
-        return TailVector(-self.prefix, self.tail)
+        return self._make(-self.prefix, self.tail)
 
     def __sub__(self, other):
         return self + (-other)
@@ -142,11 +154,12 @@ class TailVector(_Certified):
         keep, coords = set(keep), self.prefix.coords
         kept = {i: c for i, c in coords.items() if i in keep}
         moved = [c.value for i, c in coords.items() if i not in keep]
-        return TailVector(self.prefix._build(kept), self.backend._mass([self.tail, *moved]))
+        return self._make(self.prefix._build(kept), self.backend._mass([self.tail, *moved]))
 
     def norm_interval(self) -> NormInterval:
-        lo = self.prefix.l1()
-        return NormInterval(self.backend, lo, self.backend.norm_add(lo, self.tail))
+        b = self.backend
+        lo, mass = b._mass_bounds([c.value for c in self.prefix.coords.values()])
+        return _trusted(NormInterval, backend=b, lo=lo, hi=b.norm_add(mass, self.tail))
 
 
 class TailMap(_Certified):
@@ -163,11 +176,11 @@ class TailMap(_Certified):
         b = self.backend
         lo = b.norm_zero
         for col in self.finite.cols.values():
-            mass = col.l1()
+            mass = b._mass_bounds([c.value for c in col.coords.values()])[0]
             if mass > lo:
                 lo = mass
         hi = b.norm_add(self.finite.l1_total(), self.tail)
-        return NormInterval(b, lo, hi)
+        return _trusted(NormInterval, backend=b, lo=lo, hi=hi)
 
     def apply(self, v: TailVector) -> TailVector:
         """Apply with certified error: stored part exactly, the rest bounded.
@@ -178,7 +191,7 @@ class TailMap(_Certified):
         _operand(v, TailVector, self.backend, "argument")
         prefix = self.finite.apply(v.prefix)
         tail = _propagated(self.backend, self.finite.l1_total(), self.tail, v.prefix.l1(), v.tail)
-        return TailVector(prefix, tail)
+        return TailVector._make(prefix, tail)
 
     def __call__(self, v: TailVector) -> TailVector:
         return self.apply(v)
@@ -187,7 +200,7 @@ class TailMap(_Certified):
         """self after g; tail = Ff*Gt + Ft*(Gf + Gt), total-mass submultiplicative."""
         self._join(g)
         tail = _propagated(self.backend, self.finite.l1_total(), self.tail, g.finite.l1_total(), g.tail)
-        return TailMap(self.finite.compose(g.finite), tail)
+        return self._make(self.finite.compose(g.finite), tail)
 
 
 def _propagated(b: Backend, stored: NormValue, tails: NormValue, mass: NormValue, tail: NormValue) -> NormValue:
@@ -217,7 +230,7 @@ def tail_mul(table: StructureTable, a: TailVector, b: TailVector) -> TailVector:
         be.norm_add(be.norm_mul(sa, b.tail), be.norm_mul(a.tail, sb)),
         be.norm_mul(a.tail, b.tail),
     )
-    return TailVector(table.mul(a.prefix, b.prefix), be.norm_mul(k, cross))
+    return TailVector._make(table.mul(a.prefix, b.prefix), be.norm_mul(k, cross))
 
 
 TailNode = Union["TailPolyMap", TailMap]
@@ -278,9 +291,9 @@ def _nest_sum(b: Backend, arity: int, parts: list, d: int, tail: NormValue) -> T
         for j, cs in table.items():
             den, nums = b._column_sum(cs)
             cols[j] = _form_vector(b, (d * den, nums))
-        return TailMap(_map(b, cols), tail)
+        return TailMap._make(_map(b, cols), tail)
     slots = {j: _nest_sum(b, arity - 1, ps, d, b.norm_zero) for j, ps in table.items()}
-    return TailPolyMap(b, arity, slots, tail)
+    return _trusted(TailPolyMap, backend=b, arity=arity, slots=slots, tail=tail)
 
 
 def _peel(nest: TailPolyMap, x: TailVector) -> TailNode:
@@ -335,4 +348,5 @@ def tpoly_bound(nest: TailNode) -> NormInterval:
         return nest.bound()
     b = nest.backend
     values, tails = _nest_flat(nest)
-    return NormInterval(b, max(map(b.norm, values), default=b.norm_zero), b._mass(values + tails))
+    lo = max(map(b.norm, values), default=b.norm_zero)
+    return _trusted(NormInterval, backend=b, lo=lo, hi=b._mass(values + tails))

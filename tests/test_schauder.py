@@ -2,7 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from falg import (
@@ -11,6 +11,7 @@ from falg import (
     RATIONAL,
     ColumnFiniteMap,
     HamelVector,
+    NormInterval,
     PolyMap,
     TailMap,
     TailPolyMap,
@@ -26,6 +27,7 @@ from falg import (
     zero_vector,
 )
 
+from falg.schauder import _peel
 from support import (
     assert_canonical,
     l1_distance,
@@ -541,3 +543,69 @@ def test_nest_slot_keys_are_basis_indices(cls, key):
     slot = leaf if cls is PolyMap else TailMap(leaf, 0)
     with pytest.raises((ValueError, TypeError)):
         cls(RATIONAL, 2, {key: slot})
+
+
+# results are built without their constructors' checks; rebuilt through them they must not change
+_TRUSTED_VALUES = {
+    INTEGER: [-3, -1, 1, 2, 10**12 + 39],
+    RATIONAL: [Fraction(n, d) for n in (-2, 1, 3) for d in (1, 3, 65537)],
+    FLOAT64: [-1.5, 0.1, 0.2, 1 / 3, 7.0, 2.0**-30],
+}
+
+
+def _trusted_coords(rng, backend, size=4) -> dict:
+    return {rng.randint(0, 5): rng.choice(_TRUSTED_VALUES[backend]) for _ in range(rng.randint(0, size))}
+
+
+def _trusted_tail(rng, backend):
+    return backend.norm_check(Fraction(rng.randint(0, 4), rng.choice((1, 3))))
+
+
+def _trusted_map(rng, backend) -> TailMap:
+    cols = {rng.randint(0, 5): _trusted_coords(rng, backend, 3) for _ in range(rng.randint(0, 3))}
+    return TailMap(ColumnFiniteMap(backend, cols), _trusted_tail(rng, backend))
+
+
+def _rebuilt(value):
+    """value built again from its fields by the public constructors, columns as raw Scalar tables."""
+    b = value.backend
+    if isinstance(value, TailVector):
+        return TailVector(HamelVector(b, {k: c.value for k, c in value.prefix.coords.items()}), value.tail)
+    if isinstance(value, TailMap):
+        return TailMap(ColumnFiniteMap(b, {j: dict(c.coords) for j, c in value.finite.cols.items()}), value.tail)
+    if isinstance(value, TailPolyMap):
+        return TailPolyMap(b, value.arity, {j: _rebuilt(s) for j, s in value.slots.items()}, value.tail)
+    return NormInterval(b, value.lo, value.hi)
+
+
+@given(seed=st.integers(0, 2**32 - 1), backend=st.sampled_from([INTEGER, RATIONAL, FLOAT64]))
+def test_trusted_results_equal_their_checked_rebuild(seed, backend):
+    rng = random.Random(seed)
+    u, v = (TailVector.make(backend, _trusted_coords(rng, backend), _trusted_tail(rng, backend)) for _ in "uv")
+    f, g = _trusted_map(rng, backend), _trusted_map(rng, backend)
+    d = backend.scalar(rng.choice([0, *_TRUSTED_VALUES[backend]]))
+    table = load_builtin(rng.choice(("polynomial", "free:2")), backend).table
+    nest = TailPolyMap(backend, 2, {rng.randint(0, 5): _trusted_map(rng, backend) for _ in range(3)},
+                       _trusted_tail(rng, backend))
+    results = [
+        u + v, u.scale(d), -u, f + g, f.scale(d), u.truncate([0, 2, 4]), f.apply(u), f.compose(g),
+        tail_mul(table, u, v), tpoly_apply(nest, [u, v]), _peel(nest, u),
+        u.norm_interval(), f.bound(), tpoly_bound(nest),
+    ]
+    for result in results:
+        rebuilt = _rebuilt(result)
+        assert rebuilt == result and repr(rebuilt) == repr(result)
+
+
+def _float_l1(values) -> Fraction:
+    return sum((abs(Fraction(x)) for x in values), Fraction(0))
+
+
+@example([0.1, 0.2], [0.1, 0.2])  # lo was the mass rounded up, 0.3000000000000001
+@given(st.lists(st.floats(-1e6, 1e6, allow_nan=False), max_size=6),
+       st.lists(st.floats(-1e6, 1e6, allow_nan=False), min_size=1, max_size=4))
+def test_float_norm_ends_enclose_the_exact_mass(xs, column):
+    interval = TailVector.make(FLOAT64, dict(enumerate(xs)), 0.0).norm_interval()
+    assert Fraction(interval.lo) <= _float_l1(xs) <= Fraction(interval.hi)
+    bound = TailMap(ColumnFiniteMap(FLOAT64, {0: dict(enumerate(xs)), 1: dict(enumerate(column))}), 0.0).bound()
+    assert Fraction(bound.lo) <= max(_float_l1(xs), _float_l1(column)) <= Fraction(bound.hi)

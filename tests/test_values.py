@@ -5,7 +5,10 @@ exact text printed for it, so a change of field names, field order or
 rendering shows here.  Every operation that takes falg values rejects one of
 another class with TypeError and one over another backend with
 BackendMismatchError.  The import guard checks that loading the CLI pulls in
-no code generator.
+no code generator.  The constructors that read raw coordinates keep an int
+subclass key as it is, drop every zero, and reject a bool or negative key
+and another backend's Scalar with the exception and message they always
+gave.
 """
 
 import os
@@ -17,6 +20,7 @@ import pytest
 
 import falg
 from falg import (
+    FLOAT64,
     INTEGER,
     RATIONAL,
     AlgebraFixture,
@@ -208,3 +212,52 @@ def test_operations_check_their_operands(op, kind, other_class):
         op(INT_VALUES[kind])
     with pytest.raises(TypeError):
         op(other_class)
+
+
+class _IntKey(int):
+    """An int subclass: a basis index the constructors accept and keep as it is."""
+
+
+# every public constructor that reads raw coordinates, a map's raw column included
+RAW_CONSTRUCTORS = {
+    "vector": lambda coords: HamelVector(R, coords),
+    "functional": lambda coords: DualFunctional(R, coords),
+    "map-column": lambda coords: ColumnFiniteMap(R, {0: coords}),
+    "tail-vector": lambda coords: TailVector.make(R, coords, 0),
+}
+
+
+def _stored(value) -> dict:
+    value = getattr(value, "prefix", value)
+    return value.cols[0].coords if isinstance(value, ColumnFiniteMap) else value.coords
+
+
+@pytest.mark.parametrize("build", RAW_CONSTRUCTORS.values(), ids=RAW_CONSTRUCTORS)
+def test_constructors_keep_an_int_subclass_key(build):
+    (key,) = _stored(build({_IntKey(2): Fraction(1, 2)}))
+    assert type(key) is _IntKey and key == 2
+
+
+MISMATCH = "coefficient backend int does not match rat"
+EDGE_REJECTIONS = {
+    "bool-key": ({True: 1}, TypeError, "basis index must be int, got bool"),
+    "negative-key": ({0: 1, -1: 1}, ValueError, "basis index must be >= 0, got -1"),
+    "other-backend-scalar": ({0: INTEGER.scalar(1)}, BackendMismatchError, MISMATCH),
+    "other-backend-zero": ({0: INTEGER.zero}, BackendMismatchError, MISMATCH),
+}
+
+
+@pytest.mark.parametrize("coords, error, message", EDGE_REJECTIONS.values(), ids=EDGE_REJECTIONS)
+@pytest.mark.parametrize("build", RAW_CONSTRUCTORS.values(), ids=RAW_CONSTRUCTORS)
+def test_constructors_reject_edge_inputs_with_their_messages(build, coords, error, message):
+    with pytest.raises(error) as caught:
+        build(coords)
+    assert type(caught.value) is error and str(caught.value) == message
+
+
+@pytest.mark.parametrize("build", RAW_CONSTRUCTORS.values(), ids=RAW_CONSTRUCTORS)
+def test_constructors_drop_every_zero(build):
+    value = build({0: 0, 1: Fraction(0), 2: R.zero, 3: Fraction(1, 2), 4: -0})
+    assert list(_stored(value)) == [3]
+    assert ColumnFiniteMap(R, {0: {0: 0}, 1: {}}).cols == {}
+    assert HamelVector(FLOAT64, {0: -0.0, 1: 0.0, 2: FLOAT64.zero, 3: 0}).coords == {}
