@@ -225,6 +225,13 @@ MUTANTS = [
         [VALUES + f"test_constructors_drop_every_zero[{c}]" for c in RAW_CONSTRUCTORS],
     ),
     Mutant(
+        "nest-checks-first-argument-only", "hamel.py",
+        "    for x in xs:\n",
+        "    for x in xs[:1]:\n",
+        [f"tests/test_hamel.py::test_poly_apply_checks_every_argument_before_reading_the_nest[{case}]"
+         for case in ("junk", "other-backend", "zero-first")],
+    ),
+    Mutant(
         "norm-check-accepts-negative-fraction", "ring.py",
         "if type(x) is Fraction and x._numerator >= 0 or",
         "if type(x) is Fraction or",

@@ -75,6 +75,7 @@ from .hamel import (
     _form_vector,
     _operand,
     _wire_index,
+    _wire_object,
     zero_vector,
 )
 
@@ -502,29 +503,43 @@ def table_to_data(table: StructureTable) -> dict:
     return data
 
 
-def _row_index(value) -> int:
+def _row_index(value, where: str) -> int:
     """A structure row's i, j or k: a JSON integer, or a string in canonical decimal form."""
     if isinstance(value, str):
         value = _wire_index(value)
     elif isinstance(value, bool) or not isinstance(value, int):
-        raise ValueError(f"structure index must be an integer, got {type(value).__name__}")
+        raise ValueError(f"{where} must be an integer, got {type(value).__name__}")
     return _check_index(value)
 
 
 def table_from_data(backend: Backend, data) -> StructureTable:
-    """Parse an extensional table: {"name", "structure", "pairBound"?, "claims"?}."""
+    """Parse an extensional table: {"name", "structure", "pairBound"?, "claims"?}.
+
+    structure is a list of {"i", "j", "k", "c"} objects and claims an object
+    of JSON booleans; a ValueError names the row and field that break this.
+    """
     if not isinstance(data, dict):
         raise ValueError("algebra data must be a JSON object")
     if "structure" not in data:
         raise ValueError("algebra data needs a 'structure' list (or use a builtin name)")
+    rows = data["structure"]
+    if not isinstance(rows, list):
+        raise ValueError(f"'structure' must be a JSON list, got {type(rows).__name__}")
     grouped: dict[tuple[int, int], dict[int, Scalar]] = {}
-    for row in data["structure"]:
-        i, j, k = (_row_index(row[name]) for name in "ijk")
+    for n, row in enumerate(rows):
+        _wire_object(row, f"structure row {n}")
+        for name in "ijkc":
+            if name not in row:
+                raise ValueError(f"structure row {n} has no {name!r} field")
+        i, j, k = (_row_index(row[name], f"structure row {n} field {name!r}") for name in "ijk")
         c = Scalar(backend, backend.parse(row["c"]))
         cell = grouped.setdefault((i, j), {})
         cell[k] = cell[k] + c if k in cell else c
     entries = {key: HamelVector(backend, coords) for key, coords in grouped.items()}
-    claims = data.get("claims", {})
+    claims = _wire_object(data.get("claims", {}), "'claims'")
+    for name, claim in claims.items():
+        if not isinstance(claim, bool):
+            raise ValueError(f"claim {name!r} must be a JSON boolean, got {type(claim).__name__}")
     pair_bound = data.get("pairBound")
     if pair_bound is not None:
         pair_bound = backend.norm_parse(pair_bound)
@@ -533,6 +548,6 @@ def table_from_data(backend: Backend, data) -> StructureTable:
         name=str(data.get("name", "anonymous")),
         entries=entries,
         pair_bound=pair_bound,
-        claims_associative=bool(claims.get("associative", False)),
-        claims_commutative=bool(claims.get("commutative", False)),
+        claims_associative=claims.get("associative", False),
+        claims_commutative=claims.get("commutative", False),
     )

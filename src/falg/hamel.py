@@ -357,7 +357,7 @@ class _CoordTable(_Frozen):
         if not isinstance(data, Mapping) or any(name not in data for name in fields):
             names = " and ".join(map(repr, fields))
             raise ValueError(f"{cls.__name__} data must be a JSON object with {names}")
-        shape = [int(data[name]) for name in cls._shape]
+        shape = [data[name] for name in cls._shape]  # the constructor checks each field
         coords = {}
         for key, text in _wire_object(data["coords"], "'coords'").items():
             coords[cls._from_wire(key)] = Scalar(backend, backend.parse(text))
@@ -554,8 +554,8 @@ def identity_on(backend: Backend, indices) -> ColumnFiniteMap:
 MapNode = Union["PolyMap", ColumnFiniteMap]
 
 
-def _check_slots(nest_cls, leaf_cls, backend: Backend, arity: int, slots: Mapping) -> dict:
-    """The slots of a nest_cls of the given arity, validated.
+def _check_slots(nest_cls, leaf_cls, backend: Backend, arity: int, slots) -> dict:
+    """The slots of a nest_cls of the given arity, a Mapping or (index, slot) pairs, validated.
 
     Keys are basis indices; each slot lives over backend and is a leaf_cls
     at arity 2, a nest_cls of arity - 1 above.  Shared by PolyMap and the
@@ -564,7 +564,7 @@ def _check_slots(nest_cls, leaf_cls, backend: Backend, arity: int, slots: Mappin
     if not isinstance(arity, int) or arity < 2:
         raise ValueError(f"{nest_cls.__name__} arity must be >= 2, got {arity}")
     out = {}
-    for j, sub in slots.items():
+    for j, sub in slots.items() if isinstance(slots, Mapping) else slots:
         j = _check_index(j)
         _operand(sub, leaf_cls if arity == 2 else nest_cls, backend, f"arity-{arity} slot")
         if arity > 2 and sub.arity != arity - 1:
@@ -593,36 +593,43 @@ class PolyMap(_Frozen):
         return not self.slots
 
 
+def _check_nest(nest, nest_types) -> None:
+    """TypeError unless nest is one of nest_types, a nest class and its leaf map class."""
+    if not isinstance(nest, nest_types):
+        raise TypeError(f"expected {' or '.join(t.__name__ for t in nest_types)}, got {type(nest).__name__}")
+
+
+def _check_call(nest, nest_types, xs: Sequence, arg_cls) -> None:
+    """The checks of a polylinear call, all made before the nest is read.
+
+    nest is one of nest_types, its arity is len(xs) (a leaf map's is 1)
+    and each of xs, in order, is an arg_cls over nest's backend.  Slots
+    need no check: their constructor fixed their class, backend and arity.
+    """
+    _check_nest(nest, nest_types)
+    arity = nest.arity if isinstance(nest, nest_types[0]) else 1
+    if len(xs) != arity:
+        raise ValueError(f"arity mismatch: nest of arity {arity} applied to {len(xs)} arguments")
+    for x in xs:
+        _operand(x, arg_cls, nest.backend, "argument")
+
+
 def poly_apply(nest: MapNode, xs: Sequence[HamelVector]) -> HamelVector:
     """Evaluate a curried nest on a full argument tuple.
 
     Linear in every slot: peels the first argument against the stored
     slots, then recurses.  A depth-1 nest is ordinary map application.
     """
-    form = _poly_split(nest, xs, {})  # checks nest and xs before nest.backend is read
-    return _form_vector(nest.backend, form)
+    _check_call(nest, (PolyMap, ColumnFiniteMap), xs, HamelVector)
+    b = nest.backend
+    return _form_vector(b, _poly_split(nest, [b._split(x.coords) for x in xs]))
 
 
-def _check_level(nest: MapNode, xs: Sequence[HamelVector]) -> None:
-    """The checks poly_apply makes before reading one level of the nest."""
-    if not isinstance(nest, (PolyMap, ColumnFiniteMap)):
-        raise TypeError(f"expected PolyMap or ColumnFiniteMap, got {type(nest).__name__}")
-    arity = nest.arity if isinstance(nest, PolyMap) else 1
-    if len(xs) != arity:
-        raise ValueError(f"arity mismatch: nest of arity {arity} applied to {len(xs)} arguments")
-    _operand(xs[0], HamelVector, nest.backend, "argument")
-
-
-def _poly_split(nest: MapNode, xs: Sequence[HamelVector], splits: dict) -> tuple[int, dict]:
-    """poly_apply over numerator forms; splits caches each argument's split."""
-    _check_level(nest, xs)
-    head = splits.get(len(xs))
-    if head is None:
-        head = splits[len(xs)] = nest.backend._split(xs[0].coords)
+def _poly_split(nest: MapNode, forms: list) -> tuple[int, dict]:
+    """poly_apply over the arguments' numerator forms, unchecked."""
     if isinstance(nest, ColumnFiniteMap):
-        return nest._apply_split(head)
-    dh, nums = head
-    den, acc = _combine([
-        (x, _poly_split(nest.slots[j], xs[1:], splits)) for j, x in nums.items() if j in nest.slots
-    ])
+        return nest._apply_split(forms[0])
+    dh, nums = forms[0]
+    parts = [(x, _poly_split(nest.slots[j], forms[1:])) for j, x in nums.items() if j in nest.slots]
+    den, acc = _combine(parts)
     return dh * den, acc

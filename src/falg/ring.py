@@ -20,32 +20,17 @@ finiteness and directed rounding change.  ``RationalBackend.check`` returns
 a plain ``Fraction`` as it is, since it is immutable; a subclass or an int
 is converted.
 
-Each backend owns its numerator form, in which the hamel kernels sum
-products: ``_split(coords)`` writes a table of Scalars as ``(d, {k: n})``
-with every value n / d, and ``_whole(n)`` reads a numerator over 1 back as
-a raw value.  Integer and float values are their own numerators over 1
-(``_whole`` checks a float sum for finiteness); the rational backend puts
-integer numerators over the lcm of the denominators.  Its ``_whole`` sets
-a Fraction's two slots, ``_numerator`` and ``_denominator``, without
-Fraction's constructor, as the hamel kernels do for every reduced result,
-and its ``_split`` reads those two slots straight from each value: every
-rat value is a Fraction, since ``check`` converts what it accepts and the
-``Scalar`` constructor runs ``check``.
-
-Each backend also owns how a sum of columns reads its entries in place,
-with no form per column: ``_column_sum(parts)`` is the form of the sum of
-s * col over parts ``[(s, coords), ...]``, and ``_num_den(x)`` reads one
-raw value as (numerator, denominator).  Integer and float values are read
-as they are, added in column order, so float64 rounds as a sequential
-sum; the rational backend scales each column once (see its method).
-
-Each backend also owns the l1 mass behind every certified bound:
-``_mass(values)``, the sum of |x| over raw or norm values.  int and rat
-sum exactly (a Fraction exactly when one went in; rat adds |numerator| per
-denominator and reduces once, not a gcd per value).  float64 rounds the
-exact ``math.fsum`` once, one ulp up unless it is exact (fewer than two
-terms); ``_mass_bounds`` also rounds it one ulp down, for the lo ends of
-norm intervals.  So no mass depends on the order of its values.
+Each backend owns the kernels' private reads of its values, each
+described in its own docstring: the numerator form (``_split``,
+``_whole``), sums of columns read in place (``_column_sum``,
+``_num_den``) and the l1 mass behind every certified bound (``_mass``,
+``_mass_bounds``).  Every rat value is a Fraction, since ``check``
+converts what it accepts and the ``Scalar`` constructor runs ``check``, so
+the rat methods read and set a Fraction's two slots, ``_numerator`` and
+``_denominator``, directly.  float64 adds column entries in column order,
+so it rounds as a sequential sum, and rounds each mass once from the exact
+``math.fsum`` (one ulp up, and one down for the lo ends of norm intervals,
+unless it is a single term), so no mass depends on the order of its values.
 
 ``_scalar(backend, value)`` builds a :class:`Scalar` without the type call,
 setting its two slots through descriptors taken once at import.  It is for

@@ -10,7 +10,8 @@ curried polylinear nest.
 TailVector and TailMap are one shape, an exact finite part plus a tail, and
 share one implementation, ``_Certified``: ``lift``, ``is_exact``, ``+``,
 ``scale`` and the wire format (the finite part's, plus a ``"tail"`` field).
-TailPolyMap validates its slots with the same helper as hamel's PolyMap.
+TailPolyMap validates its slots, and ``tpoly_apply`` its call, with the same
+helpers as hamel's PolyMap and ``poly_apply``.
 
 The contract every operation preserves: if the input certificates hold for
 the (unknown) represented values, the output certificate holds for the
@@ -42,7 +43,9 @@ from __future__ import annotations
 from typing import Mapping, Sequence, Union
 
 from .ring import Backend, NormValue, _Frozen
-from .hamel import ColumnFiniteMap, HamelVector, _check_slots, _form_vector, _map, _operand, _trusted
+from .hamel import (
+    ColumnFiniteMap, HamelVector, _check_call, _check_nest, _check_slots, _form_vector, _map, _operand, _trusted
+)
 from .algebra import StructureTable
 
 
@@ -314,22 +317,13 @@ def _peel(nest: TailPolyMap, x: TailVector) -> TailNode:
     return _nest_sum(b, nest.arity - 1, parts, d, tail)
 
 
-def _nest_arity(nest: TailNode) -> int:
-    return 1 if isinstance(nest, TailMap) else nest.arity
-
-
 def tpoly_apply(nest: TailNode, xs: Sequence[TailVector]) -> TailVector:
     """Evaluate a curried nest on tail vectors, peeling one slot at a time.
 
     Depth 1 is plain map application; the all-exact case reproduces the
     finite-support polylinear evaluation with tail 0.
     """
-    if len(xs) != _nest_arity(nest):
-        raise ValueError(
-            f"arity mismatch: nest of arity {_nest_arity(nest)} applied to {len(xs)} arguments"
-        )
-    for x in xs:
-        _operand(x, TailVector, nest.backend, "argument")
+    _check_call(nest, (TailPolyMap, TailMap), xs, TailVector)
     while isinstance(nest, TailPolyMap):
         nest = _peel(nest, xs[0])
         xs = xs[1:]
@@ -344,6 +338,7 @@ def tpoly_bound(nest: TailNode) -> NormInterval:
     The lo end is the largest single stored entry, the value at the best
     stored basis tuple.
     """
+    _check_nest(nest, (TailPolyMap, TailMap))
     if isinstance(nest, TailMap):
         return nest.bound()
     b = nest.backend

@@ -54,8 +54,8 @@ class TensorElement(_CoordTable):
     _shape = ("arity",)
 
     def __init__(self, backend: Backend, arity: int, coords: Mapping[tuple[int, ...], Scalar] = {}):
-        if not isinstance(arity, int) or arity < 1:
-            raise ValueError(f"tensor arity must be >= 1, got {arity}")
+        if isinstance(arity, bool) or not isinstance(arity, int) or arity < 1:
+            raise ValueError(f"tensor arity must be an int >= 1, got {arity!r}")
         object.__setattr__(self, "arity", arity)
         super().__init__(backend, coords)
 

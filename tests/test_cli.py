@@ -571,6 +571,27 @@ def test_cli_check_rejects_negative_table_index(tmp_path, capsys):
         assert "basis index must be >= 0" in err
 
 
+_ROW = {"i": 0, "j": 0, "k": 0, "c": "1"}
+
+
+@pytest.mark.parametrize(
+    "table, message",
+    [
+        ({"structure": [_ROW], "claims": []}, "'claims' must be a JSON object, got list"),
+        ({"structure": [_ROW], "claims": {"associative": "no"}}, "claim 'associative' must be a JSON boolean"),
+        ({"structure": [_ROW, {"i": 0, "j": 1, "k": 0}]}, "structure row 1 has no 'c' field"),
+        ({"structure": _ROW}, "'structure' must be a JSON list, got dict"),
+        ({"structure": [_ROW, 5]}, "structure row 1 must be a JSON object, got int"),
+        ({"structure": [{**_ROW, "j": 1.5}]}, "structure row 0 field 'j' must be an integer, got float"),
+    ],
+    ids=["claims-list", "claims-string", "row-without-c", "structure-object", "integer-row", "float-index"],
+)
+def test_cli_check_rejects_malformed_table_json(tmp_path, capsys, table, message):
+    code, out, err = run(capsys, ["check", "--algebra", write(tmp_path, "t.json", table)])
+    assert code == 2 and out == ""
+    assert message in err
+
+
 def test_cli_eval_rejects_non_canonical_table_index(tmp_path):
     rows = [{"i": 1.9, "j": 0, "k": 0, "c": "1"}, {"i": "01", "j": 0, "k": True, "c": "2"}]
     table = write(tmp_path, "t.json", {"structure": rows})

@@ -252,6 +252,36 @@ def test_poly_apply_arity_mismatch():
         poly_apply(ColumnFiniteMap(RATIONAL, {}), [zero_vector(RATIONAL)] * 2)
 
 
+_F = ColumnFiniteMap(RATIONAL, {0: {0: 1}})
+
+
+@pytest.mark.parametrize(
+    "xs, error",
+    [
+        ([HamelVector(RATIONAL, {5: 1}), "junk"], TypeError),
+        ([HamelVector(RATIONAL, {5: 1}), HamelVector(INTEGER, {0: 1})], BackendMismatchError),
+        ([zero_vector(RATIONAL), None], TypeError),
+    ],
+    ids=["junk", "other-backend", "zero-first"],
+)
+def test_poly_apply_checks_every_argument_before_reading_the_nest(xs, error):
+    # the first argument reaches no slot, so only a check made up front reads the second
+    with pytest.raises(error, match="argument"):
+        poly_apply(PolyMap(RATIONAL, 2, {0: _F}), xs)
+
+
+@pytest.mark.parametrize("make", [list, tuple, iter], ids=["list", "tuple", "iterator"])
+def test_poly_map_reads_slot_pairs(make):
+    pairs = [(3, PolyMap(RATIONAL, 2, {1: _F})), (0, PolyMap(RATIONAL, 2, {0: _F}))]
+    assert PolyMap(RATIONAL, 3, make(pairs)) == PolyMap(RATIONAL, 3, dict(pairs))
+
+
+@pytest.mark.parametrize("slots", [None, 5], ids=repr)
+def test_poly_map_rejects_non_iterable_slots(slots):
+    with pytest.raises(TypeError):
+        PolyMap(RATIONAL, 2, slots)
+
+
 def test_poly_map_validates_slots():
     with pytest.raises(ValueError):
         PolyMap(RATIONAL, 1, {})

@@ -510,6 +510,25 @@ def test_tpoly_arity_mismatch():
         tpoly_apply(nest, [tv({0: 1})])
 
 
+@pytest.mark.parametrize("nest", ["junk", None, PolyMap(RATIONAL, 2, {})], ids=["str", "None", "PolyMap"])
+def test_tpoly_calls_reject_a_non_nest(nest):
+    name = type(nest).__name__
+    with pytest.raises(TypeError, match=f"expected TailPolyMap or TailMap, got {name}"):
+        tpoly_apply(nest, [])
+    with pytest.raises(TypeError, match=f"expected TailPolyMap or TailMap, got {name}"):
+        tpoly_bound(nest)
+
+
+def test_tail_poly_map_reads_slot_pairs():
+    f = TailMap(ColumnFiniteMap(RATIONAL, {0: {0: 1}}), Fraction(1, 4))
+    pairs = [(2, f), (0, f)]
+    for slots in (pairs, tuple(pairs), iter(pairs)):
+        assert TailPolyMap(RATIONAL, 2, slots, 1) == TailPolyMap(RATIONAL, 2, dict(pairs), 1)
+    for slots in (None, 5):
+        with pytest.raises(TypeError):
+            TailPolyMap(RATIONAL, 2, slots, 1)
+
+
 def test_soundness_trees_small_run():
     rng = random.Random(54)
     for _ in range(60):

@@ -244,6 +244,17 @@ def test_map_via_tensor_rejects_wrong_arity():
         map_via_tensor(q, t3, identity_on(RATIONAL, [0]), basis_vector(RATIONAL, 0))
 
 
+def test_tensor_arity_rejects_a_bool():
+    with pytest.raises(ValueError, match="tensor arity must be an int >= 1, got True"):
+        TensorElement(RATIONAL, True, {(0,): 1})
+
+
+@pytest.mark.parametrize("arity", [2.5, 2.0, "2", True], ids=repr)
+def test_tensor_wire_arity_is_read_strictly(arity):
+    with pytest.raises(ValueError, match="tensor arity must be an int >= 1"):
+        TensorElement.from_data(RATIONAL, {"arity": arity, "coords": {"0,1": "1"}})
+
+
 def test_tensor_json_round_trip():
     rng = random.Random(35)
     for _ in range(50):
