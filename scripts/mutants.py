@@ -36,6 +36,10 @@ GROUPS = RING + "test_mass_over_several_denominator_groups_is_the_chained_sum["
 VALUES = "tests/test_values.py::"
 EDGES = VALUES + "test_constructors_reject_edge_inputs_with_their_messages["
 RAW_CONSTRUCTORS = ("vector", "functional", "map-column", "tail-vector")
+DIFFERENTIAL = "tests/test_differential.py::test_differential_every_block_matches"
+F64_OVERFLOW = [KERNEL + f"test_float_overflow_raises[{op}]"
+                for op in ("add", "scale", "apply", "compose", "mul", "tensor_pure")]
+CLI = "tests/test_cli.py::"
 
 
 class Mutant:
@@ -71,7 +75,7 @@ MUTANTS = [
         "{k: x._numerator for k",
         [KERNEL + "test_exact_apply_is_chained_sum",
          KERNEL + "test_exact_mul_is_chained_sum",
-         "tests/test_differential.py::test_differential_first_block_matches"],
+         DIFFERENTIAL],
     ),
     Mutant(
         "column-sum-keeps-zero-terms", "ring.py",
@@ -137,12 +141,29 @@ MUTANTS = [
     # in the Fraction builder), a running sum not rescaled at a new denominator,
     # and an entry that violates the pair bound kept as checked
     Mutant(
-        "form-coords-unreduced", "hamel.py",
-        "        g = gcd(n, den)\n",
-        "        g = 1\n",
-        [KERNEL + "test_form_coords_builds_reduced_fractions",
+        "rat-coords-unreduced", "ring.py",
+        "                g = gcd(n, den)\n",
+        "                g = 1\n",
+        [KERNEL + "test_rational_coords_builds_reduced_fractions",
+         KERNEL + "test_coords_inverts_split[rat]",
          KERNEL + "test_exact_apply_is_chained_sum",
          COLUMNS + "rat-denominators-apply]"],
+    ),
+    # the Scalar builders of int and f64 results: a float sum or product that
+    # overflowed is rejected, and one that underflowed to 0.0 is not stored
+    Mutant(
+        "f64-wrap-skips-finite-check", "ring.py",
+        "        self._check_sums(raw.values())\n        return super()._wrap(raw)\n",
+        "        return super()._wrap(raw)\n",
+        F64_OVERFLOW + [CLI + f"test_cli_f64_eval_overflow_exits_2[{case}]"
+                        for case in ("v+v-flags0", "(v+v)-(v+v)-flags1", "v*v-flags2")],
+    ),
+    Mutant(
+        "coords-keeps-zero", "ring.py",
+        "        for k, x in raw.items():\n            if x:\n",
+        "        for k, x in raw.items():\n            if True:\n",
+        [KERNEL + "test_float_tensor_pure_drops_underflow", KERNEL + "test_coords_inverts_split[f64]",
+         KERNEL + "test_coords_inverts_split[int]"],
     ),
     Mutant(
         "mul-form-drops-rescale", "algebra.py",
@@ -162,19 +183,19 @@ MUTANTS = [
         "below-accepts-n", "algebra.py",
         "    while r >= n:\n",
         "    while r > n:\n",
-        DRAWS + ["tests/test_differential.py::test_differential_first_block_matches"],
+        DRAWS + [DIFFERENTIAL],
     ),
     Mutant(
         "below-bits-of-n-minus-1", "algebra.py",
         "    k = n.bit_length()\n",
         "    k = (n - 1).bit_length()\n",
-        DRAWS + LAWS + ["tests/test_differential.py::test_differential_first_block_matches"],
+        DRAWS + LAWS + [DIFFERENTIAL],
     ),
     Mutant(
         "rand-form-index-before-scalar", "algebra.py",
         "            drawn[_below(rng, width)] = self._rand_scalar(rng)\n",
         "            i = _below(rng, width)\n            drawn[i] = self._rand_scalar(rng)\n",
-        LAWS + ["tests/test_differential.py::test_differential_first_block_matches"],
+        LAWS + [DIFFERENTIAL],
     ),
     Mutant(
         "mass-unreduced", "ring.py",

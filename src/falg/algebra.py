@@ -70,7 +70,6 @@ from typing import Callable, Mapping, Optional
 from .ring import Backend, NormValue, Scalar, _Frozen
 from .hamel import (
     HamelVector,
-    _check_index,
     _combine,
     _form_vector,
     _operand,
@@ -504,12 +503,17 @@ def table_to_data(table: StructureTable) -> dict:
 
 
 def _row_index(value, where: str) -> int:
-    """A structure row's i, j or k: a JSON integer, or a string in canonical decimal form."""
+    """A structure row's i, j or k: a JSON integer >= 0, or a string in canonical decimal form."""
     if isinstance(value, str):
-        value = _wire_index(value)
+        try:
+            value = _wire_index(value)
+        except ValueError as e:
+            raise ValueError(f"{where}: {e}") from None
     elif isinstance(value, bool) or not isinstance(value, int):
         raise ValueError(f"{where} must be an integer, got {type(value).__name__}")
-    return _check_index(value)
+    if value < 0:
+        raise ValueError(f"{where} must be >= 0, got {value}")
+    return value
 
 
 def table_from_data(backend: Backend, data) -> StructureTable:
@@ -532,7 +536,10 @@ def table_from_data(backend: Backend, data) -> StructureTable:
             if name not in row:
                 raise ValueError(f"structure row {n} has no {name!r} field")
         i, j, k = (_row_index(row[name], f"structure row {n} field {name!r}") for name in "ijk")
-        c = Scalar(backend, backend.parse(row["c"]))
+        try:
+            c = Scalar(backend, backend.parse(row["c"]))
+        except (TypeError, ValueError) as e:
+            raise type(e)(f"structure row {n} field 'c': {e}") from None
         cell = grouped.setdefault((i, j), {})
         cell[k] = cell[k] + c if k in cell else c
     entries = {key: HamelVector(backend, coords) for key, coords in grouped.items()}

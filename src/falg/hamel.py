@@ -9,8 +9,12 @@ and the finiteness invariants can be checked by inspection.
 
 Operations never mutate their inputs; treat all values as immutable.
 
-Two primitives add values up, and each wraps the surviving sums in Scalar
-once at the end, so no intermediate result is copied or re-validated.
+Every kernel adds raw values up and has the backend wrap the surviving
+sums in Scalar once at the end, so no intermediate result is copied or
+re-validated: ``backend._coords(form)`` builds the Scalars of a sum of
+products and ``backend._wrap(raw)`` those of ``+`` and ``-`` (see
+``ring``).  Both drop a zero, and on float64 both reject a sum or product
+that left the finite range with ``ValueError``.
 
 Every sum of products works on numerator forms ``(d, {k: n})``, each value
 being n / d: map application and composition, ``StructureTable.mul``,
@@ -18,14 +22,14 @@ being n / d: map application and composition, ``StructureTable.mul``,
 every coordinate table (so of maps and tail values too) and the truncation
 layer's nest sums.  The backend owns its form (``ring.Backend``):
 ``backend._split(coords)`` writes an operand as a form, and
-``backend._whole(n)`` reads a numerator over 1 back as a raw value.  int
-and float64 values are their own numerators over 1; on rat, n is an
-integer and d the lcm of the denominators.  ``_combine`` adds terms
-``s * n`` into a dict of numerators over the lcm of all parts'
-denominators, taken first, so its sums never rescale; only the table
-product (``StructureTable._mul_form``), which meets table entries one pair
-at a time, keeps a running denominator and multiplies its sum through when
-an entry's denominator does not divide it.
+``backend._coords(form)`` is its inverse.  int and float64 values are
+their own numerators over 1; on rat, n is an integer and d the lcm of the
+denominators.  ``_combine`` adds terms ``s * n`` into a dict of
+numerators over the lcm of all parts' denominators, taken first, so its
+sums never rescale; only the table product (``StructureTable._mul_form``),
+which meets table entries one pair at a time, keeps a running denominator
+and multiplies its sum through when an entry's denominator does not
+divide it.
 
 Map application reads the stored columns in place, with no form per
 column: ``ColumnFiniteMap.apply`` and everything that reaches
@@ -43,22 +47,18 @@ for each of them; each entry of g's columns is read in place as
 ``backend._num_den(value)``, a numerator p over q, and the form (d, nums)
 it meets enters ``_combine`` as p over q * d.
 
-``_form_coords`` turns each surviving numerator n over the final
-denominator D into one Scalar, built inline: over D > 1 (only rat forms
-have one) its value is the reduced Fraction (n // g) / (D // g) with
-g = gcd(n, D), over 1 it is ``backend._whole(n)``.  All denominators are
-positive, so a partial sum is zero exactly when the rational sum it stands
-for is: key order and results equal those of a chain of Fraction
-additions.  On float64 every kernel computes ``s * n`` (``s * c.value``
-when reading in place) and adds it to its coordinate in the order the
-operands list their terms, so float sums round as sequential Scalar
-additions do.
+All form denominators are positive, so a partial sum is zero exactly
+when the rational sum it stands for is: key order and results equal those
+of a chain of Fraction additions.  On float64 every kernel computes
+``s * n`` (``s * c.value`` when reading in place) and adds it to its
+coordinate in the order the operands list their terms, so float sums
+round as sequential Scalar additions do.
 
 ``+`` and ``-`` of two coordinate tables are a merge, not a sum of
 products: ``_accumulate`` adds the raw values of both operands into one
-dict and ``_canonical`` wraps the result.  A merge reads each value once,
-where forms would split both operands first, which costs more than it
-saves on two operands (measured under ROADMAP item 6).
+dict and ``backend._wrap`` wraps the result.  A merge reads each value
+once, where forms would split both operands first, which costs more than
+it saves on two operands (measured under ROADMAP item 6).
 
 Every sum, in place or on forms, skips a zero term and deletes a
 coordinate whose sum cancels, exactly as chained canonical vector additions
@@ -88,33 +88,22 @@ stay theirs.
 Trusted-builder invariant: kernel results are built without running
 constructors, and so are the truncation layer's computed results (see
 ``schauder``).  ``_trusted`` sets a frozen value class's fields without its
-``__init__``, so it skips ``_check_index`` and the backend re-check;
-``ring._scalar`` and ``_form_coords`` set a Scalar's two slots without
-the ``Scalar`` type call; ``_form_coords`` sets a Fraction's two slots from
-a numerator and denominator it has divided by their gcd, without
-``Fraction.__new__``'s argument dispatch, zero test and sign fix.  Only an
+``__init__``, so it skips ``_check_index`` and the backend re-check, and
+the backend's Scalar builders skip the ``Scalar`` type call.  Only an
 operation on already-constructed values may use them -- one that has
 joined its operands (type and backend checks) and builds its result only
 from their keys, raw values and sums or products of them.  Those keys
 passed ``_check_index`` and those values passed their backend's ``check``
-when the operands were built.  The Fraction build is sound only because
-every form denominator is a product and lcm of such values' denominators,
-hence positive, so ``n // g`` over ``d // g`` is already the canonical
-Fraction.  Exact arithmetic keeps values in their backend; float
-arithmetic can overflow, so both primitives reject a non-finite float64
-result (``backend._whole`` and ``backend._check_sums`` raise ``ValueError``).
+when the operands were built.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterator, Mapping, Sequence
-from fractions import Fraction
-from math import gcd, lcm
+from math import lcm
 from typing import Union
 
-from .ring import (
-    Backend, BackendMismatchError, NormValue, Scalar, _Frozen, _new, _scalar, _set_backend, _set_value
-)
+from .ring import Backend, BackendMismatchError, NormValue, Scalar, _Frozen, _new, _scalar
 
 
 def _check_index(i) -> int:
@@ -125,10 +114,19 @@ def _check_index(i) -> int:
     return i
 
 
+def _pairs(data, what: str):
+    """The (key, value) pairs of data, a Mapping or an iterable of pairs; a str is neither."""
+    if isinstance(data, Mapping):
+        return data.items()
+    if isinstance(data, str):
+        raise TypeError(f"{what} must be a mapping or (key, value) pairs, got str")
+    return data
+
+
 def _clean(backend: Backend, coords, index=_check_index) -> dict:
     """The zero-free table key -> Scalar of raw coords, a Mapping or (key, value) pairs, each checked once."""
     out = {}
-    for key, c in coords.items() if isinstance(coords, Mapping) else coords:
+    for key, c in _pairs(coords, "coords"):
         if not (type(key) is int and key >= 0 and index is _check_index):
             key = index(key)
         if type(c) is Scalar and c.backend is backend:
@@ -163,12 +161,6 @@ def _accumulate(acc: dict, coords: Mapping) -> dict:
     return acc
 
 
-def _canonical(backend: Backend, acc: dict) -> dict:
-    """Wrap the nonzero raw values of acc in Scalar, once."""
-    backend._check_sums(acc.values())
-    return {k: _scalar(backend, x) for k, x in acc.items() if x}
-
-
 def _combine(parts: list) -> tuple[int, dict]:
     """The form of sum s * form over parts [(s, form), ...], left to right.
 
@@ -196,36 +188,6 @@ def _combine(parts: list) -> tuple[int, dict]:
     return den, acc
 
 
-def _form_coords(backend: Backend, form: tuple[int, dict]) -> dict:
-    """Scalars n / den for the nonzero numerators n of form = (den, nums), one each.
-
-    Each Scalar is built inline.  Over 1 its value is ``backend._whole(n)``;
-    over den > 1, which only rat forms have, it is the Fraction
-    (n // g) / (den // g) with g = gcd(n, den), its two slots set here.
-    """
-    den, nums = form
-    out = {}
-    if den == 1:
-        whole = backend._whole
-        for k, n in nums.items():
-            if n:
-                c = _new(Scalar)
-                _set_backend(c, backend)
-                _set_value(c, whole(n))
-                out[k] = c
-        return out
-    for k, n in nums.items():
-        g = gcd(n, den)
-        q = _new(Fraction)
-        q._numerator = n // g
-        q._denominator = den // g
-        c = _new(Scalar)
-        _set_backend(c, backend)
-        _set_value(c, q)
-        out[k] = c
-    return out
-
-
 def _trusted(cls, **fields):
     """An instance of frozen value class cls with fields set as given, unchecked."""
     obj = _new(cls)
@@ -235,7 +197,7 @@ def _trusted(cls, **fields):
 
 
 def _form_vector(backend: Backend, form: tuple[int, dict]) -> "HamelVector":
-    return _trusted(HamelVector, backend=backend, coords=_form_coords(backend, form))
+    return _trusted(HamelVector, backend=backend, coords=backend._coords(form))
 
 
 def _map(backend: Backend, cols: dict) -> "ColumnFiniteMap":
@@ -320,10 +282,10 @@ class _CoordTable(_Frozen):
 
     def __add__(self, other):
         self._join(other)
-        return self._build(_canonical(self.backend, _accumulate(_accumulate({}, self.coords), other.coords)))
+        return self._build(self.backend._wrap(_accumulate(_accumulate({}, self.coords), other.coords)))
 
     def __neg__(self):
-        return self._build(_canonical(self.backend, {k: -c.value for k, c in self.coords.items()}))
+        return self._build(self.backend._wrap({k: -c.value for k, c in self.coords.items()}))
 
     def __sub__(self, other):
         return self + (-other)
@@ -336,7 +298,7 @@ class _CoordTable(_Frozen):
         if not p:
             return self._build({})
         den, nums = b._split(self.coords)
-        return self._build(_form_coords(b, (den * q, {k: p * n for k, n in nums.items()})))
+        return self._build(b._coords((den * q, {k: p * n for k, n in nums.items()})))
 
     def __rmul__(self, d):
         if isinstance(d, Scalar):
@@ -413,7 +375,7 @@ def dual_basis(backend: Backend, i: int) -> DualFunctional:
 
 def _clean_cols(backend: Backend, cols) -> dict[int, HamelVector]:
     out: dict[int, HamelVector] = {}
-    for j, col in cols.items() if isinstance(cols, Mapping) else cols:
+    for j, col in _pairs(cols, "cols"):
         j = _check_index(j)
         if isinstance(col, HamelVector):
             _operand(col, HamelVector, backend, "column")
@@ -564,7 +526,7 @@ def _check_slots(nest_cls, leaf_cls, backend: Backend, arity: int, slots) -> dic
     if not isinstance(arity, int) or arity < 2:
         raise ValueError(f"{nest_cls.__name__} arity must be >= 2, got {arity}")
     out = {}
-    for j, sub in slots.items() if isinstance(slots, Mapping) else slots:
+    for j, sub in _pairs(slots, "slots"):
         j = _check_index(j)
         _operand(sub, leaf_cls if arity == 2 else nest_cls, backend, f"arity-{arity} slot")
         if arity > 2 and sub.arity != arity - 1:

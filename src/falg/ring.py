@@ -20,22 +20,23 @@ finiteness and directed rounding change.  ``RationalBackend.check`` returns
 a plain ``Fraction`` as it is, since it is immutable; a subclass or an int
 is converted.
 
-Each backend owns the kernels' private reads of its values, each
-described in its own docstring: the numerator form (``_split``,
-``_whole``), sums of columns read in place (``_column_sum``,
-``_num_den``) and the l1 mass behind every certified bound (``_mass``,
-``_mass_bounds``).  Every rat value is a Fraction, since ``check``
-converts what it accepts and the ``Scalar`` constructor runs ``check``, so
-the rat methods read and set a Fraction's two slots, ``_numerator`` and
-``_denominator``, directly.  float64 adds column entries in column order,
-so it rounds as a sequential sum, and rounds each mass once from the exact
-``math.fsum`` (one ulp up, and one down for the lo ends of norm intervals,
-unless it is a single term), so no mass depends on the order of its values.
+Each backend owns its representation in the kernels, each method
+described in its own docstring: the numerator form (``_split``) and the
+Scalars built from forms and raw sums (``_coords``, ``_wrap``), sums of
+columns read in place (``_column_sum``, ``_num_den``) and the l1 mass
+behind every certified bound (``_mass``, ``_mass_bounds``).  Every rat
+value is a Fraction, since ``check`` converts what it accepts and the
+``Scalar`` constructor runs ``check``, so the rat methods read and set a
+Fraction's two slots, ``_numerator`` and ``_denominator``, directly.
+float64 adds column entries in column order, so it rounds as a sequential
+sum, and rounds each mass once from the exact ``math.fsum`` (one ulp up,
+and one down for the lo ends of norm intervals, unless it is a single
+term), so no mass depends on the order of its values.
 
 ``_scalar(backend, value)`` builds a :class:`Scalar` without the type call,
 setting its two slots through descriptors taken once at import.  It is for
 values the backend has already checked or computed from checked values:
-the Scalar operators and the vector and map kernels use it.
+the Scalar operators and the constructors' cleaning loop use it.
 
 Decimal text handed to the exact backends (``parse``, ``norm_parse``,
 ``norm_check`` and ``check`` on a string) may hold at most
@@ -183,9 +184,20 @@ class Backend:
         """The numerator form of coords (key -> Scalar): values are their own numerators over 1."""
         return 1, {k: c.value for k, c in coords.items()}
 
-    def _whole(self, n):
-        """The raw value n / 1 of a form's numerator n."""
-        return n
+    def _coords(self, form: tuple[int, dict]) -> dict:
+        """The inverse of _split: a Scalar per nonzero numerator of form, here its own value over 1."""
+        return self._wrap(form[1])
+
+    def _wrap(self, raw: dict) -> dict:
+        """A Scalar per nonzero value of raw (key -> raw value), each built without the type call."""
+        out = {}
+        for k, x in raw.items():
+            if x:
+                c = _new(Scalar)
+                _set_backend(c, self)
+                _set_value(c, x)
+                out[k] = c
+        return out
 
     def _column_sum(self, parts: list) -> tuple[int, dict]:
         """The form of the sum of s * col over parts [(s, coords), ...], each column read in place.
@@ -316,11 +328,24 @@ class RationalBackend(Backend):
             return 1, {k: x._numerator for k, x in zip(coords, values)}
         return d, {k: x._numerator * (d // x._denominator) for k, x in zip(coords, values)}
 
-    def _whole(self, n):
-        q = _new(Fraction)
-        q._numerator = n
-        q._denominator = 1
-        return q
+    def _coords(self, form):
+        """A Scalar per nonzero numerator n of form (den, nums): n / den, reduced by one gcd.
+
+        The Fraction's slots are set here: den is a product and lcm of
+        Fraction denominators, so positive, and the result is canonical."""
+        den, nums = form
+        out = {}
+        for k, n in nums.items():
+            if n:
+                g = gcd(n, den)
+                q = _new(Fraction)
+                q._numerator = n // g
+                q._denominator = den // g
+                c = _new(Scalar)
+                _set_backend(c, self)
+                _set_value(c, q)
+                out[k] = c
+        return out
 
     def _column_sum(self, parts):
         """Integer numerators over D, read from each Fraction's slots in two passes.
@@ -431,7 +456,10 @@ class Float64Backend(Backend):
         for x in values:
             _finite(x)
 
-    _whole = staticmethod(_finite)  # a sum of products may overflow
+    def _wrap(self, raw):
+        """As the base, after the finiteness check: a sum or product of finite floats may overflow."""
+        self._check_sums(raw.values())
+        return super()._wrap(raw)
 
     def _mass(self, values):
         return self._mass_bounds(values)[1]

@@ -30,7 +30,6 @@ from .hamel import (
     _check_index,
     _combine,
     _CoordTable,
-    _form_coords,
     _form_vector,
     _operand,
     _trusted,
@@ -86,7 +85,7 @@ def tensor_pure(factors: Sequence[HamelVector]) -> TensorElement:
         d, xs = backend._split(v.coords)
         den *= d
         nums = {key + (i,): x * n for key, x in nums.items() for i, n in xs.items()}
-    coords = _form_coords(backend, (den, nums))  # drops float products that underflow to 0
+    coords = backend._coords((den, nums))  # drops float products that underflow to 0
     return _trusted(TensorElement, backend=backend, arity=len(factors), coords=coords)
 
 

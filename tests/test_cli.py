@@ -564,11 +564,11 @@ def test_cli_non_object_wire_fields_exit_2(tmp_path, command, files):
 
 
 def test_cli_check_rejects_negative_table_index(tmp_path, capsys):
-    for row in ({"i": -1, "j": 0, "k": 0, "c": "1"}, {"i": 0, "j": 0, "k": -2, "c": "1"}):
+    for row, name in (({"i": -1, "j": 0, "k": 0, "c": "1"}, "i"), ({"i": 0, "j": 0, "k": -2, "c": "1"}, "k")):
         table = write(tmp_path, "neg.json", {"name": "neg", "structure": [row]})
         code, out, err = run(capsys, ["check", "--algebra", table])
         assert code == 2 and out == ""
-        assert "basis index must be >= 0" in err
+        assert f"structure row 0 field {name!r} must be >= 0, got {row[name]}" in err
 
 
 _ROW = {"i": 0, "j": 0, "k": 0, "c": "1"}
@@ -590,6 +590,23 @@ def test_cli_check_rejects_malformed_table_json(tmp_path, capsys, table, message
     code, out, err = run(capsys, ["check", "--algebra", write(tmp_path, "t.json", table)])
     assert code == 2 and out == ""
     assert message in err
+
+
+@pytest.mark.parametrize(
+    "row, message",
+    [
+        ({"c": "1/0"}, "structure row 1 field 'c': zero denominator in '1/0'"),
+        ({"k": -1}, "structure row 1 field 'k' must be >= 0, got -1"),
+        ({"c": 1}, "structure row 1 field 'c': exact coefficients and bounds are decimal strings, got int"),
+        ({"j": "01"}, "structure row 1 field 'j': wire key '01' is not a canonical decimal index"),
+    ],
+    ids=["zero-denominator", "negative-index", "number-coefficient", "non-canonical-string-index"],
+)
+def test_cli_table_row_errors_name_the_row(tmp_path, capsys, row, message):
+    table = write(tmp_path, "t.json", {"structure": [_ROW, {**_ROW, **row}]})
+    code, out, err = run(capsys, ["check", "--algebra", table])
+    assert code == 2 and out == ""
+    assert err == f"cannot load algebra {table!r}: {message}\n"
 
 
 def test_cli_eval_rejects_non_canonical_table_index(tmp_path):
@@ -845,9 +862,13 @@ def test_cli_malformed_file_stderr(tmp_path, capsys, argv, bad, message):
     assert err == f"{paths['BAD']} is not a valid {message}\n"
 
 
-@pytest.mark.parametrize("c, extra", [("1/0", {}), ("1", {"pairBound": "1/0"})], ids=["c", "pair-bound"])
-def test_cli_algebra_zero_denominator_names_the_file(tmp_path, capsys, c, extra):
+@pytest.mark.parametrize(
+    "c, extra, where",
+    [("1/0", {}, "structure row 0 field 'c': "), ("1", {"pairBound": "1/0"}, "")],
+    ids=["c", "pair-bound"],
+)
+def test_cli_algebra_zero_denominator_names_the_file(tmp_path, capsys, c, extra, where):
     algebra = write(tmp_path, "a.json", {"structure": [{"i": 0, "j": 0, "k": 0, "c": c}], **extra})
     code, out, err = run(capsys, ["check", "--algebra", algebra])
     assert code == 2 and out == ""
-    assert err == f"cannot load algebra {algebra!r}: zero denominator in '1/0'\n"
+    assert err == f"cannot load algebra {algebra!r}: {where}zero denominator in '1/0'\n"

@@ -1,7 +1,7 @@
 """The seeded differential corpus against the digests recorded in tests/differential.json.
 
-Block 0 of every family is recomputed here; ``scripts/differential.py --full``
-checks every block, and ``--dump FAMILY`` prints the records behind a digest.
+Every block of every family is recomputed here, as ``scripts/differential.py
+--full`` does; ``--dump FAMILY`` prints the records behind a digest.
 """
 
 import importlib.util
@@ -20,5 +20,6 @@ def test_differential_digests_cover_every_family_and_block():
     assert all(len(blocks) == differential.BLOCKS for blocks in recorded.values())
 
 
-def test_differential_first_block_matches():
-    assert differential.mismatches(json.loads(differential.DIGESTS.read_text()), [0]) == []
+def test_differential_every_block_matches():
+    expected = json.loads(differential.DIGESTS.read_text())
+    assert differential.mismatches(expected, range(differential.BLOCKS)) == []

@@ -48,7 +48,6 @@ from falg import (
     tpoly_apply,
 )
 
-from falg.hamel import _form_coords
 from support import assert_canonical
 
 # few distinct values, so partial sums cancel often
@@ -800,8 +799,8 @@ def test_power_basis_rebound_pair_bound_raises(backend, name):
 
 
 def test_fraction_slots_are_as_assumed():
-    # _form_coords and RationalBackend._whole write these two slots, and
-    # RationalBackend reads them; a stdlib that renames them must fail here
+    # RationalBackend._coords and _mass write these two slots, and _split,
+    # _column_sum and _num_den read them; a stdlib that renames them must fail here
     assert Fraction.__slots__ == ("_numerator", "_denominator")
 
 
@@ -812,11 +811,11 @@ multi_limb = st.integers(-(2**200), 2**200)
 @example(n=0, d=6)
 @example(n=-12, d=4)
 @example(n=2**130 * 3, d=2**130)
-def test_form_coords_builds_reduced_fractions(n, d):
-    # over d > 1 the Fraction is reduced inline; over 1 it is RationalBackend._whole(n)
-    coords = _form_coords(RATIONAL, (d, {0: n}))
-    if d == 1 and n == 0:
-        assert coords == {}  # a zero numerator over 1 is dropped
+def test_rational_coords_builds_reduced_fractions(n, d):
+    # each Fraction is reduced by one gcd and its slots set in place
+    coords = RATIONAL._coords((d, {0: n}))
+    if n == 0:
+        assert coords == {}  # a zero numerator is dropped over any denominator
         return
     c = coords[0]
     r, f = c.value, Fraction(n, d)
@@ -824,3 +823,28 @@ def test_form_coords_builds_reduced_fractions(n, d):
     assert type(r) is Fraction
     assert (r.numerator, r.denominator) == (f.numerator, f.denominator)
     assert r == f and hash(r) == hash(f)
+
+
+_ROUND_TRIP_VALUES = {
+    "int": st.one_of(st.integers(-12, 12), multi_limb),
+    "rat": st.builds(Fraction, st.one_of(st.integers(-12, 12), multi_limb), st.sampled_from(BIG_DENOMINATORS)),
+    "f64": st.floats(allow_nan=False, allow_infinity=False),
+}
+
+
+@pytest.mark.parametrize("backend", [INTEGER, RATIONAL, FLOAT64], ids=lambda b: b.name)
+@given(data=st.data())
+def test_coords_inverts_split(backend, data):
+    raw = data.draw(st.dictionaries(st.integers(0, 9), _ROUND_TRIP_VALUES[backend.name], max_size=6))
+    coords = HamelVector(backend, raw).coords
+    den, nums = backend._split(coords)
+    back = backend._coords((den, nums))
+    assert list(back) == list(coords)
+    for k, c in back.items():
+        assert type(c) is Scalar and c.backend is backend
+        assert type(c.value) is type(coords[k].value) and repr(c.value) == repr(coords[k].value)
+    # a zero numerator is dropped, wherever it stands in the form
+    at = data.draw(st.integers(0, len(nums)))
+    items = list(nums.items())
+    zero = 0.0 if backend is FLOAT64 else 0
+    assert list(backend._coords((den, dict(items[:at] + [(10, zero)] + items[at:]))).items()) == list(back.items())

@@ -8,7 +8,8 @@ BackendMismatchError.  The import guard checks that loading the CLI pulls in
 no code generator.  The constructors that read raw coordinates keep an int
 subclass key as it is, drop every zero, and reject a bool or negative key
 and another backend's Scalar with the exception and message they always
-gave.
+gave; a str where a Mapping or pairs are expected is a TypeError naming the
+argument.
 """
 
 import os
@@ -261,3 +262,23 @@ def test_constructors_drop_every_zero(build):
     assert list(_stored(value)) == [3]
     assert ColumnFiniteMap(R, {0: {0: 0}, 1: {}}).cols == {}
     assert HamelVector(FLOAT64, {0: -0.0, 1: 0.0, 2: FLOAT64.zero, 3: 0}).coords == {}
+
+
+# every public constructor that reads a Mapping or (key, value) pairs, and the argument it names
+PAIR_READERS = {
+    "vector": (lambda data: HamelVector(R, data), "coords"),
+    "map": (lambda data: ColumnFiniteMap(R, data), "cols"),
+    "map-column": (lambda data: ColumnFiniteMap(R, {0: data}), "coords"),
+    "tensor": (lambda data: TensorElement(R, 2, data), "coords"),
+    "poly-map": (lambda data: PolyMap(R, 2, data), "slots"),
+    "tail-poly-map": (lambda data: TailPolyMap(R, 2, data, 0), "slots"),
+}
+
+
+@pytest.mark.parametrize("text", ["ab", ""], ids=["chars", "empty"])
+@pytest.mark.parametrize("build, what", PAIR_READERS.values(), ids=PAIR_READERS)
+def test_constructors_reject_a_string_of_pairs(build, what, text):
+    # iterating a str yields characters, which are no (key, value) pairs
+    with pytest.raises(TypeError) as caught:
+        build(text)
+    assert str(caught.value) == f"{what} must be a mapping or (key, value) pairs, got str"
