@@ -198,6 +198,18 @@ MUTANTS = [
         LAWS + [DIFFERENTIAL],
     ),
     Mutant(
+        "rand-form-keeps-zero-draws", "algebra.py",
+        "            if p:\n                kept.append((k, q, p))\n",
+        "            if True:\n                kept.append((k, q, p))\n",
+        LAWS + [DIFFERENTIAL],
+    ),
+    Mutant(
+        "rand-form-lcm-of-last-denominator", "algebra.py",
+        "                den = lcm(den, q)\n",
+        "                den = q\n",
+        LAWS[:1] + [DIFFERENTIAL],  # only rat draws denominators
+    ),
+    Mutant(
         "mass-unreduced", "ring.py",
         "        g = gcd(n, d)\n",
         "        g = 1\n",
@@ -222,9 +234,22 @@ MUTANTS = [
     ),
     Mutant(
         "mass-join-over-product", "ring.py",
-        "                e //= g\n",
+        "            e //= g\n",
         "",
         [GROUPS + f"{g}]" for g in (2, 5, 9)] + [RING + "test_rational_mass_is_a_reduced_fraction"],
+    ),
+    # the exact norm arithmetic on Fraction slots: each result is reduced, as the operators' are
+    Mutant(
+        "norm-add-unreduced", "ring.py",
+        "        g = gcd(t, g)\n",
+        "        g = 1\n",
+        [RING + "test_exact_norm_arithmetic_is_the_operators"],
+    ),
+    Mutant(
+        "norm-mul-one-cross-gcd", "ring.py",
+        "g, h = gcd(na, db), gcd(nb, da)",
+        "g, h = gcd(na, db), 1",
+        [RING + "test_exact_norm_arithmetic_is_the_operators"],
     ),
     # the constructors' fast paths: each must still reject or drop what the slow path does
     Mutant(

@@ -46,9 +46,11 @@ Claimed laws (associativity, commutativity) are never assumed silently:
 :meth:`StructureTable.check_laws` probes them, and anything that needs a law
 (endomorphism products do not, tensor sandwich maps do) re-checks by
 sampling.  The law probes run on numerator forms.  They draw each random
-vector straight into a form, take products with ``_mul_form`` and sums and
-scalings with ``_combine``, and compare the two sides of a law by
-cross-multiplication.  Vectors are built only to render a counterexample.
+vector straight into a form with ``_rand_form``, in plain loops and called
+directly (``check_laws`` binds it to its rng and max_index once), take
+products with ``_mul_form`` and sums and scalings with ``_combine``, and
+compare the two sides of a law by cross-multiplication.  Vectors are built
+only to render a counterexample.
 Every random int of a probe (and of ``map_via_tensor``'s spot check) comes
 from ``_below(rng, n)``, which reads ``rng.getrandbits`` as CPython's
 ``Random.randint`` does underneath: ``a + _below(rng, b - a + 1)`` is the
@@ -64,6 +66,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from functools import partial
 from math import gcd, lcm
 from typing import Callable, Mapping, Optional
 
@@ -284,6 +287,7 @@ class StructureTable(_Frozen):
             raise ValueError(f"trials must be a positive integer, got {trials}")
         _check_max_index(max_index)
         rng = random.Random(seed)
+        draw = partial(self._rand_form, rng, max_index)
         laws: list[tuple[str, Callable[..., Optional[str]]]] = [
             ("left_distributive", self._law_left_distributive),
             ("right_distributive", self._law_right_distributive),
@@ -299,7 +303,7 @@ class StructureTable(_Frozen):
             counterexample = None
             done = 0
             for _ in range(trials):
-                counterexample = probe(rng, max_index)
+                counterexample = probe(rng, draw)
                 done += 1
                 if counterexample is not None:
                     break
@@ -307,8 +311,8 @@ class StructureTable(_Frozen):
         return LawReport(self.name, seed, trials, tuple(results))
 
     # law probes: return None on success, a rendered counterexample on failure.
-    # They draw numerator forms, evaluate both sides with _product and _sum,
-    # and build vectors only to render a counterexample.
+    # They draw numerator forms with draw(), evaluate both sides with _product
+    # and _sum, and build vectors only to render a counterexample.
 
     def _rand_scalar(self, rng) -> tuple[int, object]:
         """A random scalar p / q as the pair (q, p), p in [-5, 5]; q in [1, 4] is drawn on rat only."""
@@ -323,15 +327,21 @@ class StructureTable(_Frozen):
         Python evaluates the value before the index, so each term draws its
         scalar first; a repeated index keeps its first position and its last
         value, and zero draws are dropped, as the vector constructor would.
+        A size-0 draw returns at once; one pass drops zeros and takes the lcm.
         """
         size = _below(rng, 4)
+        if not size:
+            return 1, {}
         width = max_index + 1
         drawn = {}
         for _ in range(size):
             drawn[_below(rng, width)] = self._rand_scalar(rng)
-        drawn = {k: d for k, d in drawn.items() if d[1]}
-        den = lcm(*(q for q, _ in drawn.values()))
-        return den, {k: p * (den // q) for k, (q, p) in drawn.items()}
+        den, kept = 1, []
+        for k, (q, p) in drawn.items():
+            if p:
+                kept.append((k, q, p))
+                den = lcm(den, q)
+        return den, {k: p * (den // q) for k, q, p in kept}
 
     def _scaled(self, form: tuple[int, dict], d: tuple[int, object]) -> tuple[int, dict]:
         q, p = d
@@ -349,43 +359,43 @@ class StructureTable(_Frozen):
     def _describe(**parts) -> str:
         return "; ".join(f"{k}={_render_value(v)}" for k, v in parts.items())
 
-    def _law_left_distributive(self, rng, max_index):
-        u, v, w = (self._rand_form(rng, max_index) for _ in range(3))
+    def _law_left_distributive(self, rng, draw):
+        u, v, w = draw(), draw(), draw()
         left = self._product(self._sum((1, u), (1, v)), w)
         if _same(left, self._sum((1, self._product(u, w)), (1, self._product(v, w)))):
             return None
         return self._describe(u=self._vector(u), v=self._vector(v), w=self._vector(w))
 
-    def _law_right_distributive(self, rng, max_index):
-        u, v, w = (self._rand_form(rng, max_index) for _ in range(3))
+    def _law_right_distributive(self, rng, draw):
+        u, v, w = draw(), draw(), draw()
         left = self._product(u, self._sum((1, v), (1, w)))
         if _same(left, self._sum((1, self._product(u, v)), (1, self._product(u, w)))):
             return None
         return self._describe(u=self._vector(u), v=self._vector(v), w=self._vector(w))
 
-    def _law_scalar_left(self, rng, max_index):
+    def _law_scalar_left(self, rng, draw):
         d = self._rand_scalar(rng)
-        u, v = (self._rand_form(rng, max_index) for _ in range(2))
+        u, v = draw(), draw()
         if _same(self._product(self._scaled(u, d), v), self._scaled(self._product(u, v), d)):
             return None
         return self._describe(d=self._scalar(d), u=self._vector(u), v=self._vector(v))
 
-    def _law_scalar_right(self, rng, max_index):
+    def _law_scalar_right(self, rng, draw):
         d = self._rand_scalar(rng)
-        u, v = (self._rand_form(rng, max_index) for _ in range(2))
+        u, v = draw(), draw()
         if _same(self._product(u, self._scaled(v, d)), self._scaled(self._product(u, v), d)):
             return None
         return self._describe(d=self._scalar(d), u=self._vector(u), v=self._vector(v))
 
-    def _law_commutative(self, rng, max_index):
-        u, v = (self._rand_form(rng, max_index) for _ in range(2))
+    def _law_commutative(self, rng, draw):
+        u, v = draw(), draw()
         if _same(self._product(u, v), self._product(v, u)):
             return None
         u, v = self._vector(u), self._vector(v)
         return self._describe(u=u, v=v, commutator=self.commutator(u, v))
 
-    def _law_associative(self, rng, max_index):
-        u, v, w = (self._rand_form(rng, max_index) for _ in range(3))
+    def _law_associative(self, rng, draw):
+        u, v, w = draw(), draw(), draw()
         if _same(self._product(self._product(u, v), w), self._product(u, self._product(v, w))):
             return None
         # on float64 the associator's difference may overflow and raise, as it always did

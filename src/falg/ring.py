@@ -11,6 +11,9 @@ rather than Scalars: ``int``/``Fraction`` on the exact backends, ``float``
 on the float backend.  Derived bound arithmetic goes through
 :meth:`Backend.norm_add` / :meth:`Backend.norm_mul`, which the float backend
 rounds toward +inf, so a chain of bound computations can only overestimate.
+The exact backends add and multiply a Fraction and an int or Fraction on
+their slots with Henrici's gcds (Knuth, TAOCP 2, 4.5.1), returning what the
+operator returns, reduced and of its type; other operands go to the operator.
 
 :class:`Backend` implements the exact arithmetic once, for raw values and
 norm values alike.  The integer and rational backends supply only
@@ -81,6 +84,27 @@ def _literal(text: str) -> str:
     if m and abs(int(m.group(1))) > MAX_LITERAL_EXPONENT:
         raise ValueError(f"literal exponent {m.group(1)} exceeds {MAX_LITERAL_EXPONENT} in magnitude")
     return text
+
+
+def _rational(n: int, d: int) -> Fraction:
+    """The Fraction n / d built on its slots, for a reduced n / d with d > 0."""
+    q = _new(Fraction)
+    q._numerator = n
+    q._denominator = d
+    return q
+
+
+def _slots(x, y):
+    """The slots (na, da, nb, db) of a Fraction and an int or Fraction, by exact type, else None."""
+    tx, ty = type(x), type(y)
+    if tx is Fraction:
+        if ty is Fraction:
+            return x._numerator, x._denominator, y._numerator, y._denominator
+        if ty is int:
+            return x._numerator, x._denominator, y, 1
+    elif tx is int and ty is Fraction:
+        return x, 1, y._numerator, y._denominator
+    return None
 
 
 def _fraction(text: str) -> Fraction:
@@ -245,15 +269,29 @@ class Backend:
         return x
 
     def norm_add(self, x: NormValue, y: NormValue) -> NormValue:
-        return x + y
+        """x + y; when a Fraction meets an int or Fraction, added on their slots by Henrici's gcds."""
+        slots = _slots(x, y)
+        if slots is None:
+            return x + y
+        na, da, nb, db = slots
+        g = gcd(da, db)
+        if g == 1:
+            return _rational(na * db + nb * da, da * db)
+        s = da // g
+        t = na * (db // g) + nb * s
+        g = gcd(t, g)
+        return _rational(t // g, s * (db // g))
 
     def norm_mul(self, x: NormValue, y: NormValue) -> NormValue:
-        return x * y
+        """x * y; when a Fraction meets an int or Fraction, multiplied on their slots by Henrici's gcds."""
+        slots = _slots(x, y)
+        if slots is None:
+            return x * y
+        na, da, nb, db = slots
+        g, h = gcd(na, db), gcd(nb, da)
+        return _rational((na // g) * (nb // h), (da // h) * (db // g))
 
-    def norm_add_low(self, x: NormValue, y: NormValue) -> NormValue:
-        """Addition that never overshoots the exact sum; used by certificate
-        validation, which may only reject on provable violations."""
-        return x + y
+    norm_add_low = norm_add  # exact, so never above the sum: certificate checks reject only proven violations
 
     def norm_render(self, x: NormValue) -> str:
         return str(x)
@@ -403,18 +441,11 @@ class RationalBackend(Backend):
         d, n = 1, whole
         for e, m in groups.items():
             g = gcd(d, e)
-            if g == 1:
-                n = n * e + m * d
-                d *= e
-            else:
-                e //= g
-                n = n * e + m * (d // g)
-                d *= e
+            e //= g
+            n = n * e + m * (d // g)
+            d *= e
         g = gcd(n, d)
-        q = _new(Fraction)
-        q._numerator = n // g
-        q._denominator = d // g
-        return q
+        return _rational(n // g, d // g)
 
     def norm_check(self, x):
         if type(x) is Fraction and x._numerator >= 0 or type(x) is int and x >= 0:

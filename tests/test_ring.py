@@ -1,10 +1,12 @@
 import math
+import operator
 import random
 import sys
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from falg import (
@@ -246,6 +248,67 @@ def test_truncate_sums_a_fraction_subclass_tail(backend):
     out = v.truncate([0, 2])
     moved = [v.prefix.coords[i].value for i in (1, 3)]
     _assert_chained_mass(out.tail, _chain(backend, [tail, *moved]))
+
+
+_PRIMES_7 = _primes_from(10**6, 64)  # 64 distinct 7-digit primes
+
+# 0 and 1, huge ints, integral Fractions, small and 7-digit prime denominators
+_EXACT_NORMS = st.one_of(
+    st.sampled_from([0, 1, Fraction(0), Fraction(1), 10**40 + 1, Fraction(-(10**40))]),
+    st.integers(-(10**40), 10**40),
+    st.builds(Fraction, st.integers(-(10**40), 10**40)),
+    st.fractions(max_denominator=12),
+    st.builds(Fraction, st.integers(-(10**12), 10**12), st.sampled_from(_PRIMES_7)),
+)
+
+
+def _assert_operator_result(got, expected):
+    """got is what the operator gave, in value and type, and a Fraction has reduced slots over d > 0."""
+    assert type(got) is type(expected) and got == expected
+    if type(got) is Fraction:
+        assert (got._numerator, got._denominator) == (expected._numerator, expected._denominator)
+        assert got._denominator > 0 and math.gcd(got._numerator, got._denominator) == 1
+
+
+@given(backend=st.sampled_from([INTEGER, RATIONAL]), x=_EXACT_NORMS, y=_EXACT_NORMS)
+@example(backend=RATIONAL, x=Fraction(1, 6), y=Fraction(1, 6))  # the sum reduces by the second gcd
+@example(backend=INTEGER, x=Fraction(2, 3), y=Fraction(3, 4))  # the product reduces by both cross gcds
+@example(backend=RATIONAL, x=4, y=Fraction(3, 8))
+def test_exact_norm_arithmetic_is_the_operators(backend, x, y):
+    _assert_operator_result(backend.norm_add(x, y), x + y)
+    _assert_operator_result(backend.norm_mul(x, y), x * y)
+
+
+@given(
+    backend=st.sampled_from([INTEGER, RATIONAL]),
+    values=st.lists(st.builds(Fraction, st.integers(1, 10**7), st.sampled_from(_PRIMES_7)),
+                    min_size=1, max_size=64, unique_by=lambda q: q.denominator),
+)
+def test_exact_norm_chains_over_distinct_prime_denominators(backend, values):
+    # a sum and a product started from the int norm_zero and 1, each step against the operator
+    total, product = backend.norm_zero, 1
+    for v in values:
+        got_total, got_product = backend.norm_add(total, v), backend.norm_mul(product, v)
+        total, product = total + v, product * v
+        _assert_operator_result(got_total, total)
+        _assert_operator_result(got_product, product)
+
+
+class _Count(int):
+    """An int subclass, which the norm arithmetic leaves to the operators."""
+
+
+_OTHER_NORMS = [True, _Count(3), _TailFraction(5, 6), 0.5, math.inf, Decimal("1.5"), "1", None]
+
+
+@pytest.mark.parametrize("backend", [INTEGER, RATIONAL], ids=lambda b: b.name)
+def test_norm_arithmetic_leaves_other_types_to_the_operators(backend):
+    for x in _OTHER_NORMS:
+        for y in _OTHER_NORMS + [0, 7, Fraction(0), Fraction(3, 4), Fraction(6, 1)]:
+            for a, b in ((x, y), (y, x)):
+                # _outcome (below) reads a method off its first argument, here the operator module too
+                assert _outcome(backend, "norm_add", (a, b)) == _outcome(operator, "add", (a, b)), (a, b)
+                assert _outcome(backend, "norm_mul", (a, b)) == _outcome(operator, "mul", (a, b)), (a, b)
 
 
 _FLOAT_MAX_BELOW = Fraction(math.nextafter(sys.float_info.max, 0.0))
