@@ -174,9 +174,8 @@ MUTANTS = [
     ),
     Mutant(
         "rows-store-violating-entry", "algebra.py",
-        "        if self.pair_bound is not None:\n            # accumulate without upward rounding",
-        "        row[j] = self.backend._split(entry.coords)\n"
-        "        if self.pair_bound is not None:\n            # accumulate without upward rounding",
+        "        if self.pair_bound is not None:\n",
+        "        row[j] = self.backend._split(entry.coords)\n        if self.pair_bound is not None:\n",
         [KERNEL + f"test_pair_bound_violation_raises_on_every_mul[backend{i}]" for i in range(3)],
     ),
     Mutant(
@@ -234,9 +233,15 @@ MUTANTS = [
     ),
     Mutant(
         "mass-join-over-product", "ring.py",
-        "            e //= g\n",
+        "                e //= g\n",
         "",
         [GROUPS + f"{g}]" for g in (2, 5, 9)] + [RING + "test_rational_mass_is_a_reduced_fraction"],
+    ),
+    Mutant(
+        "mass-join-coprime-unscaled", "ring.py",
+        "n = n * e + m * d\n",
+        "n = n * e + m\n",
+        [RING + "test_mass_over_64_distinct_prime_denominators_is_the_chained_sum"],
     ),
     # the exact norm arithmetic on Fraction slots: each result is reduced, as the operators' are
     Mutant(
@@ -283,12 +288,18 @@ MUTANTS = [
         "if type(x) is Fraction or",
         [RING + "test_exact_bound_checks"],
     ),
+    # the pair-bound check reads the lo end of the mass, and a single term is not rounded
     Mutant(
-        "norm-add-low-rounds-zero", "ring.py",
-        "return s if x == 0.0 or y == 0.0 else max(0.0, math.nextafter(s, -math.inf))",
-        "return max(0.0, math.nextafter(s, -math.inf))",
-        [KERNEL + "test_float_pair_bound_check_reads_one_entry_exactly",
-         "tests/test_ring.py::test_backend_method_outcomes_are_pinned[norm_add_low(0.0, 1.5)]"],
+        "pair-check-reads-upper-mass", "algebra.py",
+        "_mass_bounds([c.value for c in entry.coords.values()])[0]",
+        "_mass_bounds([c.value for c in entry.coords.values()])[1]",
+        [KERNEL + "test_float_pair_bound_check_under_one[at-bound]"],
+    ),
+    Mutant(
+        "mass-bounds-rounds-single-term", "ring.py",
+        "if total and len(values) > 1:",
+        "if total and len(values) > 0:",
+        [KERNEL + "test_float_pair_bound_check_reads_one_entry_exactly"],
     ),
 ]
 

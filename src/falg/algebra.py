@@ -9,6 +9,8 @@ rule that produces entries on demand; rule results are memoized.
 A table may declare a pair bound K with sum_k |C^k_ij| <= K for every pair.
 The bound is a certificate the truncation layer relies on; lookups verify it
 lazily and raise :class:`CertificateError` on the first violating pair.
+The check reads the lo end of ``backend._mass_bounds``, never above the
+exact mass of the entry, so it rejects only provable violations.
 
 Checked-entry invariant: ``StructureTable._rows``, the one memo, holds
 ``_rows[i][j]`` exactly for the pairs whose entry has passed the pair-bound
@@ -141,10 +143,7 @@ class StructureTable(_Frozen):
         if entry is None:
             entry = self.entries[key] = self._coerce(self.rule(i, j))
         if self.pair_bound is not None:
-            # accumulate without upward rounding: reject only provable violations
-            mass = self.backend.norm_zero
-            for c in entry.coords.values():
-                mass = self.backend.norm_add_low(mass, c.norm())
+            mass = self.backend._mass_bounds([c.value for c in entry.coords.values()])[0]
             if mass > self.pair_bound:
                 raise CertificateError(
                     f"pair bound violated at ({i}, {j}): "

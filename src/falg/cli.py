@@ -436,6 +436,8 @@ def _load_json(path: str):
         raise CliError(f"cannot read {path}: {e}") from None
     except json.JSONDecodeError as e:
         raise CliError(f"{path} is not valid JSON: {e}") from None
+    except RecursionError:
+        raise CliError(f"{path} is not valid JSON: nested too deeply") from None
 
 
 def _resolve_algebra(spec: str, backend: Backend) -> AlgebraFixture:

@@ -58,7 +58,7 @@ round as sequential Scalar additions do.
 products: ``_accumulate`` adds the raw values of both operands into one
 dict and ``backend._wrap`` wraps the result.  A merge reads each value
 once, where forms would split both operands first, which costs more than
-it saves on two operands (measured under ROADMAP item 6).
+it saves on two operands (rat ``+`` through forms timed 35-44% slower).
 
 Every sum, in place or on forms, skips a zero term and deletes a
 coordinate whose sum cancels, exactly as chained canonical vector additions

@@ -33,8 +33,9 @@ value is a Fraction, since ``check`` converts what it accepts and the
 Fraction's two slots, ``_numerator`` and ``_denominator``, directly.
 float64 adds column entries in column order, so it rounds as a sequential
 sum, and rounds each mass once from the exact ``math.fsum`` (one ulp up,
-and one down for the lo ends of norm intervals, unless it is a single
-term), so no mass depends on the order of its values.
+and one down for the lo ends of norm intervals and of the pair-bound
+check, unless it is a single term), so no mass depends on the order of
+its values.
 
 ``_scalar(backend, value)`` builds a :class:`Scalar` without the type call,
 setting its two slots through descriptors taken once at import.  It is for
@@ -169,10 +170,10 @@ class Backend:
     The base class is the exact arithmetic the integer and rational backends
     share: ``add``, ``mul``, ``neg``, ``norm`` and ``render`` on raw values,
     and bound arithmetic on int/Fraction norm values (``norm_check``,
-    ``norm_add``, ``norm_mul``, ``norm_add_low``, ``norm_render``,
-    ``norm_parse``, ``norm_zero``).  Each backend supplies ``check``,
-    ``from_int``, ``from_rational`` and ``parse``; the float backend also
-    overrides whatever finiteness checks and upward rounding change.
+    ``norm_add``, ``norm_mul``, ``norm_render``, ``norm_parse``,
+    ``norm_zero``).  Each backend supplies ``check``, ``from_int``,
+    ``from_rational`` and ``parse``; the float backend also overrides
+    whatever finiteness checks and upward rounding change.
     """
 
     name: str
@@ -290,8 +291,6 @@ class Backend:
         na, da, nb, db = slots
         g, h = gcd(na, db), gcd(nb, da)
         return _rational((na // g) * (nb // h), (da // h) * (db // g))
-
-    norm_add_low = norm_add  # exact, so never above the sum: certificate checks reject only proven violations
 
     def norm_render(self, x: NormValue) -> str:
         return str(x)
@@ -424,8 +423,9 @@ class RationalBackend(Backend):
         """|numerator| summed per denominator, read from each Fraction's slots.
 
         The ints (norm values) add up on their own and join as the group of
-        1.  The group sums are joined left to right over their lcms, and
-        the total is reduced by one gcd: a Fraction in, a Fraction out.
+        1.  The group sums are joined left to right over their lcms (a
+        coprime group by products alone, with no division), and the total
+        is reduced by one gcd: a Fraction in, a Fraction out.
         """
         whole = 0
         groups: dict = {}
@@ -441,8 +441,11 @@ class RationalBackend(Backend):
         d, n = 1, whole
         for e, m in groups.items():
             g = gcd(d, e)
-            e //= g
-            n = n * e + m * (d // g)
+            if g == 1:
+                n = n * e + m * d
+            else:
+                e //= g
+                n = n * e + m * (d // g)
             d *= e
         g = gcd(n, d)
         return _rational(n // g, d // g)
@@ -471,7 +474,7 @@ def _up(x: float) -> float:
 
 class Float64Backend(Backend):
     """Binary64 coefficients: results must stay finite, and bound arithmetic
-    rounds toward +inf (``norm_add_low`` toward -inf); adding zero is exact."""
+    rounds toward +inf; adding zero is exact."""
 
     name = "f64"
     norm_zero = 0.0
@@ -544,13 +547,6 @@ class Float64Backend(Backend):
         if x == 0.0 or y == 0.0:
             return 0.0
         return _up(x * y)
-
-    def norm_add_low(self, x, y):
-        # one ulp down dominates the half-ulp round-to-nearest error; adding zero is exact
-        s = x + y
-        if math.isinf(s) or math.isnan(s):
-            raise OverflowError("bound arithmetic left the finite range")
-        return s if x == 0.0 or y == 0.0 else max(0.0, math.nextafter(s, -math.inf))
 
     def norm_render(self, x):
         return repr(float(x))

@@ -7,10 +7,12 @@ tests and the acceptance suite drive it, at different trial counts.
 
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction
 
 from falg import (
+    FLOAT64,
     RATIONAL,
     ColumnFiniteMap,
     DualFunctional,
@@ -98,18 +100,45 @@ def l1_distance(a: HamelVector, b: HamelVector):
 # tail-soundness harness ----------------------------------------------------
 #
 # Random expression trees over add/scale/mul/apply/compose, evaluated twice:
-# once on exact values (the ground truth) and once on truncated inputs with
-# certified tails.  Soundness means the l1 distance between the ground truth
-# and the truncated result's prefix never exceeds the result's tail bound.
+# once on exact rationals (the ground truth) and once, on the backend under
+# test, on truncated inputs with certified tails.  Every input coefficient
+# is drawn as a small fraction.  On rat the input holds it as it is; on f64
+# the input holds the nearest double, and the ground truth holds that
+# double's exact value, so the truth is the exact result of the inputs the
+# certified side saw.  A truncated input's tail is its exact dropped mass,
+# rounded up to a double on f64.  Soundness means the exact l1 distance
+# between the ground truth and the result's prefix never exceeds its tail.
 
-_POLY = load_builtin("polynomial", RATIONAL)
+_POLY = {b: load_builtin("polynomial", b).table for b in (RATIONAL, FLOAT64)}
 
 
-def _long_exact_vector(rng: random.Random) -> HamelVector:
+def _coefficient(backend, q: Fraction):
+    """The drawn fraction q on backend: q itself, or the nearest double on f64."""
+    return float(q) if backend is FLOAT64 else q
+
+
+def _bound(backend, q: Fraction):
+    """The exact bound q on backend: q itself, or the least double >= q on f64."""
+    if backend is not FLOAT64:
+        return q
+    x = float(q)
+    return x if Fraction(x) >= q else math.nextafter(x, math.inf)
+
+
+def _exact(value):
+    """The vector or map on rat that holds the exact value of each coefficient of value."""
+    if value.backend is RATIONAL:
+        return value
+    if isinstance(value, ColumnFiniteMap):
+        return ColumnFiniteMap(RATIONAL, {j: _exact(col) for j, col in value.cols.items()})
+    return HamelVector(RATIONAL, {i: Fraction(c.value) for i, c in value.coords.items()})
+
+
+def _long_vector(rng: random.Random, backend) -> HamelVector:
     coords = {}
     for _ in range(rng.randint(6, 12)):
-        coords[rng.randint(0, 24)] = Fraction(rng.randint(-9, 9), rng.randint(1, 5))
-    return HamelVector(RATIONAL, coords)
+        coords[rng.randint(0, 24)] = _coefficient(backend, Fraction(rng.randint(-9, 9), rng.randint(1, 5)))
+    return HamelVector(backend, coords)
 
 
 def _truncate_vector(rng: random.Random, v: HamelVector) -> TailVector:
@@ -118,18 +147,18 @@ def _truncate_vector(rng: random.Random, v: HamelVector) -> TailVector:
         if rng.random() < 0.6:
             kept[i] = c
         else:
-            dropped += c.norm()
-    return TailVector(HamelVector(RATIONAL, kept), dropped)
+            dropped += abs(Fraction(c.value))
+    return TailVector(HamelVector(v.backend, kept), _bound(v.backend, dropped))
 
 
-def _long_exact_map(rng: random.Random) -> ColumnFiniteMap:
+def _long_map(rng: random.Random, backend) -> ColumnFiniteMap:
     cols = {}
     for _ in range(rng.randint(3, 6)):
         col = {}
         for _ in range(rng.randint(1, 4)):
-            col[rng.randint(0, 24)] = Fraction(rng.randint(-9, 9), rng.randint(1, 5))
-        cols[rng.randint(0, 24)] = HamelVector(RATIONAL, col)
-    return ColumnFiniteMap(RATIONAL, cols)
+            col[rng.randint(0, 24)] = _coefficient(backend, Fraction(rng.randint(-9, 9), rng.randint(1, 5)))
+        cols[rng.randint(0, 24)] = HamelVector(backend, col)
+    return ColumnFiniteMap(backend, cols)
 
 
 def _truncate_map(rng: random.Random, f: ColumnFiniteMap) -> TailMap:
@@ -139,48 +168,55 @@ def _truncate_map(rng: random.Random, f: ColumnFiniteMap) -> TailMap:
         if rng.random() < 0.7:
             cols.setdefault(j, {})[i] = c
         else:
-            dropped += c.norm()
-    finite = ColumnFiniteMap(RATIONAL, {j: HamelVector(RATIONAL, col) for j, col in cols.items()})
-    return TailMap(finite, dropped)
+            dropped += abs(Fraction(c.value))
+    finite = ColumnFiniteMap(f.backend, {j: HamelVector(f.backend, col) for j, col in cols.items()})
+    return TailMap(finite, _bound(f.backend, dropped))
 
 
-def _gen_map_node(rng: random.Random, depth: int):
+def _gen_map_node(rng: random.Random, depth: int, backend):
     if depth <= 0 or rng.random() < 0.4:
-        exact = _long_exact_map(rng)
-        return exact, _truncate_map(rng, exact)
-    f_exact, f_tail = _gen_map_node(rng, depth - 1)
-    g_exact, g_tail = _gen_map_node(rng, depth - 1)
+        f = _long_map(rng, backend)
+        return _exact(f), _truncate_map(rng, f)
+    f_exact, f_tail = _gen_map_node(rng, depth - 1, backend)
+    g_exact, g_tail = _gen_map_node(rng, depth - 1, backend)
     return f_exact.compose(g_exact), f_tail.compose(g_tail)
 
 
-def gen_vector_node(rng: random.Random, depth: int):
-    """One random tree; returns (exact ground truth, certified result)."""
+def _leaf(rng: random.Random, backend):
+    v = _long_vector(rng, backend)
+    return _exact(v), _truncate_vector(rng, v)
+
+
+def gen_vector_node(rng: random.Random, depth: int, backend=RATIONAL):
+    """One random tree; returns (exact ground truth on rat, certified result on backend)."""
     if depth <= 0:
-        exact = _long_exact_vector(rng)
-        return exact, _truncate_vector(rng, exact)
+        return _leaf(rng, backend)
     op = rng.choice(("leaf", "add", "scale", "mul", "apply"))
     if op == "leaf":
-        exact = _long_exact_vector(rng)
-        return exact, _truncate_vector(rng, exact)
+        return _leaf(rng, backend)
     if op == "add":
-        ue, ut = gen_vector_node(rng, depth - 1)
-        ve, vt = gen_vector_node(rng, depth - 1)
+        ue, ut = gen_vector_node(rng, depth - 1, backend)
+        ve, vt = gen_vector_node(rng, depth - 1, backend)
         return ue + ve, ut + vt
     if op == "scale":
-        d = RATIONAL.scalar(Fraction(rng.randint(-4, 4), rng.randint(1, 3)))
-        ve, vt = gen_vector_node(rng, depth - 1)
-        return ve.scale(d), vt.scale(d)
+        d = _coefficient(backend, Fraction(rng.randint(-4, 4), rng.randint(1, 3)))
+        ve, vt = gen_vector_node(rng, depth - 1, backend)
+        return ve.scale(RATIONAL.scalar(Fraction(d))), vt.scale(backend.scalar(d))
     if op == "mul":
-        ue, ut = gen_vector_node(rng, depth - 1)
-        ve, vt = gen_vector_node(rng, depth - 1)
-        return _POLY.table.mul(ue, ve), tail_mul(_POLY.table, ut, vt)
-    fe, ft = _gen_map_node(rng, depth - 1)
-    ve, vt = gen_vector_node(rng, depth - 1)
+        ue, ut = gen_vector_node(rng, depth - 1, backend)
+        ve, vt = gen_vector_node(rng, depth - 1, backend)
+        return _POLY[RATIONAL].mul(ue, ve), tail_mul(_POLY[backend], ut, vt)
+    fe, ft = _gen_map_node(rng, depth - 1, backend)
+    ve, vt = gen_vector_node(rng, depth - 1, backend)
     return fe.apply(ve), ft.apply(vt)
 
 
-def soundness_trial(rng: random.Random, max_depth: int = 4) -> tuple:
-    """Run one tree; returns (error, bound) with error <= bound demanded."""
-    exact, certified = gen_vector_node(rng, rng.randint(1, max_depth))
-    err = l1_distance(exact, certified.prefix)
-    return err, certified.tail
+def soundness_tree(rng: random.Random, max_depth: int = 4, backend=RATIONAL) -> tuple:
+    """One tree of 1 to max_depth levels; returns (exact ground truth, certified result)."""
+    return gen_vector_node(rng, rng.randint(1, max_depth), backend)
+
+
+def soundness_trial(rng: random.Random, max_depth: int = 4, backend=RATIONAL) -> tuple:
+    """Run one tree; returns the exact (error, bound), with error <= bound demanded."""
+    exact, certified = soundness_tree(rng, max_depth, backend)
+    return l1_distance(exact, _exact(certified.prefix)), Fraction(certified.tail)

@@ -686,6 +686,27 @@ def test_cli_huge_literals_exit_2(tmp_path, command, files):
     assert "Traceback" not in proc.stderr
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["norm", "--vector", "{deep}"],
+        ["apply", "--map", "{deep}", "--vector", "{ok}"],
+        ["eval", "--algebra", "builtin:polynomial", "--let", "v={deep}", "--expr", "v"],
+        ["check", "--algebra", "{deep}"],
+    ],
+    ids=["norm-vector", "apply-map", "eval-let", "check-algebra"],
+)
+def test_cli_deeply_nested_json_exits_2(tmp_path, argv):
+    # json.load recurses once per nesting level
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 200000 + "]" * 200000)
+    ok = write(tmp_path, "ok.json", {"coords": {"0": "1"}})
+    proc = _falg(*(a.format(deep=deep, ok=ok) for a in argv), timeout=10)
+    assert proc.returncode == 2, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert f"{deep} is not valid JSON: nested too deeply" in proc.stderr
+
+
 @pytest.mark.parametrize("literal", ["7" * 100000, "1/" + "3" * 100000], ids=["integer", "fraction"])
 def test_cli_huge_eval_literal_exits_2(literal):
     # PYTHONINTMAXSTRDIGITS=0 lifts CPython's own int-from-string limit

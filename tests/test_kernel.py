@@ -649,9 +649,24 @@ def test_pair_bound_violation_raises_on_every_mul(backend):
 
 
 def test_float_pair_bound_check_reads_one_entry_exactly():
-    # the check's sum starts at 0.0, so its first term must enter unrounded
+    # the mass of a single term is exact, so it must not be rounded down
     table = StructureTable(FLOAT64, entries={(0, 0): {0: 1.5}}, pair_bound=math.nextafter(1.5, 0))
     with pytest.raises(CertificateError, match="sum of [|]C[|] is 1.5,"):
+        table.mul(_f64({0: 1}), _f64({0: 1}))
+
+
+@pytest.mark.parametrize("entry, error, message", [
+    ({0: 0.5, 1: 0.5}, None, None),
+    ({0: 0.5, 1: 0.75}, CertificateError, "sum of [|]C[|] is 1.2499999999999998, declared bound 1.0"),
+    ({0: 1e308, 1: 1e308}, OverflowError, "bound arithmetic left the finite range"),
+], ids=["at-bound", "over-bound", "overflow"])
+def test_float_pair_bound_check_under_one(entry, error, message):
+    # the lo end of the mass is one ulp under the rounded sum, so a sum of exactly K passes
+    table = StructureTable(FLOAT64, entries={(0, 0): entry}, pair_bound=1.0)
+    if error is None:
+        assert table.mul(_f64({0: 1}), _f64({0: 1})) == _f64(entry)
+        return
+    with pytest.raises(error, match=message):
         table.mul(_f64({0: 1}), _f64({0: 1}))
 
 

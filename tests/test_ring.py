@@ -507,13 +507,18 @@ _BACKEND_OUTCOMES = [
     ("norm_mul", (0.0, 5.0), "float 0.0", "float 0.0", "float 0.0"),
     ("norm_mul", (1e308, 1e308),
      "float inf", "float inf", "OverflowError: bound arithmetic left the finite range"),
-    ("norm_add_low", (Fraction(1, 3), 2),
-     "Fraction Fraction(7, 3)", "Fraction Fraction(7, 3)", "float 2.333333333333333"),
-    ("norm_add_low", (0.1, 0.2), "float 0.30000000000000004", "float 0.30000000000000004", "float 0.3"),
-    ("norm_add_low", (0.0, 1.5), "float 1.5", "float 1.5", "float 1.5"),
-    ("norm_add_low", (1.5, 0.0), "float 1.5", "float 1.5", "float 1.5"),
-    ("norm_add_low", (1e308, 1e308),
-     "float inf", "float inf", "OverflowError: bound arithmetic left the finite range"),
+    # the pair-bound check reads the lo end; f64 rounds every list of two or more values, zeros included
+    ("_mass_bounds", ([Fraction(3, 2)],),
+     "tuple (Fraction(3, 2), Fraction(3, 2))", "tuple (Fraction(3, 2), Fraction(3, 2))", "tuple (1.5, 1.5)"),
+    ("_mass_bounds", ([0, Fraction(3, 2)],),
+     "tuple (Fraction(3, 2), Fraction(3, 2))", "tuple (Fraction(3, 2), Fraction(3, 2))",
+     "tuple (1.4999999999999998, 1.5000000000000002)"),
+    ("_mass_bounds", ([Fraction(1, 10), Fraction(1, 5)],),
+     "tuple (Fraction(3, 10), Fraction(3, 10))", "tuple (Fraction(3, 10), Fraction(3, 10))",
+     "tuple (0.3, 0.3000000000000001)"),
+    ("_mass_bounds", ([1e308, 1e308],),
+     "tuple (inf, inf)", "AttributeError: 'float' object has no attribute '_denominator'",
+     "OverflowError: bound arithmetic left the finite range"),
     ("norm_render", (0,), "str '0'", "str '0'", "str '0.0'"),
     ("norm_render", (Fraction(5, 2),), "str '5/2'", "str '5/2'", "str '2.5'"),
     ("norm_render", (0.1,), "str '0.1'", "str '0.1'", "str '0.1'"),

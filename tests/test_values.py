@@ -155,11 +155,17 @@ def test_structure_table_is_a_mutable_record():
 
 
 def test_cli_import_loads_no_code_generator():
-    code = "import sys, falg.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    # the second list holds every top-level module loaded that is neither falg nor
+    # the standard library (__main__ is the -c script): the runtime needs no other
+    code = (
+        "import sys, falg.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)));"
+        " print(sorted({m.partition('.')[0] for m in sys.modules}"
+        " - set(sys.stdlib_module_names) - {'falg', '__main__'}))"
+    )
     env = dict(os.environ, PYTHONPATH=SRC_DIR)
     proc = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True, env=env, timeout=30)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "[]\n"
+    assert proc.stdout == "[]\n[]\n"
 
 
 def _values(b):
