@@ -340,13 +340,13 @@ class _IntKey(int):
 
 
 class _SubScalar(Scalar):
-    """A Scalar subclass: constructors keep it as it is."""
+    """A Scalar subclass: constructors store its value, which reads back as a plain Scalar."""
 
     __slots__ = ()
 
 
 class _NeverZero(Scalar):
-    """A Scalar subclass whose is_zero says no, so constructors keep even its zero."""
+    """A Scalar subclass whose is_zero says no, so constructors store even its zero value."""
 
     __slots__ = ()
 

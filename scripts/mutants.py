@@ -40,6 +40,8 @@ DIFFERENTIAL = "tests/test_differential.py::test_differential_every_block_matche
 F64_OVERFLOW = [KERNEL + f"test_float_overflow_raises[{op}]"
                 for op in ("add", "scale", "apply", "compose", "mul", "tensor_pure")]
 CLI = "tests/test_cli.py::"
+VIEW_KINDS = ("vector", "functional", "tensor")
+BACKENDS = ("int", "rat", "f64")
 
 
 class Mutant:
@@ -79,8 +81,8 @@ MUTANTS = [
     ),
     Mutant(
         "column-sum-keeps-zero-terms", "ring.py",
-        "                t = s * c.value\n                if not t:\n                    continue\n",
-        "                t = s * c.value\n",
+        "                t = s * x\n                if not t:\n                    continue\n",
+        "                t = s * x\n",
         [COLUMNS + "f64-underflow-apply]", COLUMNS + "f64-underflow-tpoly_apply]"],
     ),
     Mutant(
@@ -160,8 +162,8 @@ MUTANTS = [
     ),
     Mutant(
         "coords-keeps-zero", "ring.py",
-        "        for k, x in raw.items():\n            if x:\n",
-        "        for k, x in raw.items():\n            if True:\n",
+        "for k, x in raw.items() if x}",
+        "for k, x in raw.items()}",
         [KERNEL + "test_float_tensor_pure_drops_underflow", KERNEL + "test_coords_inverts_split[f64]",
          KERNEL + "test_coords_inverts_split[int]"],
     ),
@@ -175,7 +177,7 @@ MUTANTS = [
     Mutant(
         "rows-store-violating-entry", "algebra.py",
         "        if self.pair_bound is not None:\n",
-        "        row[j] = self.backend._split(entry.coords)\n        if self.pair_bound is not None:\n",
+        "        row[j] = self.backend._split(entry._raw)\n        if self.pair_bound is not None:\n",
         [KERNEL + f"test_pair_bound_violation_raises_on_every_mul[backend{i}]" for i in range(3)],
     ),
     Mutant(
@@ -271,8 +273,8 @@ MUTANTS = [
     ),
     Mutant(
         "clean-keeps-zero", "hamel.py",
-        "            x = backend.check(c)\n            if x:\n                out[key] = _scalar(backend, x)\n",
-        "            out[key] = _scalar(backend, backend.check(c))\n",
+        "            x = backend.check(c)\n            if x:\n                out[key] = x\n",
+        "            out[key] = backend.check(c)\n",
         [VALUES + f"test_constructors_drop_every_zero[{c}]" for c in RAW_CONSTRUCTORS],
     ),
     Mutant(
@@ -291,8 +293,8 @@ MUTANTS = [
     # the pair-bound check reads the lo end of the mass, and a single term is not rounded
     Mutant(
         "pair-check-reads-upper-mass", "algebra.py",
-        "_mass_bounds([c.value for c in entry.coords.values()])[0]",
-        "_mass_bounds([c.value for c in entry.coords.values()])[1]",
+        "_mass_bounds(entry._raw.values())[0]",
+        "_mass_bounds(entry._raw.values())[1]",
         [KERNEL + "test_float_pair_bound_check_under_one[at-bound]"],
     ),
     Mutant(
@@ -300,6 +302,26 @@ MUTANTS = [
         "if total and len(values) > 1:",
         "if total and len(values) > 0:",
         [KERNEL + "test_float_pair_bound_check_reads_one_entry_exactly"],
+    ),
+    # tables hold raw values: the coords view reads as the dict of Scalars, and kernels never read it
+    Mutant(
+        "view-eq-ignores-backend", "hamel.py",
+        "return self._raw == other._raw and (self._backend is other._backend or not self._raw)",
+        "return self._raw == other._raw",
+        [VALUES + f"test_coords_views_compare_as_their_dicts_across_backends[{k}]" for k in VIEW_KINDS],
+    ),
+    Mutant(
+        "view-repr-of-raw-values", "hamel.py",
+        "return repr(dict(self.items()))",
+        "return repr(self._raw)",
+        [VALUES + f"test_coords_view_reads_as_the_dict_of_scalars[{k}-{b}]" for k in VIEW_KINDS for b in BACKENDS]
+        + [VALUES + f"test_value_class_behaviour[{c}]" for c in ("HamelVector", "DualFunctional", "TensorElement")],
+    ),
+    Mutant(
+        "l1-reads-view", "hamel.py",
+        "return self.backend._mass(self._raw.values())",
+        "return self.backend._mass([c.value for c in self.coords.values()])",
+        [KERNEL + f"test_kernels_build_no_scalar_and_no_view[{b}]" for b in BACKENDS],
     ),
 ]
 

@@ -143,13 +143,13 @@ class StructureTable(_Frozen):
         if entry is None:
             entry = self.entries[key] = self._coerce(self.rule(i, j))
         if self.pair_bound is not None:
-            mass = self.backend._mass_bounds([c.value for c in entry.coords.values()])[0]
+            mass = self.backend._mass_bounds(entry._raw.values())[0]
             if mass > self.pair_bound:
                 raise CertificateError(
                     f"pair bound violated at ({i}, {j}): "
                     f"sum of |C| is {mass}, declared bound {self.pair_bound}"
                 )
-        row[j] = self.backend._split(entry.coords)
+        row[j] = self.backend._split(entry._raw)
         return entry
 
     def mul(self, a: HamelVector, b: HamelVector) -> HamelVector:
@@ -161,7 +161,7 @@ class StructureTable(_Frozen):
         backend = self.backend
         _operand(a, HamelVector, backend, "operand")
         _operand(b, HamelVector, backend, "operand")
-        return _form_vector(backend, self._mul_form(backend._split(a.coords), backend._split(b.coords)))
+        return _form_vector(backend, self._mul_form(backend._split(a._raw), backend._split(b._raw)))
 
     def _mul_form(self, fa: tuple[int, dict], fb: tuple[int, dict]) -> tuple[int, dict]:
         """The numerator form of the product of two numerator forms, unchecked."""
@@ -441,7 +441,7 @@ def _check_max_index(max_index) -> None:
 
 def _render_value(v) -> str:
     if isinstance(v, HamelVector):
-        return "{" + ", ".join(f"{i}: {v.coords[i].render()}" for i in sorted(v.coords)) + "}"
+        return "{" + ", ".join(f"{i}: {v.backend.render(v._raw[i])}" for i in sorted(v._raw)) + "}"
     if isinstance(v, Scalar):
         return v.render()
     return str(v)
@@ -499,8 +499,8 @@ def table_to_data(table: StructureTable) -> dict:
     structure = []
     for (i, j) in sorted(table.entries):
         entry = table.entries[(i, j)]
-        for k in sorted(entry.coords):
-            structure.append({"i": i, "j": j, "k": k, "c": entry.coords[k].render()})
+        for k in sorted(entry._raw):
+            structure.append({"i": i, "j": j, "k": k, "c": table.backend.render(entry._raw[k])})
     data = {"name": table.name, "structure": structure}
     if table.pair_bound is not None:
         data["pairBound"] = table.backend.norm_render(table.pair_bound)

@@ -434,7 +434,7 @@ def _load_json(path: str):
             return json.load(fh)
     except OSError as e:
         raise CliError(f"cannot read {path}: {e}") from None
-    except json.JSONDecodeError as e:
+    except ValueError as e:  # a JSONDecodeError, UnicodeDecodeError or json's int-digit limit
         raise CliError(f"{path} is not valid JSON: {e}") from None
     except RecursionError:
         raise CliError(f"{path} is not valid JSON: nested too deeply") from None
@@ -491,7 +491,7 @@ def _emit(args, data, text: str) -> None:
 def _fmt_vector(v: Union[HamelVector, TailVector]) -> str:
     if isinstance(v, TailVector):
         return f"{_fmt_vector(v.prefix)} tail {v.backend.norm_render(v.tail)}"
-    inner = ", ".join(f"{i}: {v.coords[i].render()}" for i in sorted(v.coords))
+    inner = ", ".join(f"{i}: {v.backend.render(v._raw[i])}" for i in sorted(v._raw))
     return "{" + inner + "}"
 
 

@@ -9,19 +9,22 @@ and the finiteness invariants can be checked by inspection.
 
 Operations never mutate their inputs; treat all values as immutable.
 
-Every kernel adds raw values up and has the backend wrap the surviving
-sums in Scalar once at the end, so no intermediate result is copied or
-re-validated: ``backend._coords(form)`` builds the Scalars of a sum of
-products and ``backend._wrap(raw)`` those of ``+`` and ``-`` (see
-``ring``).  Both drop a zero, and on float64 both reject a sum or product
-that left the finite range with ``ValueError``.
+A coordinate table stores raw backend values (int, Fraction or float) in
+``_raw``, a zero-free dict, and ``coords`` is a read-only view of it
+(``_Coords``) that wraps a value in a Scalar when it is read.  Kernels
+read and build ``_raw`` alone, so they build no Scalar: each adds raw
+values up and has the backend filter the surviving sums once at the end,
+so no intermediate result is copied or re-validated.  ``backend._coords``
+builds the table of a sum of products and ``backend._wrap`` that of ``+``
+and ``-`` (see ``ring``).  Both drop a zero, and on float64 both reject a
+sum or product that left the finite range with ``ValueError``.
 
 Every sum of products works on numerator forms ``(d, {k: n})``, each value
 being n / d: map application and composition, ``StructureTable.mul``,
 ``poly_apply``, ``tensor_pure``, the ``map_via_tensor`` sum, ``scale`` of
 every coordinate table (so of maps and tail values too) and the truncation
 layer's nest sums.  The backend owns its form (``ring.Backend``):
-``backend._split(coords)`` writes an operand as a form, and
+``backend._split(raw)`` writes an operand's table as a form, and
 ``backend._coords(form)`` is its inverse.  int and float64 values are
 their own numerators over 1; on rat, n is an integer and d the lcm of the
 denominators.  ``_combine`` adds terms ``s * n`` into a dict of
@@ -36,7 +39,7 @@ column: ``ColumnFiniteMap.apply`` and everything that reaches
 ``_apply_split`` (``TailMap.apply``, the leaf level of ``poly_apply``,
 ``map_via_tensor``'s f(x)) and the leaf columns of the truncation layer's
 nest sums call ``backend._column_sum``, which sums a list of (numerator,
-column) parts straight from the columns' Scalars.  On rat it takes each
+column) parts straight from the columns' raw values.  On rat it takes each
 column's lcm d first, then D, the lcm of those, and scales each part once
 by D // d, not each entry by a map-wide factor: with many unrelated
 denominators, D // q per entry is a big integer for every entry.
@@ -50,13 +53,13 @@ it meets enters ``_combine`` as p over q * d.
 All form denominators are positive, so a partial sum is zero exactly
 when the rational sum it stands for is: key order and results equal those
 of a chain of Fraction additions.  On float64 every kernel computes
-``s * n`` (``s * c.value`` when reading in place) and adds it to its
+``s * n`` (``s * x`` when reading a value x in place) and adds it to its
 coordinate in the order the operands list their terms, so float sums
 round as sequential Scalar additions do.
 
 ``+`` and ``-`` of two coordinate tables are a merge, not a sum of
 products: ``_accumulate`` adds the raw values of both operands into one
-dict and ``backend._wrap`` wraps the result.  A merge reads each value
+dict and ``backend._wrap`` filters the result.  A merge reads each value
 once, where forms would split both operands first, which costs more than
 it saves on two operands (rat ``+`` through forms timed 35-44% slower).
 
@@ -66,8 +69,9 @@ would.
 
 Vectors, dual functionals and tensors (``tensor.TensorElement``) are one
 kind of value, a zero-free coordinate table over one backend, and share one
-implementation, ``_CoordTable``: cleaning, ``coefficient``, ``is_zero``,
-``+``, ``-``, ``scale`` and the wire format.  Each subclass only names its
+implementation, ``_CoordTable``: cleaning, the ``coords`` view,
+``coefficient``, ``is_zero``, ``+``, ``-``, ``scale`` and the wire
+format.  Each subclass only names its
 key check (``_index``: a basis index, or an index tuple of a tensor's
 arity) and the fields that fix its shape (``_shape``: a tensor's arity),
 which results copy and operands must agree on.  One wire-key codec serves
@@ -88,8 +92,8 @@ stay theirs.
 Trusted-builder invariant: kernel results are built without running
 constructors, and so are the truncation layer's computed results (see
 ``schauder``).  ``_trusted`` sets a frozen value class's fields without its
-``__init__``, so it skips ``_check_index`` and the backend re-check, and
-the backend's Scalar builders skip the ``Scalar`` type call.  Only an
+``__init__``, so it skips ``_check_index`` and the backend re-check; a
+table's trusted builders set ``_raw``.  Only an
 operation on already-constructed values may use them -- one that has
 joined its operands (type and backend checks) and builds its result only
 from their keys, raw values and sums or products of them.  Those keys
@@ -124,32 +128,31 @@ def _pairs(data, what: str):
 
 
 def _clean(backend: Backend, coords, index=_check_index) -> dict:
-    """The zero-free table key -> Scalar of raw coords, a Mapping or (key, value) pairs, each checked once."""
+    """The zero-free table key -> raw value of coords, a Mapping or (key, value) pairs, each checked once."""
     out = {}
     for key, c in _pairs(coords, "coords"):
         if not (type(key) is int and key >= 0 and index is _check_index):
             key = index(key)
         if type(c) is Scalar and c.backend is backend:
             if c.value:
-                out[key] = c
+                out[key] = c.value
         elif isinstance(c, Scalar):
             if not _operand(c, Scalar, backend, "coefficient").is_zero():
-                out[key] = c
+                out[key] = c.value
         else:
             x = backend.check(c)
             if x:
-                out[key] = _scalar(backend, x)
+                out[key] = x
     return out
 
 
-def _accumulate(acc: dict, coords: Mapping) -> dict:
-    """Add c.value into acc[k] for every k, c of coords: the merge behind + and -.
+def _accumulate(acc: dict, raw: dict) -> dict:
+    """Add x into acc[k] for every k, x of raw: the merge behind + and -.
 
     A zero term is skipped and a sum that cancels leaves acc, so keys and
     values evolve exactly as a chain of canonical vector additions would.
     """
-    for k, c in coords.items():
-        x = c.value
+    for k, x in raw.items():
         if not x:
             continue
         if k in acc:
@@ -197,12 +200,12 @@ def _trusted(cls, **fields):
 
 
 def _form_vector(backend: Backend, form: tuple[int, dict]) -> "HamelVector":
-    return _trusted(HamelVector, backend=backend, coords=backend._coords(form))
+    return _trusted(HamelVector, backend=backend, _raw=backend._coords(form))
 
 
 def _map(backend: Backend, cols: dict) -> "ColumnFiniteMap":
     return _trusted(
-        ColumnFiniteMap, backend=backend, cols={j: col for j, col in cols.items() if col.coords}
+        ColumnFiniteMap, backend=backend, cols={j: col for j, col in cols.items() if col._raw}
     )
 
 
@@ -239,10 +242,39 @@ def _wire_index(text) -> int:
     return i
 
 
+class _Coords(Mapping):
+    """Read-only view key -> Scalar of a table's raw values: wraps each on read, and its repr
+    and ``==`` are those of the dict of Scalars (two empty views are equal); unhashable."""
+
+    __slots__ = ("_backend", "_raw")
+
+    def __init__(self, backend: Backend, raw: dict):
+        self._backend = backend
+        self._raw = raw
+
+    def __getitem__(self, key) -> Scalar:
+        return _scalar(self._backend, self._raw[key])
+
+    def __iter__(self):
+        return iter(self._raw)
+
+    def __len__(self):
+        return len(self._raw)
+
+    def __eq__(self, other):
+        if isinstance(other, _Coords):
+            return self._raw == other._raw and (self._backend is other._backend or not self._raw)
+        return super().__eq__(other)
+
+    def __repr__(self):
+        return repr(dict(self.items()))
+
+
 class _CoordTable(_Frozen):
-    """Zero-free finite table key -> Scalar over one backend.
+    """Zero-free finite table key -> raw value over one backend, read as Scalars.
 
     Fields are backend, the names in ``_shape`` and coords, in that order.
+    Values are stored raw in ``_raw``; the ``coords`` view wraps each on read.
     ``_index`` checks one key and ``_from_wire`` reads one wire key.
     """
 
@@ -253,17 +285,21 @@ class _CoordTable(_Frozen):
 
     def __init__(self, backend: Backend, coords: Mapping = {}):
         object.__setattr__(self, "backend", backend)
-        object.__setattr__(self, "coords", coords)
+        object.__setattr__(self, "_raw", coords)
         self.__post_init__()
 
     def __post_init__(self):
-        object.__setattr__(self, "coords", _clean(self.backend, self.coords, self._index))
+        object.__setattr__(self, "_raw", _clean(self.backend, self._raw, self._index))
+
+    @property
+    def coords(self) -> Mapping:
+        return _Coords(self.backend, self._raw)
 
     def coefficient(self, key) -> Scalar:
         return self.coords.get(self._index(key), self.backend.zero)
 
     def is_zero(self) -> bool:
-        return not self.coords
+        return not self._raw
 
     def _join(self, other) -> None:
         _operand(other, type(self), self.backend, "operand")
@@ -273,19 +309,19 @@ class _CoordTable(_Frozen):
                     f"cannot combine {name} {getattr(self, name)} and {getattr(other, name)}"
                 )
 
-    def _build(self, coords: dict):
-        """A table of self's class and shape holding coords (trusted)."""
-        out = _trusted(type(self), backend=self.backend, coords=coords)
+    def _build(self, raw: dict):
+        """A table of self's class and shape holding raw (trusted)."""
+        out = _trusted(type(self), backend=self.backend, _raw=raw)
         for name in self._shape:
             object.__setattr__(out, name, getattr(self, name))
         return out
 
     def __add__(self, other):
         self._join(other)
-        return self._build(self.backend._wrap(_accumulate(_accumulate({}, self.coords), other.coords)))
+        return self._build(self.backend._wrap(_accumulate(_accumulate({}, self._raw), other._raw)))
 
     def __neg__(self):
-        return self._build(self.backend._wrap({k: -c.value for k, c in self.coords.items()}))
+        return self._build(self.backend._wrap({k: -x for k, x in self._raw.items()}))
 
     def __sub__(self, other):
         return self + (-other)
@@ -297,7 +333,7 @@ class _CoordTable(_Frozen):
         p, q = b._num_den(d.value)
         if not p:
             return self._build({})
-        den, nums = b._split(self.coords)
+        den, nums = b._split(self._raw)
         return self._build(b._coords((den * q, {k: p * n for k, n in nums.items()})))
 
     def __rmul__(self, d):
@@ -308,8 +344,8 @@ class _CoordTable(_Frozen):
     def to_data(self) -> dict:
         data = {name: getattr(self, name) for name in self._shape}
         data["coords"] = {
-            ",".join(map(str, k)) if isinstance(k, tuple) else str(k): self.coords[k].render()
-            for k in sorted(self.coords)
+            ",".join(map(str, k)) if isinstance(k, tuple) else str(k): self.backend.render(self._raw[k])
+            for k in sorted(self._raw)
         }
         return data
 
@@ -322,7 +358,7 @@ class _CoordTable(_Frozen):
         shape = [data[name] for name in cls._shape]  # the constructor checks each field
         coords = {}
         for key, text in _wire_object(data["coords"], "'coords'").items():
-            coords[cls._from_wire(key)] = Scalar(backend, backend.parse(text))
+            coords[cls._from_wire(key)] = backend.parse(text)
         return cls(backend, *shape, coords)
 
 
@@ -333,11 +369,11 @@ class HamelVector(_CoordTable):
     __post_init__ = _CoordTable.__post_init__
 
     def support(self) -> tuple[int, ...]:
-        return tuple(sorted(self.coords))
+        return tuple(sorted(self._raw))
 
     def l1(self) -> NormValue:
         """Sum of coefficient norms; an upper bound for any unit-basis norm."""
-        return self.backend._mass([c.value for c in self.coords.values()])
+        return self.backend._mass(self._raw.values())
 
 
 def zero_vector(backend: Backend) -> HamelVector:
@@ -359,12 +395,12 @@ class DualFunctional(_CoordTable):
     def evaluate(self, v: HamelVector) -> Scalar:
         _operand(v, HamelVector, self.backend, "argument")
         total = self.backend.from_int(0)
-        small, large = self.coords, v.coords
+        small, large = self._raw, v._raw
         if len(large) < len(small):
             small, large = large, small
         for i in small:
             if i in large:
-                total = total + self.coords[i].value * v.coords[i].value
+                total = total + self._raw[i] * v._raw[i]
         return self.backend.scalar(total)
 
 
@@ -380,7 +416,7 @@ def _clean_cols(backend: Backend, cols) -> dict[int, HamelVector]:
         if isinstance(col, HamelVector):
             _operand(col, HamelVector, backend, "column")
         else:
-            col = _trusted(HamelVector, backend=backend, coords=_clean(backend, col))
+            col = _trusted(HamelVector, backend=backend, _raw=_clean(backend, col))
         if not col.is_zero():
             out[j] = col
     return out
@@ -418,13 +454,13 @@ class ColumnFiniteMap(_Frozen):
 
     def apply(self, v: HamelVector) -> HamelVector:
         _operand(v, HamelVector, self.backend, "argument")
-        return _form_vector(self.backend, self._apply_split(self.backend._split(v.coords)))
+        return _form_vector(self.backend, self._apply_split(self.backend._split(v._raw)))
 
     def _apply_split(self, v: tuple[int, dict]) -> tuple[int, dict]:
         """apply on a numerator form, reading the columns of self in place."""
         dv, xs = v
         cols = self.cols
-        den, acc = self.backend._column_sum([(x, cols[j].coords) for j, x in xs.items() if j in cols])
+        den, acc = self.backend._column_sum([(x, cols[j]._raw) for j, x in xs.items() if j in cols])
         return dv * den, acc
 
     def __call__(self, v: HamelVector) -> HamelVector:
@@ -466,20 +502,20 @@ class ColumnFiniteMap(_Frozen):
         out = {}
         for j, col in g.cols.items():
             parts = []
-            for k, c in col.coords.items():
+            for k, x in col._raw.items():
                 form = forms.get(k)
                 if form is None:
                     if k not in cols:
                         continue
-                    form = forms[k] = b._split(cols[k].coords)
-                p, q = num_den(c.value)
+                    form = forms[k] = b._split(cols[k]._raw)
+                p, q = num_den(x)
                 parts.append((p, (q * form[0], form[1])))
             out[j] = _form_vector(b, _combine(parts))
         return _map(b, out)
 
     def l1_total(self) -> NormValue:
         """Sum of |entry| over the whole table; finite by construction."""
-        return self.backend._mass([c.value for col in self.cols.values() for c in col.coords.values()])
+        return self.backend._mass([x for col in self.cols.values() for x in col._raw.values()])
 
     def to_data(self) -> dict:
         return {"cols": {str(j): self.cols[j].to_data()["coords"] for j in sorted(self.cols)}}
@@ -584,7 +620,7 @@ def poly_apply(nest: MapNode, xs: Sequence[HamelVector]) -> HamelVector:
     """
     _check_call(nest, (PolyMap, ColumnFiniteMap), xs, HamelVector)
     b = nest.backend
-    return _form_vector(b, _poly_split(nest, [b._split(x.coords) for x in xs]))
+    return _form_vector(b, _poly_split(nest, [b._split(x._raw) for x in xs]))
 
 
 def _poly_split(nest: MapNode, forms: list) -> tuple[int, dict]:

@@ -1,10 +1,11 @@
 """Scalar backends: arbitrary-precision integers, exact rationals, binary64.
 
-Every coefficient in this library is a :class:`Scalar`, a value tagged with
-the backend it lives in.  The integer and rational backends are exact, so
-algebraic laws hold as structural equalities.  The float backend exists to
-feed the truncation layer, where only upper bounds matter; it is kept out of
-exact law checking.
+Every coefficient a caller reads is a :class:`Scalar`, a value tagged with
+the backend it lives in; coordinate tables store raw values and wrap one
+only when it is read (see ``hamel``).  The integer and rational backends
+are exact, so algebraic laws hold as structural equalities.  The float
+backend exists to feed the truncation layer, where only upper bounds
+matter; it is kept out of exact law checking.
 
 Norm values (absolute values, column sums, tail bounds) are plain numbers
 rather than Scalars: ``int``/``Fraction`` on the exact backends, ``float``
@@ -24,12 +25,15 @@ a plain ``Fraction`` as it is, since it is immutable; a subclass or an int
 is converted.
 
 Each backend owns its representation in the kernels, each method
-described in its own docstring: the numerator form (``_split``) and the
-Scalars built from forms and raw sums (``_coords``, ``_wrap``), sums of
-columns read in place (``_column_sum``, ``_num_den``) and the l1 mass
-behind every certified bound (``_mass``, ``_mass_bounds``).  Every rat
-value is a Fraction, since ``check`` converts what it accepts and the
-``Scalar`` constructor runs ``check``, so the rat methods read and set a
+described in its own docstring: the numerator form of a raw table
+(``_split``; on int and float64 the table itself) and the zero-free raw
+tables built back from forms and raw sums (``_coords``, ``_wrap``; a zero
+filter on int and float64, after the finiteness check on float64, and the
+reduced Fractions on rat), sums of columns read in place (``_column_sum``,
+``_num_den``) and the l1 mass behind every certified bound (``_mass``,
+``_mass_bounds``).  Every rat value is a Fraction, since ``check``
+converts what it accepts and every stored value passed ``check`` or was
+computed from values that did, so the rat methods read and set a
 Fraction's two slots, ``_numerator`` and ``_denominator``, directly.
 float64 adds column entries in column order, so it rounds as a sequential
 sum, and rounds each mass once from the exact ``math.fsum`` (one ulp up,
@@ -40,7 +44,7 @@ its values.
 ``_scalar(backend, value)`` builds a :class:`Scalar` without the type call,
 setting its two slots through descriptors taken once at import.  It is for
 values the backend has already checked or computed from checked values:
-the Scalar operators and the constructors' cleaning loop use it.
+the Scalar operators and the tables' ``coords`` view use it.
 
 Decimal text handed to the exact backends (``parse``, ``norm_parse``,
 ``norm_check`` and ``check`` on a string) may hold at most
@@ -205,38 +209,31 @@ class Backend:
 
     # numerator forms (d, {k: n}), each value n / d, for the sums of products
 
-    def _split(self, coords) -> tuple[int, dict]:
-        """The numerator form of coords (key -> Scalar): values are their own numerators over 1."""
-        return 1, {k: c.value for k, c in coords.items()}
+    def _split(self, raw: dict) -> tuple[int, dict]:
+        """The numerator form of raw (key -> raw value): the table itself, its values over 1."""
+        return 1, raw
 
     def _coords(self, form: tuple[int, dict]) -> dict:
-        """The inverse of _split: a Scalar per nonzero numerator of form, here its own value over 1."""
+        """The inverse of _split: the table of the nonzero numerators of form, here each its own value."""
         return self._wrap(form[1])
 
     def _wrap(self, raw: dict) -> dict:
-        """A Scalar per nonzero value of raw (key -> raw value), each built without the type call."""
-        out = {}
-        for k, x in raw.items():
-            if x:
-                c = _new(Scalar)
-                _set_backend(c, self)
-                _set_value(c, x)
-                out[k] = c
-        return out
+        """The nonzero values of raw (key -> raw value), as a new table."""
+        return {k: x for k, x in raw.items() if x}
 
     def _column_sum(self, parts: list) -> tuple[int, dict]:
-        """The form of the sum of s * col over parts [(s, coords), ...], each column read in place.
+        """The form of the sum of s * col over parts [(s, raw), ...], each column read in place.
 
-        Each s is a form numerator and each col a table of Scalars, read
+        Each s is a form numerator and each col a table of raw values, read
         where it is stored.  Here values are their own numerators over 1, so
-        each term is s * c.value, added in column order.  A zero term (a
-        float64 product that underflows) is skipped and a sum that cancels
-        is deleted.
+        each term is s * x, added in column order.  A zero term (a float64
+        product that underflows) is skipped and a sum that cancels is
+        deleted.
         """
         acc: dict = {}
-        for s, coords in parts:
-            for k, c in coords.items():
-                t = s * c.value
+        for s, col in parts:
+            for k, x in col.items():
+                t = s * x
                 if not t:
                     continue
                 if k in acc:
@@ -357,16 +354,15 @@ class RationalBackend(Backend):
     def parse(self, text):
         return _fraction(text)
 
-    def _split(self, coords):
+    def _split(self, raw):
         """Integer numerators over d, the lcm of the denominators, read from each Fraction's slots."""
-        values = [c.value for c in coords.values()]
-        d = lcm(*[x._denominator for x in values])
+        d = lcm(*[x._denominator for x in raw.values()])
         if d == 1:
-            return 1, {k: x._numerator for k, x in zip(coords, values)}
-        return d, {k: x._numerator * (d // x._denominator) for k, x in zip(coords, values)}
+            return 1, {k: x._numerator for k, x in raw.items()}
+        return d, {k: x._numerator * (d // x._denominator) for k, x in raw.items()}
 
     def _coords(self, form):
-        """A Scalar per nonzero numerator n of form (den, nums): n / den, reduced by one gcd.
+        """A Fraction per nonzero numerator n of form (den, nums): n / den, reduced by one gcd.
 
         The Fraction's slots are set here: den is a product and lcm of
         Fraction denominators, so positive, and the result is canonical."""
@@ -375,13 +371,9 @@ class RationalBackend(Backend):
         for k, n in nums.items():
             if n:
                 g = gcd(n, den)
-                q = _new(Fraction)
+                q = out[k] = _new(Fraction)
                 q._numerator = n // g
                 q._denominator = den // g
-                c = _new(Scalar)
-                _set_backend(c, self)
-                _set_value(c, q)
-                out[k] = c
         return out
 
     def _column_sum(self, parts):
@@ -394,20 +386,19 @@ class RationalBackend(Backend):
         no term is zero; a sum that cancels is deleted.
         """
         ds = []
-        for _, coords in parts:
+        for _, col in parts:
             d = 1
-            for c in coords.values():
-                q = c.value._denominator
+            for x in col.values():
+                q = x._denominator
                 if d % q:
                     d = lcm(d, q)
             ds.append(d)
         den = lcm(*ds)
         acc: dict = {}
-        for (s, coords), d in zip(parts, ds):
+        for (s, col), d in zip(parts, ds):
             if d != den:
                 s *= den // d
-            for k, c in coords.items():
-                x = c.value
+            for k, x in col.items():
                 t = s * (x._numerator * (d // x._denominator))
                 if k in acc:
                     t = acc[k] + t

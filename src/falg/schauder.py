@@ -154,14 +154,14 @@ class TailVector(_Certified):
 
     def truncate(self, keep) -> "TailVector":
         """Drop prefix coordinates outside `keep`, moving their mass into the tail."""
-        keep, coords = set(keep), self.prefix.coords
-        kept = {i: c for i, c in coords.items() if i in keep}
-        moved = [c.value for i, c in coords.items() if i not in keep]
+        keep, raw = set(keep), self.prefix._raw
+        kept = {i: x for i, x in raw.items() if i in keep}
+        moved = [x for i, x in raw.items() if i not in keep]
         return self._make(self.prefix._build(kept), self.backend._mass([self.tail, *moved]))
 
     def norm_interval(self) -> NormInterval:
         b = self.backend
-        lo, mass = b._mass_bounds([c.value for c in self.prefix.coords.values()])
+        lo, mass = b._mass_bounds(self.prefix._raw.values())
         return _trusted(NormInterval, backend=b, lo=lo, hi=b.norm_add(mass, self.tail))
 
 
@@ -179,7 +179,7 @@ class TailMap(_Certified):
         b = self.backend
         lo = b.norm_zero
         for col in self.finite.cols.values():
-            mass = b._mass_bounds([c.value for c in col.coords.values()])[0]
+            mass = b._mass_bounds(col._raw.values())[0]
             if mass > lo:
                 lo = mass
         hi = b.norm_add(self.finite.l1_total(), self.tail)
@@ -266,7 +266,7 @@ def _nest_flat(nest: TailNode) -> tuple[list, list]:
         node = todo.pop()
         tails.append(node.tail)
         if isinstance(node, TailMap):
-            values += [c.value for col in node.finite.cols.values() for c in col.coords.values()]
+            values += [x for col in node.finite.cols.values() for x in col._raw.values()]
         else:
             todo += node.slots.values()
     return values, tails
@@ -285,7 +285,7 @@ def _nest_sum(b: Backend, arity: int, parts: list, d: int, tail: NormValue) -> T
     for x, sub in parts:
         if arity == 1:
             for j, col in sub.finite.cols.items():
-                table.setdefault(j, []).append((x, col.coords))
+                table.setdefault(j, []).append((x, col._raw))
         else:
             for j, inner in sub.slots.items():
                 table.setdefault(j, []).append((x, inner))
@@ -312,7 +312,7 @@ def _peel(nest: TailPolyMap, x: TailVector) -> TailNode:
     b = nest.backend
     values, tails = _nest_flat(nest)
     tail = _propagated(b, b._mass(values), b._mass(tails), x.prefix.l1(), x.tail)
-    d, xs = b._split(x.prefix.coords)
+    d, xs = b._split(x.prefix._raw)
     parts = [(c, nest.slots[j]) for j, c in xs.items() if j in nest.slots]
     return _nest_sum(b, nest.arity - 1, parts, d, tail)
 

@@ -82,11 +82,11 @@ def tensor_pure(factors: Sequence[HamelVector]) -> TensorElement:
         _operand(v, HamelVector, backend, "tensor factor")
     den, nums = 1, {(): 1}
     for v in factors:
-        d, xs = backend._split(v.coords)
+        d, xs = backend._split(v._raw)
         den *= d
         nums = {key + (i,): x * n for key, x in nums.items() for i, n in xs.items()}
-    coords = backend._coords((den, nums))  # drops float products that underflow to 0
-    return _trusted(TensorElement, backend=backend, arity=len(factors), coords=coords)
+    raw = backend._coords((den, nums))  # drops float products that underflow to 0
+    return _trusted(TensorElement, backend=backend, arity=len(factors), _raw=raw)
 
 
 def zero_tensor(backend: Backend, arity: int) -> TensorElement:
@@ -138,9 +138,9 @@ def map_via_tensor(
             raise NonAssociativeError(
                 f"table {table.name!r} fails associativity at basis triple ({i}, {j}, {k})"
             )
-    fx = f._apply_split(backend._split(x.coords))
+    fx = f._apply_split(backend._split(x._raw))
     backend._check_sums(fx[1].values())  # as f.apply checks its result
-    dt, ts = backend._split(t.coords)
+    dt, ts = backend._split(t._raw)
     parts = [
         (s, table._product(table._product((1, {i: 1}), fx), (1, {j: 1})))
         for (i, j), s in ts.items()

@@ -109,7 +109,14 @@ def l1_distance(a: HamelVector, b: HamelVector):
 # rounded up to a double on f64.  Soundness means the exact l1 distance
 # between the ground truth and the result's prefix never exceeds its tail.
 
-_POLY = {b: load_builtin("polynomial", b).table for b in (RATIONAL, FLOAT64)}
+_TABLES: dict = {}
+
+
+def _table(name: str, backend):
+    """The builtin table name on backend, loaded once, so its memo is shared by every tree."""
+    if (name, backend) not in _TABLES:
+        _TABLES[name, backend] = load_builtin(name, backend).table
+    return _TABLES[name, backend]
 
 
 def _coefficient(backend, q: Fraction):
@@ -187,33 +194,48 @@ def _leaf(rng: random.Random, backend):
     return _exact(v), _truncate_vector(rng, v)
 
 
-def gen_vector_node(rng: random.Random, depth: int, backend=RATIONAL):
-    """One random tree; returns (exact ground truth on rat, certified result on backend)."""
+def gen_vector_node(rng: random.Random, depth: int, backend=RATIONAL, tables=None):
+    """One random tree; returns (exact ground truth on rat, certified result on backend).
+
+    Without tables the nodes are add, scale, mul in ``polynomial`` and apply,
+    drawn as criterion 8 draws them.  tables, a tuple of builtin names, adds
+    sub and truncate nodes and draws each product's table from it; the
+    operands of a product then hold no product (they are drawn with tables
+    empty), since products in ``free:2`` share no basis elements and their
+    supports multiply.
+    """
     if depth <= 0:
         return _leaf(rng, backend)
-    op = rng.choice(("leaf", "add", "scale", "mul", "apply"))
+    if tables is None:
+        op = rng.choice(("leaf", "add", "scale", "mul", "apply"))
+    else:
+        op = rng.choice(("leaf", "add", "sub", "scale", "apply", "truncate") + (("mul",) if tables else ()))
     if op == "leaf":
         return _leaf(rng, backend)
-    if op == "add":
-        ue, ut = gen_vector_node(rng, depth - 1, backend)
-        ve, vt = gen_vector_node(rng, depth - 1, backend)
-        return ue + ve, ut + vt
+    if op in ("add", "sub"):
+        ue, ut = gen_vector_node(rng, depth - 1, backend, tables)
+        ve, vt = gen_vector_node(rng, depth - 1, backend, tables)
+        return (ue + ve, ut + vt) if op == "add" else (ue - ve, ut - vt)
     if op == "scale":
         d = _coefficient(backend, Fraction(rng.randint(-4, 4), rng.randint(1, 3)))
-        ve, vt = gen_vector_node(rng, depth - 1, backend)
+        ve, vt = gen_vector_node(rng, depth - 1, backend, tables)
         return ve.scale(RATIONAL.scalar(Fraction(d))), vt.scale(backend.scalar(d))
+    if op == "truncate":
+        ve, vt = gen_vector_node(rng, depth - 1, backend, tables)
+        return ve, vt.truncate([i for i in vt.prefix.support() if rng.random() < 0.6])
     if op == "mul":
-        ue, ut = gen_vector_node(rng, depth - 1, backend)
-        ve, vt = gen_vector_node(rng, depth - 1, backend)
-        return _POLY[RATIONAL].mul(ue, ve), tail_mul(_POLY[backend], ut, vt)
+        name, inner = ("polynomial", None) if tables is None else (rng.choice(tables), ())
+        ue, ut = gen_vector_node(rng, depth - 1, backend, inner)
+        ve, vt = gen_vector_node(rng, depth - 1, backend, inner)
+        return _table(name, RATIONAL).mul(ue, ve), tail_mul(_table(name, backend), ut, vt)
     fe, ft = _gen_map_node(rng, depth - 1, backend)
-    ve, vt = gen_vector_node(rng, depth - 1, backend)
+    ve, vt = gen_vector_node(rng, depth - 1, backend, tables)
     return fe.apply(ve), ft.apply(vt)
 
 
-def soundness_tree(rng: random.Random, max_depth: int = 4, backend=RATIONAL) -> tuple:
+def soundness_tree(rng: random.Random, max_depth: int = 4, backend=RATIONAL, tables=None) -> tuple:
     """One tree of 1 to max_depth levels; returns (exact ground truth, certified result)."""
-    return gen_vector_node(rng, rng.randint(1, max_depth), backend)
+    return gen_vector_node(rng, rng.randint(1, max_depth), backend, tables)
 
 
 def soundness_trial(rng: random.Random, max_depth: int = 4, backend=RATIONAL) -> tuple:

@@ -707,6 +707,23 @@ def test_cli_deeply_nested_json_exits_2(tmp_path, argv):
     assert f"{deep} is not valid JSON: nested too deeply" in proc.stderr
 
 
+@pytest.mark.parametrize(
+    "content",
+    ['{"coords": {}}'.encode("utf-16"), b'{"coords": {"0": ' + b"7" * 5000 + b"}}"],
+    ids=["utf16-bom", "5000-digit-number"],
+)
+def test_cli_undecodable_json_exits_2(tmp_path, content):
+    # bytes ff fe are not UTF-8, and json reads a number of over 4300 digits as an int it refuses
+    path = tmp_path / "f.json"
+    path.write_bytes(content)
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONINTMAXSTRDIGITS"}
+    argv = [sys.executable, "-m", "falg", "norm", "--vector", str(path)]
+    proc = subprocess.run(argv, capture_output=True, text=True, env=dict(env, PYTHONPATH=SRC_DIR), timeout=10)
+    assert proc.returncode == 2, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert f"{path} is not valid JSON: " in proc.stderr
+
+
 @pytest.mark.parametrize("literal", ["7" * 100000, "1/" + "3" * 100000], ids=["integer", "fraction"])
 def test_cli_huge_eval_literal_exits_2(literal):
     # PYTHONINTMAXSTRDIGITS=0 lifts CPython's own int-from-string limit

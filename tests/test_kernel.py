@@ -44,9 +44,11 @@ from falg import (
     load_builtin,
     map_via_tensor,
     poly_apply,
+    tail_mul,
     tensor_pure,
     tpoly_apply,
 )
+from falg import hamel, ring
 
 from support import assert_canonical
 
@@ -828,16 +830,17 @@ multi_limb = st.integers(-(2**200), 2**200)
 @example(n=2**130 * 3, d=2**130)
 def test_rational_coords_builds_reduced_fractions(n, d):
     # each Fraction is reduced by one gcd and its slots set in place
-    coords = RATIONAL._coords((d, {0: n}))
+    raw = RATIONAL._coords((d, {0: n}))
     if n == 0:
-        assert coords == {}  # a zero numerator is dropped over any denominator
+        assert raw == {}  # a zero numerator is dropped over any denominator
         return
-    c = coords[0]
-    r, f = c.value, Fraction(n, d)
-    assert type(c) is Scalar and c.backend is RATIONAL
+    r, f = raw[0], Fraction(n, d)
     assert type(r) is Fraction
     assert (r.numerator, r.denominator) == (f.numerator, f.denominator)
     assert r == f and hash(r) == hash(f)
+    # read through a table, the value is a Scalar of the backend
+    c = hamel._form_vector(RATIONAL, (d, {0: n})).coords[0]
+    assert type(c) is Scalar and c.backend is RATIONAL and c.value == r
 
 
 _ROUND_TRIP_VALUES = {
@@ -850,16 +853,76 @@ _ROUND_TRIP_VALUES = {
 @pytest.mark.parametrize("backend", [INTEGER, RATIONAL, FLOAT64], ids=lambda b: b.name)
 @given(data=st.data())
 def test_coords_inverts_split(backend, data):
-    raw = data.draw(st.dictionaries(st.integers(0, 9), _ROUND_TRIP_VALUES[backend.name], max_size=6))
-    coords = HamelVector(backend, raw).coords
-    den, nums = backend._split(coords)
+    drawn = data.draw(st.dictionaries(st.integers(0, 9), _ROUND_TRIP_VALUES[backend.name], max_size=6))
+    v = HamelVector(backend, drawn)
+    den, nums = backend._split(v._raw)
     back = backend._coords((den, nums))
-    assert list(back) == list(coords)
-    for k, c in back.items():
-        assert type(c) is Scalar and c.backend is backend
-        assert type(c.value) is type(coords[k].value) and repr(c.value) == repr(coords[k].value)
+    assert list(back) == list(v._raw)
+    for k, x in back.items():
+        assert type(x) is type(v._raw[k]) and repr(x) == repr(v._raw[k])
+    assert repr(hamel._form_vector(backend, (den, nums))) == repr(v)  # the same Scalars on read
     # a zero numerator is dropped, wherever it stands in the form
     at = data.draw(st.integers(0, len(nums)))
     items = list(nums.items())
     zero = 0.0 if backend is FLOAT64 else 0
     assert list(backend._coords((den, dict(items[:at] + [(10, zero)] + items[at:]))).items()) == list(back.items())
+
+
+# no kernel builds a Scalar or a coords view ---------------------------------
+
+
+def _kernel_calls(backend) -> dict:
+    """Each kernel as a call on operands built beforehand."""
+    poly = load_builtin("polynomial", backend).table
+    quat = load_builtin("quaternion", backend).table
+    v, w = HamelVector(backend, {0: 1, 1: 2, 3: -1}), HamelVector(backend, {1: 3, 2: 1})
+    f = ColumnFiniteMap(backend, {0: {0: 1, 1: 2}, 1: {1: -1}, 2: {0: 3, 2: 1}})
+    g = ColumnFiniteMap(backend, {0: {1: 1}, 2: {0: 2, 2: -1}})
+    nest, t, d = PolyMap(backend, 2, {0: f, 1: g}), tensor_pure([v, w]), backend.scalar(3)
+    tv, tw = TailVector.make(backend, {0: 1, 1: 2, 3: -1}, 1), TailVector.make(backend, {1: 3, 2: 1}, 0)
+    tf = TailMap(f, 1)
+    tnest = TailPolyMap(backend, 2, {0: tf, 1: TailMap(g, 0)}, 1)
+    return {
+        "add": lambda: v + w,
+        "sub": lambda: v - w,
+        "scale": lambda: v.scale(d),
+        "mul-lookup": lambda: quat.mul(v, w),
+        "mul-convolve": lambda: poly.mul(v, w),
+        "apply": lambda: f.apply(v),
+        "compose": lambda: f.compose(g),
+        "poly_apply": lambda: poly_apply(nest, [v, w]),
+        "tensor_pure": lambda: tensor_pure([v, w, v]),
+        "map_via_tensor": lambda: map_via_tensor(poly, t, f, v),
+        "tail-sub": lambda: tv - tw,
+        "tail-apply": lambda: tf.apply(tv),
+        "truncate": lambda: tv.truncate([0]),
+        "norm_interval": lambda: tv.norm_interval(),
+        "bound": lambda: tf.bound(),
+        "tail_mul": lambda: tail_mul(quat, tv, tw),
+        "tpoly_apply": lambda: tpoly_apply(tnest, [tv, tw]),
+    }
+
+
+@pytest.mark.parametrize("backend", [INTEGER, RATIONAL, FLOAT64], ids=lambda b: b.name)
+def test_kernels_build_no_scalar_and_no_view(backend, monkeypatch):
+    # tables hold raw values: a Scalar or a coords view is built only when a caller reads one
+    calls = _kernel_calls(backend)
+    for call in calls.values():
+        call()  # the first lookups of a rule table build its entries
+    built = []
+
+    def counted(what, fn):
+        def wrapper(*args, **kwargs):
+            built.append(what)
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(hamel._Coords, "__init__", counted("view", hamel._Coords.__init__))
+    monkeypatch.setattr(Scalar, "__init__", counted("Scalar", Scalar.__init__))
+    for module in (ring, hamel):
+        monkeypatch.setattr(module, "_scalar", counted("Scalar", module._scalar))
+    assert HamelVector(backend, {0: 1}).coords[0] and built == ["view", "Scalar"]  # the counters count
+    built.clear()
+    for name, call in calls.items():
+        call()
+        assert built == [], name

@@ -537,6 +537,16 @@ def test_soundness_trees_small_run():
         assert err <= bound
 
 
+def test_rational_soundness_trees_with_sub_truncate_and_other_tables():
+    # criterion 8's shape with - and truncate nodes and tail_mul in three more tables,
+    # each declaring pair bound 1; the true norm is the l1 norm of the exact result
+    rng = random.Random(801)
+    for _ in range(500):
+        exact, certified = soundness_tree(rng, 4, RATIONAL, ("group_z", "quaternion", "free:2"))
+        assert l1_distance(exact, certified.prefix) <= certified.tail
+        assert exact.l1() <= certified.norm_interval().hi
+
+
 @pytest.mark.xfail(
     strict=True, raises=AssertionError, reason="ROADMAP item 1: float64 prefix rounding is not charged to the tail"
 )

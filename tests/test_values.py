@@ -9,7 +9,8 @@ no code generator.  The constructors that read raw coordinates keep an int
 subclass key as it is, drop every zero, and reject a bool or negative key
 and another backend's Scalar with the exception and message they always
 gave; a str where a Mapping or pairs are expected is a TypeError naming the
-argument.
+argument.  A coordinate table's ``coords`` reads as the dict of Scalars it
+stands for (repr, ``==`` and the values read) and cannot be written.
 """
 
 import os
@@ -18,6 +19,7 @@ import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, strategies as st
 
 import falg
 from falg import (
@@ -288,3 +290,53 @@ def test_constructors_reject_a_string_of_pairs(build, what, text):
     with pytest.raises(TypeError) as caught:
         build(text)
     assert str(caught.value) == f"{what} must be a mapping or (key, value) pairs, got str"
+
+
+# a coordinate table stores raw values; its coords view reads as the dict of Scalars
+
+TABLE_KINDS = {
+    "vector": (HamelVector, (), st.integers(0, 5)),
+    "functional": (DualFunctional, (), st.integers(0, 5)),
+    "tensor": (TensorElement, (2,), st.tuples(st.integers(0, 3), st.integers(0, 3))),
+}
+VIEW_VALUES = {
+    "int": st.integers(-3, 3) | st.integers(-(2**100), 2**100),
+    "rat": st.fractions(max_denominator=12) | st.integers(-3, 3),
+    "f64": st.floats(allow_nan=False, allow_infinity=False),
+}
+
+
+@pytest.mark.parametrize("backend", [INTEGER, RATIONAL, FLOAT64], ids=lambda b: b.name)
+@pytest.mark.parametrize("kind", TABLE_KINDS)
+@given(data=st.data())
+def test_coords_view_reads_as_the_dict_of_scalars(kind, backend, data):
+    cls, shape, keys = TABLE_KINDS[kind]
+    t = cls(backend, *shape, data.draw(st.dictionaries(keys, VIEW_VALUES[backend.name], max_size=6)))
+    view = t.coords
+    as_dict = dict(view.items())
+    assert all(type(c) is Scalar and c.backend is backend and not c.is_zero() for c in as_dict.values())
+    assert repr(view) == repr(as_dict)
+    assert view == as_dict and as_dict == view and not (view != as_dict)
+    for k in view:
+        assert t.coefficient(k) == view[k]
+    with pytest.raises(TypeError):
+        hash(t)
+    with pytest.raises(TypeError):
+        view[data.draw(keys)] = backend.one
+    assert cls.from_data(backend, t.to_data()) == t
+
+
+@pytest.mark.parametrize("kind", TABLE_KINDS)
+@given(drawn=st.dictionaries(st.integers(0, 3), st.integers(-3, 3), max_size=4))
+@example(drawn={0: 1})
+def test_coords_views_compare_as_their_dicts_across_backends(kind, drawn):
+    # int values read the same on every backend, but Scalars of two backends differ
+    cls, shape, _ = TABLE_KINDS[kind]
+    if shape:
+        drawn = {(k, k): x for k, x in drawn.items()}
+    views = [cls(b, *shape, drawn).coords for b in (INTEGER, RATIONAL, FLOAT64)]
+    for u in views:
+        for w in views:
+            assert (u == w) == (dict(u.items()) == dict(w.items()))
+    # two empty views over different backends compare equal, as two empty dicts did
+    assert cls(INTEGER, *shape).coords == cls(RATIONAL, *shape).coords == cls(FLOAT64, *shape).coords
