@@ -346,7 +346,7 @@ class _SubScalar(Scalar):
 
 
 class _NeverZero(Scalar):
-    """A Scalar subclass whose is_zero says no, so constructors store even its zero value."""
+    """A Scalar subclass whose is_zero says no: constructors test its value, so its zero is dropped."""
 
     __slots__ = ()
 

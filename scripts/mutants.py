@@ -40,6 +40,9 @@ DIFFERENTIAL = "tests/test_differential.py::test_differential_every_block_matche
 F64_OVERFLOW = [KERNEL + f"test_float_overflow_raises[{op}]"
                 for op in ("add", "scale", "apply", "compose", "mul", "tensor_pure")]
 CLI = "tests/test_cli.py::"
+MERGES = KERNEL + "test_add_and_sub_are_the_chained_operators["
+MERGE_EXAMPLES = KERNEL + "test_add_and_sub_examples["
+PASS = VALUES + "test_exact_type_pass_examples["
 VIEW_KINDS = ("vector", "functional", "tensor")
 BACKENDS = ("int", "rat", "f64")
 
@@ -154,16 +157,15 @@ MUTANTS = [
     # the Scalar builders of int and f64 results: a float sum or product that
     # overflowed is rejected, and one that underflowed to 0.0 is not stored
     Mutant(
-        "f64-wrap-skips-finite-check", "ring.py",
-        "        self._check_sums(raw.values())\n        return super()._wrap(raw)\n",
-        "        return super()._wrap(raw)\n",
-        F64_OVERFLOW + [CLI + f"test_cli_f64_eval_overflow_exits_2[{case}]"
-                        for case in ("v+v-flags0", "(v+v)-(v+v)-flags1", "v*v-flags2")],
+        "f64-coords-skips-finite-check", "ring.py",
+        "        self._check_sums(form[1].values())\n        return super()._coords(form)\n",
+        "        return super()._coords(form)\n",
+        F64_OVERFLOW[1:] + [CLI + "test_cli_f64_eval_overflow_exits_2[v*v-flags2]"],
     ),
     Mutant(
         "coords-keeps-zero", "ring.py",
-        "for k, x in raw.items() if x}",
-        "for k, x in raw.items()}",
+        "for k, x in form[1].items() if x}",
+        "for k, x in form[1].items()}",
         [KERNEL + "test_float_tensor_pure_drops_underflow", KERNEL + "test_coords_inverts_split[f64]",
          KERNEL + "test_coords_inverts_split[int]"],
     ),
@@ -246,11 +248,13 @@ MUTANTS = [
         [RING + "test_mass_over_64_distinct_prime_denominators_is_the_chained_sum"],
     ),
     # the exact norm arithmetic on Fraction slots: each result is reduced, as the operators' are
+    # one slot add serves norm_add and the rat merge behind + and -
     Mutant(
-        "norm-add-unreduced", "ring.py",
-        "        g = gcd(t, g)\n",
-        "        g = 1\n",
-        [RING + "test_exact_norm_arithmetic_is_the_operators"],
+        "slot-add-unreduced", "ring.py",
+        "    g = gcd(t, g)\n",
+        "    g = 1\n",
+        [RING + "test_exact_norm_arithmetic_is_the_operators", MERGES + "rat]",
+         MERGE_EXAMPLES + "rat-equal]", MERGE_EXAMPLES + "rat-partly-shared]"],
     ),
     Mutant(
         "norm-mul-one-cross-gcd", "ring.py",
@@ -258,7 +262,66 @@ MUTANTS = [
         "g, h = gcd(na, db), 1",
         [RING + "test_exact_norm_arithmetic_is_the_operators"],
     ),
-    # the constructors' fast paths: each must still reject or drop what the slow path does
+    # + and - are one merge: a cancelled sum is deleted, a float sum that overflowed raises,
+    # and rat negation keeps its sign
+    Mutant(
+        "merge-keeps-cancelled-sum", "ring.py",
+        "                y = out[k] + y\n                if not y:\n                    del out[k]\n"
+        "                    continue\n",
+        "                y = out[k] + y\n",
+        [MERGES + "int]", MERGES + "f64]", MERGE_EXAMPLES + "int-cancel]", MERGE_EXAMPLES + "f64-cancel]"],
+    ),
+    Mutant(
+        "rat-merge-keeps-cancelled-sum", "ring.py",
+        "                if not y._numerator:\n                    del out[k]\n                    continue\n",
+        "",
+        [MERGES + "rat]", MERGE_EXAMPLES + "rat-cancel]"],
+    ),
+    Mutant(
+        "f64-merge-skips-finite-check", "ring.py",
+        "        out = super()._merge(a, b)\n        self._check_sums(out.values())\n",
+        "        out = super()._merge(a, b)\n",
+        [F64_OVERFLOW[0], MERGE_EXAMPLES + "f64-overflow]", MERGE_EXAMPLES + "f64-overflow-sub]"]
+        + [CLI + f"test_cli_f64_eval_overflow_exits_2[{case}]" for case in ("v+v-flags0", "(v+v)-(v+v)-flags1")],
+    ),
+    Mutant(
+        "rat-neg-drops-sign", "ring.py",
+        "_rational(-x._numerator, x._denominator)",
+        "_rational(x._numerator, x._denominator)",
+        [MERGES + "rat]", MERGE_EXAMPLES + "rat-cancel]"],
+    ),
+    # the constructors' exact-type pass: it stores only what the checked loop stores unchanged
+    Mutant(
+        "exact-pass-accepts-bool-keys", "ring.py",
+        "if type(k) is not int or k < 0 or type(x) is not exact:",
+        "if not isinstance(k, int) or k < 0 or type(x) is not exact:",
+        [PASS + f"{b}-bool-key]" for b in ("int", "f64")],
+    ),
+    Mutant(
+        "rat-exact-pass-accepts-bool-keys", "ring.py",
+        "if type(k) is not int or k < 0 or type(x) is not Fraction:",
+        "if not isinstance(k, int) or k < 0 or type(x) is not Fraction:",
+        [PASS + "rat-bool-key]"],
+    ),
+    Mutant(
+        "exact-pass-keeps-zero", "ring.py",
+        "            if x:\n                out[k] = x\n",
+        "            out[k] = x\n",
+        [PASS + f"{b}-zero]" for b in ("int", "f64")],
+    ),
+    Mutant(
+        "rat-exact-pass-keeps-zero", "ring.py",
+        "            if x._numerator:\n                out[k] = x\n",
+        "            out[k] = x\n",
+        [PASS + "rat-zero]"],
+    ),
+    Mutant(
+        "f64-exact-pass-keeps-nonfinite", "ring.py",
+        "if out is None or all(map(math.isfinite, out.values())):",
+        "if True:",
+        [PASS + "f64-nonfinite]"],
+    ),
+    # the constructors' checked loop: each must still reject or drop what it always did
     Mutant(
         "clean-key-without-sign-check", "hamel.py",
         "type(key) is int and key >= 0",
@@ -276,6 +339,13 @@ MUTANTS = [
         "            x = backend.check(c)\n            if x:\n                out[key] = x\n",
         "            out[key] = backend.check(c)\n",
         [VALUES + f"test_constructors_drop_every_zero[{c}]" for c in RAW_CONSTRUCTORS],
+    ),
+    Mutant(
+        "clean-trusts-subclass-is-zero", "hamel.py",
+        "if _operand(c, Scalar, backend, \"coefficient\").value:",
+        "if not _operand(c, Scalar, backend, \"coefficient\").is_zero():",
+        [VALUES + f"test_constructors_drop_the_zero_of_a_scalar_subclass[{k}-{b}]"
+         for k in VIEW_KINDS for b in BACKENDS],
     ),
     Mutant(
         "nest-checks-first-argument-only", "hamel.py",

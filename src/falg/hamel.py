@@ -15,9 +15,9 @@ A coordinate table stores raw backend values (int, Fraction or float) in
 read and build ``_raw`` alone, so they build no Scalar: each adds raw
 values up and has the backend filter the surviving sums once at the end,
 so no intermediate result is copied or re-validated.  ``backend._coords``
-builds the table of a sum of products and ``backend._wrap`` that of ``+``
-and ``-`` (see ``ring``).  Both drop a zero, and on float64 both reject a
-sum or product that left the finite range with ``ValueError``.
+builds the table of a sum of products and ``backend._merge`` that of ``+``
+(see ``ring``).  Both drop a zero, and on float64 both reject a sum or
+product that left the finite range with ``ValueError``.
 
 Every sum of products works on numerator forms ``(d, {k: n})``, each value
 being n / d: map application and composition, ``StructureTable.mul``,
@@ -57,15 +57,18 @@ of a chain of Fraction additions.  On float64 every kernel computes
 coordinate in the order the operands list their terms, so float sums
 round as sequential Scalar additions do.
 
-``+`` and ``-`` of two coordinate tables are a merge, not a sum of
-products: ``_accumulate`` adds the raw values of both operands into one
-dict and ``backend._wrap`` filters the result.  A merge reads each value
-once, where forms would split both operands first, which costs more than
-it saves on two operands (rat ``+`` through forms timed 35-44% slower).
+``+`` of two coordinate tables is a merge, not a sum of products:
+``backend._merge`` copies the left operand's zero-free table and folds the
+right one's values in, and ``-`` merges the negation ``backend._neg``
+builds.  int and float64 add natively; rat adds on the Fractions' slots
+with ``ring._rational_sum``, the slot add of ``norm_add`` too.  A merge
+reads each value once, where forms would split both operands first, which
+costs more than it saves on two operands (rat ``+`` through forms timed
+35-44% slower).
 
-Every sum, in place or on forms, skips a zero term and deletes a
-coordinate whose sum cancels, exactly as chained canonical vector additions
-would.
+Every sum deletes a coordinate whose sum cancels, and every sum of products
+skips a zero term (a merge meets none: its operands are zero-free), exactly
+as chained canonical vector additions would.
 
 Vectors, dual functionals and tensors (``tensor.TensorElement``) are one
 kind of value, a zero-free coordinate table over one backend, and share one
@@ -83,11 +86,16 @@ for another backend.
 
 Raw data from a caller (public constructors, ``from_data``) is checked
 once, by one loop, ``_clean``: a table constructor runs it, and a map runs
-it on each raw column and wraps the result with ``_trusted``.  Exact types
+it on each raw column and wraps the result with ``_trusted``.  A plain dict
+of basis indices first takes one exact-type pass, ``backend._exact``: it
+succeeds only when every key is an int >= 0 and every value of the
+backend's own type (int, Fraction, or a finite float), which ``check``
+returns unchanged, and otherwise the loop runs.  In the loop exact types
 take a fast path (an int key >= 0, a Scalar of the table's own backend, a
 nonzero value ``backend.check`` returns); any other key or Scalar goes
 through ``_index`` or ``_operand``, so what is accepted and every message
-stay theirs.
+stay theirs.  A Scalar's zero is read from its value, never from an
+``is_zero`` a subclass may redefine.
 
 Trusted-builder invariant: kernel results are built without running
 constructors, and so are the truncation layer's computed results (see
@@ -128,7 +136,14 @@ def _pairs(data, what: str):
 
 
 def _clean(backend: Backend, coords, index=_check_index) -> dict:
-    """The zero-free table key -> raw value of coords, a Mapping or (key, value) pairs, each checked once."""
+    """The zero-free table key -> raw value of coords, a Mapping or (key, value) pairs, each checked once.
+
+    A plain dict of basis indices first tries ``backend._exact``; when it declines, this loop runs.
+    """
+    if type(coords) is dict and index is _check_index:
+        out = backend._exact(coords)
+        if out is not None:
+            return out
     out = {}
     for key, c in _pairs(coords, "coords"):
         if not (type(key) is int and key >= 0 and index is _check_index):
@@ -137,7 +152,7 @@ def _clean(backend: Backend, coords, index=_check_index) -> dict:
             if c.value:
                 out[key] = c.value
         elif isinstance(c, Scalar):
-            if not _operand(c, Scalar, backend, "coefficient").is_zero():
+            if _operand(c, Scalar, backend, "coefficient").value:
                 out[key] = c.value
         else:
             x = backend.check(c)
@@ -146,32 +161,14 @@ def _clean(backend: Backend, coords, index=_check_index) -> dict:
     return out
 
 
-def _accumulate(acc: dict, raw: dict) -> dict:
-    """Add x into acc[k] for every k, x of raw: the merge behind + and -.
-
-    A zero term is skipped and a sum that cancels leaves acc, so keys and
-    values evolve exactly as a chain of canonical vector additions would.
-    """
-    for k, x in raw.items():
-        if not x:
-            continue
-        if k in acc:
-            x = acc[k] + x
-            if not x:
-                del acc[k]
-                continue
-        acc[k] = x
-    return acc
-
-
 def _combine(parts: list) -> tuple[int, dict]:
     """The form of sum s * form over parts [(s, form), ...], left to right.
 
     The denominator is the lcm of the parts' denominators, taken before any
     term is added, so no partial sum is rescaled: with many unrelated
     denominators, rescaling the sum at each new one would cost
-    len(parts) * len(sum) big-integer products.  Zero terms and cancelling
-    sums behave as in ``_accumulate``.
+    len(parts) * len(sum) big-integer products.  A zero term is skipped and
+    a sum that cancels is deleted.
     """
     den = lcm(*(d for _, (d, _) in parts))
     acc: dict = {}
@@ -318,10 +315,10 @@ class _CoordTable(_Frozen):
 
     def __add__(self, other):
         self._join(other)
-        return self._build(self.backend._wrap(_accumulate(_accumulate({}, self._raw), other._raw)))
+        return self._build(self.backend._merge(self._raw, other._raw))
 
     def __neg__(self):
-        return self._build(self.backend._wrap({k: -x for k, x in self._raw.items()}))
+        return self._build(self.backend._neg(self._raw))
 
     def __sub__(self, other):
         return self + (-other)

@@ -15,6 +15,7 @@ rounds toward +inf, so a chain of bound computations can only overestimate.
 The exact backends add and multiply a Fraction and an int or Fraction on
 their slots with Henrici's gcds (Knuth, TAOCP 2, 4.5.1), returning what the
 operator returns, reduced and of its type; other operands go to the operator.
+The add, ``_rational_sum``, also adds the rat values of ``+``.
 
 :class:`Backend` implements the exact arithmetic once, for raw values and
 norm values alike.  The integer and rational backends supply only
@@ -27,14 +28,19 @@ is converted.
 Each backend owns its representation in the kernels, each method
 described in its own docstring: the numerator form of a raw table
 (``_split``; on int and float64 the table itself) and the zero-free raw
-tables built back from forms and raw sums (``_coords``, ``_wrap``; a zero
-filter on int and float64, after the finiteness check on float64, and the
-reduced Fractions on rat), sums of columns read in place (``_column_sum``,
-``_num_den``) and the l1 mass behind every certified bound (``_mass``,
-``_mass_bounds``).  Every rat value is a Fraction, since ``check``
-converts what it accepts and every stored value passed ``check`` or was
-computed from values that did, so the rat methods read and set a
-Fraction's two slots, ``_numerator`` and ``_denominator``, directly.
+table built back from a form (``_coords``; a zero filter on int and
+float64, after the finiteness check on float64, and the reduced Fractions
+on rat), sums of columns read in place (``_column_sum``, ``_num_den``) and
+the l1 mass behind every certified bound (``_mass``, ``_mass_bounds``).
+It also owns the small operations on zero-free tables keyed by basis index:
+the merge behind ``+`` (``_merge``; native sums on int and float64, the
+float64 ones checked finite, slot sums on rat), negation (``_neg``) and
+the constructors' exact-type pass (``_exact``), which takes a table only
+when ``check`` would return every value unchanged.  Every rat value is a
+Fraction, since ``check`` converts what it accepts and every stored value
+passed ``check`` or was computed from values that did, so the rat methods
+read and set a Fraction's two slots, ``_numerator`` and ``_denominator``,
+directly.
 float64 adds column entries in column order, so it rounds as a sequential
 sum, and rounds each mass once from the exact ``math.fsum`` (one ulp up,
 and one down for the lo ends of norm intervals and of the pair-bound
@@ -97,6 +103,20 @@ def _rational(n: int, d: int) -> Fraction:
     q._numerator = n
     q._denominator = d
     return q
+
+
+def _rational_sum(na: int, da: int, nb: int, db: int) -> Fraction:
+    """na / da + nb / db for reduced fractions with da, db > 0, reduced by Henrici's gcds.
+
+    The canonical Fraction(0, 1) when the sum cancels, since then da == db.
+    """
+    g = gcd(da, db)
+    if g == 1:
+        return _rational(na * db + nb * da, da * db)
+    s = da // g
+    t = na * (db // g) + nb * s
+    g = gcd(t, g)
+    return _rational(t // g, s * (db // g))
 
 
 def _slots(x, y):
@@ -215,11 +235,49 @@ class Backend:
 
     def _coords(self, form: tuple[int, dict]) -> dict:
         """The inverse of _split: the table of the nonzero numerators of form, here each its own value."""
-        return self._wrap(form[1])
+        return {k: x for k, x in form[1].items() if x}
 
-    def _wrap(self, raw: dict) -> dict:
-        """The nonzero values of raw (key -> raw value), as a new table."""
-        return {k: x for k, x in raw.items() if x}
+    # zero-free raw tables keyed by basis index: the constructors' fast pass, + and -
+
+    _exact_type: type = int
+
+    def _exact(self, raw: dict):
+        """The nonzero entries of raw as a new table, or None unless every entry takes no conversion.
+
+        An entry takes none when its key is an int >= 0 and its value of
+        ``_exact_type``, which ``check`` returns unchanged; the caller runs
+        its checked loop on anything else, so no rule or message is here.
+        """
+        out = {}
+        exact = self._exact_type
+        for k, x in raw.items():
+            if type(k) is not int or k < 0 or type(x) is not exact:
+                return None
+            if x:
+                out[k] = x
+        return out
+
+    def _merge(self, a: dict, b: dict) -> dict:
+        """a + b of two zero-free raw tables: a copy of a with b's values folded in.
+
+        A key new to a is appended, a sum replaces a's value where it
+        stands, and a sum that cancels is deleted, so keys, their order and
+        values are those of a chain of canonical additions.  Neither operand
+        holds a zero, so there is no zero term to skip.
+        """
+        out = dict(a)
+        for k, y in b.items():
+            if k in out:
+                y = out[k] + y
+                if not y:
+                    del out[k]
+                    continue
+            out[k] = y
+        return out
+
+    def _neg(self, raw: dict) -> dict:
+        """-raw, value by value: a zero-free table stays zero-free."""
+        return {k: -x for k, x in raw.items()}
 
     def _column_sum(self, parts: list) -> tuple[int, dict]:
         """The form of the sum of s * col over parts [(s, raw), ...], each column read in place.
@@ -267,18 +325,11 @@ class Backend:
         return x
 
     def norm_add(self, x: NormValue, y: NormValue) -> NormValue:
-        """x + y; when a Fraction meets an int or Fraction, added on their slots by Henrici's gcds."""
+        """x + y; when a Fraction meets an int or Fraction, added on their slots (``_rational_sum``)."""
         slots = _slots(x, y)
         if slots is None:
             return x + y
-        na, da, nb, db = slots
-        g = gcd(da, db)
-        if g == 1:
-            return _rational(na * db + nb * da, da * db)
-        s = da // g
-        t = na * (db // g) + nb * s
-        g = gcd(t, g)
-        return _rational(t // g, s * (db // g))
+        return _rational_sum(*slots)
 
     def norm_mul(self, x: NormValue, y: NormValue) -> NormValue:
         """x * y; when a Fraction meets an int or Fraction, multiplied on their slots by Henrici's gcds."""
@@ -410,6 +461,33 @@ class RationalBackend(Backend):
 
     _num_den = staticmethod(attrgetter("_numerator", "_denominator"))
 
+    def _exact(self, raw):
+        """As the base, a Fraction's zero read from its numerator slot."""
+        out = {}
+        for k, x in raw.items():
+            if type(k) is not int or k < 0 or type(x) is not Fraction:
+                return None
+            if x._numerator:
+                out[k] = x
+        return out
+
+    def _merge(self, a, b):
+        """As the base, each sum added on its Fractions' slots (``_rational_sum``)."""
+        out = dict(a)
+        for k, y in b.items():
+            if k in out:
+                x = out[k]
+                y = _rational_sum(x._numerator, x._denominator, y._numerator, y._denominator)
+                if not y._numerator:
+                    del out[k]
+                    continue
+            out[k] = y
+        return out
+
+    def _neg(self, raw):
+        """As the base, each Fraction built on its slots."""
+        return {k: _rational(-x._numerator, x._denominator) for k, x in raw.items()}
+
     def _mass(self, values):
         """|numerator| summed per denominator, read from each Fraction's slots.
 
@@ -481,10 +559,25 @@ class Float64Backend(Backend):
         for x in values:
             _finite(x)
 
-    def _wrap(self, raw):
+    def _coords(self, form):
         """As the base, after the finiteness check: a sum or product of finite floats may overflow."""
-        self._check_sums(raw.values())
-        return super()._wrap(raw)
+        self._check_sums(form[1].values())
+        return super()._coords(form)
+
+    _exact_type = float
+
+    def _exact(self, raw):
+        """As the base, and None unless every value is finite."""
+        out = super()._exact(raw)
+        if out is None or all(map(math.isfinite, out.values())):
+            return out
+        return None
+
+    def _merge(self, a, b):
+        """As the base, after the finiteness check: two finite floats may add up to inf."""
+        out = super()._merge(a, b)
+        self._check_sums(out.values())
+        return out
 
     def _mass(self, values):
         return self._mass_bounds(values)[1]

@@ -926,3 +926,80 @@ def test_kernels_build_no_scalar_and_no_view(backend, monkeypatch):
     for name, call in calls.items():
         call()
         assert built == [], name
+
+
+# + and - of coordinate tables: one merge, on Fraction slots on rat -----------
+
+# equal, coprime and partly shared denominators, a 7-digit prime among them
+MERGE_DENOMINATORS = (1, 2, 3, 4, 6, 10, 12, 15, 5, 7, 1000003)
+MERGE_VALUES = {
+    "int": st.integers(-3, 3) | st.integers(-(2**70), 2**70),
+    "rat": st.builds(Fraction, st.integers(-9, 9), st.sampled_from(MERGE_DENOMINATORS)),
+    "f64": st.sampled_from([0.5, -0.5, 0.1, -0.3, 1e308, -1e308, 5e-324]) | st.floats(-10, 10),
+}
+
+
+def _merge_reference(a: dict, b: dict, sign: int) -> dict:
+    """a + sign * b as a chain of Python operators: b's values folded into a copy of a, in order."""
+    acc = dict(a)
+    for k, y in b.items():
+        if k in acc:
+            y = acc[k] + y if sign > 0 else acc[k] - y
+            if not y:
+                del acc[k]
+                continue
+        elif sign < 0:
+            y = -y
+        acc[k] = y
+    return acc
+
+
+def _assert_merges_are_chained(backend, a: dict, b: dict):
+    u, v = HamelVector(backend, a), HamelVector(backend, b)
+    ra, rb = ({k: c.value for k, c in t.coords.items()} for t in (u, v))
+    for sign, op in ((1, lambda: u + v), (-1, lambda: u - v)):
+        expected = _merge_reference(ra, rb, sign)
+        if not all(map(math.isfinite, expected.values())):  # only a float sum can leave the range
+            with pytest.raises(ValueError, match="float coefficients must be finite"):
+                op()
+            continue
+        got = {k: c.value for k, c in op().coords.items()}
+        assert [(k, type(x), repr(x)) for k, x in got.items()] == [
+            (k, type(x), repr(x)) for k, x in expected.items()]
+        for x in got.values():
+            assert x and type(x) is type(backend.check(x))
+            if type(x) is Fraction:
+                assert x._denominator > 0 and gcd(x._numerator, x._denominator) == 1
+
+
+@pytest.mark.parametrize("backend", [INTEGER, RATIONAL, FLOAT64], ids=lambda b: b.name)
+@given(data=st.data())
+def test_add_and_sub_are_the_chained_operators(backend, data):
+    values = MERGE_VALUES[backend.name]
+    a = data.draw(st.dictionaries(st.integers(0, 7), values, max_size=6))
+    b = data.draw(st.dictionaries(st.integers(0, 7), values, max_size=6))
+    for k, x in a.items():  # some of b's values cancel a's under + or under -
+        roll = data.draw(st.integers(0, 3))
+        if roll < 2:
+            b[k] = -x if roll == 0 else x
+    _assert_merges_are_chained(backend, a, b)
+
+
+F, R7 = Fraction, 1000003
+MERGE_EXAMPLES = {
+    # rat sums by Henrici's gcds: the second gcd reduces 1/6 + 1/6 and 1/6 + 1/10
+    "rat-equal": (RATIONAL, {0: F(1, 6), 1: F(1, 4)}, {0: F(1, 6), 1: F(3, 4)}),
+    "rat-partly-shared": (RATIONAL, {0: F(1, 6), 1: F(1, 4)}, {0: F(1, 10), 1: F(1, 6)}),
+    "rat-coprime": (RATIONAL, {0: F(1, 3), 1: F(2, R7)}, {0: F(1, 5), 1: F(-3, 7)}),
+    "rat-cancel": (RATIONAL, {2: F(1, 6), 0: F(1, R7), 1: F(1, 2)}, {0: F(-1, R7), 3: F(5), 2: F(-1, 6)}),
+    "int-cancel": (INTEGER, {2: 1, 0: 2**70, 1: -3}, {0: -(2**70), 3: 5, 2: -1}),
+    "f64-cancel": (FLOAT64, {2: 0.1, 0: 0.5, 1: -0.3}, {0: -0.5, 3: 5e-324, 2: -0.1}),
+    "f64-overflow": (FLOAT64, {0: 1e308, 1: 1.0}, {0: 1e308}),
+    "f64-overflow-sub": (FLOAT64, {1: 1.0, 0: 1e308}, {0: -1e308}),
+}
+
+
+@pytest.mark.parametrize("backend, a, b", MERGE_EXAMPLES.values(), ids=MERGE_EXAMPLES)
+def test_add_and_sub_examples(backend, a, b):
+    _assert_merges_are_chained(backend, a, b)
+    _assert_merges_are_chained(backend, b, a)

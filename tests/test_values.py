@@ -13,6 +13,7 @@ argument.  A coordinate table's ``coords`` reads as the dict of Scalars it
 stands for (repr, ``==`` and the values read) and cannot be written.
 """
 
+import math
 import os
 import subprocess
 import sys
@@ -340,3 +341,95 @@ def test_coords_views_compare_as_their_dicts_across_backends(kind, drawn):
             assert (u == w) == (dict(u.items()) == dict(w.items()))
     # two empty views over different backends compare equal, as two empty dicts did
     assert cls(INTEGER, *shape).coords == cls(RATIONAL, *shape).coords == cls(FLOAT64, *shape).coords
+
+
+class _NeverZero(Scalar):
+    """A Scalar subclass whose is_zero always says no: a constructor must test its value."""
+
+    __slots__ = ()
+
+    def is_zero(self):
+        return False
+
+
+@pytest.mark.parametrize("backend", [INTEGER, RATIONAL, FLOAT64], ids=lambda b: b.name)
+@pytest.mark.parametrize("kind", TABLE_KINDS)
+def test_constructors_drop_the_zero_of_a_scalar_subclass(kind, backend):
+    cls, shape, _ = TABLE_KINDS[kind]
+    key = (lambda i: (i, i)) if shape else (lambda i: i)
+    t = cls(backend, *shape, {key(0): _NeverZero(backend, 0), key(1): _NeverZero(backend, -2)})
+    assert list(t.coords) == [key(1)] and t.coords[key(1)] == backend.scalar(-2)
+    zero = cls(backend, *shape, {key(0): _NeverZero(backend, 0)})
+    assert zero.is_zero() and not zero.coords and zero == cls(backend, *shape, {})
+
+
+# a constructor given a plain dict of basis indices tries one exact-type pass first;
+# it must give what the checked loop gives the same pairs, or raise as it does
+
+class _FractionSub(Fraction):
+    """A Fraction subclass, which the rational backend converts to a Fraction."""
+
+
+EXACT_VALUES = {
+    "int": st.integers(-2, 2) | st.integers(-(2**70), 2**70),
+    "rat": st.builds(Fraction, st.integers(-2, 2), st.integers(1, 4)),
+    "f64": st.floats(-2, 2) | st.sampled_from([-0.0, 5e-324, 1e308]),
+}
+JUNK_KEYS = [True, False, -1, -(2**70), _IntKey(1), "1", 1.0, None]
+JUNK_VALUES = [True, False, 0, 3, 2**70, Fraction(0), Fraction(1, 3), _FractionSub(1, 3), _FractionSub(0),
+               0.5, -0.0, 0.0, math.nan, math.inf, -math.inf, "1/2", "x", None,
+               INTEGER.one, RATIONAL.zero, RATIONAL.scalar(Fraction(1, 2)), FLOAT64.scalar(1.5), FLOAT64.zero]
+
+
+def _builders(backend):
+    return {
+        "vector": lambda coords: HamelVector(backend, coords),
+        "functional": lambda coords: DualFunctional(backend, coords),
+        "map-column": lambda coords: ColumnFiniteMap(backend, {0: coords}),
+        "tail-vector": lambda coords: TailVector.make(backend, coords, 0),
+    }
+
+
+def _outcome(build, coords):
+    """Each stored (key type, key, value type, value repr), or the exception type and message."""
+    try:
+        value = build(coords)
+    except (ArithmeticError, TypeError, ValueError) as e:
+        return type(e), str(e)
+    value = getattr(value, "prefix", value)
+    tables = value.cols.values() if isinstance(value, ColumnFiniteMap) else [value]
+    return [(type(k), k, type(c.value), repr(c.value)) for t in tables for k, c in t.coords.items()]
+
+
+def _assert_pass_agrees(backend, coords: dict):
+    for name, build in _builders(backend).items():
+        assert _outcome(build, coords) == _outcome(build, list(coords.items())), name
+
+
+@pytest.mark.parametrize("backend", [INTEGER, RATIONAL, FLOAT64], ids=lambda b: b.name)
+@given(data=st.data())
+def test_exact_type_pass_agrees_with_the_checked_loop(backend, data):
+    exact = EXACT_VALUES[backend.name]
+    keys = st.integers(0, 5) | st.sampled_from(JUNK_KEYS)
+    values = exact | st.builds(backend.scalar, exact) | st.sampled_from(JUNK_VALUES)
+    _assert_pass_agrees(backend, data.draw(st.dictionaries(keys, values, max_size=5)))
+
+
+EXACT_ONE = {"int": 1, "rat": Fraction(1, 2), "f64": 0.5}
+EXACT_ZERO = {"int": 0, "rat": Fraction(0), "f64": -0.0}
+
+
+@pytest.mark.parametrize("case", ["bool-key", "negative-key", "zero", "nonfinite", "all-exact"])
+@pytest.mark.parametrize("backend", [INTEGER, RATIONAL, FLOAT64], ids=lambda b: b.name)
+def test_exact_type_pass_examples(backend, case):
+    one, zero = EXACT_ONE[backend.name], EXACT_ZERO[backend.name]
+    coords = {
+        "bool-key": {0: one, True: one},
+        "negative-key": {0: one, -1: one},
+        "zero": {2: one, 0: zero, 1: one},
+        "nonfinite": {0: one, 1: math.inf},
+        "all-exact": {3: one, 0: one},
+    }[case]
+    _assert_pass_agrees(backend, coords)
+    if case in ("zero", "all-exact"):
+        assert list(HamelVector(backend, coords).coords) == [k for k, x in coords.items() if x]
