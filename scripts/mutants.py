@@ -323,29 +323,37 @@ MUTANTS = [
     ),
     # the constructors' checked loop: each must still reject or drop what it always did
     Mutant(
-        "clean-key-without-sign-check", "hamel.py",
-        "type(key) is int and key >= 0",
-        "type(key) is int",
-        [EDGES + f"{c}-negative-key]" for c in RAW_CONSTRUCTORS],
+        "clean-key-skips-index", "hamel.py",
+        "        key = index(key)\n",
+        "",
+        [EDGES + f"{c}-{k}]" for c in RAW_CONSTRUCTORS for k in ("negative-key", "bool-key")],
     ),
     Mutant(
-        "clean-scalar-without-backend-test", "hamel.py",
-        "type(c) is Scalar and c.backend is backend",
-        "type(c) is Scalar",
+        "clean-scalar-skips-operand", "hamel.py",
+        "x = _operand(c, Scalar, backend, \"coefficient\").value if",
+        "x = c.value if",
         [EDGES + f"{c}-other-backend-{k}]" for c in RAW_CONSTRUCTORS for k in ("scalar", "zero")],
     ),
     Mutant(
         "clean-keeps-zero", "hamel.py",
-        "            x = backend.check(c)\n            if x:\n                out[key] = x\n",
-        "            out[key] = backend.check(c)\n",
+        "        if x:\n            out[key] = x\n",
+        "        out[key] = x\n",
         [VALUES + f"test_constructors_drop_every_zero[{c}]" for c in RAW_CONSTRUCTORS],
     ),
     Mutant(
         "clean-trusts-subclass-is-zero", "hamel.py",
-        "if _operand(c, Scalar, backend, \"coefficient\").value:",
-        "if not _operand(c, Scalar, backend, \"coefficient\").is_zero():",
+        "        if x:\n            out[key] = x\n",
+        "        if x or isinstance(c, Scalar) and not c.is_zero():\n            out[key] = x\n",
         [VALUES + f"test_constructors_drop_the_zero_of_a_scalar_subclass[{k}-{b}]"
          for k in VIEW_KINDS for b in BACKENDS],
+    ),
+    # the basis builders skip the constructors, so they check the index themselves
+    Mutant(
+        "basis-skips-index-check", "hamel.py",
+        "_trusted(HamelVector, backend=backend, _raw={_check_index(i):",
+        "_trusted(HamelVector, backend=backend, _raw={i:",
+        [KERNEL + f"test_basis_builders_check_the_index[{c}-{k}]"
+         for c in ("vector", "map-row") for k in ("negative", "bool", "str")],
     ),
     Mutant(
         "nest-checks-first-argument-only", "hamel.py",
@@ -360,7 +368,7 @@ MUTANTS = [
         "if type(x) is Fraction or",
         [RING + "test_exact_bound_checks"],
     ),
-    # the pair-bound check reads the lo end of the mass, and a single term is not rounded
+    # the pair-bound check reads the lo end of the mass, and one nonzero term among zeros is not rounded
     Mutant(
         "pair-check-reads-upper-mass", "algebra.py",
         "_mass_bounds(entry._raw.values())[0]",
@@ -369,9 +377,16 @@ MUTANTS = [
     ),
     Mutant(
         "mass-bounds-rounds-single-term", "ring.py",
-        "if total and len(values) > 1:",
-        "if total and len(values) > 0:",
+        "if sum(map(bool, values)) > 1:",
+        "if sum(map(bool, values)) > 0:",
         [KERNEL + "test_float_pair_bound_check_reads_one_entry_exactly"],
+    ),
+    Mutant(
+        "f64-mass-counts-zero-terms", "ring.py",
+        "if sum(map(bool, values)) > 1:",
+        "if total and len(values) > 1:",
+        ["tests/test_schauder.py::test_float_mass_of_one_nonzero_term_among_zeros_is_exact",
+         RING + "test_backend_method_outcomes_are_pinned[_mass_bounds([0, Fraction(3, 2)],)]"],
     ),
     # tables hold raw values: the coords view reads as the dict of Scalars, and kernels never read it
     Mutant(

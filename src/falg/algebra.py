@@ -538,7 +538,7 @@ def table_from_data(backend: Backend, data) -> StructureTable:
     rows = data["structure"]
     if not isinstance(rows, list):
         raise ValueError(f"'structure' must be a JSON list, got {type(rows).__name__}")
-    grouped: dict[tuple[int, int], dict[int, Scalar]] = {}
+    grouped: dict[tuple[int, int], dict] = {}
     for n, row in enumerate(rows):
         _wire_object(row, f"structure row {n}")
         for name in "ijkc":
@@ -546,11 +546,11 @@ def table_from_data(backend: Backend, data) -> StructureTable:
                 raise ValueError(f"structure row {n} has no {name!r} field")
         i, j, k = (_row_index(row[name], f"structure row {n} field {name!r}") for name in "ijk")
         try:
-            c = Scalar(backend, backend.parse(row["c"]))
+            c = backend.parse(row["c"])
         except (TypeError, ValueError) as e:
             raise type(e)(f"structure row {n} field 'c': {e}") from None
         cell = grouped.setdefault((i, j), {})
-        cell[k] = cell[k] + c if k in cell else c
+        cell[k] = backend.add(cell[k], c) if k in cell else c
     entries = {key: HamelVector(backend, coords) for key, coords in grouped.items()}
     claims = _wire_object(data.get("claims", {}), "'claims'")
     for name, claim in claims.items():

@@ -16,7 +16,9 @@ Builtins:
               (exponents 0, 1, -1, 2, -2, ... at indices 0, 1, 2, 3, 4, ...)
 
 All of these have pair bound 1: every basis product is a single basis
-vector with coefficient +-1.
+vector with coefficient +-1.  Entries hold raw values: a rule returns a
+``basis_vector`` and a finite table's entry is ``{k: backend.from_int(sign)}``,
+so loading a builtin or looking a pair up builds no Scalar.
 
 ``polynomial`` and ``group_z`` are power bases, symbol^m * symbol^n =
 symbol^(m+n).  Besides its rule, such a table carries the codec
@@ -27,7 +29,7 @@ symbol^(m+n).  Besides its rule, such a table carries the codec
 from __future__ import annotations
 
 from .ring import RATIONAL, Backend, _Frozen
-from .hamel import basis_vector
+from .hamel import HamelVector, basis_vector
 from .algebra import StructureTable, table_from_data
 
 
@@ -194,7 +196,7 @@ def _free_words(backend: Backend, k: int) -> AlgebraFixture:
 def _finite_fixture(backend, name, labels, products, commutative) -> AlgebraFixture:
     entries = {}
     for (i, j), (k, sign) in products.items():
-        entries[(i, j)] = basis_vector(backend, k).scale(backend.scalar(sign))
+        entries[(i, j)] = HamelVector(backend, {k: backend.from_int(sign)})
     table = StructureTable(
         backend,
         name=name,

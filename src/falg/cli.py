@@ -23,7 +23,7 @@ from typing import Optional, Union
 
 from .ring import BACKENDS, Backend, Scalar, _Frozen, _literal
 from .hamel import ColumnFiniteMap, DualFunctional, HamelVector, basis_vector
-from .algebra import CertificateError
+from .algebra import CertificateError, _render_value
 from .tensor import NonAssociativeError, TensorElement, map_via_tensor, tensor_pure
 from .schauder import TailMap, TailVector
 from .catalog import AlgebraFixture, fixture_from_data, load_builtin
@@ -491,8 +491,7 @@ def _emit(args, data, text: str) -> None:
 def _fmt_vector(v: Union[HamelVector, TailVector]) -> str:
     if isinstance(v, TailVector):
         return f"{_fmt_vector(v.prefix)} tail {v.backend.norm_render(v.tail)}"
-    inner = ", ".join(f"{i}: {v.backend.render(v._raw[i])}" for i in sorted(v._raw))
-    return "{" + inner + "}"
+    return _render_value(v)
 
 
 # subcommands --------------------------------------------------------------

@@ -12,12 +12,14 @@ Operations never mutate their inputs; treat all values as immutable.
 A coordinate table stores raw backend values (int, Fraction or float) in
 ``_raw``, a zero-free dict, and ``coords`` is a read-only view of it
 (``_Coords``) that wraps a value in a Scalar when it is read.  Kernels
-read and build ``_raw`` alone, so they build no Scalar: each adds raw
-values up and has the backend filter the surviving sums once at the end,
-so no intermediate result is copied or re-validated.  ``backend._coords``
-builds the table of a sum of products and ``backend._merge`` that of ``+``
-(see ``ring``).  Both drop a zero, and on float64 both reject a sum or
-product that left the finite range with ``ValueError``.
+read and build ``_raw`` alone: a Scalar is built only where a caller reads
+one (the view, ``coefficient``, ``ColumnFiniteMap.entries``).  Each kernel
+adds raw values up and has the backend filter the surviving sums once at
+the end, so no intermediate result is copied or re-validated.
+``backend._coords`` builds the table of a sum of products and
+``backend._merge`` that of ``+`` (see ``ring``).  Both drop a zero, and on
+float64 both reject a sum or product that left the finite range with
+``ValueError``.
 
 Every sum of products works on numerator forms ``(d, {k: n})``, each value
 being n / d: map application and composition, ``StructureTable.mul``,
@@ -90,18 +92,18 @@ it on each raw column and wraps the result with ``_trusted``.  A plain dict
 of basis indices first takes one exact-type pass, ``backend._exact``: it
 succeeds only when every key is an int >= 0 and every value of the
 backend's own type (int, Fraction, or a finite float), which ``check``
-returns unchanged, and otherwise the loop runs.  In the loop exact types
-take a fast path (an int key >= 0, a Scalar of the table's own backend, a
-nonzero value ``backend.check`` returns); any other key or Scalar goes
-through ``_index`` or ``_operand``, so what is accepted and every message
-stay theirs.  A Scalar's zero is read from its value, never from an
-``is_zero`` a subclass may redefine.
+returns unchanged, and otherwise the loop runs.  The loop sends every key
+through ``_index``, every Scalar through ``_operand`` and every other value
+through ``backend.check``, so what is accepted and every message stay
+theirs; one zero test reads the value, so a Scalar's zero is never read
+from an ``is_zero`` a subclass may redefine.
 
 Trusted-builder invariant: kernel results are built without running
 constructors, and so are the truncation layer's computed results (see
-``schauder``).  ``_trusted`` sets a frozen value class's fields without its
-``__init__``, so it skips ``_check_index`` and the backend re-check; a
-table's trusted builders set ``_raw``.  Only an
+``schauder``) and the basis builders, which store ``backend.from_int(1)``
+at an index ``_check_index`` passed.  ``_trusted`` sets a frozen value
+class's fields without its ``__init__``, so it skips ``_check_index`` and
+the backend re-check; a table's trusted builders set ``_raw``.  Only an
 operation on already-constructed values may use them -- one that has
 joined its operands (type and backend checks) and builds its result only
 from their keys, raw values and sums or products of them.  Those keys
@@ -146,18 +148,10 @@ def _clean(backend: Backend, coords, index=_check_index) -> dict:
             return out
     out = {}
     for key, c in _pairs(coords, "coords"):
-        if not (type(key) is int and key >= 0 and index is _check_index):
-            key = index(key)
-        if type(c) is Scalar and c.backend is backend:
-            if c.value:
-                out[key] = c.value
-        elif isinstance(c, Scalar):
-            if _operand(c, Scalar, backend, "coefficient").value:
-                out[key] = c.value
-        else:
-            x = backend.check(c)
-            if x:
-                out[key] = x
+        key = index(key)
+        x = _operand(c, Scalar, backend, "coefficient").value if isinstance(c, Scalar) else backend.check(c)
+        if x:
+            out[key] = x
     return out
 
 
@@ -293,7 +287,8 @@ class _CoordTable(_Frozen):
         return _Coords(self.backend, self._raw)
 
     def coefficient(self, key) -> Scalar:
-        return self.coords.get(self._index(key), self.backend.zero)
+        x = self._raw.get(self._index(key))
+        return self.backend.zero if x is None else _scalar(self.backend, x)
 
     def is_zero(self) -> bool:
         return not self._raw
@@ -378,7 +373,7 @@ def zero_vector(backend: Backend) -> HamelVector:
 
 
 def basis_vector(backend: Backend, i: int) -> HamelVector:
-    return HamelVector(backend, {_check_index(i): backend.one})
+    return _trusted(HamelVector, backend=backend, _raw={_check_index(i): backend.from_int(1)})
 
 
 class DualFunctional(_CoordTable):
@@ -403,7 +398,7 @@ class DualFunctional(_CoordTable):
 
 def dual_basis(backend: Backend, i: int) -> DualFunctional:
     """The functional that reads off coordinate i: e^i(e_j) = delta^i_j."""
-    return DualFunctional(backend, {_check_index(i): backend.one})
+    return _trusted(DualFunctional, backend=backend, _raw={_check_index(i): backend.from_int(1)})
 
 
 def _clean_cols(backend: Backend, cols) -> dict[int, HamelVector]:
@@ -434,17 +429,17 @@ class ColumnFiniteMap(_Frozen):
         object.__setattr__(self, "cols", _clean_cols(backend, cols))
 
     def column(self, j: int) -> HamelVector:
-        _check_index(j)
-        return self.cols.get(j, zero_vector(self.backend))
+        col = self.cols.get(_check_index(j))
+        return zero_vector(self.backend) if col is None else col
 
     def entry(self, i: int, j: int) -> Scalar:
         return self.column(j).coefficient(i)
 
     def entries(self) -> Iterator[tuple[int, int, Scalar]]:
         for j in sorted(self.cols):
-            col = self.cols[j]
-            for i in sorted(col.coords):
-                yield i, j, col.coords[i]
+            raw = self.cols[j]._raw
+            for i in sorted(raw):
+                yield i, j, _scalar(self.backend, raw[i])
 
     def is_zero(self) -> bool:
         return not self.cols

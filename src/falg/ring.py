@@ -583,12 +583,12 @@ class Float64Backend(Backend):
         return self._mass_bounds(values)[1]
 
     def _mass_bounds(self, values):
-        """The exact sum of |x| rounded once, then one ulp down and one up unless it is a single term."""
+        """The exact sum of |x| rounded once, then one ulp down and one up if two or more |x| are nonzero."""
         try:
             total = math.fsum(map(abs, values))
         except OverflowError:
             raise OverflowError("bound arithmetic left the finite range") from None
-        if total and len(values) > 1:
+        if sum(map(bool, values)) > 1:
             return math.nextafter(total, -math.inf), _up(total)
         return total, total
 

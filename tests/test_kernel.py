@@ -41,9 +41,14 @@ from falg import (
     TailPolyMap,
     TailVector,
     TensorElement,
+    basis_map,
+    basis_vector,
+    dual_basis,
+    identity_on,
     load_builtin,
     map_via_tensor,
     poly_apply,
+    table_from_data,
     tail_mul,
     tensor_pure,
     tpoly_apply,
@@ -903,12 +908,8 @@ def _kernel_calls(backend) -> dict:
     }
 
 
-@pytest.mark.parametrize("backend", [INTEGER, RATIONAL, FLOAT64], ids=lambda b: b.name)
-def test_kernels_build_no_scalar_and_no_view(backend, monkeypatch):
-    # tables hold raw values: a Scalar or a coords view is built only when a caller reads one
-    calls = _kernel_calls(backend)
-    for call in calls.values():
-        call()  # the first lookups of a rule table build its entries
+def _count_builds(backend, monkeypatch) -> list:
+    """The list every coords view and Scalar built from now on appends "view" or "Scalar" to."""
     built = []
 
     def counted(what, fn):
@@ -923,9 +924,82 @@ def test_kernels_build_no_scalar_and_no_view(backend, monkeypatch):
         monkeypatch.setattr(module, "_scalar", counted("Scalar", module._scalar))
     assert HamelVector(backend, {0: 1}).coords[0] and built == ["view", "Scalar"]  # the counters count
     built.clear()
+    return built
+
+
+@pytest.mark.parametrize("backend", [INTEGER, RATIONAL, FLOAT64], ids=lambda b: b.name)
+def test_kernels_build_no_scalar_and_no_view(backend, monkeypatch):
+    # tables hold raw values: a Scalar or a coords view is built only when a caller reads one
+    calls = _kernel_calls(backend)
+    for call in calls.values():
+        call()  # the first lookups of a rule table build its entries
+    built = _count_builds(backend, monkeypatch)
     for name, call in calls.items():
         call()
         assert built == [], name
+
+
+BUILTINS = ("polynomial", "quaternion", "complex", "group_z", "free:2")
+STRUCTURE = [  # two rows that add up, two that cancel
+    {"i": 0, "j": 0, "k": 0, "c": "1"}, {"i": 0, "j": 0, "k": 0, "c": "2"},
+    {"i": 0, "j": 1, "k": 1, "c": "3"}, {"i": 0, "j": 1, "k": 1, "c": "-3"}, {"i": 1, "j": 1, "k": 2, "c": "-1"},
+]
+
+
+@pytest.mark.parametrize("backend", [INTEGER, RATIONAL, FLOAT64], ids=lambda b: b.name)
+def test_builtins_and_readers_build_no_scalar_a_caller_does_not_read(backend, monkeypatch):
+    built = _count_builds(backend, monkeypatch)
+    for name in BUILTINS:
+        table = load_builtin(name, backend).table
+        for i, j in itertools.product(range(8), repeat=2):
+            table.lookup(i, j)  # cold: each pair runs the rule or reads an entry for the first time
+        assert built == [], name
+    readers = {
+        "basis_vector": lambda: basis_vector(backend, 3),
+        "dual_basis": lambda: dual_basis(backend, 3),
+        "basis_map": lambda: basis_map(backend, 1, 2),
+        "identity_on": lambda: identity_on(backend, [0, 2, 5]),
+        "table_from_data": lambda: table_from_data(backend, {"name": "t", "structure": STRUCTURE}),
+    }
+    for name, call in readers.items():
+        call()
+        assert built == [], name
+    table = readers["table_from_data"]()  # parsed and summed on raw values, and the cancelled cell is empty
+    assert {key: e._raw for key, e in table.entries.items()} == {
+        (0, 0): {0: backend.from_int(3)}, (0, 1): {}, (1, 1): {2: backend.from_int(-1)}
+    }
+    v = HamelVector(backend, {0: 1, 4: -2})
+    for key, expected in ((4, -2), (7, 0)):  # a hit and a miss
+        c = v.coefficient(key)
+        assert built == ["Scalar"] and type(c) is Scalar and c.backend is backend and c.value == expected, key
+        built.clear()
+    f = ColumnFiniteMap(backend, {0: {0: 1, 1: 2}, 2: {0: 3}})
+    assert [(i, j, c.value) for i, j, c in f.entries()] == [(0, 0, 1), (1, 0, 2), (0, 2, 3)]
+    assert built == ["Scalar"] * 3
+
+
+BAD_INDICES = {
+    "negative": (-1, ValueError, "basis index must be >= 0, got -1"),
+    "bool": (True, TypeError, "basis index must be int, got bool"),
+    "str": ("1", TypeError, "basis index must be int, got str"),
+}
+BASIS_BUILDERS = {
+    "vector": lambda b, i: basis_vector(b, i),
+    "functional": lambda b, i: dual_basis(b, i),
+    "map-row": lambda b, i: basis_map(b, i, 0),
+    "map-column": lambda b, i: basis_map(b, 0, i),
+    "identity": lambda b, i: identity_on(b, [0, i]),
+}
+
+
+@pytest.mark.parametrize("index, error, message", BAD_INDICES.values(), ids=BAD_INDICES)
+@pytest.mark.parametrize("build", BASIS_BUILDERS.values(), ids=BASIS_BUILDERS)
+def test_basis_builders_check_the_index(build, index, error, message):
+    # the basis builders skip the constructors' checks, so each checks its index itself
+    for backend in (INTEGER, RATIONAL, FLOAT64):
+        with pytest.raises(error) as caught:
+            build(backend, index)
+        assert type(caught.value) is error and str(caught.value) == message
 
 
 # + and - of coordinate tables: one merge, on Fraction slots on rat -----------

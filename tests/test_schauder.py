@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -487,6 +488,13 @@ def test_float_zero_tails_stay_exactly_zero():
     assert (v + w).tail == 0.0
 
 
+def test_float_mass_of_one_nonzero_term_among_zeros_is_exact():
+    # an fsum with one nonzero term is that term: only two or more nonzero terms are rounded out
+    assert TailVector.make(FLOAT64, {0: 1.5, 1: 2.0}, 0.0).truncate([0]).tail == 2.0
+    assert FLOAT64._mass_bounds([0.0, 1.5, -0.0]) == (1.5, 1.5)
+    assert FLOAT64._mass_bounds([0.5, 0.0, 1.5]) == (math.nextafter(2.0, 0), math.nextafter(2.0, math.inf))
+
+
 _ORDER_VALUES = [1.0, 2.0**-60, 3 * 2.0**-60, 0.1, 1 / 3, -1e-17, 7.0, -2.0**-53]
 _ORDER_TAILS = [0.1, 2.0**-60, 1 / 3, 0.0]
 
@@ -545,6 +553,66 @@ def test_rational_soundness_trees_with_sub_truncate_and_other_tables():
         exact, certified = soundness_tree(rng, 4, RATIONAL, ("group_z", "quaternion", "free:2"))
         assert l1_distance(exact, certified.prefix) <= certified.tail
         assert exact.l1() <= certified.norm_interval().hi
+
+
+def test_rational_norm_interval_hi_ends_are_sound():
+    # criterion 8's 500 trees; the true norm is the l1 norm of the exact result
+    rng = random.Random(801)
+    for _ in range(500):
+        exact, certified = soundness_tree(rng)
+        assert exact.l1() <= certified.norm_interval().hi
+
+
+def _exact_mass(nest) -> Fraction:
+    """The l1 mass of every entry an exact nest stores."""
+    if isinstance(nest, ColumnFiniteMap):
+        return Fraction(nest.l1_total())
+    return sum((_exact_mass(sub) for sub in nest.slots.values()), Fraction(0))
+
+
+def _truncated_nest(rng: random.Random, arity: int) -> tuple:
+    """(an exact nest of arity, or a map at arity 1, and a tail nest that certifies it).
+
+    Each leaf entry is dropped into its leaf's tail with probability 0.3,
+    and each whole slot into its node's tail with probability 0.2.
+    """
+    if arity == 1:
+        f = rand_map(rng, RATIONAL, max_index=4)
+        kept, dropped = {}, Fraction(0)
+        for i, j, c in f.entries():
+            if rng.random() < 0.3:
+                dropped += c.norm()
+            else:
+                kept.setdefault(j, {})[i] = c
+        return f, TailMap(ColumnFiniteMap(RATIONAL, kept), dropped)
+    exact_slots, tail_slots, dropped = {}, {}, Fraction(0)
+    for j in rng.sample(range(5), rng.randint(1, 3)):
+        exact_slots[j], tail_slots[j] = _truncated_nest(rng, arity - 1)
+        if rng.random() < 0.2:
+            dropped += _exact_mass(exact_slots[j])
+            del tail_slots[j]
+    return PolyMap(RATIONAL, arity, exact_slots), TailPolyMap(RATIONAL, arity, tail_slots, dropped)
+
+
+def test_rational_nests_with_node_tails_are_sound():
+    # truncated leaves, dropped slots and truncated arguments, against poly_apply on the full nest
+    rng = random.Random(801)
+    for _ in range(500):
+        arity = rng.randint(2, 3)
+        exact, certified = _truncated_nest(rng, arity)
+        xs = [rand_vector(rng, RATIONAL, max_index=4) for _ in range(arity)]
+        truncated = []
+        for x in xs:
+            kept, dropped = {}, Fraction(0)
+            for i, c in x.coords.items():
+                if rng.random() < 0.5:
+                    kept[i] = c
+                else:
+                    dropped += c.norm()
+            truncated.append(TailVector(HamelVector(RATIONAL, kept), dropped))
+        result = tpoly_apply(certified, truncated)
+        assert l1_distance(poly_apply(exact, xs), result.prefix) <= result.tail
+        assert tpoly_bound(certified).hi >= _exact_mass(exact)
 
 
 @pytest.mark.xfail(
