@@ -22,7 +22,15 @@ reports of small extensional tables with random, often false, claims and
 pair bounds, at widths ``max_index + 1`` that include powers of two;
 ``norm_bounds`` records ``l1``, ``l1_total``, both norm intervals and a
 truncated tail over int and Fraction values with many distinct
-denominators.  falg is imported from ``src/``
+denominators.  ``cli`` runs ``falg.cli.main`` in process on seeded argv
+over every subcommand and option, spelled out, with ``=``, by unique
+prefix, repeated, missing or unknown, with ambiguous prefixes, bad ints,
+bad choices, values that start with ``-``, and missing or malformed files;
+the files are written on the family's backend, which most of its argv name
+with ``--backend``.  It records the argv, the
+exit code, stdout (``<help>`` when it printed help, whose layout is free)
+and stderr without its usage message; the files live in a temporary
+directory written ``<dir>`` in the records.  falg is imported from ``src/``
 next to this script unless another copy is already on ``sys.path``.
 
 Exit 0 when every checked digest matches, 1 otherwise (naming the
@@ -32,11 +40,14 @@ mismatched family and block).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import hashlib
+import io
 import json
 import math
 import random
 import sys
+import tempfile
 import types
 from fractions import Fraction
 from pathlib import Path
@@ -77,6 +88,7 @@ from falg import (  # noqa: E402
     tpoly_apply,
     tpoly_bound,
 )
+from falg import cli  # noqa: E402
 
 DIGESTS = ROOT / "tests" / "differential.json"
 BLOCKS = 8
@@ -554,6 +566,161 @@ def _wire(rng, backend):
     return data, read(backend, data)
 
 
+# the command line in process: argv over every subcommand and option, and the ways argv goes wrong
+
+# each subcommand's options after --backend and --json, written out here so the
+# corpus pins the grammar instead of reading it from the parser it checks
+_CLI_OPTIONS = {
+    "eval": ("--algebra", "--expr", "--let"),
+    "apply": ("--map", "--vector"),
+    "compose": ("--f", "--g"),
+    "tensor": ("--pure", "--algebra", "--tensor", "--map", "--vector", "--samples", "--seed"),
+    "norm": ("--vector", "--map"),
+    "check": ("--algebra", "--trials", "--seed", "--max-index"),
+    "dual": ("--functional", "--vector"),
+}
+_CLI_INTS = ("--samples", "--seed", "--trials", "--max-index")
+_CLI_ALGEBRAS = ("builtin:polynomial", "builtin:quaternion", "builtin:complex", "builtin:group_z",
+                 "builtin:free:2", "builtin:octonion")
+_CLI_EXPRS = ("(1 + `x`)*(1 + `x`)", "[`i`, `j`]", "<e1, e2, e3>", "e1 * e2 - 3/4", "v * v + w", "v +", "2 * e0",
+              "`q`", "1/0", "-e1", "w - v * e2")
+_CLI_UNKNOWN = ("--nope", "--nope=1", "-x", "stray", "--json=1", "--backend=", "-", "--", "---", "--=x", "-hx",
+                "--help=x", "-h=", "--expr x", "", "-1x", "--pure=")
+_CLI_BAD_INTS = ("x", "1.5", "", "0x10", " 7", "1_0", "-1.5", "+3", "1e3", "٣", "-0", "9" * 5000)
+_CLI_BAD_CHOICES = ("f32", "RAT", "", "ra", "int ", "-int", "--rat")
+_CLI_DASHED = ("-1", "-3", "-0", "-.5", "-e1", "-e1 + e2", "-3/4", "-`x`", "-x=1", "--", "-")
+_CLI_HELP = ("-h", "--help", "--he", "-hh", "--h")
+
+
+def _cli_files(rng, backend, root: str) -> dict[str, str]:
+    """One file of each kind the subcommands read, written under root; name -> path."""
+    values = {"v": _vector(rng, backend), "w": _vector(rng, backend), "f": _map(rng, backend),
+              "g": _map(rng, backend), "phi": _functional(rng, backend), "t": _tensor(rng, backend),
+              "tv": _tail_vector(rng, backend), "tm": _tail_map(rng, backend), "table": _law_table(rng, backend)}
+    paths = {name: f"{root}/{name}.json" for name in (*values, "bad", "missing")}
+    for name, value in values.items():
+        data = table_to_data(value) if isinstance(value, StructureTable) else value.to_data()
+        Path(paths[name]).write_text(json.dumps(data))
+    Path(paths["bad"]).write_text("{not json")
+    paths["dir"] = root
+    return paths
+
+
+def _cli_options(rng, backend, command: str, paths: dict) -> list[list]:
+    """A well-formed [option, values] list for one subcommand."""
+    pick = rng.choice
+    if command == "eval":
+        opts = [["--algebra", [pick(_CLI_ALGEBRAS[:5] + (paths["table"],))]], ["--expr", [pick(_CLI_EXPRS)]]]
+        opts += [["--let", [f"{name}={paths[name]}"]] for name in rng.sample(("v", "w"), rng.randint(0, 2))]
+    elif command == "apply":
+        tail = rng.random() < 0.3
+        opts = [["--map", [paths["tm" if tail else "f"]]], ["--vector", [paths[pick(("v", "tv")) if tail else "v"]]]]
+    elif command == "compose":
+        opts = [["--f", [paths[pick(("f", "tm"))]]], ["--g", [paths["g"]]]]
+    elif command == "tensor" and rng.random() < 0.5:
+        opts = [["--pure", [paths[pick(("v", "w"))] for _ in range(rng.randint(1, 3))]]]
+    elif command == "tensor":
+        opts = [["--algebra", [pick(_CLI_ALGEBRAS[:3])]], ["--tensor", [paths["t"]]], ["--map", [paths["f"]]],
+                ["--vector", [paths["v"]]]]
+        opts += [[name, [str(rng.randint(0, 9))]] for name in ("--samples", "--seed") if rng.random() < 0.4]
+    elif command == "norm":
+        opts = [pick((["--vector", [paths[pick(("v", "tv"))]]], ["--map", [paths[pick(("f", "tm"))]]]))]
+    elif command == "check":
+        opts = [["--algebra", [pick(_CLI_ALGEBRAS[:4] + (paths["table"],))]], ["--trials", [pick(("1", "3", "10"))]]]
+        opts += [[name, [str(rng.randint(0, 9))]] for name in ("--seed", "--max-index") if rng.random() < 0.4]
+    else:
+        opts = [["--functional", [paths["phi"]]], ["--vector", [paths["v"]]]]
+    if rng.random() < 0.7:
+        opts.append(["--backend", [backend.name if rng.random() < 0.85 else rng.choice(sorted(BACKENDS))]])
+    if rng.random() < 0.4:
+        opts.append(["--json", []])
+    rng.shuffle(opts)
+    return opts
+
+
+def _cli_spell(rng, names: tuple, name: str) -> str:
+    """name, or a prefix of it that no other of names starts with."""
+    shortest = next(n for n in range(3, len(name) + 1)
+                    if not any(o.startswith(name[:n]) for o in names if o != name))
+    return name[:rng.randint(shortest, len(name))]
+
+
+def _cli_mutate(rng, command: str, opts: list, paths: dict) -> list:
+    """opts with one thing wrong, or one more thing said; returns extra tokens to insert."""
+    kind = rng.randrange(10)
+    if kind == 0 and opts:
+        del opts[rng.randrange(len(opts))]
+    elif kind == 1 and opts:
+        opts.append(list(rng.choice(opts)))
+    elif kind == 2:
+        return [rng.choice(_CLI_UNKNOWN)] + ([rng.choice(("1", "x"))] if rng.random() < 0.3 else [])
+    elif kind == 3:
+        return [rng.choice(("--s", "--s=1", "--m", "--e", "--=x")), rng.choice(("1", "-1", "x"))]
+    elif kind in (4, 5) and command in ("tensor", "check"):
+        name = rng.choice([n for n in _CLI_INTS if n in _CLI_OPTIONS[command]])
+        opts.append([name, [rng.choice(_CLI_BAD_INTS if kind == 4 else _CLI_DASHED)]])
+    elif kind in (4, 6):
+        opts.append(["--backend", [rng.choice(_CLI_BAD_CHOICES)]])
+    elif kind in (5, 7):
+        opts.append([rng.choice(_CLI_OPTIONS[command]), [rng.choice(_CLI_DASHED)]])
+    elif kind == 8:
+        files = [o for o in opts if o[1] and o[1][0] in paths.values()]
+        if files:
+            rng.choice(files)[1][0] = paths[rng.choice(("missing", "bad", "dir"))]
+    else:
+        return [rng.choice(_CLI_HELP)]
+    return []
+
+
+def _cli_argv(rng, backend, paths: dict) -> list[str]:
+    roll = rng.random()
+    if roll < 0.06:  # no subcommand, an unknown one, or options before it
+        head = rng.choice(([], ["frobnicate"], ["EVAL"], ["ev"], [""], ["--"], ["-x"], ["--json"], ["-h"],
+                           ["--backend", "int"], ["--", "eval"], ["-x", "eval"]))
+        return head + rng.choice(([], ["--algebra", "builtin:polynomial", "--expr", "1"]))
+    command = rng.choice(sorted(_CLI_OPTIONS))
+    names = ("--help", "--backend", "--json") + _CLI_OPTIONS[command]
+    opts = _cli_options(rng, backend, command, paths)
+    extra = []
+    for _ in range(rng.choice((0, 1, 1, 2))):
+        extra += _cli_mutate(rng, command, opts, paths)
+    tokens = []
+    for name, values in opts:
+        spelled = _cli_spell(rng, names, name) if rng.random() < 0.2 else name
+        if values and rng.random() < 0.2:
+            tokens += [f"{spelled}={values[0]}", *values[1:]]
+        else:
+            tokens += [spelled, *values]
+    at = rng.randint(0, len(tokens))
+    return [command] + tokens[:at] + extra + tokens[at:]
+
+
+def _strip_usage(err: str) -> str:
+    """err without a leading usage message: its 'usage:' line and the indented lines that continue it."""
+    lines = err.splitlines(keepends=True)
+    if lines and lines[0].startswith("usage:"):
+        lines.pop(0)
+        while lines and lines[0].startswith(" "):
+            lines.pop(0)
+    return "".join(lines)
+
+
+def _cli(rng, backend):
+    """(exit code, stdout, stderr) of cli.main in process; stdout is '<help>' when it printed help.
+
+    Files live in a temporary directory whose path is written <dir> in the record.
+    """
+    with tempfile.TemporaryDirectory(prefix="falg-cli-") as root:
+        argv = _cli_argv(rng, backend, _cli_files(rng, backend, root))
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.main(argv)
+        out, err = out.getvalue(), _strip_usage(err.getvalue())
+        if code == 0 and out.startswith("usage:"):
+            out = "<help>"
+        return [a.replace(root, "<dir>") for a in argv], code, out.replace(root, "<dir>"), err.replace(root, "<dir>")
+
+
 OPERATIONS = {
     **{f"{kind}_{op}": _binary(kind, op)
        for kind in ("vector", "functional", "tensor", "map") for op in ("add", "sub")},
@@ -583,6 +750,7 @@ OPERATIONS = {
     "norm_bounds": _norm_bounds,
     "construct": _construct,
     "wire": _wire,
+    "cli": _cli,
 }
 
 FAMILIES = [f"{b}/{op}" for b in BACKENDS for op in OPERATIONS]

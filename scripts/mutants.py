@@ -40,6 +40,7 @@ DIFFERENTIAL = "tests/test_differential.py::test_differential_every_block_matche
 F64_OVERFLOW = [KERNEL + f"test_float_overflow_raises[{op}]"
                 for op in ("add", "scale", "apply", "compose", "mul", "tensor_pure")]
 CLI = "tests/test_cli.py::"
+USAGE = CLI + "test_cli_usage_error_messages["
 MERGES = KERNEL + "test_add_and_sub_are_the_chained_operators["
 MERGE_EXAMPLES = KERNEL + "test_add_and_sub_examples["
 PASS = VALUES + "test_exact_type_pass_examples["
@@ -407,6 +408,40 @@ MUTANTS = [
         "return self.backend._mass(self._raw.values())",
         "return self.backend._mass([c.value for c in self.coords.values()])",
         [KERNEL + f"test_kernels_build_no_scalar_and_no_view[{b}]" for b in BACKENDS],
+    ),
+    # the command table's parser keeps argparse's grammar and messages
+    Mutant(
+        "parser-skips-required", "cli.py",
+        "if opt.required and opt.name not in seen]",
+        "if False]",
+        [USAGE + f"{case}]" for case in ("eval-required-both", "eval-required-expr", "dual-required")]
+        + [DIFFERENTIAL],
+    ),
+    Mutant(
+        "parser-skips-choice-check", "cli.py",
+        "    if opt.check is not None and text not in opt.check:",
+        "    if False:",
+        [USAGE + "bad-choice]", USAGE + "empty-choice]", DIFFERENTIAL],
+    ),
+    Mutant(
+        "parser-keeps-int-as-string", "cli.py",
+        "            return int(text)",
+        "            return text",
+        [USAGE + "bad-int]", USAGE + "bad-int-equals]", CLI + "test_cli_int_options_are_ints", DIFFERENTIAL],
+    ),
+    Mutant(
+        "parser-takes-ambiguous-prefix", "cli.py",
+        "    if len(matches) > 1:",
+        "    if len(matches) > 9:",
+        [USAGE + f"{case}]" for case in ("ambiguous", "ambiguous-equals", "ambiguous-empty-prefix")]
+        + [DIFFERENTIAL],
+    ),
+    Mutant(
+        "parser-help-exits-2", "cli.py",
+        "    if parsed is None:\n        return 0",
+        "    if parsed is None:\n        return 2",
+        [CLI + f"test_cli_help_exits_0_and_names_every_option[-h-{c}]" for c in ("None", "eval", "check")]
+        + [DIFFERENTIAL],
     ),
 ]
 

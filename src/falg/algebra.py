@@ -551,7 +551,8 @@ def table_from_data(backend: Backend, data) -> StructureTable:
             raise type(e)(f"structure row {n} field 'c': {e}") from None
         cell = grouped.setdefault((i, j), {})
         cell[k] = backend.add(cell[k], c) if k in cell else c
-    entries = {key: HamelVector(backend, coords) for key, coords in grouped.items()}
+    # a cell whose rows cancel is no entry, as table_to_data writes no row for it
+    entries = {key: HamelVector(backend, coords) for key, coords in grouped.items() if any(coords.values())}
     claims = _wire_object(data.get("claims", {}), "'claims'")
     for name, claim in claims.items():
         if not isinstance(claim, bool):

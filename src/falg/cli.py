@@ -9,16 +9,31 @@ Conventions shared by every subcommand: --backend {int,rat,f64} picks the
 coefficient domain (default rat, exact); --json switches stdout to the wire
 formats; files are JSON in those same formats; anything randomized takes
 --seed and defaults to 0; the FALG_MAX_INDEX environment variable (default
-16) caps random basis-index sampling.  Exit codes: 0 success, 1 a law or
-certificate failed, 2 usage or parse errors.
+16) caps random basis-index sampling.
+
+One table, COMMANDS, gives each subcommand's help, handler and options; the
+parser, the usage line, -h/--help and every usage error are built from it.
+The grammar and the messages are argparse's.  An option takes its value as
+``--opt value`` or ``--opt=value``, and a unique prefix of its name stands
+for it (``--alg``).  --let may repeat, --pure takes one or more values,
+--backend one of its choices, and --trials, --seed, --samples and
+--max-index go through int(); given twice, the last value stands.  A token
+that starts with '-' is an option unless it is a negative number (``-1``,
+``-.5``) or holds a space, so ``--expr -e1`` is a usage error where
+``--expr=-e1`` is not; after ``--`` nothing is an option.
+
+Exit codes: 0 success, and for -h; 1 a law or certificate failed; 2 usage or
+parse errors.  A usage error prints the usage line, then ``falg: error: ...``
+or ``falg <command>: error: ...``, on stderr.
 """
 
 from __future__ import annotations
 
-import argparse
 import json
 import os
+import re
 import sys
+import types
 from typing import Optional, Union
 
 from .ring import BACKENDS, Backend, Scalar, _Frozen, _literal
@@ -596,77 +611,282 @@ def _cmd_dual(args) -> int:
     return 0
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="falg",
-        description="Exact and certified-truncation arithmetic in free algebras with a countable basis.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
+# command table ------------------------------------------------------------
 
-    def common(p, algebra=False):
-        p.add_argument("--backend", choices=sorted(BACKENDS), default="rat")
-        p.add_argument("--json", action="store_true", help="emit wire-format JSON")
-        if algebra:
-            p.add_argument("--algebra", required=True, help="builtin:<name> or a JSON file path")
+# how many values an option takes: one, none, one each time it is given, one or more
+ONE, FLAG, APPEND, SOME = "one", "flag", "append", "some"
 
-    p = sub.add_parser("eval", help="evaluate an expression over an algebra")
-    common(p, algebra=True)
-    p.add_argument("--expr", required=True)
-    p.add_argument("--let", action="append", metavar="NAME=PATH", help="bind an identifier to a vector file")
-    p.set_defaults(func=_cmd_eval)
 
-    p = sub.add_parser("apply", help="apply a map to a vector (exact or tail regime)")
-    common(p)
-    p.add_argument("--map", required=True)
-    p.add_argument("--vector", required=True)
-    p.set_defaults(func=_cmd_apply)
+class _Option(_Frozen):
+    """One option of a subcommand.
 
-    p = sub.add_parser("compose", help="compose two maps, f after g")
-    common(p)
-    p.add_argument("--f", required=True)
-    p.add_argument("--g", required=True)
-    p.set_defaults(func=_cmd_compose)
+    check is int (each value goes through int()), a tuple of the values
+    allowed, or None; default is the value when the option is not given.
+    """
 
-    p = sub.add_parser("tensor", help="build a pure tensor, or evaluate a via-tensor sandwich map")
-    common(p)
-    p.add_argument("--pure", nargs="+", metavar="PATH", help="vector files to tensor together")
-    p.add_argument("--algebra", help="builtin:<name> or JSON path (via-tensor mode)")
-    p.add_argument("--tensor", help="rank-2 tensor file (via-tensor mode)")
-    p.add_argument("--map", help="map file (via-tensor mode)")
-    p.add_argument("--vector", help="vector file (via-tensor mode)")
-    p.add_argument("--samples", type=int, default=64, help="associativity spot-check triples")
-    p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(func=_cmd_tensor)
+    _fields = ("name", "kind", "required", "default", "check", "metavar", "help")
 
-    p = sub.add_parser("norm", help="norm interval of a vector or map")
-    common(p)
-    p.add_argument("--vector")
-    p.add_argument("--map")
-    p.set_defaults(func=_cmd_norm)
 
-    p = sub.add_parser("check", help="probe algebra laws on seeded random vectors")
-    common(p, algebra=True)
-    p.add_argument("--trials", type=int, default=100)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--max-index", type=int, default=None, help="default: FALG_MAX_INDEX or 16")
-    p.set_defaults(func=_cmd_check)
+def _opt(name, kind=ONE, required=False, default=None, check=None, metavar=None, help=""):
+    return _Option(name, kind, required, default, check, metavar, help)
 
-    p = sub.add_parser("dual", help="evaluate a dual functional on a vector")
-    common(p)
-    p.add_argument("--functional", required=True)
-    p.add_argument("--vector", required=True)
-    p.set_defaults(func=_cmd_dual)
 
-    return parser
+# every subcommand takes these two first
+_COMMON = (
+    _opt("--backend", default="rat", check=tuple(sorted(BACKENDS)), help="coefficient domain (default rat)"),
+    _opt("--json", FLAG, default=False, help="emit wire-format JSON"),
+)
+_ALGEBRA = _opt("--algebra", required=True, help="builtin:<name> or a JSON file path")
+_SEED = _opt("--seed", default=0, check=int, help="seed of the random draws (default 0)")
+
+# subcommand -> (help, handler, options after _COMMON)
+COMMANDS = {
+    "eval": ("evaluate an expression over an algebra", _cmd_eval, (
+        _ALGEBRA,
+        _opt("--expr", required=True, help="the expression"),
+        _opt("--let", APPEND, metavar="NAME=PATH", help="bind an identifier to a vector file"),
+    )),
+    "apply": ("apply a map to a vector (exact or tail regime)", _cmd_apply, (
+        _opt("--map", required=True, help="map file"),
+        _opt("--vector", required=True, help="vector file"),
+    )),
+    "compose": ("compose two maps, f after g", _cmd_compose, (
+        _opt("--f", required=True, help="map file, applied second"),
+        _opt("--g", required=True, help="map file, applied first"),
+    )),
+    "tensor": ("build a pure tensor, or evaluate a via-tensor sandwich map", _cmd_tensor, (
+        _opt("--pure", SOME, metavar="PATH", help="vector files to tensor together"),
+        _opt("--algebra", help="builtin:<name> or JSON path (via-tensor mode)"),
+        _opt("--tensor", help="rank-2 tensor file (via-tensor mode)"),
+        _opt("--map", help="map file (via-tensor mode)"),
+        _opt("--vector", help="vector file (via-tensor mode)"),
+        _opt("--samples", default=64, check=int, help="associativity spot-check triples (default 64)"),
+        _SEED,
+    )),
+    "norm": ("norm interval of a vector or map", _cmd_norm, (
+        _opt("--vector", help="vector file"),
+        _opt("--map", help="map file"),
+    )),
+    "check": ("probe algebra laws on seeded random vectors", _cmd_check, (
+        _ALGEBRA,
+        _opt("--trials", default=100, check=int, help="trials per law (default 100)"),
+        _SEED,
+        _opt("--max-index", check=int, help="largest basis index drawn (default: FALG_MAX_INDEX or 16)"),
+    )),
+    "dual": ("evaluate a dual functional on a vector", _cmd_dual, (
+        _opt("--functional", required=True, help="functional file"),
+        _opt("--vector", required=True, help="vector file"),
+    )),
+}
+
+
+# parsing argv from the table ----------------------------------------------
+#
+# The grammar and the error messages are argparse's, so scripts and tests
+# written against it read the same results: argparse is not imported, since
+# its import and its first parser cost a cold call about 10 ms of CPU.
+
+_HELP = ("-h", "--help")
+_NEGATIVE = re.compile(r"^-\d+$|^-\d*\.\d+$")  # read as a value, not as an option
+
+
+class _UsageError(Exception):
+    """A malformed command line, exit code 2; its args are the subcommand (None for falg itself) and the message."""
+
+
+def _options(command: str) -> tuple:
+    return _COMMON + COMMANDS[command][2]
+
+
+def _dest(name: str) -> str:
+    return name[2:].replace("-", "_")
+
+
+def _spec(opt: _Option) -> str:
+    """The option and its value as the usage line writes them."""
+    if opt.kind == FLAG:
+        return opt.name
+    if isinstance(opt.check, tuple):
+        metavar = "{" + ",".join(opt.check) + "}"
+    else:
+        metavar = opt.metavar or _dest(opt.name).upper()
+    return f"{opt.name} {metavar} [{metavar} ...]" if opt.kind == SOME else f"{opt.name} {metavar}"
+
+
+def _usage(command: Optional[str]) -> str:
+    if command is None:
+        return f"usage: falg [-h] {{{','.join(COMMANDS)}}} ..."
+    specs = (_spec(opt) if opt.required else f"[{_spec(opt)}]" for opt in _options(command))
+    return f"usage: falg {command} [-h] {' '.join(specs)}"
+
+
+def _help(command: Optional[str]) -> str:
+    options = [("-h, --help", "show this help message and exit")]
+    if command is None:
+        text = "Exact and certified-truncation arithmetic in free algebras with a countable basis."
+        sections = {"commands": [(name, entry[0]) for name, entry in COMMANDS.items()], "options": options}
+    else:
+        text = COMMANDS[command][0]
+        sections = {"options": options + [(_spec(opt), opt.help) for opt in _options(command)]}
+    lines = [_usage(command), "", text]
+    for heading, rows in sections.items():
+        lines += ["", f"{heading}:"]
+        for spec, about in rows:
+            lines += [f"  {spec}", f"{'':24}{about}"] if len(spec) > 20 else [f"  {spec:<22}{about}"]
+    lines += ["", "Exit codes: 0 success, 1 a law or certificate failed, 2 usage or parse errors."]
+    return "\n".join(lines)
+
+
+def _read_token(token: str, names, command: Optional[str]) -> Optional[tuple]:
+    """How argparse reads token against the option names.
+
+    None for a value; else (the name of the option it gives, or None for an
+    unknown option; the value attached after '=' or after -h, or None).
+    """
+    if not token or token[0] != "-":
+        return None
+    if token in names:
+        return token, None
+    if len(token) == 1:
+        return None
+    name, eq, value = token.partition("=")
+    if eq and name in names:
+        return name, value
+    if token[1] == "-":  # a prefix of long option names
+        matches = [n for n in names if n.startswith(name)]
+        value = value if eq else None
+    else:  # a short option with its value attached
+        matches = [n for n in names if n == token[:2]]
+        value = token[2:]
+    if len(matches) > 1:
+        raise _UsageError(command, f"ambiguous option: {token} could match {', '.join(matches)}")
+    if matches:
+        return matches[0], value
+    if _NEGATIVE.match(token) or " " in token:
+        return None
+    return None, None
+
+
+def _check_help(command: Optional[str], name: str, value: Optional[str]) -> None:
+    """-hh asks for help twice; any other value given to -h or --help is an error."""
+    rest = value.lstrip("h") if value and name == "-h" else value
+    if rest is not None and (rest or not value):
+        raise _UsageError(command, f"argument -h/--help: ignored explicit argument {rest!r}")
+
+
+def _convert(command: str, opt: _Option, text: str):
+    if opt.check is int:
+        try:
+            return int(text)
+        except ValueError:
+            raise _UsageError(command, f"argument {opt.name}: invalid int value: {text!r}") from None
+    if opt.check is not None and text not in opt.check:
+        choices = ", ".join(map(repr, opt.check))
+        raise _UsageError(command, f"argument {opt.name}: invalid choice: {text!r} (choose from {choices})")
+    return text
+
+
+def _parse_options(command: str, tokens: list[str]):
+    """(the subcommand's options, the tokens no option took) read from tokens, or None after printing help.
+
+    Tokens after '--' are never options; a token that is neither an
+    option nor the value of one is left over.
+    """
+    opts = _options(command)
+    options = dict.fromkeys(_HELP)
+    options.update((opt.name, opt) for opt in opts)
+    end = tokens.index("--") if "--" in tokens else len(tokens)
+    read = [_read_token(token, options, command) for token in tokens[:end]]
+    values = {_dest(opt.name): opt.default for opt in opts}
+    seen, rest = set(), []
+    i = 0
+    while i < end:
+        name, value = read[i] or (None, None)
+        i += 1
+        if name is None:
+            rest.append(tokens[i - 1])
+            continue
+        opt = options[name]
+        if opt is None:
+            _check_help(command, name, value)
+            print(_help(command))
+            return None
+        seen.add(name)
+        if opt.kind == FLAG:
+            if value is not None:
+                raise _UsageError(command, f"argument {name}: ignored explicit argument {value!r}")
+            values[_dest(name)] = True
+            continue
+        if value is None:
+            n = 0
+            while i + n < end and read[i + n] is None and (n == 0 or opt.kind == SOME):
+                n += 1
+            if not n:
+                expected = "at least one argument" if opt.kind == SOME else "one argument"
+                raise _UsageError(command, f"argument {name}: expected {expected}")
+            given, i = tokens[i:i + n], i + n
+        else:
+            given = [value]
+        given = [_convert(command, opt, text) for text in given]
+        dest = _dest(name)
+        if opt.kind == ONE:
+            values[dest] = given[0]
+        elif opt.kind == APPEND:
+            values[dest] = (values[dest] or []) + given
+        else:
+            values[dest] = given
+    missing = [opt.name for opt in opts if opt.required and opt.name not in seen]
+    if missing:
+        raise _UsageError(command, f"the following arguments are required: {', '.join(missing)}")
+    return types.SimpleNamespace(**values), rest + tokens[end:]
+
+
+def _parse(argv: list[str]):
+    """(handler, options) read from argv, or None after printing help.
+
+    Options before the subcommand may only be -h or --help; the first
+    token that is not an option names the subcommand.
+    """
+    before, i = [], 0  # the options before the subcommand, none of them -h or --help
+    while i < len(argv) and argv[i] != "--":
+        read = _read_token(argv[i], _HELP, None)
+        if read is None:
+            break
+        name, value = read
+        if name is not None:
+            _check_help(None, name, value)
+            print(_help(None))
+            return None
+        before.append(argv[i])
+        i += 1
+    if argv[i:] in ([], ["--"]):  # nothing, or only a final '--', names the subcommand
+        raise _UsageError(None, "the following arguments are required: command")
+    command = argv[i]
+    if command not in COMMANDS:
+        choices = ", ".join(map(repr, COMMANDS))
+        raise _UsageError(None, f"argument command: invalid choice: {command!r} (choose from {choices})")
+    parsed = _parse_options(command, argv[i + 1:])
+    if parsed is None:
+        return None
+    args, rest = parsed
+    if before or rest:
+        raise _UsageError(None, f"unrecognized arguments: {' '.join(before + rest)}")
+    return COMMANDS[command][1], args
 
 
 def main(argv: Optional[list[str]] = None) -> int:
     try:
-        args = _build_parser().parse_args(argv)
-    except SystemExit as e:
-        return int(e.code or 0)
+        parsed = _parse(list(sys.argv[1:] if argv is None else argv))
+    except _UsageError as e:
+        command, message = e.args
+        prog = "falg" if command is None else f"falg {command}"
+        print(f"{_usage(command)}\n{prog}: error: {message}", file=sys.stderr)
+        return 2
+    if parsed is None:
+        return 0
+    handler, args = parsed
     try:
-        return args.func(args)
+        return handler(args)
     except (CertificateError, NonAssociativeError) as e:
         print(f"check failed: {e}", file=sys.stderr)
         return 1
@@ -674,6 +894,7 @@ def main(argv: Optional[list[str]] = None) -> int:
         # LabelError is a ValueError and BackendMismatchError a TypeError
         print(str(e), file=sys.stderr)
         return 2
+
 
 if __name__ == "__main__":
     sys.exit(main())

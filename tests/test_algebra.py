@@ -414,6 +414,16 @@ def test_table_from_data_accumulates_duplicate_rows():
     assert t.lookup(0, 0) == HamelVector(RATIONAL, {1: 1})
 
 
+@pytest.mark.parametrize("backend", [INTEGER, RATIONAL, FLOAT64], ids=lambda b: b.name)
+def test_table_from_data_drops_a_cell_whose_rows_cancel(backend):
+    one = {"i": 0, "j": 0, "k": 0, "c": "1"}
+    cancelling = [{"i": 0, "j": 1, "k": 1, "c": "3"}, {"i": 0, "j": 1, "k": 1, "c": "-3"}]
+    t = table_from_data(backend, {"structure": [one, *cancelling]})
+    assert t == table_from_data(backend, {"structure": [one]})
+    assert t == table_from_data(backend, table_to_data(t))
+    assert table_from_data(backend, {"structure": cancelling}).entries == {}
+
+
 @pytest.mark.parametrize("index", [1.9, 1.0, True, "01", "1_0", -1], ids=repr)
 def test_table_from_data_rejects_non_canonical_indices(index):
     for name in "ijk":

@@ -1,12 +1,16 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
+import time
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 import falg
+from falg import cli
 from falg import HamelVector, RATIONAL, TailMap, TailVector, ColumnFiniteMap, load_builtin
 from falg.cli import (
     Add,
@@ -491,6 +495,164 @@ def test_cli_usage_errors(capsys):
     capsys.readouterr()
     assert main(["eval", "--algebra", "builtin:polynomial", "--backend", "f32", "--expr", "1"]) == 2
     capsys.readouterr()
+
+
+_POLY = ["--algebra", "builtin:polynomial"]
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        ([], "falg: error: the following arguments are required: command"),
+        (["--"], "falg: error: the following arguments are required: command"),
+        (["frobnicate"], "falg: error: argument command: invalid choice: 'frobnicate' "
+                         "(choose from 'eval', 'apply', 'compose', 'tensor', 'norm', 'check', 'dual')"),
+        (["--", "eval"], "falg: error: argument command: invalid choice: '--' "
+                         "(choose from 'eval', 'apply', 'compose', 'tensor', 'norm', 'check', 'dual')"),
+        (["eval"], "falg eval: error: the following arguments are required: --algebra, --expr"),
+        (["eval", *_POLY], "falg eval: error: the following arguments are required: --expr"),
+        (["eval", *_POLY, "--", "--expr", "1"], "falg eval: error: the following arguments are required: --expr"),
+        (["dual", "--vector", "v"], "falg dual: error: the following arguments are required: --functional"),
+        (["eval", *_POLY, "--expr", "1", "--backend", "f32"],
+         "falg eval: error: argument --backend: invalid choice: 'f32' (choose from 'f64', 'int', 'rat')"),
+        (["eval", *_POLY, "--expr", "1", "--backend="],
+         "falg eval: error: argument --backend: invalid choice: '' (choose from 'f64', 'int', 'rat')"),
+        (["check", *_POLY, "--trials", "x"], "falg check: error: argument --trials: invalid int value: 'x'"),
+        (["check", *_POLY, "--seed=1.5"], "falg check: error: argument --seed: invalid int value: '1.5'"),
+        (["check", *_POLY, "--max-index", "-.5"], "falg check: error: argument --max-index: invalid int value: '-.5'"),
+        (["tensor", "--samples", "-x"], "falg tensor: error: argument --samples: expected one argument"),
+        (["tensor", "--s", "1"], "falg tensor: error: ambiguous option: --s could match --samples, --seed"),
+        (["tensor", "--pure", "v", "--s=1"],
+         "falg tensor: error: ambiguous option: --s=1 could match --samples, --seed"),
+        (["norm", "--=x"],
+         "falg norm: error: ambiguous option: --=x could match --help, --backend, --json, --vector, --map"),
+        (["eval", *_POLY, "--expr", "-e1"], "falg eval: error: argument --expr: expected one argument"),
+        (["eval", *_POLY, "--expr"], "falg eval: error: argument --expr: expected one argument"),
+        (["tensor", "--pure", "--json"], "falg tensor: error: argument --pure: expected at least one argument"),
+        (["eval", *_POLY, "--expr", "1", "--json=1"],
+         "falg eval: error: argument --json: ignored explicit argument '1'"),
+        (["eval", "-hhx"], "falg eval: error: argument -h/--help: ignored explicit argument 'x'"),
+        (["eval", "--help="], "falg eval: error: argument -h/--help: ignored explicit argument ''"),
+        (["-h=x", "eval"], "falg: error: argument -h/--help: ignored explicit argument 'x'"),
+        (["eval", *_POLY, "--expr", "1", "stray", "--nope", "-x"],
+         "falg: error: unrecognized arguments: stray --nope -x"),
+        (["--json", "eval", *_POLY, "--expr", "1", "--", "x"], "falg: error: unrecognized arguments: --json -- x"),
+        (["eval", *_POLY, "--expr", "1", "--pure", "v"], "falg: error: unrecognized arguments: --pure v"),
+        (["tensor", "--pure=v", "w"], "falg: error: unrecognized arguments: w"),
+    ],
+    ids=[
+        "no-command", "only-double-dash", "bad-command", "double-dash-command", "eval-required-both",
+        "eval-required-expr", "required-after-double-dash", "dual-required", "bad-choice", "empty-choice",
+        "bad-int", "bad-int-equals", "bad-int-negative-decimal", "dashed-value", "ambiguous", "ambiguous-equals",
+        "ambiguous-empty-prefix", "dashed-expr", "missing-value", "pure-needs-one", "flag-value", "help-value",
+        "help-empty-value", "top-help-value", "unrecognized", "unrecognized-before-and-after",
+        "option-of-another-command", "pure-equals-takes-one",
+    ],
+)
+def test_cli_usage_error_messages(capsys, argv, message):
+    # a usage message, then argparse's error line word for word
+    code, out, err = run(capsys, argv)
+    usage, *more, last = err.splitlines()
+    assert code == 2 and out == ""
+    assert usage.startswith("usage: falg") and all(line.startswith(" ") for line in more) and last == message
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["eval", *_POLY, "--expr", "-1"],
+        ["eval", "--algebra=builtin:polynomial", "--expr=-1"],
+        ["eval", "--alg", "builtin:polynomial", "--ex", "-1", "--j"],
+        ["eval", "--expr", "-1", "--backend", "int", *_POLY, "--backend", "rat"],
+        ["eval", *_POLY, "--expr", "1 - 2"],
+        ["eval", *_POLY, "--expr", "-1 + 0"],
+        ["eval", "--json", *_POLY, "--expr", "-1", "--json"],
+    ],
+    ids=lambda argv: " ".join(argv),
+)
+def test_cli_option_spellings_read_the_same(capsys, argv):
+    # --opt value, --opt=value, unique prefixes, negative numbers as values, the last of a repeated option
+    code, out, err = run(capsys, argv)
+    assert (code, err) == (0, "")
+    assert out == ('{"coords": {"0": "-1"}}\n' if "--json" in argv or "--j" in argv else "{0: -1}\n")
+
+
+def test_cli_int_options_are_ints(tmp_path, capsys):
+    code, out, _ = run(capsys, ["check", "--algebra", "builtin:complex", "--trials", "2", "--seed=-3", "--max-i", "3"])
+    assert code == 0 and out.splitlines()[0].endswith("(2 trials)") and out.endswith("(seed -3)\n")
+    t = write(tmp_path, "t.json", {"arity": 2, "coords": {"0,0": "1"}})
+    f = write(tmp_path, "f.json", {"cols": {"0": {"0": "1"}}})
+    v = write(tmp_path, "v.json", {"coords": {"0": "1"}})
+    argv = ["tensor", *_POLY, "--tensor", t, "--map", f, "--vector", v, "--samples", "2", "--se", "5"]
+    code, out, _ = run(capsys, argv)
+    assert code == 0 and out == "{0: 1}\n"
+
+
+def test_cli_let_repeats_and_pure_takes_several(tmp_path, capsys):
+    v = write(tmp_path, "v.json", {"coords": {"1": "1"}})
+    w = write(tmp_path, "w.json", {"coords": {"2": "1"}})
+    code, out, _ = run(capsys, ["eval", *_POLY, "--let", f"v={v}", f"--let=w={w}", "--expr", "v * w"])
+    assert code == 0 and out == "{3: 1}\n"
+    code, out, _ = run(capsys, ["tensor", "--pure", v, w, v])
+    assert code == 0 and out == '{"arity": 3, "coords": {"1,2,1": "1"}}\n'
+
+
+@pytest.mark.parametrize("argv, err", [
+    (["norm", "--map=--"], "cannot read --: [Errno 2] No such file or directory: '--'\n"),
+    (["eval", *_POLY, "--expr", "1", "--let=--"], "--let takes NAME=PATH, got '--'\n"),
+])
+def test_cli_value_after_equals_may_be_double_dash(capsys, argv, err):
+    assert run(capsys, argv) == (2, "", err)
+
+
+@pytest.mark.parametrize("command", [None, *cli.COMMANDS])
+@pytest.mark.parametrize("flag", ["-h", "--help", "--he", "-hh"])
+def test_cli_help_exits_0_and_names_every_option(capsys, command, flag):
+    argv = [flag] if command is None else [command, "--nope", flag, "--json=1"]
+    code, out, err = run(capsys, argv)
+    assert (code, err) == (0, "") and out.startswith("usage: falg")
+    names = cli.COMMANDS if command is None else [opt.name for opt in cli._options(command)]
+    assert all(name in out for name in names)
+
+
+@pytest.fixture(scope="module")
+def cli_paths(tmp_path_factory):
+    root = tmp_path_factory.mktemp("cli-fuzz")
+    files = {"v": {"coords": {"0": "1", "2": "-1/2"}}, "tv": {"coords": {"1": "1"}, "tail": "1/4"},
+             "f": {"cols": {"0": {"1": "1"}, "1": {"0": "3"}}}, "t": {"arity": 2, "coords": {"0,1": "1"}},
+             "a": {"structure": [{"i": 0, "j": 0, "k": 0, "c": "1"}]}, "bad": "{x"}
+    for name, data in files.items():
+        (root / f"{name}.json").write_text(data if isinstance(data, str) else json.dumps(data))
+    return [str(root / f"{name}.json") for name in [*files, "missing"]] + [str(root)]
+
+
+_NAMES = sorted({opt.name for command in cli.COMMANDS for opt in cli._options(command)} | {"-h", "--help"})
+_JUNK = ["", "-", "--", "-x", "x", "--nope", "=", "-1", "-0.5", "0", "2", "x y", "-e1", "1/0", "e1 * e2", "v", "f32",
+         "rat", "int", "f64", "builtin:polynomial", "builtin:free:2", "builtin:nope", "v=", "\x00", "é", "-1\n", "٣"]
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_cli_main_is_total(cli_paths, data):
+    # every argv ends in exit code 0, 1 or 2, with no traceback, quickly
+    name = st.sampled_from(_NAMES)
+    token = st.one_of(
+        st.sampled_from([*cli.COMMANDS, *cli_paths, *_JUNK]),
+        name,
+        st.builds(lambda n, k: n[:k], name, st.integers(2, 12)),
+        st.builds(lambda n, v: f"{n}={v}", name, st.sampled_from([*_JUNK, *cli_paths, "v=" + cli_paths[0]])),
+        st.text(max_size=6),
+    )
+    argv = data.draw(st.lists(token, max_size=10))
+    if data.draw(st.booleans()):
+        argv.insert(0, data.draw(st.sampled_from(list(cli.COMMANDS))))
+    out, err = io.StringIO(), io.StringIO()
+    start = time.monotonic()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert time.monotonic() - start < 5, argv
+    assert code in (0, 1, 2), argv
+    assert "Traceback" not in err.getvalue()
 
 
 def test_cli_unknown_algebra(capsys):

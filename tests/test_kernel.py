@@ -964,9 +964,9 @@ def test_builtins_and_readers_build_no_scalar_a_caller_does_not_read(backend, mo
     for name, call in readers.items():
         call()
         assert built == [], name
-    table = readers["table_from_data"]()  # parsed and summed on raw values, and the cancelled cell is empty
+    table = readers["table_from_data"]()  # parsed and summed on raw values, and the cancelled cell dropped
     assert {key: e._raw for key, e in table.entries.items()} == {
-        (0, 0): {0: backend.from_int(3)}, (0, 1): {}, (1, 1): {2: backend.from_int(-1)}
+        (0, 0): {0: backend.from_int(3)}, (1, 1): {2: backend.from_int(-1)}
     }
     v = HamelVector(backend, {0: 1, 4: -2})
     for key, expected in ((4, -2), (7, 0)):  # a hit and a miss

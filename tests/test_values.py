@@ -158,11 +158,15 @@ def test_structure_table_is_a_mutable_record():
 
 
 def test_cli_import_loads_no_code_generator():
-    # the second list holds every top-level module loaded that is neither falg nor
-    # the standard library (__main__ is the -c script): the runtime needs no other
+    # after the import and one usage error, the first list holds the costly imports a
+    # cold call avoids: generated code, and argparse with the gettext and locale it
+    # loads; the second every top-level module loaded that is neither falg nor the
+    # standard library (__main__ is the -c script): the runtime needs no other
     code = (
-        "import sys, falg.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)));"
-        " print(sorted({m.partition('.')[0] for m in sys.modules}"
+        "import contextlib, io, sys, falg.cli\n"
+        "with contextlib.redirect_stderr(io.StringIO()): falg.cli.main(['eval'])\n"
+        "print(sorted({'dataclasses', 'inspect', 'argparse', 'gettext', 'locale'} & set(sys.modules)))\n"
+        "print(sorted({m.partition('.')[0] for m in sys.modules}"
         " - set(sys.stdlib_module_names) - {'falg', '__main__'}))"
     )
     env = dict(os.environ, PYTHONPATH=SRC_DIR)
