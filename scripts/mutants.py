@@ -41,6 +41,7 @@ F64_OVERFLOW = [KERNEL + f"test_float_overflow_raises[{op}]"
                 for op in ("add", "scale", "apply", "compose", "mul", "tensor_pure")]
 CLI = "tests/test_cli.py::"
 USAGE = CLI + "test_cli_usage_error_messages["
+ENTRY = CLI + "test_cli_run_exits_with_main_code_and_freezes_after["
 MERGES = KERNEL + "test_add_and_sub_are_the_chained_operators["
 MERGE_EXAMPLES = KERNEL + "test_add_and_sub_examples["
 PASS = VALUES + "test_exact_type_pass_examples["
@@ -442,6 +443,19 @@ MUTANTS = [
         "    if parsed is None:\n        return 2",
         [CLI + f"test_cli_help_exits_0_and_names_every_option[-h-{c}]" for c in ("None", "eval", "check")]
         + [DIFFERENTIAL],
+    ),
+    # the process entry exits with main's code after freezing the collector
+    Mutant(
+        "entry-skips-freeze", "cli.py",
+        "    code = main()\n    gc.freeze()\n",
+        "    code = main()\n",
+        [ENTRY + f"{code}]" for code in (0, 1, 2)] + [CLI + "test_cli_entry_runs_atexit_handlers_after_freezing"],
+    ),
+    Mutant(
+        "entry-exits-0", "cli.py",
+        "    sys.exit(code)",
+        "    sys.exit(0)",
+        [ENTRY + f"{code}]" for code in (1, 2)] + [CLI + "test_cli_subprocess_determinism"],
     ),
 ]
 

@@ -2,7 +2,9 @@
 
 Everything takes an explicit random.Random so suites stay seeded and
 reproducible.  The tail-soundness harness lives here because both the unit
-tests and the acceptance suite drive it, at different trial counts.
+tests and the acceptance suite drive it, at different trial counts.  The
+expression printer is the parser's round-trip oracle; no command prints
+expressions, so it is not part of falg.
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ from falg import (
     load_builtin,
     tail_mul,
 )
+from falg.cli import Add, Assoc, Basis, Comm, Label, Lit, Mul, Name, Neg, Sub
 
 
 def rand_scalar(rng: random.Random, backend, span: int = 5) -> Scalar:
@@ -242,3 +245,48 @@ def soundness_trial(rng: random.Random, max_depth: int = 4, backend=RATIONAL) ->
     """Run one tree; returns the exact (error, bound), with error <= bound demanded."""
     exact, certified = soundness_tree(rng, max_depth, backend)
     return l1_distance(exact, _exact(certified.prefix)), Fraction(certified.tail)
+
+
+# expression printer ------------------------------------------------------
+
+
+def print_expr(node) -> str:
+    """Render with the fewest parentheses that re-parse to the same tree."""
+    return _print(node, 1)
+
+
+def _print(node, level: int) -> str:
+    if isinstance(node, (Add, Sub, Mul)):
+        # walk the left spine of a chain in a loop, as cli._eval does
+        spine = []
+        while isinstance(node, (Add, Sub, Mul)):
+            spine.append((node, level))
+            level = 2 if isinstance(node, Mul) else 1
+            node = node.a
+        text = _print(node, level)
+        for node, level in reversed(spine):
+            if isinstance(node, Mul):
+                text = f"{text} * {_print(node.b, 3)}"
+                if level > 2:
+                    text = f"({text})"
+            else:
+                op = "+" if isinstance(node, Add) else "-"
+                text = f"{text} {op} {_print(node.b, 2)}"
+                if level > 1:
+                    text = f"({text})"
+        return text
+    if isinstance(node, Lit):
+        return node.text
+    if isinstance(node, Label):
+        return f"`{node.text}`"
+    if isinstance(node, Basis):
+        return f"e{node.index}"
+    if isinstance(node, Name):
+        return node.ident
+    if isinstance(node, Comm):
+        return f"[{_print(node.a, 1)}, {_print(node.b, 1)}]"
+    if isinstance(node, Assoc):
+        return f"<{_print(node.a, 1)}, {_print(node.b, 1)}, {_print(node.c, 1)}>"
+    if isinstance(node, Neg):
+        return f"-{_print(node.a, 3)}"
+    raise TypeError(f"not an expression node: {type(node).__name__}")

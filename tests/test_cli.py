@@ -1,10 +1,12 @@
 import contextlib
+import gc
 import io
 import json
 import os
 import subprocess
 import sys
 import time
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -29,8 +31,8 @@ from falg.cli import (
     eval_expr,
     main,
     parse_expr,
-    print_expr,
 )
+from support import print_expr
 
 SRC_DIR = os.path.dirname(os.path.dirname(os.path.abspath(falg.__file__)))
 
@@ -426,7 +428,8 @@ def test_cli_check_json(capsys):
     assert {r["law"] for r in report["laws"]} >= {"associative", "commutative"}
 
 
-def test_cli_check_false_claim_exits_1(tmp_path, capsys):
+def twisted(tmp_path) -> str:
+    """A table file claiming associativity and commutativity, though e1 * e2 != e2 * e1."""
     rows = [
         {"i": 0, "j": n, "k": n, "c": "1"} for n in range(3)
     ] + [
@@ -435,11 +438,15 @@ def test_cli_check_false_claim_exits_1(tmp_path, capsys):
         {"i": 1, "j": 1, "k": 2, "c": "1"},
         {"i": 2, "j": 1, "k": 1, "c": "1"},
     ]
-    table = write(
+    return write(
         tmp_path,
         "twisted.json",
         {"name": "twisted", "structure": rows, "claims": {"associative": True, "commutative": True}},
     )
+
+
+def test_cli_check_false_claim_exits_1(tmp_path, capsys):
+    table = twisted(tmp_path)
     code, out, _ = run(capsys, ["check", "--algebra", table, "--max-index", "2", "--seed", "1"])
     assert code == 1
     assert "FAIL at trial" in out
@@ -646,7 +653,158 @@ def test_cli_main_is_total(cli_paths, data):
     argv = data.draw(st.lists(token, max_size=10))
     if data.draw(st.booleans()):
         argv.insert(0, data.draw(st.sampled_from(list(cli.COMMANDS))))
+    # main leaves the collector alone: only the process entry, run, freezes it
+    collector = contextlib.nullcontext()
+    if data.draw(st.booleans()):
+        collector = mock.patch.object(gc, "freeze", side_effect=AssertionError("main froze the collector"))
     out, err = io.StringIO(), io.StringIO()
+    start = time.monotonic()
+    with collector, contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert time.monotonic() - start < 5, argv
+    assert code in (0, 1, 2), argv
+    assert "Traceback" not in err.getvalue()
+
+
+# every file reader of main, on generated file contents -------------------
+
+# wire-shaped objects whose leaves are junk: wrong types, non-canonical keys, huge and
+# over-long numbers, 1/0 and nan; raw text and bytes for what json.dumps cannot write
+_JUNK_NUMBERS = ["1/0", "0/0", "nan", "inf", "-inf", "1e400", "1e-400", "1e99999", "2.5", "9" * 5000,
+                 "1/" + "3" * 5000, str(2**200), " 1", "0x10", "", "x", "\u0663", "-0", "+1", "1_0"]
+_JUNK_KEYS = ["01", "-1", "+1", " 1", "1.0", "0,", "x", "", "\u0663", "1e3", str(2**70), "9" * 5000]
+_WIRE_LEAF = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.integers(min_value=2**64), st.floats(),
+    st.sampled_from(_JUNK_NUMBERS), st.text(max_size=6),
+)
+_JUNK_TREE = st.recursive(
+    _WIRE_LEAF,
+    lambda sub: st.lists(sub, max_size=3) | st.dictionaries(st.sampled_from(_JUNK_KEYS), sub, max_size=3),
+    max_leaves=12,
+)
+# about half of the values and keys are good ones, so most files get past their first check
+_VALUE = st.sampled_from(["1", "-1/2", "3", "0"]) | _WIRE_LEAF
+_INDEX = st.sampled_from(["0", "1", "2", "3"]) | st.sampled_from(_JUNK_KEYS) | st.text(max_size=3)
+_COORDS = st.dictionaries(_INDEX, _VALUE, max_size=4)
+_ROW_INDEX = st.integers(0, 3) | st.sampled_from(["0", "1", "2"]) | _WIRE_LEAF
+_ROW = st.fixed_dictionaries(
+    {"i": _ROW_INDEX, "j": _ROW_INDEX, "k": _ROW_INDEX, "c": _VALUE}, optional={"x": _WIRE_LEAF}
+) | st.dictionaries(st.sampled_from("ijkc"), _VALUE, max_size=4) | _JUNK_TREE
+_WIRE_FIELDS = {
+    "coords": _COORDS | _JUNK_TREE,
+    "cols": st.dictionaries(_INDEX, _COORDS | _JUNK_TREE, max_size=4) | _JUNK_TREE,
+    "tail": _VALUE,
+    "arity": st.integers(1, 3) | _WIRE_LEAF,
+    "structure": st.lists(_ROW, max_size=5) | _JUNK_TREE,
+    "pairBound": _VALUE,
+    "claims": st.dictionaries(st.sampled_from(["associative", "commutative", "x"]), st.booleans() | _WIRE_LEAF,
+                              max_size=3),
+    "builtin": st.sampled_from(["polynomial", "quaternion", "free:2", "free:0", "free:02", "nope"]) | _WIRE_LEAF,
+    "name": _WIRE_LEAF,
+}
+
+
+def _shape(required: str, *optional: str):
+    return st.fixed_dictionaries({required: _WIRE_FIELDS[required]},
+                                 optional={name: _WIRE_FIELDS[name] for name in optional})
+
+
+# the shape each reader wants, and any other
+_SHAPES = {
+    "vector": _shape("coords", "tail"),
+    "map": _shape("cols", "tail"),
+    "tensor": st.fixed_dictionaries({
+        "arity": _WIRE_FIELDS["arity"],
+        "coords": st.dictionaries(st.sampled_from(["0,1", "1,0", "2,2", "0,0,0"]) | _INDEX, _VALUE, max_size=4),
+    }),
+    "algebra": _shape("structure", "pairBound", "claims", "name") | _shape("builtin"),
+}
+_ANY_WIRE = st.one_of(*_SHAPES.values(), st.fixed_dictionaries({}, optional=_WIRE_FIELDS), _JUNK_TREE)
+_RAW_TEXT = [
+    '{"coords": {"0": "1", "0": "2"}}',  # duplicate keys: json keeps the last
+    '{"coords": {"0": "1"}, "coords": {"1": "x"}}',
+    '{"cols": {"0": {"1": "1"}, "0": {"2": "1"}}, "tail": "1", "tail": "-1"}',
+    '{"structure": [{"i": 0, "i": -1, "j": 0, "k": 0, "c": "1"}]}',
+    '{"coords": {"0": 1' + "0" * 5000 + "}}",  # longer than json's int-digit limit
+    '{"coords": {"0": "1"}, "tail": 1e999}',
+    '{"coords": {"0": "1"}, "tail": NaN}',
+    '{"cols": {}, "tail": -Infinity}',
+    '{"structure": [], "pairBound": Infinity}',
+    '{"arity": 2, "coords": {"0,1": 1e999}}',
+    "[" * 5000 + "]" * 5000,  # nested deeper than json can read
+    '{"coords": ' * 2000 + "{}" + "}" * 2000,
+    '{"name": "\\ud800", "structure": []}',  # a lone surrogate in an echoed name
+    '{"coords": {"\\ud800": "1"}}',
+    "",
+    "\ufeff{}",
+    "{}\x00",
+]
+_RAW = st.one_of(
+    st.sampled_from(_RAW_TEXT).map(str.encode),
+    st.sampled_from([b"\xff\xfe{}", b'{"coords": {"0": "\xe9"}}', b"\xef\xbb\xbf{}", b"\x80"]),
+    st.binary(max_size=12),
+)
+
+
+def _content(kind: str):
+    """File contents for a reader of kind: its own shape, any wire shape, or raw text and bytes."""
+    return st.one_of(_SHAPES[kind].map(lambda data: json.dumps(data).encode()),
+                     _ANY_WIRE.map(lambda data: json.dumps(data).encode()), _RAW)
+
+
+# argv per file reader; J is a generated file, V, F and T good files
+_READERS = [
+    ["apply", "--map", "F", "--vector", "J"],
+    ["apply", "--map", "J", "--vector", "V"],
+    ["apply", "--map", "J", "--vector", "J"],
+    ["norm", "--vector", "J"],
+    ["norm", "--map", "J"],
+    ["dual", "--functional", "J", "--vector", "V"],
+    ["dual", "--functional", "V", "--vector", "J"],
+    ["compose", "--f", "J", "--g", "F"],
+    ["compose", "--f", "F", "--g", "J"],
+    ["tensor", "--pure", "J"],
+    ["tensor", "--pure", "V", "J", "J"],
+    ["tensor", "--algebra", "J", "--tensor", "T", "--map", "F", "--vector", "V", "--samples", "8"],
+    ["tensor", "--algebra", "builtin:polynomial", "--tensor", "J", "--map", "F", "--vector", "V", "--samples", "8"],
+    ["tensor", "--algebra", "builtin:polynomial", "--tensor", "T", "--map", "J", "--vector", "V", "--samples", "8"],
+    ["tensor", "--algebra", "builtin:polynomial", "--tensor", "T", "--map", "F", "--vector", "J", "--samples", "8"],
+    ["eval", "--algebra", "J", "--expr", "e0 * e1 + 2 * e1 * e1"],
+    ["check", "--algebra", "J", "--trials", "10"],
+    ["eval", "--algebra", "builtin:polynomial", "--expr", "v * v - 1/2 * v", "--let", "v=J"],
+]
+_KINDS = {"--vector": "vector", "--functional": "vector", "--pure": "vector", "--let": "vector",
+          "--map": "map", "--f": "map", "--g": "map", "--tensor": "tensor", "--algebra": "algebra"}
+
+
+@pytest.fixture(scope="module")
+def wire_dir(tmp_path_factory):
+    root = tmp_path_factory.mktemp("wire-fuzz")
+    good = {"V": {"coords": {"0": "1", "2": "-3"}}, "F": {"cols": {"0": {"1": "1"}, "1": {"0": "3"}}},
+            "T": {"arity": 2, "coords": {"0,1": "1"}}}
+    for name, data in good.items():
+        (root / f"{name}.json").write_text(json.dumps(data))
+    return root
+
+
+@pytest.mark.parametrize("backend", ["int", "rat", "f64"])
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_cli_file_readers_are_total(wire_dir, backend, data):
+    # every generated file content ends in exit code 0, 1 or 2, with no traceback, quickly
+    template = data.draw(st.sampled_from(_READERS))
+    argv = [*template, "--backend", backend] + data.draw(st.sampled_from([[], ["--json"]]))
+    for n, token in enumerate(template):
+        if token in ("V", "F", "T"):
+            argv[n] = str(wire_dir / f"{token}.json")
+        elif token in ("J", "v=J"):
+            option = next(t for t in reversed(template[:n]) if t.startswith("--"))
+            path = wire_dir / f"junk{n}.json"
+            path.write_bytes(data.draw(_content(_KINDS[option])))
+            argv[n] = token.replace("J", str(path))
+    # a strict UTF-8 stdout, as a process has, so an unencodable echo is not hidden
+    out = io.TextIOWrapper(io.BytesIO(), encoding="utf-8")
+    err = io.StringIO()
     start = time.monotonic()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(argv)
@@ -690,6 +848,64 @@ def test_cli_subprocess_determinism(tmp_path):
     assert first.returncode == second.returncode == 0
     assert first.stdout == second.stdout
     assert first.stdout.endswith(b"\n")
+    # python -m falg and python -m falg.cli are one entry point: the same code, stdout and stderr
+    for code, falg_argv in _entry_calls(tmp_path).items():
+        via_package, via_module = (
+            subprocess.run([sys.executable, "-m", module, *falg_argv], capture_output=True, env=env)
+            for module in ("falg", "falg.cli")
+        )
+        assert via_package.returncode == via_module.returncode == code, falg_argv
+        assert (via_package.stdout, via_package.stderr) == (via_module.stdout, via_module.stderr), falg_argv
+        assert (via_package.stdout if code < 2 else via_package.stderr).endswith(b"\n"), falg_argv
+
+
+def _entry_calls(tmp_path) -> dict:
+    """One falg argv per exit code: a success, a failed law and a usage error."""
+    return {
+        0: ["eval", "--algebra", "builtin:polynomial", "--expr", "(1 + `x`)*(1 + `x`)"],
+        1: ["check", "--algebra", twisted(tmp_path), "--max-index", "2", "--seed", "1"],
+        2: ["eval", "--algebra", "builtin:polynomial"],
+    }
+
+
+@pytest.mark.parametrize("code", [0, 1, 2])
+def test_cli_run_exits_with_main_code_and_freezes_after(tmp_path, monkeypatch, code):
+    argv = _entry_calls(tmp_path)[code]
+    printed = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(printed[0]), contextlib.redirect_stderr(printed[1]):
+        assert main(argv) == code
+    expected = printed[0].getvalue(), printed[1].getvalue()
+    assert expected[0] if code < 2 else expected[1]
+
+    events = []
+    out, err = io.StringIO(), io.StringIO()
+
+    def spy_main(argv=None):
+        result = main(argv)
+        events.append(("main returned", result))
+        return result
+
+    monkeypatch.setattr(cli, "main", spy_main)
+    monkeypatch.setattr(gc, "freeze", lambda: events.append(("freeze", out.getvalue(), err.getvalue())))
+    monkeypatch.setattr(sys, "argv", ["falg", *argv])
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), pytest.raises(SystemExit) as exited:
+        cli.run()
+    assert exited.value.code == code
+    assert events == [("main returned", code), ("freeze", *expected)]
+    assert (out.getvalue(), err.getvalue()) == expected
+
+
+def test_cli_entry_runs_atexit_handlers_after_freezing():
+    # the exit freeze skips only the shutdown collections: atexit handlers run and see the frozen heap
+    script = (
+        "import atexit, gc, runpy, sys\n"
+        "atexit.register(lambda: print('frozen', gc.get_freeze_count() > 0, file=sys.stderr))\n"
+        "sys.argv = ['falg', 'eval', '--algebra', 'builtin:polynomial', '--expr', 'e1 * e2']\n"
+        "runpy.run_module('falg', run_name='__main__')\n"
+    )
+    env = dict(os.environ, PYTHONPATH=SRC_DIR)
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=30)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "{3: 1}\n", "frozen True\n")
 
 
 def _falg(*argv, timeout=30):
