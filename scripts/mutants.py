@@ -45,6 +45,10 @@ ENTRY = CLI + "test_cli_run_exits_with_main_code_and_freezes_after["
 MERGES = KERNEL + "test_add_and_sub_are_the_chained_operators["
 MERGE_EXAMPLES = KERNEL + "test_add_and_sub_examples["
 PASS = VALUES + "test_exact_type_pass_examples["
+LINEAR = VALUES + "test_minus_and_scalar_times_are_the_linear_identities["
+TAIL_DIFFERENCES = "tests/test_schauder.py::test_rational_tail_map_differences_are_sound"
+LONG_ECHOES = ("literal", "unexpected", "identifier", "builtin-name", "polynomial-label", "quaternion-label",
+               "table-label")
 VIEW_KINDS = ("vector", "functional", "tensor")
 BACKENDS = ("int", "rat", "f64")
 
@@ -456,6 +460,36 @@ MUTANTS = [
         "    sys.exit(code)",
         "    sys.exit(0)",
         [ENTRY + f"{code}]" for code in (1, 2)] + [CLI + "test_cli_subprocess_determinism"],
+    ),
+    # a - b and d * a are written once, for every linear value; negation keeps a tail
+    Mutant(
+        "linear-sub-adds", "hamel.py",
+        "        return self + (-other)",
+        "        return self + other",
+        [LINEAR + f"{kind}-{b}]" for kind in ("vector", "map", "tail-vector", "tail-map") for b in ("int", "rat")]
+        + [TAIL_DIFFERENCES, DIFFERENTIAL],
+    ),
+    Mutant(
+        "certified-neg-drops-tail", "schauder.py",
+        "return self._make(-self._part(), self.tail)",
+        "return self._make(-self._part(), self.backend.norm_zero)",
+        [LINEAR + f"{kind}-{b}]" for kind in ("tail-vector", "tail-map") for b in ("int", "rat")]
+        + [TAIL_DIFFERENCES, DIFFERENTIAL],
+    ),
+    # float64 reads JSON numbers, but not JSON booleans
+    Mutant(
+        "f64-parse-takes-bool", "ring.py",
+        "return _finite(float(_not_bool(text)))",
+        "return _finite(float(text))",
+        [RING + "test_backend_method_outcomes_are_pinned[parse(True,)]",
+         CLI + "test_cli_malformed_file_stderr[norm-bool-f64]"],
+    ),
+    # an error message quotes at most 40 characters of caller text
+    Mutant(
+        "excerpt-uncut", "ring.py",
+        "    if len(text) <= 40:\n        return repr(text)\n",
+        "    return repr(text)\n",
+        [CLI + f"test_cli_long_token_echo_is_short[{case}]" for case in LONG_ECHOES],
     ),
 ]
 

@@ -12,7 +12,10 @@ and untracked files that no .gitignore names).  Each side is extracted with
 workload and seed both sides run `python3 bench/run.py --workload W --seed S
 --seconds N --trace 0` one after the other: the parent first on odd seeds,
 the change first on even ones.  `--traced SEED` adds one `--trace 1` run per
-side on each workload, for its per-layer metrics.
+side on each workload, for its per-layer metrics.  After the pairs, each
+side runs `scripts/prime_guard.py` and `scripts/op_classes.py` once, with
+their defaults, and the output keeps their stdout lines under `layers`,
+per side and script: null where that side's tree lacks the script.
 
 The output has BENCH_20.json's layout: per workload its seeds, which side ran
 first, the failed/attempted counts of every run, and per end-to-end metric
@@ -42,6 +45,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 WORKTREE = "WORKTREE"
 SIDES = ("parent", "change")
+LAYER_SCRIPTS = ("prime_guard.py", "op_classes.py")
 
 
 def _git(*args: str) -> str:
@@ -78,6 +82,21 @@ def _run(tree: Path, workload: str, seed: int, seconds: int, trace: int) -> dict
         raise SystemExit(f"{tree.name}: {workload} seed {seed} exited {proc.returncode}:\n"
                          f"{proc.stdout[-2000:]}{proc.stderr[-2000:]}")
     return json.loads((tree / ".bench_out" / f"result-{workload}-s{seed}-t{trace}.json").read_text())
+
+
+def _layers(tree: Path) -> dict:
+    """The stdout lines of each layer script run once in tree; None where tree lacks it."""
+    out = {}
+    for name in LAYER_SCRIPTS:
+        if not (tree / "scripts" / name).is_file():
+            out[name] = None
+            continue
+        proc = subprocess.run([sys.executable, f"scripts/{name}"], cwd=tree, capture_output=True, text=True,
+                              timeout=1200)
+        if proc.returncode != 0:
+            raise SystemExit(f"{tree.name}: {name} exited {proc.returncode}:\n{proc.stderr[-2000:]}")
+        out[name] = proc.stdout.splitlines()
+    return out
 
 
 def _summary(values: list[float]) -> dict:
@@ -160,6 +179,7 @@ def main(argv=None) -> int:
                 traced = report.setdefault("per_layer_traced", {})
                 traced[workload] = {"seed": args.traced, **{
                     side: _run(trees[side], workload, args.traced, args.seconds, 1)["metrics"] for side in SIDES}}
+        report["layers"] = {side: _layers(trees[side]) for side in SIDES}
     out.write_text(json.dumps(report, indent=1) + "\n")
     print(f"wrote {out}")
     return 0

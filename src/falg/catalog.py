@@ -28,7 +28,7 @@ symbol^(m+n).  Besides its rule, such a table carries the codec
 
 from __future__ import annotations
 
-from .ring import RATIONAL, Backend, _Frozen
+from .ring import RATIONAL, Backend, _Frozen, _excerpt
 from .hamel import HamelVector, basis_vector
 from .algebra import StructureTable, table_from_data
 
@@ -77,13 +77,13 @@ def _parse_power(symbol: str, label: str, allow_negative: bool) -> int:
         try:
             n = int(body)
         except ValueError:
-            raise LabelError(f"malformed label {label!r}") from None
+            raise LabelError(f"malformed label {_excerpt(label)}") from None
         if str(n) != body:  # reject "x^+2", "x^ 2", "x^02"
-            raise LabelError(f"malformed label {label!r}")
+            raise LabelError(f"malformed label {_excerpt(label)}")
         if n < 0 and not allow_negative:
-            raise LabelError(f"negative power in label {label!r}")
+            raise LabelError(f"negative power in label {_excerpt(label)}")
         return n
-    raise LabelError(f"malformed label {label!r}")
+    raise LabelError(f"malformed label {_excerpt(label)}")
 
 
 def _power_basis(backend, name, symbol, to_index, to_exponent, allow_negative) -> AlgebraFixture:
@@ -210,7 +210,7 @@ def _finite_fixture(backend, name, labels, products, commutative) -> AlgebraFixt
         try:
             return labels.index(label)
         except ValueError:
-            raise LabelError(f"malformed label {label!r}; expected one of {labels}") from None
+            raise LabelError(f"malformed label {_excerpt(label)}; expected one of {labels}") from None
 
     def decode(index: int) -> str:
         if not 0 <= index < len(labels):
@@ -255,11 +255,11 @@ def load_builtin(name: str, backend: Backend = RATIONAL) -> AlgebraFixture:
         try:
             k = int(body)
         except ValueError:
-            raise ValueError(f"malformed letter count in {name!r}") from None
+            raise ValueError(f"malformed letter count in {_excerpt(name)}") from None
         if str(k) != body or k < 1:
-            raise ValueError(f"free:{body} needs a letter count k >= 1")
+            raise ValueError(f"{_excerpt(name)} needs a letter count k >= 1")
         return _free_words(backend, k)
-    raise ValueError(f"unknown builtin algebra {name!r}")
+    raise ValueError(f"unknown builtin algebra {_excerpt(name)}")
 
 
 def _identity_codec_fixture(table: StructureTable) -> AlgebraFixture:
@@ -267,9 +267,9 @@ def _identity_codec_fixture(table: StructureTable) -> AlgebraFixture:
         try:
             index = int(label)
         except ValueError:
-            raise LabelError(f"label {label!r} is not a basis index") from None
+            raise LabelError(f"label {_excerpt(label)} is not a basis index") from None
         if str(index) != label or index < 0:
-            raise LabelError(f"label {label!r} is not a basis index")
+            raise LabelError(f"label {_excerpt(label)} is not a basis index")
         return index
 
     return AlgebraFixture(table, encode, str)

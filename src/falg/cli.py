@@ -47,7 +47,7 @@ import sys
 import types
 from typing import Optional, Union
 
-from .ring import BACKENDS, Backend, Scalar, _Frozen, _literal
+from .ring import BACKENDS, Backend, Scalar, _Frozen, _excerpt, _literal
 from .hamel import ColumnFiniteMap, DualFunctional, HamelVector, basis_vector
 from .algebra import CertificateError, _render_value
 from .tensor import NonAssociativeError, TensorElement, map_via_tensor, tensor_pure
@@ -67,13 +67,6 @@ class ExprSyntaxError(Exception):
 
 
 # expression syntax --------------------------------------------------------
-
-
-def _excerpt(text: str) -> str:
-    """repr of text for an error message, cut to 40 characters and the length when longer."""
-    if len(text) <= 40:
-        return repr(text)
-    return f"{text[:40]!r}... ({len(text)} characters)"
 
 
 _OPS = set("+-*()[]<>,")

@@ -72,19 +72,24 @@ Every sum deletes a coordinate whose sum cancels, and every sum of products
 skips a zero term (a merge meets none: its operands are zero-free), exactly
 as chained canonical vector additions would.
 
+Every linear value -- a coordinate table, a map, and the truncation layer's
+tail vectors and tail maps -- derives from ``_Linear``, which writes
+``a - b`` as ``a + (-b)`` and ``d * a`` for a Scalar d as ``a.scale(d)``
+once, from the class's own ``+``, unary ``-`` and ``scale``.
+
 Vectors, dual functionals and tensors (``tensor.TensorElement``) are one
 kind of value, a zero-free coordinate table over one backend, and share one
 implementation, ``_CoordTable``: cleaning, the ``coords`` view,
-``coefficient``, ``is_zero``, ``+``, ``-``, ``scale`` and the wire
-format.  Each subclass only names its
-key check (``_index``: a basis index, or an index tuple of a tensor's
-arity) and the fields that fix its shape (``_shape``: a tensor's arity),
-which results copy and operands must agree on.  One wire-key codec serves
-them all: a key is written ``"i"`` or ``"i,j,..."`` and read back only in
-canonical decimal form (``_wire_index``), so no two keys of one object name
-the same index.  Every operation that takes a falg value checks it with
-``_operand``: ``TypeError`` for another class, ``BackendMismatchError``
-for another backend.
+``coefficient``, ``is_zero``, ``+``, unary ``-``, ``scale`` and the wire
+format.  Each subclass only names its key check (``_index``: a basis
+index, or an index tuple of a tensor's arity) and the fields that fix its
+shape (``_shape``: a tensor's arity), which results copy and operands must
+agree on.  One wire-key codec serves them all: a key is written ``"i"`` or
+``"i,j,..."`` and read back only in canonical decimal form
+(``_wire_index``), so no two keys of one object name the same index.
+Every operation that takes a falg value checks it with ``_operand``:
+``TypeError`` for another class, ``BackendMismatchError`` for another
+backend.
 
 Raw data from a caller (public constructors, ``from_data``) is checked
 once, by one loop, ``_clean``: a table constructor runs it, and a map runs
@@ -117,7 +122,7 @@ from collections.abc import Iterator, Mapping, Sequence
 from math import lcm
 from typing import Union
 
-from .ring import Backend, BackendMismatchError, NormValue, Scalar, _Frozen, _new, _scalar
+from .ring import Backend, BackendMismatchError, NormValue, Scalar, _Frozen, _excerpt, _new, _scalar
 
 
 def _check_index(i) -> int:
@@ -229,7 +234,7 @@ def _wire_index(text) -> int:
     text = str(text)
     i = int(text)
     if str(i) != text:
-        raise ValueError(f"wire key {text[:40]!r} is not a canonical decimal index")
+        raise ValueError(f"wire key {_excerpt(text)} is not a canonical decimal index")
     return i
 
 
@@ -261,7 +266,19 @@ class _Coords(Mapping):
         return repr(dict(self.items()))
 
 
-class _CoordTable(_Frozen):
+class _Linear(_Frozen):
+    """A linear value: ``a - b`` and ``d * a`` from the subclass's ``+``, unary ``-`` and ``scale``."""
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __rmul__(self, d):
+        if isinstance(d, Scalar):
+            return self.scale(d)
+        return NotImplemented
+
+
+class _CoordTable(_Linear):
     """Zero-free finite table key -> raw value over one backend, read as Scalars.
 
     Fields are backend, the names in ``_shape`` and coords, in that order.
@@ -315,9 +332,6 @@ class _CoordTable(_Frozen):
     def __neg__(self):
         return self._build(self.backend._neg(self._raw))
 
-    def __sub__(self, other):
-        return self + (-other)
-
     def scale(self, d: Scalar):
         """d times self: self's numerators times d's, over both denominators."""
         b = self.backend
@@ -327,11 +341,6 @@ class _CoordTable(_Frozen):
             return self._build({})
         den, nums = b._split(self._raw)
         return self._build(b._coords((den * q, {k: p * n for k, n in nums.items()})))
-
-    def __rmul__(self, d):
-        if isinstance(d, Scalar):
-            return self.scale(d)
-        return NotImplemented
 
     def to_data(self) -> dict:
         data = {name: getattr(self, name) for name in self._shape}
@@ -414,7 +423,7 @@ def _clean_cols(backend: Backend, cols) -> dict[int, HamelVector]:
     return out
 
 
-class ColumnFiniteMap(_Frozen):
+class ColumnFiniteMap(_Linear):
     """Linear map stored by columns: column j is the image of e_j.
 
     Only finitely many columns are stored and each is finite, so the image
@@ -468,17 +477,9 @@ class ColumnFiniteMap(_Frozen):
     def __neg__(self):
         return _map(self.backend, {j: -c for j, c in self.cols.items()})
 
-    def __sub__(self, other):
-        return self + (-other)
-
     def scale(self, d: Scalar) -> "ColumnFiniteMap":
         _operand(d, Scalar, self.backend, "scalar")
         return _map(self.backend, {j: col.scale(d) for j, col in self.cols.items()})
-
-    def __rmul__(self, d):
-        if isinstance(d, Scalar):
-            return self.scale(d)
-        return NotImplemented
 
     def compose(self, g: "ColumnFiniteMap") -> "ColumnFiniteMap":
         """self after g: column j of the result is self(g(e_j)).

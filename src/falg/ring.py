@@ -61,6 +61,11 @@ hundred-million-digit integer, so without the caps one short string could
 stall a caller.  Text with a zero denominator (``"1/0"``) raises
 ``ValueError`` too, and a value that is not a string (a JSON number)
 ``TypeError``: exact coefficients and bounds travel as decimal strings.
+The float backend reads a JSON number as well, but a bool raises
+``TypeError`` in ``parse``, ``norm_parse`` and ``norm_check``, as in ``check``.
+
+An error message quotes caller text through ``_excerpt``: its repr when it
+is at most 40 characters, else the first 40 and the length.
 """
 
 from __future__ import annotations
@@ -132,11 +137,18 @@ def _slots(x, y):
     return None
 
 
+def _excerpt(text: str) -> str:
+    """repr of text for an error message, cut to 40 characters and the length when longer."""
+    if len(text) <= 40:
+        return repr(text)
+    return f"{text[:40]!r}... ({len(text)} characters)"
+
+
 def _fraction(text: str) -> Fraction:
     try:
         return Fraction(_literal(text))
     except ZeroDivisionError:
-        raise ValueError(f"zero denominator in {text[:40]!r}") from None
+        raise ValueError(f"zero denominator in {_excerpt(text)}") from None
 
 
 class _Frozen:
@@ -541,6 +553,13 @@ def _up(x: float) -> float:
     return x
 
 
+def _not_bool(x):
+    """x, unless it is a bool: float() reads JSON true and false as 1.0 and 0.0."""
+    if isinstance(x, bool):
+        raise TypeError("float coefficients and bounds are numbers or decimal strings, got bool")
+    return x
+
+
 class Float64Backend(Backend):
     """Binary64 coefficients: results must stay finite, and bound arithmetic
     rounds toward +inf; adding zero is exact."""
@@ -607,7 +626,7 @@ class Float64Backend(Backend):
         return float(Fraction(p, q))  # correctly rounded to nearest
 
     def parse(self, text):
-        return _finite(float(text))
+        return _finite(float(_not_bool(text)))
 
     def render(self, a):
         return repr(a)  # shortest round-trip decimal
@@ -617,7 +636,7 @@ class Float64Backend(Backend):
             x = float(x)
         if isinstance(x, Fraction):
             x = float(x)
-        if not isinstance(x, (int, float)):
+        if isinstance(x, bool) or not isinstance(x, (int, float)):
             raise TypeError(f"float bound must be numeric, got {type(x).__name__}")
         x = float(x)
         if not math.isfinite(x) or x < 0:
@@ -636,7 +655,7 @@ class Float64Backend(Backend):
         return repr(float(x))
 
     def norm_parse(self, text):
-        return self.norm_check(float(text))
+        return self.norm_check(float(_not_bool(text)))
 
 
 INTEGER = IntegerBackend()

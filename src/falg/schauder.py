@@ -9,7 +9,10 @@ curried polylinear nest.
 
 TailVector and TailMap are one shape, an exact finite part plus a tail, and
 share one implementation, ``_Certified``: ``lift``, ``is_exact``, ``+``,
-``scale`` and the wire format (the finite part's, plus a ``"tail"`` field).
+unary ``-``, ``scale`` and the wire format (the finite part's, plus a
+``"tail"`` field).  ``-x`` keeps x's tail, which is sound because the l1
+norm is symmetric, and ``a - b`` and ``d * a`` come from hamel's
+``_Linear``, as they do for every exact value, so both classes take them.
 TailPolyMap validates its slots, and ``tpoly_apply`` its call, with the same
 helpers as hamel's PolyMap and ``poly_apply``.
 
@@ -44,7 +47,8 @@ from typing import Mapping, Sequence, Union
 
 from .ring import Backend, NormValue, _Frozen
 from .hamel import (
-    ColumnFiniteMap, HamelVector, _check_call, _check_nest, _check_slots, _form_vector, _map, _operand, _trusted
+    ColumnFiniteMap, HamelVector, _Linear, _check_call, _check_nest, _check_slots, _form_vector, _map, _operand,
+    _trusted,
 )
 from .algebra import StructureTable
 
@@ -75,7 +79,7 @@ class NormInterval(_Frozen):
         return self.render()
 
 
-class _Certified(_Frozen):
+class _Certified(_Linear):
     """An exact finite part plus a certified bound on the l1 mass it leaves out.
 
     The shared core of TailVector and TailMap: the first field holds the
@@ -117,6 +121,9 @@ class _Certified(_Frozen):
         self._join(other)
         return self._make(self._part() + other._part(), self.backend.norm_add(self.tail, other.tail))
 
+    def __neg__(self):
+        return self._make(-self._part(), self.tail)
+
     def scale(self, d):
         return self._make(self._part().scale(d), self.backend.norm_mul(d.norm(), self.tail))
 
@@ -145,12 +152,6 @@ class TailVector(_Certified):
     def make(cls, backend: Backend, coords, tail=0) -> "TailVector":
         """Build from raw coordinates and a caller-certified tail bound."""
         return cls(HamelVector(backend, coords), tail)
-
-    def __neg__(self):
-        return self._make(-self.prefix, self.tail)
-
-    def __sub__(self, other):
-        return self + (-other)
 
     def truncate(self, keep) -> "TailVector":
         """Drop prefix coordinates outside `keep`, moving their mass into the tail."""

@@ -1163,11 +1163,28 @@ def test_long_flat_chain_compares_and_prints(op):
     assert shown == f"{name}(a=" * 2999 + "Basis(index=1)" + ", b=Basis(index=1))" * 2999
 
 
-@pytest.mark.parametrize(
-    "expr", ["7" * 100000, "e1 " + "7" * 100000, "v" * 100000], ids=["literal", "unexpected", "identifier"]
-)
-def test_cli_long_token_echo_is_short(expr):
-    proc = _falg("eval", "--algebra", "builtin:polynomial", "--expr", expr, timeout=10)
+def _eval_argv(algebra: str, expr: str) -> list:
+    return ["eval", "--algebra", algebra, "--expr", expr]
+
+
+_LONG_LABEL = "`" + "x" * 100000 + "`"
+_ONE_ROW_TABLE = {"structure": [{"i": 0, "j": 0, "k": 0, "c": "1"}]}
+
+# argv of one call, built in tmp_path, whose error quotes 100,000 characters of input
+LONG_ECHOES = {
+    "literal": lambda tmp: _eval_argv("builtin:polynomial", "7" * 100000),
+    "unexpected": lambda tmp: _eval_argv("builtin:polynomial", "e1 " + "7" * 100000),
+    "identifier": lambda tmp: _eval_argv("builtin:polynomial", "v" * 100000),
+    "builtin-name": lambda tmp: ["check", "--algebra", write(tmp, "a.json", {"builtin": "x" * 100000})],
+    "polynomial-label": lambda tmp: _eval_argv("builtin:polynomial", _LONG_LABEL),
+    "quaternion-label": lambda tmp: _eval_argv("builtin:quaternion", _LONG_LABEL),
+    "table-label": lambda tmp: _eval_argv(write(tmp, "t.json", _ONE_ROW_TABLE), _LONG_LABEL),
+}
+
+
+@pytest.mark.parametrize("argv", LONG_ECHOES.values(), ids=LONG_ECHOES)
+def test_cli_long_token_echo_is_short(tmp_path, argv):
+    proc = _falg(*argv(tmp_path), timeout=10)
     assert proc.returncode == 2, proc.stderr
     assert "Traceback" not in proc.stderr
     assert "100000 characters" in proc.stderr
@@ -1262,12 +1279,16 @@ _VIA = ["tensor", "--algebra", "builtin:polynomial"]
          "vector: exact coefficients and bounds are decimal strings, got int"),
         (["norm", "--backend", "int", "--vector", "BAD"], {"coords": {"0": 1}},
          "vector: exact coefficients and bounds are decimal strings, got int"),
+        (["norm", "--backend", "f64", "--vector", "BAD"], {"coords": {"0": True}},
+         "vector: float coefficients and bounds are numbers or decimal strings, got bool"),
+        (["norm", "--backend", "f64", "--vector", "BAD"], {"coords": {"0": 1}, "tail": False},
+         "vector: float coefficients and bounds are numbers or decimal strings, got bool"),
     ],
     ids=[
         "eval-let", "apply-map", "apply-vector", "apply-tail-vector", "compose-f", "compose-g", "tensor-pure",
         "tensor-tensor", "tensor-map", "tensor-vector", "norm-vector", "norm-map", "dual-functional",
         "dual-vector", "apply-zero-denominator", "apply-tail-zero-denominator", "norm-number-rat",
-        "norm-number-int",
+        "norm-number-int", "norm-bool-f64", "norm-bool-tail-f64",
     ],
 )
 def test_cli_malformed_file_stderr(tmp_path, capsys, argv, bad, message):

@@ -451,6 +451,11 @@ _BACKEND_OUTCOMES = [
      "TypeError: exact coefficients and bounds are decimal strings, got int",
      "TypeError: exact coefficients and bounds are decimal strings, got int",
      "float 1.0"),
+    # JSON true and false are no numbers, on f64 too
+    ("parse", (True,),
+     "TypeError: exact coefficients and bounds are decimal strings, got bool",
+     "TypeError: exact coefficients and bounds are decimal strings, got bool",
+     "TypeError: float coefficients and bounds are numbers or decimal strings, got bool"),
     ("render", (-3,), "str '-3'", "str '-3'", "str '-3'"),
     ("render", (Fraction(3, 2),), "str '3/2'", "str '3/2'", "str 'Fraction(3, 2)'"),
     ("render", (0.1,), "str '0.1'", "str '0.1'", "str '0.1'"),
@@ -475,7 +480,7 @@ _BACKEND_OUTCOMES = [
     ("norm_check", (True,),
      "TypeError: exact bound must be int or Fraction, got bool",
      "TypeError: exact bound must be int or Fraction, got bool",
-     "float 1.0"),
+     "TypeError: float bound must be numeric, got bool"),
     ("norm_check", (0.5,),
      "TypeError: exact bound must be int or Fraction, got float",
      "TypeError: exact bound must be int or Fraction, got float",
@@ -541,6 +546,10 @@ _BACKEND_OUTCOMES = [
      "TypeError: exact coefficients and bounds are decimal strings, got int",
      "TypeError: exact coefficients and bounds are decimal strings, got int",
      "float 5.0"),
+    ("norm_parse", (False,),
+     "TypeError: exact coefficients and bounds are decimal strings, got bool",
+     "TypeError: exact coefficients and bounds are decimal strings, got bool",
+     "TypeError: float coefficients and bounds are numbers or decimal strings, got bool"),
     ("norm_parse", ("1/0",),
      "ValueError: zero denominator in '1/0'",
      "ValueError: zero denominator in '1/0'",

@@ -30,6 +30,8 @@ from falg import (
 
 from falg.schauder import _peel
 from support import (
+    _long_map,
+    _truncate_map,
     assert_canonical,
     l1_distance,
     rand_map,
@@ -561,6 +563,17 @@ def test_rational_norm_interval_hi_ends_are_sound():
     for _ in range(500):
         exact, certified = soundness_tree(rng)
         assert exact.l1() <= certified.norm_interval().hi
+
+
+def test_rational_tail_map_differences_are_sound():
+    # criterion 8's maps: -, a + (-a) and d * a of truncated maps against the exact results
+    rng = random.Random(802)
+    for _ in range(300):
+        f, g = _long_map(rng, RATIONAL), _long_map(rng, RATIONAL)
+        tf, tg = _truncate_map(rng, f), _truncate_map(rng, g)
+        d = rand_scalar(rng, RATIONAL)
+        for exact, certified in ((f - g, tf - tg), (g - f, tg - tf), (f - f, tf - tf), (d * g, d * tg)):
+            assert (exact - certified.finite).l1_total() <= certified.tail
 
 
 def _exact_mass(nest) -> Fraction:

@@ -17,6 +17,7 @@ import math
 import os
 import subprocess
 import sys
+import types
 from fractions import Fraction
 
 import pytest
@@ -175,6 +176,28 @@ def test_cli_import_loads_no_code_generator():
     assert proc.stdout == "[]\n[]\n"
 
 
+PUBLIC_NAMES = [
+    "AlgebraFixture", "AssociatorDefect", "BACKENDS", "Backend", "BackendMismatchError", "CenterReport",
+    "CertificateError", "ColumnFiniteMap", "CommutatorDefect", "DualFunctional", "FLOAT64", "HamelVector",
+    "INTEGER", "LabelError", "LawReport", "LawResult", "NonAssociativeError", "NormInterval", "PolyMap",
+    "RATIONAL", "Scalar", "StructureTable", "TailMap", "TailPolyMap", "TailVector", "TensorElement",
+    "basis_map", "basis_vector", "dual_basis", "embed_int", "embed_rational", "fixture_from_data",
+    "identity_on", "load_builtin", "map_via_tensor", "parse_scalar", "poly_apply", "table_from_data",
+    "table_to_data", "tail_mul", "tensor_pure", "tpoly_apply", "tpoly_bound", "zero_map", "zero_tensor",
+    "zero_vector",
+]
+
+
+def test_public_names_are_the_package_imports():
+    # __all__ is derived from falg/__init__.py's imports; a star import binds those names and no submodule
+    assert sorted(falg.__all__) == PUBLIC_NAMES
+    namespace: dict = {}
+    exec("from falg import *", namespace)
+    del namespace["__builtins__"]
+    assert sorted(namespace) == PUBLIC_NAMES
+    assert not [name for name, value in namespace.items() if isinstance(value, types.ModuleType)]
+
+
 def _values(b):
     """One value of each kind over backend b, and the table the products use."""
     v = HamelVector(b, {0: 1, 1: 2})
@@ -203,6 +226,14 @@ OPERAND_CASES = {
     "tensor-scale": (lambda x: VALUES["t"].scale(x), "d", 3),
     "tail-vector-scale": (lambda x: VALUES["tv"].scale(x), "d", 3),
     "tail-map-scale": (lambda x: VALUES["tm"].scale(x), "d", 3),
+    "tail-vector-": (lambda x: VALUES["tv"] - x, "tv", VALUES["v"]),
+    "tail-map-": (lambda x: VALUES["tm"] - x, "tm", VALUES["f"]),
+    "vector-d*": (lambda x: x * VALUES["v"], "d", 3),
+    "functional-d*": (lambda x: x * VALUES["phi"], "d", 3),
+    "map-d*": (lambda x: x * VALUES["f"], "d", 3),
+    "tensor-d*": (lambda x: x * VALUES["t"], "d", 3),
+    "tail-vector-d*": (lambda x: x * VALUES["tv"], "d", 3),
+    "tail-map-d*": (lambda x: x * VALUES["tm"], "d", 3),
     "evaluate": (lambda x: VALUES["phi"].evaluate(x), "v", VALUES["phi"]),
     "apply": (lambda x: VALUES["f"].apply(x), "v", VALUES["phi"]),
     "compose": (lambda x: VALUES["f"].compose(x), "f", VALUES["v"]),
@@ -345,6 +376,41 @@ def test_coords_views_compare_as_their_dicts_across_backends(kind, drawn):
             assert (u == w) == (dict(u.items()) == dict(w.items()))
     # two empty views over different backends compare equal, as two empty dicts did
     assert cls(INTEGER, *shape).coords == cls(RATIONAL, *shape).coords == cls(FLOAT64, *shape).coords
+
+
+# every linear value takes a - b and d * a, written once from its +, unary - and scale
+
+def _drawn(draw, b, keys, max_size=4) -> dict:
+    return draw(st.dictionaries(keys, VIEW_VALUES[b.name], max_size=max_size))
+
+
+SMALL, PAIRS = st.integers(0, 3), st.tuples(st.integers(0, 2), st.integers(0, 2))
+TAILS = st.integers(0, 3) | st.fractions(min_value=0, max_denominator=6)
+
+LINEAR_KINDS = {
+    "vector": lambda draw, b: HamelVector(b, _drawn(draw, b, SMALL)),
+    "functional": lambda draw, b: DualFunctional(b, _drawn(draw, b, SMALL)),
+    "tensor": lambda draw, b: TensorElement(b, 2, _drawn(draw, b, PAIRS)),
+    "map": lambda draw, b: ColumnFiniteMap(
+        b, {j: _drawn(draw, b, SMALL, 3) for j in draw(st.sets(SMALL, max_size=3))}
+    ),
+    "tail-vector": lambda draw, b: TailVector(LINEAR_KINDS["vector"](draw, b), draw(TAILS)),
+    "tail-map": lambda draw, b: TailMap(LINEAR_KINDS["map"](draw, b), draw(TAILS)),
+}
+
+
+@pytest.mark.parametrize("backend", [INTEGER, RATIONAL], ids=lambda b: b.name)
+@pytest.mark.parametrize("kind", LINEAR_KINDS)
+@given(data=st.data())
+def test_minus_and_scalar_times_are_the_linear_identities(kind, backend, data):
+    build = LINEAR_KINDS[kind]
+    x, y = build(data.draw, backend), build(data.draw, backend)
+    d = backend.scalar(data.draw(VIEW_VALUES[backend.name]))
+    assert x - y == x + (-y)
+    assert -(-x) == x
+    assert d * x == x.scale(d)
+    if kind.startswith("tail"):
+        assert (-x).tail == x.tail  # l1 is symmetric: negation moves no mass
 
 
 class _NeverZero(Scalar):
