@@ -48,7 +48,7 @@ PASS = VALUES + "test_exact_type_pass_examples["
 LINEAR = VALUES + "test_minus_and_scalar_times_are_the_linear_identities["
 TAIL_DIFFERENCES = "tests/test_schauder.py::test_rational_tail_map_differences_are_sound"
 LONG_ECHOES = ("literal", "unexpected", "identifier", "builtin-name", "polynomial-label", "quaternion-label",
-               "table-label")
+               "table-label", *(f"{field}-{b}" for field in ("coefficient", "tail") for b in ("int", "rat", "f64")))
 VIEW_KINDS = ("vector", "functional", "tensor")
 BACKENDS = ("int", "rat", "f64")
 
@@ -217,6 +217,19 @@ MUTANTS = [
         "                den = lcm(den, q)\n",
         "                den = q\n",
         LAWS[:1] + [DIFFERENTIAL],  # only rat draws denominators
+    ),
+    # each law row draws its arguments in order, and a counterexample shows the claimed law's defect
+    Mutant(
+        "law-draw-order", "algebra.py",
+        '("scalar_left", "duv", lambda t, d, u, v: (',
+        '("scalar_left", "udv", lambda t, u, d, v: (',
+        LAWS,
+    ),
+    Mutant(
+        "law-defect-dropped", "algebra.py",
+        "parts.append((defect, getattr(self, defect)(*values)))",
+        "pass",
+        LAWS + [DIFFERENTIAL],
     ),
     Mutant(
         "mass-unreduced", "ring.py",
@@ -479,8 +492,8 @@ MUTANTS = [
     # float64 reads JSON numbers, but not JSON booleans
     Mutant(
         "f64-parse-takes-bool", "ring.py",
-        "return _finite(float(_not_bool(text)))",
-        "return _finite(float(text))",
+        "return _finite(_float(_not_bool(text)))",
+        "return _finite(_float(text))",
         [RING + "test_backend_method_outcomes_are_pinned[parse(True,)]",
          CLI + "test_cli_malformed_file_stderr[norm-bool-f64]"],
     ),

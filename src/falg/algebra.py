@@ -47,12 +47,16 @@ table built by hand has none.
 Claimed laws (associativity, commutativity) are never assumed silently:
 :meth:`StructureTable.check_laws` probes them, and anything that needs a law
 (endomorphism products do not, tensor sandwich maps do) re-checks by
-sampling.  The law probes run on numerator forms.  They draw each random
-vector straight into a form with ``_rand_form``, in plain loops and called
-directly (``check_laws`` binds it to its rng and max_index once), take
-products with ``_mul_form`` and sums and scalings with ``_combine``, and
-compare the two sides of a law by cross-multiplication.  Vectors are built
-only to render a counterexample.
+sampling.  Each law is one row of ``_LAWS``: its name, its arguments in
+draw order, its two sides and the public defect (``commutator``,
+``associator``) a counterexample also shows.  ``check_laws`` holds the one
+probe loop.  Per trial it draws a row's arguments in order, a scalar with
+``_rand_scalar`` and each vector straight into a numerator form with
+``_rand_form`` (both bound to the rng once), evaluates the two sides with
+``_product``, ``_sum`` and ``_scaled`` (``_mul_form`` and ``_combine``
+underneath), and compares them by cross-multiplication.  Vectors are built
+only to render a counterexample: ``name=value`` per argument, then the
+defect.
 Every random int of a probe (and of ``map_via_tensor``'s spot check) comes
 from ``_below(rng, n)``, which reads ``rng.getrandbits`` as CPython's
 ``Random.randint`` does underneath: ``a + _below(rng, b - a + 1)`` is the
@@ -286,32 +290,28 @@ class StructureTable(_Frozen):
             raise ValueError(f"trials must be a positive integer, got {trials}")
         _check_max_index(max_index)
         rng = random.Random(seed)
-        draw = partial(self._rand_form, rng, max_index)
-        laws: list[tuple[str, Callable[..., Optional[str]]]] = [
-            ("left_distributive", self._law_left_distributive),
-            ("right_distributive", self._law_right_distributive),
-            ("scalar_left", self._law_scalar_left),
-            ("scalar_right", self._law_scalar_right),
-        ]
-        if self.claims_commutative:
-            laws.append(("commutative", self._law_commutative))
-        if self.claims_associative:
-            laws.append(("associative", self._law_associative))
+        scalar = partial(self._rand_scalar, rng)
+        form = partial(self._rand_form, rng, max_index)
         results = []
-        for law_name, probe in laws:
+        for law_name, params, sides, defect in _LAWS:
+            if not getattr(self, f"claims_{law_name}", True):
+                continue  # commutativity and associativity are probed only when claimed
+            draws = [scalar if p == "d" else form for p in params]
             counterexample = None
-            done = 0
-            for _ in range(trials):
-                counterexample = probe(rng, draw)
-                done += 1
-                if counterexample is not None:
-                    break
+            for done in range(1, trials + 1):
+                args = [draw() for draw in draws]
+                if _same(*sides(self, *args)):
+                    continue
+                values = [self._scalar(a) if p == "d" else _form_vector(self.backend, a)
+                          for p, a in zip(params, args)]
+                parts = list(zip(params, values))
+                if defect is not None:
+                    # on float64 the defect's difference may overflow and raise, as it always did
+                    parts.append((defect, getattr(self, defect)(*values)))
+                counterexample = "; ".join(f"{k}={_render_value(v)}" for k, v in parts)
+                break
             results.append(LawResult(law_name, counterexample is None, done, counterexample))
         return LawReport(self.name, seed, trials, tuple(results))
-
-    # law probes: return None on success, a rendered counterexample on failure.
-    # They draw numerator forms with draw(), evaluate both sides with _product
-    # and _sum, and build vectors only to render a counterexample.
 
     def _rand_scalar(self, rng) -> tuple[int, object]:
         """A random scalar p / q as the pair (q, p), p in [-5, 5]; q in [1, 4] is drawn on rat only."""
@@ -347,59 +347,28 @@ class StructureTable(_Frozen):
         den, nums = self._sum((p, form))
         return den * q, nums
 
-    def _vector(self, form: tuple[int, dict]) -> HamelVector:
-        return _form_vector(self.backend, form)
-
     def _scalar(self, d: tuple[int, object]) -> Scalar:
         q, p = d
         return self.backend.scalar(Fraction(p, q) if q != 1 else p)
 
-    @staticmethod
-    def _describe(**parts) -> str:
-        return "; ".join(f"{k}={_render_value(v)}" for k, v in parts.items())
 
-    def _law_left_distributive(self, rng, draw):
-        u, v, w = draw(), draw(), draw()
-        left = self._product(self._sum((1, u), (1, v)), w)
-        if _same(left, self._sum((1, self._product(u, w)), (1, self._product(v, w)))):
-            return None
-        return self._describe(u=self._vector(u), v=self._vector(v), w=self._vector(w))
-
-    def _law_right_distributive(self, rng, draw):
-        u, v, w = draw(), draw(), draw()
-        left = self._product(u, self._sum((1, v), (1, w)))
-        if _same(left, self._sum((1, self._product(u, v)), (1, self._product(u, w)))):
-            return None
-        return self._describe(u=self._vector(u), v=self._vector(v), w=self._vector(w))
-
-    def _law_scalar_left(self, rng, draw):
-        d = self._rand_scalar(rng)
-        u, v = draw(), draw()
-        if _same(self._product(self._scaled(u, d), v), self._scaled(self._product(u, v), d)):
-            return None
-        return self._describe(d=self._scalar(d), u=self._vector(u), v=self._vector(v))
-
-    def _law_scalar_right(self, rng, draw):
-        d = self._rand_scalar(rng)
-        u, v = draw(), draw()
-        if _same(self._product(u, self._scaled(v, d)), self._scaled(self._product(u, v), d)):
-            return None
-        return self._describe(d=self._scalar(d), u=self._vector(u), v=self._vector(v))
-
-    def _law_commutative(self, rng, draw):
-        u, v = draw(), draw()
-        if _same(self._product(u, v), self._product(v, u)):
-            return None
-        u, v = self._vector(u), self._vector(v)
-        return self._describe(u=u, v=v, commutator=self.commutator(u, v))
-
-    def _law_associative(self, rng, draw):
-        u, v, w = draw(), draw(), draw()
-        if _same(self._product(self._product(u, v), w), self._product(u, self._product(v, w))):
-            return None
-        # on float64 the associator's difference may overflow and raise, as it always did
-        u, v, w = self._vector(u), self._vector(v), self._vector(w)
-        return self._describe(u=u, v=v, w=w, associator=self.associator(u, v, w))
+# The laws check_laws probes, in report order.  Each row holds the law's name;
+# its arguments in draw order, d a scalar (q, p) from _rand_scalar and u, v, w
+# numerator forms from _rand_form; its two sides, left then right, evaluated on
+# the table t; and the public defect a counterexample also shows, if any.
+_LAWS = (
+    ("left_distributive", "uvw", lambda t, u, v, w: (
+        t._product(t._sum((1, u), (1, v)), w), t._sum((1, t._product(u, w)), (1, t._product(v, w)))), None),
+    ("right_distributive", "uvw", lambda t, u, v, w: (
+        t._product(u, t._sum((1, v), (1, w))), t._sum((1, t._product(u, v)), (1, t._product(u, w)))), None),
+    ("scalar_left", "duv", lambda t, d, u, v: (
+        t._product(t._scaled(u, d), v), t._scaled(t._product(u, v), d)), None),
+    ("scalar_right", "duv", lambda t, d, u, v: (
+        t._product(u, t._scaled(v, d)), t._scaled(t._product(u, v), d)), None),
+    ("commutative", "uv", lambda t, u, v: (t._product(u, v), t._product(v, u)), "commutator"),
+    ("associative", "uvw", lambda t, u, v, w: (
+        t._product(t._product(u, v), w), t._product(u, t._product(v, w))), "associator"),
+)
 
 
 def _below(rng, n: int) -> int:

@@ -65,7 +65,9 @@ The float backend reads a JSON number as well, but a bool raises
 ``TypeError`` in ``parse``, ``norm_parse`` and ``norm_check``, as in ``check``.
 
 An error message quotes caller text through ``_excerpt``: its repr when it
-is at most 40 characters, else the first 40 and the length.
+is at most 40 characters, else the first 40 and the length.  Text that
+``int``, ``Fraction`` or ``float`` cannot read raises their own message
+with the excerpt in place of the whole text.
 """
 
 from __future__ import annotations
@@ -145,10 +147,13 @@ def _excerpt(text: str) -> str:
 
 
 def _fraction(text: str) -> Fraction:
+    text = _literal(text)
     try:
-        return Fraction(_literal(text))
+        return Fraction(text)
     except ZeroDivisionError:
         raise ValueError(f"zero denominator in {_excerpt(text)}") from None
+    except ValueError:
+        raise ValueError(f"Invalid literal for Fraction: {_excerpt(text)}") from None
 
 
 class _Frozen:
@@ -389,7 +394,11 @@ class IntegerBackend(Backend):
         raise ValueError("integer backend has no general quotients; use the rational backend")
 
     def parse(self, text):
-        return int(_literal(text))
+        text = _literal(text)
+        try:
+            return int(text)
+        except ValueError:
+            raise ValueError(f"invalid literal for int() with base 10: {_excerpt(text)}") from None
 
 
 class RationalBackend(Backend):
@@ -545,6 +554,16 @@ def _finite(x: float) -> float:
     return x
 
 
+def _float(text) -> float:
+    """float(text), where a string float cannot read is quoted through _excerpt."""
+    try:
+        return float(text)
+    except ValueError:
+        if not isinstance(text, str):
+            raise
+        raise ValueError(f"could not convert string to float: {_excerpt(text)}") from None
+
+
 def _up(x: float) -> float:
     """Round a float result toward +inf by one ulp; keeps bounds sound."""
     x = math.nextafter(x, math.inf)
@@ -626,14 +645,14 @@ class Float64Backend(Backend):
         return float(Fraction(p, q))  # correctly rounded to nearest
 
     def parse(self, text):
-        return _finite(float(_not_bool(text)))
+        return _finite(_float(_not_bool(text)))
 
     def render(self, a):
         return repr(a)  # shortest round-trip decimal
 
     def norm_check(self, x):
         if isinstance(x, str):
-            x = float(x)
+            x = _float(x)
         if isinstance(x, Fraction):
             x = float(x)
         if isinstance(x, bool) or not isinstance(x, (int, float)):
@@ -655,7 +674,7 @@ class Float64Backend(Backend):
         return repr(float(x))
 
     def norm_parse(self, text):
-        return self.norm_check(float(_not_bool(text)))
+        return self.norm_check(_float(_not_bool(text)))
 
 
 INTEGER = IntegerBackend()

@@ -1170,6 +1170,11 @@ def _eval_argv(algebra: str, expr: str) -> list:
 _LONG_LABEL = "`" + "x" * 100000 + "`"
 _ONE_ROW_TABLE = {"structure": [{"i": 0, "j": 0, "k": 0, "c": "1"}]}
 
+
+def _norm_argv(backend, data):
+    return lambda tmp: ["norm", "--backend", backend, "--vector", write(tmp, "v.json", data)]
+
+
 # argv of one call, built in tmp_path, whose error quotes 100,000 characters of input
 LONG_ECHOES = {
     "literal": lambda tmp: _eval_argv("builtin:polynomial", "7" * 100000),
@@ -1179,6 +1184,9 @@ LONG_ECHOES = {
     "polynomial-label": lambda tmp: _eval_argv("builtin:polynomial", _LONG_LABEL),
     "quaternion-label": lambda tmp: _eval_argv("builtin:quaternion", _LONG_LABEL),
     "table-label": lambda tmp: _eval_argv(write(tmp, "t.json", _ONE_ROW_TABLE), _LONG_LABEL),
+    # int(), Fraction() and float() alone would quote the whole text they cannot read
+    **{f"coefficient-{b}": _norm_argv(b, {"coords": {"0": "x" * 100000}}) for b in ("int", "rat", "f64")},
+    **{f"tail-{b}": _norm_argv(b, {"coords": {"0": "1"}, "tail": "y" * 100000}) for b in ("int", "rat", "f64")},
 }
 
 
