@@ -48,7 +48,9 @@ PASS = VALUES + "test_exact_type_pass_examples["
 LINEAR = VALUES + "test_minus_and_scalar_times_are_the_linear_identities["
 TAIL_DIFFERENCES = "tests/test_schauder.py::test_rational_tail_map_differences_are_sound"
 LONG_ECHOES = ("literal", "unexpected", "identifier", "builtin-name", "polynomial-label", "quaternion-label",
-               "table-label", *(f"{field}-{b}" for field in ("coefficient", "tail") for b in ("int", "rat", "f64")))
+               "table-label", *(f"{field}-{b}" for field in ("coefficient", "tail") for b in ("int", "rat", "f64")),
+               "int-option", "choice-option", "command", "flag-value", "help-value")
+POSITION = CLI + "test_lex_error_is_reported_at_its_own_line_and_column"
 VIEW_KINDS = ("vector", "functional", "tensor")
 BACKENDS = ("int", "rat", "f64")
 
@@ -427,10 +429,31 @@ MUTANTS = [
         "return self.backend._mass([c.value for c in self.coords.values()])",
         [KERNEL + f"test_kernels_build_no_scalar_and_no_view[{b}]" for b in BACKENDS],
     ),
+    # a token's column counts from its line's start, and a label's newlines start lines too
+    Mutant(
+        "lex-column-ignores-line-start", "cli.py",
+        "ch, col, end = text[pos], pos - start + 1, pos + 1",
+        "ch, col, end = text[pos], pos + 1, pos + 1",
+        [CLI + "test_parse_error_line_tracking", POSITION],
+    ),
+    Mutant(
+        "label-newline-not-counted", "cli.py",
+        "            line += text.count(\"\\n\", pos, end)\n"
+        "            start = max(start, text.rfind(\"\\n\", pos, end) + 1)\n",
+        "",
+        [POSITION],
+    ),
+    # each bracket or unary minus nests one level, for the node it opens only
+    Mutant(
+        "nesting-depth-not-restored", "cli.py",
+        "        node = build(tok)\n        self.depth -= 1\n",
+        "        node = build(tok)\n",
+        [CLI + "test_parse_nesting_cap"],
+    ),
     # the command table's parser keeps argparse's grammar and messages
     Mutant(
         "parser-skips-required", "cli.py",
-        "if opt.required and opt.name not in seen]",
+        "if opt.required and values[_dest(opt.name)] is None]",
         "if False]",
         [USAGE + f"{case}]" for case in ("eval-required-both", "eval-required-expr", "dual-required")]
         + [DIFFERENTIAL],
@@ -502,7 +525,8 @@ MUTANTS = [
         "excerpt-uncut", "ring.py",
         "    if len(text) <= 40:\n        return repr(text)\n",
         "    return repr(text)\n",
-        [CLI + f"test_cli_long_token_echo_is_short[{case}]" for case in LONG_ECHOES],
+        [CLI + f"test_cli_long_token_echo_is_short[{case}]" for case in LONG_ECHOES]
+        + [CLI + "test_cli_long_max_index_env_echo_is_short"],
     ),
 ]
 

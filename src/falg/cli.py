@@ -3,7 +3,9 @@
 Subcommands map one-to-one onto library capabilities: eval (expressions over
 an algebra), apply (map to vector), compose, tensor (pure tensors and the
 sandwich map a rank-2 tensor induces), norm (vector/map norm intervals),
-check (law probing), dual (functional evaluation).
+check (law probing), dual (functional evaluation).  An expression's syntax
+error names its token's line and column, each from 1; a newline inside a
+`label` starts a line too.
 
 Conventions shared by every subcommand: --backend {int,rat,f64} picks the
 coefficient domain (default rat, exact); --json switches stdout to the wire
@@ -76,62 +78,45 @@ class _Token(_Frozen):
     _fields = ("kind", "text", "line", "col")  # kind: "num", "label", "basis", "ident", or the operator char
 
 
+def _span(text: str, pos: int, pred) -> int:
+    """The index after the run of characters from pos on that pred accepts."""
+    while pos < len(text) and pred(text[pos]):
+        pos += 1
+    return pos
+
+
 def _lex(text: str) -> list[_Token]:
     tokens = []
-    line, col = 1, 1
-    pos = 0
-    n = len(text)
+    line, start = 1, 0  # start: the index where the current line begins
+    pos, n = 0, len(text)
     while pos < n:
-        ch = text[pos]
-        if ch == "\n":
-            line += 1
-            col = 1
-            pos += 1
-            continue
+        ch, col, end = text[pos], pos - start + 1, pos + 1
         if ch.isspace():
-            pos += 1
-            col += 1
-            continue
-        start_line, start_col = line, col
-        if ch.isdigit():
-            end = pos
-            while end < n and text[end].isdigit():
-                end += 1
+            if ch == "\n":
+                line, start = line + 1, end
+        elif ch.isdigit():
+            end = _span(text, pos, str.isdigit)
             if end + 1 < n and text[end] == "/" and text[end + 1].isdigit():
-                end += 1
-                while end < n and text[end].isdigit():
-                    end += 1
-            tokens.append(_Token("num", text[pos:end], start_line, start_col))
-            col += end - pos
-            pos = end
-            continue
-        if ch == "`":
-            end = text.find("`", pos + 1)
-            if end < 0:
-                raise ExprSyntaxError("unterminated label quote", start_line, start_col)
-            tokens.append(_Token("label", text[pos + 1 : end], start_line, start_col))
-            col += end + 1 - pos
-            pos = end + 1
-            continue
-        if ch.isalpha() or ch == "_":
-            end = pos
-            while end < n and (text[end].isalnum() or text[end] == "_"):
-                end += 1
+                end = _span(text, end + 1, str.isdigit)
+            tokens.append(_Token("num", text[pos:end], line, col))
+        elif ch == "`":
+            end = text.find("`", end) + 1
+            if not end:
+                raise ExprSyntaxError("unterminated label quote", line, col)
+            tokens.append(_Token("label", text[pos + 1 : end - 1], line, col))
+            line += text.count("\n", pos, end)
+            start = max(start, text.rfind("\n", pos, end) + 1)
+        elif ch.isalpha() or ch == "_":
+            end = _span(text, pos, lambda c: c.isalnum() or c == "_")
             word = text[pos:end]
-            if word[0] == "e" and word[1:].isdigit():
-                tokens.append(_Token("basis", word[1:], start_line, start_col))
-            else:
-                tokens.append(_Token("ident", word, start_line, start_col))
-            col += end - pos
-            pos = end
-            continue
-        if ch in _OPS:
-            tokens.append(_Token(ch, ch, start_line, start_col))
-            pos += 1
-            col += 1
-            continue
-        raise ExprSyntaxError(f"unexpected character {ch!r}", start_line, start_col)
-    tokens.append(_Token("end", "", line, col))
+            basis = word[0] == "e" and word[1:].isdigit()
+            tokens.append(_Token("basis", word[1:], line, col) if basis else _Token("ident", word, line, col))
+        elif ch in _OPS:
+            tokens.append(_Token(ch, ch, line, col))
+        else:
+            raise ExprSyntaxError(f"unexpected character {ch!r}", line, col)
+        pos = end
+    tokens.append(_Token("end", "", line, pos - start + 1))
     return tokens
 
 
@@ -155,12 +140,9 @@ class _Node(_Frozen):
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
             return NotImplemented
-        x, y = self, other
-        while isinstance(x, (Add, Sub, Mul)):
-            if y.__class__ is not x.__class__ or x.b != y.b:
-                return False
-            x, y = x.a, y.a
-        return y.__class__ is x.__class__ and x._key(x) == y._key(y)
+        (xs, x), (ys, y) = self._spine(), other._spine()
+        ops = [(op.__class__, op.b) for op in xs]
+        return ops == [(op.__class__, op.b) for op in ys] and x.__class__ is y.__class__ and x._key(x) == y._key(y)
 
     def __hash__(self):
         spine, node = self._spine()
@@ -215,6 +197,9 @@ class Assoc(_Node):
 
 MAX_NESTING = 100  # open (, [, < and unary minus around any point of an expression
 
+# the node each leaf token kind reads as, from the token's text
+_LEAVES = {"num": Lit, "label": Label, "basis": lambda text: Basis(int(text)), "ident": Name}
+
 
 class _Parser:
     """Precedence: unary minus > * > binary +/-; * groups left, parens override.
@@ -228,12 +213,15 @@ class _Parser:
         self.pos = 0
         self.depth = 0
 
-    def enter(self) -> None:
-        """Take an opening token (bracket or unary minus), one level deeper."""
+    def nested(self, build):
+        """Take an opening token (bracket or unary minus) and return build(token), read one level deeper."""
         tok = self.take()
-        self.depth += 1
-        if self.depth > MAX_NESTING:
+        if self.depth == MAX_NESTING:
             raise ExprSyntaxError(f"expression nested deeper than {MAX_NESTING} levels", tok.line, tok.col)
+        self.depth += 1
+        node = build(tok)
+        self.depth -= 1
+        return node
 
     def peek(self) -> _Token:
         return self.tokens[self.pos]
@@ -275,38 +263,26 @@ class _Parser:
 
     def factor(self):
         if self.peek().kind == "-":
-            self.enter()
-            node = Neg(self.factor())
-            self.depth -= 1
-            return node
+            return self.nested(lambda tok: Neg(self.factor()))
         return self.atom()
 
     def atom(self):
         tok = self.peek()
-        if tok.kind == "num":
-            return Lit(self.take().text)
-        if tok.kind == "label":
-            return Label(self.take().text)
-        if tok.kind == "basis":
-            return Basis(int(self.take().text))
-        if tok.kind == "ident":
-            return Name(self.take().text)
+        if tok.kind in _LEAVES:
+            return _LEAVES[tok.kind](self.take().text)
         if tok.kind in ("(", "[", "<"):
-            self.enter()
-            node = self.bracketed(tok.kind)
-            self.depth -= 1
-            return node
+            return self.nested(self.bracketed)
         raise ExprSyntaxError(f"unexpected {_excerpt(tok.text or 'end of input')}", tok.line, tok.col)
 
-    def bracketed(self, kind: str):
-        if kind == "(":
+    def bracketed(self, tok: _Token):
+        if tok.kind == "(":
             node = self.expr()
             self.expect(")")
             return node
         a = self.expr()
         self.expect(",")
         b = self.expr()
-        if kind == "[":
+        if tok.kind == "[":
             self.expect("]")
             return Comm(a, b)
         self.expect(",")
@@ -361,15 +337,10 @@ def _eval(node, fixture: AlgebraFixture, bindings: dict[str, HamelVector]) -> Va
         for op in reversed(spine):
             value = _binary(op, value, _eval(op.b, fixture, bindings), fixture)
         return value
-    if isinstance(node, Comm):
-        a = _promote(_eval(node.a, fixture, bindings), backend)
-        b = _promote(_eval(node.b, fixture, bindings), backend)
-        return fixture.table.commutator(a, b)
-    if isinstance(node, Assoc):
-        a = _promote(_eval(node.a, fixture, bindings), backend)
-        b = _promote(_eval(node.b, fixture, bindings), backend)
-        c = _promote(_eval(node.c, fixture, bindings), backend)
-        return fixture.table.associator(a, b, c)
+    if isinstance(node, (Comm, Assoc)):
+        operands = [_promote(_eval(x, fixture, bindings), backend) for x in node._key(node)]
+        defect = fixture.table.commutator if isinstance(node, Comm) else fixture.table.associator
+        return defect(*operands)
     raise TypeError(f"not an expression node: {type(node).__name__}")
 
 
@@ -395,7 +366,7 @@ def _max_index() -> int:
     try:
         value = int(raw)
     except ValueError:
-        raise CliError(f"FALG_MAX_INDEX must be an integer, got {raw!r}") from None
+        raise CliError(f"FALG_MAX_INDEX must be an integer, got {_excerpt(raw)}") from None
     if value < 0:
         raise CliError(f"FALG_MAX_INDEX must be >= 0, got {value}")
     return value
@@ -446,11 +417,12 @@ def _has_tail(data) -> bool:
     return isinstance(data, dict) and "tail" in data
 
 
-def _regime(*data) -> tuple[type, type]:
-    """The (map, vector) classes: the tail ones if any file carries a tail, else the exact ones."""
-    if any(map(_has_tail, data)):
-        return TailMap, TailVector
-    return ColumnFiniteMap, HamelVector
+def _read_regime(backend: Backend, kinds: tuple, paths: tuple) -> list:
+    """The values of kinds ("map", "vector") in paths, tail ones if any file has a tail; all load before any is read."""
+    data = [_load_json(path) for path in paths]
+    tail = any(map(_has_tail, data))
+    classes = {"map": TailMap if tail else ColumnFiniteMap, "vector": TailVector if tail else HamelVector}
+    return [_read(kind, classes[kind], backend, path, d) for kind, path, d in zip(kinds, paths, data)]
 
 
 def _emit_json(data) -> None:
@@ -492,24 +464,14 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_apply(args) -> int:
-    backend = _backend(args)
-    map_data = _load_json(args.map)
-    vec_data = _load_json(args.vector)
-    map_cls, vec_cls = _regime(map_data, vec_data)
-    f = _read("map", map_cls, backend, args.map, map_data)
-    v = _read("vector", vec_cls, backend, args.vector, vec_data)
+    f, v = _read_regime(_backend(args), ("map", "vector"), (args.map, args.vector))
     result = f.apply(v)
     _emit(args, result.to_data(), _fmt_vector(result))
     return 0
 
 
 def _cmd_compose(args) -> int:
-    backend = _backend(args)
-    f_data = _load_json(args.f)
-    g_data = _load_json(args.g)
-    map_cls, _ = _regime(f_data, g_data)
-    f = _read("map", map_cls, backend, args.f, f_data)
-    g = _read("map", map_cls, backend, args.g, g_data)
+    f, g = _read_regime(_backend(args), ("map", "map"), (args.f, args.g))
     _emit_json(f.compose(g).to_data())
     return 0
 
@@ -733,7 +695,7 @@ def _check_help(command: Optional[str], name: str, value: Optional[str]) -> None
     """-hh asks for help twice; any other value given to -h or --help is an error."""
     rest = value.lstrip("h") if value and name == "-h" else value
     if rest is not None and (rest or not value):
-        raise _UsageError(command, f"argument -h/--help: ignored explicit argument {rest!r}")
+        raise _UsageError(command, f"argument -h/--help: ignored explicit argument {_excerpt(rest)}")
 
 
 def _convert(command: str, opt: _Option, text: str):
@@ -741,10 +703,10 @@ def _convert(command: str, opt: _Option, text: str):
         try:
             return int(text)
         except ValueError:
-            raise _UsageError(command, f"argument {opt.name}: invalid int value: {text!r}") from None
+            raise _UsageError(command, f"argument {opt.name}: invalid int value: {_excerpt(text)}") from None
     if opt.check is not None and text not in opt.check:
         choices = ", ".join(map(repr, opt.check))
-        raise _UsageError(command, f"argument {opt.name}: invalid choice: {text!r} (choose from {choices})")
+        raise _UsageError(command, f"argument {opt.name}: invalid choice: {_excerpt(text)} (choose from {choices})")
     return text
 
 
@@ -760,8 +722,7 @@ def _parse_options(command: str, tokens: list[str]):
     end = tokens.index("--") if "--" in tokens else len(tokens)
     read = [_read_token(token, options, command) for token in tokens[:end]]
     values = {_dest(opt.name): opt.default for opt in opts}
-    seen, rest = set(), []
-    i = 0
+    rest, i = [], 0
     while i < end:
         name, value = read[i] or (None, None)
         i += 1
@@ -773,10 +734,9 @@ def _parse_options(command: str, tokens: list[str]):
             _check_help(command, name, value)
             print(_help(command))
             return None
-        seen.add(name)
         if opt.kind == FLAG:
             if value is not None:
-                raise _UsageError(command, f"argument {name}: ignored explicit argument {value!r}")
+                raise _UsageError(command, f"argument {name}: ignored explicit argument {_excerpt(value)}")
             values[_dest(name)] = True
             continue
         if value is None:
@@ -797,7 +757,7 @@ def _parse_options(command: str, tokens: list[str]):
             values[dest] = (values[dest] or []) + given
         else:
             values[dest] = given
-    missing = [opt.name for opt in opts if opt.required and opt.name not in seen]
+    missing = [opt.name for opt in opts if opt.required and values[_dest(opt.name)] is None]
     if missing:
         raise _UsageError(command, f"the following arguments are required: {', '.join(missing)}")
     return types.SimpleNamespace(**values), rest + tokens[end:]
@@ -809,7 +769,7 @@ def _parse(argv: list[str]):
     Options before the subcommand may only be -h or --help; the first
     token that is not an option names the subcommand.
     """
-    before, i = [], 0  # the options before the subcommand, none of them -h or --help
+    i = 0  # argv[:i] are the options before the subcommand, none of them -h or --help
     while i < len(argv) and argv[i] != "--":
         read = _read_token(argv[i], _HELP, None)
         if read is None:
@@ -819,20 +779,19 @@ def _parse(argv: list[str]):
             _check_help(None, name, value)
             print(_help(None))
             return None
-        before.append(argv[i])
         i += 1
     if argv[i:] in ([], ["--"]):  # nothing, or only a final '--', names the subcommand
         raise _UsageError(None, "the following arguments are required: command")
     command = argv[i]
     if command not in COMMANDS:
         choices = ", ".join(map(repr, COMMANDS))
-        raise _UsageError(None, f"argument command: invalid choice: {command!r} (choose from {choices})")
+        raise _UsageError(None, f"argument command: invalid choice: {_excerpt(command)} (choose from {choices})")
     parsed = _parse_options(command, argv[i + 1:])
     if parsed is None:
         return None
     args, rest = parsed
-    if before or rest:
-        raise _UsageError(None, f"unrecognized arguments: {' '.join(before + rest)}")
+    if i or rest:
+        raise _UsageError(None, f"unrecognized arguments: {' '.join(argv[:i] + rest)}")
     return COMMANDS[command][1], args
 
 

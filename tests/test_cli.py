@@ -1,4 +1,5 @@
 import contextlib
+import functools
 import gc
 import io
 import json
@@ -9,7 +10,7 @@ import time
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import falg
 from falg import cli
@@ -73,6 +74,23 @@ def test_parse_error_line_tracking():
     with pytest.raises(ExprSyntaxError) as e:
         parse_expr("1 +\n* 2")
     assert "at 2:1" in str(e.value)
+
+
+# pieces of expression text, labels among them with newlines inside
+_PIECES = st.one_of(
+    st.sampled_from(["e1", "12", " 3/4 ", "v", " ", "\t", "\n", "+", "*", "-", "(", ")", "[", ",", ">"]),
+    st.text(alphabet="ab \n", max_size=6).map(lambda text: f"`{text}`"),
+)
+
+
+@given(pieces=st.lists(_PIECES, max_size=12))
+@example(pieces=["e1", "\n", " "])
+@example(pieces=["`a\nb`"])
+def test_lex_error_is_reported_at_its_own_line_and_column(pieces):
+    text = "".join(pieces)
+    with pytest.raises(ExprSyntaxError) as e:
+        parse_expr(text + "$")
+    assert (e.value.line, e.value.col) == (text.count("\n") + 1, len(text) - text.rfind("\n"))
 
 
 def test_parse_unterminated_label_and_bad_char():
@@ -1018,6 +1036,11 @@ def test_parse_nesting_cap():
     for opening, closing in (("(", ")"), ("-(", ")"), ("[", ", e1]")):
         assert parse_expr(opening * (MAX_NESTING // 2) + "e0" + closing * (MAX_NESTING // 2))
     assert parse_expr("-" * MAX_NESTING + "e0") is not None
+    # siblings each nest one level from the depth around them
+    tree = parse_expr(" + ".join(["(e0)"] * (MAX_NESTING + 1)))
+    assert tree == functools.reduce(Add, [Basis(0)] * (MAX_NESTING + 1))
+    tree = parse_expr("-e0 * " * (MAX_NESTING + 1) + "e0")
+    assert tree == functools.reduce(Mul, [Neg(Basis(0))] * (MAX_NESTING + 1) + [Basis(0)])
     for text in ("(" * (MAX_NESTING + 1) + "e0" + ")" * (MAX_NESTING + 1),
                  "-" * (MAX_NESTING + 1) + "e0",
                  "<" * (MAX_NESTING + 1) + "e0" + ", e1, e2>" * (MAX_NESTING + 1)):
@@ -1187,6 +1210,12 @@ LONG_ECHOES = {
     # int(), Fraction() and float() alone would quote the whole text they cannot read
     **{f"coefficient-{b}": _norm_argv(b, {"coords": {"0": "x" * 100000}}) for b in ("int", "rat", "f64")},
     **{f"tail-{b}": _norm_argv(b, {"coords": {"0": "1"}, "tail": "y" * 100000}) for b in ("int", "rat", "f64")},
+    # a command-line token argparse would quote whole
+    "int-option": lambda tmp: ["check", "--algebra", "builtin:polynomial", "--trials", "x" * 100000],
+    "choice-option": lambda tmp: ["check", "--algebra", "builtin:polynomial", "--backend", "x" * 100000],
+    "command": lambda tmp: ["x" * 100000],
+    "flag-value": lambda tmp: ["check", "--algebra", "builtin:polynomial", "--json=" + "x" * 100000],
+    "help-value": lambda tmp: ["--help=" + "x" * 100000],
 }
 
 
@@ -1197,6 +1226,13 @@ def test_cli_long_token_echo_is_short(tmp_path, argv):
     assert "Traceback" not in proc.stderr
     assert "100000 characters" in proc.stderr
     assert len(proc.stderr) < 1024
+
+
+def test_cli_long_max_index_env_echo_is_short(capsys, monkeypatch):
+    monkeypatch.setenv("FALG_MAX_INDEX", "x" * 100000)
+    code, out, err = run(capsys, ["check", "--algebra", "builtin:polynomial", "--trials", "5"])
+    assert (code, out) == (2, "")
+    assert err == f"FALG_MAX_INDEX must be an integer, got {'x' * 40!r}... (100000 characters)\n"
 
 
 def test_cli_f64_infinite_tail_rejected_at_parse(tmp_path):
