@@ -51,6 +51,7 @@ LONG_ECHOES = ("literal", "unexpected", "identifier", "builtin-name", "polynomia
                "table-label", *(f"{field}-{b}" for field in ("coefficient", "tail") for b in ("int", "rat", "f64")),
                "int-option", "choice-option", "command", "flag-value", "help-value")
 POSITION = CLI + "test_lex_error_is_reported_at_its_own_line_and_column"
+CATALOG = "tests/test_catalog.py::"
 VIEW_KINDS = ("vector", "functional", "tensor")
 BACKENDS = ("int", "rat", "f64")
 
@@ -527,6 +528,24 @@ MUTANTS = [
         "    return repr(text)\n",
         [CLI + f"test_cli_long_token_echo_is_short[{case}]" for case in LONG_ECHOES]
         + [CLI + "test_cli_long_max_index_env_echo_is_short"],
+    ),
+    # free words concatenate in bijective base k: the digits of j follow those of i
+    Mutant(
+        "free-word-length", "catalog.py",
+        "i * k ** length(j) + j",
+        "i * k ** length(i) + j",
+        [CATALOG + f"test_free_index_rule_matches_string_rule[{k}]" for k in (2, 3, 26)]
+        + [CATALOG + "test_free_concatenation_product", CATALOG + "test_fixtures_pass_their_claimed_laws[free:2]",
+           DIFFERENTIAL],
+    ),
+    # every builtin claims associativity, and check reports the claim
+    Mutant(
+        "builtin-claims", "catalog.py",
+        "claims_associative=True",
+        "claims_associative=False",
+        [CLI + "test_cli_check_quaternion", CLI + "test_cli_check_json",
+         "tests/test_acceptance.py::test_criterion_10_cli_golden",
+         "tests/test_tensor.py::test_map_via_tensor_quaternion_sandwich", DIFFERENTIAL],
     ),
 ]
 

@@ -7,18 +7,21 @@ builtin.
 
 Builtins:
   polynomial  one variable, x^i * x^j = x^(i+j); label x^n at index n
-  free:k      words over the first k letters, concatenation product,
-              enumerated length-lexicographically; empty word (the unit)
-              has label "1"
+  free:k      words over the first k letters, concatenation product; a
+              word's index is its value in bijective base k (letters are
+              the digits 1..k), so indices run length-lexicographically;
+              the empty word (the unit) has label "1"
   quaternion  indices 0..3 are 1, i, j, k with the standard table
   complex     indices 0..1 are 1, i
   group_z     group algebra of the integers; g^n zig-zag encoded
               (exponents 0, 1, -1, 2, -2, ... at indices 0, 1, 2, 3, 4, ...)
 
-All of these have pair bound 1: every basis product is a single basis
-vector with coefficient +-1.  Entries hold raw values: a rule returns a
-``basis_vector`` and a finite table's entry is ``{k: backend.from_int(sign)}``,
-so loading a builtin or looking a pair up builds no Scalar.
+Every builtin is made by one builder, ``_builtin``: a table with pair bound 1
+(every basis product is a single basis vector with coefficient +-1) that
+claims associativity, given by a rule or by its entries.  Entries hold raw
+values: a rule returns a ``basis_vector`` and a finite table's entry is
+``{k: backend.from_int(sign)}``, so loading a builtin or looking a pair up
+builds no Scalar.
 
 ``polynomial`` and ``group_z`` are power bases, symbol^m * symbol^n =
 symbol^(m+n).  Besides its rule, such a table carries the codec
@@ -86,22 +89,20 @@ def _parse_power(symbol: str, label: str, allow_negative: bool) -> int:
     raise LabelError(f"malformed label {_excerpt(label)}")
 
 
+def _builtin(backend, name, commutative, encode, decode, **table) -> AlgebraFixture:
+    """The fixture of an associative table with pair bound 1, given by rule= or entries=."""
+    table = StructureTable(
+        backend, name=name, pair_bound=1, claims_associative=True, claims_commutative=commutative, **table
+    )
+    return AlgebraFixture(table, encode, decode)
+
+
 def _power_basis(backend, name, symbol, to_index, to_exponent, allow_negative) -> AlgebraFixture:
     """The algebra spanned by the powers of `symbol`, symbol^m * symbol^n = symbol^(m+n),
     with symbol^n at basis index to_index(n) and to_exponent the inverse map."""
 
     def rule(i, j):
         return basis_vector(backend, to_index(to_exponent(i) + to_exponent(j)))
-
-    table = StructureTable(
-        backend,
-        name=name,
-        rule=rule,
-        pair_bound=1,
-        claims_associative=True,
-        claims_commutative=True,
-    )
-    table._codec = (to_exponent, to_index)
 
     def encode(label: str) -> int:
         return to_index(_parse_power(symbol, label, allow_negative))
@@ -111,7 +112,9 @@ def _power_basis(backend, name, symbol, to_index, to_exponent, allow_negative) -
             raise LabelError(f"invalid basis index {index}")
         return _power_label(symbol, to_exponent(index))
 
-    return AlgebraFixture(table, encode, decode)
+    fixture = _builtin(backend, name, True, encode, decode, rule=rule)
+    fixture.table._codec = (to_exponent, to_index)
+    return fixture
 
 
 def _identity(n: int) -> int:
@@ -126,85 +129,50 @@ def _unzigzag(index: int) -> int:
     return (index + 1) // 2 if index % 2 else -(index // 2)
 
 
-def _word_offset(k: int, length: int) -> int:
-    """Number of words over k letters shorter than `length`."""
-    if k == 1:
-        return length
-    return (k**length - 1) // (k - 1)
-
-
 def _free_words(backend: Backend, k: int) -> AlgebraFixture:
     letters = "abcdefghijklmnopqrstuvwxyz"
     if k > len(letters):
         raise ValueError(f"free:{k} exceeds the {len(letters)}-letter alphabet")
     alphabet = letters[:k]
 
-    def word_to_index(word: str) -> int:
-        value = 0
-        for ch in word:
-            value = value * k + alphabet.index(ch)
-        return _word_offset(k, len(word)) + value
-
-    def split(index: int) -> tuple[int, int]:
-        """(length, value) with index = offset(length) + value, 0 <= value < k**length."""
+    def length(index: int) -> int:
+        """The number of letters in the word at index: its digits in bijective base k."""
         if k == 1:
-            return index, 0
-        length = 0
-        while _word_offset(k, length + 1) <= index:
-            length += 1
-        return length, index - _word_offset(k, length)
-
-    def index_to_word(index: int) -> str:
-        length, rem = split(index)
-        out = []
-        for _ in range(length):
-            rem, d = divmod(rem, k)
-            out.append(alphabet[d])
-        return "".join(reversed(out))
+            return index
+        n = 0
+        while index > 0:
+            index = (index - 1) // k
+            n += 1
+        return n
 
     def rule(i, j):
         # concatenation in index arithmetic: the digits of j follow those of i
-        len_i, val_i = split(i)
-        len_j, val_j = split(j)
-        return basis_vector(backend, _word_offset(k, len_i + len_j) + val_i * k**len_j + val_j)
-
-    table = StructureTable(
-        backend,
-        name=f"free:{k}",
-        rule=rule,
-        pair_bound=1,
-        claims_associative=True,
-        claims_commutative=False,
-    )
+        return basis_vector(backend, i * k ** length(j) + j)
 
     def encode(label: str) -> int:
         if label in ("1", ""):
             return 0
+        index = 0
         for ch in label:
             if ch not in alphabet:
                 raise LabelError(f"letter {ch!r} is not in the free:{k} alphabet {alphabet!r}")
-        return word_to_index(label)
+            index = index * k + alphabet.index(ch) + 1
+        return index
 
     def decode(index: int) -> str:
         if index < 0:
             raise LabelError(f"invalid basis index {index}")
-        return index_to_word(index) if index else "1"
+        out = []
+        while index:
+            index, d = divmod(index - 1, k)
+            out.append(alphabet[d])
+        return "".join(reversed(out)) or "1"
 
-    return AlgebraFixture(table, encode, decode)
+    return _builtin(backend, f"free:{k}", False, encode, decode, rule=rule)
 
 
 def _finite_fixture(backend, name, labels, products, commutative) -> AlgebraFixture:
-    entries = {}
-    for (i, j), (k, sign) in products.items():
-        entries[(i, j)] = HamelVector(backend, {k: backend.from_int(sign)})
-    table = StructureTable(
-        backend,
-        name=name,
-        entries=entries,
-        pair_bound=1,
-        claims_associative=True,
-        claims_commutative=commutative,
-    )
+    entries = {pair: HamelVector(backend, {k: backend.from_int(sign)}) for pair, (k, sign) in products.items()}
 
     def encode(label: str) -> int:
         try:
@@ -217,7 +185,7 @@ def _finite_fixture(backend, name, labels, products, commutative) -> AlgebraFixt
             raise LabelError(f"basis index {index} outside the {name} basis 0..{len(labels) - 1}")
         return labels[index]
 
-    return AlgebraFixture(table, encode, decode)
+    return _builtin(backend, name, commutative, encode, decode, entries=entries)
 
 
 def _quaternion(backend: Backend) -> AlgebraFixture:

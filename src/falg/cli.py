@@ -381,7 +381,7 @@ def _load_json(path: str):
         with open(path, "r", encoding="utf-8") as fh:
             return json.load(fh)
     except OSError as e:
-        raise CliError(f"cannot read {path}: {e}") from None
+        raise CliError(f"cannot read {path}: {e.strerror}") from None
     except ValueError as e:  # a JSONDecodeError, UnicodeDecodeError or json's int-digit limit
         raise CliError(f"{path} is not valid JSON: {e}") from None
     except RecursionError:

@@ -97,11 +97,23 @@ def _string_rule(k: int, i: int, j: int) -> int:
     return offset(len(digits)) + value
 
 
-@pytest.mark.parametrize("k", [1, 2, 3])
-@given(i=st.integers(min_value=0, max_value=3000), j=st.integers(min_value=0, max_value=3000))
-def test_free_index_rule_matches_string_rule(k, i, j):
+@pytest.mark.parametrize("k", [1, 2, 3, 26])
+@given(data=st.data())
+def test_free_index_rule_matches_string_rule(k, data):
+    indices = st.integers(min_value=0, max_value=3000 if k == 1 else 10**12)
+    i, j = data.draw(indices), data.draw(indices)
     table = load_builtin(f"free:{k}").table
     assert table.lookup(i, j) == basis_vector(RATIONAL, _string_rule(k, i, j))
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 26])
+@given(data=st.data())
+def test_free_codec_inverts_on_long_words_and_large_indices(k, data):
+    fix = load_builtin(f"free:{k}")
+    word = data.draw(st.text(alphabet="abcdefghijklmnopqrstuvwxyz"[:k], min_size=1, max_size=200))
+    index = data.draw(st.integers(min_value=0, max_value=10**4 if k == 1 else 10**60))
+    assert fix.decode(fix.encode(word)) == word
+    assert fix.encode(fix.decode(index)) == index
 
 
 def test_free_two_product_example():

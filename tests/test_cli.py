@@ -623,7 +623,7 @@ def test_cli_let_repeats_and_pure_takes_several(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("argv, err", [
-    (["norm", "--map=--"], "cannot read --: [Errno 2] No such file or directory: '--'\n"),
+    (["norm", "--map=--"], "cannot read --: No such file or directory\n"),
     (["eval", *_POLY, "--expr", "1", "--let=--"], "--let takes NAME=PATH, got '--'\n"),
 ])
 def test_cli_value_after_equals_may_be_double_dash(capsys, argv, err):
@@ -1233,6 +1233,15 @@ def test_cli_long_max_index_env_echo_is_short(capsys, monkeypatch):
     code, out, err = run(capsys, ["check", "--algebra", "builtin:polynomial", "--trials", "5"])
     assert (code, out) == (2, "")
     assert err == f"FALG_MAX_INDEX must be an integer, got {'x' * 40!r}... (100000 characters)\n"
+
+
+@pytest.mark.parametrize("argv", [["check", "--algebra"], ["norm", "--vector"]], ids=["algebra", "vector"])
+def test_cli_unreadable_path_is_quoted_once(capsys, argv):
+    path = "x" * 100000  # longer than any file name the OS reads
+    code, out, err = run(capsys, [*argv, path])
+    assert (code, out) == (2, "")
+    assert err.startswith(f"cannot read {path}: ") and err.count(path) == 1
+    assert len(err) < len(path) + 200
 
 
 def test_cli_f64_infinite_tail_rejected_at_parse(tmp_path):
