@@ -85,8 +85,8 @@ MUTANTS = [
     ),
     Mutant(
         "split-unscaled-numerators", "ring.py",
-        "{k: x._numerator * (d // x._denominator) for k",
-        "{k: x._numerator for k",
+        "nums[k] = x._numerator * (d // x._denominator)",
+        "nums[k] = x._numerator",
         [KERNEL + "test_exact_apply_is_chained_sum",
          KERNEL + "test_exact_mul_is_chained_sum",
          DIFFERENTIAL],
@@ -201,18 +201,27 @@ MUTANTS = [
         "below-bits-of-n-minus-1", "algebra.py",
         "    k = n.bit_length()\n",
         "    k = (n - 1).bit_length()\n",
-        DRAWS + LAWS + [DIFFERENTIAL],
+        DRAWS + [DIFFERENTIAL],
+    ),
+    # check_laws applies _below's rule inline: at a power-of-two width an index draw reads width.bit_length() bits
+    Mutant(
+        "rand-form-index-bits-of-width-minus-1", "algebra.py",
+        "        k = width.bit_length()\n",
+        "        k = (width - 1).bit_length()\n",
+        LAWS,
     ),
     Mutant(
         "rand-form-index-before-scalar", "algebra.py",
-        "            drawn[_below(rng, width)] = self._rand_scalar(rng)\n",
-        "            i = _below(rng, width)\n            drawn[i] = self._rand_scalar(rng)\n",
+        "            scalar = self._rand_scalar(bits)\n"
+        "            i = bits(k)\n            while i >= width:\n                i = bits(k)\n",
+        "            i = bits(k)\n            while i >= width:\n                i = bits(k)\n"
+        "            scalar = self._rand_scalar(bits)\n",
         LAWS + [DIFFERENTIAL],
     ),
     Mutant(
         "rand-form-keeps-zero-draws", "algebra.py",
-        "            if p:\n                kept.append((k, q, p))\n",
-        "            if True:\n                kept.append((k, q, p))\n",
+        "            if p:\n                nums[i] = p * (den // q)\n",
+        "            if True:\n                nums[i] = p * (den // q)\n",
         LAWS + [DIFFERENTIAL],
     ),
     Mutant(
@@ -372,8 +381,8 @@ MUTANTS = [
     # the basis builders skip the constructors, so they check the index themselves
     Mutant(
         "basis-skips-index-check", "hamel.py",
-        "_trusted(HamelVector, backend=backend, _raw={_check_index(i):",
-        "_trusted(HamelVector, backend=backend, _raw={i:",
+        "_table(HamelVector, backend, {_check_index(i):",
+        "_table(HamelVector, backend, {i:",
         [KERNEL + f"test_basis_builders_check_the_index[{c}-{k}]"
          for c in ("vector", "map-row") for k in ("negative", "bool", "str")],
     ),
@@ -508,8 +517,8 @@ MUTANTS = [
     ),
     Mutant(
         "certified-neg-drops-tail", "schauder.py",
-        "return self._make(-self._part(), self.tail)",
-        "return self._make(-self._part(), self.backend.norm_zero)",
+        "return self._make(-self._part, self.tail)",
+        "return self._make(-self._part, self.backend.norm_zero)",
         [LINEAR + f"{kind}-{b}]" for kind in ("tail-vector", "tail-map") for b in ("int", "rat")]
         + [TAIL_DIFFERENCES, DIFFERENTIAL],
     ),

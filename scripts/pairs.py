@@ -13,9 +13,11 @@ workload and seed both sides run `python3 bench/run.py --workload W --seed S
 --seconds N --trace 0` one after the other: the parent first on odd seeds,
 the change first on even ones.  `--traced SEED` adds one `--trace 1` run per
 side on each workload, for its per-layer metrics.  After the pairs, each
-side runs `scripts/prime_guard.py` and `scripts/op_classes.py` once, with
-their defaults, and the output keeps their stdout lines under `layers`,
-per side and script: null where that side's tree lacks the script.
+side runs `scripts/prime_guard.py`, `scripts/op_classes.py` and
+`scripts/gc_passes.py` once, with their defaults, and the output keeps their
+stdout lines under `layers`, per side and script.  A script the parent's
+tree lacks is copied in from the change's tree first, so both sides are
+read by the same script; null where neither tree has it.
 
 The output has BENCH_20.json's layout: per workload its seeds, which side ran
 first, the failed/attempted counts of every run, and per end-to-end metric
@@ -45,7 +47,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 WORKTREE = "WORKTREE"
 SIDES = ("parent", "change")
-LAYER_SCRIPTS = ("prime_guard.py", "op_classes.py")
+LAYER_SCRIPTS = ("prime_guard.py", "op_classes.py", "gc_passes.py")
 
 
 def _git(*args: str) -> str:
@@ -84,13 +86,19 @@ def _run(tree: Path, workload: str, seed: int, seconds: int, trace: int) -> dict
     return json.loads((tree / ".bench_out" / f"result-{workload}-s{seed}-t{trace}.json").read_text())
 
 
-def _layers(tree: Path) -> dict:
-    """The stdout lines of each layer script run once in tree; None where tree lacks it."""
+def _layers(tree: Path, change: Path) -> dict:
+    """The stdout lines of each layer script run once in tree, copied from change where tree lacks it.
+
+    None where neither tree has the script.
+    """
     out = {}
     for name in LAYER_SCRIPTS:
-        if not (tree / "scripts" / name).is_file():
-            out[name] = None
-            continue
+        script = tree / "scripts" / name
+        if not script.is_file():
+            if not (change / "scripts" / name).is_file():
+                out[name] = None
+                continue
+            shutil.copy2(change / "scripts" / name, script)
         proc = subprocess.run([sys.executable, f"scripts/{name}"], cwd=tree, capture_output=True, text=True,
                               timeout=1200)
         if proc.returncode != 0:
@@ -179,7 +187,7 @@ def main(argv=None) -> int:
                 traced = report.setdefault("per_layer_traced", {})
                 traced[workload] = {"seed": args.traced, **{
                     side: _run(trees[side], workload, args.traced, args.seconds, 1)["metrics"] for side in SIDES}}
-        report["layers"] = {side: _layers(trees[side]) for side in SIDES}
+        report["layers"] = {side: _layers(trees[side], trees["change"]) for side in SIDES}
     out.write_text(json.dumps(report, indent=1) + "\n")
     print(f"wrote {out}")
     return 0

@@ -24,6 +24,10 @@ are zero and are memoized in ``_rows`` alone, so using a table never
 changes its ``==``.  ``_mul_form``'s lookup loop reads row i once per i
 and calls ``lookup`` only for pairs not yet in it; an entry that violates
 the bound never enters it, so every product that reaches it raises again.
+``lookup`` checks both indices of a pair not yet in ``_rows`` with
+``hamel._check_index`` before it computes or stores anything, so a bad pair
+leaves neither a row nor an entry behind; a memoized pair is returned
+without the check, so ``mul`` on a filled memo pays nothing for it.
 
 ``_mul_form`` multiplies two numerator forms; ``mul`` checks its operands,
 splits them into forms and wraps the product form into a vector.  It takes
@@ -52,17 +56,21 @@ draw order, its two sides and the public defect (``commutator``,
 ``associator``) a counterexample also shows.  ``check_laws`` holds the one
 probe loop.  Per trial it draws a row's arguments in order, a scalar with
 ``_rand_scalar`` and each vector straight into a numerator form with
-``_rand_form`` (both bound to the rng once), evaluates the two sides with
-``_product``, ``_sum`` and ``_scaled`` (``_mul_form`` and ``_combine``
-underneath), and compares them by cross-multiplication.  Vectors are built
-only to render a counterexample: ``name=value`` per argument, then the
-defect.
-Every random int of a probe (and of ``map_via_tensor``'s spot check) comes
-from ``_below(rng, n)``, which reads ``rng.getrandbits`` as CPython's
-``Random.randint`` does underneath: ``a + _below(rng, b - a + 1)`` is the
-value ``rng.randint(a, b)`` would return, and leaves the same state.  So a
-seed still names the same report, counterexample included, while a draw
-costs one Python call instead of randint's three.
+``_rand_form`` (both bound to the rng's ``getrandbits`` once), evaluates
+the two sides with ``_product``, ``_sum`` and ``_scaled`` (``_mul_form``
+and ``_combine`` underneath), and compares them by cross-multiplication.
+Vectors are built only to render a counterexample: ``name=value`` per
+argument, then the defect.
+Every random int of a probe (and of ``map_via_tensor``'s spot check) is
+drawn by ``_below``'s rule: ``_below(rng, n)`` reads n.bit_length() bits
+from ``rng.getrandbits`` and reads again while the result is n or more, as
+CPython's ``Random.randint`` does underneath, so ``a + _below(rng, b - a +
+1)`` is the value ``rng.randint(a, b)`` would return, and leaves the same
+state.  The spot check calls ``_below``; the probe's two draws,
+``_rand_scalar`` and ``_rand_form``, apply the rule inline to the
+``getrandbits`` that ``check_laws`` binds once, so a draw costs one call of
+that C method and no Python call.  Either way a seed still names the same
+report, counterexample included, as it did when every draw was a ``randint``.
 The probes make the checks the public operations would make, in the same
 order: lookups raise the same ``CertificateError`` and float64 rejects a
 non-finite product, sum or scaling with the same ``ValueError``.
@@ -79,6 +87,7 @@ from typing import Callable, Mapping, Optional
 from .ring import Backend, NormValue, Scalar, _Frozen
 from .hamel import (
     HamelVector,
+    _check_index,
     _combine,
     _form_vector,
     _operand,
@@ -134,16 +143,25 @@ class StructureTable(_Frozen):
         return HamelVector(self.backend, entry)
 
     def lookup(self, i: int, j: int) -> HamelVector:
-        """Expansion of e_i * e_j; zero for absent pairs of an extensional table."""
+        """Expansion of e_i * e_j; zero for absent pairs of an extensional table.
+
+        A pair not in the memo yet has both indices checked first (``TypeError``
+        or ``ValueError``, as for any basis index), so a bad pair is neither
+        computed nor memoized.
+        """
         key = (i, j)
         entry = self.entries.get(key)
-        row = self._rows.setdefault(i, {})
+        row = self._rows.get(i)
+        if row is None or j not in row:
+            _check_index(i)
+            _check_index(j)
+            row = self._rows.setdefault(i, {})
+        elif entry is not None:
+            return entry
         if entry is None and self.rule is None:
             # absent pair of an extensional table: memoized in _rows only
             row[j] = (1, {})
             return zero_vector(self.backend)
-        if j in row:
-            return entry
         if entry is None:
             entry = self.entries[key] = self._coerce(self.rule(i, j))
         if self.pair_bound is not None:
@@ -289,9 +307,9 @@ class StructureTable(_Frozen):
         if isinstance(trials, bool) or not isinstance(trials, int) or trials <= 0:
             raise ValueError(f"trials must be a positive integer, got {trials}")
         _check_max_index(max_index)
-        rng = random.Random(seed)
-        scalar = partial(self._rand_scalar, rng)
-        form = partial(self._rand_form, rng, max_index)
+        bits = random.Random(seed).getrandbits
+        scalar = partial(self._rand_scalar, bits)
+        form = partial(self._rand_form, bits, max_index + 1)
         results = []
         for law_name, params, sides, defect in _LAWS:
             if not getattr(self, f"claims_{law_name}", True):
@@ -313,34 +331,54 @@ class StructureTable(_Frozen):
             results.append(LawResult(law_name, counterexample is None, done, counterexample))
         return LawReport(self.name, seed, trials, tuple(results))
 
-    def _rand_scalar(self, rng) -> tuple[int, object]:
-        """A random scalar p / q as the pair (q, p), p in [-5, 5]; q in [1, 4] is drawn on rat only."""
-        n = _below(rng, 11) - 5
-        if self.backend.name == "rat":
-            return _below(rng, 4) + 1, n
-        return 1, self.backend.check(n)
+    def _rand_scalar(self, bits) -> tuple[int, object]:
+        """A random scalar p / q as the pair (q, p), p in [-5, 5]; q in [1, 4] is drawn on rat only.
 
-    def _rand_form(self, rng, max_index: int) -> tuple[int, dict]:
-        """The numerator form of a random vector of at most three terms.
-
-        Python evaluates the value before the index, so each term draws its
-        scalar first; a repeated index keeps its first position and its last
-        value, and zero draws are dropped, as the vector constructor would.
-        A size-0 draw returns at once; one pass drops zeros and takes the lcm.
+        bits is the probe's getrandbits, read as ``_below`` reads it: p + 5 is
+        ``_below(rng, 11)``, 4 bits at a time, and q - 1 is ``_below(rng, 4)``,
+        3 bits at a time.
         """
-        size = _below(rng, 4)
+        n = bits(4)
+        while n >= 11:
+            n = bits(4)
+        if self.backend.name != "rat":
+            return 1, self.backend.check(n - 5)
+        q = bits(3)
+        while q >= 4:
+            q = bits(3)
+        return q + 1, n - 5
+
+    def _rand_form(self, bits, width: int) -> tuple[int, dict]:
+        """The numerator form of a random vector of at most three terms, indices below width.
+
+        bits is read as ``_rand_scalar`` reads it: the size is ``_below(rng,
+        4)``, then each term draws its scalar, then its index ``_below(rng,
+        width)``, the order in which Python evaluates ``drawn[index] =
+        scalar``.  A repeated index keeps its first position and its last
+        value, and zero draws are dropped, as the vector constructor would.
+        """
+        size = bits(3)
+        while size >= 4:
+            size = bits(3)
         if not size:
             return 1, {}
-        width = max_index + 1
+        k = width.bit_length()
         drawn = {}
         for _ in range(size):
-            drawn[_below(rng, width)] = self._rand_scalar(rng)
-        den, kept = 1, []
-        for k, (q, p) in drawn.items():
-            if p:
-                kept.append((k, q, p))
+            scalar = self._rand_scalar(bits)
+            i = bits(k)
+            while i >= width:
+                i = bits(k)
+            drawn[i] = scalar
+        den = 1
+        for q, p in drawn.values():
+            if p and den % q:
                 den = lcm(den, q)
-        return den, {k: p * (den // q) for k, q, p in kept}
+        nums = {}
+        for i, (q, p) in drawn.items():
+            if p:
+                nums[i] = p * (den // q)
+        return den, nums
 
     def _scaled(self, form: tuple[int, dict], d: tuple[int, object]) -> tuple[int, dict]:
         q, p = d
@@ -397,7 +435,12 @@ def _same(f: tuple[int, dict], g: tuple[int, dict]) -> bool:
     """
     d, a = f
     e, b = g
-    return a.keys() == b.keys() and all(n * e == b[k] * d for k, n in a.items())
+    if a.keys() != b.keys():
+        return False
+    for k, n in a.items():
+        if n * e != b[k] * d:
+            return False
+    return True
 
 
 def _check_max_index(max_index) -> None:

@@ -93,7 +93,7 @@ backend.
 
 Raw data from a caller (public constructors, ``from_data``) is checked
 once, by one loop, ``_clean``: a table constructor runs it, and a map runs
-it on each raw column and wraps the result with ``_trusted``.  A plain dict
+it on each raw column and wraps the result with ``_table``.  A plain dict
 of basis indices first takes one exact-type pass, ``backend._exact``: it
 succeeds only when every key is an int >= 0 and every value of the
 backend's own type (int, Fraction, or a finite float), which ``check``
@@ -108,12 +108,13 @@ constructors, and so are the truncation layer's computed results (see
 ``schauder``) and the basis builders, which store ``backend.from_int(1)``
 at an index ``_check_index`` passed.  ``_trusted`` sets a frozen value
 class's fields without its ``__init__``, so it skips ``_check_index`` and
-the backend re-check; a table's trusted builders set ``_raw``.  Only an
-operation on already-constructed values may use them -- one that has
-joined its operands (type and backend checks) and builds its result only
-from their keys, raw values and sums or products of them.  Those keys
-passed ``_check_index`` and those values passed their backend's ``check``
-when the operands were built.
+the backend re-check; ``_table`` does the same for a coordinate table's
+``backend`` and ``_raw``, without packing them as keywords, and serves
+every table a kernel builds.  Only an operation on already-constructed
+values may use them -- one that has joined its operands (type and backend
+checks) and builds its result only from their keys, raw values and sums or
+products of them.  Those keys passed ``_check_index`` and those values
+passed their backend's ``check`` when the operands were built.
 """
 
 from __future__ import annotations
@@ -122,7 +123,7 @@ from collections.abc import Iterator, Mapping, Sequence
 from math import lcm
 from typing import Union
 
-from .ring import Backend, BackendMismatchError, NormValue, Scalar, _Frozen, _excerpt, _new, _scalar
+from .ring import Backend, BackendMismatchError, NormValue, Scalar, _Frozen, _excerpt, _new, _scalar, _set
 
 
 def _check_index(i) -> int:
@@ -135,7 +136,7 @@ def _check_index(i) -> int:
 
 def _pairs(data, what: str):
     """The (key, value) pairs of data, a Mapping or an iterable of pairs; a str is neither."""
-    if isinstance(data, Mapping):
+    if type(data) is dict or isinstance(data, Mapping):
         return data.items()
     if isinstance(data, str):
         raise TypeError(f"{what} must be a mapping or (key, value) pairs, got str")
@@ -191,12 +192,20 @@ def _trusted(cls, **fields):
     """An instance of frozen value class cls with fields set as given, unchecked."""
     obj = _new(cls)
     for name, value in fields.items():
-        object.__setattr__(obj, name, value)
+        _set(obj, name, value)
+    return obj
+
+
+def _table(cls, backend: Backend, raw: dict):
+    """A coordinate table of class cls over backend holding raw, unchecked: ``_trusted`` without keywords."""
+    obj = _new(cls)
+    _set(obj, "backend", backend)
+    _set(obj, "_raw", raw)
     return obj
 
 
 def _form_vector(backend: Backend, form: tuple[int, dict]) -> "HamelVector":
-    return _trusted(HamelVector, backend=backend, _raw=backend._coords(form))
+    return _table(HamelVector, backend, backend._coords(form))
 
 
 def _map(backend: Backend, cols: dict) -> "ColumnFiniteMap":
@@ -292,12 +301,12 @@ class _CoordTable(_Linear):
     _from_wire = staticmethod(_wire_index)
 
     def __init__(self, backend: Backend, coords: Mapping = {}):
-        object.__setattr__(self, "backend", backend)
-        object.__setattr__(self, "_raw", coords)
+        _set(self, "backend", backend)
+        _set(self, "_raw", coords)
         self.__post_init__()
 
     def __post_init__(self):
-        object.__setattr__(self, "_raw", _clean(self.backend, self._raw, self._index))
+        _set(self, "_raw", _clean(self.backend, self._raw, self._index))
 
     @property
     def coords(self) -> Mapping:
@@ -320,9 +329,9 @@ class _CoordTable(_Linear):
 
     def _build(self, raw: dict):
         """A table of self's class and shape holding raw (trusted)."""
-        out = _trusted(type(self), backend=self.backend, _raw=raw)
+        out = _table(type(self), self.backend, raw)
         for name in self._shape:
-            object.__setattr__(out, name, getattr(self, name))
+            _set(out, name, getattr(self, name))
         return out
 
     def __add__(self, other):
@@ -382,7 +391,7 @@ def zero_vector(backend: Backend) -> HamelVector:
 
 
 def basis_vector(backend: Backend, i: int) -> HamelVector:
-    return _trusted(HamelVector, backend=backend, _raw={_check_index(i): backend.from_int(1)})
+    return _table(HamelVector, backend, {_check_index(i): backend.from_int(1)})
 
 
 class DualFunctional(_CoordTable):
@@ -407,7 +416,7 @@ class DualFunctional(_CoordTable):
 
 def dual_basis(backend: Backend, i: int) -> DualFunctional:
     """The functional that reads off coordinate i: e^i(e_j) = delta^i_j."""
-    return _trusted(DualFunctional, backend=backend, _raw={_check_index(i): backend.from_int(1)})
+    return _table(DualFunctional, backend, {_check_index(i): backend.from_int(1)})
 
 
 def _clean_cols(backend: Backend, cols) -> dict[int, HamelVector]:
@@ -417,7 +426,7 @@ def _clean_cols(backend: Backend, cols) -> dict[int, HamelVector]:
         if isinstance(col, HamelVector):
             _operand(col, HamelVector, backend, "column")
         else:
-            col = _trusted(HamelVector, backend=backend, _raw=_clean(backend, col))
+            col = _table(HamelVector, backend, _clean(backend, col))
         if not col.is_zero():
             out[j] = col
     return out
@@ -434,8 +443,8 @@ class ColumnFiniteMap(_Linear):
     _fields = ("backend", "cols")
 
     def __init__(self, backend: Backend, cols: Mapping[int, HamelVector] = {}):
-        object.__setattr__(self, "backend", backend)
-        object.__setattr__(self, "cols", _clean_cols(backend, cols))
+        _set(self, "backend", backend)
+        _set(self, "cols", _clean_cols(backend, cols))
 
     def column(self, j: int) -> HamelVector:
         col = self.cols.get(_check_index(j))

@@ -30,8 +30,9 @@ described in its own docstring: the numerator form of a raw table
 (``_split``; on int and float64 the table itself) and the zero-free raw
 table built back from a form (``_coords``; a zero filter on int and
 float64, after the finiteness check on float64, and the reduced Fractions
-on rat), sums of columns read in place (``_column_sum``, ``_num_den``) and
-the l1 mass behind every certified bound (``_mass``, ``_mass_bounds``).
+on rat), sums of columns read in place (``_column_sum``, ``_num_den``),
+the l1 mass behind every certified bound (``_mass``, ``_mass_bounds``) and
+the tail formula of map application (``_propagated``).
 It also owns the small operations on zero-free tables keyed by basis index:
 the merge behind ``+`` (``_merge``; native sums on int and float64, the
 float64 ones checked finite, slot sums on rat), negation (``_neg``) and
@@ -80,6 +81,7 @@ from operator import attrgetter
 from typing import Union
 
 _new = object.__new__
+_set = object.__setattr__
 
 NormValue = Union[int, Fraction, float]
 
@@ -357,6 +359,34 @@ class Backend:
         g, h = gcd(na, db), gcd(nb, da)
         return _rational((na // g) * (nb // h), (da // h) * (db // g))
 
+    def _propagated(self, stored: NormValue, tails: NormValue, mass: NormValue, tail: NormValue) -> NormValue:
+        """stored * tail + tails * (mass + tail), the tail that map application propagates.
+
+        It is the tail a node of stored mass stored and tail mass tails leaves
+        when fed an operand of prefix mass mass and tail tail.  Here it is
+        exact, the value and type the chain of norm_add and norm_mul returns,
+        without a type dispatch per step: each value is read once as a
+        numerator over a denominator, an int over 1 or a Fraction from its
+        slots, and the sum is formed over the product of the four
+        denominators and reduced by one gcd, a Fraction when any of the four
+        is one, else an int.
+        """
+        fraction = False
+        slots = []
+        for x in (stored, tails, mass, tail):
+            if isinstance(x, Fraction):
+                fraction = True
+                slots += (x._numerator, x._denominator)
+            else:
+                slots += (x, 1)
+        a, p, b, q, c, r, t, s = slots
+        num = a * t * q * r + b * (c * s + t * r) * p
+        if not fraction:
+            return num
+        den = p * q * r * s
+        g = gcd(num, den)
+        return _rational(num // g, den // g)
+
     def norm_render(self, x: NormValue) -> str:
         return str(x)
 
@@ -428,10 +458,15 @@ class RationalBackend(Backend):
 
     def _split(self, raw):
         """Integer numerators over d, the lcm of the denominators, read from each Fraction's slots."""
-        d = lcm(*[x._denominator for x in raw.values()])
-        if d == 1:
-            return 1, {k: x._numerator for k, x in raw.items()}
-        return d, {k: x._numerator * (d // x._denominator) for k, x in raw.items()}
+        d = 1
+        for x in raw.values():
+            q = x._denominator
+            if d % q:
+                d = lcm(d, q)
+        nums = {}
+        for k, x in raw.items():
+            nums[k] = x._numerator * (d // x._denominator)
+        return d, nums
 
     def _coords(self, form):
         """A Fraction per nonzero numerator n of form (den, nums): n / den, reduced by one gcd.
@@ -669,6 +704,10 @@ class Float64Backend(Backend):
         if x == 0.0 or y == 0.0:
             return 0.0
         return _up(x * y)
+
+    def _propagated(self, stored, tails, mass, tail):
+        """As the base, a step at a time, each step rounded up."""
+        return self.norm_add(self.norm_mul(stored, tail), self.norm_mul(tails, self.norm_add(mass, tail)))
 
     def norm_render(self, x):
         return repr(float(x))

@@ -22,11 +22,11 @@ represented result.  Inputs built from exact data carry tail 0 and the
 contract degenerates to exact arithmetic.  Bounds are certificates, not
 estimates, and the propagation formulas are deliberately conservative.
 Every mass is one ``backend._mass``, and apply, compose and the nest peel
-share one formula, ``_propagated``.  On the exact backends the contract
-holds.  On the float backend each mass rounds up once and every other bound
-step rounds upward, but the rounding of the prefix arithmetic itself is
-not yet charged to the tail, so a float64 certificate can fail: the
-prefix of ``{0: 1.0} + {0: 1e-17}`` drops 1e-17 and its tail is 0.0.
+share one formula, ``backend._propagated``.  On the exact backends the
+contract holds.  On the float backend each mass rounds up once and every
+other bound step rounds upward, but the rounding of the prefix arithmetic
+itself is not yet charged to the tail, so a float64 certificate can fail:
+the prefix of ``{0: 1.0} + {0: 1e-17}`` drops 1e-17 and its tail is 0.0.
 
 Norm reporting is honest about what finite data can know: `norm_interval`
 returns [prefix mass, prefix mass + tail], and `bound` on a map returns
@@ -43,9 +43,10 @@ checked norms.  Public constructors, ``make``, ``lift`` and ``from_data`` check.
 
 from __future__ import annotations
 
+from operator import attrgetter
 from typing import Mapping, Sequence, Union
 
-from .ring import Backend, NormValue, _Frozen
+from .ring import Backend, NormValue, _Frozen, _new, _set
 from .hamel import (
     ColumnFiniteMap, HamelVector, _Linear, _check_call, _check_nest, _check_slots, _form_vector, _map, _operand,
     _trusted,
@@ -84,27 +85,30 @@ class _Certified(_Linear):
 
     The shared core of TailVector and TailMap: the first field holds the
     finite part, an instance of ``_part_cls``, and ``tail`` the bound.
+    Each subclass reads the first field as ``_part`` and its backend as
+    ``backend``, two properties made from the field's name.
     """
 
     _part_cls: type
 
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        cls._part = property(attrgetter(cls._fields[0]))
+        cls.backend = property(attrgetter(f"{cls._fields[0]}.backend"))
+
     def __init__(self, part, tail: NormValue):
         if not isinstance(part, self._part_cls):
             raise TypeError(f"{self._fields[0]} must be {self._part_cls.__name__}, got {type(part).__name__}")
-        object.__setattr__(self, self._fields[0], part)
-        object.__setattr__(self, "tail", part.backend.norm_check(tail))
+        _set(self, self._fields[0], part)
+        _set(self, "tail", part.backend.norm_check(tail))
 
     @classmethod
     def _make(cls, part, tail: NormValue):
-        """A cls of part and tail computed from checked values (trusted)."""
-        return _trusted(cls, **{cls._fields[0]: part, "tail": tail})
-
-    def _part(self):
-        return getattr(self, self._fields[0])
-
-    @property
-    def backend(self) -> Backend:
-        return self._part().backend
+        """A cls of part and tail computed from checked values (trusted), its two fields set in place."""
+        obj = _new(cls)
+        _set(obj, cls._fields[0], part)
+        _set(obj, "tail", tail)
+        return obj
 
     @classmethod
     def lift(cls, part):
@@ -119,16 +123,16 @@ class _Certified(_Linear):
 
     def __add__(self, other):
         self._join(other)
-        return self._make(self._part() + other._part(), self.backend.norm_add(self.tail, other.tail))
+        return self._make(self._part + other._part, self.backend.norm_add(self.tail, other.tail))
 
     def __neg__(self):
-        return self._make(-self._part(), self.tail)
+        return self._make(-self._part, self.tail)
 
     def scale(self, d):
-        return self._make(self._part().scale(d), self.backend.norm_mul(d.norm(), self.tail))
+        return self._make(self._part.scale(d), self.backend.norm_mul(d.norm(), self.tail))
 
     def to_data(self) -> dict:
-        data = self._part().to_data()
+        data = self._part.to_data()
         data["tail"] = self.backend.norm_render(self.tail)
         return data
 
@@ -194,7 +198,7 @@ class TailMap(_Certified):
         """
         _operand(v, TailVector, self.backend, "argument")
         prefix = self.finite.apply(v.prefix)
-        tail = _propagated(self.backend, self.finite.l1_total(), self.tail, v.prefix.l1(), v.tail)
+        tail = self.backend._propagated(self.finite.l1_total(), self.tail, v.prefix.l1(), v.tail)
         return TailVector._make(prefix, tail)
 
     def __call__(self, v: TailVector) -> TailVector:
@@ -203,14 +207,8 @@ class TailMap(_Certified):
     def compose(self, g: "TailMap") -> "TailMap":
         """self after g; tail = Ff*Gt + Ft*(Gf + Gt), total-mass submultiplicative."""
         self._join(g)
-        tail = _propagated(self.backend, self.finite.l1_total(), self.tail, g.finite.l1_total(), g.tail)
+        tail = self.backend._propagated(self.finite.l1_total(), self.tail, g.finite.l1_total(), g.tail)
         return self._make(self.finite.compose(g.finite), tail)
-
-
-def _propagated(b: Backend, stored: NormValue, tails: NormValue, mass: NormValue, tail: NormValue) -> NormValue:
-    """stored*tail + tails*(mass + tail): the tail a node with stored mass stored and
-    tail mass tails leaves when fed an operand with prefix mass mass and tail tail."""
-    return b.norm_add(b.norm_mul(stored, tail), b.norm_mul(tails, b.norm_add(mass, tail)))
 
 
 def tail_mul(table: StructureTable, a: TailVector, b: TailVector) -> TailVector:
@@ -312,7 +310,7 @@ def _peel(nest: TailPolyMap, x: TailVector) -> TailNode:
     """
     b = nest.backend
     values, tails = _nest_flat(nest)
-    tail = _propagated(b, b._mass(values), b._mass(tails), x.prefix.l1(), x.tail)
+    tail = b._propagated(b._mass(values), b._mass(tails), x.prefix.l1(), x.tail)
     d, xs = b._split(x.prefix._raw)
     parts = [(c, nest.slots[j]) for j, c in xs.items() if j in nest.slots]
     return _nest_sum(b, nest.arity - 1, parts, d, tail)

@@ -326,6 +326,8 @@ def test_check_laws_matches_reference(backend):
         table_seed = rng.randrange(10**6)
         for trials, max_index, seed in [
             (1, 0, n), (8, 2, n + 1), (25, 4, n + 2), (8, 3, n + 3), (8, 7, n + 4), (8, 15, n + 5),
+            # widths 2, 32 and 33: the edges of the index draw's bit widths
+            (8, 1, n + 6), (8, 31, n + 7), (8, 32, n + 8),
         ]:
             real = _outcome(lambda: _rand_table(random.Random(table_seed), backend).check_laws(trials, max_index, seed))
             ref = _outcome(lambda: reference_check_laws(_rand_table(random.Random(table_seed), backend), trials, max_index, seed))
@@ -372,6 +374,26 @@ def test_pair_bound_satisfied_passes():
     t = StructureTable(RATIONAL, entries={(0, 0): {0: Fraction(1, 2), 1: Fraction(1, 2)}}, pair_bound=1)
     v = basis_vector(RATIONAL, 0)
     assert t.mul(v, v) == HamelVector(RATIONAL, {0: Fraction(1, 2), 1: Fraction(1, 2)})
+
+
+@pytest.mark.parametrize("table, i, j, error", [
+    ("polynomial", 5, -2, ValueError),
+    ("polynomial", True, 2, TypeError),
+    ("free:1", 3, -2, ValueError),
+    ("extensional", -1, 0, ValueError),
+])
+def test_lookup_checks_both_indices_before_memoizing(table, i, j, error):
+    if table == "extensional":
+        t = StructureTable(RATIONAL, entries={(0, 0): {0: 1}})
+    else:
+        t = load_builtin(table).table
+    t.lookup(0, 0)
+    rows = {k: dict(row) for k, row in t._rows.items()}
+    entries = dict(t.entries)
+    with pytest.raises(error, match="basis index must be"):
+        t.lookup(i, j)
+    assert t._rows == rows
+    assert t.entries == entries
 
 
 def test_endo_mul_is_composition():
