@@ -32,6 +32,8 @@ COLUMNS = KERNEL + "test_column_sum_examples["
 DRAWS = [f"tests/test_algebra.py::test_below_draws_the_randint_stream[{seed}]" for seed in (0, 1, 808, 2**40 + 7)]
 LAWS = [f"tests/test_algebra.py::test_check_laws_matches_reference[{b}]" for b in ("rat", "int", "f64")]
 RING = "tests/test_ring.py::"
+ALGEBRA = "tests/test_algebra.py::"
+LOOKUP = ALGEBRA + "test_lookup_checks_both_indices_before_memoizing["
 GROUPS = RING + "test_mass_over_several_denominator_groups_is_the_chained_sum["
 VALUES = "tests/test_values.py::"
 EDGES = VALUES + "test_constructors_reject_edge_inputs_with_their_messages["
@@ -167,8 +169,8 @@ MUTANTS = [
     # overflowed is rejected, and one that underflowed to 0.0 is not stored
     Mutant(
         "f64-coords-skips-finite-check", "ring.py",
-        "        self._check_sums(form[1].values())\n        return super()._coords(form)\n",
-        "        return super()._coords(form)\n",
+        "        self._check_sums(form[1].values())\n        return {k: x for",
+        "        return {k: x for",
         F64_OVERFLOW[1:] + [CLI + "test_cli_f64_eval_overflow_exits_2[v*v-flags2]"],
     ),
     Mutant(
@@ -310,8 +312,8 @@ MUTANTS = [
     ),
     Mutant(
         "f64-merge-skips-finite-check", "ring.py",
-        "        out = super()._merge(a, b)\n        self._check_sums(out.values())\n",
-        "        out = super()._merge(a, b)\n",
+        "            out[k] = y\n        self._check_sums(out.values())\n",
+        "            out[k] = y\n",
         [F64_OVERFLOW[0], MERGE_EXAMPLES + "f64-overflow]", MERGE_EXAMPLES + "f64-overflow-sub]"]
         + [CLI + f"test_cli_f64_eval_overflow_exits_2[{case}]" for case in ("v+v-flags0", "(v+v)-(v+v)-flags1")],
     ),
@@ -348,8 +350,8 @@ MUTANTS = [
     ),
     Mutant(
         "f64-exact-pass-keeps-nonfinite", "ring.py",
-        "if out is None or all(map(math.isfinite, out.values())):",
-        "if True:",
+        "                out[k] = x\n        self._check_sums(out.values())\n",
+        "                out[k] = x\n",
         [PASS + "f64-nonfinite]"],
     ),
     # the constructors' checked loop: each must still reject or drop what it always did
@@ -506,6 +508,28 @@ MUTANTS = [
         "    sys.exit(code)",
         "    sys.exit(0)",
         [ENTRY + f"{code}]" for code in (1, 2)] + [CLI + "test_cli_subprocess_determinism"],
+    ),
+    # + joins an operand of its own class, backend and shape: a tensor's arity
+    Mutant(
+        "linear-join-skips-shape", "hamel.py",
+        "            if getattr(other, name) != getattr(self, name):",
+        "            if False:",
+        [VALUES + "test_linear_values_join_operands_of_their_class_backend_and_shape[tensor]",
+         "tests/test_tensor.py::test_arity_mismatch_rejected"],
+    ),
+    # a table checks the indices of every pair: each entries key, and a lookup that hits its memo
+    Mutant(
+        "lookup-memo-hit-skips-index", "algebra.py",
+        "        _check_index(i)\n        _check_index(j)\n        key = (i, j)\n",
+        "        key = (i, j)\n",
+        [LOOKUP + f"{case}-TypeError]" for case in
+         ("polynomial-False-0", "polynomial-0.0-0", "free:1-0-False", "extensional-0-0.0")],
+    ),
+    Mutant(
+        "table-entries-skip-key-check", "algebra.py",
+        "{(_check_index(i), _check_index(j)): self._coerce(entry)",
+        "{(i, j): self._coerce(entry)",
+        [ALGEBRA + f"test_table_entries_are_keyed_by_basis_index_pairs[{case}]" for case in ("negative", "bool", "str")],
     ),
     # a - b and d * a are written once, for every linear value; negation keeps a tail
     Mutant(

@@ -24,10 +24,11 @@ are zero and are memoized in ``_rows`` alone, so using a table never
 changes its ``==``.  ``_mul_form``'s lookup loop reads row i once per i
 and calls ``lookup`` only for pairs not yet in it; an entry that violates
 the bound never enters it, so every product that reaches it raises again.
-``lookup`` checks both indices of a pair not yet in ``_rows`` with
-``hamel._check_index`` before it computes or stores anything, so a bad pair
-leaves neither a row nor an entry behind; a memoized pair is returned
-without the check, so ``mul`` on a filled memo pays nothing for it.
+``lookup`` checks both indices with ``hamel._check_index`` before it reads
+the memo, computes or stores anything, so a bad pair leaves neither a row
+nor an entry behind, and so does the constructor for every key of
+``entries``; ``_mul_form`` calls ``lookup`` only for a pair missing from
+``_rows``, so ``mul`` on a filled memo pays nothing for the check.
 
 ``_mul_form`` multiplies two numerator forms; ``mul`` checks its operands,
 splits them into forms and wraps the product form into a vector.  It takes
@@ -128,7 +129,7 @@ class StructureTable(_Frozen):
         self.backend = backend
         self.name = name
         self.pair_bound = None if pair_bound is None else backend.norm_check(pair_bound)
-        self.entries = {(i, j): self._coerce(entry) for (i, j), entry in entries.items()}
+        self.entries = {(_check_index(i), _check_index(j)): self._coerce(entry) for (i, j), entry in entries.items()}
         self.rule = rule
         self.claims_associative = claims_associative
         self.claims_commutative = claims_commutative
@@ -145,16 +146,16 @@ class StructureTable(_Frozen):
     def lookup(self, i: int, j: int) -> HamelVector:
         """Expansion of e_i * e_j; zero for absent pairs of an extensional table.
 
-        A pair not in the memo yet has both indices checked first (``TypeError``
-        or ``ValueError``, as for any basis index), so a bad pair is neither
-        computed nor memoized.
+        Both indices are checked first (``TypeError`` or ``ValueError``, as for
+        any basis index), so a bad pair is neither computed nor memoized, and
+        ``True`` or ``1.0`` does not read the memo of 1.
         """
+        _check_index(i)
+        _check_index(j)
         key = (i, j)
         entry = self.entries.get(key)
         row = self._rows.get(i)
         if row is None or j not in row:
-            _check_index(i)
-            _check_index(j)
             row = self._rows.setdefault(i, {})
         elif entry is not None:
             return entry

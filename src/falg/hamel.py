@@ -75,7 +75,15 @@ as chained canonical vector additions would.
 Every linear value -- a coordinate table, a map, and the truncation layer's
 tail vectors and tail maps -- derives from ``_Linear``, which writes
 ``a - b`` as ``a + (-b)`` and ``d * a`` for a Scalar d as ``a.scale(d)``
-once, from the class's own ``+``, unary ``-`` and ``scale``.
+once, from the class's own ``+``, unary ``-`` and ``scale``.  Every
+operation that takes a falg value checks it with ``_operand``:
+``TypeError`` for another class, ``BackendMismatchError`` for another
+backend.  ``_Linear._join`` is that check for ``+`` (and
+``TailMap.compose``): the operand must be of ``type(self)``, and one whose
+``_shape`` fields differ (a tensor's arity) raises ``ValueError``.  So a
+subclass's ``+`` refuses a plain operand, while a map's ``+`` and
+``compose`` ask for ``ColumnFiniteMap`` itself and take a subclass of it
+either way round.
 
 Vectors, dual functionals and tensors (``tensor.TensorElement``) are one
 kind of value, a zero-free coordinate table over one backend, and share one
@@ -87,9 +95,6 @@ shape (``_shape``: a tensor's arity), which results copy and operands must
 agree on.  One wire-key codec serves them all: a key is written ``"i"`` or
 ``"i,j,..."`` and read back only in canonical decimal form
 (``_wire_index``), so no two keys of one object name the same index.
-Every operation that takes a falg value checks it with ``_operand``:
-``TypeError`` for another class, ``BackendMismatchError`` for another
-backend.
 
 Raw data from a caller (public constructors, ``from_data``) is checked
 once, by one loop, ``_clean``: a table constructor runs it, and a map runs
@@ -278,6 +283,16 @@ class _Coords(Mapping):
 class _Linear(_Frozen):
     """A linear value: ``a - b`` and ``d * a`` from the subclass's ``+``, unary ``-`` and ``scale``."""
 
+    _shape: tuple[str, ...] = ()
+
+    def _join(self, other) -> None:
+        _operand(other, type(self), self.backend, "operand")
+        for name in self._shape:
+            if getattr(other, name) != getattr(self, name):
+                raise ValueError(
+                    f"cannot combine {name} {getattr(self, name)} and {getattr(other, name)}"
+                )
+
     def __sub__(self, other):
         return self + (-other)
 
@@ -296,7 +311,6 @@ class _CoordTable(_Linear):
     """
 
     _fields = ("backend", "coords")
-    _shape: tuple[str, ...] = ()
     _index = staticmethod(_check_index)
     _from_wire = staticmethod(_wire_index)
 
@@ -318,14 +332,6 @@ class _CoordTable(_Linear):
 
     def is_zero(self) -> bool:
         return not self._raw
-
-    def _join(self, other) -> None:
-        _operand(other, type(self), self.backend, "operand")
-        for name in self._shape:
-            if getattr(other, name) != getattr(self, name):
-                raise ValueError(
-                    f"cannot combine {name} {getattr(self, name)} and {getattr(other, name)}"
-                )
 
     def _build(self, raw: dict):
         """A table of self's class and shape holding raw (trusted)."""
@@ -585,9 +591,7 @@ class PolyMap(_Frozen):
 
     def __init__(self, backend: Backend, arity: int, slots: Mapping[int, MapNode] = {}):
         slots = _check_slots(PolyMap, ColumnFiniteMap, backend, arity, slots)
-        object.__setattr__(self, "backend", backend)
-        object.__setattr__(self, "arity", arity)
-        object.__setattr__(self, "slots", {j: sub for j, sub in slots.items() if not sub.is_zero()})
+        super().__init__(backend, arity, {j: sub for j, sub in slots.items() if not sub.is_zero()})
 
     def is_zero(self) -> bool:
         return not self.slots

@@ -20,8 +20,13 @@ The add, ``_rational_sum``, also adds the rat values of ``+``.
 :class:`Backend` implements the exact arithmetic once, for raw values and
 norm values alike.  The integer and rational backends supply only
 ``check``, ``from_int``, ``from_rational`` and ``parse`` (the rational one
-also a ``norm_check`` that reads strings); the float backend overrides what
-finiteness and directed rounding change.  ``RationalBackend.check`` returns
+also a ``norm_check`` that reads strings); the float backend overrides only
+what finiteness and directed rounding change.  Its ``check``, ``parse``,
+``add`` and ``mul`` reject a value that is not finite, and so does its
+``_check_sums``, the hook through which the base ``_coords``, ``_merge`` and
+``_exact`` check the values they store (a no-op on int and rat).  Its masses
+round once (``_mass``, ``_mass_bounds``) and its bound arithmetic rounds up
+(``norm_*``, ``_propagated``).  ``RationalBackend.check`` returns
 a plain ``Fraction`` as it is, since it is immutable; a subclass or an int
 is converted.
 
@@ -29,14 +34,13 @@ Each backend owns its representation in the kernels, each method
 described in its own docstring: the numerator form of a raw table
 (``_split``; on int and float64 the table itself) and the zero-free raw
 table built back from a form (``_coords``; a zero filter on int and
-float64, after the finiteness check on float64, and the reduced Fractions
-on rat), sums of columns read in place (``_column_sum``, ``_num_den``),
-the l1 mass behind every certified bound (``_mass``, ``_mass_bounds``) and
-the tail formula of map application (``_propagated``).
-It also owns the small operations on zero-free tables keyed by basis index:
-the merge behind ``+`` (``_merge``; native sums on int and float64, the
-float64 ones checked finite, slot sums on rat), negation (``_neg``) and
-the constructors' exact-type pass (``_exact``), which takes a table only
+float64, and the reduced Fractions on rat), sums of columns read in place
+(``_column_sum``, ``_num_den``), the l1 mass behind every certified bound
+(``_mass``, ``_mass_bounds``) and the tail formula of map application
+(``_propagated``).  It also owns the small operations on zero-free tables
+keyed by basis index: the merge behind ``+`` (``_merge``; native sums on
+int and float64, slot sums on rat), negation (``_neg``) and the
+constructors' exact-type pass (``_exact``), which takes a table only
 when ``check`` would return every value unchanged.  Every rat value is a
 Fraction, since ``check`` converts what it accepts and every stored value
 passed ``check`` or was computed from values that did, so the rat methods
@@ -166,8 +170,8 @@ class _Frozen:
     ...)``; the hash is over the fields, so a record holding a dict is
     unhashable; assignment and deletion raise ``AttributeError``.  The
     default ``__init__`` takes the fields positionally.  A class that
-    validates its fields defines its own and sets them with
-    ``object.__setattr__``.
+    validates its fields defines its own, which passes them on to this one
+    or, where the call costs too much, sets them with ``object.__setattr__``.
     """
 
     __slots__ = ()
@@ -253,7 +257,8 @@ class Backend:
         return 1, raw
 
     def _coords(self, form: tuple[int, dict]) -> dict:
-        """The inverse of _split: the table of the nonzero numerators of form, here each its own value."""
+        """The inverse of _split: the nonzero numerators of form, here each its own value, past _check_sums."""
+        self._check_sums(form[1].values())
         return {k: x for k, x in form[1].items() if x}
 
     # zero-free raw tables keyed by basis index: the constructors' fast pass, + and -
@@ -264,8 +269,10 @@ class Backend:
         """The nonzero entries of raw as a new table, or None unless every entry takes no conversion.
 
         An entry takes none when its key is an int >= 0 and its value of
-        ``_exact_type``, which ``check`` returns unchanged; the caller runs
-        its checked loop on anything else, so no rule or message is here.
+        ``_exact_type``, which ``check`` returns unchanged once it passes
+        ``_check_sums`` (float64 rejects a non-finite value with check's own
+        message); the caller runs its checked loop on anything else, so no
+        other rule or message is here.
         """
         out = {}
         exact = self._exact_type
@@ -274,6 +281,7 @@ class Backend:
                 return None
             if x:
                 out[k] = x
+        self._check_sums(out.values())
         return out
 
     def _merge(self, a: dict, b: dict) -> dict:
@@ -282,7 +290,8 @@ class Backend:
         A key new to a is appended, a sum replaces a's value where it
         stands, and a sum that cancels is deleted, so keys, their order and
         values are those of a chain of canonical additions.  Neither operand
-        holds a zero, so there is no zero term to skip.
+        holds a zero, so there is no zero term to skip.  The sums pass
+        ``_check_sums``: two finite floats may add up to inf.
         """
         out = dict(a)
         for k, y in b.items():
@@ -292,6 +301,7 @@ class Backend:
                     del out[k]
                     continue
             out[k] = y
+        self._check_sums(out.values())
         return out
 
     def _neg(self, raw: dict) -> dict:
@@ -629,28 +639,11 @@ class Float64Backend(Backend):
         raise TypeError(f"float backend takes int/float, got {type(value).__name__}")
 
     def _check_sums(self, values):
-        for x in values:
-            _finite(x)
-
-    def _coords(self, form):
-        """As the base, after the finiteness check: a sum or product of finite floats may overflow."""
-        self._check_sums(form[1].values())
-        return super()._coords(form)
+        """Reject a value that is not finite: a sum or product of finite floats may overflow."""
+        if not all(map(math.isfinite, values)):
+            raise ValueError("float coefficients must be finite")
 
     _exact_type = float
-
-    def _exact(self, raw):
-        """As the base, and None unless every value is finite."""
-        out = super()._exact(raw)
-        if out is None or all(map(math.isfinite, out.values())):
-            return out
-        return None
-
-    def _merge(self, a, b):
-        """As the base, after the finiteness check: two finite floats may add up to inf."""
-        out = super()._merge(a, b)
-        self._check_sums(out.values())
-        return out
 
     def _mass(self, values):
         return self._mass_bounds(values)[1]

@@ -11,8 +11,9 @@ TailVector and TailMap are one shape, an exact finite part plus a tail, and
 share one implementation, ``_Certified``: ``lift``, ``is_exact``, ``+``,
 unary ``-``, ``scale`` and the wire format (the finite part's, plus a
 ``"tail"`` field).  ``-x`` keeps x's tail, which is sound because the l1
-norm is symmetric, and ``a - b`` and ``d * a`` come from hamel's
-``_Linear``, as they do for every exact value, so both classes take them.
+norm is symmetric.  ``a - b``, ``d * a`` and the operand check of ``+`` and
+``compose`` (``_join``) come from hamel's ``_Linear``, as they do for every
+exact value.
 TailPolyMap validates its slots, and ``tpoly_apply`` its call, with the same
 helpers as hamel's PolyMap and ``poly_apply``.
 
@@ -63,9 +64,7 @@ class NormInterval(_Frozen):
         lo, hi = backend.norm_check(lo), backend.norm_check(hi)
         if lo > hi:
             raise ValueError(f"interval out of order: lo {lo} > hi {hi}")
-        object.__setattr__(self, "backend", backend)
-        object.__setattr__(self, "lo", lo)
-        object.__setattr__(self, "hi", hi)
+        super().__init__(backend, lo, hi)
 
     def is_point(self) -> bool:
         return self.lo == self.hi
@@ -117,9 +116,6 @@ class _Certified(_Linear):
 
     def is_exact(self) -> bool:
         return self.tail == self.backend.norm_zero
-
-    def _join(self, other) -> None:
-        _operand(other, type(self), self.backend, "operand")
 
     def __add__(self, other):
         self._join(other)
@@ -252,10 +248,7 @@ class TailPolyMap(_Frozen):
 
     def __init__(self, backend: Backend, arity: int, slots: Mapping[int, TailNode] = {}, tail: NormValue = 0):
         slots = _check_slots(TailPolyMap, TailMap, backend, arity, slots)
-        object.__setattr__(self, "backend", backend)
-        object.__setattr__(self, "arity", arity)
-        object.__setattr__(self, "slots", slots)
-        object.__setattr__(self, "tail", backend.norm_check(tail))
+        super().__init__(backend, arity, slots, backend.norm_check(tail))
 
 
 def _nest_flat(nest: TailNode) -> tuple[list, list]:

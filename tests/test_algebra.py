@@ -381,6 +381,11 @@ def test_pair_bound_satisfied_passes():
     ("polynomial", True, 2, TypeError),
     ("free:1", 3, -2, ValueError),
     ("extensional", -1, 0, ValueError),
+    # memo hits: False and 0.0 equal 0, and (0, 0) is memoized first
+    ("polynomial", False, 0, TypeError),
+    ("polynomial", 0.0, 0, TypeError),
+    ("free:1", 0, False, TypeError),
+    ("extensional", 0, 0.0, TypeError),
 ])
 def test_lookup_checks_both_indices_before_memoizing(table, i, j, error):
     if table == "extensional":
@@ -394,6 +399,13 @@ def test_lookup_checks_both_indices_before_memoizing(table, i, j, error):
         t.lookup(i, j)
     assert t._rows == rows
     assert t.entries == entries
+
+
+@pytest.mark.parametrize("key, error", [((-1, 0), ValueError), ((True, 2), TypeError), (("a", 0), TypeError)],
+                         ids=["negative", "bool", "str"])
+def test_table_entries_are_keyed_by_basis_index_pairs(key, error):
+    with pytest.raises(error, match="basis index must be"):
+        StructureTable(RATIONAL, entries={(0, 1): {0: 1}, key: {0: 1}})
 
 
 def test_endo_mul_is_composition():

@@ -4,16 +4,18 @@ Each case builds one instance from fixed arguments; the expected repr is the
 exact text printed for it, so a change of field names, field order or
 rendering shows here.  Every operation that takes falg values rejects one of
 another class with TypeError and one over another backend with
-BackendMismatchError.  The import guard checks that loading the CLI pulls in
-no code generator.  The constructors that read raw coordinates keep an int
-subclass key as it is, drop every zero, and reject a bool or negative key
-and another backend's Scalar with the exception and message they always
-gave; a str where a Mapping or pairs are expected is a TypeError naming the
-argument.  A coordinate table's ``coords`` reads as the dict of Scalars it
+BackendMismatchError; ``+`` asks for its own class, so a subclass's ``+``
+refuses its base class, except a map's, which joins either way round.  The
+import guard checks that loading the CLI pulls in no code generator.  The
+constructors that read raw coordinates keep an int subclass key as it is,
+drop every zero, and reject a bool or negative key and another backend's
+Scalar with the exception and message they always gave; a str where a
+Mapping or pairs are expected is a TypeError naming the argument.  A coordinate table's ``coords`` reads as the dict of Scalars it
 stands for (repr, ``==`` and the values read) and cannot be written.
 """
 
 import math
+import operator
 import os
 import subprocess
 import sys
@@ -411,6 +413,38 @@ def test_minus_and_scalar_times_are_the_linear_identities(kind, backend, data):
     assert d * x == x.scale(d)
     if kind.startswith("tail"):
         assert (-x).tail == x.tail  # l1 is symmetric: negation moves no mass
+
+
+# + (and compose) of each linear kind: its class, a builder of a value of a given subclass, and
+# a value of another class
+JOIN_KINDS = {
+    "vector": (HamelVector, lambda cls, b: cls(b, {0: 1}), DualFunctional(R, {0: 1})),
+    "functional": (DualFunctional, lambda cls, b: cls(b, {0: 1}), V),
+    "tensor": (TensorElement, lambda cls, b: cls(b, 2, {(0, 1): 1}), V),
+    "map": (ColumnFiniteMap, lambda cls, b: cls(b, {0: {1: 1}}), V),
+    "tail-vector": (TailVector, lambda cls, b: cls(HamelVector(b, {0: 1}), 1), V),
+    "tail-map": (TailMap, lambda cls, b: cls(ColumnFiniteMap(b, {0: {1: 1}}), 1), TailVector(V, 0)),
+}
+
+
+@pytest.mark.parametrize("kind", JOIN_KINDS)
+def test_linear_values_join_operands_of_their_class_backend_and_shape(kind):
+    cls, build, other = JOIN_KINDS[kind]
+    x, sub = build(cls, R), build(type("Sub", (cls,), {}), R)
+    for op in [operator.add, *([cls.compose] if hasattr(cls, "compose") else [])]:
+        with pytest.raises(TypeError, match=f"^operand must be {cls.__name__}, got {type(other).__name__}$"):
+            op(x, other)
+        with pytest.raises(BackendMismatchError, match="^operand backend int does not match rat$"):
+            op(x, build(cls, INTEGER))
+        if cls is ColumnFiniteMap:  # a map asks for ColumnFiniteMap itself, so a subclass joins either way
+            assert type(op(sub, x)) is type(op(x, sub)) is ColumnFiniteMap
+        else:  # every other kind asks for type(self): a subclass refuses its base class
+            with pytest.raises(TypeError, match=f"^operand must be Sub, got {cls.__name__}$"):
+                op(sub, x)
+            assert type(op(x, sub)) is cls
+    if cls is TensorElement:
+        with pytest.raises(ValueError, match="^cannot combine arity 2 and 3$"):
+            x + TensorElement(R, 3, {(0, 0, 0): 1})
 
 
 class _NeverZero(Scalar):
