@@ -5,12 +5,17 @@ row per pair.  Exit code 1 if anything fails, so this doubles as a smoke
 test after touching the structure tables.
 
 Usage: python scripts/law_sweep.py --trials 200 --seed 0
+
+falg is imported from the ``src/`` next to this script.
 """
 
 import argparse
 import sys
+from pathlib import Path
 
-from falg import BACKENDS, load_builtin
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+
+from falg import BACKENDS, load_builtin  # noqa: E402
 
 FIXTURES = ["polynomial", "complex", "quaternion", "group_z", "free:1", "free:2", "free:3"]
 

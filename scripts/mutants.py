@@ -496,18 +496,37 @@ MUTANTS = [
         [CLI + f"test_cli_help_exits_0_and_names_every_option[-h-{c}]" for c in ("None", "eval", "check")]
         + [DIFFERENTIAL],
     ),
-    # the process entry exits with main's code after freezing the collector
+    # the process entry runs the atexit handlers, flushes stdout and exits with main's code
     Mutant(
         "entry-skips-freeze", "cli.py",
-        "    code = main()\n    gc.freeze()\n",
+        "    code = main()\n    atexit._run_exitfuncs()\n",
         "    code = main()\n",
-        [ENTRY + f"{code}]" for code in (0, 1, 2)] + [CLI + "test_cli_entry_runs_atexit_handlers_after_freezing"],
+        [CLI + "test_cli_entry_runs_atexit_handlers_after_freezing"],
+    ),
+    Mutant(
+        "entry-skips-flush", "cli.py",
+        "        sys.stdout.flush()\n        sys.stderr.flush()\n",
+        "        sys.stderr.flush()\n",
+        [CLI + "test_cli_entry_runs_atexit_handlers_after_freezing"],
     ),
     Mutant(
         "entry-exits-0", "cli.py",
-        "    sys.exit(code)",
-        "    sys.exit(0)",
+        "    os._exit(code)",
+        "    os._exit(0)",
         [ENTRY + f"{code}]" for code in (1, 2)] + [CLI + "test_cli_subprocess_determinism"],
+    ),
+    # a write to a closed stdout fails inside main, which sends what is left to devnull
+    Mutant(
+        "main-keeps-stdout-buffered", "cli.py",
+        '        print(end="", flush=True)',
+        "        pass",
+        [CLI + "test_cli_closed_stdout_exits_2_without_traceback[buffered]"],
+    ),
+    Mutant(
+        "broken-pipe-keeps-stdout", "cli.py",
+        "        os.dup2(devnull, sys.stdout.fileno())\n",
+        "",
+        [CLI + "test_cli_closed_stdout_exits_2_without_traceback[buffered]"],
     ),
     # + joins an operand of its own class, backend and shape: a tensor's arity
     Mutant(
@@ -530,6 +549,13 @@ MUTANTS = [
         "{(_check_index(i), _check_index(j)): self._coerce(entry)",
         "{(i, j): self._coerce(entry)",
         [ALGEBRA + f"test_table_entries_are_keyed_by_basis_index_pairs[{case}]" for case in ("negative", "bool", "str")],
+    ),
+    Mutant(
+        "table-to-data-skips-key-check", "algebra.py",
+        "sorted((_check_index(i), _check_index(j)) for i, j in table.entries)",
+        "sorted(table.entries)",
+        [ALGEBRA + f"test_table_to_data_refuses_keys_its_reader_rejects[{case}]"
+         for case in ("negative", "bool", "str")],
     ),
     # a - b and d * a are written once, for every linear value; negation keeps a tail
     Mutant(

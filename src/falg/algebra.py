@@ -80,10 +80,10 @@ non-finite product, sum or scaling with the same ``ValueError``.
 from __future__ import annotations
 
 import random
+from collections.abc import Callable, Mapping
 from fractions import Fraction
 from functools import partial
 from math import gcd, lcm
-from typing import Callable, Mapping, Optional
 
 from .ring import Backend, NormValue, Scalar, _Frozen
 from .hamel import (
@@ -121,8 +121,8 @@ class StructureTable(_Frozen):
         backend: Backend,
         name: str = "anonymous",
         entries: Mapping[tuple[int, int], HamelVector] = {},
-        rule: Optional[Callable[[int, int], object]] = None,
-        pair_bound: Optional[NormValue] = None,
+        rule: Callable[[int, int], object] | None = None,
+        pair_bound: NormValue | None = None,
         claims_associative: bool = False,
         claims_commutative: bool = False,
     ):
@@ -510,7 +510,8 @@ def table_to_data(table: StructureTable) -> dict:
     if table.rule is not None:
         raise ValueError("rule-backed table cannot be serialized extensionally")
     structure = []
-    for (i, j) in sorted(table.entries):
+    # the keys of a table edited after it was built are checked as table_from_data will check them
+    for (i, j) in sorted((_check_index(i), _check_index(j)) for i, j in table.entries):
         entry = table.entries[(i, j)]
         for k in sorted(entry._raw):
             structure.append({"i": i, "j": j, "k": k, "c": table.backend.render(entry._raw[k])})

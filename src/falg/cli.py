@@ -25,29 +25,33 @@ that starts with '-' is an option unless it is a negative number (``-1``,
 ``--expr=-e1`` is not; after ``--`` nothing is an option.
 
 Exit codes: 0 success, and for -h; 1 a law or certificate failed; 2 usage or
-parse errors.  A usage error prints the usage line, then ``falg: error: ...``
-or ``falg <command>: error: ...``, on stderr.
+parse errors, or a closed stdout.  A usage error prints the usage line, then
+``falg: error: ...`` or ``falg <command>: error: ...``, on stderr.
 
 The process entry is run(): ``python -m falg``, ``python -m falg.cli`` and
-the ``falg`` console script all call it.  It runs main on sys.argv, freezes
-the garbage collector and exits with main's code.  gc.freeze() moves every
-tracked object into the permanent generation, which the collections at
-interpreter shutdown skip, so a cold call no longer frees every loaded
-module's reference cycles one object at a time (about 10 ms of CPU) just
-before the OS reclaims the whole heap.  atexit handlers and the flush of
-stdout and stderr still run.  main(argv) itself leaves the collector alone,
-so tests and programs that embed the CLI keep theirs working as before.
+the ``falg`` console script all call it.  It runs main on sys.argv, then the
+two steps of the interpreter's shutdown that a call's results need: the
+atexit handlers (atexit._run_exitfuncs, the call the shutdown makes, which
+clears them, so none runs twice) and the flush of stdout and stderr.  Then
+it ends the process with os._exit and main's code.  The rest of a shutdown
+frees every loaded module's objects one at a time just before the OS
+reclaims the whole heap: about 2 ms of a cold call's CPU, and about 11 ms
+with the collections it makes.  If a flush fails, run exits through
+sys.exit instead, and the shutdown reports the failure as it always did.
+main(argv) itself ends nothing, so tests and programs that embed the CLI
+see no change.  main flushes stdout before it returns, so a write to a
+closed stdout (a pipe whose reader is gone) fails inside it; it then points
+stdout at os.devnull, writes ``falg: cannot write to stdout: ...`` on
+stderr and returns 2.
 """
 
 from __future__ import annotations
 
-import gc
-import json
+import atexit
 import os
 import re
 import sys
 import types
-from typing import Optional, Union
 
 from .ring import BACKENDS, Backend, Scalar, _Frozen, _excerpt, _literal
 from .hamel import ColumnFiniteMap, DualFunctional, HamelVector, basis_vector
@@ -295,7 +299,7 @@ def parse_expr(text: str):
     return _Parser(_lex(text)).parse()
 
 
-Value = Union[Scalar, HamelVector]
+Value = Scalar | HamelVector
 
 
 def eval_expr(node, fixture: AlgebraFixture, bindings: dict[str, HamelVector]) -> HamelVector:
@@ -376,10 +380,22 @@ def _backend(args) -> Backend:
     return BACKENDS[args.backend]
 
 
+# the json module once _json() has imported it, which a call with no JSON in or out never does;
+# a global, so that bench/cli_child.py can put a traced json in its place
+json = None
+
+
+def _json():
+    global json
+    if json is None:
+        import json
+    return json
+
+
 def _load_json(path: str):
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+            return _json().load(fh)
     except OSError as e:
         raise CliError(f"cannot read {path}: {e.strerror}") from None
     except ValueError as e:  # a JSONDecodeError, UnicodeDecodeError or json's int-digit limit
@@ -426,7 +442,7 @@ def _read_regime(backend: Backend, kinds: tuple, paths: tuple) -> list:
 
 
 def _emit_json(data) -> None:
-    print(json.dumps(data, separators=(", ", ": ")))
+    print(_json().dumps(data, separators=(", ", ": ")))
 
 
 def _emit(args, data, text: str) -> None:
@@ -437,7 +453,7 @@ def _emit(args, data, text: str) -> None:
         print(text)
 
 
-def _fmt_vector(v: Union[HamelVector, TailVector]) -> str:
+def _fmt_vector(v: HamelVector | TailVector) -> str:
     if isinstance(v, TailVector):
         return f"{_fmt_vector(v.prefix)} tail {v.backend.norm_render(v.tail)}"
     return _render_value(v)
@@ -611,7 +627,7 @@ COMMANDS = {
 # its import and its first parser cost a cold call about 10 ms of CPU.
 
 _HELP = ("-h", "--help")
-_NEGATIVE = re.compile(r"^-\d+$|^-\d*\.\d+$")  # read as a value, not as an option
+_NEGATIVE = r"^-\d+$|^-\d*\.\d+$"  # read as a value, not as an option
 
 
 class _UsageError(Exception):
@@ -637,14 +653,14 @@ def _spec(opt: _Option) -> str:
     return f"{opt.name} {metavar} [{metavar} ...]" if opt.kind == SOME else f"{opt.name} {metavar}"
 
 
-def _usage(command: Optional[str]) -> str:
+def _usage(command: str | None) -> str:
     if command is None:
         return f"usage: falg [-h] {{{','.join(COMMANDS)}}} ..."
     specs = (_spec(opt) if opt.required else f"[{_spec(opt)}]" for opt in _options(command))
     return f"usage: falg {command} [-h] {' '.join(specs)}"
 
 
-def _help(command: Optional[str]) -> str:
+def _help(command: str | None) -> str:
     options = [("-h, --help", "show this help message and exit")]
     if command is None:
         text = "Exact and certified-truncation arithmetic in free algebras with a countable basis."
@@ -661,7 +677,7 @@ def _help(command: Optional[str]) -> str:
     return "\n".join(lines)
 
 
-def _read_token(token: str, names, command: Optional[str]) -> Optional[tuple]:
+def _read_token(token: str, names, command: str | None) -> tuple | None:
     """How argparse reads token against the option names.
 
     None for a value; else (the name of the option it gives, or None for an
@@ -686,12 +702,12 @@ def _read_token(token: str, names, command: Optional[str]) -> Optional[tuple]:
         raise _UsageError(command, f"ambiguous option: {token} could match {', '.join(matches)}")
     if matches:
         return matches[0], value
-    if _NEGATIVE.match(token) or " " in token:
+    if re.match(_NEGATIVE, token) or " " in token:
         return None
     return None, None
 
 
-def _check_help(command: Optional[str], name: str, value: Optional[str]) -> None:
+def _check_help(command: str | None, name: str, value: str | None) -> None:
     """-hh asks for help twice; any other value given to -h or --help is an error."""
     rest = value.lstrip("h") if value and name == "-h" else value
     if rest is not None and (rest or not value):
@@ -795,9 +811,9 @@ def _parse(argv: list[str]):
     return COMMANDS[command][1], args
 
 
-def main(argv: Optional[list[str]] = None) -> int:
+def _main(argv: list[str]) -> int:
     try:
-        parsed = _parse(list(sys.argv[1:] if argv is None else argv))
+        parsed = _parse(argv)
     except _UsageError as e:
         command, message = e.args
         prog = "falg" if command is None else f"falg {command}"
@@ -817,11 +833,31 @@ def main(argv: Optional[list[str]] = None) -> int:
         return 2
 
 
+def main(argv: list[str] | None = None) -> int:
+    try:
+        code = _main(list(sys.argv[1:] if argv is None else argv))
+        print(end="", flush=True)  # flushes stdout, if there is one: a write to a closed one fails here
+        return code
+    except BrokenPipeError as e:
+        # stdout's reader is gone: what is still buffered goes to devnull, so the exit flush cannot fail again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        print(f"falg: cannot write to stdout: {e.strerror}", file=sys.stderr)
+        return 2
+
+
 def run() -> None:
-    """main on sys.argv, then exit with its code, skipping the shutdown collections (see the module docstring)."""
+    """main on sys.argv, the atexit handlers, the stdout and stderr flush, then os._exit (see the module docstring)."""
     code = main()
-    gc.freeze()
-    sys.exit(code)
+    atexit._run_exitfuncs()
+    try:
+        sys.stdout.flush()
+        sys.stderr.flush()
+    except (AttributeError, OSError, ValueError):
+        # no stream, a failed write or a closed stream: the interpreter's shutdown reports it
+        sys.exit(code)
+    os._exit(code)
 
 
 if __name__ == "__main__":

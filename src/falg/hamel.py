@@ -126,7 +126,6 @@ from __future__ import annotations
 
 from collections.abc import Iterator, Mapping, Sequence
 from math import lcm
-from typing import Union
 
 from .ring import Backend, BackendMismatchError, NormValue, Scalar, _Frozen, _excerpt, _new, _scalar, _set
 
@@ -557,9 +556,6 @@ def identity_on(backend: Backend, indices) -> ColumnFiniteMap:
     return ColumnFiniteMap(backend, {j: basis_vector(backend, j) for j in indices})
 
 
-MapNode = Union["PolyMap", ColumnFiniteMap]
-
-
 def _check_slots(nest_cls, leaf_cls, backend: Backend, arity: int, slots) -> dict:
     """The slots of a nest_cls of the given arity, a Mapping or (index, slot) pairs, validated.
 
@@ -595,6 +591,9 @@ class PolyMap(_Frozen):
 
     def is_zero(self) -> bool:
         return not self.slots
+
+
+MapNode = PolyMap | ColumnFiniteMap
 
 
 def _check_nest(nest, nest_types) -> None:

@@ -82,18 +82,17 @@ import re
 from fractions import Fraction
 from math import gcd, lcm
 from operator import attrgetter
-from typing import Union
 
 _new = object.__new__
 _set = object.__setattr__
 
-NormValue = Union[int, Fraction, float]
+NormValue = int | Fraction | float
 
 
 MAX_LITERAL_DIGITS = 4300  # CPython's default int-from-string limit
 MAX_LITERAL_EXPONENT = 4300
 
-_EXPONENT = re.compile(r"[eE]([-+]?[0-9][0-9_]*)")
+_EXPONENT = r"[eE]([-+]?[0-9][0-9_]*)"
 
 
 def _literal(text: str) -> str:
@@ -104,7 +103,7 @@ def _literal(text: str) -> str:
         digits = sum(map(str.isdigit, text))
         if digits > MAX_LITERAL_DIGITS:
             raise ValueError(f"literal has {digits} digits, more than {MAX_LITERAL_DIGITS}")
-    m = _EXPONENT.search(text)
+    m = re.search(_EXPONENT, text)
     if m and abs(int(m.group(1))) > MAX_LITERAL_EXPONENT:
         raise ValueError(f"literal exponent {m.group(1)} exceeds {MAX_LITERAL_EXPONENT} in magnitude")
     return text

@@ -44,8 +44,8 @@ checked norms.  Public constructors, ``make``, ``lift`` and ``from_data`` check.
 
 from __future__ import annotations
 
+from collections.abc import Mapping, Sequence
 from operator import attrgetter
-from typing import Mapping, Sequence, Union
 
 from .ring import Backend, NormValue, _Frozen, _new, _set
 from .hamel import (
@@ -231,9 +231,6 @@ def tail_mul(table: StructureTable, a: TailVector, b: TailVector) -> TailVector:
     return TailVector._make(table.mul(a.prefix, b.prefix), be.norm_mul(k, cross))
 
 
-TailNode = Union["TailPolyMap", TailMap]
-
-
 class TailPolyMap(_Frozen):
     """Curried polylinear nest with certified tails at every node.
 
@@ -249,6 +246,9 @@ class TailPolyMap(_Frozen):
     def __init__(self, backend: Backend, arity: int, slots: Mapping[int, TailNode] = {}, tail: NormValue = 0):
         slots = _check_slots(TailPolyMap, TailMap, backend, arity, slots)
         super().__init__(backend, arity, slots, backend.norm_check(tail))
+
+
+TailNode = TailPolyMap | TailMap
 
 
 def _nest_flat(nest: TailNode) -> tuple[list, list]:

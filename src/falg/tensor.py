@@ -21,7 +21,7 @@ with ``StructureTable._mul_form``, so no vector is built for a basis triple.
 from __future__ import annotations
 
 import random
-from typing import Mapping, Sequence
+from collections.abc import Mapping, Sequence
 
 from .ring import Backend, Scalar
 from .hamel import (

@@ -408,6 +408,16 @@ def test_table_entries_are_keyed_by_basis_index_pairs(key, error):
         StructureTable(RATIONAL, entries={(0, 1): {0: 1}, key: {0: 1}})
 
 
+@pytest.mark.parametrize("key, error", [((-1, 0), ValueError), ((True, 2), TypeError), (("a", 0), TypeError)],
+                         ids=["negative", "bool", "str"])
+def test_table_to_data_refuses_keys_its_reader_rejects(key, error):
+    # a key written into entries after the table was built never reaches the wire
+    t = StructureTable(RATIONAL, entries={(0, 1): {0: 1}})
+    t.entries[key] = t.entries[(0, 1)]
+    with pytest.raises(error, match="basis index must be"):
+        table_to_data(t)
+
+
 def test_endo_mul_is_composition():
     rng = random.Random(24)
     for _ in range(200):

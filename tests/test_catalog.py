@@ -1,4 +1,8 @@
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
@@ -222,3 +226,13 @@ def test_float_backend_fixture():
     v = HamelVector(FLOAT64, {0: 1.0, 1: 0.5})
     assert fix.table.mul(v, v) == HamelVector(FLOAT64, {0: 1.0, 1: 1.0, 2: 0.25})
     assert fix.table.check_laws(trials=50, seed=3).ok
+
+
+def test_law_sweep_runs_from_a_checkout(tmp_path):
+    # the script finds the src/ next to it: no PYTHONPATH, and a working directory elsewhere
+    script = Path(__file__).resolve().parent.parent / "scripts" / "law_sweep.py"
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+    proc = subprocess.run([sys.executable, str(script), "--trials", "2"], cwd=tmp_path, env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.count(" ok\n") == 21

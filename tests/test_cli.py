@@ -1,6 +1,5 @@
 import contextlib
 import functools
-import gc
 import io
 import json
 import os
@@ -671,13 +670,13 @@ def test_cli_main_is_total(cli_paths, data):
     argv = data.draw(st.lists(token, max_size=10))
     if data.draw(st.booleans()):
         argv.insert(0, data.draw(st.sampled_from(list(cli.COMMANDS))))
-    # main leaves the collector alone: only the process entry, run, freezes it
-    collector = contextlib.nullcontext()
+    # main returns: only the process entry, run, ends the process
+    ending = contextlib.nullcontext()
     if data.draw(st.booleans()):
-        collector = mock.patch.object(gc, "freeze", side_effect=AssertionError("main froze the collector"))
+        ending = mock.patch.object(os, "_exit", side_effect=AssertionError("main ended the process"))
     out, err = io.StringIO(), io.StringIO()
     start = time.monotonic()
-    with collector, contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+    with ending, contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(argv)
     assert time.monotonic() - start < 5, argv
     assert code in (0, 1, 2), argv
@@ -886,44 +885,59 @@ def _entry_calls(tmp_path) -> dict:
     }
 
 
+def _run_python(script: str, buffered: bool = True, stdout=subprocess.PIPE):
+    """script in a fresh interpreter that imports falg from this tree; stdout is block-buffered if buffered."""
+    env = dict(os.environ, PYTHONPATH=SRC_DIR)
+    env.pop("PYTHONUNBUFFERED", None)
+    if not buffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    return subprocess.run(
+        [sys.executable, "-c", script], stdout=stdout, stderr=subprocess.PIPE, text=True, env=env, timeout=30
+    )
+
+
 @pytest.mark.parametrize("code", [0, 1, 2])
-def test_cli_run_exits_with_main_code_and_freezes_after(tmp_path, monkeypatch, code):
+def test_cli_run_exits_with_main_code_and_freezes_after(tmp_path, code):
+    # run ends a fresh process with main's exit code, stdout and stderr, and never returns
     argv = _entry_calls(tmp_path)[code]
-    printed = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(printed[0]), contextlib.redirect_stderr(printed[1]):
-        assert main(argv) == code
-    expected = printed[0].getvalue(), printed[1].getvalue()
-    assert expected[0] if code < 2 else expected[1]
-
-    events = []
     out, err = io.StringIO(), io.StringIO()
-
-    def spy_main(argv=None):
-        result = main(argv)
-        events.append(("main returned", result))
-        return result
-
-    monkeypatch.setattr(cli, "main", spy_main)
-    monkeypatch.setattr(gc, "freeze", lambda: events.append(("freeze", out.getvalue(), err.getvalue())))
-    monkeypatch.setattr(sys, "argv", ["falg", *argv])
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), pytest.raises(SystemExit) as exited:
-        cli.run()
-    assert exited.value.code == code
-    assert events == [("main returned", code), ("freeze", *expected)]
-    assert (out.getvalue(), err.getvalue()) == expected
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        assert main(argv) == code
+    assert out.getvalue() if code < 2 else err.getvalue()
+    script = f"import sys\nfrom falg.cli import run\nsys.argv = ['falg', *{argv!r}]\nrun()\nprint('returned')\n"
+    proc = _run_python(script)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (code, out.getvalue(), err.getvalue())
 
 
 def test_cli_entry_runs_atexit_handlers_after_freezing():
-    # the exit freeze skips only the shutdown collections: atexit handlers run and see the frozen heap
+    # the entry runs the atexit handlers once, after falg's output, and flushes what they print
     script = (
-        "import atexit, gc, runpy, sys\n"
-        "atexit.register(lambda: print('frozen', gc.get_freeze_count() > 0, file=sys.stderr))\n"
+        "import atexit, runpy, sys\n"
+        "atexit.register(lambda: print('handler ran'))\n"
         "sys.argv = ['falg', 'eval', '--algebra', 'builtin:polynomial', '--expr', 'e1 * e2']\n"
-        "runpy.run_module('falg', run_name='__main__')\n"
     )
-    env = dict(os.environ, PYTHONPATH=SRC_DIR)
-    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=30)
-    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "{3: 1}\n", "frozen True\n")
+    proc = _run_python(script + "runpy.run_module('falg', run_name='__main__')\n")
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "{3: 1}\nhandler ran\n", "")
+    # with no stdout to flush, the entry exits through sys.exit, and the shutdown runs no handler twice
+    script = script.replace("print('handler ran')", "print('handler ran', file=sys.stderr)")
+    proc = _run_python(script + "sys.stdout = None\nrunpy.run_module('falg', run_name='__main__')\n")
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "", "handler ran\n")
+
+
+@pytest.mark.parametrize("buffered", [False, True], ids=["unbuffered", "buffered"])
+def test_cli_closed_stdout_exits_2_without_traceback(buffered):
+    # a pipe whose reader is gone: one line on stderr, no traceback and no "Exception ignored"
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        proc = _run_python(
+            "import sys\nfrom falg.cli import run\n"
+            "sys.argv = ['falg', 'eval', '--algebra', 'builtin:polynomial', '--expr', 'e1 * e2']\nrun()\n",
+            buffered, write,
+        )
+    finally:
+        os.close(write)
+    assert (proc.returncode, proc.stderr) == (2, "falg: cannot write to stdout: Broken pipe\n")
 
 
 def _falg(*argv, timeout=30):

@@ -11,7 +11,8 @@ constructors that read raw coordinates keep an int subclass key as it is,
 drop every zero, and reject a bool or negative key and another backend's
 Scalar with the exception and message they always gave; a str where a
 Mapping or pairs are expected is a TypeError naming the argument.  A coordinate table's ``coords`` reads as the dict of Scalars it
-stands for (repr, ``==`` and the values read) and cannot be written.
+stands for (repr, ``==`` and the values read) and cannot be written.  A last
+table pins the rarely taken refusals and the call form of the maps.
 """
 
 import math
@@ -35,6 +36,7 @@ from falg import (
     ColumnFiniteMap,
     DualFunctional,
     HamelVector,
+    LabelError,
     NormInterval,
     PolyMap,
     Scalar,
@@ -43,6 +45,8 @@ from falg import (
     TailPolyMap,
     TailVector,
     TensorElement,
+    embed_rational,
+    load_builtin,
     map_via_tensor,
     poly_apply,
     tail_mul,
@@ -168,7 +172,8 @@ def test_cli_import_loads_no_code_generator():
     code = (
         "import contextlib, io, sys, falg.cli\n"
         "with contextlib.redirect_stderr(io.StringIO()): falg.cli.main(['eval'])\n"
-        "print(sorted({'dataclasses', 'inspect', 'argparse', 'gettext', 'locale'} & set(sys.modules)))\n"
+        "print(sorted({'dataclasses', 'inspect', 'argparse', 'gettext', 'locale', 'json', 'typing'}"
+        " & set(sys.modules)))\n"
         "print(sorted({m.partition('.')[0] for m in sys.modules}"
         " - set(sys.stdlib_module_names) - {'falg', '__main__'}))"
     )
@@ -537,3 +542,30 @@ def test_exact_type_pass_examples(backend, case):
     _assert_pass_agrees(backend, coords)
     if case in ("zero", "all-exact"):
         assert list(HamelVector(backend, coords).coords) == [k for k, x in coords.items() if x]
+
+
+# each refusal: (the call, its exception, its message); each map call: (the call, the apply it equals)
+RARE_PATHS = {
+    "tensor-pure-no-factors": (lambda: tensor_pure([]), ValueError, "tensor_pure needs at least one factor"),
+    "poly-map-slot-arity": (lambda: PolyMap(R, 3, {0: PolyMap(R, 3, {0: PolyMap(R, 2, {0: F})})}),
+                            TypeError, "arity-3 slots must have arity 2, got 3"),
+    "tail-mul-non-table": (lambda: tail_mul(F, TailVector(V, 0), TailVector(V, 0)),
+                           TypeError, "expected StructureTable, got ColumnFiniteMap"),
+    "free-decode-negative": (lambda: load_builtin("free:2").decode(-1), LabelError, "invalid basis index -1"),
+    "embed-rational-float": (lambda: embed_rational(R, 1.5, 2), TypeError, "embed_rational takes integers"),
+    "record-field-count": (lambda: LawResult("x"), TypeError, "LawResult takes 4 fields, got 1"),
+    "column-finite-map-call": (lambda: F(W), lambda: F.apply(W)),
+    "tail-map-call": (lambda: TailMap(F, Fraction(1, 2))(TailVector(W, 1)),
+                      lambda: TailMap(F, Fraction(1, 2)).apply(TailVector(W, 1))),
+}
+
+
+@pytest.mark.parametrize("case", RARE_PATHS.values(), ids=RARE_PATHS)
+def test_rare_paths(case):
+    call, *expected = case
+    if len(expected) == 1:
+        assert call() == expected[0]()
+    else:
+        error, message = expected
+        with pytest.raises(error, match=f"^{message}$"):
+            call()
