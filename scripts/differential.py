@@ -22,7 +22,11 @@ reports of small extensional tables with random, often false, claims and
 pair bounds, at widths ``max_index + 1`` that include powers of two;
 ``norm_bounds`` records ``l1``, ``l1_total``, both norm intervals and a
 truncated tail over int and Fraction values with many distinct
-denominators.  ``cli`` runs ``falg.cli.main`` in process on seeded argv
+denominators.  ``construct_zeros`` builds a vector, a functional, a tensor,
+a map column and a tail vector from coordinates that mix nonzero values
+with Scalar subclasses holding 0, one whose ``is_zero`` says no among them,
+so a constructor that trusts ``is_zero`` keeps a zero.  ``cli`` runs
+``falg.cli.main`` in process on seeded argv
 over every subcommand and option, spelled out, with ``=``, by unique
 prefix, repeated, missing or unknown, with ambiguous prefixes, bad ints,
 bad choices, values that start with ``-``, and missing or malformed files;
@@ -505,6 +509,17 @@ def _construct(rng, backend):
             parse_scalar(backend, rng.choice(("1/2", "x", "7"))))
 
 
+def _construct_zeros(rng, backend):
+    """Every coordinate constructor on values that mix Scalar subclasses holding 0 with nonzero values."""
+    def coords(key=lambda: rng.randint(0, 5)):
+        return {key(): rng.choice((_NeverZero(backend, 0), _SubScalar(backend, 0), _value(rng, backend)))
+                for _ in range(rng.randint(1, 5))}
+    return (HamelVector(backend, coords()), DualFunctional(backend, coords()),
+            TensorElement(backend, 2, coords(lambda: (rng.randint(0, 3), rng.randint(0, 3)))),
+            ColumnFiniteMap(backend, {rng.randint(0, 5): coords()}),
+            TailVector.make(backend, coords(), _tail(rng, backend)))
+
+
 # malformed wire keys and values, read by from_data and table_from_data
 _BAD_WIRE_KEYS = ("01", "-0", " 1", "1_0", "+1", "a", "", "1,2", "-1", "1.0", "0,0,0")
 _BAD_WIRE_VALUES = (1, 1.5, None, [], "1/0", "1e99999", "x", "nan", "inf", "-inf", "1" * 4301, True, "0x10")
@@ -749,6 +764,7 @@ OPERATIONS = {
     "check_laws": _check_laws,
     "norm_bounds": _norm_bounds,
     "construct": _construct,
+    "construct_zeros": _construct_zeros,
     "wire": _wire,
     "cli": _cli,
 }

@@ -496,6 +496,24 @@ MUTANTS = [
         [CLI + f"test_cli_help_exits_0_and_names_every_option[-h-{c}]" for c in ("None", "eval", "check")]
         + [DIFFERENTIAL],
     ),
+    # _main alone maps exceptions to exit codes, and _read alone refuses a tail to an exact class
+    Mutant(
+        "check-maps-its-own-errors", "cli.py",
+        "    report = fixture.table.check_laws(trials=args.trials, max_index=max_index, seed=args.seed)\n",
+        "    try:\n"
+        "        report = fixture.table.check_laws(trials=args.trials, max_index=max_index, seed=args.seed)\n"
+        "    except ValueError as e:\n"
+        "        raise CliError(str(e)) from None\n",
+        [CLI + "test_cli_check_pair_bound_violation_exits_1", DIFFERENTIAL],
+    ),
+    Mutant(
+        "read-keeps-exact-tails", "cli.py",
+        "    if cls not in (TailVector, TailMap) and _has_tail(data):\n",
+        "    if False:\n",
+        [CLI + "test_cli_eval_let_rejects_tail_file"]
+        + [CLI + f"test_cli_exact_commands_reject_tail_files[{case}]"
+           for case in ("dual-vector", "dual-functional", "tensor-pure", "tensor-via-vector", "tensor-via-map")],
+    ),
     # the process entry runs the atexit handlers, flushes stdout and exits with main's code
     Mutant(
         "entry-skips-freeze", "cli.py",

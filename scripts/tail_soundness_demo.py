@@ -7,7 +7,9 @@ inputs, and the report shows the gap between the true l1 error and the
 certified bound.  Everything is exact rational arithmetic, so the reported
 slack is the propagation formulas' own conservatism, not rounding.
 
-Usage: PYTHONPATH=src python scripts/tail_soundness_demo.py --trials 200 --depth 4 --seed 0
+Usage: python scripts/tail_soundness_demo.py --trials 200 --depth 4 --seed 0
+
+falg is imported from the ``src/`` next to this script.
 """
 
 import argparse
@@ -15,7 +17,9 @@ import random
 import sys
 from pathlib import Path
 
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "src"))
+sys.path.insert(1, str(ROOT / "tests"))
 from support import soundness_trial  # noqa: E402
 
 

@@ -228,11 +228,25 @@ def test_float_backend_fixture():
     assert fix.table.check_laws(trials=50, seed=3).ok
 
 
-def test_law_sweep_runs_from_a_checkout(tmp_path):
-    # the script finds the src/ next to it: no PYTHONPATH, and a working directory elsewhere
-    script = Path(__file__).resolve().parent.parent / "scripts" / "law_sweep.py"
+SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+
+
+def _run_from_a_checkout(tmp_path, script: Path, *args: str) -> subprocess.CompletedProcess:
+    """script run with no PYTHONPATH, from a working directory elsewhere, writing no bytecode."""
     env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
-    proc = subprocess.run([sys.executable, str(script), "--trials", "2"], cwd=tmp_path, env=env,
+    env["PYTHONDONTWRITEBYTECODE"] = "1"
+    return subprocess.run([sys.executable, str(script), *args], cwd=tmp_path, env=env,
                           capture_output=True, text=True, timeout=60)
+
+
+@pytest.mark.parametrize("script", sorted(SCRIPTS.glob("*.py")), ids=lambda path: path.name)
+def test_script_help_runs_from_a_checkout(tmp_path, script):
+    # every script finds what it imports next to it
+    proc = _run_from_a_checkout(tmp_path, script, "--help")
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_law_sweep_runs_from_a_checkout(tmp_path):
+    proc = _run_from_a_checkout(tmp_path, SCRIPTS / "law_sweep.py", "--trials", "2")
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.count(" ok\n") == 21

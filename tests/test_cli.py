@@ -101,6 +101,22 @@ def test_parse_unterminated_label_and_bad_char():
     assert "at 1:3" in str(e.value)
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("e1 e2", "syntax error at 1:4: unexpected 'e2'"),
+        ("(e1 e12", "syntax error at 1:5: expected ')', found 'e12'"),
+        ("(1 + 2", "syntax error at 1:7: expected ')', found 'end of input'"),
+        ("[e1, e2", "syntax error at 1:8: expected ']', found 'end of input'"),
+    ],
+    ids=["basis-unexpected", "basis-expected", "paren-at-end", "bracket-at-end"],
+)
+def test_parse_error_quotes_the_token_as_written(text, message):
+    with pytest.raises(ExprSyntaxError) as e:
+        parse_expr(text)
+    assert str(e.value) == message
+
+
 def test_precedence():
     assert parse_expr("1 + 2 * 3") == Add(Lit("1"), Mul(Lit("2"), Lit("3")))
     assert parse_expr("-2 * 3") == Mul(Neg(Lit("2")), Lit("3"))
@@ -295,6 +311,28 @@ def test_cli_eval_let_rejects_tail_file(tmp_path, capsys):
     assert code == 2 and "tail" in err
 
 
+@pytest.mark.parametrize(
+    "argv, tail",
+    [
+        (["dual", "--functional", "phi", "--vector", "TAIL"], "vector"),
+        (["dual", "--functional", "TAIL", "--vector", "v"], "vector"),
+        (["tensor", "--pure", "v", "TAIL"], "vector"),
+        (["tensor", "--algebra", "builtin:polynomial", "--tensor", "t", "--map", "f", "--vector", "TAIL"], "vector"),
+        (["tensor", "--algebra", "builtin:polynomial", "--tensor", "t", "--map", "TAIL", "--vector", "v"], "map"),
+    ],
+    ids=["dual-vector", "dual-functional", "tensor-pure", "tensor-via-vector", "tensor-via-map"],
+)
+def test_cli_exact_commands_reject_tail_files(tmp_path, capsys, argv, tail):
+    # dual of e^0 + 2e^1 on the prefix alone would print 1, though the vector it stands for can give 11
+    tails = {"vector": {"coords": {"0": "1"}, "tail": "5"}, "map": {"cols": {"0": {"0": "1"}}, "tail": "5"}}
+    files = {"phi": {"coords": {"0": "1", "1": "2"}}, "v": {"coords": {"0": "1"}},
+             "t": {"arity": 2, "coords": {"0,0": "1"}}, "f": {"cols": {"0": {"0": "1"}}}, "TAIL": tails[tail]}
+    paths = {name: write(tmp_path, f"{name}.json", data) for name, data in files.items()}
+    code, out, err = run(capsys, [paths.get(arg, arg) for arg in argv])
+    assert (code, out) == (2, "")
+    assert err.startswith(f"{paths['TAIL']} carries a tail bound;")
+
+
 def test_cli_eval_let_without_equals(tmp_path, capsys):
     code, _, err = run(
         capsys,
@@ -480,8 +518,11 @@ def test_cli_check_pair_bound_violation_exits_1(tmp_path, capsys):
             "pairBound": "1/2",
         },
     )
-    code, _, err = run(capsys, ["eval", "--algebra", table, "--expr", "e0 * e0"])
-    assert code == 1 and "check failed" in err and "pair bound" in err
+    # a violated pair bound is a certificate failure wherever a product meets it, check's probes included
+    for argv in (["eval", "--algebra", table, "--expr", "e0 * e0"], ["check", "--algebra", table]):
+        code, out, err = run(capsys, argv)
+        assert (code, out) == (1, ""), argv
+        assert err.startswith("check failed: pair bound violated at "), argv
 
 
 def test_cli_check_rejects_zero_trials(capsys):
