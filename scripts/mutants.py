@@ -56,6 +56,8 @@ POSITION = CLI + "test_lex_error_is_reported_at_its_own_line_and_column"
 CATALOG = "tests/test_catalog.py::"
 VIEW_KINDS = ("vector", "functional", "tensor")
 BACKENDS = ("int", "rat", "f64")
+UNKNOWN_FIELDS = "tests/test_hamel.py::test_exact_wire_readers_refuse_unknown_fields["
+FIELDS = ("tail", "tail-text", "junk", "empty", "long")
 
 
 class Mutant:
@@ -190,7 +192,8 @@ MUTANTS = [
     Mutant(
         "rows-store-violating-entry", "algebra.py",
         "        if self.pair_bound is not None:\n",
-        "        row[j] = self.backend._split(entry._raw)\n        if self.pair_bound is not None:\n",
+        "        d, nums = self.backend._split(entry._raw)\n        row[j] = d, tuple(nums.items())\n"
+        "        if self.pair_bound is not None:\n",
         [KERNEL + f"test_pair_bound_violation_raises_on_every_mul[backend{i}]" for i in range(3)],
     ),
     Mutant(
@@ -597,6 +600,27 @@ MUTANTS = [
         "return _finite(_float(text))",
         [RING + "test_backend_method_outcomes_are_pinned[parse(True,)]",
          CLI + "test_cli_malformed_file_stderr[norm-bool-f64]"],
+    ),
+    # an exact wire reader refuses a field its format does not define; a tail reader strips its own
+    Mutant(
+        "exact-reader-keeps-unknown-fields", "hamel.py",
+        "        _wire_fields(data, fields, cls.__name__)\n",
+        "",
+        [UNKNOWN_FIELDS + f"{kind}-{field}]" for kind in ("vector", "functional", "tensor")
+         for field in FIELDS],
+    ),
+    Mutant(
+        "tail-reader-passes-its-tail-on", "schauder.py",
+        'own = {k: v for k, v in data.items() if k != "tail"} if isinstance(data, Mapping) else data',
+        "own = data",
+        [UNKNOWN_FIELDS + f"{kind}-{field}]" for kind in ("vector", "map") for field in FIELDS],
+    ),
+    # the basis builders store the backend's one unit; int's small 1 is shared either way
+    Mutant(
+        "basis-vector-own-unit", "hamel.py",
+        "return _table(HamelVector, backend, {_check_index(i): backend._unit})",
+        "return _table(HamelVector, backend, {_check_index(i): backend.from_int(1)})",
+        [VALUES + f"test_values_keep_no_attribute_dict_and_share_the_unit[{b}]" for b in ("rat", "f64")],
     ),
     # an error message quotes at most 40 characters of caller text
     Mutant(

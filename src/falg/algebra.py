@@ -14,11 +14,16 @@ exact mass of the entry, so it rejects only provable violations.
 
 Checked-entry invariant: ``StructureTable._rows``, the one memo, holds
 ``_rows[i][j]`` exactly for the pairs whose entry has passed the pair-bound
-check (every looked-up pair when no bound is declared): the numerator form
-``(d, {k: n})`` of its entry (see the hamel module docstring), which is
-what ``_mul_form`` reads.  ``entries`` stays the one store of the entries
-themselves, so ``lookup`` returns ``entries[(i, j)]`` for a checked pair.
-Only rule results are added to ``entries``, so ``len(table.entries)`` is
+check (every looked-up pair when no bound is declared): its row, the
+numerator form of its entry (see the hamel module docstring) with the
+numerators as a tuple of pairs, ``(d, ((k, n), ...))``, which is what
+``_mul_form`` iterates; ``(1, ())`` for an absent extensional pair.  A
+tuple is smaller than a dict and iterates faster than ``dict.items()``.
+On int and float64, where the form's dict is the entry's own table, the
+tuple is a copy of its items, so there a row costs more than sharing the
+table would (``scripts/footprint.py``).  ``entries`` stays the one store
+of the entries themselves, so ``lookup`` returns ``entries[(i, j)]`` for a
+checked pair.  Only rule results are added to ``entries``, so ``len(table.entries)`` is
 the memo size of a rule table; the absent pairs of an extensional table
 are zero and are memoized in ``_rows`` alone, so using a table never
 changes its ``==``.  ``_mul_form``'s lookup loop reads row i once per i
@@ -115,6 +120,7 @@ class StructureTable(_Frozen):
     __setattr__ = object.__setattr__
     __delattr__ = object.__delattr__
     __hash__ = None
+    __copy__ = __deepcopy__ = None  # copied as any object with an attribute dict is
 
     def __init__(
         self,
@@ -133,8 +139,8 @@ class StructureTable(_Frozen):
         self.rule = rule
         self.claims_associative = claims_associative
         self.claims_commutative = claims_commutative
-        # _rows[i][j]: the numerator form of each entry that passed the pair-bound check
-        self._rows: dict[int, dict[int, tuple[int, dict]]] = {}
+        # _rows[i][j]: (d, ((k, n), ...)), the numerator form of each entry that passed the pair-bound check
+        self._rows: dict[int, dict[int, tuple[int, tuple]]] = {}
         # a power basis sets (to_exponent, to_index) here; see _mul_form
         self._codec = None
 
@@ -161,7 +167,7 @@ class StructureTable(_Frozen):
             return entry
         if entry is None and self.rule is None:
             # absent pair of an extensional table: memoized in _rows only
-            row[j] = (1, {})
+            row[j] = (1, ())
             return zero_vector(self.backend)
         if entry is None:
             entry = self.entries[key] = self._coerce(self.rule(i, j))
@@ -172,7 +178,8 @@ class StructureTable(_Frozen):
                     f"pair bound violated at ({i}, {j}): "
                     f"sum of |C| is {mass}, declared bound {self.pair_bound}"
                 )
-        row[j] = self.backend._split(entry._raw)
+        d, nums = self.backend._split(entry._raw)
+        row[j] = d, tuple(nums.items())
         return entry
 
     def mul(self, a: HamelVector, b: HamelVector) -> HamelVector:
@@ -207,7 +214,7 @@ class StructureTable(_Frozen):
                     acc = {k: n * m for k, n in acc.items()}
                     den *= m
                 s = x * y if d == den else x * y * (den // d)
-                for k, n in nums.items():
+                for k, n in nums:
                     t = s * n
                     if not t:
                         continue
@@ -461,15 +468,16 @@ def _render_value(v) -> str:
 
 
 class AssociatorDefect(_Frozen):
-    _fields = ("slot", "x", "y", "value")  # slot: which argument holds the probed element, left/middle/right
+    # slot: which argument holds the probed element, left/middle/right
+    _fields = __slots__ = ("slot", "x", "y", "value")
 
 
 class CommutatorDefect(_Frozen):
-    _fields = ("x", "value")
+    _fields = __slots__ = ("x", "value")
 
 
 class CenterReport(_Frozen):
-    _fields = ("commutator_defects", "associator_defects")
+    _fields = __slots__ = ("commutator_defects", "associator_defects")
 
     @property
     def ok(self) -> bool:
@@ -477,11 +485,11 @@ class CenterReport(_Frozen):
 
 
 class LawResult(_Frozen):
-    _fields = ("law", "ok", "trials", "counterexample")
+    _fields = __slots__ = ("law", "ok", "trials", "counterexample")
 
 
 class LawReport(_Frozen):
-    _fields = ("table", "seed", "trials", "results")
+    _fields = __slots__ = ("table", "seed", "trials", "results")
 
     @property
     def ok(self) -> bool:

@@ -43,7 +43,7 @@ class LabelError(ValueError):
 class AlgebraFixture(_Frozen):
     """A structure table plus the label codec naming its basis."""
 
-    _fields = ("table", "encoder", "decoder")  # encoder: label -> index; decoder: index -> label
+    _fields = __slots__ = ("table", "encoder", "decoder")  # encoder: label -> index; decoder: index -> label
 
     @property
     def name(self) -> str:

@@ -8,6 +8,13 @@ empty columns -- so structural equality coincides with mathematical equality
 and the finiteness invariants can be checked by inspection.
 
 Operations never mutate their inputs; treat all values as immutable.
+Every immutable record of falg -- the values here, in ``tensor`` and in
+``schauder``, the law and center reports and the catalog's fixtures -- is
+slotted, as ``ring.Scalar`` is: its fields live in ``__slots__`` (a
+coordinate table's are ``backend`` and ``_raw``, a tensor adds ``arity``),
+so an instance has no attribute dict and takes no weak reference; nothing
+in falg, its tests, its benchmark or its scripts takes one.  Being immutable, a record is its
+own copy and pickles through its fields (``ring._Frozen``).
 
 A coordinate table stores raw backend values (int, Fraction or float) in
 ``_raw``, a zero-free dict, and ``coords`` is a read-only view of it
@@ -94,7 +101,11 @@ index, or an index tuple of a tensor's arity) and the fields that fix its
 shape (``_shape``: a tensor's arity), which results copy and operands must
 agree on.  One wire-key codec serves them all: a key is written ``"i"`` or
 ``"i,j,..."`` and read back only in canonical decimal form
-(``_wire_index``), so no two keys of one object name the same index.
+(``_wire_index``), so no two keys of one object name the same index.  A
+reader refuses a field its format does not define (``_wire_fields``), so
+a ``"tail"`` or a misspelt field is never dropped unread;
+``schauder._Certified.from_data`` hands its part reader the data without
+its own ``"tail"``.
 
 Raw data from a caller (public constructors, ``from_data``) is checked
 once, by one loop, ``_clean``: a table constructor runs it, and a map runs
@@ -110,7 +121,7 @@ from an ``is_zero`` a subclass may redefine.
 
 Trusted-builder invariant: kernel results are built without running
 constructors, and so are the truncation layer's computed results (see
-``schauder``) and the basis builders, which store ``backend.from_int(1)``
+``schauder``) and the basis builders, which store ``backend._unit``
 at an index ``_check_index`` passed.  ``_trusted`` sets a frozen value
 class's fields without its ``__init__``, so it skips ``_check_index`` and
 the backend re-check; ``_table`` does the same for a coordinate table's
@@ -237,6 +248,14 @@ def _wire_object(value, what: str) -> Mapping:
     return value
 
 
+def _wire_fields(data: Mapping, fields: tuple, what: str) -> None:
+    """Reject a field of data, a "tail" one too, that is not one of fields: an exact format drops nothing."""
+    for name in data:
+        if name not in fields:
+            raise ValueError(f"unexpected field {_excerpt(name) if isinstance(name, str) else repr(name)} "
+                             f"in {what} data")
+
+
 def _wire_index(text) -> int:
     """The index a wire key, or one comma-separated part of it, names.
 
@@ -282,6 +301,7 @@ class _Coords(Mapping):
 class _Linear(_Frozen):
     """A linear value: ``a - b`` and ``d * a`` from the subclass's ``+``, unary ``-`` and ``scale``."""
 
+    __slots__ = ()
     _shape: tuple[str, ...] = ()
 
     def _join(self, other) -> None:
@@ -310,6 +330,7 @@ class _CoordTable(_Linear):
     """
 
     _fields = ("backend", "coords")
+    __slots__ = ("backend", "_raw")
     _index = staticmethod(_check_index)
     _from_wire = staticmethod(_wire_index)
 
@@ -370,6 +391,7 @@ class _CoordTable(_Linear):
         if not isinstance(data, Mapping) or any(name not in data for name in fields):
             names = " and ".join(map(repr, fields))
             raise ValueError(f"{cls.__name__} data must be a JSON object with {names}")
+        _wire_fields(data, fields, cls.__name__)
         shape = [data[name] for name in cls._shape]  # the constructor checks each field
         coords = {}
         for key, text in _wire_object(data["coords"], "'coords'").items():
@@ -380,6 +402,7 @@ class _CoordTable(_Linear):
 class HamelVector(_CoordTable):
     """Finite-support vector: a zero-free table of basis coefficients."""
 
+    __slots__ = ()
     # bound in each class body: bench/spans.py counts vector and functional builds apart
     __post_init__ = _CoordTable.__post_init__
 
@@ -396,12 +419,13 @@ def zero_vector(backend: Backend) -> HamelVector:
 
 
 def basis_vector(backend: Backend, i: int) -> HamelVector:
-    return _table(HamelVector, backend, {_check_index(i): backend.from_int(1)})
+    return _table(HamelVector, backend, {_check_index(i): backend._unit})
 
 
 class DualFunctional(_CoordTable):
     """Finite combination of coordinate functionals; evaluates by pairing."""
 
+    __slots__ = ()
     __post_init__ = _CoordTable.__post_init__
 
     def __call__(self, v: HamelVector) -> Scalar:
@@ -421,7 +445,7 @@ class DualFunctional(_CoordTable):
 
 def dual_basis(backend: Backend, i: int) -> DualFunctional:
     """The functional that reads off coordinate i: e^i(e_j) = delta^i_j."""
-    return _table(DualFunctional, backend, {_check_index(i): backend.from_int(1)})
+    return _table(DualFunctional, backend, {_check_index(i): backend._unit})
 
 
 def _clean_cols(backend: Backend, cols) -> dict[int, HamelVector]:
@@ -445,7 +469,7 @@ class ColumnFiniteMap(_Linear):
     are zero.
     """
 
-    _fields = ("backend", "cols")
+    _fields = __slots__ = ("backend", "cols")
 
     def __init__(self, backend: Backend, cols: Mapping[int, HamelVector] = {}):
         _set(self, "backend", backend)
@@ -531,6 +555,7 @@ class ColumnFiniteMap(_Linear):
     def from_data(cls, backend: Backend, data) -> "ColumnFiniteMap":
         if not isinstance(data, Mapping) or "cols" not in data:
             raise ValueError("map data must be an object with a 'cols' field")
+        _wire_fields(data, ("cols",), "map")
         cols = {}
         for j, column in _wire_object(data["cols"], "'cols'").items():
             _wire_object(column, f"column {j!r}")
@@ -583,7 +608,7 @@ class PolyMap(_Frozen):
     many first-argument slots are stored, each nonempty.
     """
 
-    _fields = ("backend", "arity", "slots")
+    _fields = __slots__ = ("backend", "arity", "slots")
 
     def __init__(self, backend: Backend, arity: int, slots: Mapping[int, MapNode] = {}):
         slots = _check_slots(PolyMap, ColumnFiniteMap, backend, arity, slots)

@@ -52,6 +52,13 @@ and one down for the lo ends of norm intervals and of the pair-bound
 check, unless it is a single term), so no mass depends on the order of
 its values.
 
+Each backend holds one raw unit, ``_unit`` (``1``, ``Fraction(1)`` or
+``1.0``): ``Backend.one`` and the basis builders ``hamel.basis_vector`` and
+``hamel.dual_basis`` store that one object rather than a new 1 each, so a
+memo of basis-vector entries holds no 1 of its own.  A backend pickles, and
+copies, as its module global (``INTEGER``, ``RATIONAL``, ``FLOAT64``), so
+values whose ``==`` compares backends by identity survive a round trip.
+
 ``_scalar(backend, value)`` builds a :class:`Scalar` without the type call,
 setting its two slots through descriptors taken once at import.  It is for
 values the backend has already checked or computed from checked values:
@@ -171,6 +178,9 @@ class _Frozen:
     default ``__init__`` takes the fields positionally.  A class that
     validates its fields defines its own, which passes them on to this one
     or, where the call costs too much, sets them with ``object.__setattr__``.
+    Being immutable, a record is its own ``copy.copy`` and ``copy.deepcopy``;
+    pickle restores its fields through ``__setstate__``, past the refusing
+    ``__setattr__``.
     """
 
     __slots__ = ()
@@ -205,6 +215,18 @@ class _Frozen:
     def __delattr__(self, name):
         raise AttributeError(f"cannot delete field {name!r}")
 
+    def __copy__(self):
+        return self
+
+    def __deepcopy__(self, memo):
+        return self
+
+    def __setstate__(self, state):
+        """Set the fields pickle saved: an attribute dict, a slot dict, or the pair (dict or None, slots)."""
+        for part in state if isinstance(state, tuple) else (state,):
+            for name, value in (part or {}).items():
+                _set(self, name, value)
+
 
 class BackendMismatchError(TypeError):
     """Scalars from two different backends met in one operation."""
@@ -223,10 +245,16 @@ class Backend:
     """
 
     name: str
+    _global: str  # the name of the module global that holds the backend
+    _unit: object  # the raw 1 that ``one`` and the basis builders share
     norm_zero: NormValue = 0
 
     def __repr__(self):
         return self.name
+
+    def __reduce__(self):
+        """The name of the backend's module global, so a pickle or a copy of it is that one object."""
+        return self._global
 
     # raw-value operations; Scalar wraps these
 
@@ -413,11 +441,13 @@ class Backend:
 
     @property
     def one(self) -> "Scalar":
-        return _scalar(self, self.from_int(1))
+        return _scalar(self, self._unit)
 
 
 class IntegerBackend(Backend):
     name = "int"
+    _global = "INTEGER"
+    _unit = 1
 
     def check(self, value):
         if isinstance(value, bool) or not isinstance(value, int):
@@ -442,6 +472,8 @@ class IntegerBackend(Backend):
 
 class RationalBackend(Backend):
     name = "rat"
+    _global = "RATIONAL"
+    _unit = Fraction(1)
 
     def check(self, value):
         if type(value) is Fraction:
@@ -628,6 +660,8 @@ class Float64Backend(Backend):
     rounds toward +inf; adding zero is exact."""
 
     name = "f64"
+    _global = "FLOAT64"
+    _unit = 1.0
     norm_zero = 0.0
 
     def check(self, value):

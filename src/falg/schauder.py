@@ -58,7 +58,7 @@ from .algebra import StructureTable
 class NormInterval(_Frozen):
     """Two-sided enclosure of an l1 norm."""
 
-    _fields = ("backend", "lo", "hi")
+    _fields = __slots__ = ("backend", "lo", "hi")
 
     def __init__(self, backend: Backend, lo: NormValue, hi: NormValue):
         lo, hi = backend.norm_check(lo), backend.norm_check(hi)
@@ -88,6 +88,7 @@ class _Certified(_Linear):
     ``backend``, two properties made from the field's name.
     """
 
+    __slots__ = ()
     _part_cls: type
 
     def __init_subclass__(cls, **kwargs):
@@ -134,7 +135,9 @@ class _Certified(_Linear):
 
     @classmethod
     def from_data(cls, backend: Backend, data):
-        part = cls._part_cls.from_data(backend, data)
+        """The part's format plus an optional "tail"; the part reader gets the data without it."""
+        own = {k: v for k, v in data.items() if k != "tail"} if isinstance(data, Mapping) else data
+        part = cls._part_cls.from_data(backend, own)
         tail = backend.norm_parse(data["tail"]) if "tail" in data else backend.norm_zero
         return cls(part, tail)
 
@@ -142,7 +145,7 @@ class _Certified(_Linear):
 class TailVector(_Certified):
     """Finite prefix plus a certified bound on the mass it leaves out."""
 
-    _fields = ("prefix", "tail")
+    _fields = __slots__ = ("prefix", "tail")
     _part_cls = HamelVector
 
     def __init__(self, prefix: HamelVector, tail: NormValue):
@@ -169,7 +172,7 @@ class TailVector(_Certified):
 class TailMap(_Certified):
     """Finite entry table plus a certified bound on the entry mass left out."""
 
-    _fields = ("finite", "tail")
+    _fields = __slots__ = ("finite", "tail")
     _part_cls = ColumnFiniteMap
 
     def __init__(self, finite: ColumnFiniteMap, tail: NormValue):
@@ -241,7 +244,7 @@ class TailPolyMap(_Frozen):
     all node tails.
     """
 
-    _fields = ("backend", "arity", "slots", "tail")
+    _fields = __slots__ = ("backend", "arity", "slots", "tail")
 
     def __init__(self, backend: Backend, arity: int, slots: Mapping[int, TailNode] = {}, tail: NormValue = 0):
         slots = _check_slots(TailPolyMap, TailMap, backend, arity, slots)

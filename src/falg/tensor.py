@@ -50,6 +50,7 @@ class TensorElement(_CoordTable):
     """
 
     _fields = ("backend", "arity", "coords")
+    __slots__ = ("arity",)
     _shape = ("arity",)
 
     def __init__(self, backend: Backend, arity: int, coords: Mapping[tuple[int, ...], Scalar] = {}):

@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -12,6 +13,8 @@ from falg import (
     ColumnFiniteMap,
     HamelVector,
     PolyMap,
+    TailMap,
+    TailVector,
     TensorElement,
     basis_map,
     basis_vector,
@@ -330,3 +333,31 @@ def test_wire_keys_must_be_canonical_decimals(key):
         ColumnFiniteMap.from_data(RATIONAL, {"cols": {"0": {key: "1"}}})
     with pytest.raises(ValueError):
         TensorElement.from_data(RATIONAL, {"arity": 2, "coords": {f"0,{key}": "1"}})
+
+
+# an exact reader refuses every field its format does not define, "tail" included;
+# a tail reader hands its part reader the data without the tail
+EXACT_READERS = {
+    "vector": (HamelVector, {"coords": {"0": "1"}}, "HamelVector"),
+    "functional": (DualFunctional, {"coords": {"0": "1"}}, "DualFunctional"),
+    "tensor": (TensorElement, {"arity": 1, "coords": {"0": "1"}}, "TensorElement"),
+    "map": (ColumnFiniteMap, {"cols": {"0": {"0": "1"}}}, "map"),
+}
+
+
+@pytest.mark.parametrize("field, value, shown", [
+    ("tail", "5", "'tail'"), ("tail", "x", "'tail'"), ("junk", 3, "'junk'"), ("", None, "''"),
+    ("t" * 100, 1, "'tttttttttttttttttttttttttttttttttttttttt'... (100 characters)"),
+], ids=["tail", "tail-text", "junk", "empty", "long"])
+@pytest.mark.parametrize("kind", EXACT_READERS)
+def test_exact_wire_readers_refuse_unknown_fields(kind, field, value, shown):
+    cls, data, what = EXACT_READERS[kind]
+    message = f"^unexpected field {re.escape(shown)} in {what} data$"
+    with pytest.raises(ValueError, match=message):
+        cls.from_data(RATIONAL, {**data, field: value})
+    tail_cls = {"vector": TailVector, "map": TailMap}.get(kind)
+    if tail_cls is not None:
+        assert tail_cls.from_data(RATIONAL, {**data, "tail": "5"}) == tail_cls(cls.from_data(RATIONAL, data), 5)
+        if field != "tail":
+            with pytest.raises(ValueError, match=message):
+                tail_cls.from_data(RATIONAL, {**data, "tail": "5", field: value})

@@ -13,11 +13,16 @@ Scalar with the exception and message they always gave; a str where a
 Mapping or pairs are expected is a TypeError naming the argument.  A coordinate table's ``coords`` reads as the dict of Scalars it
 stands for (repr, ``==`` and the values read) and cannot be written.  A last
 table pins the rarely taken refusals and the call form of the maps.
+Every immutable value is its own copy and deep copy, unpickles equal, and
+keeps its fields in slots, with no attribute dict; a backend unpickles as
+itself, and the basis builders share the backend's one raw unit.
 """
 
+import copy
 import math
 import operator
 import os
+import pickle
 import subprocess
 import sys
 import types
@@ -45,6 +50,8 @@ from falg import (
     TailPolyMap,
     TailVector,
     TensorElement,
+    basis_vector,
+    dual_basis,
     embed_rational,
     load_builtin,
     map_via_tensor,
@@ -218,6 +225,48 @@ def _values(b):
 
 
 VALUES, INT_VALUES = _values(R), _values(INTEGER)
+
+
+def _records(b):
+    """One instance of every public immutable value class over backend b, by class name."""
+    values = _values(b)
+    v, result = values["v"], LawResult("associative", True, 3, None)
+    records = [values[kind] for kind in ("d", "v", "phi", "f", "t", "nest", "tv", "tm", "tnest")]
+    records += [values["tv"].norm_interval(), AssociatorDefect("left", v, v, v), CommutatorDefect(v, v),
+                CenterReport((CommutatorDefect(v, v),), ()), result, LawReport("t", 0, 3, (result,))]
+    return {type(x).__name__: x for x in records}
+
+
+RECORDS = {b.name: _records(b) for b in (INTEGER, R, FLOAT64)}
+
+
+@pytest.mark.parametrize("name", sorted(RECORDS["rat"]))
+@pytest.mark.parametrize("backend", [INTEGER, R, FLOAT64], ids=lambda b: b.name)
+def test_values_copy_as_themselves_and_pickle_to_equal_values(backend, name):
+    x = RECORDS[backend.name][name]
+    assert copy.copy(x) is x and copy.deepcopy(x) is x
+    for protocol in range(2, pickle.HIGHEST_PROTOCOL + 1):
+        y = pickle.loads(pickle.dumps(x, protocol))
+        assert type(y) is type(x) and y == x and repr(y) == repr(x)
+    assert pickle.loads(pickle.dumps(backend)) is backend
+    assert copy.copy(backend) is backend and copy.deepcopy(backend) is backend
+
+
+def test_structure_table_copies_as_a_new_table():
+    for copied in (copy.copy(TABLE), copy.deepcopy(TABLE)):
+        assert copied is not TABLE and copied == TABLE
+    assert copy.copy(TABLE).entries is TABLE.entries and copy.deepcopy(TABLE).entries is not TABLE.entries
+
+
+@pytest.mark.parametrize("backend", [INTEGER, R, FLOAT64], ids=lambda b: b.name)
+def test_values_keep_no_attribute_dict_and_share_the_unit(backend):
+    records = [*RECORDS[backend.name].values(), load_builtin("complex", backend)]
+    assert [type(x).__name__ for x in records if hasattr(x, "__dict__")] == []
+    unit = basis_vector(backend, 0)._raw[0]
+    assert unit == 1 and type(unit) is type(backend.from_int(1))
+    assert basis_vector(backend, 7)._raw[7] is unit and dual_basis(backend, 3)._raw[3] is unit
+    assert backend.one.value is unit
+
 
 # operation on one operand x, the key of x's kind, and a value of another class
 OPERAND_CASES = {
