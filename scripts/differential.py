@@ -25,7 +25,10 @@ truncated tail over int and Fraction values with many distinct
 denominators.  ``construct_zeros`` builds a vector, a functional, a tensor,
 a map column and a tail vector from coordinates that mix nonzero values
 with Scalar subclasses holding 0, one whose ``is_zero`` says no among them,
-so a constructor that trusts ``is_zero`` keeps a zero.  ``cli`` runs
+so a constructor that trusts ``is_zero`` keeps a zero.  ``wire`` writes a
+value of each class with a wire format, an algebra table or a builtin
+reference and reads it back, or reads it with one field, key or value
+corrupted or with a field added that its format does not define.  ``cli`` runs
 ``falg.cli.main`` in process on seeded argv
 over every subcommand and option, spelled out, with ``=``, by unique
 prefix, repeated, missing or unknown, with ambiguous prefixes, bad ints,
@@ -80,6 +83,7 @@ from falg import (  # noqa: E402
     dual_basis,
     embed_int,
     embed_rational,
+    fixture_from_data,
     identity_on,
     load_builtin,
     map_via_tensor,
@@ -520,13 +524,17 @@ def _construct_zeros(rng, backend):
             TailVector.make(backend, coords(), _tail(rng, backend)))
 
 
-# malformed wire keys and values, read by from_data and table_from_data
+# malformed wire keys and values, and fields no format defines or some format defines elsewhere,
+# read by from_data, table_from_data and fixture_from_data
 _BAD_WIRE_KEYS = ("01", "-0", " 1", "1_0", "+1", "a", "", "1,2", "-1", "1.0", "0,0,0")
 _BAD_WIRE_VALUES = (1, 1.5, None, [], "1/0", "1e99999", "x", "nan", "inf", "-inf", "1" * 4301, True, "0x10")
+_UNKNOWN_FIELDS = ("tail", "junk", "pairbound", "pairBound", "note", "assoc", "builtin", "structure", "name", "")
+_BUILTINS = ("polynomial", "quaternion", "complex", "group_z", "free:2", "free:0", "octonion")
 
 
 def _wire_value(rng, backend):
-    kind = rng.randrange(7)
+    """A value of each class with a wire format, an algebra table, or a builtin's name (read as a reference)."""
+    kind = rng.randrange(8)
     if kind == 0:
         return _vector(rng, backend)
     if kind == 1:
@@ -539,11 +547,13 @@ def _wire_value(rng, backend):
         return _tail_vector(rng, backend)
     if kind == 5:
         return _tail_map(rng, backend)
-    return _law_table(rng, backend)
+    if kind == 6:
+        return _law_table(rng, backend)
+    return rng.choice(_BUILTINS)
 
 
 def _corrupt(rng, data):
-    """data with one field, key or value replaced by junk; nested objects are copied."""
+    """data with one field, key or value replaced by junk, or a field added; nested objects are copied."""
     data = json.loads(json.dumps(data))
     roll = rng.random()
     if roll < 0.1:
@@ -552,7 +562,10 @@ def _corrupt(rng, data):
     holders += [c for h in list(holders) for c in h.values() if isinstance(c, dict)]
     holders += [row for row in data.get("structure", [])]
     holder = rng.choice(holders)
-    if not holder or roll < 0.25:
+    if roll < 0.2:
+        holder[rng.choice(_UNKNOWN_FIELDS)] = rng.choice(("0", "1/2", True, {}, []))
+        return data
+    if not holder or roll < 0.3:
         holder[rng.choice(("coords", "cols", "tail", "arity", "structure", "pairBound", "i", "c"))] = (
             rng.choice(_BAD_WIRE_VALUES + ([], {}, [[1]])))
         return data
@@ -570,6 +583,8 @@ def _wire(rng, backend):
     value = _wire_value(rng, backend)
     if isinstance(value, StructureTable):
         write, read = table_to_data, lambda b, data: table_from_data(b, data)
+    elif isinstance(value, str):
+        write, read = (lambda name: {"builtin": name}), lambda b, data: fixture_from_data(data, b).name
     else:
         write, read = type(value).to_data, type(value).from_data
     data = write(value)

@@ -51,13 +51,18 @@ LINEAR = VALUES + "test_minus_and_scalar_times_are_the_linear_identities["
 TAIL_DIFFERENCES = "tests/test_schauder.py::test_rational_tail_map_differences_are_sound"
 LONG_ECHOES = ("literal", "unexpected", "identifier", "builtin-name", "polynomial-label", "quaternion-label",
                "table-label", *(f"{field}-{b}" for field in ("coefficient", "tail") for b in ("int", "rat", "f64")),
-               "int-option", "choice-option", "command", "flag-value", "help-value")
+               "map-column", "int-option", "choice-option", "command", "flag-value", "help-value")
 POSITION = CLI + "test_lex_error_is_reported_at_its_own_line_and_column"
 CATALOG = "tests/test_catalog.py::"
 VIEW_KINDS = ("vector", "functional", "tensor")
 BACKENDS = ("int", "rat", "f64")
-UNKNOWN_FIELDS = "tests/test_hamel.py::test_exact_wire_readers_refuse_unknown_fields["
+HAMEL = "tests/test_hamel.py::"
+UNKNOWN_FIELDS = HAMEL + "test_exact_wire_readers_refuse_unknown_fields["
 FIELDS = ("tail", "tail-text", "junk", "empty", "long")
+READERS = ("vector", "functional", "tensor", "map", "tail-vector", "tail-map", "algebra", "structure-row", "claims",
+           "builtin")
+ALGEBRA_FILES = CLI + "test_cli_check_rejects_malformed_table_json["
+ALGEBRA_FILE_CASES = ("misspelt-pair-bound", "builtin-pair-bound", "builtin-structure", "unknown-claim", "row-note")
 
 
 class Mutant:
@@ -509,14 +514,6 @@ MUTANTS = [
         "        raise CliError(str(e)) from None\n",
         [CLI + "test_cli_check_pair_bound_violation_exits_1", DIFFERENTIAL],
     ),
-    Mutant(
-        "read-keeps-exact-tails", "cli.py",
-        "    if cls not in (TailVector, TailMap) and _has_tail(data):\n",
-        "    if False:\n",
-        [CLI + "test_cli_eval_let_rejects_tail_file"]
-        + [CLI + f"test_cli_exact_commands_reject_tail_files[{case}]"
-           for case in ("dual-vector", "dual-functional", "tensor-pure", "tensor-via-vector", "tensor-via-map")],
-    ),
     # the process entry runs the atexit handlers, flushes stdout and exits with main's code
     Mutant(
         "entry-skips-freeze", "cli.py",
@@ -601,19 +598,40 @@ MUTANTS = [
         [RING + "test_backend_method_outcomes_are_pinned[parse(True,)]",
          CLI + "test_cli_malformed_file_stderr[norm-bool-f64]"],
     ),
-    # an exact wire reader refuses a field its format does not define; a tail reader strips its own
+    # every wire reader refuses a field its format does not define, through one rule; a tail reader reads
+    # its part's fields and its own "tail" as one record
     Mutant(
         "exact-reader-keeps-unknown-fields", "hamel.py",
-        "        _wire_fields(data, fields, cls.__name__)\n",
-        "",
-        [UNKNOWN_FIELDS + f"{kind}-{field}]" for kind in ("vector", "functional", "tensor")
-         for field in FIELDS],
+        "        if name not in required and name not in optional:\n",
+        "        if False:\n",
+        [UNKNOWN_FIELDS + f"{kind}-{field}]" for kind in READERS for field in FIELDS
+         if not (kind.startswith("tail-") and field.startswith("tail"))]
+        + [CLI + "test_cli_eval_let_rejects_tail_file"]
+        + [CLI + f"test_cli_exact_commands_reject_tail_files[{case}]"
+           for case in ("dual-vector", "dual-functional", "tensor-pure", "tensor-via-vector", "tensor-via-map")]
+        + [ALGEBRA_FILES + f"{case}]" for case in ALGEBRA_FILE_CASES],
     ),
     Mutant(
         "tail-reader-passes-its-tail-on", "schauder.py",
-        'own = {k: v for k, v in data.items() if k != "tail"} if isinstance(data, Mapping) else data',
-        "own = data",
-        [UNKNOWN_FIELDS + f"{kind}-{field}]" for kind in ("vector", "map") for field in FIELDS],
+        "        part = cls._part_cls._from_record(backend, *fields)\n",
+        "        part = cls._part_cls.from_data(backend, data)\n",
+        [UNKNOWN_FIELDS + f"{kind}-{field}]" for kind in ("tail-vector", "tail-map") for field in FIELDS[2:]]
+        + [HAMEL + f"test_tail_readers_read_part_and_tail_as_one_record[{kind}]"
+           for kind in ("tail-vector", "tail-map")],
+    ),
+    Mutant(
+        "algebra-reader-keeps-unknown-fields", "algebra.py",
+        '        data, "algebra data", ("structure",),',
+        '        {k: data[k] for k in ("structure", "name", "pairBound", "claims") if k in data}\n'
+        '        if isinstance(data, dict) else data, "algebra data", ("structure",),',
+        [UNKNOWN_FIELDS + f"algebra-{field}]" for field in FIELDS] + [ALGEBRA_FILES + "misspelt-pair-bound]"],
+    ),
+    Mutant(
+        "fixture-reader-keeps-unknown-fields", "catalog.py",
+        'str(_wire_record(data, "builtin reference", ("builtin",))[0])',
+        'str(data["builtin"])',
+        [UNKNOWN_FIELDS + f"builtin-{field}]" for field in FIELDS]
+        + [ALGEBRA_FILES + f"{case}]" for case in ("builtin-pair-bound", "builtin-structure")],
     ),
     # the basis builders store the backend's one unit; int's small 1 is shared either way
     Mutant(
@@ -625,7 +643,7 @@ MUTANTS = [
     # an error message quotes at most 40 characters of caller text
     Mutant(
         "excerpt-uncut", "ring.py",
-        "    if len(text) <= 40:\n        return repr(text)\n",
+        "    if not isinstance(text, str) or len(text) <= 40:\n        return repr(text)\n",
         "    return repr(text)\n",
         [CLI + f"test_cli_long_token_echo_is_short[{case}]" for case in LONG_ECHOES]
         + [CLI + "test_cli_long_max_index_env_echo_is_short"],

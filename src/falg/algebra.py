@@ -98,7 +98,7 @@ from .hamel import (
     _form_vector,
     _operand,
     _wire_index,
-    _wire_object,
+    _wire_record,
     zero_vector,
 )
 
@@ -548,45 +548,37 @@ def _row_index(value, where: str) -> int:
 
 
 def table_from_data(backend: Backend, data) -> StructureTable:
-    """Parse an extensional table: {"name", "structure", "pairBound"?, "claims"?}.
+    """Parse an extensional table: {"structure", "name"?, "pairBound"?, "claims"?}.
 
-    structure is a list of {"i", "j", "k", "c"} objects and claims an object
-    of JSON booleans; a ValueError names the row and field that break this.
+    structure is a list of {"i", "j", "k", "c"} objects, name a JSON string and claims an object of JSON
+    booleans, "associative" and "commutative".  Each object is read by ``hamel._wire_record``, so a field
+    or claim the format does not define is refused; a ValueError names the row and field that break this.
     """
-    if not isinstance(data, dict):
-        raise ValueError("algebra data must be a JSON object")
-    if "structure" not in data:
-        raise ValueError("algebra data needs a 'structure' list (or use a builtin name)")
-    rows = data["structure"]
+    rows, name, pair_bound, claims = _wire_record(
+        data, "algebra data", ("structure",), {"name": "anonymous", "pairBound": None, "claims": {}}
+    )
+    if not isinstance(name, str):
+        raise ValueError(f"'name' must be a JSON string, got {type(name).__name__}")
     if not isinstance(rows, list):
         raise ValueError(f"'structure' must be a JSON list, got {type(rows).__name__}")
     grouped: dict[tuple[int, int], dict] = {}
     for n, row in enumerate(rows):
-        _wire_object(row, f"structure row {n}")
-        for name in "ijkc":
-            if name not in row:
-                raise ValueError(f"structure row {n} has no {name!r} field")
-        i, j, k = (_row_index(row[name], f"structure row {n} field {name!r}") for name in "ijk")
+        *ijk, c = _wire_record(row, f"structure row {n}", ("i", "j", "k", "c"))
+        i, j, k = (_row_index(value, f"structure row {n} field {field!r}") for field, value in zip("ijk", ijk))
         try:
-            c = backend.parse(row["c"])
+            c = backend.parse(c)
         except (TypeError, ValueError) as e:
             raise type(e)(f"structure row {n} field 'c': {e}") from None
         cell = grouped.setdefault((i, j), {})
         cell[k] = backend.add(cell[k], c) if k in cell else c
     # a cell whose rows cancel is no entry, as table_to_data writes no row for it
     entries = {key: HamelVector(backend, coords) for key, coords in grouped.items() if any(coords.values())}
-    claims = _wire_object(data.get("claims", {}), "'claims'")
-    for name, claim in claims.items():
+    associative, commutative = _wire_record(claims, "'claims'", (), {"associative": False, "commutative": False})
+    for law, claim in claims.items():
         if not isinstance(claim, bool):
-            raise ValueError(f"claim {name!r} must be a JSON boolean, got {type(claim).__name__}")
-    pair_bound = data.get("pairBound")
+            raise ValueError(f"claim {law!r} must be a JSON boolean, got {type(claim).__name__}")
     if pair_bound is not None:
         pair_bound = backend.norm_parse(pair_bound)
-    return StructureTable(
-        backend,
-        name=str(data.get("name", "anonymous")),
-        entries=entries,
-        pair_bound=pair_bound,
-        claims_associative=claims.get("associative", False),
-        claims_commutative=claims.get("commutative", False),
-    )
+    return StructureTable(backend, name=name, entries=entries, pair_bound=pair_bound,
+                          claims_associative=associative, claims_commutative=commutative)
+

@@ -32,7 +32,7 @@ symbol^(m+n).  Besides its rule, such a table carries the codec
 from __future__ import annotations
 
 from .ring import RATIONAL, Backend, _Frozen, _excerpt
-from .hamel import HamelVector, basis_vector
+from .hamel import HamelVector, _wire_record, basis_vector
 from .algebra import StructureTable, table_from_data
 
 
@@ -244,11 +244,11 @@ def _identity_codec_fixture(table: StructureTable) -> AlgebraFixture:
 
 
 def fixture_from_data(data, backend: Backend = RATIONAL) -> AlgebraFixture:
-    """Fixture from parsed algebra JSON: builtin reference or extensional table.
+    """Fixture from parsed algebra JSON: a builtin reference, {"builtin"} alone, or an extensional table.
 
     Extensional tables have no structured labels; their codec is the decimal
     basis index.
     """
     if isinstance(data, dict) and "builtin" in data:
-        return load_builtin(str(data["builtin"]), backend)
+        return load_builtin(str(_wire_record(data, "builtin reference", ("builtin",))[0]), backend)
     return _identity_codec_fixture(table_from_data(backend, data))

@@ -25,10 +25,10 @@ that starts with '-' is an option unless it is a negative number (``-1``,
 ``--expr=-e1`` is not; after ``--`` nothing is an option.
 
 Exit codes: 0 success, and for -h; 1 a law or certificate failed, in check
-too; 2 usage or parse errors, a closed stdout, or a "tail" field in a file
-eval, dual or tensor reads (they read exact files only).  A usage error
-prints the usage line, then ``falg: error: ...`` or ``falg <command>: error:
-...``, on stderr.
+too; 2 usage or parse errors, a file field its format does not define (a
+"tail" in the exact files eval, dual and tensor read), or a closed stdout.
+A usage error prints the usage line, then ``falg: error: ...`` or ``falg
+<command>: error: ...``, on stderr.
 
 The process entry is run(): ``python -m falg``, ``python -m falg.cli`` and
 the ``falg`` console script all call it.  It runs main on sys.argv, then the
@@ -421,13 +421,11 @@ _UNREAD = object()
 def _read(kind: str, cls, backend: Backend, path: str, data=_UNREAD):
     """cls.from_data on the JSON in path, or on data already loaded from it.
 
-    A "tail" field is refused unless cls is TailVector or TailMap, and a data
-    error becomes the usage error "<path> is not a valid <kind>: ...".
+    A data error, such as a "tail" field in a file read as an exact value,
+    becomes the usage error "<path> is not a valid <kind>: ...".
     """
     if data is _UNREAD:
         data = _load_json(path)
-    if cls not in (TailVector, TailMap) and _has_tail(data):
-        raise CliError(f"{path} carries a tail bound; this command reads only exact {kind}s")
     try:
         return cls.from_data(backend, data)
     except (ValueError, KeyError, TypeError) as e:

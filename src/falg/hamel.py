@@ -101,11 +101,13 @@ index, or an index tuple of a tensor's arity) and the fields that fix its
 shape (``_shape``: a tensor's arity), which results copy and operands must
 agree on.  One wire-key codec serves them all: a key is written ``"i"`` or
 ``"i,j,..."`` and read back only in canonical decimal form
-(``_wire_index``), so no two keys of one object name the same index.  A
-reader refuses a field its format does not define (``_wire_fields``), so
-a ``"tail"`` or a misspelt field is never dropped unread;
-``schauder._Certified.from_data`` hands its part reader the data without
-its own ``"tail"``.
+(``_wire_index``), so no two keys of one object name the same index.
+Every JSON record falg reads goes through ``_wire_record``: an object with
+every required field and no field its format does not define, so a
+misspelt field or a ``"tail"`` on an exact value is refused, never dropped.
+``_from_record`` builds a value from its fields' values, so a tail reader
+(``schauder._Certified.from_data``) reads its part's fields and its own
+``"tail"`` as one record, named after its own class.
 
 Raw data from a caller (public constructors, ``from_data``) is checked
 once, by one loop, ``_clean``: a table constructor runs it, and a map runs
@@ -248,12 +250,19 @@ def _wire_object(value, what: str) -> Mapping:
     return value
 
 
-def _wire_fields(data: Mapping, fields: tuple, what: str) -> None:
-    """Reject a field of data, a "tail" one too, that is not one of fields: an exact format drops nothing."""
+def _wire_record(data, what: str, required: tuple, optional: Mapping = {}) -> list:
+    """The values of data's required fields, then of its optional ones (optional[name] when absent).
+
+    data must be a JSON object with every required field and no field but those and the optional ones.
+    """
+    _wire_object(data, what)
+    for name in required:
+        if name not in data:
+            raise ValueError(f"{what} has no {name!r} field")
     for name in data:
-        if name not in fields:
-            raise ValueError(f"unexpected field {_excerpt(name) if isinstance(name, str) else repr(name)} "
-                             f"in {what} data")
+        if name not in required and name not in optional:
+            raise ValueError(f"unexpected field {_excerpt(name)} in {what}")
+    return [*(data[name] for name in required), *(data.get(name, d) for name, d in optional.items())]
 
 
 def _wire_index(text) -> int:
@@ -387,16 +396,16 @@ class _CoordTable(_Linear):
 
     @classmethod
     def from_data(cls, backend: Backend, data):
-        fields = (*cls._shape, "coords")
-        if not isinstance(data, Mapping) or any(name not in data for name in fields):
-            names = " and ".join(map(repr, fields))
-            raise ValueError(f"{cls.__name__} data must be a JSON object with {names}")
-        _wire_fields(data, fields, cls.__name__)
-        shape = [data[name] for name in cls._shape]  # the constructor checks each field
-        coords = {}
-        for key, text in _wire_object(data["coords"], "'coords'").items():
-            coords[cls._from_wire(key)] = backend.parse(text)
-        return cls(backend, *shape, coords)
+        return cls._from_record(backend, *_wire_record(data, f"{cls.__name__} data", cls._fields[1:]))
+
+    @classmethod
+    def _from_record(cls, backend: Backend, *fields):
+        """A cls from the values of its wire fields: its shape (the constructor checks each), then coords."""
+        *shape, coords = fields
+        raw = {}
+        for key, text in _wire_object(coords, "'coords'").items():
+            raw[cls._from_wire(key)] = backend.parse(text)  # the value is read first, then the key
+        return cls(backend, *shape, raw)
 
 
 class HamelVector(_CoordTable):
@@ -553,14 +562,16 @@ class ColumnFiniteMap(_Linear):
 
     @classmethod
     def from_data(cls, backend: Backend, data) -> "ColumnFiniteMap":
-        if not isinstance(data, Mapping) or "cols" not in data:
-            raise ValueError("map data must be an object with a 'cols' field")
-        _wire_fields(data, ("cols",), "map")
-        cols = {}
-        for j, column in _wire_object(data["cols"], "'cols'").items():
-            _wire_object(column, f"column {j!r}")
-            cols[_wire_index(j)] = HamelVector.from_data(backend, {"coords": column})
-        return cls(backend, cols)
+        return cls._from_record(backend, *_wire_record(data, f"{cls.__name__} data", cls._fields[1:]))
+
+    @classmethod
+    def _from_record(cls, backend: Backend, cols) -> "ColumnFiniteMap":
+        """A cls from the value of its one wire field, cols: index -> the coords object of a column."""
+        out = {}
+        for j, column in _wire_object(cols, "'cols'").items():
+            _wire_object(column, f"column {_excerpt(j)}")
+            out[_wire_index(j)] = HamelVector._from_record(backend, column)
+        return cls(backend, out)
 
 
 def zero_map(backend: Backend) -> ColumnFiniteMap:

@@ -151,9 +151,9 @@ def _slots(x, y):
     return None
 
 
-def _excerpt(text: str) -> str:
-    """repr of text for an error message, cut to 40 characters and the length when longer."""
-    if len(text) <= 40:
+def _excerpt(text) -> str:
+    """repr of text for an error message; a str longer than 40 characters is cut there and its length given."""
+    if not isinstance(text, str) or len(text) <= 40:
         return repr(text)
     return f"{text[:40]!r}... ({len(text)} characters)"
 

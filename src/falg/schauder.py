@@ -50,7 +50,7 @@ from operator import attrgetter
 from .ring import Backend, NormValue, _Frozen, _new, _set
 from .hamel import (
     ColumnFiniteMap, HamelVector, _Linear, _check_call, _check_nest, _check_slots, _form_vector, _map, _operand,
-    _trusted,
+    _trusted, _wire_record,
 )
 from .algebra import StructureTable
 
@@ -135,11 +135,10 @@ class _Certified(_Linear):
 
     @classmethod
     def from_data(cls, backend: Backend, data):
-        """The part's format plus an optional "tail"; the part reader gets the data without it."""
-        own = {k: v for k, v in data.items() if k != "tail"} if isinstance(data, Mapping) else data
-        part = cls._part_cls.from_data(backend, own)
-        tail = backend.norm_parse(data["tail"]) if "tail" in data else backend.norm_zero
-        return cls(part, tail)
+        """The part's wire fields plus an optional "tail", read as one record named after cls."""
+        *fields, tail = _wire_record(data, f"{cls.__name__} data", cls._part_cls._fields[1:], {"tail": None})
+        part = cls._part_cls._from_record(backend, *fields)
+        return cls(part, backend.norm_parse(tail) if "tail" in data else backend.norm_zero)
 
 
 class TailVector(_Certified):

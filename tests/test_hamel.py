@@ -20,8 +20,10 @@ from falg import (
     basis_vector,
     dual_basis,
     DualFunctional,
+    fixture_from_data,
     identity_on,
     poly_apply,
+    table_from_data,
     zero_map,
     zero_vector,
 )
@@ -335,29 +337,54 @@ def test_wire_keys_must_be_canonical_decimals(key):
         TensorElement.from_data(RATIONAL, {"arity": 2, "coords": {f"0,{key}": "1"}})
 
 
-# an exact reader refuses every field its format does not define, "tail" included;
-# a tail reader hands its part reader the data without the tail
-EXACT_READERS = {
-    "vector": (HamelVector, {"coords": {"0": "1"}}, "HamelVector"),
-    "functional": (DualFunctional, {"coords": {"0": "1"}}, "DualFunctional"),
-    "tensor": (TensorElement, {"arity": 1, "coords": {"0": "1"}}, "TensorElement"),
-    "map": (ColumnFiniteMap, {"cols": {"0": {"0": "1"}}}, "map"),
+# every wire reader refuses a field its format does not define, "tail" included where the format has none,
+# and names the record it reads: (record name, reader of its good data updated with extra fields)
+_ROW = {"i": 0, "j": 0, "k": 0, "c": "1"}
+WIRE_READERS = {
+    "vector": ("HamelVector data", lambda extra: HamelVector.from_data(RATIONAL, {"coords": {"0": "1"}, **extra})),
+    "functional": ("DualFunctional data",
+                   lambda extra: DualFunctional.from_data(RATIONAL, {"coords": {"0": "1"}, **extra})),
+    "tensor": ("TensorElement data",
+               lambda extra: TensorElement.from_data(RATIONAL, {"arity": 1, "coords": {"0": "1"}, **extra})),
+    "map": ("ColumnFiniteMap data",
+            lambda extra: ColumnFiniteMap.from_data(RATIONAL, {"cols": {"0": {"0": "1"}}, **extra})),
+    "tail-vector": ("TailVector data",
+                    lambda extra: TailVector.from_data(RATIONAL, {"coords": {"0": "1"}, "tail": "5", **extra})),
+    "tail-map": ("TailMap data",
+                 lambda extra: TailMap.from_data(RATIONAL, {"cols": {"0": {"0": "1"}}, "tail": "5", **extra})),
+    "algebra": ("algebra data", lambda extra: table_from_data(RATIONAL, {"structure": [_ROW], **extra})),
+    "structure-row": ("structure row 0", lambda extra: table_from_data(RATIONAL, {"structure": [{**_ROW, **extra}]})),
+    "claims": ("'claims'", lambda extra: table_from_data(
+        RATIONAL, {"structure": [_ROW], "claims": {"associative": True, **extra}})),
+    "builtin": ("builtin reference", lambda extra: fixture_from_data({"builtin": "polynomial", **extra})),
+}
+JUNK_FIELDS = {
+    "tail": ("tail", "5", "'tail'"), "tail-text": ("tail", "x", "'tail'"), "junk": ("junk", 3, "'junk'"),
+    "empty": ("", None, "''"),
+    "long": ("t" * 100, 1, "'tttttttttttttttttttttttttttttttttttttttt'... (100 characters)"),
 }
 
 
-@pytest.mark.parametrize("field, value, shown", [
-    ("tail", "5", "'tail'"), ("tail", "x", "'tail'"), ("junk", 3, "'junk'"), ("", None, "''"),
-    ("t" * 100, 1, "'tttttttttttttttttttttttttttttttttttttttt'... (100 characters)"),
-], ids=["tail", "tail-text", "junk", "empty", "long"])
-@pytest.mark.parametrize("kind", EXACT_READERS)
-def test_exact_wire_readers_refuse_unknown_fields(kind, field, value, shown):
-    cls, data, what = EXACT_READERS[kind]
-    message = f"^unexpected field {re.escape(shown)} in {what} data$"
-    with pytest.raises(ValueError, match=message):
-        cls.from_data(RATIONAL, {**data, field: value})
-    tail_cls = {"vector": TailVector, "map": TailMap}.get(kind)
-    if tail_cls is not None:
-        assert tail_cls.from_data(RATIONAL, {**data, "tail": "5"}) == tail_cls(cls.from_data(RATIONAL, data), 5)
-        if field != "tail":
-            with pytest.raises(ValueError, match=message):
-                tail_cls.from_data(RATIONAL, {**data, "tail": "5", field: value})
+@pytest.mark.parametrize("kind, case", [
+    pytest.param(kind, case, id=f"{kind}-{case}") for kind in WIRE_READERS for case in JUNK_FIELDS
+    if not (kind.startswith("tail-") and case.startswith("tail"))  # a tail reader's own field
+])
+def test_exact_wire_readers_refuse_unknown_fields(kind, case):
+    what, read = WIRE_READERS[kind]
+    field, value, shown = JUNK_FIELDS[case]
+    read({})
+    with pytest.raises(ValueError, match=f"^unexpected field {re.escape(shown)} in {re.escape(what)}$"):
+        read({field: value})
+
+
+@pytest.mark.parametrize("cls, data", [
+    (TailVector, {"coords": {"0": "1"}}), (TailMap, {"cols": {"0": {"0": "1"}}}),
+], ids=["tail-vector", "tail-map"])
+def test_tail_readers_read_part_and_tail_as_one_record(cls, data):
+    part = cls._part_cls.from_data(RATIONAL, data)
+    assert cls.from_data(RATIONAL, {**data, "tail": "5"}) == cls(part, 5)
+    assert cls.from_data(RATIONAL, data) == cls.lift(part)
+    with pytest.raises(ValueError, match=f"^{cls.__name__} data has no '{next(iter(data))}' field$"):
+        cls.from_data(RATIONAL, {"tail": "5"})
+    with pytest.raises(ValueError, match=f"^{cls.__name__} data must be a JSON object, got list$"):
+        cls.from_data(RATIONAL, [data])
