@@ -628,10 +628,20 @@ MUTANTS = [
     ),
     Mutant(
         "fixture-reader-keeps-unknown-fields", "catalog.py",
-        'str(_wire_record(data, "builtin reference", ("builtin",))[0])',
-        'str(data["builtin"])',
+        '_wire_record(data, "builtin reference", ("builtin",))[0]',
+        'data["builtin"]',
         [UNKNOWN_FIELDS + f"builtin-{field}]" for field in FIELDS]
         + [ALGEBRA_FILES + f"{case}]" for case in ("builtin-pair-bound", "builtin-structure")],
+    ),
+    # every int falg reads is checked by one rule, each against its own floor: a count of trials, an arity,
+    # a letter count
+    Mutant(
+        "check-index-ignores-least", "hamel.py",
+        "    if i < least:\n",
+        "    if i < 0:\n",
+        [HAMEL + f"test_every_integer_read_follows_one_rule[{site}-below-floor]"
+         for site in ("trials", "tensor-arity", "poly-arity", "tail-poly-arity", "letter-count")]
+        + ["tests/test_algebra.py::test_check_laws_rejects_zero_trials"],
     ),
     # the basis builders store the backend's one unit; int's small 1 is shared either way
     Mutant(

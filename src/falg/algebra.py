@@ -34,6 +34,10 @@ the memo, computes or stores anything, so a bad pair leaves neither a row
 nor an entry behind, and so does the constructor for every key of
 ``entries``; ``_mul_form`` calls ``lookup`` only for a pair missing from
 ``_rows``, so ``mul`` on a filled memo pays nothing for the check.
+Rebinding ``backend``, ``entries`` or ``pair_bound`` resets the memo
+(``__setattr__`` empties ``_rows``), since its rows were checked under the
+old fields; rebinding ``rule`` keeps it, so a warmed table's rule can be
+wrapped (as the benchmark's tracer does) without a cold memo.
 
 ``_mul_form`` multiplies two numerator forms; ``mul`` checks its operands,
 splits them into forms and wraps the product form into a vector.  It takes
@@ -117,7 +121,12 @@ class StructureTable(_Frozen):
     _fields = (
         "backend", "name", "entries", "rule", "pair_bound", "claims_associative", "claims_commutative"
     )
-    __setattr__ = object.__setattr__
+
+    def __setattr__(self, name, value):
+        if name in ("backend", "entries", "pair_bound"):
+            object.__setattr__(self, "_rows", {})
+        object.__setattr__(self, name, value)
+
     __delattr__ = object.__delattr__
     __hash__ = None
     __copy__ = __deepcopy__ = None  # copied as any object with an attribute dict is
@@ -312,9 +321,8 @@ class StructureTable(_Frozen):
         integers so IEEE arithmetic stays exact too.  Returns a report, one
         entry per law, with a rendered counterexample on failure.
         """
-        if isinstance(trials, bool) or not isinstance(trials, int) or trials <= 0:
-            raise ValueError(f"trials must be a positive integer, got {trials}")
-        _check_max_index(max_index)
+        _check_index(trials, "trials", 1)
+        _check_index(max_index, "max_index")
         bits = random.Random(seed).getrandbits
         scalar = partial(self._rand_scalar, bits)
         form = partial(self._rand_form, bits, max_index + 1)
@@ -451,14 +459,6 @@ def _same(f: tuple[int, dict], g: tuple[int, dict]) -> bool:
     return True
 
 
-def _check_max_index(max_index) -> None:
-    """Reject a max_index (the largest basis index a probe draws) that is not an int >= 0."""
-    if isinstance(max_index, bool) or not isinstance(max_index, int):
-        raise TypeError(f"max_index must be int, got {type(max_index).__name__}")
-    if max_index < 0:
-        raise ValueError("max_index must be >= 0")
-
-
 def _render_value(v) -> str:
     if isinstance(v, HamelVector):
         return "{" + ", ".join(f"{i}: {v.backend.render(v._raw[i])}" for i in sorted(v._raw)) + "}"
@@ -540,11 +540,7 @@ def _row_index(value, where: str) -> int:
             value = _wire_index(value)
         except ValueError as e:
             raise ValueError(f"{where}: {e}") from None
-    elif isinstance(value, bool) or not isinstance(value, int):
-        raise ValueError(f"{where} must be an integer, got {type(value).__name__}")
-    if value < 0:
-        raise ValueError(f"{where} must be >= 0, got {value}")
-    return value
+    return _check_index(value, where)
 
 
 def table_from_data(backend: Backend, data) -> StructureTable:

@@ -56,7 +56,7 @@ import sys
 import types
 
 from .ring import BACKENDS, Backend, Scalar, _Frozen, _excerpt, _literal
-from .hamel import ColumnFiniteMap, DualFunctional, HamelVector, basis_vector
+from .hamel import ColumnFiniteMap, DualFunctional, HamelVector, _check_index, basis_vector
 from .algebra import CertificateError, _render_value
 from .tensor import NonAssociativeError, TensorElement, map_via_tensor, tensor_pure
 from .schauder import TailMap, TailVector
@@ -373,9 +373,7 @@ def _max_index() -> int:
         value = int(raw)
     except ValueError:
         raise CliError(f"FALG_MAX_INDEX must be an integer, got {_excerpt(raw)}") from None
-    if value < 0:
-        raise CliError(f"FALG_MAX_INDEX must be >= 0, got {value}")
-    return value
+    return _check_index(value, "FALG_MAX_INDEX")
 
 
 def _backend(args) -> Backend:
@@ -494,8 +492,8 @@ def _cmd_compose(args) -> int:
 
 def _cmd_tensor(args) -> int:
     backend = _backend(args)
-    if args.pure and args.tensor:
-        raise CliError("choose one mode: --pure factors, or --tensor with --map/--vector")
+    if args.pure and (args.algebra or args.tensor or args.map or args.vector):
+        raise CliError("choose one mode: --pure factors, or --algebra, --tensor, --map and --vector")
     if args.pure:
         factors = [_read("vector", HamelVector, backend, path) for path in args.pure]
         _emit_json(tensor_pure(factors).to_data())

@@ -102,6 +102,10 @@ shape (``_shape``: a tensor's arity), which results copy and operands must
 agree on.  One wire-key codec serves them all: a key is written ``"i"`` or
 ``"i,j,..."`` and read back only in canonical decimal form
 (``_wire_index``), so no two keys of one object name the same index.
+One rule reads every integer: ``_check_index`` every int value (an index,
+a count, an arity, a sample size: an int, not a bool, at or above its
+floor) and ``_wire_index`` every decimal text (a wire key, a label's
+number, a builtin's letter count).
 Every JSON record falg reads goes through ``_wire_record``: an object with
 every required field and no field its format does not define, so a
 misspelt field or a ``"tail"`` on an exact value is refused, never dropped.
@@ -143,11 +147,12 @@ from math import lcm
 from .ring import Backend, BackendMismatchError, NormValue, Scalar, _Frozen, _excerpt, _new, _scalar, _set
 
 
-def _check_index(i) -> int:
+def _check_index(i, what: str = "basis index", least: int = 0) -> int:
+    """i, an int (not a bool) >= least: the one check of every count, arity and index falg reads."""
     if isinstance(i, bool) or not isinstance(i, int):
-        raise TypeError(f"basis index must be int, got {type(i).__name__}")
-    if i < 0:
-        raise ValueError(f"basis index must be >= 0, got {i}")
+        raise TypeError(f"{what} must be int, got {type(i).__name__}")
+    if i < least:
+        raise ValueError(f"{what} must be >= {least}, got {i}")
     return i
 
 
@@ -266,11 +271,12 @@ def _wire_record(data, what: str, required: tuple, optional: Mapping = {}) -> li
 
 
 def _wire_index(text) -> int:
-    """The index a wire key, or one comma-separated part of it, names.
+    """The int that decimal text names: a wire key, one comma-separated part of it, or a label's number.
 
     Only the canonical decimal str(i) is read: "01", "1_0", "+1", "-0" or
     " 1" would name an index another key may name too, so they raise
-    ValueError.
+    ValueError.  The sign is not checked here: a key's index goes through
+    ``_check_index`` after, and a power label may be negative.
     """
     text = str(text)
     i = int(text)
@@ -599,8 +605,7 @@ def _check_slots(nest_cls, leaf_cls, backend: Backend, arity: int, slots) -> dic
     at arity 2, a nest_cls of arity - 1 above.  Shared by PolyMap and the
     truncation layer's TailPolyMap.
     """
-    if not isinstance(arity, int) or arity < 2:
-        raise ValueError(f"{nest_cls.__name__} arity must be >= 2, got {arity}")
+    _check_index(arity, f"{nest_cls.__name__} arity", 2)
     out = {}
     for j, sub in _pairs(slots, "slots"):
         j = _check_index(j)

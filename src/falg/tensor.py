@@ -35,7 +35,7 @@ from .hamel import (
     _trusted,
     _wire_index,
 )
-from .algebra import StructureTable, _below, _check_max_index
+from .algebra import StructureTable, _below
 
 
 class NonAssociativeError(ValueError):
@@ -54,9 +54,7 @@ class TensorElement(_CoordTable):
     _shape = ("arity",)
 
     def __init__(self, backend: Backend, arity: int, coords: Mapping[tuple[int, ...], Scalar] = {}):
-        if isinstance(arity, bool) or not isinstance(arity, int) or arity < 1:
-            raise ValueError(f"tensor arity must be an int >= 1, got {arity!r}")
-        object.__setattr__(self, "arity", arity)
+        object.__setattr__(self, "arity", _check_index(arity, "tensor arity", 1))
         super().__init__(backend, coords)
 
     def _index(self, key) -> tuple[int, ...]:
@@ -121,9 +119,8 @@ def map_via_tensor(
         raise NonAssociativeError(
             f"table {table.name!r} does not claim associativity; sandwich map undefined"
         )
-    if isinstance(samples, bool) or not isinstance(samples, int) or samples < 0:
-        raise ValueError(f"samples must be a non-negative integer, got {samples!r}")
-    _check_max_index(max_index)
+    _check_index(samples, "samples")
+    _check_index(max_index, "max_index")
     rng = random.Random(seed)
     width = max_index + 1
     for _ in range(samples):

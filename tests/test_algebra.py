@@ -12,10 +12,12 @@ from falg import (
     HamelVector,
     LawReport,
     StructureTable,
+    TailVector,
     basis_vector,
     load_builtin,
     table_from_data,
     table_to_data,
+    tail_mul,
     zero_vector,
 )
 from falg.algebra import _below
@@ -176,6 +178,29 @@ def test_check_laws_catches_false_claims():
             assert r.counterexample
 
 
+def test_rebinding_a_checked_field_resets_the_memo():
+    v = HamelVector(RATIONAL, {0: 1})
+    t = StructureTable(RATIONAL, entries={(0, 0): {0: 1}}, pair_bound=1)
+    t.mul(v, v)  # memoizes row (0, 0), checked under bound 1
+    t.pair_bound = Fraction(1, 2)
+    # a kept row would give the tail K * (1/10 + 1/10 + 1/100) = 21/200, where the true error can be 21/100
+    with pytest.raises(CertificateError, match="pair bound violated at [(]0, 0[)]"):
+        tail_mul(t, TailVector(v, Fraction(1, 10)), TailVector(v, Fraction(1, 10)))
+    t.pair_bound = None
+    t.mul(v, v)
+    t.entries = {(0, 0): HamelVector(RATIONAL, {1: Fraction(1, 4)})}
+    assert t.mul(v, v) == t.lookup(0, 0) == HamelVector(RATIONAL, {1: Fraction(1, 4)})
+    t.mul(v, v)
+    t.backend = INTEGER
+    assert t._rows == {}
+    # a rule may be rebound (wrapped) on a warmed table without emptying its memo
+    free = load_builtin("free:2").table
+    free.mul(basis_vector(RATIONAL, 1), basis_vector(RATIONAL, 2))
+    rows, rule = free._rows, free.rule
+    free.rule = lambda i, j: rule(i, j)
+    assert free._rows is rows and rows
+
+
 def test_check_laws_rejects_zero_trials():
     with pytest.raises(ValueError):
         poly().check_laws(trials=0)
@@ -184,7 +209,7 @@ def test_check_laws_rejects_zero_trials():
 @pytest.mark.parametrize("trials", [True, False])
 def test_check_laws_rejects_bool_trials(trials):
     # True is an int equal to 1, but a report of "trials": true is not a count
-    with pytest.raises(ValueError, match="positive integer"):
+    with pytest.raises(TypeError, match="trials must be int, got bool"):
         poly().check_laws(trials=trials)
 
 
@@ -470,9 +495,11 @@ def test_table_from_data_drops_a_cell_whose_rows_cancel(backend):
 
 @pytest.mark.parametrize("index", [1.9, 1.0, True, "01", "1_0", -1], ids=repr)
 def test_table_from_data_rejects_non_canonical_indices(index):
+    # a JSON number that is not an int (a bool included) is a TypeError, as for any index; text must be canonical
+    error = ValueError if type(index) in (str, int) else TypeError
     for name in "ijk":
         row = {"i": 0, "j": 0, "k": 0, "c": "1", name: index}
-        with pytest.raises(ValueError):
+        with pytest.raises(error):
             table_from_data(RATIONAL, {"structure": [row]})
 
 

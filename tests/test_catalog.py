@@ -41,7 +41,7 @@ def test_polynomial_labels():
     for bad in ("x^+2", "x^02", "x^ 2", "x^", "y", "x^2x", "x^-1", "2"):
         with pytest.raises(LabelError):
             fix.encode(bad)
-    with pytest.raises(LabelError):
+    with pytest.raises(ValueError, match="^basis index must be >= 0, got -1$"):
         fix.decode(-1)
 
 

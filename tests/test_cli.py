@@ -410,6 +410,16 @@ def test_cli_tensor_mode_conflicts(tmp_path, capsys):
     assert code == 2 and "via-tensor" in err
 
 
+@pytest.mark.parametrize("option", ["--algebra", "--tensor", "--map", "--vector"])
+def test_cli_tensor_pure_refuses_every_via_tensor_option(tmp_path, capsys, option):
+    # --pure with a via-tensor option used to ignore the option and exit 0
+    v = write(tmp_path, "v.json", {"coords": {"0": "1"}})
+    value = "builtin:free:2" if option == "--algebra" else v
+    code, out, err = run(capsys, ["tensor", "--pure", v, option, value])
+    assert code == 2 and out == ""
+    assert err == "choose one mode: --pure factors, or --algebra, --tensor, --map and --vector\n"
+
+
 def test_cli_tensor_spot_check_rejects_false_claim(tmp_path, capsys, monkeypatch):
     rows = [
         {"i": 0, "j": n, "k": n, "c": "1"} for n in range(3)
@@ -1037,8 +1047,9 @@ _ROW = {"i": 0, "j": 0, "k": 0, "c": "1"}
         ({"structure": [_ROW, {"i": 0, "j": 1, "k": 0}]}, "structure row 1 has no 'c' field"),
         ({"structure": _ROW}, "'structure' must be a JSON list, got dict"),
         ({"structure": [_ROW, 5]}, "structure row 1 must be a JSON object, got int"),
-        ({"structure": [{**_ROW, "j": 1.5}]}, "structure row 0 field 'j' must be an integer, got float"),
+        ({"structure": [{**_ROW, "j": 1.5}]}, "structure row 0 field 'j' must be int, got float"),
         ({"name": {"a": 1}, "structure": [_ROW]}, "'name' must be a JSON string, got dict"),
+        ({"builtin": 5}, "'builtin' must be a JSON string, got int"),
         # a field the format does not define is refused, never dropped: spelt "pairBound", this bound fails
         # the probe (exit 1), and misspelt it must not vanish into an "ok"
         ({"structure": [_ROW], "pairbound": "1/2"}, "unexpected field 'pairbound' in algebra data"),
@@ -1048,8 +1059,8 @@ _ROW = {"i": 0, "j": 0, "k": 0, "c": "1"}
         ({"structure": [{**_ROW, "note": "unit"}]}, "unexpected field 'note' in structure row 0"),
     ],
     ids=["claims-list", "claims-string", "row-without-c", "structure-object", "integer-row", "float-index",
-         "name-object", "misspelt-pair-bound", "builtin-pair-bound", "builtin-structure", "unknown-claim",
-         "row-note"],
+         "name-object", "builtin-int", "misspelt-pair-bound", "builtin-pair-bound", "builtin-structure",
+         "unknown-claim", "row-note"],
 )
 def test_cli_check_rejects_malformed_table_json(tmp_path, capsys, table, message):
     code, out, err = run(capsys, ["check", "--algebra", write(tmp_path, "t.json", table)])
@@ -1353,7 +1364,7 @@ def test_cli_tensor_negative_samples_exit_2(tmp_path, capsys):
     argv = ["tensor", "--algebra", "builtin:polynomial", "--tensor", t, "--map", f, "--vector", v]
     code, out, err = run(capsys, argv + ["--samples", "-1"])
     assert code == 2 and out == ""
-    assert err == "samples must be a non-negative integer, got -1\n"
+    assert err == "samples must be >= 0, got -1\n"
     code, out, _ = run(capsys, argv + ["--samples", "0"])
     assert code == 0 and out == "{0: 1}\n"
 

@@ -1,6 +1,8 @@
+import os
 import random
 import re
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given
@@ -12,8 +14,10 @@ from falg import (
     BackendMismatchError,
     ColumnFiniteMap,
     HamelVector,
+    LabelError,
     PolyMap,
     TailMap,
+    TailPolyMap,
     TailVector,
     TensorElement,
     basis_map,
@@ -22,11 +26,15 @@ from falg import (
     DualFunctional,
     fixture_from_data,
     identity_on,
+    load_builtin,
+    map_via_tensor,
     poly_apply,
     table_from_data,
+    tensor_pure,
     zero_map,
     zero_vector,
 )
+from falg.cli import CliError, _max_index
 
 from support import assert_canonical, rand_map, rand_scalar, rand_vector
 
@@ -388,3 +396,65 @@ def test_tail_readers_read_part_and_tail_as_one_record(cls, data):
         cls.from_data(RATIONAL, {"tail": "5"})
     with pytest.raises(ValueError, match=f"^{cls.__name__} data must be a JSON object, got list$"):
         cls.from_data(RATIONAL, [data])
+
+
+def _sandwich(**options):
+    unit = basis_vector(RATIONAL, 0)
+    return map_via_tensor(load_builtin("polynomial").table, tensor_pure([unit, unit]), identity_on(RATIONAL, [0]),
+                          unit, **options)
+
+
+def _env_max_index(text):
+    with mock.patch.dict(os.environ, {"FALG_MAX_INDEX": text}):
+        return _max_index()
+
+
+# every int falg reads goes through hamel._check_index: (read, what it calls the value, its floor, a non-int of
+# the kind a caller may pass); each refuses that non-int and a bool with TypeError, and floor - 1 with ValueError
+INT_SITES = {
+    "basis-index": (lambda n: basis_vector(RATIONAL, n), "basis index", 0, "1"),
+    "label-index": (lambda n: load_builtin("free:2").decode(n), "basis index", 0, "1"),
+    "trials": (lambda n: load_builtin("polynomial").table.check_laws(trials=n), "trials", 1, "3"),
+    "laws-max-index": (lambda n: load_builtin("polynomial").table.check_laws(max_index=n), "max_index", 0, "3"),
+    "samples": (lambda n: _sandwich(samples=n), "samples", 0, "3"),
+    "sandwich-max-index": (lambda n: _sandwich(max_index=n), "max_index", 0, "3"),
+    "tensor-arity": (lambda n: TensorElement(RATIONAL, n, {}), "tensor arity", 1, "2"),
+    "poly-arity": (lambda n: PolyMap(RATIONAL, n, {}), "PolyMap arity", 2, "2"),
+    "tail-poly-arity": (lambda n: TailPolyMap(RATIONAL, n, {}), "TailPolyMap arity", 2, "2"),
+    "structure-row": (lambda n: table_from_data(RATIONAL, {"structure": [{**_ROW, "k": n}]}),
+                      "structure row 0 field 'k'", 0, 1.5),
+}
+INTEGER_RULE = {
+    **{f"{site}-{case}": (read, value, error, message)
+       for site, (read, what, least, other) in INT_SITES.items()
+       for case, value, error, message in (
+           ("non-int", other, TypeError, f"{what} must be int, got {type(other).__name__}"),
+           ("bool", True, TypeError, f"{what} must be int, got bool"),
+           ("below-floor", least - 1, ValueError, f"{what} must be >= {least}, got {least - 1}"),
+       )},
+    # every decimal text goes through hamel._wire_index, then the int it names through _check_index
+    "wire-key-non-canonical": (lambda s: HamelVector.from_data(RATIONAL, {"coords": {s: "1"}}), "01", ValueError,
+                               "wire key '01' is not a canonical decimal index"),
+    "wire-key-below-floor": (lambda s: HamelVector.from_data(RATIONAL, {"coords": {s: "1"}}), "-1", ValueError,
+                             "basis index must be >= 0, got -1"),
+    "power-label-non-canonical": (lambda s: load_builtin("polynomial").encode(s), "x^02", LabelError,
+                                  "malformed label 'x^02'"),
+    "power-label-below-floor": (lambda s: load_builtin("polynomial").encode(s), "x^-1", LabelError,
+                                "negative power in label 'x^-1'"),
+    "letter-count-non-canonical": (load_builtin, "free:02", ValueError, "'free:02' needs a letter count k >= 1"),
+    "letter-count-below-floor": (load_builtin, "free:0", ValueError, "'free:0' needs a letter count k >= 1"),
+    "table-label-non-canonical": (lambda s: fixture_from_data({"structure": []}).encode(s), "01", LabelError,
+                                  "label '01' is not a basis index"),
+    "table-label-below-floor": (lambda s: fixture_from_data({"structure": []}).encode(s), "-1", LabelError,
+                                "label '-1' is not a basis index"),
+    # the environment's cap is read with int(), as the CLI's int options are, then checked by the rule
+    "env-max-index-non-int": (_env_max_index, "1.5", CliError, "FALG_MAX_INDEX must be an integer, got '1.5'"),
+    "env-max-index-below-floor": (_env_max_index, "-1", ValueError, "FALG_MAX_INDEX must be >= 0, got -1"),
+}
+
+
+@pytest.mark.parametrize("read, value, error, message", INTEGER_RULE.values(), ids=INTEGER_RULE)
+def test_every_integer_read_follows_one_rule(read, value, error, message):
+    with pytest.raises(error) as caught:
+        read(value)
+    assert type(caught.value) is error and str(caught.value) == message

@@ -41,7 +41,6 @@ from falg import (
     ColumnFiniteMap,
     DualFunctional,
     HamelVector,
-    LabelError,
     NormInterval,
     PolyMap,
     Scalar,
@@ -600,7 +599,7 @@ RARE_PATHS = {
                             TypeError, "arity-3 slots must have arity 2, got 3"),
     "tail-mul-non-table": (lambda: tail_mul(F, TailVector(V, 0), TailVector(V, 0)),
                            TypeError, "expected StructureTable, got ColumnFiniteMap"),
-    "free-decode-negative": (lambda: load_builtin("free:2").decode(-1), LabelError, "invalid basis index -1"),
+    "free-decode-negative": (lambda: load_builtin("free:2").decode(-1), ValueError, "basis index must be >= 0, got -1"),
     "embed-rational-float": (lambda: embed_rational(R, 1.5, 2), TypeError, "embed_rational takes integers"),
     "record-field-count": (lambda: LawResult("x"), TypeError, "LawResult takes 4 fields, got 1"),
     "column-finite-map-call": (lambda: F(W), lambda: F.apply(W)),
