@@ -51,7 +51,8 @@ LINEAR = VALUES + "test_minus_and_scalar_times_are_the_linear_identities["
 TAIL_DIFFERENCES = "tests/test_schauder.py::test_rational_tail_map_differences_are_sound"
 LONG_ECHOES = ("literal", "unexpected", "identifier", "builtin-name", "polynomial-label", "quaternion-label",
                "table-label", *(f"{field}-{b}" for field in ("coefficient", "tail") for b in ("int", "rat", "f64")),
-               "map-column", "int-option", "choice-option", "command", "flag-value", "help-value")
+               "map-column", "int-option", "choice-option", "command", "flag-value", "help-value", "let-value",
+               "builtin-spec")
 POSITION = CLI + "test_lex_error_is_reported_at_its_own_line_and_column"
 CATALOG = "tests/test_catalog.py::"
 VIEW_KINDS = ("vector", "functional", "tensor")
@@ -469,6 +470,19 @@ MUTANTS = [
         "        node = build(tok)\n        self.depth -= 1\n",
         "        node = build(tok)\n",
         [CLI + "test_parse_nesting_cap"],
+    ),
+    # a chain folds from the left, each operator with the operand after it
+    Mutant(
+        "chain-fold-shifts-operands", "cli.py",
+        "for op, operand in zip(node.ops, node.operands[1:]):",
+        "for op, operand in zip(node.ops, node.operands):",
+        [CLI + "test_eval_scalar_promotion_and_scaling", CLI + "test_eval_chain_folds_its_operands_in_order"],
+    ),
+    Mutant(
+        "chain-fold-swaps-operands", "cli.py",
+        "value = _binary(op, value, _eval(operand, fixture, bindings), fixture)",
+        "value = _binary(op, _eval(operand, fixture, bindings), value, fixture)",
+        [CLI + "test_eval_chain_folds_its_operands_in_order"],
     ),
     # the command table's parser keeps argparse's grammar and messages
     Mutant(

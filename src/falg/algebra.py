@@ -37,7 +37,10 @@ nor an entry behind, and so does the constructor for every key of
 Rebinding ``backend``, ``entries`` or ``pair_bound`` resets the memo
 (``__setattr__`` empties ``_rows``), since its rows were checked under the
 old fields; rebinding ``rule`` keeps it, so a warmed table's rule can be
-wrapped (as the benchmark's tracer does) without a cold memo.
+wrapped (as the benchmark's tracer does) without a cold memo.  Assigning
+``pair_bound``, in the constructor too, is checked: a bound other than
+None goes through ``backend.norm_check`` first (on rat ``"1/2"`` reads as
+``Fraction(1, 2)``), and a refused one leaves the table as it was.
 
 ``_mul_form`` multiplies two numerator forms; ``mul`` checks its operands,
 splits them into forms and wraps the product form into a vector.  It takes
@@ -123,6 +126,8 @@ class StructureTable(_Frozen):
     )
 
     def __setattr__(self, name, value):
+        if name == "pair_bound" and value is not None:
+            value = self.backend.norm_check(value)
         if name in ("backend", "entries", "pair_bound"):
             object.__setattr__(self, "_rows", {})
         object.__setattr__(self, name, value)
@@ -143,7 +148,7 @@ class StructureTable(_Frozen):
     ):
         self.backend = backend
         self.name = name
-        self.pair_bound = None if pair_bound is None else backend.norm_check(pair_bound)
+        self.pair_bound = pair_bound
         self.entries = {(_check_index(i), _check_index(j)): self._coerce(entry) for (i, j), entry in entries.items()}
         self.rule = rule
         self.claims_associative = claims_associative

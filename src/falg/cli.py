@@ -129,36 +129,11 @@ def _lex(text: str) -> list[_Token]:
 class _Node(_Frozen):
     """Expression tree node.
 
-    A flat chain such as e1 + e1 + ... parses left-deep, so ==, hash and
-    repr walk the left spines of +, - and * chains in a loop and recurse
-    only into right operands and bracketed or negated subtrees, whose depth
-    the parser caps at MAX_NESTING.
+    A run of + and - operators, or of * operators, is one Chain node, so a
+    node is nested only as deep as the brackets and unary minuses around it,
+    which the parser caps at MAX_NESTING: ==, hash and repr recurse as any
+    record's do, with no RecursionError even on a chain of thousands of terms.
     """
-
-    def _spine(self) -> tuple[list, "_Node"]:
-        """The +, - and * nodes down the left spine, outermost first, and the node below."""
-        spine, node = [], self
-        while isinstance(node, (Add, Sub, Mul)):
-            spine.append(node)
-            node = node.a
-        return spine, node
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        (xs, x), (ys, y) = self._spine(), other._spine()
-        ops = [(op.__class__, op.b) for op in xs]
-        return ops == [(op.__class__, op.b) for op in ys] and x.__class__ is y.__class__ and x._key(x) == y._key(y)
-
-    def __hash__(self):
-        spine, node = self._spine()
-        return hash((tuple((op.__class__.__name__, op.b) for op in spine), node._key(node)))
-
-    def __repr__(self):
-        spine, node = self._spine()
-        heads = "".join(f"{op.__class__.__qualname__}(a=" for op in spine)
-        tails = "".join(f", b={op.b!r})" for op in reversed(spine))
-        return heads + _Frozen.__repr__(node) + tails
 
 
 class Lit(_Node):
@@ -181,16 +156,10 @@ class Neg(_Node):
     _fields = ("a",)
 
 
-class Add(_Node):
-    _fields = ("a", "b")
+class Chain(_Node):
+    """operands[0] op operands[1] op ..., evaluated left to right; ops holds one of + - * per later operand."""
 
-
-class Sub(_Node):
-    _fields = ("a", "b")
-
-
-class Mul(_Node):
-    _fields = ("a", "b")
+    _fields = ("ops", "operands")
 
 
 class Comm(_Node):
@@ -208,7 +177,9 @@ _LEAVES = {"num": Lit, "label": Label, "basis": lambda text: Basis(int(text[1:])
 
 
 class _Parser:
-    """Precedence: unary minus > * > binary +/-; * groups left, parens override.
+    """Precedence: unary minus > * > binary +/-; parens override.
+
+    A run of binary + and -, and a run of *, each read as one Chain.
 
     Each nesting level costs a few Python frames, so nesting deeper than
     MAX_NESTING is a syntax error rather than a RecursionError.
@@ -253,19 +224,18 @@ class _Parser:
         return node
 
     def expr(self):
-        node = self.term()
+        ops, operands = "", [self.term()]
         while self.peek().kind in ("+", "-"):
-            op = self.take().kind
-            rhs = self.term()
-            node = Add(node, rhs) if op == "+" else Sub(node, rhs)
-        return node
+            ops += self.take().kind
+            operands.append(self.term())
+        return Chain(ops, tuple(operands)) if ops else operands[0]
 
     def term(self):
-        node = self.factor()
+        ops, operands = "", [self.factor()]
         while self.peek().kind == "*":
-            self.take()
-            node = Mul(node, self.factor())
-        return node
+            ops += self.take().kind
+            operands.append(self.factor())
+        return Chain(ops, tuple(operands)) if ops else operands[0]
 
     def factor(self):
         if self.peek().kind == "-":
@@ -336,12 +306,10 @@ def _eval(node, fixture: AlgebraFixture, bindings: dict[str, HamelVector]) -> Va
         return bindings[node.ident]
     if isinstance(node, Neg):
         return -_eval(node.a, fixture, bindings)
-    if isinstance(node, (Add, Sub, Mul)):
-        # a flat chain like e1 + e1 + ... parses left-deep: walk its spine in a loop
-        spine, node = node._spine()
-        value = _eval(node, fixture, bindings)
-        for op in reversed(spine):
-            value = _binary(op, value, _eval(op.b, fixture, bindings), fixture)
+    if isinstance(node, Chain):
+        value = _eval(node.operands[0], fixture, bindings)
+        for op, operand in zip(node.ops, node.operands[1:]):
+            value = _binary(op, value, _eval(operand, fixture, bindings), fixture)
         return value
     if isinstance(node, (Comm, Assoc)):
         operands = [_promote(_eval(x, fixture, bindings), backend) for x in node._key(node)]
@@ -350,8 +318,8 @@ def _eval(node, fixture: AlgebraFixture, bindings: dict[str, HamelVector]) -> Va
     raise TypeError(f"not an expression node: {type(node).__name__}")
 
 
-def _binary(node, a: Value, b: Value, fixture: AlgebraFixture) -> Value:
-    if isinstance(node, Mul):
+def _binary(op: str, a: Value, b: Value, fixture: AlgebraFixture) -> Value:
+    if op == "*":
         if isinstance(a, Scalar) and isinstance(b, Scalar):
             return a * b
         if isinstance(a, Scalar):
@@ -361,7 +329,7 @@ def _binary(node, a: Value, b: Value, fixture: AlgebraFixture) -> Value:
         return fixture.table.mul(a, b)
     if not (isinstance(a, Scalar) and isinstance(b, Scalar)):
         a, b = _promote(a, fixture.backend), _promote(b, fixture.backend)
-    return a + b if isinstance(node, Add) else a - b
+    return a + b if op == "+" else a - b
 
 
 # IO helpers ---------------------------------------------------------------
@@ -405,12 +373,14 @@ def _load_json(path: str):
 
 
 def _resolve_algebra(spec: str, backend: Backend) -> AlgebraFixture:
+    """The fixture spec names; an error quotes a file path whole, as _load_json does, and a builtin: spec cut."""
+    builtin = spec.startswith("builtin:")
     try:
-        if spec.startswith("builtin:"):
+        if builtin:
             return load_builtin(spec[len("builtin:"):], backend)
         return fixture_from_data(_load_json(spec), backend)
     except (ValueError, KeyError, TypeError) as e:
-        raise CliError(f"cannot load algebra {spec!r}: {e}") from None
+        raise CliError(f"cannot load algebra {_excerpt(spec) if builtin else repr(spec)}: {e}") from None
 
 
 _UNREAD = object()
@@ -470,7 +440,13 @@ def _cmd_eval(args) -> int:
     for item in args.let or []:
         name, sep, path = item.partition("=")
         if not sep or not name:
-            raise CliError(f"--let takes NAME=PATH, got {item!r}")
+            raise CliError(f"--let takes NAME=PATH, got {_excerpt(item)}")
+        try:
+            ident = _lex(name)[0] == _Token("ident", name, 1, 1)  # the whole name, read as one identifier
+        except ExprSyntaxError:
+            ident = False
+        if not ident:
+            raise CliError(f"--let NAME must be an identifier, got {_excerpt(name)}")
         bindings[name] = _read("vector", HamelVector, backend, path)
     result = eval_expr(parse_expr(args.expr), fixture, bindings)
     _emit(args, result.to_data(), _fmt_vector(result))

@@ -26,7 +26,7 @@ from falg import (
     load_builtin,
     tail_mul,
 )
-from falg.cli import Add, Assoc, Basis, Comm, Label, Lit, Mul, Name, Neg, Sub
+from falg.cli import Assoc, Basis, Chain, Comm, Label, Lit, Name, Neg
 
 
 def rand_scalar(rng: random.Random, backend, span: int = 5) -> Scalar:
@@ -256,25 +256,13 @@ def print_expr(node) -> str:
 
 
 def _print(node, level: int) -> str:
-    if isinstance(node, (Add, Sub, Mul)):
-        # walk the left spine of a chain in a loop, as cli._eval does
-        spine = []
-        while isinstance(node, (Add, Sub, Mul)):
-            spine.append((node, level))
-            level = 2 if isinstance(node, Mul) else 1
-            node = node.a
-        text = _print(node, level)
-        for node, level in reversed(spine):
-            if isinstance(node, Mul):
-                text = f"{text} * {_print(node.b, 3)}"
-                if level > 2:
-                    text = f"({text})"
-            else:
-                op = "+" if isinstance(node, Add) else "-"
-                text = f"{text} {op} {_print(node.b, 2)}"
-                if level > 1:
-                    text = f"({text})"
-        return text
+    """node as an operand at level: 1 anywhere, 2 in a + or - chain, 3 in a * chain or after a unary minus."""
+    if isinstance(node, Chain):
+        inner = 3 if node.ops[0] == "*" else 2  # a chain in a chain of its own kind would read as part of it
+        text = _print(node.operands[0], inner)
+        for op, x in zip(node.ops, node.operands[1:]):
+            text += f" {op} {_print(x, inner)}"
+        return f"({text})" if level >= inner else text
     if isinstance(node, Lit):
         return node.text
     if isinstance(node, Label):

@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -199,6 +200,32 @@ def test_rebinding_a_checked_field_resets_the_memo():
     rows, rule = free._rows, free.rule
     free.rule = lambda i, j: rule(i, j)
     assert free._rows is rows and rows
+
+
+@pytest.mark.parametrize("backend, bound", [
+    (RATIONAL, "x"), (RATIONAL, -1), (RATIONAL, [1]), (INTEGER, "1"), (FLOAT64, "-1"), (FLOAT64, "nan"),
+], ids=["rat-text", "rat-negative", "rat-list", "int-text", "f64-negative", "f64-nan"])
+def test_assigned_pair_bound_is_checked_as_the_constructor_checks_it(backend, bound):
+    with pytest.raises((TypeError, ValueError)) as refused:
+        StructureTable(backend, entries={(0, 0): {0: 1}}, pair_bound=bound)
+    t = StructureTable(backend, entries={(0, 0): {0: 1}}, pair_bound=1)
+    v = basis_vector(backend, 0)
+    t.mul(v, v)
+    rows = t._rows
+    with pytest.raises(refused.type, match=f"^{re.escape(str(refused.value))}$"):
+        t.pair_bound = bound
+    # refused before the memo is emptied: the table is as it was
+    assert t.pair_bound == 1 and t._rows is rows and t.mul(v, v) == v
+
+
+def test_assigned_pair_bound_reads_as_the_constructor_reads_it():
+    t = StructureTable(RATIONAL, entries={(0, 0): {0: 1}})
+    t.pair_bound = "1/2"
+    assert t.pair_bound == Fraction(1, 2) == StructureTable(RATIONAL, pair_bound="1/2").pair_bound
+    with pytest.raises(CertificateError, match="declared bound 1/2$"):
+        t.lookup(0, 0)
+    t.pair_bound = None
+    assert t.lookup(0, 0) == basis_vector(RATIONAL, 0)
 
 
 def test_check_laws_rejects_zero_trials():

@@ -1,5 +1,4 @@
 import contextlib
-import functools
 import io
 import json
 import os
@@ -15,19 +14,17 @@ import falg
 from falg import cli
 from falg import HamelVector, RATIONAL, TailMap, TailVector, ColumnFiniteMap, load_builtin
 from falg.cli import (
-    Add,
     Assoc,
     Basis,
+    Chain,
     CliError,
     Comm,
     ExprSyntaxError,
     Label,
     Lit,
-    Mul,
     Name,
     Neg,
     MAX_NESTING,
-    Sub,
     eval_expr,
     main,
     parse_expr,
@@ -54,8 +51,8 @@ def run(capsys, argv):
 
 def test_parse_square_example():
     tree = parse_expr("(1 + `x`)*(1 + `x`)")
-    branch = Add(Lit("1"), Label("x"))
-    assert tree == Mul(branch, branch)
+    branch = Chain("+", (Lit("1"), Label("x")))
+    assert tree == Chain("*", (branch, branch))
 
 
 def test_parse_commutator_and_associator():
@@ -118,11 +115,13 @@ def test_parse_error_quotes_the_token_as_written(text, message):
 
 
 def test_precedence():
-    assert parse_expr("1 + 2 * 3") == Add(Lit("1"), Mul(Lit("2"), Lit("3")))
-    assert parse_expr("-2 * 3") == Mul(Neg(Lit("2")), Lit("3"))
-    assert parse_expr("1 - 2 - 3") == Sub(Sub(Lit("1"), Lit("2")), Lit("3"))
-    assert parse_expr("a * b * c") == Mul(Mul(Name("a"), Name("b")), Name("c"))
-    assert parse_expr("2 * (3 + 4)") == Mul(Lit("2"), Add(Lit("3"), Lit("4")))
+    assert parse_expr("1 + 2 * 3") == Chain("+", (Lit("1"), Chain("*", (Lit("2"), Lit("3")))))
+    assert parse_expr("-2 * 3") == Chain("*", (Neg(Lit("2")), Lit("3")))
+    assert parse_expr("1 - 2 - 3") == Chain("--", (Lit("1"), Lit("2"), Lit("3")))
+    assert parse_expr("1 - 2 + 3") == Chain("-+", (Lit("1"), Lit("2"), Lit("3")))
+    assert parse_expr("(1 - 2) - 3") == Chain("-", (Chain("-", (Lit("1"), Lit("2"))), Lit("3")))
+    assert parse_expr("a * b * c") == Chain("**", (Name("a"), Name("b"), Name("c")))
+    assert parse_expr("2 * (3 + 4)") == Chain("*", (Lit("2"), Chain("+", (Lit("3"), Lit("4")))))
 
 
 def test_basis_and_identifier_tokens():
@@ -151,13 +150,21 @@ _LEAVES = st.one_of(
     st.sampled_from(["v", "w", "foo", "bar_2", "ex"]).map(Name),
 )
 
+
+def _chains(sub):
+    """Chains of 2 to 4 operands drawn from sub, with + and - mixed or * alone."""
+    def chain(operands):
+        n = len(operands) - 1
+        ops = st.one_of(st.text(alphabet="+-", min_size=n, max_size=n), st.just("*" * n))
+        return ops.map(lambda ops: Chain(ops, tuple(operands)))
+    return st.lists(sub, min_size=2, max_size=4).flatmap(chain)
+
+
 _EXPRS = st.recursive(
     _LEAVES,
     lambda sub: st.one_of(
         sub.map(Neg),
-        st.tuples(sub, sub).map(lambda t: Add(*t)),
-        st.tuples(sub, sub).map(lambda t: Sub(*t)),
-        st.tuples(sub, sub).map(lambda t: Mul(*t)),
+        _chains(sub),
         st.tuples(sub, sub).map(lambda t: Comm(*t)),
         st.tuples(sub, sub, sub).map(lambda t: Assoc(*t)),
     ),
@@ -207,6 +214,14 @@ def test_eval_scalar_promotion_and_scaling():
     assert eval_expr(parse_expr("3 * 4"), fix, {}) == HamelVector(RATIONAL, {0: 12})
     assert eval_expr(parse_expr("`x` - 1"), fix, {}) == HamelVector(RATIONAL, {0: -1, 1: 1})
     assert eval_expr(parse_expr("-e2"), fix, {}) == HamelVector(RATIONAL, {2: -1})
+
+
+def test_eval_chain_folds_its_operands_in_order():
+    # free:2 words concatenate, so a product chain shows the order of its operands
+    fix = load_builtin("free:2")
+    assert eval_expr(parse_expr("e1 * e2 * e3"), fix, {}) == HamelVector(RATIONAL, {fix.encode("abaa"): 1})
+    expected = HamelVector(RATIONAL, {0: -1, 1: 1, 2: -1, 3: -1})
+    assert eval_expr(parse_expr("e1 - e2 - e3 + 1 - 2"), fix, {}) == expected
 
 
 def test_eval_unbound_identifier():
@@ -343,6 +358,15 @@ def test_cli_eval_let_without_equals(tmp_path, capsys):
         ["eval", "--algebra", "builtin:polynomial", "--let", "nonsense", "--expr", "1"],
     )
     assert code == 2 and "NAME=PATH" in err
+
+
+@pytest.mark.parametrize("name", ["e1", "a b", "$", "1", "`x`", " v", "v\n", "v+w"],
+                         ids=["basis", "space", "bad-char", "number", "label", "leading-space", "newline", "chain"])
+def test_cli_let_name_must_be_one_identifier(tmp_path, capsys, name):
+    # a name the expression does not read as one identifier could never be used: e1 is a basis vector
+    v = write(tmp_path, "v.json", {"coords": {"0": "2"}})
+    result = run(capsys, ["eval", "--algebra", "builtin:polynomial", "--let", f"{name}={v}", "--expr", name])
+    assert result == (2, "", f"--let NAME must be an identifier, got {name!r}\n")
 
 
 def test_cli_apply_exact(tmp_path, capsys):
@@ -1119,14 +1143,36 @@ def test_parse_nesting_cap():
     assert parse_expr("-" * MAX_NESTING + "e0") is not None
     # siblings each nest one level from the depth around them
     tree = parse_expr(" + ".join(["(e0)"] * (MAX_NESTING + 1)))
-    assert tree == functools.reduce(Add, [Basis(0)] * (MAX_NESTING + 1))
+    assert tree == Chain("+" * MAX_NESTING, (Basis(0),) * (MAX_NESTING + 1))
     tree = parse_expr("-e0 * " * (MAX_NESTING + 1) + "e0")
-    assert tree == functools.reduce(Mul, [Neg(Basis(0))] * (MAX_NESTING + 1) + [Basis(0)])
+    assert tree == Chain("*" * (MAX_NESTING + 1), (Neg(Basis(0)),) * (MAX_NESTING + 1) + (Basis(0),))
     for text in ("(" * (MAX_NESTING + 1) + "e0" + ")" * (MAX_NESTING + 1),
                  "-" * (MAX_NESTING + 1) + "e0",
                  "<" * (MAX_NESTING + 1) + "e0" + ", e1, e2>" * (MAX_NESTING + 1)):
         with pytest.raises(ExprSyntaxError, match="nested deeper"):
             parse_expr(text)
+
+
+@pytest.mark.parametrize("shape, depth", [
+    ("(e1 {} {})", MAX_NESTING),
+    ("-(e1 {} {})", MAX_NESTING // 2),  # each level opens two: the minus and the bracket
+    ("[e1 {} {}, e2]", MAX_NESTING),
+    ("<e1 {} {}, e2, e3>", MAX_NESTING),
+], ids=["parens", "minus-parens", "commutators", "associators"])
+def test_deepest_tree_with_a_chain_at_every_level_compares_and_prints(shape, depth):
+    # a node nests only as deep as MAX_NESTING allows, so record ==, hash and repr need no loop
+    text = "e0"
+    for level in range(depth):
+        text = shape.format("+*"[level % 2], text)
+    tree = parse_expr(text)
+    try:
+        same, hashed, shown, printed = tree == parse_expr(text), hash(tree), repr(tree), print_expr(tree)
+    except RecursionError:  # failed outside: pytest would compare the locals of 1000 frames
+        same = None
+    assert same is not None, "==, hash, repr or print_expr ran out of frames"
+    assert same and hashed == hash(parse_expr(text))
+    assert shown.count("Chain(") == depth
+    assert parse_expr(printed) == tree
 
 
 @pytest.mark.parametrize(
@@ -1249,22 +1295,21 @@ def test_cli_f64_eval_overflow_exits_2(tmp_path, capsys, expr, flags):
 
 @pytest.mark.parametrize("op", ["+", "-", "*"])
 def test_long_flat_chain_compares_and_prints(op):
-    # ==, hash, repr and print_expr walk the left spine in a loop, as evaluation does
+    # a run of one operator is one Chain node, so ==, hash, repr and print_expr do not recurse per term
     tree = parse_expr(op.join(["e1"] * 3000))
     text = print_expr(tree)
     assert text == f" {op} ".join(["e1"] * 3000)
     assert tree == parse_expr(text)
     assert tree != parse_expr(op.join(["e1"] * 2999 + ["e2"]))
     assert tree != parse_expr(op.join(["e1"] * 2999))
-    assert Add(Basis(1), Basis(2)) != Sub(Basis(1), Basis(2))
+    assert Chain("+", (Basis(1), Basis(2))) != Chain("-", (Basis(1), Basis(2)))
     try:
         hashed, shown = hash(tree), repr(tree)
     except RecursionError:  # failed outside: pytest would compare the locals of 1000 frames
         hashed = shown = None
     assert shown is not None, "hash or repr recursed once per chain node"
     assert hashed == hash(parse_expr(text))
-    name = {"+": "Add", "-": "Sub", "*": "Mul"}[op]
-    assert shown == f"{name}(a=" * 2999 + "Basis(index=1)" + ", b=Basis(index=1))" * 2999
+    assert shown == f"Chain(ops={op * 2999!r}, operands=({', '.join(['Basis(index=1)'] * 3000)}))"
 
 
 def _eval_argv(algebra: str, expr: str) -> list:
@@ -1298,6 +1343,8 @@ LONG_ECHOES = {
     "command": lambda tmp: ["x" * 100000],
     "flag-value": lambda tmp: ["check", "--algebra", "builtin:polynomial", "--json=" + "x" * 100000],
     "help-value": lambda tmp: ["--help=" + "x" * 100000],
+    "let-value": lambda tmp: _eval_argv("builtin:polynomial", "1") + ["--let", "x" * 100000],
+    "builtin-spec": lambda tmp: ["check", "--algebra", "builtin:" + "x" * 100000],
 }
 
 

@@ -60,7 +60,7 @@ from falg import (
     tpoly_apply,
 )
 from falg.algebra import AssociatorDefect, CenterReport, CommutatorDefect, LawReport, LawResult
-from falg.cli import Add, Assoc, Basis, Comm, Label, Lit, Mul, Name, Neg, Sub, _Token
+from falg.cli import Assoc, Basis, Chain, Comm, Label, Lit, Name, Neg, _Token
 
 SRC_DIR = os.path.dirname(os.path.dirname(os.path.abspath(falg.__file__)))
 
@@ -122,9 +122,12 @@ CASES = [
     (Basis, (3,), (4,), "index", True, "Basis(index=3)"),
     (Name, ("v",), ("w",), "ident", True, "Name(ident='v')"),
     (Neg, (Basis(1),), (Basis(2),), "a", True, "Neg(a=Basis(index=1))"),
-    (Add, (Basis(1), Name("v")), (Basis(1), Name("w")), "b", True, "Add(a=Basis(index=1), b=Name(ident='v'))"),
-    (Sub, (Basis(1), Name("v")), (Basis(2), Name("v")), "a", True, "Sub(a=Basis(index=1), b=Name(ident='v'))"),
-    (Mul, (Basis(1), Name("v")), (Name("v"), Basis(1)), "a", True, "Mul(a=Basis(index=1), b=Name(ident='v'))"),
+    (Chain, ("+", (Basis(1), Name("v"))), ("+", (Basis(1), Name("w"))), "operands", True,
+     "Chain(ops='+', operands=(Basis(index=1), Name(ident='v')))"),
+    (Chain, ("-", (Basis(1), Name("v"))), ("+", (Basis(1), Name("v"))), "ops", True,
+     "Chain(ops='-', operands=(Basis(index=1), Name(ident='v')))"),
+    (Chain, ("*", (Basis(1), Name("v"))), ("*", (Name("v"), Basis(1))), "operands", True,
+     "Chain(ops='*', operands=(Basis(index=1), Name(ident='v')))"),
     (Comm, (Basis(1), Name("v")), (Basis(1), Basis(1)), "b", True,
      "Comm(a=Basis(index=1), b=Name(ident='v'))"),
     (Assoc, (Basis(1), Basis(2), Basis(3)), (Basis(1), Basis(2), Basis(4)), "c", True,
@@ -132,7 +135,10 @@ CASES = [
 ]
 
 
-@pytest.mark.parametrize("cls, args, changed, field, hashable, text", CASES, ids=[c[0].__name__ for c in CASES])
+@pytest.mark.parametrize(
+    "cls, args, changed, field, hashable, text", CASES,
+    ids=[c[0].__name__ + (c[1][0] if c[0] is Chain else "") for c in CASES],  # Chain+, Chain- and Chain*
+)
 def test_value_class_behaviour(cls, args, changed, field, hashable, text):
     x = cls(*args)
     y = cls(*args)
