@@ -52,7 +52,7 @@ TAIL_DIFFERENCES = "tests/test_schauder.py::test_rational_tail_map_differences_a
 LONG_ECHOES = ("literal", "unexpected", "identifier", "builtin-name", "polynomial-label", "quaternion-label",
                "table-label", *(f"{field}-{b}" for field in ("coefficient", "tail") for b in ("int", "rat", "f64")),
                "map-column", "int-option", "choice-option", "command", "flag-value", "help-value", "let-value",
-               "builtin-spec")
+               "builtin-spec", "unrecognized", "ambiguous-value")
 POSITION = CLI + "test_lex_error_is_reported_at_its_own_line_and_column"
 CATALOG = "tests/test_catalog.py::"
 VIEW_KINDS = ("vector", "functional", "tensor")
@@ -578,9 +578,16 @@ MUTANTS = [
     ),
     Mutant(
         "table-entries-skip-key-check", "algebra.py",
-        "{(_check_index(i), _check_index(j)): self._coerce(entry)",
-        "{(i, j): self._coerce(entry)",
+        "{(_check_index(i), _check_index(j)): _entry(backend, e)",
+        "{(i, j): _entry(backend, e)",
         [ALGEBRA + f"test_table_entries_are_keyed_by_basis_index_pairs[{case}]" for case in ("negative", "bool", "str")],
+    ),
+    # a table's fields are fixed at construction; only its rule may be rewrapped
+    Mutant(
+        "table-field-assignable", "algebra.py",
+        '        if name != "rule":\n',
+        '        if name == "backend":\n',
+        [ALGEBRA + "test_table_fields_are_fixed_but_rule"],
     ),
     Mutant(
         "table-to-data-skips-key-check", "algebra.py",

@@ -14,8 +14,9 @@ workload and seed both sides run `python3 bench/run.py --workload W --seed S
 the change first on even ones.  `--traced SEED` adds one `--trace 1` run per
 side on each workload, for its per-layer metrics.  After the pairs, each
 side runs `scripts/prime_guard.py`, `scripts/op_classes.py`,
-`scripts/gc_passes.py` and `scripts/footprint.py` once, with their defaults, and the output keeps their
-stdout lines under `layers`, per side and script.  A script the parent's
+`scripts/gc_passes.py`, `scripts/footprint.py` and `scripts/code_lines.py`
+once, with their defaults, and the output keeps their stdout lines under
+`layers`, per side and script.  A script the parent's
 tree lacks is copied in from the change's tree first, so both sides are
 read by the same script; null where neither tree has it.
 
@@ -47,7 +48,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 WORKTREE = "WORKTREE"
 SIDES = ("parent", "change")
-LAYER_SCRIPTS = ("prime_guard.py", "op_classes.py", "gc_passes.py", "footprint.py")
+LAYER_SCRIPTS = ("prime_guard.py", "op_classes.py", "gc_passes.py", "footprint.py", "code_lines.py")
 
 
 def _git(*args: str) -> str:

@@ -23,24 +23,17 @@ On int and float64, where the form's dict is the entry's own table, the
 tuple is a copy of its items, so there a row costs more than sharing the
 table would (``scripts/footprint.py``).  ``entries`` stays the one store
 of the entries themselves, so ``lookup`` returns ``entries[(i, j)]`` for a
-checked pair.  Only rule results are added to ``entries``, so ``len(table.entries)`` is
-the memo size of a rule table; the absent pairs of an extensional table
-are zero and are memoized in ``_rows`` alone, so using a table never
-changes its ``==``.  ``_mul_form``'s lookup loop reads row i once per i
-and calls ``lookup`` only for pairs not yet in it; an entry that violates
-the bound never enters it, so every product that reaches it raises again.
+checked pair.  Only rule results are added to ``entries``, so
+``len(table.entries)`` is the memo size of a rule table; the absent pairs
+of an extensional table are zero and are memoized in ``_rows`` alone, so
+using a table never changes its ``==``.  ``_mul_form``'s lookup loop reads
+row i once per i and calls ``lookup`` only for pairs not yet in it, so
+``mul`` on a filled memo checks nothing; an entry that violates the bound
+never enters it, so every product that reaches it raises again.
 ``lookup`` checks both indices with ``hamel._check_index`` before it reads
-the memo, computes or stores anything, so a bad pair leaves neither a row
-nor an entry behind, and so does the constructor for every key of
-``entries``; ``_mul_form`` calls ``lookup`` only for a pair missing from
-``_rows``, so ``mul`` on a filled memo pays nothing for the check.
-Rebinding ``backend``, ``entries`` or ``pair_bound`` resets the memo
-(``__setattr__`` empties ``_rows``), since its rows were checked under the
-old fields; rebinding ``rule`` keeps it, so a warmed table's rule can be
-wrapped (as the benchmark's tracer does) without a cold memo.  Assigning
-``pair_bound``, in the constructor too, is checked: a bound other than
-None goes through ``backend.norm_check`` first (on rat ``"1/2"`` reads as
-``Fraction(1, 2)``), and a refused one leaves the table as it was.
+the memo, computes or stores anything, and the constructor every key of
+``entries``, so a bad pair leaves neither a row nor an entry behind.  The
+fields are fixed at construction, so a checked row stays checked.
 
 ``_mul_form`` multiplies two numerator forms; ``mul`` checks its operands,
 splits them into forms and wraps the product form into a vector.  It takes
@@ -50,16 +43,15 @@ that rescales its running denominator.  A power basis
 (``polynomial`` and ``group_z`` in ``catalog``) also carries a private
 codec, ``_codec = (to_exponent, to_index)``, with e_i * e_j =
 e_to_index(to_exponent(i) + to_exponent(j)); its ``rule`` is built from the
-same codec and is kept for ``lookup``.  When the codec is set and the pair
-bound is absent or at least 1, ``_convolve`` sums the products by exponent
-instead: every entry is one basis vector with coefficient 1, so the check
-cannot fail, and it adds x * y at exponent e + f in the loop's i-then-j
-order with the loop's rules (a zero term is skipped, a cancelled sum
-deleted).  Keys, their order and every float bit equal the loop's, but
-nothing is looked up, so neither ``entries`` nor ``_rows`` grows.  With a
-bound below 1 the loop runs and its check raises ``CertificateError``.
-``_codec`` is not a field, so it changes neither ``==`` nor ``repr``; a
-table built by hand has none.
+same codec and is kept for ``lookup``.  When the codec is set,
+``_convolve`` sums the products by exponent instead: every entry is one
+basis vector with coefficient 1 under the bound 1, so the check cannot
+fail, and it adds x * y at exponent e + f in the loop's i-then-j order with
+the loop's rules (a zero term is skipped, a cancelled sum deleted).  Keys,
+their order and every float bit equal the loop's, but nothing is looked
+up, so neither ``entries`` nor ``_rows`` grows.  ``_codec`` is not a
+field, so it changes neither ``==`` nor ``repr``; a table built by hand
+has none.
 
 Claimed laws (associativity, commutativity) are never assumed silently:
 :meth:`StructureTable.check_laws` probes them, and anything that needs a law
@@ -97,13 +89,14 @@ from fractions import Fraction
 from functools import partial
 from math import gcd, lcm
 
-from .ring import Backend, NormValue, Scalar, _Frozen
+from .ring import Backend, NormValue, Scalar, _Frozen, _set
 from .hamel import (
     HamelVector,
     _check_index,
     _combine,
     _form_vector,
     _operand,
+    _pairs,
     _wire_index,
     _wire_record,
     zero_vector,
@@ -114,11 +107,23 @@ class CertificateError(ValueError):
     """A declared certificate (pair bound, tail bound) failed verification."""
 
 
+def _entry(backend: Backend, entry) -> HamelVector:
+    """A table entry of backend: a vector of it, or the coords of one."""
+    if isinstance(entry, HamelVector):
+        return _operand(entry, HamelVector, backend, "table entry")
+    return HamelVector(backend, entry)
+
+
 class StructureTable(_Frozen):
     """Structure constants C^k_ij with optional pair bound and law claims.
 
-    The one mutable record: the memo grows in place and callers may rebind
-    fields, so it compares by its fields but is not hashable.
+    The fields are fixed at construction, as every record's are, but for
+    ``rule``, which may be rewrapped (as the benchmark's tracer does) and
+    keeps the memo.  Editing ``entries`` in place is unsupported, as for
+    every value's storage.  The constructor reads ``entries`` as a Mapping
+    or (key, value) pairs and ``pair_bound`` through ``backend.norm_check``
+    (rat reads ``"1/2"`` as ``Fraction(1, 2)``); a dict field makes a table
+    unhashable.
     """
 
     _fields = (
@@ -126,15 +131,11 @@ class StructureTable(_Frozen):
     )
 
     def __setattr__(self, name, value):
-        if name == "pair_bound" and value is not None:
-            value = self.backend.norm_check(value)
-        if name in ("backend", "entries", "pair_bound"):
-            object.__setattr__(self, "_rows", {})
-        object.__setattr__(self, name, value)
+        if name != "rule":
+            _Frozen.__setattr__(self, name, value)  # raises AttributeError
+        _set(self, name, value)
 
-    __delattr__ = object.__delattr__
-    __hash__ = None
-    __copy__ = __deepcopy__ = None  # copied as any object with an attribute dict is
+    __copy__ = __deepcopy__ = None  # copied as any object with an attribute dict is, since rule may change
 
     def __init__(
         self,
@@ -146,22 +147,13 @@ class StructureTable(_Frozen):
         claims_associative: bool = False,
         claims_commutative: bool = False,
     ):
-        self.backend = backend
-        self.name = name
-        self.pair_bound = pair_bound
-        self.entries = {(_check_index(i), _check_index(j)): self._coerce(entry) for (i, j), entry in entries.items()}
-        self.rule = rule
-        self.claims_associative = claims_associative
-        self.claims_commutative = claims_commutative
+        pair_bound = None if pair_bound is None else backend.norm_check(pair_bound)
+        entries = {(_check_index(i), _check_index(j)): _entry(backend, e) for (i, j), e in _pairs(entries, "entries")}
+        _Frozen.__init__(self, backend, name, entries, rule, pair_bound, claims_associative, claims_commutative)
         # _rows[i][j]: (d, ((k, n), ...)), the numerator form of each entry that passed the pair-bound check
-        self._rows: dict[int, dict[int, tuple[int, tuple]]] = {}
+        _set(self, "_rows", {})
         # a power basis sets (to_exponent, to_index) here; see _mul_form
-        self._codec = None
-
-    def _coerce(self, entry) -> HamelVector:
-        if isinstance(entry, HamelVector):
-            return _operand(entry, HamelVector, self.backend, "table entry")
-        return HamelVector(self.backend, entry)
+        _set(self, "_codec", None)
 
     def lookup(self, i: int, j: int) -> HamelVector:
         """Expansion of e_i * e_j; zero for absent pairs of an extensional table.
@@ -184,7 +176,7 @@ class StructureTable(_Frozen):
             row[j] = (1, ())
             return zero_vector(self.backend)
         if entry is None:
-            entry = self.entries[key] = self._coerce(self.rule(i, j))
+            entry = self.entries[key] = _entry(self.backend, self.rule(i, j))
         if self.pair_bound is not None:
             mass = self.backend._mass_bounds(entry._raw.values())[0]
             if mass > self.pair_bound:
@@ -211,7 +203,7 @@ class StructureTable(_Frozen):
         """The numerator form of the product of two numerator forms, unchecked."""
         da, xa = fa
         db, xb = fb
-        if self._codec is not None and (self.pair_bound is None or self.pair_bound >= 1):
+        if self._codec is not None:
             return da * db, self._convolve(xa, xb)
         rows = self._rows
         acc: dict = {}
@@ -523,7 +515,7 @@ def table_to_data(table: StructureTable) -> dict:
     if table.rule is not None:
         raise ValueError("rule-backed table cannot be serialized extensionally")
     structure = []
-    # the keys of a table edited after it was built are checked as table_from_data will check them
+    # entries edited in place (unsupported) are keyed as table_from_data will check them
     for (i, j) in sorted((_check_index(i), _check_index(j)) for i, j in table.entries):
         entry = table.entries[(i, j)]
         for k in sorted(entry._raw):

@@ -31,7 +31,7 @@ symbol^(m+n).  Besides its rule, such a table carries the codec
 
 from __future__ import annotations
 
-from .ring import RATIONAL, Backend, _Frozen, _excerpt
+from .ring import RATIONAL, Backend, _Frozen, _excerpt, _set
 from .hamel import HamelVector, _check_index, _wire_index, _wire_record, basis_vector
 from .algebra import StructureTable, table_from_data
 
@@ -108,7 +108,7 @@ def _power_basis(backend, name, symbol, to_index, to_exponent, allow_negative) -
         return _power_label(symbol, to_exponent(index))
 
     fixture = _builtin(backend, name, True, encode, decode, rule=rule)
-    fixture.table._codec = (to_exponent, to_index)
+    _set(fixture.table, "_codec", (to_exponent, to_index))
     return fixture
 
 

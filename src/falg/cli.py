@@ -170,7 +170,7 @@ class Assoc(_Node):
     _fields = ("a", "b", "c")
 
 
-MAX_NESTING = 100  # open (, [, < and unary minus around any point of an expression
+MAX_NESTING = 50  # open (, [, < and unary minus around any point of an expression
 
 # the node each leaf token kind reads as, from the token's text
 _LEAVES = {"num": Lit, "label": Label, "basis": lambda text: Basis(int(text[1:])), "ident": Name}
@@ -648,6 +648,11 @@ def _help(command: str | None) -> str:
     return "\n".join(lines)
 
 
+def _token(token: str) -> str:
+    """token as argparse echoes it, unquoted, when it has at most 40 characters; else its _excerpt."""
+    return token if len(token) <= 40 else _excerpt(token)
+
+
 def _read_token(token: str, names, command: str | None) -> tuple | None:
     """How argparse reads token against the option names.
 
@@ -670,7 +675,7 @@ def _read_token(token: str, names, command: str | None) -> tuple | None:
         matches = [n for n in names if n == token[:2]]
         value = token[2:]
     if len(matches) > 1:
-        raise _UsageError(command, f"ambiguous option: {token} could match {', '.join(matches)}")
+        raise _UsageError(command, f"ambiguous option: {_token(token)} could match {', '.join(matches)}")
     if matches:
         return matches[0], value
     if re.match(_NEGATIVE, token) or " " in token:
@@ -778,7 +783,7 @@ def _parse(argv: list[str]):
         return None
     args, rest = parsed
     if i or rest:
-        raise _UsageError(None, f"unrecognized arguments: {' '.join(argv[:i] + rest)}")
+        raise _UsageError(None, f"unrecognized arguments: {' '.join(map(_token, argv[:i] + rest))}")
     return COMMANDS[command][1], args
 
 

@@ -1153,13 +1153,14 @@ def test_parse_nesting_cap():
             parse_expr(text)
 
 
-@pytest.mark.parametrize("shape, depth", [
-    ("(e1 {} {})", MAX_NESTING),
-    ("-(e1 {} {})", MAX_NESTING // 2),  # each level opens two: the minus and the bracket
-    ("[e1 {} {}, e2]", MAX_NESTING),
-    ("<e1 {} {}, e2, e3>", MAX_NESTING),
-], ids=["parens", "minus-parens", "commutators", "associators"])
-def test_deepest_tree_with_a_chain_at_every_level_compares_and_prints(shape, depth):
+@pytest.mark.parametrize("shape, depth, chains", [
+    ("(e1 {} {})", MAX_NESTING, 1),
+    ("-(e1 {} {})", MAX_NESTING // 2, 1),  # each level opens two: the minus and the bracket
+    ("[e1 {} {}, e2]", MAX_NESTING, 1),
+    ("<e1 {} {}, e2, e3>", MAX_NESTING, 1),
+    ("[e1 + e2 * {1}, e3]", MAX_NESTING, 2),  # a product inside a sum at every level
+], ids=["parens", "minus-parens", "commutators", "associators", "two-chains"])
+def test_deepest_tree_with_a_chain_at_every_level_compares_and_prints(shape, depth, chains):
     # a node nests only as deep as MAX_NESTING allows, so record ==, hash and repr need no loop
     text = "e0"
     for level in range(depth):
@@ -1171,7 +1172,7 @@ def test_deepest_tree_with_a_chain_at_every_level_compares_and_prints(shape, dep
         same = None
     assert same is not None, "==, hash, repr or print_expr ran out of frames"
     assert same and hashed == hash(parse_expr(text))
-    assert shown.count("Chain(") == depth
+    assert shown.count("Chain(") == chains * depth
     assert parse_expr(printed) == tree
 
 
@@ -1345,6 +1346,8 @@ LONG_ECHOES = {
     "help-value": lambda tmp: ["--help=" + "x" * 100000],
     "let-value": lambda tmp: _eval_argv("builtin:polynomial", "1") + ["--let", "x" * 100000],
     "builtin-spec": lambda tmp: ["check", "--algebra", "builtin:" + "x" * 100000],
+    "unrecognized": lambda tmp: _eval_argv("builtin:polynomial", "1") + ["x" * 100000],
+    "ambiguous-value": lambda tmp: ["tensor", "--s=" + "x" * 99996],  # the message quotes the whole 100,000-character token
 }
 
 

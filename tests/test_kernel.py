@@ -808,15 +808,6 @@ def test_power_basis_far_apart_exponents_are_cheap():
     assert _raw(result) == {100001: 1} and _raw(inverse) == {0: 1}
 
 
-@pytest.mark.parametrize("backend", [INTEGER, RATIONAL, FLOAT64])
-@pytest.mark.parametrize("name", ["polynomial", "group_z"])
-def test_power_basis_rebound_pair_bound_raises(backend, name):
-    table = load_builtin(name, backend).table
-    table.pair_bound = Fraction(1, 2)  # read by backend.norm_check, as the constructor reads it
-    with pytest.raises(CertificateError, match="pair bound violated at [(]0, 0[)]"):
-        table.mul(HamelVector(backend, {0: 1}), HamelVector(backend, {0: 1}))
-
-
 # kernel Fractions are built without Fraction's constructor ------------------
 
 

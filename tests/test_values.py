@@ -169,10 +169,11 @@ def test_structure_table_is_a_mutable_record():
     assert table != OTHER_TABLE
     with pytest.raises(TypeError):
         hash(table)
-    table.name = "u"
-    assert table == OTHER_TABLE
+    with pytest.raises(AttributeError, match="^cannot assign to field 'name'$"):
+        table.name = "u"
+    assert table == TABLE
     table.rule = abs
-    assert table != OTHER_TABLE
+    assert table != TABLE and table.rule is abs
     assert StructureTable(backend=R) == StructureTable(R, "anonymous", {}, None, None, False, False)
 
 
@@ -377,6 +378,7 @@ PAIR_READERS = {
     "tensor": (lambda data: TensorElement(R, 2, data), "coords"),
     "poly-map": (lambda data: PolyMap(R, 2, data), "slots"),
     "tail-poly-map": (lambda data: TailPolyMap(R, 2, data, 0), "slots"),
+    "table": (lambda data: StructureTable(R, entries=data), "entries"),
 }
 
 
@@ -387,6 +389,11 @@ def test_constructors_reject_a_string_of_pairs(build, what, text):
     with pytest.raises(TypeError) as caught:
         build(text)
     assert str(caught.value) == f"{what} must be a mapping or (key, value) pairs, got str"
+
+
+def test_table_reads_entries_as_pairs():
+    entries = {(0, 1): {1: 5}, (1, 0): HamelVector(R, {0: Fraction(1, 2)})}
+    assert StructureTable(R, entries=list(entries.items())) == StructureTable(R, entries=entries)
 
 
 # a coordinate table stores raw values; its coords view reads as the dict of Scalars
